@@ -5,26 +5,19 @@
 //      speedup from skipping tape construction in eval, plus a bitwise
 //      check that both paths produce identical logits;
 //   2. single-graph latency percentiles (p50/p90/p99) through the
-//      InferenceEngine versus a direct no-grad forward, for the eager
-//      engine and the plan-then-execute (compiled) engine;
+//      InferenceEngine versus a direct no-grad forward;
 //   3. batched throughput (graphs/sec): a serial one-graph-at-a-time
 //      loop versus the engine coalescing concurrent submissions into
-//      dynamic micro-batches, eager vs compiled, with every engine
-//      output checked bitwise against the tape-based reference;
-//   4. the compiled engine's plan report: arena footprint, slot count,
-//      liveness reuse ratio, and the steady-state allocation counters
-//      (fallback_heap_allocs must be 0 — the zero-allocation serving
-//      guarantee).
-//
-// Plus two DESIGN.md §16 sections:
-//   5. scalar vs SIMD dispatch on the full no-grad eval forward — wall
+//      dynamic micro-batches, with every engine output checked bitwise
+//      against the tape-based reference;
+//   4. scalar vs SIMD dispatch on the full no-grad eval forward — wall
 //      clock for both plus the bitwise check (the vector path must be
-//      invisible except in speed);
-//   6. int8 quantized serving: single-graph latency through a
-//      QuantizeMode::kOn engine, quantized-compiled throughput, the
-//      max logit deviation against the fp32 reference (must stay
-//      within the tolerance committed in tests/quant_test.cc), and the
-//      zero-allocation check for the quantized compiled path.
+//      invisible except in speed; DESIGN.md §16).
+//
+// Int8 quantized serving (DESIGN.md §16) rides sections 2 and 3: a
+// QuantizeMode::kOn engine's latency and throughput, plus its max logit
+// deviation against the fp32 reference (must stay within the tolerance
+// committed in tests/quant_test.cc).
 //
 // Flags: --threads N   compute-backend pool size (default 4)
 //        --workers N   engine worker count for the pooled run (default 4)
@@ -34,8 +27,8 @@
 //                      (default 2000)
 //        --smoke       small deterministic run that exits nonzero if any
 //                      correctness gate fails (bitwise checks, quant
-//                      tolerance, zero-alloc steady state) — registered
-//                      as the bench_inference_smoke ctest
+//                      tolerance) — registered as the
+//                      bench_inference_smoke ctest
 //        --json PATH   also write the machine-readable report to PATH
 //                      (scripts/run_bench_inference.sh wraps this into
 //                      BENCH_inference.json)
@@ -64,7 +57,6 @@
 #include "src/serve/inference.h"
 #include "src/tensor/backend.h"
 #include "src/train/experiment.h"
-#include "src/tensor/exec_plan.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/simd.h"
 #include "src/tensor/variable.h"
@@ -120,7 +112,7 @@ struct LatencyReport {
 LatencyReport MeasureLatency(serve::InferenceEngine* engine,
                              const std::vector<const Graph*>& graphs,
                              int samples) {
-  engine->Predict(*graphs[0]);  // Warm-up (worker spin-up, plan touch).
+  engine->Predict(*graphs[0]);  // Warm-up (worker spin-up, arena growth).
   std::vector<double> latencies_us;
   latencies_us.reserve(static_cast<size_t>(samples));
   for (int i = 0; i < samples; ++i) {
@@ -201,8 +193,8 @@ ThroughputReport MeasureThroughput(serve::InferenceEngine* engine,
 constexpr float kQuantTolerance = 0.25f;
 
 /// Runs the bench; returns the number of failed correctness gates
-/// (bitwise divergence, quant tolerance breach, steady-state heap
-/// allocation) — the --smoke exit code.
+/// (bitwise divergence, quant tolerance breach) — the --smoke exit
+/// code.
 int RunBench(const Flags& flags) {
   const bool smoke = flags.Has("smoke");
   const int workers = flags.GetInt("workers", 4);
@@ -239,17 +231,6 @@ int RunBench(const Flags& flags) {
   const GraphBatch eval_batch = GraphBatch::FromGraphs(eval_graphs);
   Rng eval_rng(23);
 
-  // Plan envelope sized from the known graph population (the serving
-  // operator's job): a worst-case batch of max_batch copies of the
-  // biggest eval graph. Keeps every batch inside the plan, so the
-  // steady state allocates nothing.
-  int max_graph_nodes = 0;
-  int max_graph_edges = 0;
-  for (const Graph* g : eval_graphs) {
-    max_graph_nodes = std::max(max_graph_nodes, g->num_nodes());
-    max_graph_edges = std::max(max_graph_edges, g->num_edges());
-  }
-
   const int cores = BenchOptions::HardwareConcurrency();
   std::printf("Inference-path benchmark: %s, %zu eval graphs, hidden=%d, "
               "layers=%d, backend threads=%d\n",
@@ -283,7 +264,7 @@ int RunBench(const Flags& flags) {
               nograd_s * 1e3, taped_s / nograd_s,
               nograd_bitwise ? "OK" : "DIVERGED");
 
-  // --- 5. scalar vs SIMD dispatch on the no-grad eval forward --------
+  // --- 4. scalar vs SIMD dispatch on the no-grad eval forward --------
   double scalar_fwd_s;
   double simd_fwd_s;
   bool simd_bitwise;
@@ -314,7 +295,7 @@ int RunBench(const Flags& flags) {
               simd_bitwise ? "OK" : "DIVERGED",
               simd::Available() ? "" : "  (no vector ISA: scalar==scalar)");
 
-  // --- 5b. bandwidth-regime quantized matmul probe -------------------
+  // --- 4b. bandwidth-regime quantized matmul probe -------------------
   // Weight-only int8 cannot beat fp32 SIMD on cache-resident weights
   // (the int8->f32 conversion adds work and the 4x byte saving never
   // reaches a bottleneck); its payoff regime is few-row activations
@@ -360,11 +341,10 @@ int RunBench(const Flags& flags) {
         gemv_q8_s * 1e3, gflops / gemv_q8_s, gemv_fp32_s / gemv_q8_s);
   }
 
-  // --- 2. single-graph latency percentiles: eager vs compiled --------
+  // --- 2. single-graph latency percentiles: fp32 vs int8 ------------
   // One worker, batch size 1, no batching window: each Predict measures
   // queue handoff + one forward.
   LatencyReport eager_latency;
-  LatencyReport planned_latency;
   LatencyReport quant_latency;
   double direct_us = 0;
   {
@@ -375,19 +355,10 @@ int RunBench(const Flags& flags) {
     options.max_batch_wait_us = 0;
     options.quantize = serve::QuantizeMode::kOff;  // fp32 rows below.
 
-    options.compiled = false;
     serve::InferenceEngine eager(spec, options);
     eager.SyncFrom(model);
     eager_latency = MeasureLatency(&eager, eval_graphs, samples);
 
-    options.compiled = true;
-    options.plan_max_nodes = max_graph_nodes;
-    options.plan_max_edges = max_graph_edges;
-    serve::InferenceEngine planned(spec, options);
-    planned.SyncFrom(model);
-    planned_latency = MeasureLatency(&planned, eval_graphs, samples);
-
-    options.compiled = false;
     options.quantize = serve::QuantizeMode::kOn;
     serve::InferenceEngine quantized(spec, options);
     quantized.SyncFrom(model);
@@ -401,19 +372,16 @@ int RunBench(const Flags& flags) {
     });
     direct_us = direct_s * 1e6;
     std::printf("single-graph latency (engine, %d samples)\n", samples);
-    std::printf("  eager:    p50 %8.1f us   p90 %8.1f us   p99 %8.1f us\n",
-                eager_latency.p50_us, eager_latency.p90_us,
-                eager_latency.p99_us);
-    std::printf("  compiled: p50 %8.1f us   p90 %8.1f us   p99 %8.1f us   "
+    std::printf("  fp32:     p50 %8.1f us   p90 %8.1f us   p99 %8.1f us   "
                 "(direct no-grad forward: %.1f us)\n",
-                planned_latency.p50_us, planned_latency.p90_us,
-                planned_latency.p99_us, direct_us);
+                eager_latency.p50_us, eager_latency.p90_us,
+                eager_latency.p99_us, direct_us);
     std::printf("  int8:     p50 %8.1f us   p90 %8.1f us   p99 %8.1f us\n\n",
                 quant_latency.p50_us, quant_latency.p90_us,
                 quant_latency.p99_us);
   }
 
-  // --- 3. batched throughput: serial loop vs pooled engines ----------
+  // --- 3. batched throughput: serial loop vs pooled engine -----------
   // Reference rows for the bitwise check, via the tape-based path.
   std::vector<Tensor> reference;
   for (const Graph* g : eval_graphs) {
@@ -440,23 +408,14 @@ int RunBench(const Flags& flags) {
   options.max_batch_wait_us = wait_us;
   options.quantize = serve::QuantizeMode::kOff;  // fp32 rows first.
 
-  options.compiled = false;
   serve::InferenceEngine eager_engine(spec, options);
   eager_engine.SyncFrom(model);
   const ThroughputReport eager_tp =
       MeasureThroughput(&eager_engine, eval_graphs, reference, total_requests);
 
-  options.compiled = true;
-  options.plan_max_nodes = max_batch * max_graph_nodes;
-  options.plan_max_edges = max_batch * max_graph_edges;
-  serve::InferenceEngine planned_engine(spec, options);
-  planned_engine.SyncFrom(model);
-  const ThroughputReport planned_tp = MeasureThroughput(
-      &planned_engine, eval_graphs, reference, total_requests);
-
-  // Quantized + compiled: the int8 serving configuration. Checked
-  // against the fp32 reference within the committed tolerance instead
-  // of bitwise (quantized serving is approximate by design).
+  // The int8 serving configuration. Checked against the fp32 reference
+  // within the committed tolerance instead of bitwise (quantized
+  // serving is approximate by design).
   options.quantize = serve::QuantizeMode::kOn;
   serve::InferenceEngine quant_engine(spec, options);
   quant_engine.SyncFrom(model);
@@ -472,13 +431,7 @@ int RunBench(const Flags& flags) {
               "bitwise %s\n",
               total_requests / eager_tp.seconds, serial_s / eager_tp.seconds,
               eager_tp.bitwise_ok ? "OK" : "DIVERGED");
-  std::printf("  compiled engine: %10.1f graphs/sec   speedup %.2fx   "
-              "bitwise %s   (vs eager %.2fx)\n",
-              total_requests / planned_tp.seconds,
-              serial_s / planned_tp.seconds,
-              planned_tp.bitwise_ok ? "OK" : "DIVERGED",
-              eager_tp.seconds / planned_tp.seconds);
-  std::printf("  int8 compiled:   %10.1f graphs/sec   speedup %.2fx   "
+  std::printf("  int8 engine:     %10.1f graphs/sec   speedup %.2fx   "
               "max|dlogit| %.4f %s (tol %.2f)\n",
               total_requests / quant_tp.seconds, serial_s / quant_tp.seconds,
               quant_max_diff, quant_tp.bitwise_ok ? "OK" : "BREACHED",
@@ -486,65 +439,14 @@ int RunBench(const Flags& flags) {
   std::printf("  engine: %d workers, batch<=%d, wait %d us, "
               "%lld batches (%.1f graphs/batch avg)\n\n",
               workers, max_batch, wait_us,
-              static_cast<long long>(planned_tp.stats.batches),
-              planned_tp.stats.batches > 0
-                  ? static_cast<double>(planned_tp.stats.requests) /
-                        static_cast<double>(planned_tp.stats.batches)
+              static_cast<long long>(eager_tp.stats.batches),
+              eager_tp.stats.batches > 0
+                  ? static_cast<double>(eager_tp.stats.requests) /
+                        static_cast<double>(eager_tp.stats.batches)
                   : 0.0);
 
-  // --- 4. compiled plan report ---------------------------------------
-  const std::shared_ptr<const ComputePlan> plan = planned_engine.plan();
-  const serve::InferenceStats ps = planned_tp.stats;
-  if (plan != nullptr) {
-    std::printf("compiled plan (per worker)\n");
-    std::printf("  arena %.1f KiB, %zu slots (%.1f KiB demand, reuse "
-                "%.2fx), %zu kernels, %zu ops\n",
-                static_cast<double>(plan->capacity_bytes()) / 1024.0,
-                plan->slots.size(),
-                static_cast<double>(plan->slot_floats_total) * 4.0 / 1024.0,
-                plan->reuse_ratio(), plan->kernels.size(), plan->ops.size());
-    std::printf("  planned %lld / eager %lld / diverged %lld batches, "
-                "fallback heap allocs %lld%s\n\n",
-                static_cast<long long>(ps.planned_batches),
-                static_cast<long long>(ps.eager_batches),
-                static_cast<long long>(ps.diverged_batches),
-                static_cast<long long>(ps.fallback_heap_allocs),
-                ps.fallback_heap_allocs == 0
-                    ? "  (zero-allocation steady state: OK)"
-                    : "");
-  }
-
-  // --- 6. quantized compiled plan report -----------------------------
-  const std::shared_ptr<const ComputePlan> quant_plan = quant_engine.plan();
-  const serve::InferenceStats qs = quant_tp.stats;
-  std::printf("int8 quantized serving (Q8_0 blocks of %d)\n", kQuantBlockSize);
-  std::printf("  plan dtype %s, planned %lld / diverged %lld batches, "
-              "fallback heap allocs %lld%s\n\n",
-              quant_plan != nullptr ? WeightDtypeName(quant_plan->weight_dtype)
-                                    : "none",
-              static_cast<long long>(qs.planned_batches),
-              static_cast<long long>(qs.diverged_batches),
-              static_cast<long long>(qs.fallback_heap_allocs),
-              qs.fallback_heap_allocs == 0
-                  ? "  (zero-allocation steady state: OK)"
-                  : "");
-
   if (!json_path.empty()) {
-    const bool bitwise_ok =
-        nograd_bitwise && eager_tp.bitwise_ok && planned_tp.bitwise_ok;
-    obs::JsonObjectWriter plan_json;
-    if (plan != nullptr) {
-      plan_json.Put("arena_bytes", static_cast<std::int64_t>(ps.arena_bytes))
-          .Put("slots", static_cast<std::int64_t>(plan->slots.size()))
-          .Put("kernels", static_cast<std::int64_t>(plan->kernels.size()))
-          .Put("ops", static_cast<std::int64_t>(plan->ops.size()))
-          .Put("reuse_ratio", plan->reuse_ratio())
-          .Put("planned_batches", ps.planned_batches)
-          .Put("eager_batches", ps.eager_batches)
-          .Put("diverged_batches", ps.diverged_batches)
-          .Put("fallback_heap_allocs", ps.fallback_heap_allocs)
-          .Put("recompiles", ps.plan_recompiles);
-    }
+    const bool bitwise_ok = nograd_bitwise && eager_tp.bitwise_ok;
     const std::string report =
         obs::JsonObjectWriter()
             .Put("bench", "inference")
@@ -567,9 +469,6 @@ int RunBench(const Flags& flags) {
                         .Put("eager_p50", eager_latency.p50_us)
                         .Put("eager_p90", eager_latency.p90_us)
                         .Put("eager_p99", eager_latency.p99_us)
-                        .Put("compiled_p50", planned_latency.p50_us)
-                        .Put("compiled_p90", planned_latency.p90_us)
-                        .Put("compiled_p99", planned_latency.p99_us)
                         .Put("quant_p50", quant_latency.p50_us)
                         .Put("quant_p90", quant_latency.p90_us)
                         .Put("quant_p99", quant_latency.p99_us)
@@ -578,13 +477,9 @@ int RunBench(const Flags& flags) {
                     obs::JsonObjectWriter()
                         .Put("serial", total_requests / serial_s)
                         .Put("eager", total_requests / eager_tp.seconds)
-                        .Put("compiled", total_requests / planned_tp.seconds)
-                        .Put("compiled_vs_eager",
-                             eager_tp.seconds / planned_tp.seconds)
-                        .Put("quant_compiled",
-                             total_requests / quant_tp.seconds)
-                        .Put("quant_vs_fp32_compiled",
-                             planned_tp.seconds / quant_tp.seconds)
+                        .Put("quant", total_requests / quant_tp.seconds)
+                        .Put("quant_vs_fp32",
+                             eager_tp.seconds / quant_tp.seconds)
                         .Build())
             .PutRaw("simd",
                     obs::JsonObjectWriter()
@@ -601,8 +496,6 @@ int RunBench(const Flags& flags) {
                         .Put("tolerance", static_cast<double>(kQuantTolerance))
                         .Put("max_logit_diff", quant_max_diff)
                         .Put("within_tolerance", quant_tp.bitwise_ok)
-                        .Put("diverged_batches", qs.diverged_batches)
-                        .Put("fallback_heap_allocs", qs.fallback_heap_allocs)
                         .PutRaw("bandwidth_gemv",
                                 obs::JsonObjectWriter()
                                     .Put("fp32_weight_bytes",
@@ -616,7 +509,6 @@ int RunBench(const Flags& flags) {
                                              : 0.0)
                                     .Build())
                         .Build())
-            .PutRaw("plan", plan_json.Build())
             .Put("bitwise_ok", bitwise_ok)
             .Build();
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
@@ -638,15 +530,8 @@ int RunBench(const Flags& flags) {
   gate(nograd_bitwise, "nograd-bitwise");
   gate(simd_bitwise, "simd-bitwise");
   gate(eager_tp.bitwise_ok, "eager-engine-bitwise");
-  gate(planned_tp.bitwise_ok, "compiled-engine-bitwise");
-  gate(planned_tp.stats.fallback_heap_allocs == 0, "compiled-zero-alloc");
   gate(quant_tp.bitwise_ok, "quant-within-tolerance");
   gate(quant_max_diff > 0, "quant-path-engaged");
-  gate(qs.diverged_batches == 0, "quant-no-diverged-replays");
-  gate(qs.fallback_heap_allocs == 0, "quant-compiled-zero-alloc");
-  gate(quant_plan != nullptr &&
-           quant_plan->weight_dtype == WeightDtype::kQ8,
-       "quant-plan-dtype-q8");
   if (smoke && failures > 0) std::printf("smoke: %d FAILURES\n", failures);
   return failures;
 }

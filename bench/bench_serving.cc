@@ -20,12 +20,11 @@
 //               burn-rate signal exceeds 1 (--shed-on-slo)
 //
 // Procedure:
-//   1. Calibrate capacity: closed-loop bursts through the eager
-//      engine. The phase is iteration-bound (--calib graphs per round,
+//   1. Calibrate capacity: closed-loop bursts through the engine. The phase is iteration-bound (--calib graphs per round,
 //      --calib-rounds rounds) and takes the best round, so a slow or
 //      noisy CI machine lengthens the run but cannot skew the measured
 //      rate the way a single wall-time-bound burst could.
-//   2. For each mode (eager, compiled) and each rate tier
+//   2. For each rate tier
 //      (0.5x / 0.8x / 1.2x of capacity — the last deliberately past
 //      saturation), replay the same Poisson arrival schedule and
 //      heavy-tailed graph mix through a fresh engine. Halfway through
@@ -150,7 +149,7 @@ constexpr TenantProfile kTenants[] = {
 };
 constexpr int kNumTenants = 3;
 
-/// The per-tier workload, fixed up front so every (mode, tier) run
+/// The per-tier workload, fixed up front so every tier run
 /// replays identical arrivals: a heavy-tailed graph sequence, the
 /// cumulative Poisson arrival offsets in microseconds, and the tenant
 /// each request bills to.
@@ -338,8 +337,8 @@ std::vector<double> Decimate(const std::vector<double>& samples,
   return out;
 }
 
-std::string TierJson(const std::string& mode, const std::string& tier,
-                     int requests, double slo_ms, const TierResult& r) {
+std::string TierJson(const std::string& tier, int requests, double slo_ms,
+                     const TierResult& r) {
   const serve::InferenceStats& s = r.stats;
   std::string tenants_json = "[";
   for (size_t i = 0; i < s.scheduler.tenants.size(); ++i) {
@@ -363,7 +362,6 @@ std::string TierJson(const std::string& mode, const std::string& tier,
   }
   versions_json += "]";
   return obs::JsonObjectWriter()
-      .Put("mode", mode)
       .Put("tier", tier)
       .Put("target_rps", r.target_rps)
       .Put("requests", requests)
@@ -428,18 +426,14 @@ std::string TierJson(const std::string& mode, const std::string& tier,
                            ? static_cast<double>(s.scheduler.dispatched) /
                                  static_cast<double>(s.batches)
                            : 0.0)
-                  .Put("planned_batches", s.planned_batches)
-                  .Put("eager_batches", s.eager_batches)
-                  .Put("fallback_heap_allocs", s.fallback_heap_allocs)
                   .Build())
       .Build();
 }
 
-void PrintTier(const std::string& mode, const std::string& tier,
-               int requests, const TierResult& r) {
-  std::printf("  %-8s %-5s  offered %7.1f rps  achieved %7.1f  goodput "
+void PrintTier(const std::string& tier, int requests, const TierResult& r) {
+  std::printf("  %-5s  offered %7.1f rps  achieved %7.1f  goodput "
               "%7.1f  (%lld/%d in SLO)\n",
-              mode.c_str(), tier.c_str(), r.target_rps, r.achieved_rps,
+              tier.c_str(), r.target_rps, r.achieved_rps,
               r.goodput_rps, static_cast<long long>(r.within_slo), requests);
   std::printf("           e2e p50 %8.0f us  p95 %8.0f us  p99 %8.0f us   "
               "queue depth mean %.1f max %.0f\n",
@@ -512,12 +506,6 @@ bool RunBench(const Flags& flags) {
             [](const Graph* a, const Graph* b) {
               return a->num_nodes() < b->num_nodes();
             });
-  int max_graph_nodes = 0;
-  int max_graph_edges = 0;
-  for (const Graph* g : sorted_graphs) {
-    max_graph_nodes = std::max(max_graph_nodes, g->num_nodes());
-    max_graph_edges = std::max(max_graph_edges, g->num_edges());
-  }
 
   serve::InferenceOptions base_options;
   base_options.num_workers = workers;
@@ -534,7 +522,8 @@ bool RunBench(const Flags& flags) {
   std::printf("Serving load generator: %s, %zu eval graphs "
               "(%d..%d nodes), hidden=%d, layers=%d, backend threads=%d\n",
               MethodName(spec.method), sorted_graphs.size(),
-              sorted_graphs.front()->num_nodes(), max_graph_nodes,
+              sorted_graphs.front()->num_nodes(),
+              sorted_graphs.back()->num_nodes(),
               spec.encoder.hidden_dim, spec.encoder.num_layers,
               GetBackend().num_threads());
   std::printf("engine: %d workers, batch<=%d, inflight<=%d, wait %d us; "
@@ -542,7 +531,7 @@ bool RunBench(const Flags& flags) {
               workers, max_batch, max_inflight, wait_us, slo_ms,
               static_cast<long long>(deadline_us));
 
-  // --- Capacity calibration: closed-loop bursts, eager engine --------
+  // --- Capacity calibration: closed-loop bursts -----------------------
   // Everything submitted at once, so the engine coalesces maximal
   // batches and the completion rate approximates saturation throughput.
   // Iteration-bound and best-of-N so CI noise only lengthens the run.
@@ -550,7 +539,6 @@ bool RunBench(const Flags& flags) {
   {
     obs::MetricsRegistry registry;
     serve::InferenceOptions options = base_options;
-    options.compiled = false;
     options.telemetry_registry = &registry;
     serve::InferenceEngine engine(spec, options);
     engine.SyncFrom(model);
@@ -575,8 +563,8 @@ bool RunBench(const Flags& flags) {
       capacity_rps = std::max(
           capacity_rps, static_cast<double>(calib_requests) / seconds);
     }
-    std::printf("capacity (closed-loop, %d rounds x %d graphs, eager, "
-                "best): %.1f graphs/sec\n\n",
+    std::printf("capacity (closed-loop, %d rounds x %d graphs, best): "
+                "%.1f graphs/sec\n\n",
                 calib_rounds, calib_requests, capacity_rps);
   }
   if (!(capacity_rps > 0)) {
@@ -605,11 +593,10 @@ bool RunBench(const Flags& flags) {
     }
   }
 
-  // --- Rate tiers, eager vs compiled ---------------------------------
-  // The same Poisson schedule per tier drives both modes, so the only
-  // difference between paired rows is the execution path. 1.2x sits
-  // past the calibrated saturation point on purpose: that is where the
-  // queue ramps, deadlines expire, quotas bite and the SLO burns.
+  // --- Rate tiers ----------------------------------------------------
+  // 1.2x sits past the calibrated saturation point on purpose: that is
+  // where the queue ramps, deadlines expire, quotas bite and the SLO
+  // burns.
   const std::vector<std::pair<std::string, double>> tiers = {
       {"0.5x", 0.5}, {"0.8x", 0.8}, {"1.2x", 1.2}};
   std::vector<std::string> tier_rows;
@@ -627,35 +614,23 @@ bool RunBench(const Flags& flags) {
     Rng schedule_rng(seed + static_cast<std::uint64_t>(fraction * 1000));
     const Schedule schedule =
         MakeSchedule(sorted_graphs, requests, rate, &schedule_rng);
-    for (const bool compiled : {false, true}) {
-      serve::InferenceOptions options = base_options;
-      options.compiled = compiled;
-      if (compiled) {
-        const int plan_graphs = std::max(max_batch, max_inflight);
-        options.plan_max_nodes = plan_graphs * max_graph_nodes;
-        options.plan_max_edges = plan_graphs * max_graph_edges;
-      }
-      const std::string mode = compiled ? "compiled" : "eager";
-      const TierResult result = RunTier(spec, options, model, schedule, rate,
-                                        slo_ms * 1000.0, deadline_us);
-      PrintTier(mode, tier_name, requests, result);
-      tier_rows.push_back(
-          TierJson(mode, tier_name, requests, slo_ms, result));
-      // Conservation: every arrival resolved exactly one way, and the
-      // engine's accounting agrees with the client's (the engine also
-      // dispatched the one off-the-clock warm-up request).
-      if (result.served + result.shed != requests ||
-          result.stats.scheduler.dispatched != result.served + 1 ||
-          result.stats.scheduler.shed != result.shed) {
-        std::printf("SMOKE FAIL: %s %s conservation: served %lld + shed "
-                    "%lld != %d (engine dispatched %lld shed %lld)\n",
-                    mode.c_str(), tier_name.c_str(),
-                    static_cast<long long>(result.served),
-                    static_cast<long long>(result.shed), requests,
-                    static_cast<long long>(result.stats.scheduler.dispatched),
-                    static_cast<long long>(result.stats.scheduler.shed));
-        smoke_ok = false;
-      }
+    const TierResult result = RunTier(spec, base_options, model, schedule,
+                                      rate, slo_ms * 1000.0, deadline_us);
+    PrintTier(tier_name, requests, result);
+    tier_rows.push_back(TierJson(tier_name, requests, slo_ms, result));
+    // Conservation: every arrival resolved exactly one way, and the
+    // engine's accounting agrees with the client's (the engine also
+    // dispatched the one off-the-clock warm-up request).
+    if (result.served + result.shed != requests ||
+        result.stats.scheduler.dispatched != result.served + 1 ||
+        result.stats.scheduler.shed != result.shed) {
+      std::printf("SMOKE FAIL: %s conservation: served %lld + shed "
+                  "%lld != %d (engine dispatched %lld shed %lld)\n",
+                  tier_name.c_str(), static_cast<long long>(result.served),
+                  static_cast<long long>(result.shed), requests,
+                  static_cast<long long>(result.stats.scheduler.dispatched),
+                  static_cast<long long>(result.stats.scheduler.shed));
+      smoke_ok = false;
     }
   }
 

@@ -51,6 +51,10 @@ int RunServeSmoke(const oodgnn::GraphDataset& dataset, oodgnn::Method method,
   spec.encoder = train.encoder;
   spec.encoder.feature_dim = dataset.feature_dim;
   spec.output_dim = dataset.OutputDim();
+  // Binary/regression datasets carry one target per task on every graph.
+  if (dataset.task_type != oodgnn::TaskType::kMulticlass) {
+    spec.num_targets = dataset.num_tasks;
+  }
 
   oodgnn::serve::InferenceOptions options;
   options.num_workers = flags.GetInt("workers", 2);

@@ -70,6 +70,7 @@ serve/shed/queue_full
 serve/shed/quota
 serve/shed/deadline
 serve/shed/slo
+serve/shed/invalid
 serve/sched/submitted
 serve/sched/admitted
 serve/sched/dispatched
@@ -82,10 +83,6 @@ serve/quant/params
 serve/quant/bytes
 kernel/simd/vector_calls
 kernel/simd/scalar_calls
-train/plan/replays
-train/plan/retraces
-train/plan/fallbacks
-train/plan/arena_bytes
 "
 for name in $required_names; do
   checked=$((checked + 1))

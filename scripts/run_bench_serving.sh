@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds bench_serving and runs the open-loop serving load generator:
 # capacity calibration, then Poisson arrival tiers at 0.5x / 0.8x /
-# 1.2x of the calibrated saturation rate through the eager and the
-# plan-then-execute engines, with a heavy-tailed graph-size mix.
+# 1.2x of the calibrated saturation rate through the engine, with a
+# heavy-tailed graph-size mix.
 # Per tier it reports exact client-side span percentiles (p50/p95/p99
 # for queue wait, batch build, execute and e2e), goodput (within-SLO
 # completions/sec) and the queue-depth trajectory — the committed

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Builds the project under a sanitizer and runs the hardened-surface
 # suites (ctest label "sanitize": serialize_test, kernels_test,
-# checkpoint_test, serve_test, golden_test, exec_plan_test — the
+# simd_test, quant_test, checkpoint_test, golden_test, serve_test,
+# serve_telemetry_test, serve_sched_test and arena_test — the
 # untrusted-byte parsers, the parallel kernels, the concurrent
-# inference engine, and the arena allocator / plan record-replay layer,
-# whose pointer arithmetic over shared slabs is exactly what ASan is
-# for). The "thread" build is the TSan pass over the engine's request
-# queue, shared-weight locking, and plan/arena swaps.
+# inference engine, and the tensor arena, whose pointer arithmetic over
+# shared slabs is exactly what ASan is for; the address build poisons
+# free arena extents so tensor overruns are still caught). The "thread"
+# build is the TSan pass over the engine's request queue, shared-weight
+# locking, version swaps, and cross-thread arena frees.
 #
 # Usage: scripts/sanitize_tests.sh [address|undefined|thread]
 set -euo pipefail

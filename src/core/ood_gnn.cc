@@ -1,8 +1,6 @@
 #include "src/core/ood_gnn.h"
 
 #include "src/obs/trace.h"
-#include "src/tensor/arena.h"
-#include "src/tensor/exec_plan.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -20,14 +18,6 @@ OodGnnReweighter::OodGnnReweighter(int representation_dim, int batch_size,
 std::vector<float> OodGnnReweighter::ComputeWeights(const Tensor& local_z) {
   OODGNN_TRACE_SCOPE("core/compute_weights");
   OODGNN_CHECK_EQ(local_z.cols(), rff_.input_dim());
-  // The inner Adam loop's allocation pattern is data-dependent
-  // (conditional best-iterate copies, weight-bank initialization) and
-  // the bank's groups persist across steps, so this region cannot run
-  // inside a compiled-train plan: suspend any active record/replay
-  // scope and, under compiled execution, serve its tensors from the
-  // thread's dynamic arena instead (still zero steady-state heap
-  // allocations after the first batch).
-  ScopedDynamicArena plan_guard(CompiledEnabled() || CompiledTrainEnabled());
   if (local_z.rows() < 2) {
     // A single-sample batch carries no pairwise dependence signal.
     return std::vector<float>(static_cast<size_t>(local_z.rows()), 1.f);

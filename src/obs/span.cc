@@ -18,15 +18,6 @@ SpanCollector::SpanCollector(MetricsRegistry* registry) {
   e2e_us_ = &registry->GetHistogram("serve/e2e/us");
   batch_graphs_ = &registry->GetHistogram("serve/batch/graphs");
   batch_nodes_ = &registry->GetHistogram("serve/batch/nodes");
-  plan_arena_bytes_ = &registry->GetGauge("serve/plan/arena_bytes");
-  plan_slots_ = &registry->GetGauge("serve/plan/slots");
-  plan_reuse_x1000_ = &registry->GetGauge("serve/plan/reuse_x1000");
-  plan_peak_bytes_ = &registry->GetGauge("serve/plan/peak_bytes");
-  plan_recompiles_ = &registry->GetCounter("serve/plan/recompiles");
-  plan_eager_batches_ = &registry->GetCounter("serve/plan/eager_batches");
-  plan_diverged_batches_ =
-      &registry->GetCounter("serve/plan/diverged_batches");
-  plan_fallback_allocs_ = &registry->GetCounter("serve/plan/fallback_allocs");
 }
 
 void SpanCollector::RecordEnqueue(std::int64_t queue_depth) {
@@ -60,23 +51,6 @@ void SpanCollector::RecordSpan(const RequestSpan& span) {
   execute_us_->Observe(static_cast<double>(span.execute_dur_us()));
   e2e_us_->Observe(static_cast<double>(span.e2e_us()));
 }
-
-void SpanCollector::RecordPlanCompile(std::int64_t arena_bytes,
-                                      std::int64_t slots, double reuse_ratio) {
-  plan_arena_bytes_->Set(static_cast<double>(arena_bytes));
-  plan_slots_->Set(static_cast<double>(slots));
-  plan_reuse_x1000_->Set(1000.0 * reuse_ratio);
-  plan_recompiles_->Increment();
-}
-
-void SpanCollector::RecordReplay(std::int64_t peak_bytes, bool diverged,
-                                 std::int64_t fallback_allocs) {
-  plan_peak_bytes_->Set(static_cast<double>(peak_bytes));
-  if (diverged) plan_diverged_batches_->Increment();
-  if (fallback_allocs > 0) plan_fallback_allocs_->Add(fallback_allocs);
-}
-
-void SpanCollector::RecordEagerBatch() { plan_eager_batches_->Increment(); }
 
 }  // namespace obs
 }  // namespace oodgnn

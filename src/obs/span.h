@@ -51,8 +51,8 @@ struct RequestSpan {
 /// accounting. All registry lookups (string keys, map nodes) happen
 /// once at construction; afterwards every Record* call touches only
 /// relaxed atomics and the per-histogram mutex — no strings, no maps,
-/// and no heap, so telemetry can stay on in the zero-allocation
-/// compiled serving path (the existing tensor-heap counters pin that).
+/// and no heap, so telemetry can stay on without breaking the engine's
+/// zero-allocation steady state (InferenceStats::heap_allocs pins it).
 ///
 /// Metric names follow the area/object/unit convention
 /// (scripts/check_metric_names.sh):
@@ -68,14 +68,6 @@ struct RequestSpan {
 ///   histogram  serve/e2e/us              enqueue -> future set
 ///   histogram  serve/batch/graphs        micro-batch occupancy
 ///   histogram  serve/batch/nodes         total nodes per micro-batch
-///   gauge      serve/plan/arena_bytes    compiled-plan arena capacity
-///   gauge      serve/plan/slots          compiled-plan slot count
-///   gauge      serve/plan/reuse_x1000    liveness reuse ratio x1000
-///   gauge      serve/plan/peak_bytes     last replay's peak footprint
-///   counter    serve/plan/recompiles     plan compiles (construct+sync)
-///   counter    serve/plan/eager_batches  batches failing the pre-check
-///   counter    serve/plan/diverged_batches
-///   counter    serve/plan/fallback_allocs
 ///
 /// Engines sharing one registry share these instances (their totals
 /// accumulate jointly); hand each engine a private MetricsRegistry when
@@ -110,14 +102,6 @@ class SpanCollector {
   /// A finished request span: feeds the four per-phase histograms.
   void RecordSpan(const RequestSpan& span);
 
-  // Compiled-plan accounting (mirrors InferenceStats into the registry
-  // so exporters see it).
-  void RecordPlanCompile(std::int64_t arena_bytes, std::int64_t slots,
-                         double reuse_ratio);
-  void RecordReplay(std::int64_t peak_bytes, bool diverged,
-                    std::int64_t fallback_allocs);
-  void RecordEagerBatch();
-
   /// Live gauge values (for InferenceStats snapshots).
   double queue_depth() const { return queue_depth_->value(); }
   double inflight_batches() const { return inflight_batches_->value(); }
@@ -144,14 +128,6 @@ class SpanCollector {
   StreamingHistogram* e2e_us_;
   StreamingHistogram* batch_graphs_;
   StreamingHistogram* batch_nodes_;
-  Gauge* plan_arena_bytes_;
-  Gauge* plan_slots_;
-  Gauge* plan_reuse_x1000_;
-  Gauge* plan_peak_bytes_;
-  Counter* plan_recompiles_;
-  Counter* plan_eager_batches_;
-  Counter* plan_diverged_batches_;
-  Counter* plan_fallback_allocs_;
 };
 
 }  // namespace obs

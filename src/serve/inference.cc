@@ -9,6 +9,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/graph/batch.h"
+#include "src/tensor/arena.h"
 #include "src/train/checkpoint.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
@@ -21,81 +22,33 @@ namespace {
 /// are bitwise identical to each other even before any SyncFrom/Load.
 constexpr uint64_t kReplicaInitSeed = 0x00D64E2A11CE5EEDull;
 
-/// True when `graphs` matches the profile the plan was recorded at
-/// closely enough that replaying it can only diverge per-block (size
-/// overflow), never structurally. Structural mismatches — a target
-/// arity the batch constructor would allocate differently for, or an
-/// edgeless batch taking the conv layers' empty-edge branch — run
-/// eager instead.
-bool PlanAdmits(const ComputePlan& plan,
-                const std::vector<const Graph*>& graphs,
-                WeightDtype active_dtype) {
-  // A plan records the weight representation it was traced under: a
-  // quantized forward issues matmul_quant where an fp32 one issues
-  // matmul, so replaying across the representations is a structural
-  // mismatch. Dtype can differ from the plan's only transiently — the
-  // snapshot carries its own plan, so this closes the window where a
-  // worker flips representation mid-adoption, never a steady state.
-  if (plan.weight_dtype != active_dtype) return false;
-  if (graphs.empty()) return false;
-  if (static_cast<int>(graphs[0]->targets.size()) != plan.num_targets) {
-    return false;
+/// Why `graph` cannot be batched under `spec`, or null when it can:
+/// the conditions batch construction (GraphBatch::FromGraphs,
+/// SegmentPlan::Build) relies on, tested here so a bad request is
+/// refused at Submit instead of aborting the worker and every request
+/// batched with it.
+const char* InvalidGraphReason(const Graph& graph, const ModelSpec& spec) {
+  if (graph.feature_dim() != spec.encoder.feature_dim) {
+    return "feature width differs from the spec";
   }
-  std::int64_t edges = 0;
-  for (const Graph* g : graphs) edges += g->num_edges();
-  return edges > 0;
-}
-
-/// Deterministic reference batch at the plan envelope: `num_graphs`
-/// graphs totalling `max_nodes` nodes (the first takes the bulk) and
-/// `max_edges` directed edges laid along a cycle of the first graph.
-std::vector<Graph> MakeReferenceGraphs(int num_graphs, int max_nodes,
-                                       int max_edges, int feature_dim,
-                                       int num_targets) {
-  std::vector<Graph> graphs;
-  graphs.reserve(static_cast<size_t>(num_graphs));
-  const int bulk = std::max(1, max_nodes - (num_graphs - 1));
-  for (int i = 0; i < num_graphs; ++i) {
-    Graph g(i == 0 ? bulk : 1, feature_dim);
-    g.x.Fill(1.f);
-    g.label = 0;
-    if (num_targets > 0) g.targets.assign(static_cast<size_t>(num_targets), 0.f);
-    graphs.push_back(std::move(g));
+  if (static_cast<int>(graph.targets.size()) != spec.num_targets) {
+    return "target arity differs from the spec";
   }
-  Graph& first = graphs[0];
-  for (int e = 0; first.num_edges() < max_edges; ++e) {
-    // Walks the cycle with an increasing stride, so edge count is
-    // exact even past 2 * bulk edges (duplicates are legal multigraph
-    // edges for every plan/normalization path).
-    const int stride = 1 + e / std::max(1, bulk);
-    first.AddEdge(e % bulk, (e + stride) % bulk);
+  if (!graph.target_mask.empty() &&
+      graph.target_mask.size() != graph.targets.size()) {
+    return "target mask and targets differ in length";
   }
-  return graphs;
-}
-
-/// Reference-batch envelope a plan is recorded at (slot_budget graphs,
-/// node/edge totals from the options or the auto scaling).
-struct Envelope {
-  int num_graphs = 0;
-  int max_nodes = 0;
-  int max_edges = 0;
-  std::vector<Graph> graphs;
-};
-
-Envelope MakeEnvelope(const ModelSpec& spec, const InferenceOptions& options,
-                      int slot_budget) {
-  Envelope env;
-  env.num_graphs = slot_budget;
-  env.max_nodes = std::max(options.plan_max_nodes > 0 ? options.plan_max_nodes
-                                                      : 32 * env.num_graphs,
-                           env.num_graphs);
-  env.max_edges = std::max(
-      options.plan_max_edges > 0 ? options.plan_max_edges : 4 * env.max_nodes,
-      2);
-  env.graphs = MakeReferenceGraphs(env.num_graphs, env.max_nodes,
-                                   env.max_edges, spec.encoder.feature_dim,
-                                   spec.num_targets);
-  return env;
+  if (graph.edge_src.size() != graph.edge_dst.size()) {
+    return "edge endpoint arrays differ in length";
+  }
+  const int n = graph.num_nodes();
+  for (size_t e = 0; e < graph.edge_src.size(); ++e) {
+    if (graph.edge_src[e] < 0 || graph.edge_src[e] >= n ||
+        graph.edge_dst[e] < 0 || graph.edge_dst[e] >= n) {
+      return "edge endpoint out of range";
+    }
+  }
+  return nullptr;
 }
 
 /// Only matrix parameters are quantized (same eligibility rule as
@@ -148,15 +101,12 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
                                            : options_.max_batch_graphs;
   replicas_.reserve(static_cast<size_t>(options_.num_workers));
   worker_rngs_.reserve(static_cast<size_t>(options_.num_workers));
-  arenas_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     Rng init_rng(kReplicaInitSeed);
     replicas_.push_back(std::make_unique<GraphPredictionModel>(
         spec_.method, spec_.encoder, spec_.output_dim, &init_rng));
     worker_rngs_.push_back(std::make_unique<Rng>(kReplicaInitSeed + i));
-    arenas_.push_back(std::make_unique<PlanArena>());
   }
-  worker_plans_.resize(static_cast<size_t>(options_.num_workers));
   worker_versions_.assign(static_cast<size_t>(options_.num_workers), 0);
   worker_snapshots_.resize(static_cast<size_t>(options_.num_workers));
   worker_qmaps_.resize(static_cast<size_t>(options_.num_workers));
@@ -176,30 +126,6 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
   }
   scheduler_ = std::make_unique<Scheduler>(options_.scheduler,
                                            TelemetryRegistry(options_), clock_);
-  if (options_.compiled) {
-    // Warm-up forward through the master and every replica once:
-    // module-internal caches created lazily on a model's first forward
-    // (e.g. FactorGCN attention) must already exist both when a stream
-    // is recorded (master) and when it is replayed (replicas), or the
-    // first replays would see extra allocations the plan does not
-    // have. One warm-up suffices for the engine's lifetime — adoption
-    // only copies tensors, never resets caches.
-    const Envelope env = MakeEnvelope(spec_, options_, slot_budget_);
-    std::vector<const Graph*> ptrs;
-    ptrs.reserve(env.graphs.size());
-    for (const Graph& g : env.graphs) ptrs.push_back(&g);
-    NoGradGuard no_grad;
-    {
-      Rng rng(kReplicaInitSeed);
-      (void)master_->Predict(GraphBatch::FromGraphs(ptrs), /*training=*/false,
-                             &rng);
-    }
-    for (auto& replica : replicas_) {
-      Rng rng(kReplicaInitSeed);
-      (void)replica->Predict(GraphBatch::FromGraphs(ptrs), /*training=*/false,
-                             &rng);
-    }
-  }
   // Workers have not started yet, so master_mu_ is uncontended here.
   {
     std::lock_guard<std::mutex> lock(master_mu_);
@@ -207,10 +133,9 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
   }
   // Preload every worker with the initial snapshot. Replicas are
   // bitwise identical to the pre-publish master (same init seed), so
-  // an fp32 publish needs no adoption copy — the compiled path is
-  // zero-allocation from request one. A quantized publish wrote the
-  // dequantized image back into the master, so the replicas must copy
-  // to match it.
+  // an fp32 publish needs no adoption copy. A quantized publish wrote
+  // the dequantized image back into the master, so the replicas must
+  // copy to match it.
   const std::shared_ptr<const WeightSnapshot> initial = versions_.current();
   for (int i = 0; i < options_.num_workers; ++i) {
     AdoptSnapshot(i, initial,
@@ -308,6 +233,7 @@ std::future<Tensor> InferenceEngine::Submit(const Graph& graph,
 SubmitResult InferenceEngine::Submit(const Graph& graph,
                                      const SubmitOptions& submit_options,
                                      obs::RequestSpan* span_out) {
+  const char* invalid = InvalidGraphReason(graph, spec_);
   auto request = std::make_unique<Request>();
   request->graph = &graph;
   request->span_out = span_out;
@@ -322,20 +248,26 @@ SubmitResult InferenceEngine::Submit(const Graph& graph,
     OODGNN_CHECK(!stop_) << "Submit after engine shutdown";
     const std::int64_t now = clock_->NowMicros();
     request->span.enqueue_us = now;
-    // Deadlines arrive relative to enqueue (a negative value means
-    // already expired — the chaos tests use that); the queue stores
-    // them absolute.
-    const std::int64_t relative =
-        submit_options.deadline_us != 0
-            ? submit_options.deadline_us
-            : scheduler_->options().default_deadline_us;
-    if (relative != 0) request->span.deadline_us = now + relative;
-    QueuedRequest queued;
-    queued.priority = submit_options.priority;
-    queued.deadline_us = request->span.deadline_us;
-    queued.tenant_index = scheduler_->TenantIndex(submit_options.tenant);
-    queued.payload = request.get();
-    reason = scheduler_->Admit(queued);
+    const int tenant_index = scheduler_->TenantIndex(submit_options.tenant);
+    if (invalid != nullptr) {
+      scheduler_->RejectInvalid(tenant_index);
+      reason = ShedReason::kInvalidInput;
+    } else {
+      // Deadlines arrive relative to enqueue (a negative value means
+      // already expired — the chaos tests use that); the queue stores
+      // them absolute.
+      const std::int64_t relative =
+          submit_options.deadline_us != 0
+              ? submit_options.deadline_us
+              : scheduler_->options().default_deadline_us;
+      if (relative != 0) request->span.deadline_us = now + relative;
+      QueuedRequest queued;
+      queued.priority = submit_options.priority;
+      queued.deadline_us = request->span.deadline_us;
+      queued.tenant_index = tenant_index;
+      queued.payload = request.get();
+      reason = scheduler_->Admit(queued);
+    }
     if (reason == ShedReason::kNone) {
       // The queue owns the request until a worker pops it.
       request.release();
@@ -350,6 +282,11 @@ SubmitResult InferenceEngine::Submit(const Graph& graph,
     result.admitted = true;
     queue_cv_.notify_one();
   } else {
+    if (invalid != nullptr) {
+      OODGNN_LOG_EVERY_N(Warning, 100)
+          << "refusing request " << result.request_id << " (tenant '"
+          << submit_options.tenant << "'): " << invalid;
+    }
     result.shed = reason;
     FailShed(std::move(request), reason);
   }
@@ -372,13 +309,7 @@ InferenceStats InferenceEngine::stats() const {
   InferenceStats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.planned_batches = planned_batches_.load(std::memory_order_relaxed);
-  stats.eager_batches = eager_batches_.load(std::memory_order_relaxed);
-  stats.diverged_batches = diverged_batches_.load(std::memory_order_relaxed);
-  stats.fallback_heap_allocs =
-      fallback_heap_allocs_.load(std::memory_order_relaxed);
-  stats.plan_recompiles = plan_recompiles_.load(std::memory_order_relaxed);
-  stats.arena_bytes = arena_bytes_.load(std::memory_order_relaxed);
+  stats.heap_allocs = heap_allocs_.load(std::memory_order_relaxed);
   if (collector_ != nullptr) {
     stats.queue_depth = collector_->queue_depth();
     stats.inflight_batches = collector_->inflight_batches();
@@ -402,68 +333,18 @@ InferenceStats InferenceEngine::stats() const {
   return stats;
 }
 
-std::shared_ptr<const ComputePlan> InferenceEngine::plan() const {
-  const std::shared_ptr<const WeightSnapshot> snapshot = versions_.current();
-  return snapshot != nullptr ? snapshot->plan : nullptr;
-}
-
-std::shared_ptr<const ComputePlan> InferenceEngine::CompilePlanLocked(
-    WeightDtype dtype, const QuantizedWeightMap* qmap) {
-  OODGNN_TRACE_SCOPE("serve/plan_compile");
-  const Envelope env = MakeEnvelope(spec_, options_, slot_budget_);
-  std::vector<const Graph*> ptrs;
-  ptrs.reserve(env.graphs.size());
-  for (const Graph& g : env.graphs) ptrs.push_back(&g);
-
-  NoGradGuard no_grad;
-  // Route the reference forward's matmuls through the int8 blocks when
-  // quantizing (null clears any inherited scope), so the recorded
-  // kernel stream matches what quantized replays will issue.
-  ScopedQuantizedWeights quant_scope(qmap);
-  ComputePlan plan;
-  {
-    // Recording installs a thread-local allocation sink, so workers
-    // replaying the previous plan concurrently are untouched.
-    PlanRecordScope record;
-    {
-      const GraphBatch batch = GraphBatch::FromGraphs(ptrs);
-      Rng rng(kReplicaInitSeed);
-      const Tensor logits =
-          master_->Predict(batch, /*training=*/false, &rng).value();
-      (void)logits;
-    }  // Intermediates die here: their extents become reusable holes.
-    plan = record.Finish();
-  }
-  plan.max_graphs = env.num_graphs;
-  plan.max_nodes = env.max_nodes;
-  plan.max_edges = env.max_edges;
-  plan.num_targets = spec_.num_targets;
-  plan.weight_dtype = dtype;
-  auto shared = std::make_shared<const ComputePlan>(std::move(plan));
-  plan_recompiles_.fetch_add(1, std::memory_order_relaxed);
-  arena_bytes_.store(shared->capacity_bytes(), std::memory_order_relaxed);
-  if (collector_ != nullptr) {
-    collector_->RecordPlanCompile(
-        shared->capacity_bytes(),
-        static_cast<std::int64_t>(shared->slots.size()),
-        shared->reuse_ratio());
-  }
-  return shared;
-}
-
 void InferenceEngine::PublishFromMasterLocked() {
   const bool quantize =
       options_.quantize == QuantizeMode::kOn ||
       (options_.quantize == QuantizeMode::kFollowProcess && QuantizeEnabled());
   const WeightDtype dtype = quantize ? WeightDtype::kQ8 : WeightDtype::kF32;
   std::vector<std::shared_ptr<const QuantizedTensor>> qweights;
-  QuantizedWeightMap master_qmap;
   if (quantize) {
     // Quantize the matrix parameters and write the dequantized image
-    // back into the master, so the plan recording, the published fp32
-    // params, and every non-matmul consumer all see exactly the values
-    // the quantized matmuls reproduce. Re-quantizing a dequantized
-    // image is a fixed point, so repeated publishes do not drift.
+    // back into the master, so the published fp32 params and every
+    // non-matmul consumer see exactly the values the quantized matmuls
+    // reproduce. Re-quantizing a dequantized image is a fixed point, so
+    // repeated publishes do not drift.
     std::vector<Variable> params = master_->Parameters();
     qweights.reserve(params.size());
     for (Variable& param : params) {
@@ -474,7 +355,6 @@ void InferenceEngine::PublishFromMasterLocked() {
       auto quantized = std::make_shared<QuantizedTensor>(
           QuantizeQ8(param.value()));
       param.mutable_value() = DequantizeQ8(*quantized);
-      master_qmap[param.value().data()] = quantized.get();
       qweights.push_back(std::move(quantized));
     }
   }
@@ -482,15 +362,8 @@ void InferenceEngine::PublishFromMasterLocked() {
   for (const Variable& p : master_->Parameters()) params.push_back(p.value());
   std::vector<Tensor> buffers;
   for (const Tensor* b : master_->Buffers()) buffers.push_back(*b);
-  // The snapshot carries the plan recorded against exactly these
-  // weights' shapes and representation, so a worker adopting it can
-  // never pair new weights with a stale plan (or vice versa).
-  std::shared_ptr<const ComputePlan> plan;
-  if (options_.compiled) {
-    plan = CompilePlanLocked(dtype, quantize ? &master_qmap : nullptr);
-  }
-  versions_.Publish(std::move(params), std::move(buffers), std::move(plan),
-                    dtype, std::move(qweights));
+  versions_.Publish(std::move(params), std::move(buffers), dtype,
+                    std::move(qweights));
 }
 
 void InferenceEngine::AdoptCurrentVersion(int worker_index) {
@@ -506,10 +379,6 @@ void InferenceEngine::AdoptSnapshot(
   const size_t w = static_cast<size_t>(worker_index);
   if (copy_weights) {
     ApplyState(snapshot->params, snapshot->buffers, replicas_[w].get());
-  }
-  worker_plans_[w] = snapshot->plan;
-  if (snapshot->plan != nullptr) {
-    arenas_[w]->Resize(snapshot->plan->capacity_floats);
   }
   // The qmap keys on the replica's own parameter storage (adoption
   // copies into fresh tensors); the pinned snapshot keeps the mapped
@@ -594,17 +463,17 @@ void InferenceEngine::ExecuteBatch(int worker_index,
   }
   const std::int64_t version = worker_versions_[w];
 
+  const std::int64_t heap_allocs_before = TensorHeapAllocsThisThread();
   Tensor logits;
   std::int64_t execute_start_us = 0;
   {
-    // The replica, rng, plan and arena below are exclusively this
-    // worker's; publishers only touch the version manager, so no
-    // weight lock is needed around the forward.
+    // The replica and rng below are exclusively this worker's;
+    // publishers only touch the version manager, so no weight lock is
+    // needed around the forward.
     NoGradGuard no_grad;
     Rng* rng = worker_rngs_[w].get();
     const std::string rng_before = rng->SaveState();
     GraphPredictionModel* model = replicas_[w].get();
-    const std::shared_ptr<const ComputePlan> plan = worker_plans_[w];
     const WeightDtype dtype = worker_snapshots_[w] != nullptr
                                   ? worker_snapshots_[w]->dtype
                                   : WeightDtype::kF32;
@@ -615,53 +484,30 @@ void InferenceEngine::ExecuteBatch(int worker_index,
     // pool threads.
     ScopedQuantizedWeights quant_scope(
         dtype == WeightDtype::kQ8 ? &worker_qmaps_[w] : nullptr);
-    if (plan != nullptr && PlanAdmits(*plan, graphs, dtype)) {
-      PlanReplayScope replay(plan, arenas_[w].get(), dtype);
-      {
-        // Batch construction is part of the recorded stream: its
-        // tensors (features, GCN coefficients, targets) occupy plan
-        // slots like any forward intermediate.
-        const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
-        execute_start_us = clock_->NowMicros();
-        logits = model->Predict(graph_batch, /*training=*/false, rng).value();
-      }
-      const PlanReplayStats& replay_stats = replay.stats();
-      planned_batches_.fetch_add(1, std::memory_order_relaxed);
-      if (replay_stats.diverged) {
-        diverged_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (replay_stats.heap_allocs > 0) {
-        fallback_heap_allocs_.fetch_add(replay_stats.heap_allocs,
-                                        std::memory_order_relaxed);
-      }
-      if (collector_ != nullptr) {
-        collector_->RecordReplay(
-            static_cast<std::int64_t>(replay_stats.peak_floats) *
-                static_cast<std::int64_t>(sizeof(float)),
-            replay_stats.diverged, replay_stats.heap_allocs);
-      }
-    } else {
-      const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
-      execute_start_us = clock_->NowMicros();
-      logits = model->Predict(graph_batch, /*training=*/false, rng).value();
-      if (plan != nullptr) {
-        eager_batches_.fetch_add(1, std::memory_order_relaxed);
-        if (collector_ != nullptr) collector_->RecordEagerBatch();
-      }
-    }
+    const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
+    execute_start_us = clock_->NowMicros();
+    logits = model->Predict(graph_batch, /*training=*/false, rng).value();
     OODGNN_CHECK(rng->SaveState() == rng_before)
         << "eval-mode Predict consumed randomness";
   }
 
+  OODGNN_CHECK_EQ(logits.rows(), static_cast<int>(batch.size()));
+  std::vector<Tensor> rows;
+  rows.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    rows.emplace_back(1, logits.cols());
+    std::memcpy(rows.back().data(),
+                logits.data() + static_cast<size_t>(i) * logits.cols(),
+                static_cast<size_t>(logits.cols()) * sizeof(float));
+  }
+  // Counted before any future resolves, so stats() read after a
+  // future.get() already includes this batch.
+  heap_allocs_.fetch_add(TensorHeapAllocsThisThread() - heap_allocs_before,
+                         std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   versions_.RecordServed(version, static_cast<std::int64_t>(batch.size()));
 
-  OODGNN_CHECK_EQ(logits.rows(), static_cast<int>(batch.size()));
   for (size_t i = 0; i < batch.size(); ++i) {
-    Tensor row(1, logits.cols());
-    std::memcpy(row.data(),
-                logits.data() + static_cast<size_t>(i) * logits.cols(),
-                static_cast<size_t>(logits.cols()) * sizeof(float));
     Request& request = *batch[i];
     request.span.execute_us = execute_start_us;
     request.span.done_us = clock_->NowMicros();
@@ -674,7 +520,7 @@ void InferenceEngine::ExecuteBatch(int worker_index,
       collector_->RecordSpan(request.span);
       ObserveSlos(request.span);
     }
-    request.promise.set_value(std::move(row));
+    request.promise.set_value(std::move(rows[i]));
   }
   if (collector_ != nullptr) {
     collector_->RecordBatchEnd(static_cast<std::int64_t>(batch.size()),

@@ -19,8 +19,6 @@
 #include "src/obs/span.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/version.h"
-#include "src/tensor/arena.h"
-#include "src/tensor/exec_plan.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/clock.h"
@@ -37,11 +35,10 @@ struct ModelSpec {
   Method method = Method::kGin;
   EncoderConfig encoder;
   int output_dim = 0;
-  /// Vector-target arity of the graphs this engine will serve (the
-  /// Graph::targets length; 0 for class-label-only graphs). Batch
-  /// construction allocates targets/mask tensors only when nonzero, so
-  /// a compiled plan is specific to one arity; batches with a
-  /// different arity run eager.
+  /// Vector-target arity of the graphs this engine serves (the
+  /// Graph::targets length; 0 for class-label-only graphs). Submit
+  /// refuses a graph of any other arity (ShedReason::kInvalidInput):
+  /// batch construction requires every graph in a batch to agree.
   int num_targets = 0;
 };
 
@@ -71,9 +68,7 @@ struct InferenceOptions {
   int max_batch_wait_us = 200;
 
   /// Per-worker in-flight slot budget: the most graphs one worker pops
-  /// into a single execution. 0 = auto (max_batch_graphs). The plan
-  /// envelope is recorded at this budget, so full top-ups replay from
-  /// the arena.
+  /// into a single execution. 0 = auto (max_batch_graphs).
   int max_inflight = 0;
 
   /// Admission control: priorities, deadlines, per-tenant token-bucket
@@ -86,23 +81,6 @@ struct InferenceOptions {
   /// windows. Null = Clock::Real(). Tests inject a FakeClock to make
   /// deadline expiry and shed decisions reproducible without sleeping.
   const Clock* clock = nullptr;
-
-  /// Plan-then-execute mode (DESIGN.md §13): trace one reference
-  /// forward at the envelope batch shape into a static ComputePlan and
-  /// serve every same-structured batch from a per-worker preallocated
-  /// arena with zero steady-state heap allocation. Batches outside the
-  /// envelope (or structurally different, e.g. edgeless) transparently
-  /// run eager. Defaults to the process-wide toggle
-  /// (--compiled / OODGNN_COMPILED).
-  bool compiled = CompiledEnabled();
-
-  /// Reference-batch envelope the plan is recorded at: total nodes and
-  /// directed edges across the batch. 0 = auto (scaled from the slot
-  /// budget). Batches larger than the envelope still execute
-  /// correctly — oversized intermediates fall back to the heap
-  /// block-by-block.
-  int plan_max_nodes = 0;
-  int plan_max_edges = 0;
 
   /// Q8_0 weight quantization (DESIGN.md §16): every publish quantizes
   /// the matrix parameters to per-32-element int8 blocks, writes the
@@ -118,8 +96,8 @@ struct InferenceOptions {
   /// histograms, queue/in-flight gauges and SLO tracking, always on by
   /// default. All metric handles are resolved at engine construction;
   /// the per-request cost is a few clock reads, relaxed atomics and a
-  /// histogram bucket increment — no strings, maps, or heap, so the
-  /// compiled path's zero-allocation guarantee holds with telemetry
+  /// histogram bucket increment — no strings, maps, or heap, so a
+  /// warmed-up engine still allocates no tensor memory with telemetry
   /// on. Engine outputs are bitwise identical either way (pinned by
   /// tests/serve_telemetry_test.cc). Telemetry also feeds the SLO
   /// burn-rate signal the scheduler sheds on; with telemetry off,
@@ -150,17 +128,11 @@ struct SloReport {
 struct InferenceStats {
   std::int64_t requests = 0;  ///< Graphs submitted (admitted or shed).
   std::int64_t batches = 0;   ///< Micro-batches executed.
-
-  // Compiled-execution counters (all zero when options.compiled is
-  // off).
-  std::int64_t planned_batches = 0;   ///< Served through a replay scope.
-  std::int64_t eager_batches = 0;     ///< Batch profile failed the plan pre-check.
-  std::int64_t diverged_batches = 0;  ///< Replay left the recorded stream.
-  /// Heap blocks allocated inside replay scopes (0 in steady state —
-  /// the zero-allocation serving guarantee the tests pin).
-  std::int64_t fallback_heap_allocs = 0;
-  std::int64_t plan_recompiles = 0;   ///< Compiles (construction + syncs).
-  std::int64_t arena_bytes = 0;       ///< Per-worker arena capacity.
+  /// Tensor-storage heap allocations (arena slab growth) made while
+  /// executing batches, up to the last completed batch's logits rows.
+  /// Stops rising once every worker's arena fits its traffic — the
+  /// zero-allocation serving guarantee the tests pin.
+  std::int64_t heap_allocs = 0;
 
   // Request-span telemetry (all zero / empty when options.telemetry is
   // off). Histogram summaries carry count/sum/min/max plus
@@ -212,13 +184,12 @@ struct SubmitResult {
 /// results).
 ///
 /// Weights are versioned (src/serve/version.h): SyncFrom /
-/// LoadModelFile / LoadCheckpoint publish an immutable snapshot (with
-/// the plan recorded against it), and each worker adopts the newest
-/// version at its own batch boundary — a hot rollout staggers across
-/// workers with no stop-the-world, and RollbackWeights() un-publishes
-/// a bad one. All replicas are constructed from one fixed seed, so
-/// they are bitwise identical to each other at all times, even before
-/// any sync.
+/// LoadModelFile / LoadCheckpoint publish an immutable snapshot, and
+/// each worker adopts the newest version at its own batch boundary — a
+/// hot rollout staggers across workers with no stop-the-world, and
+/// RollbackWeights() un-publishes a bad one. All replicas are
+/// constructed from one fixed seed, so they are bitwise identical to
+/// each other at all times, even before any sync.
 class InferenceEngine {
  public:
   InferenceEngine(const ModelSpec& spec, const InferenceOptions& options);
@@ -253,8 +224,9 @@ class InferenceEngine {
 
   /// Enqueues one graph for prediction. The returned future resolves to
   /// the 1 x output_dim logits row — or throws ShedError if the policy
-  /// shed the request. The caller must keep `graph` alive until the
-  /// future is ready. Thread-safe.
+  /// shed the request, or kInvalidInput if the graph does not fit the
+  /// spec (feature width, target arity, edge endpoints). The caller
+  /// must keep `graph` alive until the future is ready. Thread-safe.
   std::future<Tensor> Submit(const Graph& graph);
 
   /// Submit with span capture: when `span_out` is non-null, the
@@ -282,10 +254,6 @@ class InferenceEngine {
   const ModelSpec& spec() const { return spec_; }
   const InferenceOptions& options() const { return options_; }
 
-  /// The plan recorded against the current weight version (null when
-  /// options.compiled is off). Safe while serving.
-  std::shared_ptr<const ComputePlan> plan() const;
-
  private:
   struct Request {
     const Graph* graph;
@@ -307,17 +275,17 @@ class InferenceEngine {
   /// signal that causes it.
   void FailShed(std::unique_ptr<Request> request, ShedReason reason);
 
-  /// Copies the newest published snapshot (weights + plan + arena
-  /// size) into worker `worker_index`'s private replica if its version
-  /// moved. Called by that worker only, at batch boundaries.
+  /// Copies the newest published snapshot into worker `worker_index`'s
+  /// private replica if its version moved. Called by that worker only,
+  /// at batch boundaries.
   void AdoptCurrentVersion(int worker_index);
 
   /// Installs `snapshot` as worker `worker_index`'s serving state:
   /// copies weights into the replica (skippable at construction when
-  /// the replica is already bitwise identical), sizes the arena for
-  /// the snapshot's plan, and rebuilds the worker's quantized-weight
-  /// map keyed on the replica's own parameter storage. The snapshot is
-  /// pinned so the map's QuantizedTensor targets stay alive.
+  /// the replica is already bitwise identical) and rebuilds the
+  /// worker's quantized-weight map keyed on the replica's own
+  /// parameter storage. The snapshot is pinned so the map's
+  /// QuantizedTensor targets stay alive.
   void AdoptSnapshot(int worker_index,
                      const std::shared_ptr<const WeightSnapshot>& snapshot,
                      bool copy_weights);
@@ -327,19 +295,8 @@ class InferenceEngine {
   /// the worst current burn rate to the scheduler's shed signal.
   void ObserveSlos(const obs::RequestSpan& span);
 
-  /// Traces the reference forward on the master model into a fresh
-  /// plan, recorded under `dtype` weights (`qmap` routes the master's
-  /// matmuls through its int8 blocks when quantizing, so the stream
-  /// contains matmul_quant dispatches exactly like the replays will).
-  /// Caller holds master_mu_ (or workers have not started). Recording
-  /// installs a thread-local allocation sink, so concurrent worker
-  /// replays are unaffected.
-  std::shared_ptr<const ComputePlan> CompilePlanLocked(
-      WeightDtype dtype, const QuantizedWeightMap* qmap);
-
-  /// Collects the master model's state (plus a fresh plan when
-  /// compiled) and publishes it as a new weight version. Caller holds
-  /// master_mu_.
+  /// Collects the master model's state and publishes it as a new
+  /// weight version. Caller holds master_mu_.
   void PublishFromMasterLocked();
 
   const ModelSpec spec_;
@@ -350,15 +307,13 @@ class InferenceEngine {
 
   /// One model per worker: FactorGCN caches attention inside Forward,
   /// so a shared model would race under concurrent execution. After
-  /// construction each replica (and its rng, arena, plan and version
-  /// slot below) is touched only by its own worker thread; publishers
-  /// never write them — workers pull from versions_ instead.
+  /// construction each replica (and its rng and version slot below) is
+  /// touched only by its own worker thread; publishers never write
+  /// them — workers pull from versions_ instead.
   std::vector<std::unique_ptr<GraphPredictionModel>> replicas_;
   /// Eval-mode forwards draw nothing, but Predict's signature wants an
   /// Rng; each worker passes its own so a violation cannot race.
   std::vector<std::unique_ptr<Rng>> worker_rngs_;
-  std::vector<std::unique_ptr<PlanArena>> arenas_;
-  std::vector<std::shared_ptr<const ComputePlan>> worker_plans_;
   std::vector<std::int64_t> worker_versions_;
   /// The snapshot each worker last adopted — pins the QuantizedTensor
   /// blocks its qmap points into (and carries the serving dtype).
@@ -367,8 +322,8 @@ class InferenceEngine {
   /// quantized adoption; empty while serving fp32.
   std::vector<QuantizedWeightMap> worker_qmaps_;
 
-  /// Master copy weight publishers (SyncFrom / Load*) validate against
-  /// and record plans on. Never used to serve requests.
+  /// Master copy weight publishers (SyncFrom / Load*) validate against.
+  /// Never used to serve requests.
   std::unique_ptr<GraphPredictionModel> master_;  // guarded by master_mu_
   std::mutex master_mu_;
 
@@ -381,12 +336,7 @@ class InferenceEngine {
 
   std::atomic<std::int64_t> requests_{0};
   std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> planned_batches_{0};
-  std::atomic<std::int64_t> eager_batches_{0};
-  std::atomic<std::int64_t> diverged_batches_{0};
-  std::atomic<std::int64_t> fallback_heap_allocs_{0};
-  std::atomic<std::int64_t> plan_recompiles_{0};
-  std::atomic<std::int64_t> arena_bytes_{0};
+  std::atomic<std::int64_t> heap_allocs_{0};
 
   /// Null when options.telemetry is off. The collector's handles point
   /// into options.telemetry_registry (or the global registry), which

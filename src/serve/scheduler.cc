@@ -16,6 +16,7 @@ const char* ShedReasonName(ShedReason reason) {
     case ShedReason::kTenantQuota: return "quota";
     case ShedReason::kDeadlineExpired: return "deadline";
     case ShedReason::kSloShed: return "slo";
+    case ShedReason::kInvalidInput: return "invalid";
   }
   return "unknown";
 }
@@ -82,6 +83,8 @@ Scheduler::Scheduler(const SchedulerOptions& options,
         &registry->GetCounter("serve/shed/deadline");
     shed_reason_counters_[static_cast<int>(ShedReason::kSloShed)] =
         &registry->GetCounter("serve/shed/slo");
+    shed_reason_counters_[static_cast<int>(ShedReason::kInvalidInput)] =
+        &registry->GetCounter("serve/shed/invalid");
   }
 }
 
@@ -123,13 +126,23 @@ void Scheduler::AccountShed(int tenant_index, ShedReason reason) {
   }
 }
 
-ShedReason Scheduler::Admit(QueuedRequest request) {
-  OODGNN_CHECK_GE(request.tenant_index, 0);
-  OODGNN_CHECK_LT(static_cast<size_t>(request.tenant_index), tenants_.size());
-  Tenant& tenant = tenants_[static_cast<size_t>(request.tenant_index)];
+Scheduler::Tenant& Scheduler::CountSubmission(int tenant_index) {
+  OODGNN_CHECK_GE(tenant_index, 0);
+  OODGNN_CHECK_LT(static_cast<size_t>(tenant_index), tenants_.size());
+  Tenant& tenant = tenants_[static_cast<size_t>(tenant_index)];
   ++submitted_;
   ++tenant.stats.submitted;
   if (submitted_counter_ != nullptr) submitted_counter_->Increment();
+  return tenant;
+}
+
+void Scheduler::RejectInvalid(int tenant_index) {
+  CountSubmission(tenant_index);
+  AccountShed(tenant_index, ShedReason::kInvalidInput);
+}
+
+ShedReason Scheduler::Admit(QueuedRequest request) {
+  Tenant& tenant = CountSubmission(request.tenant_index);
 
   const std::int64_t now = clock_->NowMicros();
   request.enqueue_us = now;

@@ -24,10 +24,11 @@ enum class ShedReason {
   kTenantQuota,      ///< The tenant's token bucket was empty.
   kDeadlineExpired,  ///< Deadline passed (or slack below the floor).
   kSloShed,          ///< Burn-rate overload shed of a non-protected priority.
+  kInvalidInput,     ///< Malformed graph refused at Submit (never queued).
 };
 
 const char* ShedReasonName(ShedReason reason);
-constexpr int kNumShedReasons = 5;
+constexpr int kNumShedReasons = 6;
 
 /// The typed rejection a shed request's future resolves to.
 class ShedError : public std::exception {
@@ -126,7 +127,7 @@ struct TenantStats {
   std::int64_t admitted = 0;   ///< Entered the queue.
   std::int64_t dispatched = 0; ///< Popped into a batch and executed.
   std::int64_t shed = 0;       ///< Admission- or dispatch-time sheds.
-  std::int64_t shed_by[kNumShedReasons] = {0, 0, 0, 0, 0};
+  std::int64_t shed_by[kNumShedReasons] = {};
 };
 
 struct SchedulerStats {
@@ -134,7 +135,7 @@ struct SchedulerStats {
   std::int64_t admitted = 0;
   std::int64_t dispatched = 0;
   std::int64_t shed = 0;
-  std::int64_t shed_by[kNumShedReasons] = {0, 0, 0, 0, 0};
+  std::int64_t shed_by[kNumShedReasons] = {};
   std::int64_t queued = 0;  ///< Currently waiting.
   std::vector<TenantStats> tenants;
 };
@@ -163,6 +164,7 @@ struct SchedulerStats {
 ///   counter  serve/shed/quota
 ///   counter  serve/shed/deadline
 ///   counter  serve/shed/slo
+///   counter  serve/shed/invalid
 class Scheduler {
  public:
   /// `clock` drives token-bucket refill and deadline expiry; null
@@ -184,6 +186,11 @@ class Scheduler {
   /// so a request is charged a quota token only when it will actually
   /// be queued.
   ShedReason Admit(QueuedRequest request);
+
+  /// Accounts a submission the caller refused before admission because
+  /// its input is malformed: counted as submitted and shed
+  /// kInvalidInput, so the conservation invariants still hold.
+  void RejectInvalid(int tenant_index);
 
   /// Pops up to `max_items` requests in dispatch order into `batch`.
   /// Requests whose deadline has passed are moved to `expired` instead
@@ -226,6 +233,8 @@ class Scheduler {
     TenantStats stats;
   };
 
+  /// Validates `tenant_index` and counts one submission against it.
+  Tenant& CountSubmission(int tenant_index);
   void AccountShed(int tenant_index, ShedReason reason);
 
   static bool Later(const QueuedRequest& a, const QueuedRequest& b);
@@ -240,7 +249,7 @@ class Scheduler {
   std::int64_t admitted_ = 0;
   std::int64_t dispatched_ = 0;
   std::int64_t shed_ = 0;
-  std::int64_t shed_by_[kNumShedReasons] = {0, 0, 0, 0, 0};
+  std::int64_t shed_by_[kNumShedReasons] = {};
 
   std::atomic<double> burn_rate_{0.0};
 
@@ -249,9 +258,7 @@ class Scheduler {
   obs::Counter* admitted_counter_ = nullptr;
   obs::Counter* dispatched_counter_ = nullptr;
   obs::Counter* shed_total_counter_ = nullptr;
-  obs::Counter* shed_reason_counters_[kNumShedReasons] = {nullptr, nullptr,
-                                                          nullptr, nullptr,
-                                                          nullptr};
+  obs::Counter* shed_reason_counters_[kNumShedReasons] = {};
 };
 
 }  // namespace serve

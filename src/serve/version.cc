@@ -19,15 +19,13 @@ WeightVersionManager::WeightVersionManager(obs::MetricsRegistry* registry) {
 }
 
 std::int64_t WeightVersionManager::Publish(
-    std::vector<Tensor> params, std::vector<Tensor> buffers,
-    std::shared_ptr<const ComputePlan> plan, WeightDtype dtype,
+    std::vector<Tensor> params, std::vector<Tensor> buffers, WeightDtype dtype,
     std::vector<std::shared_ptr<const QuantizedTensor>> qweights) {
   auto snapshot = std::make_shared<WeightSnapshot>();
   std::lock_guard<std::mutex> lock(mu_);
   snapshot->version = next_version_++;
   snapshot->params = std::move(params);
   snapshot->buffers = std::move(buffers);
-  snapshot->plan = std::move(plan);
   snapshot->dtype = dtype;
   snapshot->qweights = std::move(qweights);
   if (snapshot->dtype == WeightDtype::kQ8) {

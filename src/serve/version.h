@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/tensor/exec_plan.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 
@@ -15,14 +14,12 @@ namespace oodgnn {
 namespace serve {
 
 /// One immutable published weight state: parameters + buffers in
-/// module registration order, the compute plan recorded against that
-/// publish (null when compiled execution is off), and the version id
-/// that tags every span served from it.
+/// module registration order, and the version id that tags every span
+/// served from it.
 struct WeightSnapshot {
   std::int64_t version = 0;
   std::vector<Tensor> params;
   std::vector<Tensor> buffers;
-  std::shared_ptr<const ComputePlan> plan;
   /// Weight representation this publish serves under. When kQ8,
   /// `params` hold the *dequantized* fp32 image (so every non-matmul
   /// consumer sees exactly the values the quantized matmuls reproduce)
@@ -72,11 +69,10 @@ class WeightVersionManager {
   /// Publishes a new snapshot and returns its (monotonically
   /// increasing) version id. The previous snapshot is retained as the
   /// rollback target (a rollback restores that snapshot whole —
-  /// params, plan, dtype and qweights move together, so a quantized
-  /// rollout rolls back to exactly the fp32 state it replaced).
+  /// params, dtype and qweights move together, so a quantized rollout
+  /// rolls back to exactly the fp32 state it replaced).
   std::int64_t Publish(
       std::vector<Tensor> params, std::vector<Tensor> buffers,
-      std::shared_ptr<const ComputePlan> plan,
       WeightDtype dtype = WeightDtype::kF32,
       std::vector<std::shared_ptr<const QuantizedTensor>> qweights = {});
 

@@ -2,6 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "src/util/check.h"
 
@@ -9,25 +16,29 @@ namespace oodgnn {
 namespace {
 
 thread_local std::int64_t tls_heap_allocs = 0;
-thread_local TensorAllocSink* tls_alloc_sink = nullptr;
 
 void AlignedFree(float* p) { std::free(p); }
 
-bool BoolFromEnv(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && *env != '\0' && std::atoi(env) != 0;
+#if defined(__SANITIZE_ADDRESS__)
+/// Every block reserves one extra granule that stays poisoned, so a
+/// write just past a tensor's aligned extent is reported instead of
+/// landing in a neighbouring block.
+constexpr std::size_t kRedzoneFloats = kTensorStorageAlignFloats;
+void Poison(float* p, std::size_t n) {
+  ASAN_POISON_MEMORY_REGION(p, n * sizeof(float));
 }
+void Unpoison(float* p, std::size_t n) {
+  ASAN_UNPOISON_MEMORY_REGION(p, n * sizeof(float));
+}
+#else
+constexpr std::size_t kRedzoneFloats = 0;
+void Poison(float*, std::size_t) {}
+void Unpoison(float*, std::size_t) {}
+#endif
 
-/// Lazily env-initialized, overridable toggles (same pattern as the
-/// backend's OODGNN_THREADS).
-std::mutex g_compiled_mu;
-bool g_compiled_init = false;
-bool g_compiled = false;  // guarded by g_compiled_mu
-bool g_compiled_train_init = false;
-bool g_compiled_train = false;  // guarded by g_compiled_mu
-
-}  // namespace
-
+/// A fresh 64-byte-aligned heap block of `n_floats` floats (contents
+/// unspecified) for an arena slab. Increments the thread's
+/// heap-allocation counter.
 std::shared_ptr<float> AllocateAlignedHeapBlock(std::size_t n_floats) {
   const std::size_t bytes =
       std::max<std::size_t>(AlignUpFloats(n_floats), kTensorStorageAlignFloats) *
@@ -42,22 +53,17 @@ std::shared_ptr<float> AllocateAlignedHeapBlock(std::size_t n_floats) {
   return std::shared_ptr<float>(p, AlignedFree);
 }
 
+}  // namespace
+
 std::int64_t TensorHeapAllocsThisThread() { return tls_heap_allocs; }
 
 std::shared_ptr<float> AllocateTensorStorage(std::size_t n_floats) {
-  if (tls_alloc_sink != nullptr) return tls_alloc_sink->Allocate(n_floats);
-  return AllocateAlignedHeapBlock(n_floats);
+  thread_local Arena arena;
+  return arena.Allocate(n_floats);
 }
-
-ScopedAllocSink::ScopedAllocSink(TensorAllocSink* sink)
-    : previous_(tls_alloc_sink) {
-  tls_alloc_sink = sink;
-}
-
-ScopedAllocSink::~ScopedAllocSink() { tls_alloc_sink = previous_; }
 
 // ---------------------------------------------------------------------------
-// Arena (dynamic first-fit slab allocator)
+// Arena (first-fit slab allocator)
 // ---------------------------------------------------------------------------
 
 struct Arena::State {
@@ -73,9 +79,26 @@ struct Arena::State {
   std::vector<Slab> slabs;  // guarded by mu
   ArenaStats stats;         // guarded by mu
 
+  ~State() {
+    for (Slab& slab : slabs) Unpoison(slab.base.get(), slab.capacity);
+  }
+
+  /// Appends a slab of `capacity` floats, all of it one poisoned hole.
+  void AddSlab(std::size_t capacity) {
+    Slab slab;
+    slab.base = AllocateAlignedHeapBlock(capacity);
+    slab.capacity = capacity;
+    slab.holes.emplace(0, capacity);
+    Poison(slab.base.get(), capacity);
+    slabs.push_back(std::move(slab));
+    stats.slab_bytes += static_cast<std::int64_t>(capacity * sizeof(float));
+    stats.slab_count += 1;
+  }
+
   void Free(std::size_t slab_index, std::size_t offset, std::size_t n) {
     std::lock_guard<std::mutex> lock(mu);
     Slab& slab = slabs[slab_index];
+    Poison(slab.base.get() + offset, n);
     auto [it, inserted] = slab.holes.emplace(offset, n);
     OODGNN_CHECK(inserted) << "double free in arena";
     // Coalesce with the following hole, then with the preceding one.
@@ -96,67 +119,53 @@ struct Arena::State {
 };
 
 Arena::Arena(std::size_t initial_floats) : state_(std::make_shared<State>()) {
-  const std::size_t capacity =
-      std::max(AlignUpFloats(initial_floats), kTensorStorageAlignFloats);
-  State::Slab slab;
-  slab.base = AllocateAlignedHeapBlock(capacity);
-  slab.capacity = capacity;
-  slab.holes.emplace(0, capacity);
-  state_->slabs.push_back(std::move(slab));
-  state_->stats.slab_bytes =
-      static_cast<std::int64_t>(capacity * sizeof(float));
-  state_->stats.slab_count = 1;
+  state_->AddSlab(
+      std::max(AlignUpFloats(initial_floats), kTensorStorageAlignFloats));
 }
 
 std::shared_ptr<float> Arena::Allocate(std::size_t n_floats) {
-  const std::size_t n =
+  const std::size_t usable =
       std::max(AlignUpFloats(n_floats), kTensorStorageAlignFloats);
-  std::shared_ptr<State> state = state_;
-  std::lock_guard<std::mutex> lock(state->mu);
-
-  float* ptr = nullptr;
+  const std::size_t n = usable + kRedzoneFloats;
+  State& state = *state_;
   std::size_t slab_index = 0;
   std::size_t offset = 0;
-  for (std::size_t si = 0; si < state->slabs.size() && ptr == nullptr; ++si) {
-    State::Slab& slab = state->slabs[si];
-    for (auto it = slab.holes.begin(); it != slab.holes.end(); ++it) {
-      if (it->second < n) continue;
-      slab_index = si;
-      offset = it->first;
-      ptr = slab.base.get() + offset;
-      const std::size_t remaining = it->second - n;
-      const std::size_t tail_offset = it->first + n;
-      slab.holes.erase(it);
-      if (remaining > 0) slab.holes.emplace(tail_offset, remaining);
-      break;
+  float* ptr = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    std::map<std::size_t, std::size_t>::iterator hole;
+    for (; slab_index < state.slabs.size(); ++slab_index) {
+      auto& holes = state.slabs[slab_index].holes;
+      hole = std::find_if(holes.begin(), holes.end(),
+                          [n](const auto& h) { return h.second >= n; });
+      if (hole != holes.end()) break;
     }
+    if (slab_index == state.slabs.size()) {
+      // No hole fits: grow by a doubling slab (at least n).
+      state.AddSlab(std::max(n, state.slabs.back().capacity * 2));
+      hole = state.slabs.back().holes.begin();
+    }
+    State::Slab& slab = state.slabs[slab_index];
+    offset = hole->first;
+    ptr = slab.base.get() + offset;
+    // Re-key the hole to its remaining tail without a map allocation,
+    // or drop it when the block fills it exactly.
+    auto node = slab.holes.extract(hole);
+    if (node.mapped() > n) {
+      node.key() += n;
+      node.mapped() -= n;
+      slab.holes.insert(std::move(node));
+    }
+    Unpoison(ptr, usable);
+    state.stats.allocs += 1;
+    state.stats.live_floats += static_cast<std::int64_t>(n);
+    state.stats.peak_live_floats =
+        std::max(state.stats.peak_live_floats, state.stats.live_floats);
   }
-  if (ptr == nullptr) {
-    // No hole fits: grow by a doubling slab (at least n).
-    const std::size_t last = state->slabs.back().capacity;
-    const std::size_t capacity = std::max(n, last * 2);
-    State::Slab slab;
-    slab.base = AllocateAlignedHeapBlock(capacity);
-    slab.capacity = capacity;
-    if (capacity > n) slab.holes.emplace(n, capacity - n);
-    slab_index = state->slabs.size();
-    offset = 0;
-    ptr = slab.base.get();
-    state->slabs.push_back(std::move(slab));
-    state->stats.slab_bytes +=
-        static_cast<std::int64_t>(capacity * sizeof(float));
-    state->stats.slab_count += 1;
-  }
-
-  state->stats.allocs += 1;
-  state->stats.live_floats += static_cast<std::int64_t>(n);
-  state->stats.peak_live_floats =
-      std::max(state->stats.peak_live_floats, state->stats.live_floats);
-
   // The deleter holds the arena state (and through it the slab), so a
-  // block may outlive the Arena handle itself.
+  // block may outlive the Arena handle and the thread that owned it.
   return std::shared_ptr<float>(
-      ptr, [state, slab_index, offset, n](float*) {
+      ptr, [state = state_, slab_index, offset, n](float*) {
         state->Free(slab_index, offset, n);
       });
 }
@@ -164,36 +173,6 @@ std::shared_ptr<float> Arena::Allocate(std::size_t n_floats) {
 ArenaStats Arena::stats() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->stats;
-}
-
-bool CompiledEnabled() {
-  std::lock_guard<std::mutex> lock(g_compiled_mu);
-  if (!g_compiled_init) {
-    g_compiled = BoolFromEnv("OODGNN_COMPILED");
-    g_compiled_init = true;
-  }
-  return g_compiled;
-}
-
-void SetCompiledEnabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(g_compiled_mu);
-  g_compiled = enabled;
-  g_compiled_init = true;
-}
-
-bool CompiledTrainEnabled() {
-  std::lock_guard<std::mutex> lock(g_compiled_mu);
-  if (!g_compiled_train_init) {
-    g_compiled_train = BoolFromEnv("OODGNN_COMPILED_TRAIN");
-    g_compiled_train_init = true;
-  }
-  return g_compiled_train;
-}
-
-void SetCompiledTrainEnabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(g_compiled_mu);
-  g_compiled_train = enabled;
-  g_compiled_train_init = true;
 }
 
 }  // namespace oodgnn

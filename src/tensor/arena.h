@@ -3,27 +3,24 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 namespace oodgnn {
 
 // ---------------------------------------------------------------------------
 // Tensor storage allocation (DESIGN.md §13).
 //
-// Every Tensor float buffer in the process — eager heap tensors and
-// arena-served intermediates alike — comes out of this layer, 64-byte
-// aligned so the planned SIMD kernels can assume aligned rows on every
-// path. A thread-local sink hook lets no-grad execution scopes (the
-// dynamic eval arena below, and the compiled-plan record/replay scopes
-// in src/tensor/exec_plan.h) take over intermediate allocation without
-// the ops layer knowing.
+// Every Tensor float buffer in the process comes out of the calling
+// thread's Arena: a first-fit allocator over 64-byte-aligned heap slabs
+// (so the SIMD kernels can assume aligned rows everywhere). A block's
+// death returns its extent to the arena that served it, from whichever
+// thread drops the last reference, so a steady sequence of same-shaped
+// steps — training, eval or serving — stops touching the heap once the
+// slabs have grown to fit it.
 // ---------------------------------------------------------------------------
 
 /// All tensor storage is aligned to this many bytes (one cache line;
-/// also the widest vector register the SIMD roadmap item targets).
+/// also the widest vector register the SIMD kernels use).
 inline constexpr std::size_t kTensorStorageAlignBytes = 64;
 
 /// Block granularity in floats (64 bytes / sizeof(float)). Arena
@@ -36,48 +33,17 @@ inline std::size_t AlignUpFloats(std::size_t n) {
   return (n + kTensorStorageAlignFloats - 1) & ~(kTensorStorageAlignFloats - 1);
 }
 
-/// A fresh 64-byte-aligned heap block of `n_floats` floats (contents
-/// unspecified). Increments the thread's heap-allocation counter — the
-/// hook the zero-steady-state-allocation serving tests read.
-std::shared_ptr<float> AllocateAlignedHeapBlock(std::size_t n_floats);
-
-/// Tensor-storage heap allocations performed by the calling thread
-/// since it started (aligned heap blocks only; arena-served blocks do
-/// not count). Monotonic; read deltas around a region to assert it
-/// allocates nothing.
+/// Tensor-storage heap allocations (arena slabs) performed by the
+/// calling thread since it started. Monotonic; read deltas around a
+/// region to assert it allocates nothing.
 std::int64_t TensorHeapAllocsThisThread();
 
-/// Interface a thread-local execution scope implements to take over
-/// tensor-storage allocation. Returned blocks must be 64-byte aligned
-/// and live until the last shared_ptr copy dies (the sink's deleter
-/// decides whether death returns space anywhere).
-class TensorAllocSink {
- public:
-  virtual ~TensorAllocSink() = default;
-  virtual std::shared_ptr<float> Allocate(std::size_t n_floats) = 0;
-};
-
-/// The storage entry point Tensor uses: the calling thread's installed
-/// sink if any, else an aligned heap block.
+/// The storage entry point Tensor uses: a block of `n_floats` floats
+/// from the calling thread's Arena. The block may be freed from any
+/// thread and may outlive the thread that allocated it.
 std::shared_ptr<float> AllocateTensorStorage(std::size_t n_floats);
 
-/// RAII install of `sink` as the calling thread's allocation sink
-/// (nests; previous sink restored on destruction). Passing nullptr
-/// disables any outer sink for the scope — used when an inner region
-/// must heap-allocate results that outlive an enclosing arena scope.
-class ScopedAllocSink {
- public:
-  explicit ScopedAllocSink(TensorAllocSink* sink);
-  ~ScopedAllocSink();
-  ScopedAllocSink(const ScopedAllocSink&) = delete;
-  ScopedAllocSink& operator=(const ScopedAllocSink&) = delete;
-
- private:
-  TensorAllocSink* previous_;
-};
-
-/// Live statistics of a dynamic Arena (floats, not bytes, unless
-/// suffixed).
+/// Live statistics of an Arena (floats, not bytes, unless suffixed).
 struct ArenaStats {
   std::int64_t slab_bytes = 0;      ///< Total backing memory owned.
   std::int64_t live_floats = 0;     ///< Currently allocated floats.
@@ -86,25 +52,25 @@ struct ArenaStats {
   std::int64_t slab_count = 0;
 };
 
-/// First-fit slab allocator for no-grad forward intermediates: the
-/// dynamic (plan-free) arena mode. Blocks are served from
-/// doubling-capacity slabs; a block's death returns its extent to a
-/// per-slab hole list (coalescing with neighbours), so a steady
-/// sequence of same-shaped forwards stops growing after the first one
-/// and performs zero heap allocations afterwards. Slabs are never
-/// released before the arena dies, and the arena's internal state is
-/// kept alive by outstanding block deleters, so a Tensor may safely
-/// outlive the scope (though not the thread/engine owning the arena).
-/// Thread-safe: blocks may be freed from any thread.
-class Arena : public TensorAllocSink {
+/// First-fit slab allocator. Blocks are served from doubling-capacity
+/// slabs; a block's death returns its extent to a per-slab hole list
+/// (coalescing with neighbours), so a repeated allocation pattern stops
+/// growing after its first round. Slabs are never released before the
+/// arena's state dies, and that state is kept alive by outstanding
+/// block deleters, so a block may outlive the Arena handle. Thread-safe:
+/// blocks may be freed from any thread.
+///
+/// In AddressSanitizer builds free extents are poisoned and every block
+/// carries one poisoned granule past its aligned extent, so tensor
+/// overruns are reported as they would be for separate heap blocks.
+class Arena {
  public:
   /// `initial_floats` sizes the first slab (rounded up to alignment).
   explicit Arena(std::size_t initial_floats = 1 << 16);
-  ~Arena() override = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  std::shared_ptr<float> Allocate(std::size_t n_floats) override;
+  std::shared_ptr<float> Allocate(std::size_t n_floats);
 
   ArenaStats stats() const;
 
@@ -112,24 +78,6 @@ class Arena : public TensorAllocSink {
   struct State;
   std::shared_ptr<State> state_;
 };
-
-/// Process-wide toggle for compiled/arena execution on the no-grad
-/// paths (trainer eval batches and the inference engine's default).
-/// Lazily initialized from the OODGNN_COMPILED environment variable;
-/// SetCompiledEnabled overrides (e.g. from the --compiled flag). Like
-/// the backend thread count, not meant to be flipped while forwards
-/// are in flight.
-bool CompiledEnabled();
-void SetCompiledEnabled(bool enabled);
-
-/// Same toggle for compiled (plan-then-execute) *training*: the
-/// trainer records one forward+backward tape per batch-shape bucket
-/// and replays it with static grad-liveness arena offsets. Lazily
-/// initialized from OODGNN_COMPILED_TRAIN; SetCompiledTrainEnabled
-/// overrides (the --compiled-train flag). Independent of
-/// CompiledEnabled — either may be on without the other.
-bool CompiledTrainEnabled();
-void SetCompiledTrainEnabled(bool enabled);
 
 }  // namespace oodgnn
 

@@ -7,7 +7,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/tensor/exec_plan.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/simd.h"
@@ -180,10 +179,6 @@ class KernelScope {
  public:
   KernelScope(KernelOp op, std::int64_t elems, bool parallel)
       : active_(obs::ProfilingEnabled()) {
-    // Compiled-plan hook: records the dispatch while a plan is being
-    // traced, verifies the stream cursor while one is replayed, and is
-    // a single thread-local load otherwise.
-    ExecPlanOnKernel(static_cast<int>(op), KernelOpName(op), elems);
     if (!active_) return;
     op_ = op;
     elems_ = elems;

@@ -25,6 +25,13 @@ namespace oodgnn {
 
 inline constexpr int kQuantBlockSize = 32;
 
+/// Weight representation a serving snapshot publishes: plain fp32, or
+/// Q8_0 blocks (QuantizedTensor below) behind a dequantized fp32 image.
+enum class WeightDtype : int {
+  kF32 = 0,
+  kQ8 = 1,
+};
+
 /// A row-major int8 image of a [rows, cols] fp32 matrix plus per-block
 /// fp32 scales. Codes keep the source's row-major layout (cols per
 /// row, no padding); scales are [rows, blocks_per_row] row-major.

@@ -198,8 +198,8 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
   // Each lane accumulates one column j's dot product in the scalar
   // p-ascending order; b rows are packed into a [k × kVLen] panel so
   // the inner loop reads contiguously. The panel is plain scratch —
-  // it never flows through the tensor allocation sink, so it does not
-  // perturb the arena/alloc accounting the compiled path pins.
+  // it never goes through tensor storage, so it does not perturb the
+  // arena accounting the zero-allocation tests pin.
   thread_local std::vector<float> panel;
   for (int j0 = 0; j0 < n; j0 += kBlockJ) {
     const int j1 = std::min(n, j0 + kBlockJ);

@@ -15,12 +15,10 @@ class Rng;
 /// differentiation lives in `Variable` (src/tensor/variable.h), which
 /// wraps Tensors in a backward graph.
 ///
-/// Storage is a 64-byte-aligned block obtained through
-/// AllocateTensorStorage (src/tensor/arena.h), so a thread-local
-/// execution scope — the dynamic eval arena or a compiled-plan
-/// record/replay scope — can transparently take over where
-/// intermediates live. Tensor keeps strict value semantics regardless:
-/// copies are deep, moves leave the source empty (0×0).
+/// Storage is a 64-byte-aligned block from the calling thread's arena
+/// (AllocateTensorStorage, src/tensor/arena.h); any thread may drop
+/// the last reference. Tensor keeps strict value semantics: copies
+/// are deep, moves leave the source empty (0×0).
 class Tensor {
  public:
   /// Empty 0×0 tensor (no storage).

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/tensor/exec_plan.h"
 #include "src/util/check.h"
 
 namespace oodgnn {
@@ -89,18 +88,6 @@ void Variable::Backward() {
 }
 
 void Variable::Backward(const Tensor& seed) {
-  BackwardImpl(seed, /*release_tape=*/false);
-}
-
-void Variable::BackwardAndReleaseTape() {
-  OODGNN_CHECK(defined());
-  OODGNN_CHECK_EQ(value().size(), 1)
-      << "BackwardAndReleaseTape() requires a scalar";
-  Tensor seed(1, 1, 1.f);
-  BackwardImpl(seed, /*release_tape=*/true);
-}
-
-void Variable::BackwardImpl(const Tensor& seed, bool release_tape) {
   OODGNN_CHECK(defined());
   OODGNN_CHECK(seed.SameShape(value()));
 
@@ -124,19 +111,7 @@ void Variable::BackwardImpl(const Tensor& seed, bool release_tape) {
 
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VariableNode* node = *it;
-    if (node->backward) {
-      node->backward(*node);
-      if (release_tape) {
-        // Reverse-topo order guarantees every reader of this node's
-        // value and grad (its children's closures and its own, just
-        // run) has already executed; leaves and constants carry no
-        // closure and are never released. Only the buffers die — the
-        // VariableNode itself stays valid for the raw pointers in
-        // `order` and for the shared_ptr graph.
-        node->grad = Tensor();
-        if (node != node_.get()) node->value = Tensor();
-      }
-    }
+    if (node->backward) node->backward(*node);
   }
 }
 
@@ -149,10 +124,6 @@ Variable Variable::MakeOp(
     Tensor value, std::vector<std::shared_ptr<VariableNode>> parents,
     std::function<void(const VariableNode&)> backward) {
   Variable out(std::move(value));
-  // Compiled-plan hook, grad and no-grad mode alike: adds an op node
-  // while recording, advances the count-verified op cursor while
-  // replaying (no-op outside a plan scope).
-  ExecPlanOnOp(out.node_->value.rows(), out.node_->value.cols());
   // Grad-free mode: the result carries only its forward value. Parents
   // and the backward closure are dropped before they can pin the graph,
   // so eval/serving passes allocate nothing beyond forward tensors.

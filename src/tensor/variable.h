@@ -96,19 +96,6 @@ class Variable {
   void Backward();
   void Backward(const Tensor& seed);
 
-  /// Backward() for a scalar loss that additionally releases each
-  /// interior node's value and gradient buffer the moment its backward
-  /// closure has run. In the reverse-topological sweep every consumer
-  /// of those buffers (the node's children's closures, and the node's
-  /// own) has already executed by then — gradient lifetimes are the
-  /// mirror of forward liveness — so under a PlanRecordScope the freed
-  /// extents go back to the offset simulation and the recorded arena
-  /// covers forward values and gradients in one assignment. Leaf
-  /// parameters, their accumulated grads, constants, and this (root)
-  /// node's value are untouched; reading any other interior value()
-  /// after this call is an error (the tensor is empty).
-  void BackwardAndReleaseTape();
-
   /// Returns a new leaf Variable sharing this node's value but detached
   /// from the graph (no gradient flows through it).
   Variable Detach() const;
@@ -124,8 +111,6 @@ class Variable {
                          std::function<void(const VariableNode&)> backward);
 
  private:
-  void BackwardImpl(const Tensor& seed, bool release_tape);
-
   std::shared_ptr<VariableNode> node_;
 };
 

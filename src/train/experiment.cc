@@ -12,7 +12,6 @@
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/tensor/arena.h"
 #include "src/tensor/backend.h"
 #include "src/util/check.h"
 
@@ -159,18 +158,6 @@ BenchOptions BenchOptions::FromFlags(const Flags& flags) {
   // Shared --threads handling: every benchmark binary picks its compute
   // backend here (serial for 1, pooled workers otherwise).
   SetBackendThreads(flags.GetThreads(1));
-  // Shared --compiled handling: arena-backed no-grad execution for eval
-  // batches and the serving engine (also reachable via
-  // OODGNN_COMPILED).
-  SetCompiledEnabled(flags.GetCompiled(CompiledEnabled()));
-  // Shared --compiled-train handling: plan-then-execute training with
-  // batch-shape bucketing (also reachable via OODGNN_COMPILED_TRAIN;
-  // see src/train/train_plan.h).
-  SetCompiledTrainEnabled(flags.GetCompiledTrain(CompiledTrainEnabled()));
-  options.train.plan_bucket_nodes =
-      flags.GetTrainBucketNodes(options.train.plan_bucket_nodes);
-  options.train.plan_bucket_edges =
-      flags.GetTrainBucketEdges(options.train.plan_bucket_edges);
   // Captured once so every bench JSON emitter records the same, real
   // value instead of re-probing (and so a probe returning 0 cannot
   // leak into committed benchmark artifacts).

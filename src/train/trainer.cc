@@ -16,13 +16,10 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/tensor/arena.h"
 #include "src/tensor/backend.h"
-#include "src/tensor/exec_plan.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/variable.h"
 #include "src/train/checkpoint.h"
-#include "src/train/train_plan.h"
 #include "src/train/metrics.h"
 #include "src/util/check.h"
 #include "src/util/file.h"
@@ -60,20 +57,11 @@ Tensor PredictSplit(GraphPredictionModel* model, const GraphDataset& dataset,
                     Tensor* mask) {
   NoGradGuard no_grad;
   const std::string rng_before = rng->SaveState();
-  // Accumulators are allocated before the arena scope below: they
-  // outlive the per-batch intermediates and must stay on the heap.
   Tensor all_logits(static_cast<int>(indices.size()), model->output_dim());
   if (targets->empty() && dataset.task_type != TaskType::kMulticlass) {
     *targets = Tensor(static_cast<int>(indices.size()), dataset.num_tasks);
     *mask = Tensor(static_cast<int>(indices.size()), dataset.num_tasks, 1.f);
   }
-  // Compiled mode routes every per-batch intermediate through the
-  // thread's shared dynamic arena: after the first batch sizes the
-  // slabs, subsequent batches of the split perform zero tensor-heap
-  // allocations (first-fit hole reuse; see src/tensor/arena.h). The
-  // same ScopedDynamicArena entry point serves compiled training's
-  // unplannable regions, so eval shares its arena with them.
-  ScopedDynamicArena arena_scope(CompiledEnabled() || CompiledTrainEnabled());
   int row = 0;
   for (size_t begin = 0; begin < indices.size();
        begin += static_cast<size_t>(batch_size)) {
@@ -425,18 +413,6 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
   }
   if (config.checkpoint_every > 0) EnsureDirectory(config.checkpoint_dir);
 
-  // Compiled training (DESIGN.md §17): record one forward+backward
-  // tape per batch-shape bucket and replay it with static
-  // grad-liveness arena offsets — bitwise-identical to eager, zero
-  // steady-state heap tensor allocation. Off by default
-  // (--compiled-train / OODGNN_COMPILED_TRAIN).
-  const bool compiled_train = CompiledTrainEnabled();
-  std::unique_ptr<TrainStepPlanner> planner;
-  if (compiled_train) {
-    planner = std::make_unique<TrainStepPlanner>(config.plan_bucket_nodes,
-                                                 config.plan_bucket_edges);
-  }
-
   // Mini-batch row ranges over the shuffled order. A trailing batch
   // with fewer than 2 graphs carries no pairwise dependence signal, so
   // instead of silently dropping it every epoch it is folded into the
@@ -480,69 +456,44 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
             << end - begin << " graph(s); need at least 2 to train";
         continue;
       }
-      // The batch is built outside any plan scope (its profile is the
-      // bucket key, and its tensors must not live at replayed static
-      // offsets); under compiled training its storage comes from the
-      // thread's dynamic arena so steady-state steps stay heap-free.
-      GraphBatch batch = [&] {
-        ScopedDynamicArena batch_arena(compiled_train);
-        return MakeBatch(dataset.graphs, order, begin, end);
+      GraphBatch batch = MakeBatch(dataset.graphs, order, begin, end);
+
+      // Algorithm 1 line 3: forward to representations.
+      Variable z = [&] {
+        OODGNN_TRACE_SCOPE("train/encode");
+        return model.Encode(batch, /*training=*/true, &rng);
       }();
 
-      const auto step_body = [&] {
-        // Algorithm 1 line 3: forward to representations.
-        Variable z = [&] {
-          OODGNN_TRACE_SCOPE("train/encode");
-          return model.Encode(batch, /*training=*/true, &rng);
-        }();
-
-        // Lines 4–8: learn the sample weights on detached
-        // representations (after a short warmup during which the
-        // encoder settles). ComputeWeights is data-dependent (best-
-        // iterate copies, bank init) and suspends any active plan
-        // scope internally.
-        std::vector<float> weights;
-        if (reweighter && epoch >= config.ood.warmup_epochs) {
-          OODGNN_TRACE_SCOPE("train/reweight");
-          weights = reweighter->ComputeWeights(z.value());
-          epoch_decor += reweighter->last_decorrelation_loss();
-          if (journal != nullptr) {
-            epoch_weights.insert(epoch_weights.end(), weights.begin(),
-                                 weights.end());
-          }
-          if (final_epoch) {
-            result.final_weights.insert(result.final_weights.end(),
-                                        weights.begin(), weights.end());
-            result.final_weight_graphs.insert(result.final_weight_graphs.end(),
-                                              order.begin() + begin,
-                                              order.begin() + end);
-          }
+      // Lines 4–8: learn the sample weights on detached representations
+      // (after a short warmup during which the encoder settles).
+      std::vector<float> weights;
+      if (reweighter && epoch >= config.ood.warmup_epochs) {
+        OODGNN_TRACE_SCOPE("train/reweight");
+        weights = reweighter->ComputeWeights(z.value());
+        epoch_decor += reweighter->last_decorrelation_loss();
+        if (journal != nullptr) {
+          epoch_weights.insert(epoch_weights.end(), weights.begin(),
+                               weights.end());
         }
-
-        // Line 9: weighted prediction loss, backprop, update Φ and R.
-        {
-          OODGNN_TRACE_SCOPE("train/loss_step");
-          Variable logits = model.Classify(z, /*training=*/true);
-          Variable loss =
-              PredictionLoss(logits, batch, dataset.task_type, weights);
-          optimizer.ZeroGrad();
-          if (compiled_train) {
-            // Releases each interior value/grad as the sweep passes it
-            // — the liveness signal the recorded plan's static offsets
-            // are computed from. Bitwise-identical to Backward().
-            loss.BackwardAndReleaseTape();
-          } else {
-            loss.Backward();
-          }
-          optimizer.Step();
-          epoch_loss += static_cast<double>(loss.value()[0]);
+        if (final_epoch) {
+          result.final_weights.insert(result.final_weights.end(),
+                                      weights.begin(), weights.end());
+          result.final_weight_graphs.insert(result.final_weight_graphs.end(),
+                                            order.begin() + begin,
+                                            order.begin() + end);
         }
-      };
-      if (planner != nullptr) {
-        planner->RunStep(batch.num_graphs, batch.num_nodes,
-                         static_cast<int>(batch.edge_src.size()), step_body);
-      } else {
-        step_body();
+      }
+
+      // Line 9: weighted prediction loss, backprop, update Φ and R.
+      {
+        OODGNN_TRACE_SCOPE("train/loss_step");
+        Variable logits = model.Classify(z, /*training=*/true);
+        Variable loss =
+            PredictionLoss(logits, batch, dataset.task_type, weights);
+        optimizer.ZeroGrad();
+        loss.Backward();
+        optimizer.Step();
+        epoch_loss += static_cast<double>(loss.value()[0]);
       }
       epoch_examples += static_cast<std::int64_t>(end - begin);
       ++num_batches;

@@ -39,14 +39,6 @@ struct TrainConfig {
   std::string checkpoint_dir = "checkpoints";
   bool resume = false;
 
-  /// Batch-shape bucketing quanta for compiled training (active only
-  /// under CompiledTrainEnabled(); see src/train/train_plan.h). Node
-  /// and edge counts are padded up to these multiples to form the
-  /// plan-bucket key, so an epoch's slightly-varying shapes share a
-  /// small fixed set of recorded plans.
-  int plan_bucket_nodes = 64;
-  int plan_bucket_edges = 256;
-
   /// Encoder hyper-parameters. feature_dim and pna_delta are filled in
   /// automatically from the dataset.
   EncoderConfig encoder;

@@ -61,34 +61,6 @@ int Flags::GetThreads(int fallback) const {
   return fallback;
 }
 
-bool Flags::GetCompiled(bool fallback) const {
-  if (Has("compiled")) return GetBool("compiled", fallback);
-  const char* env = std::getenv("OODGNN_COMPILED");
-  if (env != nullptr && *env != '\0') return std::atoi(env) != 0;
-  return fallback;
-}
-
-bool Flags::GetCompiledTrain(bool fallback) const {
-  if (Has("compiled-train")) return GetBool("compiled-train", fallback);
-  const char* env = std::getenv("OODGNN_COMPILED_TRAIN");
-  if (env != nullptr && *env != '\0') return std::atoi(env) != 0;
-  return fallback;
-}
-
-int Flags::GetTrainBucketNodes(int fallback) const {
-  if (Has("train-bucket-nodes")) return GetInt("train-bucket-nodes", fallback);
-  const char* env = std::getenv("OODGNN_TRAIN_BUCKET_NODES");
-  if (env != nullptr && *env != '\0') return std::atoi(env);
-  return fallback;
-}
-
-int Flags::GetTrainBucketEdges(int fallback) const {
-  if (Has("train-bucket-edges")) return GetInt("train-bucket-edges", fallback);
-  const char* env = std::getenv("OODGNN_TRAIN_BUCKET_EDGES");
-  if (env != nullptr && *env != '\0') return std::atoi(env);
-  return fallback;
-}
-
 bool Flags::GetQuantize(bool fallback) const {
   if (Has("quantize")) return GetBool("quantize", fallback);
   const char* env = std::getenv("OODGNN_QUANTIZE");

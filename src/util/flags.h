@@ -41,27 +41,6 @@ class Flags {
   /// (src/tensor/backend.h); values <= 1 select the serial backend.
   int GetThreads(int fallback = 1) const;
 
-  /// Compiled/arena execution toggle for no-grad forwards: the
-  /// `--compiled` flag if given, else the OODGNN_COMPILED environment
-  /// variable, else `fallback`. Pass the result to
-  /// SetCompiledEnabled() (src/tensor/arena.h).
-  bool GetCompiled(bool fallback = false) const;
-
-  /// Compiled (plan-then-execute) *training* toggle: the
-  /// `--compiled-train` flag if given, else the OODGNN_COMPILED_TRAIN
-  /// environment variable, else `fallback`. Pass the result to
-  /// SetCompiledTrainEnabled() (src/tensor/arena.h).
-  bool GetCompiledTrain(bool fallback = false) const;
-
-  /// Batch-shape bucketing quanta for compiled training: node and edge
-  /// counts are padded up to these multiples to form the plan-bucket
-  /// key, so an epoch's slightly-varying batch shapes share a small
-  /// fixed set of plans. `--train-bucket-nodes` /
-  /// `--train-bucket-edges` flags, else OODGNN_TRAIN_BUCKET_NODES /
-  /// OODGNN_TRAIN_BUCKET_EDGES, else `fallback`.
-  int GetTrainBucketNodes(int fallback = 64) const;
-  int GetTrainBucketEdges(int fallback = 256) const;
-
   /// Int8 weight quantization toggle for the inference engine: the
   /// `--quantize` flag if given, else the OODGNN_QUANTIZE environment
   /// variable, else `fallback`. Maps to

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -245,6 +246,12 @@ GradCase Case(std::string name,
                   make) {
   return GradCase{std::move(name), std::move(make)};
 }
+
+// gtest names each instance "<name> # GetParam() = <printed param>".
+// The default printer dumps the struct's raw bytes, which include the
+// string's heap pointer and so change from build to build; print the
+// case name instead so the registered test names are stable.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 class OpGradCheck : public ::testing::TestWithParam<GradCase> {};
 

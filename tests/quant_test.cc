@@ -444,10 +444,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Quantized + compiled: the plan path must stay bitwise invisible.
+// The process-wide toggle is sampled at every publish: flipping it
+// between SyncFrom calls rolls int8 serving on and off like any weight
+// rollout, and flipping it back restores fp32 serving bitwise.
 // ---------------------------------------------------------------------------
 
-TEST(QuantTest, QuantizedCompiledMatchesQuantizedEagerBitwise) {
+TEST(QuantTest, QuantizeFlipAcrossSyncFromFollowsTheToggle) {
+  const bool saved_toggle = QuantizeEnabled();
   GraphDataset dataset = TinyDataset();
   Rng rng(41);
   ModelSpec spec;
@@ -456,31 +459,42 @@ TEST(QuantTest, QuantizedCompiledMatchesQuantizedEagerBitwise) {
   spec.output_dim = dataset.OutputDim();
   GraphPredictionModel model(spec.method, spec.encoder, spec.output_dim, &rng);
 
-  std::vector<const Graph*> graphs;
-  for (const Graph& graph : dataset.graphs) graphs.push_back(&graph);
-
-  InferenceOptions eager;
-  eager.quantize = QuantizeMode::kOn;
-  eager.compiled = false;
-  eager.max_batch_graphs = 3;
-  InferenceEngine eager_engine(spec, eager);
-  eager_engine.SyncFrom(model);
-
-  InferenceOptions compiled = eager;
-  compiled.compiled = true;
-  InferenceEngine compiled_engine(spec, compiled);
-  compiled_engine.SyncFrom(model);
-
-  std::vector<std::future<Tensor>> eager_rows, compiled_rows;
-  for (const Graph* graph : graphs) {
-    eager_rows.push_back(eager_engine.Submit(*graph));
-    compiled_rows.push_back(compiled_engine.Submit(*graph));
+  const Graph& graph = dataset.graphs[dataset.test_idx[1]];
+  Tensor fp32_reference;
+  {
+    NoGradGuard no_grad;
+    Rng fwd(999);
+    fp32_reference =
+        model.Predict(GraphBatch::FromGraphs({&graph}), /*training=*/false,
+                      &fwd)
+            .value();
   }
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    const Tensor a = eager_rows[i].get();
-    const Tensor b = compiled_rows[i].get();
-    EXPECT_TRUE(BitwiseEqual(a, b)) << "graph " << i;
+
+  SetQuantizeEnabled(false);
+  InferenceOptions options;  // QuantizeMode::kFollowProcess.
+  options.num_workers = 2;
+  options.max_batch_graphs = 2;
+  options.max_batch_wait_us = 0;
+  InferenceEngine engine(spec, options);
+  engine.SyncFrom(model);
+  EXPECT_TRUE(BitwiseEqual(engine.Predict(graph), fp32_reference));
+
+  // Flip quantization on: the next publish quantizes.
+  SetQuantizeEnabled(true);
+  engine.SyncFrom(model);
+  const Tensor quantized = engine.Predict(graph);
+  EXPECT_FALSE(BitwiseEqual(quantized, fp32_reference));  // Int8 engaged.
+  float max_diff = 0.f;
+  for (int j = 0; j < fp32_reference.size(); ++j) {
+    max_diff = std::max(max_diff, std::fabs(fp32_reference[j] - quantized[j]));
   }
+  EXPECT_LE(max_diff, kQuantLogitTolerance);
+
+  // Flip back off: fp32 serving returns, bitwise.
+  SetQuantizeEnabled(false);
+  engine.SyncFrom(model);
+  EXPECT_TRUE(BitwiseEqual(engine.Predict(graph), fp32_reference));
+  SetQuantizeEnabled(saved_toggle);
 }
 
 // ---------------------------------------------------------------------------

@@ -289,8 +289,9 @@ TEST(SchedulerTest, SloShedRespectsProtectedPriority) {
 
 TEST(SchedulerTest, ConservationHoldsUnderRandomizedChaos) {
   // Property test: a random mix of admits (tenants, priorities,
-  // deadlines), clock advances, burn-rate flips and partial drains can
-  // never break conservation. Every shed reason is exercised.
+  // deadlines), malformed-input refusals, clock advances, burn-rate
+  // flips and partial drains can never break conservation. Every shed
+  // reason is exercised.
   for (const uint64_t seed : {3u, 17u, 20260808u}) {
     Rng rng(seed);
     FakeClock clock(1000000);
@@ -317,7 +318,13 @@ TEST(SchedulerTest, ConservationHoldsUnderRandomizedChaos) {
           request.deadline_us = clock.NowMicros() + rng.UniformInt(-200, 2000);
         }
         ++client_submitted;
-        if (scheduler.Admit(request) != ShedReason::kNone) ++client_shed;
+        if (rng.Bernoulli(0.05)) {
+          // The engine refuses malformed graphs before admission.
+          scheduler.RejectInvalid(request.tenant_index);
+          ++client_shed;
+        } else if (scheduler.Admit(request) != ShedReason::kNone) {
+          ++client_shed;
+        }
       } else if (action < 0.80) {
         std::vector<QueuedRequest> batch;
         std::vector<QueuedRequest> expired;
@@ -628,32 +635,124 @@ TEST(ServeSchedTest, RollbackRestoresPreviousVersionBitwise) {
   EXPECT_EQ(engine.stats().weight_version, 3);
 }
 
-TEST(ServeSchedTest, CompiledZeroAllocHoldsWithSchedulingOn) {
+TEST(ServeSchedTest, ZeroAllocHoldsWithSchedulingOn) {
   GraphDataset dataset = TinyDataset();
   InferenceOptions options;
   options.num_workers = 1;
   options.max_batch_graphs = 1;
   options.max_batch_wait_us = 0;
-  options.compiled = true;
   options.telemetry = false;
   options.scheduler.max_queue = 64;
   options.scheduler.min_deadline_slack_us = 10;
   InferenceEngine engine(TinySpec(dataset), options);
   const Graph& graph = dataset.graphs[dataset.train_idx[0]];
-  std::int64_t expected = 0;
-  for (int i = 0; i < 32; ++i) {
-    SubmitOptions submit;
-    submit.priority = i % 3;
-    (void)engine.Submit(graph, submit).future.get();
-    ++expected;
-  }
+  const auto serve = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      SubmitOptions submit;
+      submit.priority = i % 3;
+      (void)engine.Submit(graph, submit).future.get();
+    }
+  };
+  serve(4);  // Grows the worker's arena to fit the batch.
+  const std::int64_t warm_allocs = engine.stats().heap_allocs;
+  serve(32);
   const InferenceStats stats = engine.stats();
-  EXPECT_EQ(stats.planned_batches, expected);
-  EXPECT_EQ(stats.eager_batches, 0);
-  EXPECT_EQ(stats.diverged_batches, 0);
-  // Scheduling happens outside the replay scope: the zero-allocation
-  // serving guarantee is untouched by admission control.
-  EXPECT_EQ(stats.fallback_heap_allocs, 0);
+  EXPECT_EQ(stats.batches, 36);
+  // Admission control touches no tensor storage: the warmed-up worker
+  // serves every prioritized request without a heap allocation.
+  EXPECT_EQ(stats.heap_allocs, warm_allocs);
+}
+
+// ---------------------------------------------------------------------------
+// Input validation: malformed graphs are refused at Submit with a typed
+// shed instead of tripping a batch-construction check on a worker (which
+// would abort the process and every request batched with the bad one).
+// ---------------------------------------------------------------------------
+
+TEST(ServeSchedTest, MalformedGraphsAreRefusedAndBatchMatesServedBitwise) {
+  GraphDataset dataset = TinyDataset();
+  Rng rng(7);
+  GraphPredictionModel model(Method::kGin, TinyEncoder(dataset.feature_dim),
+                             dataset.OutputDim(), &rng);
+  std::vector<const Graph*> graphs;
+  for (size_t idx : dataset.test_idx) graphs.push_back(&dataset.graphs[idx]);
+  const Tensor reference = ReferenceLogits(&model, graphs);
+
+  // One graph per malformation Submit must catch.
+  std::vector<Graph> bad;
+  bad.emplace_back(3, dataset.feature_dim + 1);  // Feature width.
+  bad.emplace_back(3, dataset.feature_dim);
+  bad.back().targets = {1.f};  // Target arity (the spec has none).
+  bad.emplace_back(3, dataset.feature_dim);
+  bad.back().edge_src = {0, 1};
+  bad.back().edge_dst = {1, 3};  // Endpoint past the last node.
+  bad.emplace_back(3, dataset.feature_dim);
+  bad.back().edge_src = {-1};
+  bad.back().edge_dst = {0};  // Negative endpoint.
+  bad.emplace_back(3, dataset.feature_dim);
+  bad.back().edge_src = {0, 1};
+  bad.back().edge_dst = {1};  // Edge arrays of different lengths.
+  ASSERT_LE(bad.size(), graphs.size());
+
+  obs::MetricsRegistry registry;
+  InferenceOptions options;
+  options.num_workers = 2;
+  options.max_batch_graphs = 4;
+  options.max_batch_wait_us = 200;
+  options.telemetry_registry = &registry;
+  InferenceEngine engine(TinySpec(dataset), options);
+  engine.SyncFrom(model);
+
+  // Interleaved submissions: each bad graph arrives between good ones
+  // that share its batching window.
+  SubmitOptions submit;
+  submit.tenant = "mixed";
+  std::vector<SubmitResult> good_results;
+  std::vector<SubmitResult> bad_results;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    good_results.push_back(engine.Submit(*graphs[i], submit));
+    if (i < bad.size()) bad_results.push_back(engine.Submit(bad[i], submit));
+  }
+  for (size_t i = 0; i < bad_results.size(); ++i) {
+    EXPECT_FALSE(bad_results[i].admitted) << "bad graph " << i;
+    EXPECT_EQ(bad_results[i].shed, ShedReason::kInvalidInput)
+        << "bad graph " << i;
+    try {
+      (void)bad_results[i].future.get();
+      ADD_FAILURE() << "bad graph " << i << " was served";
+    } catch (const ShedError& error) {
+      EXPECT_EQ(error.reason(), ShedReason::kInvalidInput);
+    }
+  }
+  for (size_t i = 0; i < good_results.size(); ++i) {
+    ASSERT_TRUE(good_results[i].admitted) << "graph " << i;
+    const Tensor row = good_results[i].future.get();
+    EXPECT_TRUE(RowsBitwiseEqual(row, reference, static_cast<int>(i)))
+        << "graph " << i;
+  }
+
+  const auto num_bad = static_cast<std::int64_t>(bad.size());
+  const InferenceStats stats = engine.stats();
+  ExpectConservation(stats.scheduler);
+  EXPECT_EQ(stats.scheduler.shed_by[static_cast<int>(
+                ShedReason::kInvalidInput)],
+            num_bad);
+  bool found = false;
+  for (const TenantStats& tenant : stats.scheduler.tenants) {
+    if (tenant.tenant != "mixed") continue;
+    found = true;
+    EXPECT_EQ(tenant.submitted, static_cast<std::int64_t>(graphs.size()) +
+                                    num_bad);
+    EXPECT_EQ(tenant.shed, num_bad);
+    EXPECT_EQ(tenant.shed_by[static_cast<int>(ShedReason::kInvalidInput)],
+              num_bad);
+  }
+  EXPECT_TRUE(found);
+  std::int64_t invalid_sheds = -1;
+  for (const auto& counter : registry.GetSnapshot().counters) {
+    if (counter.first == "serve/shed/invalid") invalid_sheds = counter.second;
+  }
+  EXPECT_EQ(invalid_sheds, num_bad);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //     under many concurrent submitters;
 //   * the queue-depth gauge returns to zero once the engine drains;
 //   * telemetry on vs off is bitwise invisible to engine outputs;
-//   * the compiled path's zero-allocation guarantee holds with
+//   * a warmed-up engine's zero-allocation steady state holds with
 //     telemetry on.
 
 #include <unistd.h>
@@ -522,7 +522,7 @@ TEST(EngineTelemetryTest, SloBreachSurfacesInStats) {
             2);
 }
 
-TEST(EngineTelemetryTest, CompiledSteadyStateStaysZeroAllocWithTelemetryOn) {
+TEST(EngineTelemetryTest, SteadyStateStaysZeroAllocWithTelemetryOn) {
   GraphDataset dataset = TinyDataset();
   const ModelSpec spec = TinySpec(dataset);
   obs::MetricsRegistry registry;
@@ -530,29 +530,24 @@ TEST(EngineTelemetryTest, CompiledSteadyStateStaysZeroAllocWithTelemetryOn) {
   options.num_workers = 1;
   options.max_batch_graphs = 1;
   options.max_batch_wait_us = 0;
-  options.compiled = true;
   options.telemetry_registry = &registry;
   InferenceEngine engine(spec, options);
 
-  std::int64_t expected = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (size_t idx : dataset.test_idx) {
-      (void)engine.Predict(dataset.graphs[idx]);
-      ++expected;
-    }
-  }
+  const auto serve_split = [&] {
+    for (size_t idx : dataset.test_idx) (void)engine.Predict(dataset.graphs[idx]);
+  };
+  serve_split();  // Grows the worker's arena to fit every test graph.
+  const std::int64_t warm_allocs = engine.stats().heap_allocs;
+  serve_split();
+  serve_split();
+  const auto expected = static_cast<std::int64_t>(3 * dataset.test_idx.size());
   const InferenceStats stats = engine.stats();
-  EXPECT_EQ(stats.planned_batches, expected);
-  EXPECT_EQ(stats.eager_batches, 0);
-  EXPECT_EQ(stats.diverged_batches, 0);
-  // The tentpole guarantee: always-on span/SLO recording adds zero
-  // tensor-heap traffic inside replay scopes.
-  EXPECT_EQ(stats.fallback_heap_allocs, 0);
+  // Always-on span/SLO recording adds zero tensor-heap traffic once the
+  // worker's arena is warm.
+  EXPECT_EQ(stats.heap_allocs, warm_allocs);
   EXPECT_EQ(stats.e2e_us.count, expected);
   const obs::MetricsSnapshot snapshot = registry.GetSnapshot();
-  EXPECT_EQ(CounterValue(snapshot, "serve/plan/fallback_allocs"), 0);
-  EXPECT_GT(GaugeValue(snapshot, "serve/plan/arena_bytes"), 0.0);
-  EXPECT_GE(CounterValue(snapshot, "serve/plan/recompiles"), 1);
+  EXPECT_EQ(CounterValue(snapshot, "serve/requests/total"), expected);
 }
 
 // ---------------------------------------------------------------------------

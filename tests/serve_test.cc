@@ -292,6 +292,84 @@ TEST(InferenceEngineTest, PredictConvenienceMatchesReference) {
 }
 
 // ---------------------------------------------------------------------------
+// Adversarial batches: single-node, edgeless, self-loop-only and large
+// graphs mixed into random bursts. Engine outputs are batch-independent,
+// so every row must equal its graph's single-graph reference bitwise.
+// ---------------------------------------------------------------------------
+
+class AdversarialBatches : public ::testing::TestWithParam<Method> {};
+
+TEST_P(AdversarialBatches, RandomBurstsMatchPerGraphReferencesBitwise) {
+  const Method method = GetParam();
+  GraphDataset dataset = TinyDataset();
+  Rng rng(8);
+  ModelSpec spec;
+  spec.method = method;
+  spec.encoder = TinyEncoder(dataset.feature_dim);
+  spec.output_dim = dataset.OutputDim();
+  GraphPredictionModel model(method, spec.encoder, spec.output_dim, &rng);
+
+  std::vector<Graph> extra;
+  extra.emplace_back(1, dataset.feature_dim);  // Single node, no edges.
+  extra.back().x.Fill(0.25f);
+  extra.emplace_back(5, dataset.feature_dim);  // Multi-node, edgeless.
+  extra.back().x.Fill(-1.f);
+  extra.emplace_back(2, dataset.feature_dim);  // Self loops only.
+  extra.back().x.Fill(0.75f);
+  extra.back().AddEdge(0, 0);
+  extra.back().AddEdge(1, 1);
+  {
+    Rng gen(31);
+    Graph blob(40, dataset.feature_dim);  // Twice the dataset's largest.
+    for (int v = 0; v < 40; ++v) {
+      for (int f = 0; f < dataset.feature_dim; ++f) {
+        blob.x.at(v, f) = static_cast<float>(gen.Uniform(-1.0, 1.0));
+      }
+      blob.AddUndirectedEdge(v, (v + 1) % 40);
+      blob.AddUndirectedEdge(v, (v + 7) % 40);
+    }
+    extra.push_back(std::move(blob));
+  }
+  std::vector<const Graph*> pool;
+  for (size_t idx : dataset.test_idx) pool.push_back(&dataset.graphs[idx]);
+  for (const Graph& g : extra) pool.push_back(&g);
+  std::vector<Tensor> references;
+  for (const Graph* g : pool) references.push_back(ReferenceLogits(&model, {g}));
+
+  InferenceOptions options;
+  options.num_workers = 2;
+  options.max_batch_graphs = 3;
+  options.max_batch_wait_us = 50;
+  InferenceEngine engine(spec, options);
+  engine.SyncFrom(model);
+
+  Rng order(91);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<size_t> picks;
+    std::vector<std::future<Tensor>> futures;
+    const int burst = 1 + static_cast<int>(order.UniformInt(1, 8));
+    for (int i = 0; i < burst; ++i) {
+      picks.push_back(static_cast<size_t>(
+          order.UniformInt(0, static_cast<int64_t>(pool.size()) - 1)));
+      futures.push_back(engine.Submit(*pool[picks.back()]));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_TRUE(RowsBitwiseEqual(futures[i].get(), references[picks[i]], 0))
+          << MethodName(method) << " round " << round << " request " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, AdversarialBatches,
+    ::testing::Values(Method::kGin, Method::kOodGnn, Method::kFactorGcn),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      std::string name = MethodName(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
 // Snapshot loading.
 // ---------------------------------------------------------------------------
 

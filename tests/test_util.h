@@ -48,7 +48,7 @@ class FakeClock final : public Clock {
 /// Process-unique temp path under gtest's TempDir.
 ///
 /// Unique per top-level test process so the env-variant re-runs of a
-/// binary (<name>_threads4 / _profile / _compiled) don't race on
+/// binary (<name>_threads4 / _profile / _scalar) don't race on
 /// shared files under a parallel ctest. The token is carried in the
 /// environment (OODGNN_TEST_TMP_TOKEN) so crash-injection /
 /// death-test children resolve the parent's paths instead of minting

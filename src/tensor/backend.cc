@@ -72,6 +72,15 @@ enum class KernelOp : int {
   kCopyRows,
   kMatMulQuant,
   kRffMap,
+  kRelu,
+  kReluBackward,
+  kSquareBackward,
+  kMulRowVec,
+  kMulRowVecAcc,
+  kDivRowVec,
+  kDivRowVecAcc,
+  kMulColVec,
+  kMulColVecAcc,
   kNumOps,
 };
 
@@ -141,6 +150,24 @@ const char* KernelOpName(KernelOp op) {
       return "matmul_quant";
     case KernelOp::kRffMap:
       return "rff_map";
+    case KernelOp::kRelu:
+      return "relu";
+    case KernelOp::kReluBackward:
+      return "relu_backward";
+    case KernelOp::kSquareBackward:
+      return "square_backward";
+    case KernelOp::kMulRowVec:
+      return "mul_row_vec";
+    case KernelOp::kMulRowVecAcc:
+      return "mul_row_vec_acc";
+    case KernelOp::kDivRowVec:
+      return "div_row_vec";
+    case KernelOp::kDivRowVecAcc:
+      return "div_row_vec_acc";
+    case KernelOp::kMulColVec:
+      return "mul_col_vec";
+    case KernelOp::kMulColVecAcc:
+      return "mul_col_vec_acc";
     case KernelOp::kNumOps:
       break;
   }
@@ -218,6 +245,23 @@ void RecordSimdDispatch(bool vector) {
   static obs::Counter* scalar_calls =
       &obs::MetricsRegistry::Global().GetCounter("kernel/simd/scalar_calls");
   (vector ? vector_calls : scalar_calls)->Increment();
+}
+
+/// A range kernel reading two tensors into a third; the scalar kernel
+/// and its simd:: mirror share this signature.
+using BinaryRangeKernel = void (*)(const Tensor&, const Tensor&, Tensor*,
+                                   int, int);
+
+/// Runs `vector` (SIMD enabled) or `scalar` over ForCost(n, flops),
+/// counted under `op` with out's size as its element count.
+void RunMirrored(const Backend& be, KernelOp op, BinaryRangeKernel scalar,
+                 BinaryRangeKernel vector, const Tensor& x, const Tensor& y,
+                 Tensor* out, int n, std::int64_t flops) {
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  KernelScope scope(op, out->size(), be.WouldParallelize(n, flops));
+  const BinaryRangeKernel kernel = use_simd ? vector : scalar;
+  be.ForCost(n, flops, [&](int b, int e) { kernel(x, y, out, b, e); });
 }
 
 }  // namespace
@@ -354,32 +398,93 @@ void Backend::AddScalarAcc(float s, Tensor* y) const {
 
 void Backend::Hadamard(const Tensor& a, const Tensor& b, Tensor* out) const {
   OODGNN_CHECK(a.SameShape(b) && a.SameShape(*out));
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kHadamard, out->size(),
-                    WouldParallelize(out->size(), out->size()));
-  ForCost(out->size(), out->size(), [&](int i0, int i1) {
-    if (use_simd) {
-      simd::Hadamard(a, b, out, i0, i1);
-    } else {
-      kernels::Hadamard(a, b, out, i0, i1);
-    }
-  });
+  RunMirrored(*this, KernelOp::kHadamard, kernels::Hadamard, simd::Hadamard,
+              a, b, out, out->size(), out->size());
 }
 
 void Backend::HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y) const {
   OODGNN_CHECK(g.SameShape(x) && g.SameShape(*y));
+  RunMirrored(*this, KernelOp::kHadamardAcc, kernels::HadamardAcc,
+              simd::HadamardAcc, g, x, y, y->size(), y->size());
+}
+
+void Backend::Relu(const Tensor& x, Tensor* out) const {
+  OODGNN_CHECK(x.SameShape(*out));
   const bool use_simd = simd::Enabled();
   RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kHadamardAcc, y->size(),
-                    WouldParallelize(y->size(), y->size()));
-  ForCost(y->size(), y->size(), [&](int i0, int i1) {
+  const std::int64_t flops = 2ll * out->size();
+  KernelScope scope(KernelOp::kRelu, out->size(),
+                    WouldParallelize(out->size(), flops));
+  ForCost(out->size(), flops, [&](int i0, int i1) {
     if (use_simd) {
-      simd::HadamardAcc(g, x, y, i0, i1);
+      simd::Relu(x, out, i0, i1);
     } else {
-      kernels::HadamardAcc(g, x, y, i0, i1);
+      kernels::Relu(x, out, i0, i1);
     }
   });
+}
+
+void Backend::ReluBackwardAcc(const Tensor& g, const Tensor& x,
+                              Tensor* dx) const {
+  OODGNN_CHECK(g.SameShape(x) && g.SameShape(*dx));
+  RunMirrored(*this, KernelOp::kReluBackward, kernels::ReluBackwardAcc,
+              simd::ReluBackwardAcc, g, x, dx, dx->size(), 2ll * dx->size());
+}
+
+void Backend::SquareBackwardAcc(const Tensor& g, const Tensor& x,
+                                Tensor* dx) const {
+  OODGNN_CHECK(g.SameShape(x) && g.SameShape(*dx));
+  RunMirrored(*this, KernelOp::kSquareBackward, kernels::SquareBackwardAcc,
+              simd::SquareBackwardAcc, g, x, dx, dx->size(),
+              2ll * dx->size());
+}
+
+void Backend::MulRowVec(const Tensor& a, const Tensor& row,
+                        Tensor* out) const {
+  OODGNN_CHECK(row.rows() == 1 && row.cols() == a.cols());
+  OODGNN_CHECK(a.SameShape(*out));
+  RunMirrored(*this, KernelOp::kMulRowVec, kernels::MulRowVec,
+              simd::MulRowVec, a, row, out, out->rows(), out->size());
+}
+
+void Backend::MulRowVecAcc(const Tensor& g, const Tensor& row,
+                           Tensor* dx) const {
+  OODGNN_CHECK(row.rows() == 1 && row.cols() == g.cols());
+  OODGNN_CHECK(g.SameShape(*dx));
+  RunMirrored(*this, KernelOp::kMulRowVecAcc, kernels::MulRowVecAcc,
+              simd::MulRowVecAcc, g, row, dx, dx->rows(), dx->size());
+}
+
+void Backend::DivRowVec(const Tensor& a, const Tensor& row,
+                        Tensor* out) const {
+  OODGNN_CHECK(row.rows() == 1 && row.cols() == a.cols());
+  OODGNN_CHECK(a.SameShape(*out));
+  RunMirrored(*this, KernelOp::kDivRowVec, kernels::DivRowVec,
+              simd::DivRowVec, a, row, out, out->rows(), out->size());
+}
+
+void Backend::DivRowVecAcc(const Tensor& g, const Tensor& row,
+                           Tensor* dx) const {
+  OODGNN_CHECK(row.rows() == 1 && row.cols() == g.cols());
+  OODGNN_CHECK(g.SameShape(*dx));
+  RunMirrored(*this, KernelOp::kDivRowVecAcc, kernels::DivRowVecAcc,
+              simd::DivRowVecAcc, g, row, dx, dx->rows(), dx->size());
+}
+
+void Backend::MulColVec(const Tensor& a, const Tensor& col,
+                        Tensor* out) const {
+  OODGNN_CHECK(col.rows() == a.rows() && col.cols() == 1);
+  OODGNN_CHECK(a.SameShape(*out));
+  RunMirrored(*this, KernelOp::kMulColVec, kernels::MulColVec,
+              simd::MulColVec, a, col, out, out->rows(), out->size());
+}
+
+void Backend::MulColVecAcc(const Tensor& g, const Tensor& col,
+                           Tensor* dx) const {
+  OODGNN_CHECK(col.rows() == g.rows() && col.cols() == 1);
+  OODGNN_CHECK(g.SameShape(*dx));
+  RunMirrored(*this, KernelOp::kMulColVecAcc, kernels::MulColVecAcc,
+              simd::MulColVecAcc, g, col, dx, dx->rows(), dx->size());
 }
 
 void Backend::ColumnSumAcc(const Tensor& a, Tensor* out) const {

@@ -64,6 +64,25 @@ class Backend {
   void Hadamard(const Tensor& a, const Tensor& b, Tensor* out) const;
   /// y += g ⊙ x.
   void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y) const;
+  /// out = x > 0 ? x : 0 (+0 for −0, NaN and −inf).
+  void Relu(const Tensor& x, Tensor* out) const;
+  /// dx += g ⊙ (x > 0 ? 1 : 0).
+  void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx) const;
+  /// dx += g ⊙ (2·x).
+  void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx) const;
+
+  /// out[r,:] = a[r,:] ⊙ row[0,:].
+  void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out) const;
+  /// dx[r,:] += g[r,:] ⊙ row[0,:].
+  void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx) const;
+  /// out[r,:] = a[r,:] / row[0,:].
+  void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out) const;
+  /// dx[r,:] += g[r,:] / row[0,:].
+  void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx) const;
+  /// out[r,:] = a[r,:] · col[r,0].
+  void MulColVec(const Tensor& a, const Tensor& col, Tensor* out) const;
+  /// dx[r,:] += g[r,:] · col[r,0].
+  void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx) const;
 
   /// out[1,n] += column sums of a[m,n].
   void ColumnSumAcc(const Tensor& a, Tensor* out) const;

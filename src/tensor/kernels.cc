@@ -106,6 +106,80 @@ void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0,
   for (int i = i0; i < i1; ++i) (*y)[i] += g[i] * x[i];
 }
 
+void Relu(const Tensor& x, Tensor* out, int i0, int i1) {
+  for (int i = i0; i < i1; ++i) (*out)[i] = x[i] > 0.f ? x[i] : 0.f;
+}
+
+void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                     int i1) {
+  for (int i = i0; i < i1; ++i) (*dx)[i] += g[i] * (x[i] > 0.f ? 1.f : 0.f);
+}
+
+void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                       int i1) {
+  for (int i = i0; i < i1; ++i) (*dx)[i] += g[i] * (2.f * x[i]);
+}
+
+void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  const float* v = row.row(0);
+  for (int r = r0; r < r1; ++r) {
+    const float* arow = a.row(r);
+    float* orow = out->row(r);
+    for (int c = 0; c < out->cols(); ++c) orow[c] = arow[c] * v[c];
+  }
+}
+
+void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  const float* v = row.row(0);
+  for (int r = r0; r < r1; ++r) {
+    const float* grow = g.row(r);
+    float* drow = dx->row(r);
+    for (int c = 0; c < dx->cols(); ++c) drow[c] += grow[c] * v[c];
+  }
+}
+
+void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  const float* v = row.row(0);
+  for (int r = r0; r < r1; ++r) {
+    const float* arow = a.row(r);
+    float* orow = out->row(r);
+    for (int c = 0; c < out->cols(); ++c) orow[c] = arow[c] / v[c];
+  }
+}
+
+void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  const float* v = row.row(0);
+  for (int r = r0; r < r1; ++r) {
+    const float* grow = g.row(r);
+    float* drow = dx->row(r);
+    for (int c = 0; c < dx->cols(); ++c) drow[c] += grow[c] / v[c];
+  }
+}
+
+void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
+               int r1) {
+  for (int r = r0; r < r1; ++r) {
+    const float s = col.at(r, 0);
+    const float* arow = a.row(r);
+    float* orow = out->row(r);
+    for (int c = 0; c < out->cols(); ++c) orow[c] = arow[c] * s;
+  }
+}
+
+void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
+                  int r1) {
+  for (int r = r0; r < r1; ++r) {
+    const float s = col.at(r, 0);
+    const float* grow = g.row(r);
+    float* drow = dx->row(r);
+    for (int c = 0; c < dx->cols(); ++c) drow[c] += grow[c] * s;
+  }
+}
+
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
   float* orow = out->row(0);
   for (int r = 0; r < a.rows(); ++r) {

@@ -53,6 +53,43 @@ void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0, int i1);
 /// y[i] += g[i] · x[i].
 void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0, int i1);
 
+/// out[i] = x[i] > 0 ? x[i] : 0 (so −0, NaN and −inf map to +0).
+void Relu(const Tensor& x, Tensor* out, int i0, int i1);
+
+/// dx[i] += g[i] · (x[i] > 0 ? 1 : 0); ReLU's adjoint.
+void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                     int i1);
+
+/// dx[i] += g[i] · (2·x[i]); Square's adjoint.
+void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                       int i1);
+
+// --- row- and column-vector broadcasts; ranges over rows ---
+
+/// out[r,c] = a[r,c] · row[0,c].
+void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1);
+
+/// dx[r,c] += g[r,c] · row[0,c]; MulRowVec's adjoint in a.
+void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1);
+
+/// out[r,c] = a[r,c] / row[0,c].
+void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1);
+
+/// dx[r,c] += g[r,c] / row[0,c]; DivRowVec's adjoint in a.
+void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1);
+
+/// out[r,c] = a[r,c] · col[r,0].
+void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
+               int r1);
+
+/// dx[r,c] += g[r,c] · col[r,0]; MulColVec's adjoint in a.
+void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
+                  int r1);
+
 // --- reductions and their broadcast adjoints ---
 
 /// out[0,c] += Σ_r a[r,c]; range over columns.

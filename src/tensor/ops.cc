@@ -27,7 +27,7 @@ template <typename Fwd, typename Bwd>
 Variable UnaryOp(const Variable& a, Fwd&& fwd, Bwd&& dfn) {
   OODGNN_CHECK(a.defined());
   const Tensor& av = a.value();
-  Tensor out(av.rows(), av.cols());
+  Tensor out = Tensor::Unfilled(av.rows(), av.cols());
   GetBackend().ForCost(av.size(), 2ll * av.size(), [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) out[i] = fwd(av[i]);
   });
@@ -97,7 +97,7 @@ Variable Sub(const Variable& a, const Variable& b) {
 
 Variable Mul(const Variable& a, const Variable& b) {
   OODGNN_CHECK(a.value().SameShape(b.value()));
-  Tensor out(a.rows(), a.cols());
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
   GetBackend().Hadamard(a.value(), b.value(), &out);
   NodePtr pa = a.node();
   NodePtr pb = b.node();
@@ -127,35 +127,16 @@ Variable AddRowVec(const Variable& a, const Variable& b) {
 Variable MulRowVec(const Variable& a, const Variable& b) {
   OODGNN_CHECK_EQ(b.rows(), 1);
   OODGNN_CHECK_EQ(b.cols(), a.cols());
-  const Tensor& av = a.value();
-  const Tensor& bv = b.value();
-  Tensor out(a.rows(), a.cols());
-  GetBackend().ForCost(out.rows(), out.size(), [&](int r0, int r1) {
-    const float* brow = bv.row(0);
-    for (int r = r0; r < r1; ++r) {
-      const float* arow = av.row(r);
-      float* orow = out.row(r);
-      for (int c = 0; c < out.cols(); ++c) orow[c] = arow[c] * brow[c];
-    }
-  });
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  GetBackend().MulRowVec(a.value(), b.value(), &out);
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
       std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
         const Backend& be = GetBackend();
-        const Tensor& g = self.grad;
-        if (pa->requires_grad) {
-          be.ForCost(g.rows(), g.size(), [&](int r0, int r1) {
-            const float* brow = pb->value.row(0);
-            for (int r = r0; r < r1; ++r) {
-              const float* grow = g.row(r);
-              float* arow = pa->grad.row(r);
-              for (int c = 0; c < g.cols(); ++c) arow[c] += grow[c] * brow[c];
-            }
-          });
-        }
+        if (pa->requires_grad) be.MulRowVecAcc(self.grad, pb->value, &pa->grad);
         if (pb->requires_grad) {
-          be.HadamardColumnSumAcc(g, pa->value, &pb->grad);
+          be.HadamardColumnSumAcc(self.grad, pa->value, &pb->grad);
         }
       });
 }
@@ -163,33 +144,15 @@ Variable MulRowVec(const Variable& a, const Variable& b) {
 Variable DivRowVec(const Variable& a, const Variable& b) {
   OODGNN_CHECK_EQ(b.rows(), 1);
   OODGNN_CHECK_EQ(b.cols(), a.cols());
-  const Tensor& av = a.value();
-  const Tensor& bv = b.value();
-  Tensor out(a.rows(), a.cols());
-  GetBackend().ForCost(out.rows(), out.size(), [&](int r0, int r1) {
-    const float* brow = bv.row(0);
-    for (int r = r0; r < r1; ++r) {
-      const float* arow = av.row(r);
-      float* orow = out.row(r);
-      for (int c = 0; c < out.cols(); ++c) orow[c] = arow[c] / brow[c];
-    }
-  });
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  GetBackend().DivRowVec(a.value(), b.value(), &out);
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
       std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
         const Backend& be = GetBackend();
         const Tensor& g = self.grad;
-        if (pa->requires_grad) {
-          be.ForCost(g.rows(), g.size(), [&](int r0, int r1) {
-            const float* brow = pb->value.row(0);
-            for (int r = r0; r < r1; ++r) {
-              const float* grow = g.row(r);
-              float* arow = pa->grad.row(r);
-              for (int c = 0; c < g.cols(); ++c) arow[c] += grow[c] / brow[c];
-            }
-          });
-        }
+        if (pa->requires_grad) be.DivRowVecAcc(g, pb->value, &pa->grad);
         if (pb->requires_grad) {
           // d/db (a/b) = -y/b with y = a/b: column sums of g ⊙ y, scaled
           // by -1/b per column.
@@ -207,35 +170,16 @@ Variable DivRowVec(const Variable& a, const Variable& b) {
 Variable MulColVec(const Variable& a, const Variable& w) {
   OODGNN_CHECK_EQ(w.cols(), 1);
   OODGNN_CHECK_EQ(w.rows(), a.rows());
-  const Tensor& av = a.value();
-  const Tensor& wv = w.value();
-  Tensor out(a.rows(), a.cols());
-  GetBackend().ForCost(out.rows(), out.size(), [&](int r0, int r1) {
-    for (int r = r0; r < r1; ++r) {
-      const float s = wv.at(r, 0);
-      const float* arow = av.row(r);
-      float* orow = out.row(r);
-      for (int c = 0; c < out.cols(); ++c) orow[c] = arow[c] * s;
-    }
-  });
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  GetBackend().MulColVec(a.value(), w.value(), &out);
   NodePtr pa = a.node();
   NodePtr pw = w.node();
   return Variable::MakeOp(
       std::move(out), {pa, pw}, [pa, pw](const VariableNode& self) {
         const Backend& be = GetBackend();
-        const Tensor& g = self.grad;
-        if (pa->requires_grad) {
-          be.ForCost(g.rows(), g.size(), [&](int r0, int r1) {
-            for (int r = r0; r < r1; ++r) {
-              const float s = pw->value.at(r, 0);
-              const float* grow = g.row(r);
-              float* arow = pa->grad.row(r);
-              for (int c = 0; c < g.cols(); ++c) arow[c] += grow[c] * s;
-            }
-          });
-        }
+        if (pa->requires_grad) be.MulColVecAcc(self.grad, pw->value, &pa->grad);
         if (pw->requires_grad) {
-          be.HadamardRowSumAcc(g, pa->value, &pw->grad);
+          be.HadamardRowSumAcc(self.grad, pa->value, &pw->grad);
         }
       });
 }
@@ -287,9 +231,15 @@ Variable AddScalar(const Variable& a, float s) {
 }
 
 Variable Relu(const Variable& a) {
-  return UnaryOp(
-      a, [](float x) { return x > 0.f ? x : 0.f; },
-      [](float x, float) { return x > 0.f ? 1.f : 0.f; });
+  OODGNN_CHECK(a.defined());
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  GetBackend().Relu(a.value(), &out);
+  NodePtr pa = a.node();
+  return Variable::MakeOp(
+      std::move(out), {pa}, [pa](const VariableNode& self) {
+        if (!pa->requires_grad) return;
+        GetBackend().ReluBackwardAcc(self.grad, pa->value, &pa->grad);
+      });
 }
 
 Variable LeakyRelu(const Variable& a, float negative_slope) {
@@ -340,9 +290,15 @@ Variable SqrtOp(const Variable& a) {
 }
 
 Variable Square(const Variable& a) {
-  return UnaryOp(
-      a, [](float x) { return x * x; },
-      [](float x, float) { return 2.f * x; });
+  OODGNN_CHECK(a.defined());
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  GetBackend().Hadamard(a.value(), a.value(), &out);
+  NodePtr pa = a.node();
+  return Variable::MakeOp(
+      std::move(out), {pa}, [pa](const VariableNode& self) {
+        if (!pa->requires_grad) return;
+        GetBackend().SquareBackwardAcc(self.grad, pa->value, &pa->grad);
+      });
 }
 
 Variable AbsOp(const Variable& a) {
@@ -740,7 +696,7 @@ Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
   for (int i = 0; i < mask->size(); ++i) {
     (*mask)[i] = rng->Bernoulli(p) ? 0.f : keep_scale;
   }
-  Tensor out(a.rows(), a.cols());
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
   GetBackend().Hadamard(a.value(), *mask, &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(

@@ -98,6 +98,12 @@ inline void VStore(float* p, vf v) { _mm256_storeu_ps(p, v); }
 inline vf VBroadcast(float x) { return _mm256_set1_ps(x); }
 inline vf VMul(vf a, vf b) { return _mm256_mul_ps(a, b); }
 inline vf VAdd(vf a, vf b) { return _mm256_add_ps(a, b); }
+inline vf VDiv(vf a, vf b) { return _mm256_div_ps(a, b); }
+/// Lane-wise x > 0 ? v : +0. The compare is ordered, so NaN lanes of x
+/// select +0, as the scalar `x > 0.f` does.
+inline vf VSelectPositive(vf x, vf v) {
+  return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), v);
+}
 /// Sign-extends 8 int8 codes to 8 floats (exact conversion).
 inline vf VLoadI8AsF32(const int8_t* p) {
   const __m128i bytes =
@@ -114,6 +120,12 @@ inline void VStore(float* p, vf v) { vst1q_f32(p, v); }
 inline vf VBroadcast(float x) { return vdupq_n_f32(x); }
 inline vf VMul(vf a, vf b) { return vmulq_f32(a, b); }
 inline vf VAdd(vf a, vf b) { return vaddq_f32(a, b); }
+inline vf VDiv(vf a, vf b) { return vdivq_f32(a, b); }
+/// Lane-wise x > 0 ? v : +0 (vcgtq_f32 is false on NaN lanes).
+inline vf VSelectPositive(vf x, vf v) {
+  return vreinterpretq_f32_u32(
+      vandq_u32(vcgtq_f32(x, vdupq_n_f32(0.f)), vreinterpretq_u32_f32(v)));
+}
 /// Converts 4 int8 codes to 4 floats without reading past p[3].
 inline vf VLoadI8AsF32(const int8_t* p) {
   const float buf[4] = {
@@ -423,6 +435,134 @@ void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0,
   for (; i < i1; ++i) ys[i] += gs[i] * xs[i];
 }
 
+void Relu(const Tensor& x, Tensor* out, int i0, int i1) {
+  const float* xs = x.data();
+  float* os = out->data();
+  int i = i0;
+  for (; i + kVLen <= i1; i += kVLen) {
+    const vf v = VLoad(xs + i);
+    VStore(os + i, VSelectPositive(v, v));
+  }
+  for (; i < i1; ++i) os[i] = xs[i] > 0.f ? xs[i] : 0.f;
+}
+
+void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                     int i1) {
+  const float* gs = g.data();
+  const float* xs = x.data();
+  float* ds = dx->data();
+  const vf one = VBroadcast(1.f);
+  int i = i0;
+  for (; i + kVLen <= i1; i += kVLen) {
+    const vf prod = VMul(VLoad(gs + i), VSelectPositive(VLoad(xs + i), one));
+    VStore(ds + i, VAdd(VLoad(ds + i), prod));
+  }
+  for (; i < i1; ++i) ds[i] += gs[i] * (xs[i] > 0.f ? 1.f : 0.f);
+}
+
+void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                       int i1) {
+  const float* gs = g.data();
+  const float* xs = x.data();
+  float* ds = dx->data();
+  const vf two = VBroadcast(2.f);
+  int i = i0;
+  for (; i + kVLen <= i1; i += kVLen) {
+    const vf prod = VMul(VLoad(gs + i), VMul(two, VLoad(xs + i)));
+    VStore(ds + i, VAdd(VLoad(ds + i), prod));
+  }
+  for (; i < i1; ++i) ds[i] += gs[i] * (2.f * xs[i]);
+}
+
+namespace {
+
+/// The two per-element maps of the row-vector broadcasts, in lane and
+/// scalar form with the scalar operand order.
+struct MulMap {
+  vf operator()(vf a, vf b) const { return VMul(a, b); }
+  float operator()(float a, float b) const { return a * b; }
+};
+struct DivMap {
+  vf operator()(vf a, vf b) const { return VDiv(a, b); }
+  float operator()(float a, float b) const { return a / b; }
+};
+
+/// d[c] = map(s[c], v[c]) over rows [r0, r1) of s, or d[c] += … when
+/// kAcc; v is the one row of `row`.
+template <bool kAcc, typename Map>
+void RowVecRows(const Tensor& s, const Tensor& row, Tensor* d, int r0,
+                int r1, Map map) {
+  const float* v = row.row(0);
+  const int cols = d->cols();
+  for (int r = r0; r < r1; ++r) {
+    const float* srow = s.row(r);
+    float* drow = d->row(r);
+    int c = 0;
+    for (; c + kVLen <= cols; c += kVLen) {
+      const vf m = map(VLoad(srow + c), VLoad(v + c));
+      VStore(drow + c, kAcc ? VAdd(VLoad(drow + c), m) : m);
+    }
+    for (; c < cols; ++c) {
+      const float m = map(srow[c], v[c]);
+      drow[c] = kAcc ? drow[c] + m : m;
+    }
+  }
+}
+
+/// d[r,c] = s[r,c] · col[r,0] over rows [r0, r1), or += when kAcc.
+template <bool kAcc>
+void ColVecRows(const Tensor& s, const Tensor& col, Tensor* d, int r0,
+                int r1) {
+  const int cols = d->cols();
+  for (int r = r0; r < r1; ++r) {
+    const float w = col.at(r, 0);
+    const vf vw = VBroadcast(w);
+    const float* srow = s.row(r);
+    float* drow = d->row(r);
+    int c = 0;
+    for (; c + kVLen <= cols; c += kVLen) {
+      const vf m = VMul(VLoad(srow + c), vw);
+      VStore(drow + c, kAcc ? VAdd(VLoad(drow + c), m) : m);
+    }
+    for (; c < cols; ++c) {
+      const float m = srow[c] * w;
+      drow[c] = kAcc ? drow[c] + m : m;
+    }
+  }
+}
+
+}  // namespace
+
+void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  RowVecRows<false>(a, row, out, r0, r1, MulMap());
+}
+
+void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  RowVecRows<true>(g, row, dx, r0, r1, MulMap());
+}
+
+void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  RowVecRows<false>(a, row, out, r0, r1, DivMap());
+}
+
+void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  RowVecRows<true>(g, row, dx, r0, r1, DivMap());
+}
+
+void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
+               int r1) {
+  ColVecRows<false>(a, col, out, r0, r1);
+}
+
+void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
+                  int r1) {
+  ColVecRows<true>(g, col, dx, r0, r1);
+}
+
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
   float* orow = out->row(0);
   for (int r = 0; r < a.rows(); ++r) {
@@ -625,6 +765,41 @@ void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0,
 void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0,
                  int i1) {
   kernels::HadamardAcc(g, x, y, i0, i1);
+}
+void Relu(const Tensor& x, Tensor* out, int i0, int i1) {
+  kernels::Relu(x, out, i0, i1);
+}
+void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                     int i1) {
+  kernels::ReluBackwardAcc(g, x, dx, i0, i1);
+}
+void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                       int i1) {
+  kernels::SquareBackwardAcc(g, x, dx, i0, i1);
+}
+void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  kernels::MulRowVec(a, row, out, r0, r1);
+}
+void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  kernels::MulRowVecAcc(g, row, dx, r0, r1);
+}
+void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1) {
+  kernels::DivRowVec(a, row, out, r0, r1);
+}
+void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1) {
+  kernels::DivRowVecAcc(g, row, dx, r0, r1);
+}
+void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
+               int r1) {
+  kernels::MulColVec(a, col, out, r0, r1);
+}
+void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
+                  int r1) {
+  kernels::MulColVecAcc(g, col, dx, r0, r1);
 }
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
   kernels::ColumnSumAcc(a, out, c0, c1);

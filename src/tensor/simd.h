@@ -25,8 +25,12 @@ namespace simd {
 // EdgeDot, softmax) have no mirror: vectorizing them would reassociate
 // the sum. Only kernels where the innermost loop walks the contiguous
 // output (or panel-packed) dimension with independent per-lane
-// accumulators are mirrored. tests/simd_test.cc pins the bitwise
-// contract across shapes, tails, denormals, ±0/NaN and thread counts.
+// accumulators are mirrored. The scalar kernels' branches become lane
+// masks: ReLU is an `x > 0` compare ANDed with x, never a `max`: by ISA
+// and operand order, max(x, 0) returns NaN for a NaN lane and −0 for
+// −0, where the scalar `x > 0 ? x : 0` returns +0. tests/simd_test.cc
+// pins the bitwise contract across shapes, tails, denormals, ±0/NaN and
+// thread counts.
 //
 // The file src/tensor/simd.cc is the only translation unit compiled
 // with -mavx2 (x86; NEON is baseline on aarch64); its functions are
@@ -87,6 +91,26 @@ void Scale(Tensor* y, float s, int i0, int i1);
 void AddScalar(Tensor* y, float s, int i0, int i1);
 void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0, int i1);
 void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0, int i1);
+void Relu(const Tensor& x, Tensor* out, int i0, int i1);
+void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                     int i1);
+void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
+                       int i1);
+
+// --- row- and column-vector broadcasts (ranges over rows) ---
+
+void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1);
+void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1);
+void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
+               int r1);
+void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
+                  int r1);
+void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
+               int r1);
+void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
+                  int r1);
 
 // --- column-ranged reductions and broadcast adjoints ---
 

@@ -13,14 +13,25 @@ namespace oodgnn {
 
 Tensor::Tensor(int rows, int cols) : Tensor(rows, cols, 0.f) {}
 
-Tensor::Tensor(int rows, int cols, float fill) : rows_(rows), cols_(cols) {
+Tensor::Tensor(int rows, int cols, float fill)
+    : Tensor(Unfilled(rows, cols)) {
+  Fill(fill);
+}
+
+Tensor Tensor::Unfilled(int rows, int cols) {
   OODGNN_CHECK_GE(rows, 0);
   OODGNN_CHECK_GE(cols, 0);
+  Tensor t;
+  t.rows_ = rows;
+  t.cols_ = cols;
   const size_t n = static_cast<size_t>(rows) * static_cast<size_t>(cols);
   if (n > 0) {
-    storage_ = AllocateTensorStorage(n);
-    std::fill_n(storage_.get(), n, fill);
+    t.storage_ = AllocateTensorStorage(n);
+#if defined(__SANITIZE_ADDRESS__)
+    std::memset(t.storage_.get(), 0xFF, n * sizeof(float));
+#endif
   }
+  return t;
 }
 
 Tensor::Tensor(const Tensor& other) : rows_(other.rows_), cols_(other.cols_) {
@@ -120,7 +131,14 @@ float Tensor::at(int r, int c) const {
 }
 
 void Tensor::Fill(float value) {
-  std::fill_n(storage_.get(), static_cast<size_t>(size()), value);
+  const size_t n = static_cast<size_t>(size());
+  if (n == 0) return;
+  if (value == 0.f && !std::signbit(value)) {
+    // +0.f is all zero bytes; −0.f is not, so it takes the loop.
+    std::memset(storage_.get(), 0, n * sizeof(float));
+  } else {
+    std::fill_n(storage_.get(), n, value);
+  }
 }
 
 void Tensor::Add(const Tensor& other) {
@@ -158,7 +176,7 @@ Tensor Tensor::Reshaped(int rows, int cols) const {
 }
 
 Tensor Tensor::Transposed() const {
-  Tensor t(cols_, rows_);
+  Tensor t = Unfilled(cols_, rows_);
   for (int r = 0; r < rows_; ++r) {
     for (int c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
   }
@@ -186,7 +204,10 @@ std::string Tensor::ToString() const {
 bool AllClose(const Tensor& a, const Tensor& b, float tol) {
   if (!a.SameShape(b)) return false;
   for (int i = 0; i < a.size(); ++i) {
-    if (std::fabs(a[i] - b[i]) > tol) return false;
+    // Equal values (infinities included) are close; the negated test
+    // keeps NaN on either side from passing.
+    if (a[i] == b[i]) continue;
+    if (!(std::fabs(a[i] - b[i]) <= tol)) return false;
   }
   return true;
 }

@@ -30,6 +30,13 @@ class Tensor {
   /// rows×cols matrix filled with `fill`.
   Tensor(int rows, int cols, float fill);
 
+  /// rows×cols matrix whose contents are unspecified: stale data from
+  /// the arena. Only for an op that writes every element before
+  /// anything reads one (DESIGN.md §13). AddressSanitizer builds fill
+  /// it with 0xFF bytes (a NaN), so an element an op forgets to write
+  /// shows up in the bitwise tests instead of reading stale data.
+  static Tensor Unfilled(int rows, int cols);
+
   Tensor(const Tensor& other);
   Tensor& operator=(const Tensor& other);
   Tensor(Tensor&& other) noexcept;
@@ -85,7 +92,7 @@ class Tensor {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
 
-  /// Sets every element to `value`.
+  /// Sets every element to `value` (a memset for +0.f).
   void Fill(float value);
 
   /// In-place element-wise accumulate: this += other. Shapes must match.
@@ -116,7 +123,8 @@ class Tensor {
   std::shared_ptr<float> storage_;  ///< Null iff size() == 0.
 };
 
-/// Returns true if every element differs by at most `tol`.
+/// Returns true if every element differs by at most `tol`. NaN is
+/// never close to anything, itself included; equal infinities are.
 bool AllClose(const Tensor& a, const Tensor& b, float tol = 1e-5f);
 
 }  // namespace oodgnn

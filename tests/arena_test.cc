@@ -299,7 +299,8 @@ INSTANTIATE_TEST_SUITE_P(GinAndOodGnn, SteadyStateZeroAlloc,
 // ---------------------------------------------------------------------------
 // AddressSanitizer builds poison free extents and one granule past every
 // block, so an overrun that separate heap blocks would expose is still
-// reported although neighbouring tensors share a slab.
+// reported although neighbouring tensors share a slab, and they fill
+// unfilled storage with NaN.
 // ---------------------------------------------------------------------------
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -312,6 +313,22 @@ TEST(ArenaDeathTest, WriteOnePastTheAlignedExtentIsReported) {
         p[AlignUpFloats(static_cast<std::size_t>(t.size()))] = 1.f;
       },
       "AddressSanitizer");
+}
+
+// The unfilled allocation path (Tensor::Unfilled) is NaN-filled under
+// ASan, so an op that leaves an element unwritten fails the bitwise
+// suites instead of passing on whatever the arena held before.
+TEST(ArenaTest, UnfilledStorageIsNaNFilledUnderAddressSanitizer) {
+  {
+    Tensor stale(6, 9, 0.5f);  // Leaves 0.5f in the extent reused below.
+  }
+  Tensor t = Tensor::Unfilled(6, 9);
+  for (int i = 0; i < t.size(); ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, t.data() + i, sizeof(bits));
+    EXPECT_EQ(bits, 0xFFFFFFFFu) << "element " << i;
+    EXPECT_TRUE(std::isnan(t[i])) << "element " << i;
+  }
 }
 #endif
 

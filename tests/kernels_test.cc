@@ -191,6 +191,105 @@ TEST(KernelsTest, ElementwiseKernelsAcrossThreads) {
       }());
 }
 
+TEST(KernelsTest, ReluAndSquareBackwardAcrossThreads) {
+  // 131×257 is past the parallel cutoff: 2 and 8 threads split it.
+  const Tensor x = RandomTensor(131, 257, 20);
+  const Tensor g = RandomTensor(131, 257, 21);
+  ExpectDeterministic(
+      [&] {
+        Tensor out(x.rows(), x.cols());
+        GetBackend().Relu(x, &out);
+        return out;
+      },
+      [&] {
+        Tensor out(x.rows(), x.cols());
+        for (int i = 0; i < x.size(); ++i) out[i] = x[i] > 0.f ? x[i] : 0.f;
+        return out;
+      }(),
+      0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor dx = g;
+        GetBackend().ReluBackwardAcc(g, x, &dx);
+        GetBackend().SquareBackwardAcc(g, x, &dx);
+        return dx;
+      },
+      [&] {
+        Tensor dx = g;
+        for (int i = 0; i < x.size(); ++i) {
+          dx[i] += x[i] > 0.f ? g[i] : 0.f;
+          dx[i] += g[i] * (2.f * x[i]);
+        }
+        return dx;
+      }(),
+      0.f);
+}
+
+TEST(KernelsTest, RowAndColVecBroadcastsAcrossThreads) {
+  const Tensor a = RandomTensor(131, 257, 22);
+  const Tensor g = RandomTensor(131, 257, 23);
+  Tensor row = RandomTensor(1, 257, 24);
+  for (int c = 0; c < row.cols(); ++c) row[c] += 3.f;  // No zero divisors.
+  const Tensor col = RandomTensor(131, 1, 25);
+  using Op = float (*)(float, float);
+  const Op mul = [](float p, float q) { return p * q; };
+  const Op div = [](float p, float q) { return p / q; };
+  // Reference: out = op(a, broadcast v); with acc, out = g + op(a, v).
+  const auto reference = [&](Op op, bool by_row, bool acc) {
+    Tensor out = acc ? g : Tensor(a.rows(), a.cols());
+    for (int r = 0; r < a.rows(); ++r) {
+      for (int c = 0; c < a.cols(); ++c) {
+        const float v = by_row ? row.at(0, c) : col.at(r, 0);
+        out.at(r, c) += op(a.at(r, c), v);
+      }
+    }
+    return out;
+  };
+  const auto fresh = [&] { return Tensor(a.rows(), a.cols()); };
+  ExpectDeterministic(
+      [&] {
+        Tensor out = fresh();
+        GetBackend().MulRowVec(a, row, &out);
+        return out;
+      },
+      reference(mul, true, false), 0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor out = g;
+        GetBackend().MulRowVecAcc(a, row, &out);
+        return out;
+      },
+      reference(mul, true, true), 0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor out = fresh();
+        GetBackend().DivRowVec(a, row, &out);
+        return out;
+      },
+      reference(div, true, false), 0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor out = g;
+        GetBackend().DivRowVecAcc(a, row, &out);
+        return out;
+      },
+      reference(div, true, true), 0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor out = fresh();
+        GetBackend().MulColVec(a, col, &out);
+        return out;
+      },
+      reference(mul, false, false), 0.f);
+  ExpectDeterministic(
+      [&] {
+        Tensor out = g;
+        GetBackend().MulColVecAcc(a, col, &out);
+        return out;
+      },
+      reference(mul, false, true), 0.f);
+}
+
 TEST(KernelsTest, ReductionsAndBroadcastsAcrossThreads) {
   const Tensor a = RandomTensor(29, 37, 9);
   Tensor colsum_ref(1, a.cols());

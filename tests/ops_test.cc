@@ -1,12 +1,16 @@
 #include "src/tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/tensor/gradcheck.h"
+#include "src/tensor/simd.h"
 #include "src/util/rng.h"
 
 namespace oodgnn {
@@ -77,6 +81,43 @@ TEST(OpsForwardTest, Nonlinearities) {
   EXPECT_NEAR(CosOp(a).value()[2], std::cos(0.5f), 1e-6);
   EXPECT_NEAR(AbsOp(a).value()[1], 0.5f, 1e-6);
   EXPECT_NEAR(Square(a).value()[0], 4.f, 1e-6);
+}
+
+TEST(OpsForwardTest, ReluSpecialValuesBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denormal = 1e-41f;
+  // Input, ReLU(input) and ReLU'(input), compared bit for bit: −0, NaN
+  // and −inf map to +0 (a max-based ReLU would return −0 or NaN), and
+  // the gradient is +0 at ±0 and NaN.
+  const std::vector<float> in = {-0.f, nan, -inf, inf, denormal,
+                                 -denormal, 0.f, 2.f, -2.f};
+  const std::vector<float> want = {0.f, 0.f, 0.f, inf, denormal,
+                                   0.f, 0.f, 2.f, 0.f};
+  const std::vector<float> want_grad = {0.f, 0.f, 0.f, 1.f, 1.f,
+                                        0.f, 0.f, 1.f, 0.f};
+  // Three copies (27 elements) reach both the vector lanes and the
+  // scalar tail; the scalar kernels run too, with SIMD off.
+  const int n = 3 * static_cast<int>(in.size());
+  std::vector<float> values;
+  for (int i = 0; i < n; ++i) values.push_back(in[i % in.size()]);
+  for (bool vector : {false, true}) {
+    simd::ScopedSimdEnabled simd_mode(vector);
+    Variable x = Variable::Param(Tensor::FromData(1, n, values));
+    Variable y = Relu(x);
+    y.Backward(Tensor(1, n, 1.f));
+    for (int i = 0; i < n; ++i) {
+      const size_t k = static_cast<size_t>(i) % in.size();
+      const float got = y.value()[i];
+      const float got_grad = x.grad()[i];
+      EXPECT_EQ(std::memcmp(&got, &want[k], sizeof(float)), 0)
+          << "relu(" << in[k] << ") = " << got << " at " << i << ", simd "
+          << vector;
+      EXPECT_EQ(std::memcmp(&got_grad, &want_grad[k], sizeof(float)), 0)
+          << "relu'(" << in[k] << ") = " << got_grad << " at " << i
+          << ", simd " << vector;
+    }
+  }
 }
 
 TEST(OpsForwardTest, SoftmaxRowsSumToOne) {

@@ -147,15 +147,23 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().GetSnapshot();
   std::int64_t forward_calls = 0;
+  std::int64_t relu_calls = 0;
   for (const auto& [name, value] : snapshot.counters) {
+    if (name == "kernel/relu/calls") relu_calls = value;
     // Backward-only kernels: transposed matmuls (weight/input grads),
-    // softmax/segment backward passes, and gradient row-scatter.
+    // softmax/segment/ReLU/Square backward passes, gradient row-scatter
+    // and the broadcast-multiply/divide adjoints.
     const bool backward_kernel =
         name.rfind("kernel/matmul_ta/", 0) == 0 ||
         name.rfind("kernel/matmul_tb/", 0) == 0 ||
         name.rfind("kernel/softmax_rows_backward/", 0) == 0 ||
         name.rfind("kernel/gather_rows_acc/", 0) == 0 ||
-        name.rfind("kernel/segment_extreme_backward/", 0) == 0;
+        name.rfind("kernel/segment_extreme_backward/", 0) == 0 ||
+        name.rfind("kernel/relu_backward/", 0) == 0 ||
+        name.rfind("kernel/square_backward/", 0) == 0 ||
+        name.rfind("kernel/mul_row_vec_acc/", 0) == 0 ||
+        name.rfind("kernel/div_row_vec_acc/", 0) == 0 ||
+        name.rfind("kernel/mul_col_vec_acc/", 0) == 0;
     if (backward_kernel) {
       EXPECT_EQ(value, 0) << name << " ran during grad-free eval";
     } else if (name.rfind("kernel/", 0) == 0) {
@@ -163,6 +171,7 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
     }
   }
   EXPECT_GT(forward_calls, 0);  // The forward pass itself was counted.
+  EXPECT_GT(relu_calls, 0);     // ReLU's forward is a counted kernel too.
 
   obs::MetricsRegistry::Global().Reset();
   obs::SetProfilingEnabled(was_profiling);

@@ -287,6 +287,129 @@ TEST(SimdTest, ElementwiseSpecialValuesBitwise) {
       "hadamard specials");
 }
 
+TEST(SimdTest, ReluAndSquareBackwardBitwise) {
+  struct Shape {
+    int rows, cols;
+  };
+  for (const Shape& s : {Shape{1, 1}, Shape{7, 13}, Shape{3, 8},
+                         Shape{5, 17}, Shape{11, 37}}) {
+    const std::string shape =
+        std::to_string(s.rows) + "x" + std::to_string(s.cols);
+    // Random values, then the special-value tensor (±0, NaN, ±inf,
+    // denormals) in x, the upstream gradient and the accumulator.
+    for (bool special : {false, true}) {
+      const auto make = [&](uint64_t seed) {
+        return special ? SpecialTensor(s.rows, s.cols, seed)
+                       : RandomTensor(s.rows, s.cols, seed);
+      };
+      const Tensor x = make(191);
+      const Tensor g = make(193);
+      const Tensor init = make(197);
+      const std::string what = shape + (special ? " specials" : "");
+      const int n = x.size();
+      ExpectRangeKernelBitwise(
+          n, init,
+          [&](Tensor* out, int i0, int i1) { kernels::Relu(x, out, i0, i1); },
+          [&](Tensor* out, int i0, int i1) { simd::Relu(x, out, i0, i1); },
+          "relu " + what);
+      ExpectRangeKernelBitwise(
+          n, init,
+          [&](Tensor* dx, int i0, int i1) {
+            kernels::ReluBackwardAcc(g, x, dx, i0, i1);
+          },
+          [&](Tensor* dx, int i0, int i1) {
+            simd::ReluBackwardAcc(g, x, dx, i0, i1);
+          },
+          "relu_backward " + what);
+      ExpectRangeKernelBitwise(
+          n, init,
+          [&](Tensor* dx, int i0, int i1) {
+            kernels::SquareBackwardAcc(g, x, dx, i0, i1);
+          },
+          [&](Tensor* dx, int i0, int i1) {
+            simd::SquareBackwardAcc(g, x, dx, i0, i1);
+          },
+          "square_backward " + what);
+    }
+  }
+}
+
+/// A 1×cols row with every divisor and multiplier the broadcast kernels
+/// must survive — ±0, ±inf, denormals and NaN — at even columns, both
+/// inside the vector body and in the tail when cols > 2·8.
+Tensor SpecialRow(int cols, uint64_t seed) {
+  Tensor row = RandomTensor(1, cols, seed);
+  const float specials[] = {
+      0.f,
+      -0.f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      1e-41f,
+      -1e-41f,
+      std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::quiet_NaN(),
+  };
+  for (int c = 0; c < cols; c += 2) {
+    row[c] = specials[static_cast<size_t>(c / 2) % 8];
+  }
+  return row;
+}
+
+TEST(SimdTest, RowAndColVecBroadcastsBitwise) {
+  struct Shape {
+    int rows, cols;
+  };
+  for (const Shape& s : {Shape{1, 1}, Shape{7, 13}, Shape{4, 16},
+                         Shape{9, 8}, Shape{23, 37}}) {
+    const std::string shape =
+        std::to_string(s.rows) + "x" + std::to_string(s.cols);
+    for (bool special : {false, true}) {
+      const Tensor a = special ? SpecialTensor(s.rows, s.cols, 199)
+                               : RandomTensor(s.rows, s.cols, 199);
+      const Tensor init = special ? SpecialTensor(s.rows, s.cols, 211)
+                                  : RandomTensor(s.rows, s.cols, 211);
+      // Division by ±0, ±inf and denormals lives in the special row;
+      // the column vector is the same values laid out per row.
+      const Tensor row = special ? SpecialRow(s.cols, 223)
+                                 : RandomTensor(1, s.cols, 223);
+      const Tensor col_values = special ? SpecialRow(s.rows, 227)
+                                        : RandomTensor(1, s.rows, 227);
+      const Tensor col = col_values.Reshaped(s.rows, 1);
+      const std::string what = shape + (special ? " specials" : "");
+      using RowKernel =
+          void (*)(const Tensor&, const Tensor&, Tensor*, int, int);
+      struct Case {
+        const char* name;
+        RowKernel scalar;
+        RowKernel vector;
+        const Tensor* vec;
+      };
+      const Case cases[] = {
+          {"mul_row_vec", kernels::MulRowVec, simd::MulRowVec, &row},
+          {"mul_row_vec_acc", kernels::MulRowVecAcc, simd::MulRowVecAcc,
+           &row},
+          {"div_row_vec", kernels::DivRowVec, simd::DivRowVec, &row},
+          {"div_row_vec_acc", kernels::DivRowVecAcc, simd::DivRowVecAcc,
+           &row},
+          {"mul_col_vec", kernels::MulColVec, simd::MulColVec, &col},
+          {"mul_col_vec_acc", kernels::MulColVecAcc, simd::MulColVecAcc,
+           &col},
+      };
+      for (const Case& c : cases) {
+        ExpectRangeKernelBitwise(
+            s.rows, init,
+            [&](Tensor* out, int r0, int r1) {
+              c.scalar(a, *c.vec, out, r0, r1);
+            },
+            [&](Tensor* out, int r0, int r1) {
+              c.vector(a, *c.vec, out, r0, r1);
+            },
+            std::string(c.name) + " " + what);
+      }
+    }
+  }
+}
+
 // --- column-ranged reductions and broadcast adjoints --------------------
 
 TEST(SimdTest, ReductionAdjointsBitwise) {
@@ -474,6 +597,56 @@ TEST(SimdTest, BackendDispatchBitwiseAcrossThreadsAndToggle) {
       EXPECT_TRUE(BitwiseEqual(scalar_serial, got))
           << "backend dispatch diverged at " << threads << " threads, simd "
           << (enabled ? "on" : "off");
+    }
+  }
+}
+
+TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
+  // 263×129 (odd width) is past the backend's parallel cutoff, so the
+  // 2- and 8-thread runs really split every range.
+  const int rows = 263;
+  const int cols = 129;
+  const Tensor x = SpecialTensor(rows, cols, 229);
+  const Tensor g = RandomTensor(rows, cols, 233);
+  const Tensor row = SpecialRow(cols, 239);
+  const Tensor col = SpecialRow(rows, 241).Reshaped(rows, 1);
+  const auto run = [&]() {
+    const Backend& be = GetBackend();
+    Tensor relu(rows, cols);
+    be.Relu(x, &relu);
+    Tensor dx = g;
+    be.ReluBackwardAcc(g, x, &dx);
+    be.SquareBackwardAcc(g, x, &dx);
+    Tensor mul_row(rows, cols);
+    be.MulRowVec(x, row, &mul_row);
+    be.MulRowVecAcc(g, row, &dx);
+    Tensor div_row(rows, cols);
+    be.DivRowVec(x, row, &div_row);
+    be.DivRowVecAcc(g, row, &dx);
+    Tensor mul_col(rows, cols);
+    be.MulColVec(x, col, &mul_col);
+    be.MulColVecAcc(g, col, &dx);
+    Tensor combined(5 * rows, cols);
+    int offset = 0;
+    for (const Tensor* t : {&relu, &dx, &mul_row, &div_row, &mul_col}) {
+      kernels::CopyRowsTo(*t, &combined, offset, 0, rows);
+      offset += rows;
+    }
+    return combined;
+  };
+  Tensor scalar_serial;
+  {
+    ScopedBackendThreads threads(1);
+    simd::ScopedSimdEnabled off(false);
+    scalar_serial = run();
+  }
+  for (int threads : kThreadCounts) {
+    for (bool enabled : {false, true}) {
+      ScopedBackendThreads scoped(threads);
+      simd::ScopedSimdEnabled toggle(enabled);
+      EXPECT_TRUE(BitwiseEqual(scalar_serial, run()))
+          << "element-wise/broadcast dispatch diverged at " << threads
+          << " threads, simd " << (enabled ? "on" : "off");
     }
   }
 }

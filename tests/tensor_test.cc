@@ -1,5 +1,10 @@
 #include "src/tensor/tensor.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "src/util/rng.h"
 
@@ -17,6 +22,43 @@ TEST(TensorTest, ZeroInitialized) {
 TEST(TensorTest, FillConstructor) {
   Tensor t(2, 2, 3.5f);
   for (int i = 0; i < t.size(); ++i) EXPECT_FLOAT_EQ(t[i], 3.5f);
+}
+
+std::uint32_t Bits(float v) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(TensorTest, ZeroFillsAreAllZeroBytesAndNegativeZeroKeepsItsSign) {
+  {
+    // Leave non-zero bytes in the arena for the next tensors to reuse.
+    Tensor stale(5, 7, -3.25f);
+  }
+  Tensor zeros(5, 7);
+  for (int i = 0; i < zeros.size(); ++i) EXPECT_EQ(Bits(zeros[i]), 0u);
+  Tensor t(5, 7, 1.5f);
+  t.Fill(0.f);
+  for (int i = 0; i < t.size(); ++i) EXPECT_EQ(Bits(t[i]), 0u);
+  // −0.f compares equal to 0.f but is not all zero bytes.
+  const std::uint32_t neg_zero = Bits(-0.f);
+  ASSERT_NE(neg_zero, 0u);
+  Tensor n(5, 7, -0.f);
+  for (int i = 0; i < n.size(); ++i) EXPECT_EQ(Bits(n[i]), neg_zero);
+  t.Fill(-0.f);
+  for (int i = 0; i < t.size(); ++i) EXPECT_EQ(Bits(t[i]), neg_zero);
+  Tensor empty;
+  empty.Fill(0.f);  // No storage to write.
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(TensorTest, UnfilledHasTheShapeAndTakesWrites) {
+  Tensor t = Tensor::Unfilled(3, 5);
+  EXPECT_EQ(t.rows(), 3);
+  EXPECT_EQ(t.cols(), 5);
+  for (int i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i);
+  EXPECT_FLOAT_EQ(t.Sum(), 105.f);
+  EXPECT_TRUE(Tensor::Unfilled(0, 4).empty());
 }
 
 TEST(TensorTest, FromDataRowMajorLayout) {
@@ -102,6 +144,29 @@ TEST(TensorTest, AllClose) {
   EXPECT_TRUE(AllClose(a, b));
   EXPECT_FALSE(AllClose(a, c));
   EXPECT_FALSE(AllClose(a, d));  // Shape mismatch.
+
+  // NaN is close to nothing, itself included, at any tolerance.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor with_nan = Tensor::FromData(1, 2, {nan, 2.f});
+  EXPECT_FALSE(AllClose(with_nan, a));
+  EXPECT_FALSE(AllClose(a, with_nan));
+  EXPECT_FALSE(AllClose(with_nan, with_nan));
+  EXPECT_FALSE(AllClose(with_nan, a, 0.f));
+  EXPECT_FALSE(AllClose(with_nan, a, inf));
+  // Equal infinities are close, even at tol = 0; anything else is not.
+  Tensor pos_inf = Tensor::FromData(1, 2, {inf, 2.f});
+  Tensor neg_inf = Tensor::FromData(1, 2, {-inf, 2.f});
+  EXPECT_TRUE(AllClose(pos_inf, pos_inf, 0.f));
+  EXPECT_TRUE(AllClose(neg_inf, neg_inf, 0.f));
+  EXPECT_FALSE(AllClose(pos_inf, neg_inf));
+  EXPECT_FALSE(AllClose(pos_inf, a));
+  EXPECT_FALSE(AllClose(a, neg_inf, 1e30f));
+  // tol = 0 is exact equality (and −0 equals +0).
+  EXPECT_TRUE(AllClose(a, a, 0.f));
+  EXPECT_FALSE(AllClose(a, b, 0.f));
+  EXPECT_TRUE(AllClose(Tensor::FromData(1, 1, {-0.f}),
+                       Tensor::FromData(1, 1, {0.f}), 0.f));
 }
 
 TEST(TensorTest, EmptyTensor) {

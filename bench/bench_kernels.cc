@@ -19,7 +19,8 @@
 //
 // Pass --simd for the scalar-vs-SIMD-vs-int8 dense-kernel table
 // (DESIGN.md §16): single-threaded GFLOP/s for the vectorized matmul
-// variants, axpy, and the RFF map, plus the bitwise scalar==simd check.
+// variants (dense, and with the ~35% exact zeros of post-ReLU input),
+// axpy, and the RFF map, plus the bitwise scalar==simd check.
 
 #include <chrono>
 #include <cmath>
@@ -202,6 +203,8 @@ void CompareSimd() {
     std::printf("(no vector ISA compiled/detected: simd:: delegates to the "
                 "scalar kernels, so speedup ~1.0x is expected)\n");
   }
+  std::printf("(-z35 rows: the a operand has ~35%% exact zeros, as after "
+              "ReLU)\n");
   std::printf("\n%-14s %-24s %12s %12s %8s %12s %8s\n", "kernel", "shape",
               "scalar GF/s", "simd GF/s", "speedup", "int8 GF/s", "bitwise");
 
@@ -251,6 +254,36 @@ void CompareSimd() {
          [a, bt, m](Tensor* o) { kernels::MatMulTransBAcc(*a, *bt, o, 0, m); },
          [a, bt, m](Tensor* o) { simd::MatMulTransBAcc(*a, *bt, o, 0, m); },
          nullptr, m, n});
+    // The zero-skip case: a with ~35% exact zeros, like the post-ReLU
+    // activations the encoder's Linear layers multiply. Flops count the
+    // dense product, so these rows compare directly with the ones above.
+    // Its own stream, so the other rows' inputs stay as they were.
+    Rng zero_rng(static_cast<uint64_t>(29 * scale));
+    auto az = std::make_shared<Tensor>(*a);
+    for (int i = 0; i < az->size(); ++i) {
+      if (zero_rng.Uniform() < 0.35) (*az)[i] = 0.f;
+    }
+    rows.push_back({"matmul-z35", shape, flops,
+                    [az, b, m](Tensor* o) {
+                      kernels::MatMulAcc(*az, *b, o, 0, m);
+                    },
+                    [az, b, m](Tensor* o) {
+                      simd::MatMulAcc(*az, *b, o, 0, m);
+                    },
+                    [az, qb, m](Tensor* o) {
+                      simd::MatMulQuantAcc(*az, *qb, o, 0, m);
+                    },
+                    m, n});
+    rows.push_back(
+        {"transA-z35",
+         "[" + std::to_string(m) + "x" + std::to_string(k) + "]Tx[" +
+             std::to_string(m) + "x" + std::to_string(n) + "]",
+         flops,
+         [az, bm, k](Tensor* o) {
+           kernels::MatMulTransAAcc(*az, *bm, o, 0, k);
+         },
+         [az, bm, k](Tensor* o) { simd::MatMulTransAAcc(*az, *bm, o, 0, k); },
+         nullptr, k, n});
   }
 
   // Elementwise (axpy at optimizer scale) and the RFF feature map.

@@ -1,8 +1,8 @@
 // General-purpose command-line runner: train any of the nine methods on
 // any of the fifteen benchmark datasets.
 //
-//   ./run_benchmark --dataset PROTEINS_25 --method OOD-GNN \
-//       --epochs 20 --seeds 3 --hidden 32 --layers 3 [--scale 1.0]
+//   ./run_benchmark --dataset PROTEINS_25 --method OOD-GNN --epochs 20
+//                   --seeds 3 --hidden 32 --layers 3 [--scale 1.0]
 //
 // Prints per-seed and aggregated metrics on every split.
 

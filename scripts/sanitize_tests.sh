@@ -20,5 +20,7 @@ SANITIZER="${1:-address}"
 BUILD_DIR="build-${SANITIZER}"
 
 cmake -B "${BUILD_DIR}" -S . -DOODGNN_SANITIZE="${SANITIZER}"
-cmake --build "${BUILD_DIR}" -j
+# One compile job per CPU: an uncapped -j starts every translation unit
+# at once, and sanitizer builds are memory-hungry.
+cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" -L sanitize --output-on-failure -j

@@ -85,10 +85,12 @@ void SetEnabled(bool enabled) {
 
 namespace {
 
-// Minimal vector abstraction. Every wrapper preserves the C operand
-// order of the scalar expression it stands in for (VMul(a, b) ≡ a*b,
-// VAdd(a, b) ≡ a+b), so NaN-payload propagation — which x86/ARM take
-// from the first source operand — matches the scalar kernels.
+// Minimal vector abstraction. Every wrapper keeps the C operand order
+// of the scalar expression it stands in for (VMul(a, b) ≡ a*b,
+// VAdd(a, b) ≡ a+b). The compiler may still commute an add, in either
+// path, and x86/ARM keep the first source operand's NaN, so which NaN
+// payload survives NaN + NaN is outside the bitwise contract; where
+// NaNs land is not (DESIGN.md §16).
 #if defined(OODGNN_SIMD_ISA_AVX2)
 
 using vf = __m256;
@@ -136,27 +138,178 @@ inline vf VLoadI8AsF32(const int8_t* p) {
 
 #endif
 
-// Same cache-block sizes as the scalar kernels: block boundaries do
-// not affect bitwise results (only the per-output-element operation
-// order does), but keeping them aligned makes scalar-vs-SIMD timing
-// comparisons isolate the vectorization itself.
-constexpr int kBlockN = 256;
-constexpr int kBlockK = 64;
-constexpr int kBlockP = 16;
-constexpr int kBlockJ = 32;
+// Register tiles of the fp32 matmul bodies. Each output tile is loaded
+// once per block of contraction rows, summed in vector registers over
+// the block and stored once, so no running sum waits on a
+// store-to-load forward. Tiling changes only which elements are in
+// flight together, never the terms an element sums or their order, so
+// the scalar kernels stay the oracle. The a·b block covers every model
+// contraction in one pass; it exists so that a GEMV against a huge b
+// walks a bounded set of b rows (pages) per tile. The aᵀ·b block keeps
+// its rows of b in L1.
+constexpr int kTileVecs = 8;          // a·b, aᵀ·b: output vectors per tile
+constexpr int kBlockK = 256;          // a·b: contraction rows per block
+constexpr int kTransABlockRows = 64;  // aᵀ·b: contraction rows per block
+constexpr int kTransBRows = 4;        // a·bᵀ: output rows per tile
+constexpr int kTransBVecs = 2;        // a·bᵀ: panel vectors per tile
 
-/// orow[j0:j1) += av·brow[j0:j1) — the shared inner row-update of both
-/// broadcast-a matmul variants. Vector body and scalar tail perform
-/// the identical mul-then-add per element.
-inline void RowAxpy(float av, const float* brow, float* orow, int j0,
-                    int j1) {
-  const vf vav = VBroadcast(av);
-  int j = j0;
-  for (; j + kVLen <= j1; j += kVLen) {
-    const vf prod = VMul(vav, VLoad(brow + j));
-    VStore(orow + j, VAdd(VLoad(orow + j), prod));
+/// Per-thread scratch of the matmul bodies. It grows to the largest
+/// size a call has needed and never shrinks, so a warm call makes no
+/// heap allocation; it is not tensor storage, so the arena accounting
+/// never sees it.
+struct MatMulScratch {
+  std::vector<const float*> rows;  ///< b row of each nonzero term
+  std::vector<float> coefs;        ///< its nonzero a coefficient
+  std::vector<float> panel;        ///< a·bᵀ: b rows packed p-major
+
+  void ReserveTerms(int n) {
+    if (rows.size() < static_cast<size_t>(n)) {
+      rows.resize(static_cast<size_t>(n));
+      coefs.resize(static_cast<size_t>(n));
+    }
   }
-  for (; j < j1; ++j) orow[j] += av * brow[j];
+};
+
+MatMulScratch& ThreadScratch() {
+  thread_local MatMulScratch scratch;
+  return scratch;
+}
+
+/// Lists the nonzero terms of one contraction in ascending order:
+/// coefficient t is coef[t·stride], and it multiplies b row b0 + t.
+/// Branch-free — every t is written, and the count advances only past
+/// a coefficient that is not `== 0.f` — so this applies the oracle's
+/// zero-skip (±0 drop out, NaN stays) once per row and contraction
+/// block instead of once per tile, with nothing to mispredict on
+/// post-ReLU input. Returns the number of terms.
+inline int NonzeroTerms(const float* coef, size_t stride, int count,
+                        const Tensor& b, int b0, MatMulScratch* s) {
+  const float** rows = s->rows.data();
+  float* coefs = s->coefs.data();
+  int terms = 0;
+  for (int t = 0; t < count; ++t) {
+    const float c = coef[static_cast<size_t>(t) * stride];
+    rows[terms] = b.row(b0 + t);
+    coefs[terms] = c;
+    terms += c != 0.f ? 1 : 0;
+  }
+  return terms;
+}
+
+/// orow[j, j + NV·kVLen) += Σ_t coefs[t]·rows[t][j, …) in term order,
+/// each output vector held in a register across all terms.
+template <int NV>
+void AccumulateTile(const MatMulScratch& s, int terms, float* orow, int j) {
+  vf acc[NV];
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) acc[v] = VLoad(orow + j + v * kVLen);
+  for (int t = 0; t < terms; ++t) {
+    const vf c = VBroadcast(s.coefs[static_cast<size_t>(t)]);
+    const float* brow = s.rows[static_cast<size_t>(t)] + j;
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = VAdd(acc[v], VMul(c, VLoad(brow + v * kVLen)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) VStore(orow + j + v * kVLen, acc[v]);
+}
+
+/// orow[0, n) += the listed terms: full kTileVecs tiles, one narrower
+/// tile for the remaining whole vectors, then scalar columns.
+void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n) {
+  using Tile = void (*)(const MatMulScratch&, int, float*, int);
+  static constexpr Tile kPartial[kTileVecs] = {
+      nullptr,           AccumulateTile<1>, AccumulateTile<2>,
+      AccumulateTile<3>, AccumulateTile<4>, AccumulateTile<5>,
+      AccumulateTile<6>, AccumulateTile<7>};
+  constexpr int kTileCols = kTileVecs * kVLen;
+  int j = 0;
+  for (; j + kTileCols <= n; j += kTileCols) {
+    AccumulateTile<kTileVecs>(s, terms, orow, j);
+  }
+  const int vecs = (n - j) / kVLen;
+  if (vecs > 0) {
+    kPartial[vecs](s, terms, orow, j);
+    j += vecs * kVLen;
+  }
+  for (; j < n; ++j) {
+    float sum = orow[j];
+    for (int t = 0; t < terms; ++t) {
+      sum += s.coefs[static_cast<size_t>(t)] *
+             s.rows[static_cast<size_t>(t)][j];
+    }
+    orow[j] = sum;
+  }
+}
+
+/// orows[r][j, j + NV·kVLen) += dot(arows[r], b rows j…) for R rows:
+/// the panel holds those b rows p-major (NV vectors per p), so each
+/// panel load feeds R rows, and the R·NV sums start from +0 and run
+/// in ascending p like the oracle's `acc`.
+template <int R, int NV>
+void DotTile(const float* const* arows, const float* panel, int k,
+             float* const* orows, int j) {
+  vf acc[R][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) acc[r][v] = VBroadcast(0.f);
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* wp = panel + static_cast<size_t>(p) * NV * kVLen;
+    vf w[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) w[v] = VLoad(wp + v * kVLen);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const vf x = VBroadcast(arows[r][p]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = VAdd(acc[r][v], VMul(x, w[v]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      float* o = orows[r] + j + v * kVLen;
+      VStore(o, VAdd(VLoad(o), acc[r][v]));
+    }
+  }
+}
+
+/// One panel of NV·kVLen b rows starting at row j, against out rows
+/// [r0, r1): kTransBRows-row tiles, then single rows.
+template <int NV>
+void DotPanel(const Tensor& a, const Tensor& b, Tensor* out, int r0, int r1,
+              int j, MatMulScratch* s) {
+  const int k = a.cols();
+  constexpr int kCols = NV * kVLen;
+  s->panel.resize(static_cast<size_t>(k) * kCols);
+  float* panel = s->panel.data();
+  for (int l = 0; l < kCols; ++l) {
+    const float* brow = b.row(j + l);
+    for (int p = 0; p < k; ++p) {
+      panel[static_cast<size_t>(p) * kCols + l] = brow[p];
+    }
+  }
+  int i = r0;
+  for (; i + kTransBRows <= r1; i += kTransBRows) {
+    const float* arows[kTransBRows];
+    float* orows[kTransBRows];
+    for (int r = 0; r < kTransBRows; ++r) {
+      arows[r] = a.row(i + r);
+      orows[r] = out->row(i + r);
+    }
+    DotTile<kTransBRows, NV>(arows, panel, k, orows, j);
+  }
+  for (; i < r1; ++i) {
+    const float* arow = a.row(i);
+    float* orow = out->row(i);
+    DotTile<1, NV>(&arow, panel, k, &orow, j);
+  }
 }
 
 }  // namespace
@@ -165,19 +318,13 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                int r1) {
   const int k = a.cols();
   const int n = b.cols();
-  for (int j0 = 0; j0 < n; j0 += kBlockN) {
-    const int j1 = std::min(n, j0 + kBlockN);
-    for (int p0 = 0; p0 < k; p0 += kBlockK) {
-      const int p1 = std::min(k, p0 + kBlockK);
-      for (int i = r0; i < r1; ++i) {
-        const float* arow = a.row(i);
-        float* orow = out->row(i);
-        for (int p = p0; p < p1; ++p) {
-          const float av = arow[p];
-          if (av == 0.f) continue;
-          RowAxpy(av, b.row(p), orow, j0, j1);
-        }
-      }
+  MatMulScratch& s = ThreadScratch();
+  s.ReserveTerms(kBlockK);
+  for (int p0 = 0; p0 < k; p0 += kBlockK) {
+    const int rows = std::min(kBlockK, k - p0);
+    for (int i = r0; i < r1; ++i) {
+      const int terms = NonzeroTerms(a.row(i) + p0, 1, rows, b, p0, &s);
+      AccumulateRow(s, terms, out->row(i), n);
     }
   }
 }
@@ -186,19 +333,16 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1) {
   const int m = a.rows();
   const int n = b.cols();
-  for (int p0 = r0; p0 < r1; p0 += kBlockP) {
-    const int p1 = std::min(r1, p0 + kBlockP);
-    for (int j0 = 0; j0 < n; j0 += kBlockN) {
-      const int j1 = std::min(n, j0 + kBlockN);
-      for (int i = 0; i < m; ++i) {
-        const float* arow = a.row(i);
-        const float* brow = b.row(i);
-        for (int p = p0; p < p1; ++p) {
-          const float av = arow[p];
-          if (av == 0.f) continue;
-          RowAxpy(av, brow, out->row(p), j0, j1);
-        }
-      }
+  const size_t stride = static_cast<size_t>(a.cols());
+  MatMulScratch& s = ThreadScratch();
+  s.ReserveTerms(kTransABlockRows);
+  // Blocks of contraction rows in ascending order keep their rows of b
+  // in L1 while every output row of the range sums over them.
+  for (int i0 = 0; i0 < m; i0 += kTransABlockRows) {
+    const int rows = std::min(kTransABlockRows, m - i0);
+    for (int p = r0; p < r1; ++p) {
+      const int terms = NonzeroTerms(a.row(i0) + p, stride, rows, b, i0, &s);
+      AccumulateRow(s, terms, out->row(p), n);
     }
   }
 }
@@ -207,45 +351,22 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1) {
   const int k = a.cols();
   const int n = b.rows();
-  // Each lane accumulates one column j's dot product in the scalar
-  // p-ascending order; b rows are packed into a [k × kVLen] panel so
-  // the inner loop reads contiguously. The panel is plain scratch —
-  // it never goes through tensor storage, so it does not perturb the
-  // arena accounting the zero-allocation tests pin.
-  thread_local std::vector<float> panel;
-  for (int j0 = 0; j0 < n; j0 += kBlockJ) {
-    const int j1 = std::min(n, j0 + kBlockJ);
-    int jb = j0;
-    for (; jb + kVLen <= j1; jb += kVLen) {
-      panel.resize(static_cast<size_t>(k) * kVLen);
-      for (int l = 0; l < kVLen; ++l) {
-        const float* brow = b.row(jb + l);
-        for (int p = 0; p < k; ++p) {
-          panel[static_cast<size_t>(p) * kVLen + l] = brow[p];
-        }
-      }
-      for (int i = r0; i < r1; ++i) {
-        const float* arow = a.row(i);
-        vf acc = VBroadcast(0.f);
-        for (int p = 0; p < k; ++p) {
-          const vf prod =
-              VMul(VBroadcast(arow[p]), VLoad(&panel[static_cast<size_t>(p) * kVLen]));
-          acc = VAdd(acc, prod);
-        }
-        float* orow = out->row(i);
-        VStore(orow + jb, VAdd(VLoad(orow + jb), acc));
-      }
-    }
-    // Tail columns of the block: scalar dots, same as the oracle.
-    for (int i = r0; i < r1; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out->row(i);
-      for (int j = jb; j < j1; ++j) {
-        const float* brow = b.row(j);
-        float acc = 0.f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        orow[j] += acc;
-      }
+  MatMulScratch& s = ThreadScratch();
+  constexpr int kWide = kTransBVecs * kVLen;
+  int j = 0;
+  for (; j + kWide <= n; j += kWide) {
+    DotPanel<kTransBVecs>(a, b, out, r0, r1, j, &s);
+  }
+  for (; j + kVLen <= n; j += kVLen) DotPanel<1>(a, b, out, r0, r1, j, &s);
+  // Tail columns: scalar dots, same as the oracle.
+  for (int i = r0; i < r1; ++i) {
+    const float* arow = a.row(i);
+    float* orow = out->row(i);
+    for (int jt = j; jt < n; ++jt) {
+      const float* brow = b.row(jt);
+      float acc = 0.f;
+      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      orow[jt] += acc;
     }
   }
 }

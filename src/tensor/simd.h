@@ -20,7 +20,10 @@ namespace simd {
 // sequence — separate multiply and add (never FMA; fused rounding
 // would diverge from the scalar oracle, so the build also pins
 // -ffp-contract=off), the same per-output-element accumulation order,
-// and the same zero-skip branches taken on the same broadcast scalars.
+// and the same zero-skip decisions on the same a coefficients. The one
+// exception is which NaN payload survives NaN + NaN, which C++ leaves
+// to the compiler's operand order; NaNs still land in the same
+// elements.
 // Kernels whose scalar form is a horizontal reduction (Dot, RowSum,
 // EdgeDot, softmax) have no mirror: vectorizing them would reassociate
 // the sum. Only kernels where the innermost loop walks the contiguous
@@ -30,7 +33,9 @@ namespace simd {
 // and operand order, max(x, 0) returns NaN for a NaN lane and −0 for
 // −0, where the scalar `x > 0 ? x : 0` returns +0. tests/simd_test.cc
 // pins the bitwise contract across shapes, tails, denormals, ±0/NaN and
-// thread counts.
+// thread counts. The matmul bodies are register-tiled (DESIGN.md §16):
+// each output tile is summed in vector registers, and a·b and aᵀ·b
+// apply the zero-skip once per row through a list of nonzero terms.
 //
 // The file src/tensor/simd.cc is the only translation unit compiled
 // with -mavx2 (x86; NEON is baseline on aarch64); its functions are

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,66 +105,105 @@ TEST(ThreadPoolTest, StaticChunksAreContiguousAndComplete) {
   EXPECT_EQ(e2, 10);
 }
 
+/// RandomTensor with about `zero_pct` percent of its elements set to
+/// exact zeros at random positions, like post-ReLU activations.
+Tensor SparseTensor(int rows, int cols, int zero_pct, uint64_t seed) {
+  Tensor t = RandomTensor(rows, cols, seed);
+  Rng rng(seed + 1);
+  for (int i = 0; i < t.size(); ++i) {
+    if (rng.Uniform() * 100.0 < zero_pct) t[i] = 0.f;
+  }
+  return t;
+}
+
+/// A matmul test case: m, k, n name the operands of a·b ([m×k]·[k×n]),
+/// aᵀ·b ([m×k]ᵀ·[m×n]) and a·bᵀ ([m×k]·[n×k]ᵀ); zero_pct adds exact
+/// zeros to a.
+struct MatMulCase {
+  int m, k, n;
+  int zero_pct = 0;
+};
+
+/// Each test's original small shape plus two model shapes, both past
+/// the parallel cutoff: the encoder's Linear over post-ReLU input
+/// (full 64-column tiles, a 4-row a·bᵀ remainder, three aᵀ·b row
+/// blocks) and a wide one (vector and scalar column remainders).
+std::vector<MatMulCase> MatMulCases(MatMulCase original) {
+  return {original, {131, 64, 64, 35}, {70, 130, 150}};
+}
+
 TEST(KernelsTest, MatMulMatchesNaiveBitwiseAcrossThreads) {
-  const Tensor a = RandomTensor(37, 29, 1);
-  const Tensor b = RandomTensor(29, 43, 2);
-  // Naive ikj reference with ascending-k accumulation per output cell —
-  // the same per-element order the blocked kernel commits to.
-  Tensor reference(a.rows(), b.cols());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int p = 0; p < a.cols(); ++p) {
-      for (int j = 0; j < b.cols(); ++j) {
-        reference.at(i, j) += a.at(i, p) * b.at(p, j);
+  for (const MatMulCase& c : MatMulCases({37, 29, 43})) {
+    SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                 std::to_string(c.n));
+    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 1);
+    const Tensor b = RandomTensor(c.k, c.n, 2);
+    // Naive ikj reference with ascending-k accumulation per output cell —
+    // the same per-element order the blocked kernel commits to.
+    Tensor reference(a.rows(), b.cols());
+    for (int i = 0; i < a.rows(); ++i) {
+      for (int p = 0; p < a.cols(); ++p) {
+        for (int j = 0; j < b.cols(); ++j) {
+          reference.at(i, j) += a.at(i, p) * b.at(p, j);
+        }
       }
     }
+    ExpectDeterministic(
+        [&] {
+          Tensor out(a.rows(), b.cols());
+          GetBackend().MatMulAcc(a, b, &out);
+          return out;
+        },
+        reference);
   }
-  ExpectDeterministic(
-      [&] {
-        Tensor out(a.rows(), b.cols());
-        GetBackend().MatMulAcc(a, b, &out);
-        return out;
-      },
-      reference);
 }
 
 TEST(KernelsTest, MatMulTransAMatchesNaiveBitwiseAcrossThreads) {
-  const Tensor a = RandomTensor(31, 17, 3);
-  const Tensor b = RandomTensor(31, 23, 4);
-  Tensor reference(a.cols(), b.cols());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int p = 0; p < a.cols(); ++p) {
-      for (int j = 0; j < b.cols(); ++j) {
-        reference.at(p, j) += a.at(i, p) * b.at(i, j);
+  for (const MatMulCase& c : MatMulCases({31, 17, 23})) {
+    SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                 std::to_string(c.n));
+    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 3);
+    const Tensor b = RandomTensor(c.m, c.n, 4);
+    Tensor reference(a.cols(), b.cols());
+    for (int i = 0; i < a.rows(); ++i) {
+      for (int p = 0; p < a.cols(); ++p) {
+        for (int j = 0; j < b.cols(); ++j) {
+          reference.at(p, j) += a.at(i, p) * b.at(i, j);
+        }
       }
     }
+    ExpectDeterministic(
+        [&] {
+          Tensor out(a.cols(), b.cols());
+          GetBackend().MatMulTransAAcc(a, b, &out);
+          return out;
+        },
+        reference);
   }
-  ExpectDeterministic(
-      [&] {
-        Tensor out(a.cols(), b.cols());
-        GetBackend().MatMulTransAAcc(a, b, &out);
-        return out;
-      },
-      reference);
 }
 
 TEST(KernelsTest, MatMulTransBMatchesNaiveBitwiseAcrossThreads) {
-  const Tensor a = RandomTensor(19, 41, 5);
-  const Tensor b = RandomTensor(27, 41, 6);
-  Tensor reference(a.rows(), b.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < b.rows(); ++j) {
-      float acc = 0.f;
-      for (int p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
-      reference.at(i, j) = acc;
+  for (const MatMulCase& c : MatMulCases({19, 41, 27})) {
+    SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                 std::to_string(c.n));
+    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 5);
+    const Tensor b = RandomTensor(c.n, c.k, 6);
+    Tensor reference(a.rows(), b.rows());
+    for (int i = 0; i < a.rows(); ++i) {
+      for (int j = 0; j < b.rows(); ++j) {
+        float acc = 0.f;
+        for (int p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
+        reference.at(i, j) = acc;
+      }
     }
+    ExpectDeterministic(
+        [&] {
+          Tensor out(a.rows(), b.rows());
+          GetBackend().MatMulTransBAcc(a, b, &out);
+          return out;
+        },
+        reference);
   }
-  ExpectDeterministic(
-      [&] {
-        Tensor out(a.rows(), b.rows());
-        GetBackend().MatMulTransBAcc(a, b, &out);
-        return out;
-      },
-      reference);
 }
 
 TEST(KernelsTest, ElementwiseKernelsAcrossThreads) {

@@ -2,9 +2,10 @@
 // The serial scalar kernels in src/tensor/kernels.{h,cc} are the
 // bitwise-determinism oracle of the whole repo; every vectorized
 // mirror in src/tensor/simd.{h,cc} must reproduce them *bitwise* — not
-// approximately — across randomized shapes (including tails that are
-// not a multiple of the vector width and odd column counts that make
-// row starts unaligned), empty ranges, arbitrary range partitions
+// approximately, NaN payloads aside (see BitwiseEqual) — across
+// randomized shapes (including tails that are not a multiple of the
+// vector width and odd column counts that make row starts unaligned),
+// empty ranges, arbitrary range partitions
 // (standing in for thread chunking), adversarial values (±0, NaN,
 // ±inf, denormals), and, at the Backend dispatch level, thread counts
 // 1/2/8 with the vector path toggled on and off.
@@ -46,6 +47,18 @@ Tensor RandomTensor(int rows, int cols, uint64_t seed) {
   return t;
 }
 
+/// RandomTensor with about `zero_pct` percent of its elements set to
+/// exact zeros at random positions, like the post-ReLU activations the
+/// encoder's Linear layers multiply.
+Tensor SparseTensor(int rows, int cols, int zero_pct, uint64_t seed) {
+  Tensor t = RandomTensor(rows, cols, seed);
+  Rng rng(seed + 1);
+  for (int i = 0; i < t.size(); ++i) {
+    if (rng.Uniform() * 100.0 < zero_pct) t[i] = 0.f;
+  }
+  return t;
+}
+
 /// Laces a random tensor with the values the bitwise contract must
 /// survive: signed zeros, quiet NaN, infinities, and denormals.
 Tensor SpecialTensor(int rows, int cols, uint64_t seed) {
@@ -66,12 +79,23 @@ Tensor SpecialTensor(int rows, int cols, uint64_t seed) {
   return t;
 }
 
-/// memcmp equality: distinguishes +0 from -0 and compares NaN
-/// payloads, which AllClose cannot.
+/// The vector-vs-scalar contract: the same shape, NaN in exactly the
+/// same elements, and memcmp equality for every other element, so +0
+/// and -0, denormals and infinities still compare exactly (AllClose
+/// cannot tell them apart). Which NaN payload survives NaN + NaN is
+/// not compared: x86 and ARM keep the first operand's, and C++ leaves
+/// the operand order of `a + b` to the compiler, which may put a
+/// register accumulator first where the scalar code puts the product.
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+  if (!a.SameShape(b)) return false;
+  const float* x = a.data();
+  const float* y = b.data();
+  for (int i = 0; i < a.size(); ++i) {
+    const bool nan = std::isnan(x[i]);
+    if (nan != std::isnan(y[i])) return false;
+    if (!nan && std::memcmp(x + i, y + i, sizeof(float)) != 0) return false;
+  }
+  return true;
 }
 
 /// Runs the scalar kernel over the full range [0, n) into one copy of
@@ -103,7 +127,9 @@ TEST(SimdTest, ToggleClampsToAvailabilityAndRestores) {
   const char* isa = simd::IsaName();
   EXPECT_TRUE(std::string(isa) == "avx2" || std::string(isa) == "neon" ||
               std::string(isa) == "scalar");
-  if (!simd::Available()) EXPECT_STREQ(isa, "scalar");
+  if (!simd::Available()) {
+    EXPECT_STREQ(isa, "scalar");
+  }
   const bool before = simd::Enabled();
   EXPECT_TRUE(!before || simd::Available());  // Enabled ⇒ Available
   {
@@ -122,6 +148,7 @@ TEST(SimdTest, ToggleClampsToAvailabilityAndRestores) {
 
 struct MatMulShape {
   int m, k, n;
+  int zero_pct = 0;  ///< extra exact zeros in the a operand, percent
 };
 
 constexpr MatMulShape kMatMulShapes[] = {
@@ -130,14 +157,20 @@ constexpr MatMulShape kMatMulShapes[] = {
     {3, 8, 16},    // exact vector multiples
     {33, 16, 8},   // row count with a tail
     {37, 29, 43},  // all-odd: unaligned rows + tails in every loop
-    {64, 64, 64},  // crosses the kBlockK/kBlockP cache blocks
+    {64, 64, 64},  // one full 64-column tile, one aᵀ·b row block
     {5, 31, 9},
-    {2, 300, 17},  // k beyond one kBlockK block
+    {2, 300, 17},  // long contraction
+    // Encoder Linear: post-ReLU input, three aᵀ·b row blocks, a 4-row
+    // a·bᵀ tile remainder.
+    {131, 64, 64, 35},
+    // Wide: two full tiles, then a vector and a scalar remainder.
+    {70, 130, 150},
 };
 
 TEST(SimdTest, MatMulAccBitwise) {
   for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a = RandomTensor(s.m, s.k, 11 * static_cast<uint64_t>(s.m));
+    const Tensor a =
+        SparseTensor(s.m, s.k, s.zero_pct, 11 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.k, s.n, 13 * static_cast<uint64_t>(s.n));
     const Tensor out_init = RandomTensor(s.m, s.n, 17);  // Acc: seed the sum
     ExpectRangeKernelBitwise(
@@ -153,7 +186,8 @@ TEST(SimdTest, MatMulAccBitwise) {
 
 TEST(SimdTest, MatMulTransAAccBitwise) {
   for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a = RandomTensor(s.m, s.k, 19 * static_cast<uint64_t>(s.k));
+    const Tensor a =
+        SparseTensor(s.m, s.k, s.zero_pct, 19 * static_cast<uint64_t>(s.k));
     const Tensor b = RandomTensor(s.m, s.n, 23 * static_cast<uint64_t>(s.n));
     const Tensor out_init = RandomTensor(s.k, s.n, 29);
     ExpectRangeKernelBitwise(
@@ -171,7 +205,8 @@ TEST(SimdTest, MatMulTransAAccBitwise) {
 
 TEST(SimdTest, MatMulTransBAccBitwise) {
   for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a = RandomTensor(s.m, s.k, 31 * static_cast<uint64_t>(s.m));
+    const Tensor a =
+        SparseTensor(s.m, s.k, s.zero_pct, 31 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.n, s.k, 37 * static_cast<uint64_t>(s.k));
     const Tensor out_init = RandomTensor(s.m, s.n, 41);
     ExpectRangeKernelBitwise(
@@ -188,27 +223,52 @@ TEST(SimdTest, MatMulTransBAccBitwise) {
 }
 
 TEST(SimdTest, MatMulSpecialValuesBitwise) {
-  // NaN payload propagation, inf·0 → NaN, signed-zero results and
-  // denormal products must all come out of the vector lanes exactly as
-  // the scalar oracle produces them (same operand order, no FMA).
-  const Tensor a = SpecialTensor(13, 21, 43);
-  const Tensor b = SpecialTensor(21, 19, 47);
-  const Tensor bt = SpecialTensor(19, 21, 53);
-  Tensor out_init(13, 19);
-  ExpectRangeKernelBitwise(
-      13, out_init,
-      [&](Tensor* out, int r0, int r1) { kernels::MatMulAcc(a, b, out, r0, r1); },
-      [&](Tensor* out, int r0, int r1) { simd::MatMulAcc(a, b, out, r0, r1); },
-      "matmul specials");
-  ExpectRangeKernelBitwise(
-      13, out_init,
-      [&](Tensor* out, int r0, int r1) {
-        kernels::MatMulTransBAcc(a, bt, out, r0, r1);
-      },
-      [&](Tensor* out, int r0, int r1) {
-        simd::MatMulTransBAcc(a, bt, out, r0, r1);
-      },
-      "matmul_tb specials");
+  // NaN placement, inf·0 → NaN, signed-zero results and denormal
+  // products must all come out of the vector lanes exactly as the
+  // scalar oracle produces them (same operand order, no FMA). Every
+  // output starts from special values too (−0 included), so a body
+  // that does not start its sums from the loaded output fails. Short
+  // contractions keep most sums finite; the shapes reach a full
+  // 64-column tile, vector and scalar remainders, and two aᵀ·b row
+  // blocks.
+  for (const MatMulShape& s : {MatMulShape{13, 21, 19}, MatMulShape{6, 4, 75},
+                               MatMulShape{67, 5, 9}}) {
+    const std::string shape = std::to_string(s.m) + "x" +
+                              std::to_string(s.k) + "x" + std::to_string(s.n);
+    const Tensor a = SpecialTensor(s.m, s.k, 43);
+    const Tensor b = SpecialTensor(s.k, s.n, 47);
+    const Tensor bm = SpecialTensor(s.m, s.n, 53);
+    const Tensor bt = SpecialTensor(s.n, s.k, 59);
+    const Tensor out_init = SpecialTensor(s.m, s.n, 61);
+    const Tensor out_ta_init = SpecialTensor(s.k, s.n, 67);
+    ExpectRangeKernelBitwise(
+        s.m, out_init,
+        [&](Tensor* out, int r0, int r1) {
+          kernels::MatMulAcc(a, b, out, r0, r1);
+        },
+        [&](Tensor* out, int r0, int r1) {
+          simd::MatMulAcc(a, b, out, r0, r1);
+        },
+        "matmul specials " + shape);
+    ExpectRangeKernelBitwise(
+        s.k, out_ta_init,
+        [&](Tensor* out, int r0, int r1) {
+          kernels::MatMulTransAAcc(a, bm, out, r0, r1);
+        },
+        [&](Tensor* out, int r0, int r1) {
+          simd::MatMulTransAAcc(a, bm, out, r0, r1);
+        },
+        "matmul_ta specials " + shape);
+    ExpectRangeKernelBitwise(
+        s.m, out_init,
+        [&](Tensor* out, int r0, int r1) {
+          kernels::MatMulTransBAcc(a, bt, out, r0, r1);
+        },
+        [&](Tensor* out, int r0, int r1) {
+          simd::MatMulTransBAcc(a, bt, out, r0, r1);
+        },
+        "matmul_tb specials " + shape);
+  }
 }
 
 TEST(SimdTest, MatMulQuantAccBitwise) {

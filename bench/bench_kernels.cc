@@ -11,9 +11,10 @@
 // update), which supports the §4.7 complexity analysis: the
 // decorrelation cost is O(K·|B|·d²) — independent of the dataset size.
 //
-// Pass --mp to run the message-passing comparison instead: the seed
-// full-scan scatter vs the CSR segment-plan kernels (DESIGN.md §12) at
-// several feature widths, serial and pooled. --mp-json <path> also
+// Pass --mp to run the message-passing comparison instead: the planned
+// scatter and the fused gather-scatter over CSR segment plans
+// (DESIGN.md §12) at several feature widths, serial and pooled. It
+// exits nonzero when any result diverges bitwise. --mp-json <path> also
 // writes the rows as a JSON report (scripts/run_bench_message_passing.sh
 // wraps this into BENCH_message_passing.json).
 //
@@ -31,6 +32,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchmark/benchmark.h"
@@ -129,16 +131,18 @@ void CompareBackends(int threads) {
   for (int scale : {1, 10}) {
     const int segs = 128 * scale, rows = segs * 25, dim = 64;
     auto h = std::make_shared<Tensor>(Tensor::RandomNormal(rows, dim, &rng));
-    auto index = std::make_shared<std::vector<int>>();
+    std::vector<int> index;
     for (int r = 0; r < rows; ++r) {
-      index->push_back(static_cast<int>(rng.UniformInt(0, segs - 1)));
+      index.push_back(static_cast<int>(rng.UniformInt(0, segs - 1)));
     }
+    auto plan = std::make_shared<const SegmentPlan>(
+        SegmentPlan::Build(std::move(index), segs));
     workloads.push_back(
         {scale == 1 ? "segment-sum (paper)" : "segment-sum (10x)",
          std::to_string(rows) + " rows -> " + std::to_string(segs) + " segs",
-         static_cast<int64_t>(rows) * dim, [h, index, segs, dim] {
+         static_cast<int64_t>(rows) * dim, [h, plan, segs, dim] {
            Tensor out(segs, dim);
-           GetBackend().ScatterAddRowsAcc(*h, *index, &out);
+           GetBackend().ScatterAddRowsPlanned(*h, *plan, &out);
            return out;
          }});
   }
@@ -367,25 +371,24 @@ void CompareSimd() {
 }
 
 // ---------------------------------------------------------------------------
-// Message-passing comparison: seed chunk-scan scatter vs segment plans.
+// Message-passing comparison: planned vs fused kernels, serial vs pooled.
 // ---------------------------------------------------------------------------
 
-/// One gather/scatter workload at a fixed feature width. The unplanned
-/// variant is the seed path (each parallel chunk rescans the full edge
-/// list); planned scatters over contiguous destination segments; fused
-/// additionally skips materializing the [E, d] gathered tensor.
-void CompareMessagePassing(int threads, const std::string& json_path) {
+/// One gather/scatter workload at a fixed feature width. The planned
+/// variant scatters a pre-gathered [E, d] tensor over contiguous
+/// destination segments; fused reads the [N, d] rows directly instead.
+/// Returns false when any result diverges bitwise.
+bool CompareMessagePassing(int threads, const std::string& json_path) {
   if (threads < 1) threads = 1;
   const int nodes = 25000;
   const int edges = 200000;
   const int cores = BenchOptions::HardwareConcurrency();
   std::printf(
-      "Message passing: full-scan scatter vs CSR segment plans\n"
+      "Message passing over CSR segment plans\n"
       "N=%d nodes, E=%d edges, %d threads, hardware_concurrency=%d\n"
-      "(speedup = unplanned / planned wall-clock at %d threads; the\n"
-      "unplanned kernel rescans all E rows once per chunk, so the ratio\n"
-      "reflects eliminated scan work even on few cores)\n\n",
-      nodes, edges, threads, cores, threads);
+      "(speedup = serial / parallel wall-clock of the same kernel;\n"
+      "bitwise = parallel equals serial, and fused equals planned)\n\n",
+      nodes, edges, threads, cores);
 
   Rng rng(11);
   std::vector<int> src(static_cast<size_t>(edges));
@@ -398,12 +401,12 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
   }
   const MessagePlan plan = MessagePlan::Build(src, dst, nodes);
 
+  bool all_bitwise = true;
   std::string json_rows;
   std::printf("%-4s %-10s %14s %14s %9s %8s\n", "dim", "variant",
               "serial ms", "parallel ms", "speedup", "bitwise");
   // dim=1 matches attention-score segment sums ([E,1] tensors in GAT);
-  // 16 and 64 are hidden widths. The scan term is per-edge and
-  // dim-independent, so small dims gain the most.
+  // 16 and 64 are hidden widths.
   for (const int dim : {1, 16, 64}) {
     const Tensor h = Tensor::RandomNormal(nodes, dim, &rng);
     Tensor gathered(edges, dim);
@@ -416,12 +419,6 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
       std::function<Tensor()> run;
     };
     const std::vector<Variant> variants = {
-        {"unplanned",
-         [&] {
-           Tensor out(nodes, dim);
-           GetBackend().ScatterAddRowsAcc(gathered, dst, &out);
-           return out;
-         }},
         {"planned",
          [&] {
            Tensor out(nodes, dim);
@@ -437,7 +434,6 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
          }},
     };
     Tensor reference;
-    double unplanned_parallel = 0.0;
     for (const Variant& v : variants) {
       Tensor serial_out;
       double serial_s;
@@ -453,15 +449,13 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
         parallel_out = v.run();
         parallel_s = TimePerCall([&] { v.run(); });
       }
-      // All variants must agree bitwise with the seed serial scatter,
-      // at every thread count.
+      // The first variant's serial output is the reference the others
+      // must reproduce bit for bit.
       if (!reference.SameShape(serial_out)) reference = serial_out;
       const bool bitwise = BitwiseEqual(serial_out, parallel_out) &&
                            BitwiseEqual(reference, serial_out);
-      if (std::strcmp(v.name, "unplanned") == 0) {
-        unplanned_parallel = parallel_s;
-      }
-      const double speedup = unplanned_parallel / parallel_s;
+      all_bitwise = all_bitwise && bitwise;
+      const double speedup = serial_s / parallel_s;
       std::printf("%-4d %-10s %14.3f %14.3f %8.2fx %8s\n", dim, v.name,
                   serial_s * 1e3, parallel_s * 1e3, speedup,
                   bitwise ? "OK" : "DIVERGED");
@@ -475,7 +469,7 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
                          .Put("threads", threads)
                          .Put("serial_ms", serial_s * 1e3)
                          .Put("parallel_ms", parallel_s * 1e3)
-                         .Put("speedup_vs_unplanned", speedup)
+                         .Put("speedup", speedup)
                          .Put("bitwise", bitwise)
                          .Build();
       }
@@ -499,6 +493,7 @@ void CompareMessagePassing(int threads, const std::string& json_path) {
       std::printf("\nERROR: cannot write %s\n", json_path.c_str());
     }
   }
+  return all_bitwise;
 }
 
 // ---------------------------------------------------------------------------
@@ -531,8 +526,10 @@ void BM_GatherScatter(benchmark::State& state) {
     dst[static_cast<size_t>(e)] =
         static_cast<int>(rng.UniformInt(0, nodes - 1));
   }
+  const auto plan = std::make_shared<const MessagePlan>(
+      MessagePlan::Build(std::move(src), std::move(dst), nodes));
   for (auto _ : state) {
-    Variable out = ScatterAddRows(RowGather(h, src), dst, nodes);
+    Variable out = GatherScatter(h, plan);
     benchmark::DoNotOptimize(out.value().data());
   }
   state.SetItemsProcessed(state.iterations() * int64_t{edges} * dim);
@@ -606,8 +603,10 @@ int main(int argc, char** argv) {
   }
   oodgnn::Flags flags(argc, argv);
   if (flags.Has("mp")) {
-    oodgnn::CompareMessagePassing(flags.GetThreads(4),
-                                  flags.GetString("mp-json", ""));
+    return oodgnn::CompareMessagePassing(flags.GetThreads(4),
+                                         flags.GetString("mp-json", ""))
+               ? 0
+               : 1;
   } else if (flags.Has("simd")) {
     oodgnn::CompareSimd();
   } else {

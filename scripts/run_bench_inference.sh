@@ -17,7 +17,7 @@ THREADS="${THREADS:-4}"
 OUT="${OUT:-BENCH_inference.json}"
 
 cmake -B "${BUILD_DIR}" -S . > /dev/null
-cmake --build "${BUILD_DIR}" -j --target bench_inference > /dev/null
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_inference > /dev/null
 
 "${BUILD_DIR}/bench/bench_inference" --threads "${THREADS}" \
   --json "${OUT}"

@@ -20,7 +20,7 @@ REQUESTS="${REQUESTS:-400}"
 OUT="${OUT:-BENCH_serving.json}"
 
 cmake -B "${BUILD_DIR}" -S . > /dev/null
-cmake --build "${BUILD_DIR}" -j --target bench_serving > /dev/null
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_serving > /dev/null
 
 "${BUILD_DIR}/bench/bench_serving" --threads "${THREADS}" \
   --requests "${REQUESTS}" --json "${OUT}"

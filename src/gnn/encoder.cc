@@ -75,7 +75,7 @@ Variable MessagePassingEncoder::Encode(const GraphBatch& batch, bool training,
                                        Rng* rng) {
   Variable h = embed_->Forward(Variable::Constant(batch.features));
   Variable vn;
-  if (virtual_node_) vn = virtual_node_->InitialState(batch.num_graphs);
+  if (virtual_node_) vn = virtual_node_->InitialState(batch.num_graphs());
 
   for (size_t l = 0; l < norms_.size(); ++l) {
     if (virtual_node_) h = virtual_node_->Distribute(h, vn, batch);

@@ -21,38 +21,29 @@ FactorGcnConv::FactorGcnConv(int in_dim, int out_dim, int num_factors,
 
 Variable FactorGcnConv::Forward(const Variable& h,
                                 const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   last_attention_.clear();
 
-  const bool planned = batch.has_plans();
+  const bool edgeless = batch.edge_src().empty();
   Variable endpoints;
-  if (!batch.edge_src.empty()) {
-    endpoints =
-        planned ? ConcatCols({RowGather(h, BySrc(batch.plan)),
-                              RowGather(h, ByDst(batch.plan))})
-                : ConcatCols({RowGather(h, batch.edge_src),
-                              RowGather(h, batch.edge_dst)});
+  if (!edgeless) {
+    endpoints = ConcatCols({RowGather(h, BySrc(batch.plan())),
+                            RowGather(h, ByDst(batch.plan()))});
   }
 
   std::vector<Variable> factor_outputs;
   factor_outputs.reserve(values_.size());
   for (size_t f = 0; f < values_.size(); ++f) {
     Variable transformed = values_[f]->Forward(h);
-    if (batch.edge_src.empty()) {
+    if (edgeless) {
       factor_outputs.push_back(Relu(transformed));
       last_attention_.emplace_back();
       continue;
     }
     Variable alpha = Sigmoid(attention_[f]->Forward(endpoints));  // [E,1]
     last_attention_.push_back(alpha.value());
-    Variable aggregated;
-    if (planned) {
-      aggregated = GatherScatterWeighted(transformed, alpha, batch.plan);
-    } else {
-      Variable messages =
-          MulColVec(RowGather(transformed, batch.edge_src), alpha);
-      aggregated = ScatterAddRows(messages, batch.edge_dst, batch.num_nodes);
-    }
+    Variable aggregated =
+        GatherScatterWeighted(transformed, alpha, batch.plan());
     factor_outputs.push_back(Relu(Add(transformed, aggregated)));
   }
   return ConcatCols(factor_outputs);

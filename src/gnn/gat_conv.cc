@@ -21,43 +21,16 @@ GatConv::GatConv(int in_dim, int out_dim, int num_heads, Rng* rng) {
 }
 
 Variable GatConv::Forward(const Variable& h, const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
-  const int n = batch.num_nodes;
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
 
-  // Self loops guarantee every node attends to at least itself. The
-  // batch caches a plan over this augmented topology (original edges
-  // followed by one self-loop per node, the same order built here).
-  const bool planned = batch.has_plans();
-  std::vector<int> local_src;
-  std::vector<int> local_dst;
-  if (!planned) {
-    local_src = batch.edge_src;
-    local_dst = batch.edge_dst;
-    local_src.reserve(local_src.size() + static_cast<size_t>(n));
-    local_dst.reserve(local_dst.size() + static_cast<size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      local_src.push_back(v);
-      local_dst.push_back(v);
-    }
-  }
-  const std::vector<int>& src =
-      planned ? batch.self_loop_plan->src() : local_src;
-  const std::vector<int>& dst =
-      planned ? batch.self_loop_plan->dst() : local_dst;
-  SegmentPlanPtr by_src, by_dst;
-  if (planned) {
-    by_src = BySrc(batch.self_loop_plan);
-    by_dst = ByDst(batch.self_loop_plan);
-  }
+  // Self loops guarantee every node attends to at least itself: the
+  // batch's self-loop plan covers the original edges followed by one
+  // self-loop per node.
+  const SegmentPlanPtr by_src = BySrc(batch.self_loop_plan());
+  const SegmentPlanPtr by_dst = ByDst(batch.self_loop_plan());
   // No gather-scatter fusion here: fusing the final aggregation would
   // move the message-path gradient ahead of the attention-score
   // gradients in transformed.grad's accumulation order.
-  auto gather_src = [&](const Variable& a) {
-    return planned ? RowGather(a, by_src) : RowGather(a, src);
-  };
-  auto gather_dst = [&](const Variable& a) {
-    return planned ? RowGather(a, by_dst) : RowGather(a, dst);
-  };
 
   std::vector<Variable> head_outputs;
   head_outputs.reserve(value_.size());
@@ -66,22 +39,18 @@ Variable GatConv::Forward(const Variable& h, const GraphBatch& batch) const {
     Variable src_score = MatMul(transformed, attn_src_[head]);  // [N,1]
     Variable dst_score = MatMul(transformed, attn_dst_[head]);  // [N,1]
     Variable edge_score = LeakyRelu(
-        Add(gather_src(src_score), gather_dst(dst_score)));
+        Add(RowGather(src_score, by_src), RowGather(dst_score, by_dst)));
 
     // Numerically stable segment softmax over each target's in-edges.
-    Variable seg_max = planned ? SegmentMax(edge_score, by_dst)
-                               : SegmentMax(edge_score, dst, n);
-    Variable shifted = Sub(edge_score, gather_dst(seg_max));
+    Variable seg_max = SegmentMax(edge_score, by_dst);
+    Variable shifted = Sub(edge_score, RowGather(seg_max, by_dst));
     Variable exp_score = ExpOp(shifted);
-    Variable seg_sum = planned ? SegmentSum(exp_score, by_dst)
-                               : SegmentSum(exp_score, dst, n);
+    Variable seg_sum = SegmentSum(exp_score, by_dst);
     Variable alpha =
-        Mul(exp_score, Reciprocal(gather_dst(seg_sum)));
+        Mul(exp_score, Reciprocal(RowGather(seg_sum, by_dst)));
 
-    Variable messages = MulColVec(gather_src(transformed), alpha);
-    head_outputs.push_back(planned
-                               ? ScatterAddRows(messages, by_dst)
-                               : ScatterAddRows(messages, dst, n));
+    Variable messages = MulColVec(RowGather(transformed, by_src), alpha);
+    head_outputs.push_back(ScatterAddRows(messages, by_dst));
   }
   return ConcatCols(head_outputs);
 }

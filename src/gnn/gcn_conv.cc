@@ -1,7 +1,5 @@
 #include "src/gnn/gcn_conv.h"
 
-#include <cmath>
-
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -13,52 +11,16 @@ GcnConv::GcnConv(int in_dim, int out_dim, Rng* rng)
 }
 
 Variable GcnConv::Forward(const Variable& h, const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   Variable transformed = linear_->Forward(h);
-
-  if (batch.has_plans()) {
-    // Normalization coefficients were precomputed in FinalizePlans();
-    // the edge term fuses gather, per-edge scaling, and the planned
-    // segment scatter.
-    Variable out = MulColVec(transformed,
-                             Variable::Constant(batch.gcn_self_coeff));
-    if (!batch.edge_src.empty()) {
-      out = Add(out, GatherScatterWeighted(
-                         transformed,
-                         Variable::Constant(batch.gcn_edge_coeff),
-                         batch.plan));
-    }
-    return out;
-  }
-
-  // Unplanned fallback: self-loop-augmented inverse sqrt degrees.
-  std::vector<float> inv_sqrt_deg(static_cast<size_t>(batch.num_nodes));
-  for (int v = 0; v < batch.num_nodes; ++v) {
-    inv_sqrt_deg[static_cast<size_t>(v)] =
-        1.f / std::sqrt(static_cast<float>(
-                  batch.in_degree[static_cast<size_t>(v)] + 1));
-  }
-
-  // Self contribution: (hW)_v / (d_v+1).
-  std::vector<float> self_coeff(static_cast<size_t>(batch.num_nodes));
-  for (int v = 0; v < batch.num_nodes; ++v) {
-    const float s = inv_sqrt_deg[static_cast<size_t>(v)];
-    self_coeff[static_cast<size_t>(v)] = s * s;
-  }
-  Variable out = MulColVec(
-      transformed, Variable::Constant(Tensor::ColVector(self_coeff)));
-
-  if (!batch.edge_src.empty()) {
-    std::vector<float> edge_coeff(batch.edge_src.size());
-    for (size_t e = 0; e < batch.edge_src.size(); ++e) {
-      edge_coeff[e] =
-          inv_sqrt_deg[static_cast<size_t>(batch.edge_src[e])] *
-          inv_sqrt_deg[static_cast<size_t>(batch.edge_dst[e])];
-    }
-    Variable messages = RowGather(transformed, batch.edge_src);
-    messages = MulColVec(messages,
-                         Variable::Constant(Tensor::ColVector(edge_coeff)));
-    out = Add(out, ScatterAddRows(messages, batch.edge_dst, batch.num_nodes));
+  // The batch precomputes the normalization coefficients; the edge term
+  // fuses gather, per-edge scaling, and the planned segment scatter.
+  Variable out =
+      MulColVec(transformed, Variable::Constant(batch.gcn_self_coeff()));
+  if (!batch.edge_src().empty()) {
+    out = Add(out, GatherScatterWeighted(
+                       transformed, Variable::Constant(batch.gcn_edge_coeff()),
+                       batch.plan()));
   }
   return out;
 }

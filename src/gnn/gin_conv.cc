@@ -14,14 +14,11 @@ GinConv::GinConv(int in_dim, int out_dim, Rng* rng) {
 
 Variable GinConv::Forward(const Variable& h, const GraphBatch& batch,
                           bool training) {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   Variable aggregated =
-      batch.edge_src.empty()
-          ? Variable::Constant(Tensor(batch.num_nodes, h.cols()))
-      : batch.has_plans()
-          ? GatherScatter(h, batch.plan)
-          : ScatterAddRows(RowGather(h, batch.edge_src), batch.edge_dst,
-                           batch.num_nodes);
+      batch.edge_src().empty()
+          ? Variable::Constant(Tensor(batch.num_nodes(), h.cols()))
+          : GatherScatter(h, batch.plan());
   Variable self_term = MulByScalarVar(h, AddScalar(eps_, 1.f));
   return mlp_->Forward(Add(self_term, aggregated), training);
 }

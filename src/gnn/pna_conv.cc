@@ -19,46 +19,37 @@ PnaConv::PnaConv(int in_dim, int out_dim, float delta, Rng* rng)
 }
 
 Variable PnaConv::Forward(const Variable& h, const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
-  const int n = batch.num_nodes;
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
+  const int n = batch.num_nodes();
   Variable messages = pre_->Forward(h);
 
   Variable sum_agg;
   Variable mean_agg;
   Variable max_agg;
   Variable min_agg;
-  if (batch.edge_src.empty()) {
+  if (batch.edge_src().empty()) {
     Tensor zeros(n, messages.cols());
     sum_agg = Variable::Constant(zeros);
     mean_agg = Variable::Constant(zeros);
     max_agg = Variable::Constant(zeros);
     min_agg = Variable::Constant(zeros);
   } else {
-    // `gathered` feeds three aggregators, so the planned path keeps it
-    // materialized (no gather-scatter fusion) and swaps in the planned
-    // overloads only.
-    Variable gathered = batch.has_plans()
-                            ? RowGather(messages, BySrc(batch.plan))
-                            : RowGather(messages, batch.edge_src);
-    sum_agg = batch.has_plans()
-                  ? ScatterAddRows(gathered, ByDst(batch.plan))
-                  : ScatterAddRows(gathered, batch.edge_dst, n);
+    // `gathered` feeds three aggregators, so it stays materialized (no
+    // gather-scatter fusion).
+    const SegmentPlanPtr by_dst = ByDst(batch.plan());
+    Variable gathered = RowGather(messages, BySrc(batch.plan()));
+    sum_agg = ScatterAddRows(gathered, by_dst);
     // Mean: divide by in-degree (zero-degree nodes keep zero rows).
     std::vector<float> inv_deg(static_cast<size_t>(n));
     for (int v = 0; v < n; ++v) {
-      const int d = batch.in_degree[static_cast<size_t>(v)];
+      const int d = batch.in_degree()[static_cast<size_t>(v)];
       inv_deg[static_cast<size_t>(v)] =
           d > 0 ? 1.f / static_cast<float>(d) : 0.f;
     }
     mean_agg =
         MulColVec(sum_agg, Variable::Constant(Tensor::ColVector(inv_deg)));
-    if (batch.has_plans()) {
-      max_agg = SegmentMax(gathered, ByDst(batch.plan));
-      min_agg = SegmentMin(gathered, ByDst(batch.plan));
-    } else {
-      max_agg = SegmentMax(gathered, batch.edge_dst, n);
-      min_agg = SegmentMin(gathered, batch.edge_dst, n);
-    }
+    max_agg = SegmentMax(gathered, by_dst);
+    min_agg = SegmentMin(gathered, by_dst);
   }
 
   // Degree scalers (Corso et al. Eq. 5): identity, amplification
@@ -67,7 +58,7 @@ Variable PnaConv::Forward(const Variable& h, const GraphBatch& batch) const {
   std::vector<float> attenuate(static_cast<size_t>(n));
   for (int v = 0; v < n; ++v) {
     const float log_deg = std::log(
-        static_cast<float>(batch.in_degree[static_cast<size_t>(v)] + 1));
+        static_cast<float>(batch.in_degree()[static_cast<size_t>(v)] + 1));
     amplify[static_cast<size_t>(v)] = log_deg / delta_;
     attenuate[static_cast<size_t>(v)] =
         log_deg > 0.f ? delta_ / log_deg : 0.f;

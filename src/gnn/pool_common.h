@@ -17,7 +17,7 @@ std::vector<int> SelectTopKNodes(const Tensor& scores,
 
 /// Builds the topology of the subgraph induced by `kept` (ascending
 /// global node ids): edges with both endpoints kept are re-indexed, the
-/// node→graph map is carried over, and in-degrees are recomputed. The
+/// node→graph map is carried over, and the plans are rebuilt. The
 /// returned batch has empty `features` (callers carry node embeddings
 /// separately as Variables).
 GraphBatch InduceSubgraph(const GraphBatch& batch,

@@ -5,34 +5,16 @@
 
 namespace oodgnn {
 
-Variable Readout(const Variable& h, const std::vector<int>& node_graph,
-                 int num_graphs, ReadoutKind kind) {
-  OODGNN_CHECK_EQ(h.rows(), static_cast<int>(node_graph.size()));
-  switch (kind) {
-    case ReadoutKind::kSum:
-      return SegmentSum(h, node_graph, num_graphs);
-    case ReadoutKind::kMean:
-      return SegmentMean(h, node_graph, num_graphs);
-    case ReadoutKind::kMax:
-      return SegmentMax(h, node_graph, num_graphs);
-  }
-  OODGNN_CHECK(false) << "unknown readout";
-  return Variable();
-}
-
 Variable Readout(const Variable& h, const GraphBatch& batch,
                  ReadoutKind kind) {
-  if (!batch.has_plans()) {
-    return Readout(h, batch.node_graph, batch.num_graphs, kind);
-  }
-  OODGNN_CHECK_EQ(h.rows(), batch.node_plan->num_items());
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   switch (kind) {
     case ReadoutKind::kSum:
-      return SegmentSum(h, batch.node_plan);
+      return SegmentSum(h, batch.node_plan());
     case ReadoutKind::kMean:
-      return SegmentMean(h, batch.node_plan);
+      return SegmentMean(h, batch.node_plan());
     case ReadoutKind::kMax:
-      return SegmentMax(h, batch.node_plan);
+      return SegmentMax(h, batch.node_plan());
   }
   OODGNN_CHECK(false) << "unknown readout";
   return Variable();

@@ -1,8 +1,6 @@
 #ifndef OODGNN_GNN_READOUT_H_
 #define OODGNN_GNN_READOUT_H_
 
-#include <vector>
-
 #include "src/graph/batch.h"
 #include "src/tensor/variable.h"
 
@@ -12,12 +10,7 @@ namespace oodgnn {
 enum class ReadoutKind { kSum, kMean, kMax };
 
 /// Pools node embeddings h [num_nodes, d] into graph embeddings
-/// [num_graphs, d] according to `node_graph` assignments.
-Variable Readout(const Variable& h, const std::vector<int>& node_graph,
-                 int num_graphs, ReadoutKind kind);
-
-/// Batch overload: pools through the batch's cached node plan when
-/// present, falling back to the index-vector path otherwise.
+/// [num_graphs, d] through the batch's node plan.
 Variable Readout(const Variable& h, const GraphBatch& batch,
                  ReadoutKind kind);
 

@@ -18,7 +18,7 @@ SagPool::SagPool(int dim, float ratio, Rng* rng)
 
 PoolResult SagPool::Forward(const Variable& h,
                             const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   Variable scores = score_conv_->Forward(h, batch);
 
   PoolResult result;
@@ -27,7 +27,7 @@ PoolResult SagPool::Forward(const Variable& h,
   // One plan over the kept indices serves both gathers (their backward
   // scatters parallelize over the surviving nodes).
   SegmentPlanPtr kept_plan = std::make_shared<const SegmentPlan>(
-      SegmentPlan::Build(result.kept, batch.num_nodes));
+      SegmentPlan::Build(result.kept, batch.num_nodes()));
   Variable gate = TanhOp(RowGather(scores, kept_plan));
   result.h = MulColVec(RowGather(h, kept_plan), gate);
   return result;

@@ -18,7 +18,7 @@ TopKPool::TopKPool(int dim, float ratio, Rng* rng) : ratio_(ratio) {
 
 PoolResult TopKPool::Forward(const Variable& h,
                              const GraphBatch& batch) const {
-  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes);
+  OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   // score = h·p / ||p||  (differentiable in both h and p).
   Variable norm = SqrtOp(AddScalar(Sum(Square(projection_)), 1e-12f));
   Variable scores = MulByScalarVar(MatMul(h, projection_), Reciprocal(norm));
@@ -29,7 +29,7 @@ PoolResult TopKPool::Forward(const Variable& h,
   // One plan over the kept indices serves both gathers (their backward
   // scatters parallelize over the surviving nodes).
   SegmentPlanPtr kept_plan = std::make_shared<const SegmentPlan>(
-      SegmentPlan::Build(result.kept, batch.num_nodes));
+      SegmentPlan::Build(result.kept, batch.num_nodes()));
   Variable gate = TanhOp(RowGather(scores, kept_plan));
   result.h = MulColVec(RowGather(h, kept_plan), gate);
   return result;

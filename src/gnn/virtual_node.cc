@@ -18,18 +18,13 @@ Variable VirtualNode::InitialState(int num_graphs) const {
 Variable VirtualNode::Distribute(const Variable& h, const Variable& vn,
                                  const GraphBatch& batch) const {
   OODGNN_CHECK_EQ(h.cols(), dim_);
-  OODGNN_CHECK_EQ(vn.rows(), batch.num_graphs);
-  Variable broadcast = batch.has_plans()
-                           ? RowGather(vn, batch.node_plan)
-                           : RowGather(vn, batch.node_graph);
-  return Add(h, broadcast);
+  OODGNN_CHECK_EQ(vn.rows(), batch.num_graphs());
+  return Add(h, RowGather(vn, batch.node_plan()));
 }
 
 Variable VirtualNode::Update(const Variable& vn, const Variable& h,
                              const GraphBatch& batch, bool training) {
-  Variable pooled = batch.has_plans()
-                        ? SegmentSum(h, batch.node_plan)
-                        : SegmentSum(h, batch.node_graph, batch.num_graphs);
+  Variable pooled = SegmentSum(h, batch.node_plan());
   return update_mlp_->Forward(Add(vn, pooled), training);
 }
 

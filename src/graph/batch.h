@@ -12,23 +12,63 @@ namespace oodgnn {
 /// Disjoint union of several graphs, with node indices offset so a
 /// single message-passing pass processes the whole mini-batch (the
 /// PyTorch-Geometric batching convention).
-struct GraphBatch {
-  int num_graphs = 0;
-  int num_nodes = 0;
+///
+/// The topology — edge lists, node→graph map, in-degrees, the
+/// message-passing plans and the GCN coefficients (DESIGN.md §12) — is
+/// built once, by FromTopology, and is read-only afterwards, so every
+/// batch carries plans that match its edges. A default-constructed
+/// batch is the empty batch (no graphs, no nodes, no edges).
+class GraphBatch {
+ public:
+  GraphBatch();
+
+  /// Builds the topology of `node_graph.size()` nodes, where
+  /// node_graph[v] ∈ [0, num_graphs) is the graph of node v and edge e
+  /// runs edge_src[e] → edge_dst[e]. The vectors move into the plans.
+  /// Features, labels and targets are left empty for the caller to set.
+  static GraphBatch FromTopology(int num_graphs, std::vector<int> node_graph,
+                                 std::vector<int> edge_src,
+                                 std::vector<int> edge_dst);
+
+  /// Builds a batch from graph pointers. All graphs must share the same
+  /// feature width and target arity.
+  static GraphBatch FromGraphs(const std::vector<const Graph*>& graphs);
+
+  int num_graphs() const { return node_plan_->num_segments; }
+  int num_nodes() const { return node_plan_->num_items(); }
+
+  /// Global (offset) directed edge endpoints.
+  const std::vector<int>& edge_src() const { return plan_->src(); }
+  const std::vector<int>& edge_dst() const { return plan_->dst(); }
+
+  /// node_graph()[v] = index of the graph node v belongs to.
+  const std::vector<int>& node_graph() const { return node_plan_->items; }
+
+  /// In-degree per node (incoming directed edges).
+  const std::vector<int>& in_degree() const { return in_degree_; }
+
+  /// CSR twin plans over edge_src/edge_dst. Shared because autograd
+  /// closures capture them and the tape can outlive the batch (pooled
+  /// topologies).
+  const MessagePlanPtr& plan() const { return plan_; }
+
+  /// Plans over the self-loop-augmented edge list (edges in original
+  /// order, then one self-loop per node) — the topology GatConv
+  /// attends over.
+  const MessagePlanPtr& self_loop_plan() const { return self_loop_plan_; }
+
+  /// Plan over node_graph (segments = graphs) for readout and
+  /// virtual-node pooling.
+  const SegmentPlanPtr& node_plan() const { return node_plan_; }
+
+  /// GcnConv normalization coefficients: self path 1/(d_v+1) as
+  /// [num_nodes, 1], edge path 1/√(d_src+1)·√(d_dst+1) as
+  /// [num_edges, 1].
+  const Tensor& gcn_self_coeff() const { return gcn_self_coeff_; }
+  const Tensor& gcn_edge_coeff() const { return gcn_edge_coeff_; }
 
   /// Stacked node features, [num_nodes, F].
   Tensor features;
-
-  /// Global (offset) directed edge endpoints.
-  std::vector<int> edge_src;
-  std::vector<int> edge_dst;
-
-  /// node_graph[v] = index of the graph node v belongs to.
-  std::vector<int> node_graph;
-
-  /// In-degree per node (incoming directed edges), cached for
-  /// normalization terms.
-  std::vector<int> in_degree;
 
   /// Class labels, one per graph (multi-class tasks; −1 if unused).
   std::vector<int> class_labels;
@@ -38,48 +78,16 @@ struct GraphBatch {
   Tensor targets;
   Tensor target_mask;
 
-  // --- precomputed message-passing plans (DESIGN.md §12) ---
-  //
-  // Built by FinalizePlans() (called by FromGraphs and InduceSubgraph)
-  // and reused by every conv layer, epoch, and both autograd
-  // directions. shared_ptr because autograd closures capture them and
-  // the tape can outlive the batch (pooled topologies). A batch whose
-  // edge/node vectors are mutated after construction must call
-  // FinalizePlans() again; convs fall back to the unplanned ops when
-  // has_plans() is false.
+ private:
+  GraphBatch(int num_graphs, std::vector<int> node_graph,
+             std::vector<int> edge_src, std::vector<int> edge_dst);
 
-  /// CSR twin plans over edge_src/edge_dst.
-  std::shared_ptr<const MessagePlan> plan;
-
-  /// Plans over the self-loop-augmented edge list (edges in original
-  /// order, then one self-loop per node) — the topology GatConv
-  /// attends over.
-  std::shared_ptr<const MessagePlan> self_loop_plan;
-
-  /// Plan over node_graph (segments = graphs) for readout/virtual-node
-  /// pooling.
-  std::shared_ptr<const SegmentPlan> node_plan;
-
-  /// GcnConv normalization coefficients, precomputed once per batch:
-  /// self path 1/(d_v+1) as [num_nodes, 1], edge path
-  /// 1/√(d_src+1)·√(d_dst+1) as [num_edges, 1] (empty when edgeless).
-  Tensor gcn_self_coeff;
-  Tensor gcn_edge_coeff;
-
-  /// (Re)builds plan/self_loop_plan/node_plan, derives in_degree from
-  /// the dst-sorted plan offsets, and precomputes the GCN coefficient
-  /// vectors. Must be called again after any mutation of
-  /// edge_src/edge_dst/node_graph.
-  void FinalizePlans();
-
-  /// True when the cached plans are size-consistent with the current
-  /// edge/node vectors (staleness after in-place index rewrites cannot
-  /// be detected — rebuild via FinalizePlans()).
-  bool has_plans() const;
-
-  /// Builds a batch from graph pointers. All graphs must share the same
-  /// feature width and target arity.
-  static GraphBatch FromGraphs(const std::vector<const Graph*>& graphs);
+  MessagePlanPtr plan_;
+  MessagePlanPtr self_loop_plan_;
+  SegmentPlanPtr node_plan_;
+  std::vector<int> in_degree_;
+  Tensor gcn_self_coeff_;
+  Tensor gcn_edge_coeff_;
 };
 
 /// Convenience: batches `dataset_graphs[indices[i]]` for i in

@@ -61,12 +61,10 @@ enum class KernelOp : int {
   kSoftmaxRowsBackward,
   kGatherRows,
   kGatherRowsAcc,
-  kScatterAddRows,
   kScatterPlanned,
   kGatherScatter,
   kGatherScatterWeighted,
   kEdgeDot,
-  kSegmentExtreme,
   kSegmentExtremePlanned,
   kSegmentExtremeBackward,
   kCopyRows,
@@ -128,8 +126,6 @@ const char* KernelOpName(KernelOp op) {
       return "gather_rows";
     case KernelOp::kGatherRowsAcc:
       return "gather_rows_acc";
-    case KernelOp::kScatterAddRows:
-      return "scatter_add_rows";
     case KernelOp::kScatterPlanned:
       return "scatter_planned";
     case KernelOp::kGatherScatter:
@@ -138,8 +134,6 @@ const char* KernelOpName(KernelOp op) {
       return "gather_scatter_weighted";
     case KernelOp::kEdgeDot:
       return "edge_dot";
-    case KernelOp::kSegmentExtreme:
-      return "segment_extreme";
     case KernelOp::kSegmentExtremePlanned:
       return "segment_extreme_planned";
     case KernelOp::kSegmentExtremeBackward:
@@ -655,21 +649,6 @@ void Backend::GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
   });
 }
 
-void Backend::ScatterAddRowsAcc(const Tensor& a, const std::vector<int>& index,
-                                Tensor* out) const {
-  OODGNN_CHECK_EQ(a.rows(), static_cast<int>(index.size()));
-  OODGNN_CHECK_EQ(a.cols(), out->cols());
-  // Each chunk scans the whole index vector, so only large scatters pay
-  // off (the scan itself costs a.rows per chunk).
-  KernelScope scope(
-      KernelOp::kScatterAddRows, a.size(),
-      WouldParallelize(out->rows(), static_cast<std::int64_t>(a.size())));
-  ForCost(out->rows(), static_cast<std::int64_t>(a.size()),
-          [&](int r0, int r1) {
-            kernels::ScatterAddRowsAcc(a, index, out, r0, r1);
-          });
-}
-
 void Backend::ScatterAddRowsPlanned(const Tensor& a, const SegmentPlan& plan,
                                     Tensor* out) const {
   OODGNN_CHECK_EQ(a.rows(), plan.num_items());
@@ -768,21 +747,6 @@ void Backend::SegmentExtremePlanned(const Tensor& a, const SegmentPlan& plan,
           [&](int s0, int s1) {
             kernels::SegmentExtremePlanned(a, plan.perm, plan.offsets, is_max,
                                            out, argrow, s0, s1);
-          });
-}
-
-void Backend::SegmentExtreme(const Tensor& a, const std::vector<int>& segment,
-                             bool is_max, Tensor* out,
-                             std::vector<int>* argrow) const {
-  OODGNN_CHECK_EQ(a.rows(), static_cast<int>(segment.size()));
-  OODGNN_CHECK_EQ(a.cols(), out->cols());
-  OODGNN_CHECK_EQ(static_cast<int>(argrow->size()), out->size());
-  KernelScope scope(
-      KernelOp::kSegmentExtreme, a.size(),
-      WouldParallelize(out->rows(), static_cast<std::int64_t>(a.size())));
-  ForCost(out->rows(), static_cast<std::int64_t>(a.size()),
-          [&](int s0, int s1) {
-            kernels::SegmentExtreme(a, segment, is_max, out, argrow, s0, s1);
           });
 }
 

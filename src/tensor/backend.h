@@ -124,14 +124,9 @@ class Backend {
   /// out[r,:] += g[index[r],:].
   void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
                      Tensor* out) const;
-  /// out[index[i],:] += a[i,:] (segment sum / scatter-add). Full-scan
-  /// fallback for ad-hoc indices: every chunk scans the whole index
-  /// vector. Prefer the planned variant when a SegmentPlan exists.
-  void ScatterAddRowsAcc(const Tensor& a, const std::vector<int>& index,
-                         Tensor* out) const;
-  /// Planned scatter-add: out[s,:] += Σ a[plan-ordered rows of s,:].
-  /// Parallelizes over destination segments; bitwise identical to
-  /// ScatterAddRowsAcc over plan.items, with no full-E scans.
+  /// Scatter-add (segment sum): out[s,:] += Σ a[plan-ordered rows of
+  /// s,:]. Parallelizes over destination segments and adds each
+  /// segment's rows in ascending original order.
   void ScatterAddRowsPlanned(const Tensor& a, const SegmentPlan& plan,
                              Tensor* out) const;
   /// Fused gather→scatter: out[s,:] += Σ_j h[gather[j],:] over the
@@ -148,15 +143,11 @@ class Backend {
   void EdgeDotAcc(const Tensor& x, const Tensor& y,
                   const std::vector<int>& xi, const std::vector<int>& yi,
                   Tensor* out) const;
-  /// Planned per-segment max/min; same semantics/tie-breaking as
-  /// SegmentExtreme but without full-E scans per chunk.
+  /// Per-segment max/min with argmax rows recorded for the backward;
+  /// parallelizes over segments.
   void SegmentExtremePlanned(const Tensor& a, const SegmentPlan& plan,
                              bool is_max, Tensor* out,
                              std::vector<int>* argrow) const;
-  /// Per-segment max/min with argmax rows recorded for the backward.
-  void SegmentExtreme(const Tensor& a, const std::vector<int>& segment,
-                      bool is_max, Tensor* out,
-                      std::vector<int>* argrow) const;
   /// Routes g[s,c] back to the recorded argmax rows.
   void SegmentExtremeBackwardAcc(const Tensor& g,
                                  const std::vector<int>& argrow,

@@ -293,18 +293,6 @@ void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
   }
 }
 
-void ScatterAddRowsAcc(const Tensor& a, const std::vector<int>& index,
-                       Tensor* out, int out_r0, int out_r1) {
-  const int cols = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const int dst = index[static_cast<size_t>(i)];
-    if (dst < out_r0 || dst >= out_r1) continue;
-    const float* src = a.row(i);
-    float* orow = out->row(dst);
-    for (int c = 0; c < cols; ++c) orow[c] += src[c];
-  }
-}
-
 void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
                            const std::vector<int>& offsets, Tensor* out,
                            int s0, int s1) {
@@ -391,40 +379,6 @@ void SegmentExtremePlanned(const Tensor& a, const std::vector<int>& perm,
       }
     }
     // Empty segments: replace ±inf sentinels with zeros.
-    for (int c = 0; c < cols; ++c) {
-      if ((*argrow)[static_cast<size_t>(s) * cols + c] < 0) orow[c] = 0.f;
-    }
-  }
-}
-
-void SegmentExtreme(const Tensor& a, const std::vector<int>& segment,
-                    bool is_max, Tensor* out, std::vector<int>* argrow,
-                    int s0, int s1) {
-  const int cols = a.cols();
-  const float init = is_max ? -std::numeric_limits<float>::infinity()
-                            : std::numeric_limits<float>::infinity();
-  for (int s = s0; s < s1; ++s) {
-    float* orow = out->row(s);
-    std::fill(orow, orow + cols, init);
-    std::fill(argrow->begin() + static_cast<size_t>(s) * cols,
-              argrow->begin() + static_cast<size_t>(s + 1) * cols, -1);
-  }
-  for (int r = 0; r < a.rows(); ++r) {
-    const int s = segment[static_cast<size_t>(r)];
-    if (s < s0 || s >= s1) continue;
-    const float* arow = a.row(r);
-    float* orow = out->row(s);
-    for (int c = 0; c < cols; ++c) {
-      const bool better = is_max ? arow[c] > orow[c] : arow[c] < orow[c];
-      if (better) {
-        orow[c] = arow[c];
-        (*argrow)[static_cast<size_t>(s) * cols + c] = r;
-      }
-    }
-  }
-  // Empty segments: replace ±inf sentinels with zeros.
-  for (int s = s0; s < s1; ++s) {
-    float* orow = out->row(s);
     for (int c = 0; c < cols; ++c) {
       if ((*argrow)[static_cast<size_t>(s) * cols + c] < 0) orow[c] = 0.f;
     }

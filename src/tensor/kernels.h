@@ -140,20 +140,11 @@ void GatherRows(const Tensor& a, const std::vector<int>& index, Tensor* out,
 void GatherRowsAcc(const Tensor& g, const std::vector<int>& index, Tensor* out,
                    int r0, int r1);
 
-/// out[index[i],:] += a[i,:] for every i whose index falls in
-/// [out_r0, out_r1); range over rows of *out*. Each chunk scans the full
-/// index vector and touches only its own output rows, so rows of `a`
-/// mapping to the same output row accumulate in ascending-i order no
-/// matter how the range is split.
-void ScatterAddRowsAcc(const Tensor& a, const std::vector<int>& index,
-                       Tensor* out, int out_r0, int out_r1);
-
-/// Planned scatter-add: out[s,:] += Σ_j a[perm[j],:] for j in
+/// Scatter-add: out[s,:] += Σ_j a[perm[j],:] for j in
 /// [offsets[s], offsets[s+1]), for every segment s in [s0, s1); range
 /// over *segments* of out. perm/offsets come from a SegmentPlan, whose
-/// stable order makes the per-row accumulation identical to the
-/// ascending-i full-scan of ScatterAddRowsAcc — without scanning rows
-/// outside the chunk's segments.
+/// stable order adds each segment's rows in ascending original row
+/// order, and a chunk reads only its own segments' rows.
 void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
                            const std::vector<int>& offsets, Tensor* out,
                            int s0, int s1);
@@ -181,23 +172,17 @@ void GatherScatterWeightedAcc(const Tensor& h, const Tensor& w,
 void EdgeDotAcc(const Tensor& x, const Tensor& y, const std::vector<int>& xi,
                 const std::vector<int>& yi, Tensor* out, int e0, int e1);
 
-/// Planned SegmentExtreme: identical semantics and tie-breaking to
-/// SegmentExtreme (ascending original row within each segment, strict
-/// improvement), but visits each segment's rows via perm/offsets
-/// instead of scanning all of a; range over segments.
+/// Per-segment column-wise max (is_max) or min over the segments
+/// [s0, s1) of a SegmentPlan's perm/offsets. Writes extreme values into
+/// out rows [s0, s1) (zero for empty segments) and the supplying row
+/// index into argrow[s·cols + c] (-1 for empty). Rows are visited in
+/// ascending original order and only a strict improvement replaces the
+/// extreme, so ties go to the first row. `out` and `argrow` must be
+/// pre-sized; their in-range entries are overwritten.
 void SegmentExtremePlanned(const Tensor& a, const std::vector<int>& perm,
                            const std::vector<int>& offsets, bool is_max,
                            Tensor* out, std::vector<int>* argrow, int s0,
                            int s1);
-
-/// Per-segment column-wise max (is_max) or min. Writes extreme values
-/// into out rows [s0, s1) (zero for empty segments) and the supplying
-/// row index into argrow[s·cols + c] (-1 for empty); range over
-/// segments. `out` and `argrow` must be pre-sized; their in-range
-/// entries are overwritten.
-void SegmentExtreme(const Tensor& a, const std::vector<int>& segment,
-                    bool is_max, Tensor* out, std::vector<int>* argrow,
-                    int s0, int s1);
 
 /// out[argrow[s·cols+c], c] += g[s,c] for argrow ≥ 0; range over
 /// segments. Safe to partition by segment: each (segment, column) cell

@@ -371,96 +371,7 @@ Variable SoftmaxRows(const Variable& a) {
       });
 }
 
-Variable RowGather(const Variable& a, const std::vector<int>& index) {
-  for (int idx : index) {
-    OODGNN_DCHECK(idx >= 0 && idx < a.rows());
-    (void)idx;
-  }
-  Tensor out(static_cast<int>(index.size()), a.cols());
-  GetBackend().GatherRows(a.value(), index, &out);
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa},
-      [pa, index](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().ScatterAddRowsAcc(self.grad, index, &pa->grad);
-      });
-}
-
-Variable ScatterAddRows(const Variable& a, const std::vector<int>& index,
-                        int out_rows) {
-  OODGNN_CHECK_EQ(static_cast<int>(index.size()), a.rows());
-  for (int idx : index) {
-    OODGNN_DCHECK(idx >= 0 && idx < out_rows);
-    (void)idx;
-  }
-  Tensor out(out_rows, a.cols());
-  GetBackend().ScatterAddRowsAcc(a.value(), index, &out);
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa},
-      [pa, index](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().GatherRowsAcc(self.grad, index, &pa->grad);
-      });
-}
-
-Variable SegmentSum(const Variable& a, const std::vector<int>& segment,
-                    int num_segments) {
-  return ScatterAddRows(a, segment, num_segments);
-}
-
-Variable SegmentMean(const Variable& a, const std::vector<int>& segment,
-                     int num_segments) {
-  OODGNN_CHECK_EQ(static_cast<int>(segment.size()), a.rows());
-  std::vector<float> inv_count(static_cast<size_t>(num_segments), 0.f);
-  for (int s : segment) {
-    OODGNN_DCHECK(s >= 0 && s < num_segments);
-    inv_count[static_cast<size_t>(s)] += 1.f;
-  }
-  for (float& v : inv_count) v = v > 0.f ? 1.f / v : 0.f;
-  Variable sum = SegmentSum(a, segment, num_segments);
-  Variable scale = Variable::Constant(Tensor::ColVector(inv_count));
-  return MulColVec(sum, scale);
-}
-
-namespace {
-
-Variable SegmentExtreme(const Variable& a, const std::vector<int>& segment,
-                        int num_segments, bool is_max) {
-  OODGNN_CHECK_EQ(static_cast<int>(segment.size()), a.rows());
-  Tensor out(num_segments, a.cols());
-  // argrow[s*cols+c] = row index supplying the extreme, or -1 if empty.
-  auto argrow = std::make_shared<std::vector<int>>(
-      static_cast<size_t>(num_segments) * a.cols(), -1);
-  GetBackend().SegmentExtreme(a.value(), segment, is_max, &out, argrow.get());
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa},
-      [pa, argrow](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().SegmentExtremeBackwardAcc(self.grad, *argrow, &pa->grad);
-      });
-}
-
-}  // namespace
-
-Variable SegmentMax(const Variable& a, const std::vector<int>& segment,
-                    int num_segments) {
-  return SegmentExtreme(a, segment, num_segments, /*is_max=*/true);
-}
-
-Variable SegmentMin(const Variable& a, const std::vector<int>& segment,
-                    int num_segments) {
-  return SegmentExtreme(a, segment, num_segments, /*is_max=*/false);
-}
-
-// --- planned overloads ---
-//
-// Each planned op keeps the exact graph structure (parents, closure
-// count) of its unplanned twin and swaps only the kernel driving the
-// scatter direction, so gradient accumulation order — and therefore
-// every float — is unchanged (DESIGN.md §12).
+// --- message passing over segment plans ---
 
 Variable RowGather(const Variable& a, const SegmentPlanPtr& plan) {
   OODGNN_CHECK(plan != nullptr);
@@ -494,8 +405,6 @@ Variable SegmentSum(const Variable& a, const SegmentPlanPtr& plan) {
 
 Variable SegmentMean(const Variable& a, const SegmentPlanPtr& plan) {
   OODGNN_CHECK(plan != nullptr);
-  // 1/count from the plan offsets; identical to the unplanned op's
-  // repeated +1.f counting for any count below 2^24.
   std::vector<float> inv_count(static_cast<size_t>(plan->num_segments));
   for (int s = 0; s < plan->num_segments; ++s) {
     const int count = plan->SegmentSize(s);
@@ -509,8 +418,8 @@ Variable SegmentMean(const Variable& a, const SegmentPlanPtr& plan) {
 
 namespace {
 
-Variable SegmentExtremePlannedImpl(const Variable& a,
-                                   const SegmentPlanPtr& plan, bool is_max) {
+Variable SegmentExtreme(const Variable& a, const SegmentPlanPtr& plan,
+                        bool is_max) {
   OODGNN_CHECK(plan != nullptr);
   OODGNN_CHECK_EQ(plan->num_items(), a.rows());
   Tensor out(plan->num_segments, a.cols());
@@ -529,11 +438,11 @@ Variable SegmentExtremePlannedImpl(const Variable& a,
 }  // namespace
 
 Variable SegmentMax(const Variable& a, const SegmentPlanPtr& plan) {
-  return SegmentExtremePlannedImpl(a, plan, /*is_max=*/true);
+  return SegmentExtreme(a, plan, /*is_max=*/true);
 }
 
 Variable SegmentMin(const Variable& a, const SegmentPlanPtr& plan) {
-  return SegmentExtremePlannedImpl(a, plan, /*is_max=*/false);
+  return SegmentExtreme(a, plan, /*is_max=*/false);
 }
 
 Variable GatherScatter(const Variable& h, const MessagePlanPtr& plan) {

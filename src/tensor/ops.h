@@ -86,52 +86,34 @@ Variable Transpose(const Variable& a);
 /// Row-wise softmax.
 Variable SoftmaxRows(const Variable& a);
 
-/// out[i] = a[index[i]]; indices may repeat. [m,n] -> [k,n].
-Variable RowGather(const Variable& a, const std::vector<int>& index);
+// --- message passing over CSR segment plans (DESIGN.md §12) ---
+//
+// Every gather, scatter and segment reduction runs over a SegmentPlan:
+// scatters parallelize over contiguous destination segments and visit
+// each segment's rows in ascending original order, so results are
+// bitwise identical at every thread count.
 
-/// out[index[i]] += a[i]; out has `out_rows` rows. The scatter-add used
-/// for message aggregation; indices must lie in [0, out_rows).
-Variable ScatterAddRows(const Variable& a, const std::vector<int>& index,
-                        int out_rows);
+/// out[i] = a[plan->items[i]]; items may repeat. [m,n] -> [k,n] with
+/// k = plan->num_items() (plan->num_segments must equal a.rows()). The
+/// backward scatters through the plan.
+Variable RowGather(const Variable& a, const SegmentPlanPtr& plan);
 
-/// Per-segment column-wise sum: rows of `a` with segment[r] == s are
-/// summed into output row s. Equivalent to ScatterAddRows.
-Variable SegmentSum(const Variable& a, const std::vector<int>& segment,
-                    int num_segments);
+/// out[plan->items[i]] += a[i] into plan->num_segments rows. The
+/// scatter-add used for message aggregation.
+Variable ScatterAddRows(const Variable& a, const SegmentPlanPtr& plan);
+
+/// Per-segment column-wise sum: rows of `a` in segment s are summed
+/// into output row s. Equivalent to ScatterAddRows.
+Variable SegmentSum(const Variable& a, const SegmentPlanPtr& plan);
 
 /// Per-segment mean; empty segments produce zero rows.
-Variable SegmentMean(const Variable& a, const std::vector<int>& segment,
-                     int num_segments);
+Variable SegmentMean(const Variable& a, const SegmentPlanPtr& plan);
 
 /// Per-segment element-wise max; empty segments produce zero rows. The
 /// gradient flows to the (first) argmax element of each segment/column.
-Variable SegmentMax(const Variable& a, const std::vector<int>& segment,
-                    int num_segments);
+Variable SegmentMax(const Variable& a, const SegmentPlanPtr& plan);
 
 /// Per-segment element-wise min (same conventions as SegmentMax).
-Variable SegmentMin(const Variable& a, const std::vector<int>& segment,
-                    int num_segments);
-
-// --- planned overloads (CSR segment plans, DESIGN.md §12) ---
-//
-// Bitwise identical to the unplanned ops above at every thread count,
-// but their scatters parallelize over contiguous destination segments
-// instead of scanning the full index vector per chunk. The unplanned
-// overloads remain the fallback for ad-hoc indices (batches without
-// plans, hand-assembled topologies).
-
-/// RowGather over plan->items whose backward scatters through the plan
-/// (plan->num_segments must equal a.rows()).
-Variable RowGather(const Variable& a, const SegmentPlanPtr& plan);
-
-/// ScatterAddRows over plan->items into plan->num_segments rows.
-Variable ScatterAddRows(const Variable& a, const SegmentPlanPtr& plan);
-
-/// Planned SegmentSum / SegmentMean / SegmentMax / SegmentMin over
-/// plan->items.
-Variable SegmentSum(const Variable& a, const SegmentPlanPtr& plan);
-Variable SegmentMean(const Variable& a, const SegmentPlanPtr& plan);
-Variable SegmentMax(const Variable& a, const SegmentPlanPtr& plan);
 Variable SegmentMin(const Variable& a, const SegmentPlanPtr& plan);
 
 /// Fused RowGather(h, plan->src()) → ScatterAddRows(·, plan->dst()):

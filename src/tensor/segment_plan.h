@@ -8,17 +8,14 @@ namespace oodgnn {
 
 /// CSR-style plan over an integer index vector: the item order sorted
 /// (stably) by segment id, plus per-segment offsets. Built once per
-/// GraphBatch and reused by every planned gather/scatter kernel, which
-/// can then parallelize over contiguous *segments* — each output row is
-/// owned by exactly one chunk and its contributions are visited in
-/// ascending original item order, the same per-element accumulation
-/// order as the serial full-scan path. That makes every planned kernel
-/// bitwise identical to the unplanned one at any thread count
-/// (DESIGN.md §12).
+/// GraphBatch and reused by every gather/scatter kernel, which can then
+/// parallelize over contiguous *segments* — each output row is owned by
+/// exactly one chunk and its contributions are visited in ascending
+/// original item order. That makes every kernel bitwise identical at
+/// any thread count (DESIGN.md §12).
 ///
-/// A plan describes a frozen snapshot of `items`; mutating the source
-/// index vector afterwards invalidates it. GraphBatch::FinalizePlans()
-/// is the one rebuild entry point.
+/// A plan owns its `items` and is immutable once shared, so it cannot
+/// go stale; GraphBatch::FromTopology builds a batch's plans.
 struct SegmentPlan {
   int num_segments = 0;
 

@@ -28,17 +28,22 @@ TEST(EdgeCaseTest, SingleNodeGraphEncodes) {
   config.hidden_dim = 8;
   config.num_layers = 2;
   config.dropout = 0.f;
-  for (Method method : AllMethods()) {
-    GraphPredictionModel model(method, config, 2, &rng);
-    Graph g(1, 3);
-    g.x.at(0, 0) = 1.f;
-    g.label = 0;
-    GraphBatch batch = GraphBatch::FromGraphs({&g});
-    Rng fwd(2);
-    Variable logits = model.Predict(batch, /*training=*/false, &fwd);
-    ASSERT_EQ(logits.rows(), 1);
-    for (int i = 0; i < logits.value().size(); ++i) {
-      EXPECT_TRUE(std::isfinite(logits.value()[i])) << MethodName(method);
+  // One node, and the degenerate graph with none (the GCN coefficients
+  // of a node-less batch are still a [0, 1] column).
+  for (int num_nodes : {1, 0}) {
+    for (Method method : AllMethods()) {
+      GraphPredictionModel model(method, config, 2, &rng);
+      Graph g(num_nodes, 3);
+      if (num_nodes > 0) g.x.at(0, 0) = 1.f;
+      g.label = 0;
+      GraphBatch batch = GraphBatch::FromGraphs({&g});
+      Rng fwd(2);
+      Variable logits = model.Predict(batch, /*training=*/false, &fwd);
+      ASSERT_EQ(logits.rows(), 1);
+      for (int i = 0; i < logits.value().size(); ++i) {
+        EXPECT_TRUE(std::isfinite(logits.value()[i]))
+            << MethodName(method) << " with " << num_nodes << " nodes";
+      }
     }
   }
 }
@@ -186,11 +191,11 @@ TEST(EdgeCaseTest, BatchOfManyIdenticalGraphs) {
   g.label = 1;
   std::vector<const Graph*> graphs(50, &g);
   GraphBatch batch = GraphBatch::FromGraphs(graphs);
-  EXPECT_EQ(batch.num_graphs, 50);
-  EXPECT_EQ(batch.num_nodes, 150);
-  EXPECT_EQ(batch.edge_src.size(), 100u);
+  EXPECT_EQ(batch.num_graphs(), 50);
+  EXPECT_EQ(batch.num_nodes(), 150);
+  EXPECT_EQ(batch.edge_src().size(), 100u);
   // Last graph's edges offset correctly.
-  EXPECT_EQ(batch.edge_src.back(), 148);
+  EXPECT_EQ(batch.edge_src().back(), 148);
 }
 
 }  // namespace

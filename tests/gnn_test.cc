@@ -45,22 +45,26 @@ GraphBatch SmallBatch(int feature_dim = 4) {
 /// Applies a node permutation within each graph of a batch.
 GraphBatch PermuteBatch(const GraphBatch& batch,
                         const std::vector<int>& perm) {
-  GraphBatch out = batch;
-  out.features = Tensor(batch.num_nodes, batch.features.cols());
-  for (int v = 0; v < batch.num_nodes; ++v) {
+  std::vector<int> node_graph(batch.node_graph().size());
+  Tensor features(batch.num_nodes(), batch.features.cols());
+  for (int v = 0; v < batch.num_nodes(); ++v) {
+    const size_t to = static_cast<size_t>(perm[static_cast<size_t>(v)]);
+    node_graph[to] = batch.node_graph()[static_cast<size_t>(v)];
     const float* src = batch.features.row(v);
     std::copy(src, src + batch.features.cols(),
-              out.features.row(perm[static_cast<size_t>(v)]));
-    out.node_graph[static_cast<size_t>(perm[static_cast<size_t>(v)])] =
-        batch.node_graph[static_cast<size_t>(v)];
+              features.row(static_cast<int>(to)));
   }
-  for (size_t e = 0; e < batch.edge_src.size(); ++e) {
-    out.edge_src[e] = perm[static_cast<size_t>(batch.edge_src[e])];
-    out.edge_dst[e] = perm[static_cast<size_t>(batch.edge_dst[e])];
+  std::vector<int> edge_src;
+  std::vector<int> edge_dst;
+  for (size_t e = 0; e < batch.edge_src().size(); ++e) {
+    edge_src.push_back(perm[static_cast<size_t>(batch.edge_src()[e])]);
+    edge_dst.push_back(perm[static_cast<size_t>(batch.edge_dst()[e])]);
   }
-  // Rebuild in_degree and the cached message-passing plans for the
-  // permuted topology (copied plans would silently index the old one).
-  out.FinalizePlans();
+  GraphBatch out = GraphBatch::FromTopology(
+      batch.num_graphs(), std::move(node_graph), std::move(edge_src),
+      std::move(edge_dst));
+  out.features = std::move(features);
+  out.class_labels = batch.class_labels;
   return out;
 }
 
@@ -146,14 +150,15 @@ TEST(PnaConvTest, DeltaComputation) {
 
 TEST(ReadoutTest, SumMeanMaxValues) {
   Tensor h = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
-  std::vector<int> node_graph = {0, 0, 1};
+  const GraphBatch batch =
+      GraphBatch::FromTopology(/*num_graphs=*/2, {0, 0, 1}, {}, {});
   Variable hv = Variable::Constant(h);
-  Tensor sum = Readout(hv, node_graph, 2, ReadoutKind::kSum).value();
+  Tensor sum = Readout(hv, batch, ReadoutKind::kSum).value();
   EXPECT_FLOAT_EQ(sum.at(0, 0), 4.f);
   EXPECT_FLOAT_EQ(sum.at(1, 1), 6.f);
-  Tensor mean = Readout(hv, node_graph, 2, ReadoutKind::kMean).value();
+  Tensor mean = Readout(hv, batch, ReadoutKind::kMean).value();
   EXPECT_FLOAT_EQ(mean.at(0, 1), 3.f);
-  Tensor max = Readout(hv, node_graph, 2, ReadoutKind::kMax).value();
+  Tensor max = Readout(hv, batch, ReadoutKind::kMax).value();
   EXPECT_FLOAT_EQ(max.at(0, 0), 3.f);
 }
 
@@ -192,15 +197,15 @@ TEST(PoolCommonTest, InduceSubgraphRemapsEdges) {
   GraphBatch batch = SmallBatch();
   // Keep nodes 0,1 (graph 0) and 3,4 (graph 1).
   GraphBatch sub = InduceSubgraph(batch, {0, 1, 3, 4});
-  EXPECT_EQ(sub.num_nodes, 4);
+  EXPECT_EQ(sub.num_nodes(), 4);
   // Triangle edges between 0,1 survive (both directions).
-  int surviving = static_cast<int>(sub.edge_src.size());
+  int surviving = static_cast<int>(sub.edge_src().size());
   EXPECT_EQ(surviving, 4);  // (0,1),(1,0) from graph0; (3,4),(4,3)->(2,3),(3,2).
-  for (size_t e = 0; e < sub.edge_src.size(); ++e) {
-    EXPECT_LT(sub.edge_src[e], 4);
-    EXPECT_LT(sub.edge_dst[e], 4);
+  for (size_t e = 0; e < sub.edge_src().size(); ++e) {
+    EXPECT_LT(sub.edge_src()[e], 4);
+    EXPECT_LT(sub.edge_dst()[e], 4);
   }
-  EXPECT_EQ(sub.node_graph, (std::vector<int>{0, 0, 1, 1}));
+  EXPECT_EQ(sub.node_graph(), (std::vector<int>{0, 0, 1, 1}));
 }
 
 TEST(TopKPoolTest, GatesAndCoarsens) {
@@ -211,8 +216,8 @@ TEST(TopKPoolTest, GatesAndCoarsens) {
       pool.Forward(Variable::Constant(batch.features), batch);
   EXPECT_EQ(result.h.rows(), 4);
   EXPECT_EQ(result.h.cols(), 4);
-  EXPECT_EQ(result.topology.num_nodes, 4);
-  EXPECT_EQ(result.topology.num_graphs, 2);
+  EXPECT_EQ(result.topology.num_nodes(), 4);
+  EXPECT_EQ(result.topology.num_graphs(), 2);
 }
 
 TEST(SagPoolTest, StructureAwareScores) {
@@ -233,7 +238,7 @@ TEST(FactorGcnTest, FactorConcatShape) {
   EXPECT_EQ(out.cols(), 8);
   EXPECT_EQ(conv.last_attention().size(), 4u);
   EXPECT_EQ(conv.last_attention()[0].rows(),
-            static_cast<int>(batch.edge_src.size()));
+            static_cast<int>(batch.edge_src().size()));
   // Attention values are probabilities.
   for (int i = 0; i < conv.last_attention()[0].size(); ++i) {
     EXPECT_GT(conv.last_attention()[0][i], 0.f);
@@ -333,7 +338,8 @@ TEST(GnnGradCheckTest, GatConv) {
   Rng rng(21);
   GatConv conv(3, 4, /*num_heads=*/2, &rng);
   GraphBatch batch = SmallBatch(3);
-  Variable h = Variable::Param(Tensor::RandomNormal(batch.num_nodes, 3, &rng));
+  Variable h =
+      Variable::Param(Tensor::RandomNormal(batch.num_nodes(), 3, &rng));
   std::vector<Variable> leaves = conv.Parameters();
   leaves.push_back(h);
   const GradCheckResult result = CheckGradients(
@@ -345,7 +351,8 @@ TEST(GnnGradCheckTest, PnaConv) {
   Rng rng(22);
   PnaConv conv(3, 4, /*delta=*/1.1f, &rng);
   GraphBatch batch = SmallBatch(3);
-  Variable h = Variable::Param(Tensor::RandomNormal(batch.num_nodes, 3, &rng));
+  Variable h =
+      Variable::Param(Tensor::RandomNormal(batch.num_nodes(), 3, &rng));
   std::vector<Variable> leaves = conv.Parameters();
   leaves.push_back(h);
   const GradCheckResult result = CheckGradients(
@@ -357,7 +364,8 @@ TEST(GnnGradCheckTest, SageConv) {
   Rng rng(23);
   SageConv conv(3, 4, &rng);
   GraphBatch batch = SmallBatch(3);
-  Variable h = Variable::Param(Tensor::RandomNormal(batch.num_nodes, 3, &rng));
+  Variable h =
+      Variable::Param(Tensor::RandomNormal(batch.num_nodes(), 3, &rng));
   std::vector<Variable> leaves = conv.Parameters();
   leaves.push_back(h);
   const GradCheckResult result = CheckGradients(
@@ -372,8 +380,8 @@ TEST(GnnGradCheckTest, TopKPool) {
   // Well-separated rows keep the per-graph top-k selection stable under
   // the finite-difference perturbation (the selection itself is
   // piecewise constant; the gradient is checked within one region).
-  Tensor features(batch.num_nodes, 3);
-  for (int v = 0; v < batch.num_nodes; ++v) {
+  Tensor features(batch.num_nodes(), 3);
+  for (int v = 0; v < batch.num_nodes(); ++v) {
     for (int c = 0; c < 3; ++c) {
       features.at(v, c) = 0.7f * static_cast<float>(v + 1) *
                           (c % 2 == 0 ? 1.f : -1.f);
@@ -403,8 +411,8 @@ TEST(GnnGradCheckTest, SagPool) {
   b.AddUndirectedEdge(0, 1);
   b.AddUndirectedEdge(1, 2);
   GraphBatch batch = GraphBatch::FromGraphs({&a, &b});
-  Tensor features(batch.num_nodes, 3);
-  for (int v = 0; v < batch.num_nodes; ++v) {
+  Tensor features(batch.num_nodes(), 3);
+  for (int v = 0; v < batch.num_nodes(); ++v) {
     for (int c = 0; c < 3; ++c) {
       features.at(v, c) = static_cast<float>(v + 1) +
                           0.1f * static_cast<float>(c);
@@ -422,9 +430,10 @@ TEST(GnnGradCheckTest, VirtualNode) {
   Rng rng(26);
   VirtualNode vn(3, &rng);
   GraphBatch batch = SmallBatch(3);
-  Variable h = Variable::Param(Tensor::RandomNormal(batch.num_nodes, 3, &rng));
+  Variable h =
+      Variable::Param(Tensor::RandomNormal(batch.num_nodes(), 3, &rng));
   Variable state =
-      Variable::Param(Tensor::RandomNormal(batch.num_graphs, 3, &rng));
+      Variable::Param(Tensor::RandomNormal(batch.num_graphs(), 3, &rng));
   std::vector<Variable> leaves = vn.Parameters();
   leaves.push_back(h);
   leaves.push_back(state);
@@ -441,7 +450,8 @@ TEST(GnnGradCheckTest, FactorGcnConv) {
   Rng rng(27);
   FactorGcnConv conv(3, 4, /*num_factors=*/2, &rng);
   GraphBatch batch = SmallBatch(3);
-  Variable h = Variable::Param(Tensor::RandomNormal(batch.num_nodes, 3, &rng));
+  Variable h =
+      Variable::Param(Tensor::RandomNormal(batch.num_nodes(), 3, &rng));
   std::vector<Variable> leaves = conv.Parameters();
   leaves.push_back(h);
   const GradCheckResult result = CheckGradients(
@@ -456,8 +466,8 @@ TEST_P(ReadoutGradCheck, MatchesFiniteDifferences) {
   GraphBatch batch = SmallBatch(3);
   // Distinct magnitudes keep the max readout's argmax stable under the
   // finite-difference step.
-  Tensor features(batch.num_nodes, 3);
-  for (int v = 0; v < batch.num_nodes; ++v) {
+  Tensor features(batch.num_nodes(), 3);
+  for (int v = 0; v < batch.num_nodes(); ++v) {
     for (int c = 0; c < 3; ++c) {
       features.at(v, c) =
           0.5f * static_cast<float>(v + 1) + 0.2f * static_cast<float>(c);
@@ -465,8 +475,7 @@ TEST_P(ReadoutGradCheck, MatchesFiniteDifferences) {
   }
   Variable h = Variable::Param(features);
   const GradCheckResult result = CheckGradients({h}, [&] {
-    return Sum(Square(
-        Readout(h, batch.node_graph, batch.num_graphs, GetParam())));
+    return Sum(Square(Readout(h, batch, GetParam())));
   });
   EXPECT_LT(result.max_relative_error, kGradTolerance);
 }

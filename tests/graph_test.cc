@@ -113,16 +113,16 @@ TEST(BatchTest, OffsetsNodesAndEdges) {
   b.label = 0;
 
   GraphBatch batch = GraphBatch::FromGraphs({&a, &b});
-  EXPECT_EQ(batch.num_graphs, 2);
-  EXPECT_EQ(batch.num_nodes, 5);
-  ASSERT_EQ(batch.edge_src.size(), 2u);
-  EXPECT_EQ(batch.edge_src[0], 0);
-  EXPECT_EQ(batch.edge_dst[0], 1);
-  EXPECT_EQ(batch.edge_src[1], 4);  // 2 + offset 2.
-  EXPECT_EQ(batch.edge_dst[1], 2);  // 0 + offset 2.
+  EXPECT_EQ(batch.num_graphs(), 2);
+  EXPECT_EQ(batch.num_nodes(), 5);
+  ASSERT_EQ(batch.edge_src().size(), 2u);
+  EXPECT_EQ(batch.edge_src()[0], 0);
+  EXPECT_EQ(batch.edge_dst()[0], 1);
+  EXPECT_EQ(batch.edge_src()[1], 4);  // 2 + offset 2.
+  EXPECT_EQ(batch.edge_dst()[1], 2);  // 0 + offset 2.
   EXPECT_FLOAT_EQ(batch.features.at(1, 2), 7.f);
-  EXPECT_EQ(batch.node_graph[0], 0);
-  EXPECT_EQ(batch.node_graph[2], 1);
+  EXPECT_EQ(batch.node_graph()[0], 0);
+  EXPECT_EQ(batch.node_graph()[2], 1);
   EXPECT_EQ(batch.class_labels[0], 1);
   EXPECT_EQ(batch.class_labels[1], 0);
 }
@@ -131,7 +131,7 @@ TEST(BatchTest, InDegreesComputed) {
   Graph a(2, 1);
   a.AddUndirectedEdge(0, 1);
   GraphBatch batch = GraphBatch::FromGraphs({&a, &a});
-  EXPECT_EQ(batch.in_degree, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(batch.in_degree(), (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(BatchTest, TargetsAndMasksStacked) {
@@ -157,10 +157,10 @@ TEST(BatchTest, MakeBatchSelectsRange) {
   }
   std::vector<size_t> order = {3, 1, 0, 2};
   GraphBatch batch = MakeBatch(graphs, order, 1, 3);
-  EXPECT_EQ(batch.num_graphs, 2);
+  EXPECT_EQ(batch.num_graphs(), 2);
   EXPECT_EQ(batch.class_labels[0], 1);
   EXPECT_EQ(batch.class_labels[1], 0);
-  EXPECT_EQ(batch.num_nodes, 3);  // Sizes 2 + 1.
+  EXPECT_EQ(batch.num_nodes(), 3);  // Sizes 2 + 1.
 }
 
 TEST(DatasetTest, ValidatePassesOnConsistentData) {

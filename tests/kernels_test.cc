@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/gnn/encoder.h"
 #include "src/gnn/factor_gcn.h"
 #include "src/gnn/gat_conv.h"
 #include "src/gnn/gcn_conv.h"
@@ -23,8 +22,6 @@
 #include "src/gnn/sage_conv.h"
 #include "src/graph/batch.h"
 #include "src/graph/graph.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/kernels.h"
@@ -69,6 +66,79 @@ void ExpectDeterministic(const std::function<Tensor()>& op,
     EXPECT_TRUE(BitwiseEqual(serial, got))
         << "backend with " << threads << " threads diverged bitwise";
   }
+}
+
+/// Runs `op` under every thread count and asserts each result is
+/// bitwise identical to `reference`, a naive loop in the test.
+void ExpectBitwiseAcrossThreads(const std::function<Tensor()>& op,
+                                const Tensor& reference) {
+  for (int threads : kThreadCounts) {
+    ScopedBackendThreads scoped(threads);
+    EXPECT_TRUE(BitwiseEqual(op(), reference))
+        << "diverged from the naive loop at " << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Naive message-passing references. Every gather/scatter/segment kernel
+// must reproduce these loops bit for bit: they visit rows in ascending
+// original order, and sums accumulate into zeroed outputs.
+// ---------------------------------------------------------------------------
+
+std::vector<int> RandomIndex(size_t count, int num_segments, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int> index(count);
+  for (int& v : index) {
+    v = static_cast<int>(rng.UniformInt(0, num_segments - 1));
+  }
+  return index;
+}
+
+/// out[i,:] = a[index[i],:].
+Tensor NaiveGather(const Tensor& a, const std::vector<int>& index) {
+  Tensor out(static_cast<int>(index.size()), a.cols());
+  for (size_t i = 0; i < index.size(); ++i) {
+    for (int c = 0; c < a.cols(); ++c) {
+      out.at(static_cast<int>(i), c) = a.at(index[i], c);
+    }
+  }
+  return out;
+}
+
+/// out[index[r],:] += a[r,:] for ascending r, into `rows` zero rows.
+Tensor NaiveScatterAdd(const Tensor& a, const std::vector<int>& index,
+                       int rows) {
+  Tensor out(rows, a.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) {
+      out.at(index[static_cast<size_t>(r)], c) += a.at(r, c);
+    }
+  }
+  return out;
+}
+
+/// Per-segment column-wise max (is_max) or min over ascending rows:
+/// the first row wins ties, empty segments give zero rows, and
+/// (*argrow)[s·cols + c] records the supplying row (-1 when empty).
+Tensor NaiveSegmentExtreme(const Tensor& a, const std::vector<int>& segment,
+                           int num_segments, bool is_max,
+                           std::vector<int>* argrow) {
+  Tensor out(num_segments, a.cols());
+  argrow->assign(static_cast<size_t>(num_segments) * a.cols(), -1);
+  for (int r = 0; r < a.rows(); ++r) {
+    const int s = segment[static_cast<size_t>(r)];
+    for (int c = 0; c < a.cols(); ++c) {
+      const size_t cell = static_cast<size_t>(s) * a.cols() + c;
+      const bool better =
+          (*argrow)[cell] < 0 ||
+          (is_max ? a.at(r, c) > out.at(s, c) : a.at(r, c) < out.at(s, c));
+      if (better) {
+        out.at(s, c) = a.at(r, c);
+        (*argrow)[cell] = r;
+      }
+    }
+  }
+  return out;
 }
 
 TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
@@ -438,22 +508,14 @@ TEST(KernelsTest, SoftmaxRowsAcrossThreads) {
 }
 
 TEST(KernelsTest, GatherScatterSegmentAcrossThreads) {
-  Rng rng(14);
   const int nodes = 41;
   const int dim = 19;
   const Tensor h = RandomTensor(nodes, dim, 15);
-  std::vector<int> index(97);
-  for (int& v : index) {
-    v = static_cast<int>(rng.UniformInt(0, nodes - 1));
-  }
+  const std::vector<int> index = RandomIndex(97, nodes, 14);
+  const SegmentPlan plan = SegmentPlan::Build(index, nodes);
   // Gather.
-  Tensor gather_ref(static_cast<int>(index.size()), dim);
-  for (size_t i = 0; i < index.size(); ++i) {
-    for (int c = 0; c < dim; ++c) {
-      gather_ref.at(static_cast<int>(i), c) = h.at(index[i], c);
-    }
-  }
-  ExpectDeterministic(
+  const Tensor gather_ref = NaiveGather(h, index);
+  ExpectBitwiseAcrossThreads(
       [&] {
         Tensor out(static_cast<int>(index.size()), dim);
         GetBackend().GatherRows(h, index, &out);
@@ -461,67 +523,40 @@ TEST(KernelsTest, GatherScatterSegmentAcrossThreads) {
       },
       gather_ref);
   // Scatter-add (segment sum) and its adjoint.
-  Tensor scatter_ref(nodes, dim);
-  for (size_t i = 0; i < index.size(); ++i) {
-    for (int c = 0; c < dim; ++c) {
-      scatter_ref.at(index[i], c) += gather_ref.at(static_cast<int>(i), c);
-    }
-  }
-  ExpectDeterministic(
+  const Tensor scatter_ref = NaiveScatterAdd(gather_ref, index, nodes);
+  ExpectBitwiseAcrossThreads(
       [&] {
         Tensor out(nodes, dim);
-        GetBackend().ScatterAddRowsAcc(gather_ref, index, &out);
+        GetBackend().ScatterAddRowsPlanned(gather_ref, plan, &out);
         return out;
       },
       scatter_ref);
-  ExpectDeterministic(
+  ExpectBitwiseAcrossThreads(
       [&] {
         Tensor out(static_cast<int>(index.size()), dim);
         GetBackend().GatherRowsAcc(scatter_ref, index, &out);
         return out;
       },
-      [&] {
-        Tensor out(static_cast<int>(index.size()), dim);
-        for (size_t i = 0; i < index.size(); ++i) {
-          for (int c = 0; c < dim; ++c) {
-            out.at(static_cast<int>(i), c) = scatter_ref.at(index[i], c);
-          }
-        }
-        return out;
-      }());
+      NaiveGather(scatter_ref, index));
 }
 
 TEST(KernelsTest, SegmentExtremeAcrossThreads) {
-  Rng rng(16);
   const int rows = 53;
   const int dim = 11;
-  const int num_segments = 9;  // Segment 8 stays empty.
+  const int num_segments = 9;
   const Tensor a = RandomTensor(rows, dim, 17);
-  std::vector<int> segment(static_cast<size_t>(rows));
-  for (int& s : segment) {
-    s = static_cast<int>(rng.UniformInt(0, num_segments - 2));
-  }
+  // Segment 8 stays empty, exercising the zero fill.
+  const std::vector<int> segment = RandomIndex(rows, num_segments - 1, 16);
+  const SegmentPlan plan = SegmentPlan::Build(segment, num_segments);
   for (bool is_max : {true, false}) {
-    Tensor ref(num_segments, dim);
-    std::vector<int> arg_ref(static_cast<size_t>(num_segments) * dim, -1);
-    for (int r = 0; r < rows; ++r) {
-      const int s = segment[static_cast<size_t>(r)];
-      for (int c = 0; c < dim; ++c) {
-        const size_t cell = static_cast<size_t>(s) * dim + c;
-        const bool better =
-            arg_ref[cell] < 0 ||
-            (is_max ? a.at(r, c) > ref.at(s, c) : a.at(r, c) < ref.at(s, c));
-        if (better) {
-          ref.at(s, c) = a.at(r, c);
-          arg_ref[cell] = r;
-        }
-      }
-    }
-    ExpectDeterministic(
+    std::vector<int> arg_ref;
+    const Tensor ref =
+        NaiveSegmentExtreme(a, segment, num_segments, is_max, &arg_ref);
+    ExpectBitwiseAcrossThreads(
         [&] {
           Tensor out(num_segments, dim);
           std::vector<int> arg(static_cast<size_t>(num_segments) * dim, -1);
-          GetBackend().SegmentExtreme(a, segment, is_max, &out, &arg);
+          GetBackend().SegmentExtremePlanned(a, plan, is_max, &out, &arg);
           EXPECT_EQ(arg, arg_ref);
           return out;
         },
@@ -573,11 +608,10 @@ TEST(KernelsTest, CopyRowsToAcrossThreads) {
 /// A message-passing-shaped composite: gather → matmul → relu → scatter
 /// → softmax → weighted sum. Exercises every hot backward kernel.
 Variable CompositeLoss(const Variable& h, const Variable& w,
-                       const std::vector<int>& src,
-                       const std::vector<int>& dst, int nodes) {
-  Variable messages = RowGather(h, src);
+                       const MessagePlanPtr& plan) {
+  Variable messages = RowGather(h, BySrc(plan));
   Variable mixed = Relu(MatMul(messages, w));
-  Variable aggregated = ScatterAddRows(mixed, dst, nodes);
+  Variable aggregated = ScatterAddRows(mixed, ByDst(plan));
   Variable scores = SoftmaxRows(aggregated);
   return Sum(Square(scores));
 }
@@ -595,8 +629,10 @@ TEST(KernelsTest, GradcheckPassesUnderParallelBackend) {
     src[e] = static_cast<int>(rng.UniformInt(0, nodes - 1));
     dst[e] = static_cast<int>(rng.UniformInt(0, nodes - 1));
   }
-  GradCheckResult result = CheckGradients(
-      {h, w}, [&] { return CompositeLoss(h, w, src, dst, nodes); });
+  const auto plan =
+      std::make_shared<const MessagePlan>(MessagePlan::Build(src, dst, nodes));
+  GradCheckResult result =
+      CheckGradients({h, w}, [&] { return CompositeLoss(h, w, plan); });
   EXPECT_LT(result.max_relative_error, 5e-2)
       << "worst leaf " << result.worst_leaf << " element "
       << result.worst_element;
@@ -614,11 +650,13 @@ TEST(KernelsTest, BackwardGradientsBitwiseIdenticalAcrossThreads) {
     src[e] = static_cast<int>(rng.UniformInt(0, nodes - 1));
     dst[e] = static_cast<int>(rng.UniformInt(0, nodes - 1));
   }
+  const auto plan =
+      std::make_shared<const MessagePlan>(MessagePlan::Build(src, dst, nodes));
   auto run = [&](int threads) {
     ScopedBackendThreads scoped(threads);
     Variable h = Variable::Param(h0);
     Variable w = Variable::Param(w0);
-    Variable loss = CompositeLoss(h, w, src, dst, nodes);
+    Variable loss = CompositeLoss(h, w, plan);
     loss.Backward();
     return std::make_pair(h.grad(), w.grad());
   };
@@ -635,15 +673,6 @@ TEST(KernelsTest, BackwardGradientsBitwiseIdenticalAcrossThreads) {
 // ---------------------------------------------------------------------------
 // CSR segment plans.
 // ---------------------------------------------------------------------------
-
-std::vector<int> RandomIndex(size_t count, int num_segments, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<int> index(count);
-  for (int& v : index) {
-    v = static_cast<int>(rng.UniformInt(0, num_segments - 1));
-  }
-  return index;
-}
 
 TEST(SegmentPlanTest, BuildMatchesStableSort) {
   for (uint64_t seed : {30u, 31u, 32u}) {
@@ -702,28 +731,13 @@ TEST(KernelsTest, PlannedScatterMatchesNaiveBitwiseAcrossThreads) {
   const Tensor a = RandomTensor(211, dim, 33);
   const std::vector<int> index = RandomIndex(211, nodes, 34);
   const SegmentPlan plan = SegmentPlan::Build(index, nodes);
-  // Naive ascending-row reference — the order the seed full-scan
-  // kernel and the planned kernel both commit to per output row.
-  Tensor reference(nodes, dim);
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < dim; ++c) {
-      reference.at(index[static_cast<size_t>(r)], c) += a.at(r, c);
-    }
-  }
-  ExpectDeterministic(
+  ExpectBitwiseAcrossThreads(
       [&] {
         Tensor out(nodes, dim);
         GetBackend().ScatterAddRowsPlanned(a, plan, &out);
         return out;
       },
-      reference);
-  // And the planned kernel agrees bitwise with the unplanned one.
-  Tensor unplanned(nodes, dim);
-  Tensor planned(nodes, dim);
-  ScopedBackendThreads scoped(8);
-  GetBackend().ScatterAddRowsAcc(a, index, &unplanned);
-  GetBackend().ScatterAddRowsPlanned(a, plan, &planned);
-  EXPECT_TRUE(BitwiseEqual(unplanned, planned));
+      NaiveScatterAdd(a, index, nodes));
 }
 
 TEST(KernelsTest, FusedGatherScatterMatchesComposedBitwiseAcrossThreads) {
@@ -781,16 +795,14 @@ TEST(KernelsTest, SegmentExtremePlannedMatchesUnplannedAcrossThreads) {
   const int dim = 7;
   const Tensor a = RandomTensor(83, dim, 39);
   // Leave segment 10 empty to exercise the zero-fill path.
-  std::vector<int> segment = RandomIndex(83, num_segments - 1, 40);
+  const std::vector<int> segment = RandomIndex(83, num_segments - 1, 40);
   const SegmentPlan plan = SegmentPlan::Build(segment, num_segments);
   for (bool is_max : {true, false}) {
-    Tensor ref(num_segments, dim);
-    std::vector<int> arg_ref(static_cast<size_t>(num_segments) * dim, -1);
-    {
-      ScopedBackendThreads scoped(1);
-      GetBackend().SegmentExtreme(a, segment, is_max, &ref, &arg_ref);
-    }
-    ExpectDeterministic(
+    // Unplanned reference: a full scan of the rows in ascending order.
+    std::vector<int> arg_ref;
+    const Tensor ref =
+        NaiveSegmentExtreme(a, segment, num_segments, is_max, &arg_ref);
+    ExpectBitwiseAcrossThreads(
         [&] {
           Tensor out(num_segments, dim);
           std::vector<int> arg(static_cast<size_t>(num_segments) * dim, -1);
@@ -803,8 +815,8 @@ TEST(KernelsTest, SegmentExtremePlannedMatchesUnplannedAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned autograd overloads: values and gradients bitwise identical to
-// the unplanned ops at every thread count.
+// Planned autograd ops: values and input gradients bitwise identical to
+// naive loops at every thread count.
 // ---------------------------------------------------------------------------
 
 struct ForwardBackward {
@@ -812,39 +824,34 @@ struct ForwardBackward {
   std::vector<Tensor> grads;
 };
 
-/// Runs `build` on freshly re-created Params, sums the squared output,
-/// and returns the output value plus every leaf gradient.
+/// Runs `build` on freshly re-created Params, back-propagates the fixed
+/// upstream gradient `upstream` (loss = Σ out ⊙ upstream), and returns
+/// the output value plus every leaf gradient.
 ForwardBackward RunTaped(
-    const std::vector<Tensor>& leaves,
+    const std::vector<Tensor>& leaves, const Tensor& upstream,
     const std::function<Variable(const std::vector<Variable>&)>& build) {
   std::vector<Variable> params;
   params.reserve(leaves.size());
   for (const Tensor& t : leaves) params.push_back(Variable::Param(t));
   Variable out = build(params);
-  Sum(Square(out)).Backward();
+  Sum(Mul(out, Variable::Constant(upstream))).Backward();
   ForwardBackward result;
   result.value = out.value();
   for (const Variable& p : params) result.grads.push_back(p.grad());
   return result;
 }
 
-void ExpectPlannedMatchesUnplanned(
-    const std::vector<Tensor>& leaves,
-    const std::function<Variable(const std::vector<Variable>&)>& unplanned,
-    const std::function<Variable(const std::vector<Variable>&)>& planned,
-    const char* what) {
-  ForwardBackward baseline;
-  {
-    ScopedBackendThreads scoped(1);
-    baseline = RunTaped(leaves, unplanned);
-  }
+void ExpectOpMatchesNaive(
+    const std::vector<Tensor>& leaves, const Tensor& upstream,
+    const std::function<Variable(const std::vector<Variable>&)>& op,
+    const ForwardBackward& naive, const char* what) {
   for (int threads : kThreadCounts) {
     ScopedBackendThreads scoped(threads);
-    const ForwardBackward got = RunTaped(leaves, planned);
-    EXPECT_TRUE(BitwiseEqual(baseline.value, got.value))
+    const ForwardBackward got = RunTaped(leaves, upstream, op);
+    EXPECT_TRUE(BitwiseEqual(naive.value, got.value))
         << what << " value diverged at " << threads << " threads";
     for (size_t i = 0; i < leaves.size(); ++i) {
-      EXPECT_TRUE(BitwiseEqual(baseline.grads[i], got.grads[i]))
+      EXPECT_TRUE(BitwiseEqual(naive.grads[i], got.grads[i]))
           << what << " grad " << i << " diverged at " << threads
           << " threads";
     }
@@ -864,63 +871,96 @@ TEST(PlannedOpsTest, MatchUnplannedOpsBitwise) {
       std::make_shared<const MessagePlan>(MessagePlan::Build(src, dst, nodes));
   const SegmentPlanPtr by_src = BySrc(plan);
   const SegmentPlanPtr by_dst = ByDst(plan);
+  // Upstream gradients of [E, d] and [N, d] outputs.
+  const Tensor g_edges = RandomTensor(edges, dim, 46);
+  const Tensor g_nodes = RandomTensor(nodes, dim, 47);
 
-  ExpectPlannedMatchesUnplanned(
-      {h0},
-      [&](const std::vector<Variable>& p) { return RowGather(p[0], src); },
+  ExpectOpMatchesNaive(
+      {h0}, g_edges,
       [&](const std::vector<Variable>& p) { return RowGather(p[0], by_src); },
+      {NaiveGather(h0, src), {NaiveScatterAdd(g_edges, src, nodes)}},
       "RowGather");
-  ExpectPlannedMatchesUnplanned(
-      {e0},
-      [&](const std::vector<Variable>& p) {
-        return ScatterAddRows(p[0], dst, nodes);
-      },
+  ExpectOpMatchesNaive(
+      {e0}, g_nodes,
       [&](const std::vector<Variable>& p) {
         return ScatterAddRows(p[0], by_dst);
       },
+      {NaiveScatterAdd(e0, dst, nodes), {NaiveGather(g_nodes, dst)}},
       "ScatterAddRows");
-  ExpectPlannedMatchesUnplanned(
-      {e0},
-      [&](const std::vector<Variable>& p) {
-        return SegmentMean(p[0], dst, nodes);
-      },
-      [&](const std::vector<Variable>& p) {
-        return SegmentMean(p[0], by_dst);
-      },
-      "SegmentMean");
-  ExpectPlannedMatchesUnplanned(
-      {e0},
-      [&](const std::vector<Variable>& p) {
-        return SegmentMax(p[0], dst, nodes);
-      },
-      [&](const std::vector<Variable>& p) { return SegmentMax(p[0], by_dst); },
-      "SegmentMax");
-  ExpectPlannedMatchesUnplanned(
-      {e0},
-      [&](const std::vector<Variable>& p) {
-        return SegmentMin(p[0], dst, nodes);
-      },
-      [&](const std::vector<Variable>& p) { return SegmentMin(p[0], by_dst); },
-      "SegmentMin");
-  ExpectPlannedMatchesUnplanned(
-      {h0},
-      [&](const std::vector<Variable>& p) {
-        return ScatterAddRows(RowGather(p[0], src), dst, nodes);
-      },
-      [&](const std::vector<Variable>& p) {
-        return GatherScatter(p[0], plan);
-      },
+
+  {
+    std::vector<int> count(static_cast<size_t>(nodes), 0);
+    for (int v : dst) ++count[static_cast<size_t>(v)];
+    Tensor mean = NaiveScatterAdd(e0, dst, nodes);
+    for (int v = 0; v < nodes; ++v) {
+      const int n = count[static_cast<size_t>(v)];
+      const float inv = n > 0 ? 1.f / static_cast<float>(n) : 0.f;
+      for (int c = 0; c < dim; ++c) mean.at(v, c) *= inv;
+    }
+    Tensor grad(edges, dim);
+    for (int e = 0; e < edges; ++e) {
+      const int v = dst[static_cast<size_t>(e)];
+      const float inv =
+          1.f / static_cast<float>(count[static_cast<size_t>(v)]);
+      for (int c = 0; c < dim; ++c) grad.at(e, c) += g_nodes.at(v, c) * inv;
+    }
+    ExpectOpMatchesNaive(
+        {e0}, g_nodes,
+        [&](const std::vector<Variable>& p) {
+          return SegmentMean(p[0], by_dst);
+        },
+        {mean, {grad}}, "SegmentMean");
+  }
+
+  for (bool is_max : {true, false}) {
+    std::vector<int> argrow;
+    const Tensor extreme =
+        NaiveSegmentExtreme(e0, dst, nodes, is_max, &argrow);
+    Tensor grad(edges, dim);
+    for (int v = 0; v < nodes; ++v) {
+      for (int c = 0; c < dim; ++c) {
+        const int r = argrow[static_cast<size_t>(v) * dim + c];
+        if (r >= 0) grad.at(r, c) += g_nodes.at(v, c);
+      }
+    }
+    ExpectOpMatchesNaive(
+        {e0}, g_nodes,
+        [&](const std::vector<Variable>& p) {
+          return is_max ? SegmentMax(p[0], by_dst) : SegmentMin(p[0], by_dst);
+        },
+        {extreme, {grad}}, is_max ? "SegmentMax" : "SegmentMin");
+  }
+
+  ExpectOpMatchesNaive(
+      {h0}, g_nodes,
+      [&](const std::vector<Variable>& p) { return GatherScatter(p[0], plan); },
+      {NaiveScatterAdd(NaiveGather(h0, src), dst, nodes),
+       {NaiveScatterAdd(NaiveGather(g_nodes, dst), src, nodes)}},
       "GatherScatter");
-  ExpectPlannedMatchesUnplanned(
-      {h0, w0},
-      [&](const std::vector<Variable>& p) {
-        return ScatterAddRows(MulColVec(RowGather(p[0], src), p[1]), dst,
-                              nodes);
-      },
-      [&](const std::vector<Variable>& p) {
-        return GatherScatterWeighted(p[0], p[1], plan);
-      },
-      "GatherScatterWeighted");
+
+  {
+    Tensor weighted(nodes, dim);
+    Tensor grad_h(nodes, dim);
+    Tensor grad_w(edges, 1);
+    for (int e = 0; e < edges; ++e) {
+      const int u = src[static_cast<size_t>(e)];
+      const int v = dst[static_cast<size_t>(e)];
+      const float w = w0.at(e, 0);
+      float dot = 0.f;
+      for (int c = 0; c < dim; ++c) {
+        weighted.at(v, c) += h0.at(u, c) * w;
+        grad_h.at(u, c) += g_nodes.at(v, c) * w;
+        dot += g_nodes.at(v, c) * h0.at(u, c);
+      }
+      grad_w.at(e, 0) += dot;
+    }
+    ExpectOpMatchesNaive(
+        {h0, w0}, g_nodes,
+        [&](const std::vector<Variable>& p) {
+          return GatherScatterWeighted(p[0], p[1], plan);
+        },
+        {weighted, {grad_h, grad_w}}, "GatherScatterWeighted");
+  }
 }
 
 TEST(PlannedOpsTest, GradcheckPassesUnderParallelBackend) {
@@ -977,24 +1017,32 @@ GraphBatch RandomPlanBatch(uint64_t seed, bool include_degenerate) {
 }
 
 void ExpectPlansConsistent(const GraphBatch& batch) {
-  ASSERT_TRUE(batch.has_plans());
+  const int num_edges = static_cast<int>(batch.edge_src().size());
+  ASSERT_EQ(batch.edge_dst().size(), batch.edge_src().size());
+  EXPECT_EQ(batch.plan()->num_rows, batch.num_nodes());
   // in_degree must agree with a direct recount.
-  std::vector<int> expected(static_cast<size_t>(batch.num_nodes), 0);
-  for (int v : batch.edge_dst) ++expected[static_cast<size_t>(v)];
-  EXPECT_EQ(batch.in_degree, expected);
-  // The plans index the batch's own edge vectors.
-  EXPECT_EQ(batch.plan->src(), batch.edge_src);
-  EXPECT_EQ(batch.plan->dst(), batch.edge_dst);
+  std::vector<int> expected(static_cast<size_t>(batch.num_nodes()), 0);
+  for (int v : batch.edge_dst()) ++expected[static_cast<size_t>(v)];
+  EXPECT_EQ(batch.in_degree(), expected);
   // Self-loop plan: original edges then one loop per node.
-  ASSERT_EQ(batch.self_loop_plan->num_edges(),
-            static_cast<int>(batch.edge_src.size()) + batch.num_nodes);
-  for (int v = 0; v < batch.num_nodes; ++v) {
-    const size_t i = batch.edge_src.size() + static_cast<size_t>(v);
-    EXPECT_EQ(batch.self_loop_plan->src()[i], v);
-    EXPECT_EQ(batch.self_loop_plan->dst()[i], v);
+  ASSERT_EQ(batch.self_loop_plan()->num_edges(),
+            num_edges + batch.num_nodes());
+  for (int e = 0; e < num_edges; ++e) {
+    EXPECT_EQ(batch.self_loop_plan()->src()[static_cast<size_t>(e)],
+              batch.edge_src()[static_cast<size_t>(e)]);
+    EXPECT_EQ(batch.self_loop_plan()->dst()[static_cast<size_t>(e)],
+              batch.edge_dst()[static_cast<size_t>(e)]);
   }
-  EXPECT_EQ(batch.node_plan->items, batch.node_graph);
-  EXPECT_EQ(batch.gcn_self_coeff.rows(), batch.num_nodes);
+  for (int v = 0; v < batch.num_nodes(); ++v) {
+    const size_t i = static_cast<size_t>(num_edges + v);
+    EXPECT_EQ(batch.self_loop_plan()->src()[i], v);
+    EXPECT_EQ(batch.self_loop_plan()->dst()[i], v);
+  }
+  EXPECT_EQ(batch.node_plan()->num_segments, batch.num_graphs());
+  EXPECT_EQ(batch.gcn_self_coeff().rows(), batch.num_nodes());
+  EXPECT_EQ(batch.gcn_self_coeff().cols(), 1);
+  EXPECT_EQ(batch.gcn_edge_coeff().rows(), num_edges);
+  EXPECT_EQ(batch.gcn_edge_coeff().cols(), 1);
 }
 
 TEST(GraphBatchPlanTest, FromGraphsBuildsConsistentPlans) {
@@ -1009,33 +1057,22 @@ TEST(GraphBatchPlanTest, InducedSubgraphsOwnTheirPlans) {
         RandomPlanBatch(seed, /*include_degenerate=*/true);
     Rng rng(seed + 100);
     std::vector<int> kept;
-    for (int v = 0; v < batch.num_nodes; ++v) {
+    for (int v = 0; v < batch.num_nodes(); ++v) {
       if (rng.UniformInt(0, 2) != 0) kept.push_back(v);
     }
     if (kept.empty()) kept.push_back(0);
     const GraphBatch sub = InduceSubgraph(batch, kept);
     ExpectPlansConsistent(sub);
     // The parent's plans are untouched and distinct objects.
-    EXPECT_NE(sub.plan.get(), batch.plan.get());
+    EXPECT_NE(sub.plan().get(), batch.plan().get());
     ExpectPlansConsistent(batch);
   }
 }
 
-/// Strips the cached plans so conv layers take the unplanned fallback.
-GraphBatch WithoutPlans(const GraphBatch& batch) {
-  GraphBatch stripped = batch;
-  stripped.plan.reset();
-  stripped.self_loop_plan.reset();
-  stripped.node_plan.reset();
-  return stripped;
-}
-
-TEST(PlannedConvTest, AllConvsBitwiseIdenticalWithAndWithoutPlans) {
+TEST(PlannedConvTest, AllConvsBitwiseIdenticalAcrossThreads) {
   for (uint64_t seed : {60u, 61u}) {
-    const GraphBatch planned = RandomPlanBatch(seed, true);
-    const GraphBatch stripped = WithoutPlans(planned);
-    ASSERT_FALSE(stripped.has_plans());
-    const int dim = planned.features.cols();
+    const GraphBatch batch = RandomPlanBatch(seed, true);
+    const int dim = batch.features.cols();
 
     Rng ctor_rng(seed);
     GinConv gin(dim, 8, &ctor_rng);
@@ -1045,98 +1082,42 @@ TEST(PlannedConvTest, AllConvsBitwiseIdenticalWithAndWithoutPlans) {
     GatConv gat(dim, 8, /*num_heads=*/2, &ctor_rng);
     FactorGcnConv factor(dim, 8, /*num_factors=*/2, &ctor_rng);
 
-    const std::vector<std::pair<
-        const char*, std::function<Variable(const Variable&,
-                                            const GraphBatch&)>>>
+    const std::vector<
+        std::pair<const char*, std::function<Variable(const Variable&)>>>
         convs = {
             {"gin",
-             [&](const Variable& h, const GraphBatch& b) {
-               return gin.Forward(h, b, /*training=*/false);
+             [&](const Variable& h) {
+               return gin.Forward(h, batch, /*training=*/false);
              }},
-            {"gcn",
-             [&](const Variable& h, const GraphBatch& b) {
-               return gcn.Forward(h, b);
-             }},
+            {"gcn", [&](const Variable& h) { return gcn.Forward(h, batch); }},
             {"sage",
-             [&](const Variable& h, const GraphBatch& b) {
-               return sage.Forward(h, b);
-             }},
-            {"pna",
-             [&](const Variable& h, const GraphBatch& b) {
-               return pna.Forward(h, b);
-             }},
-            {"gat",
-             [&](const Variable& h, const GraphBatch& b) {
-               return gat.Forward(h, b);
-             }},
+             [&](const Variable& h) { return sage.Forward(h, batch); }},
+            {"pna", [&](const Variable& h) { return pna.Forward(h, batch); }},
+            {"gat", [&](const Variable& h) { return gat.Forward(h, batch); }},
             {"factor",
-             [&](const Variable& h, const GraphBatch& b) {
-               return factor.Forward(h, b);
-             }},
+             [&](const Variable& h) { return factor.Forward(h, batch); }},
         };
 
-    for (const auto& entry : convs) {
-      const char* name = entry.first;
-      const auto& forward = entry.second;
-      auto run = [&](const GraphBatch& b, int threads) {
+    for (const auto& [name, forward] : convs) {
+      auto run = [&](int threads) {
         ScopedBackendThreads scoped(threads);
-        Variable h = Variable::Param(planned.features);
-        Variable out = forward(h, b);
+        Variable h = Variable::Param(batch.features);
+        Variable out = forward(h);
         Sum(Square(out)).Backward();
         return std::make_pair(out.value(), h.grad());
       };
-      const auto [value_ref, grad_ref] = run(stripped, 1);
+      const auto [value_ref, grad_ref] = run(1);
       for (int threads : kThreadCounts) {
-        const auto [value, grad] = run(planned, threads);
+        const auto [value, grad] = run(threads);
         EXPECT_TRUE(BitwiseEqual(value_ref, value))
-            << name << " planned value diverged at " << threads
-            << " threads (seed " << seed << ")";
+            << name << " value diverged at " << threads << " threads (seed "
+            << seed << ")";
         EXPECT_TRUE(BitwiseEqual(grad_ref, grad))
-            << name << " planned grad diverged at " << threads
-            << " threads (seed " << seed << ")";
+            << name << " grad diverged at " << threads << " threads (seed "
+            << seed << ")";
       }
     }
   }
-}
-
-TEST(PlannedConvTest, EncoderForwardBackwardSkipsUnplannedScatter) {
-  const bool was_profiling = obs::ProfilingEnabled();
-  obs::SetProfilingEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-
-  const GraphBatch batch = RandomPlanBatch(62, /*include_degenerate=*/true);
-  Rng rng(63);
-  EncoderConfig config;
-  config.feature_dim = batch.features.cols();
-  config.hidden_dim = 8;
-  config.num_layers = 2;
-  config.dropout = 0.f;
-  config.virtual_node = true;
-  {
-    MessagePassingEncoder encoder(ConvKind::kGin, config, &rng);
-    Sum(encoder.Encode(batch, /*training=*/false, &rng)).Backward();
-  }
-  {
-    HierarchicalPoolEncoder encoder(PoolKind::kTopK, config, &rng);
-    Sum(encoder.Encode(batch, /*training=*/false, &rng)).Backward();
-  }
-
-  std::int64_t unplanned_calls = -1;
-  std::int64_t planned_calls = 0;
-  for (const auto& [name, value] :
-       obs::MetricsRegistry::Global().GetSnapshot().counters) {
-    if (name == "kernel/scatter_add_rows/calls") unplanned_calls = value;
-    if (name == "kernel/scatter_planned/calls" ||
-        name == "kernel/gather_scatter/calls" ||
-        name == "kernel/gather_scatter_weighted/calls") {
-      planned_calls += value;
-    }
-  }
-  obs::SetProfilingEnabled(was_profiling);
-  // The counter exists (registered with its op family) but never fired.
-  EXPECT_EQ(unplanned_calls, 0)
-      << "encoder still dispatches the unplanned full-scan scatter";
-  EXPECT_GT(planned_calls, 0);
 }
 
 }  // namespace

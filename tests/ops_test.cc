@@ -4,8 +4,10 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -20,6 +22,11 @@ Tensor RandomTensor(int rows, int cols, uint64_t seed, float lo = -1.f,
                     float hi = 1.f) {
   Rng rng(seed);
   return Tensor::RandomUniform(rows, cols, &rng, lo, hi);
+}
+
+SegmentPlanPtr Plan(std::vector<int> items, int num_segments) {
+  return std::make_shared<const SegmentPlan>(
+      SegmentPlan::Build(std::move(items), num_segments));
 }
 
 // ---------------------------------------------------------------------------
@@ -141,12 +148,12 @@ TEST(OpsForwardTest, SoftmaxIsShiftInvariant) {
 
 TEST(OpsForwardTest, GatherScatter) {
   Variable a = Variable::Constant(Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6}));
-  Tensor gathered = RowGather(a, {2, 0, 2}).value();
+  Tensor gathered = RowGather(a, Plan({2, 0, 2}, 3)).value();
   EXPECT_FLOAT_EQ(gathered.at(0, 0), 5.f);
   EXPECT_FLOAT_EQ(gathered.at(1, 1), 2.f);
   EXPECT_FLOAT_EQ(gathered.at(2, 1), 6.f);
 
-  Tensor scattered = ScatterAddRows(a, {1, 1, 0}, 2).value();
+  Tensor scattered = ScatterAddRows(a, Plan({1, 1, 0}, 2)).value();
   EXPECT_FLOAT_EQ(scattered.at(1, 0), 4.f);   // rows 0+1
   EXPECT_FLOAT_EQ(scattered.at(0, 1), 6.f);   // row 2
 }
@@ -154,28 +161,28 @@ TEST(OpsForwardTest, GatherScatter) {
 TEST(OpsForwardTest, SegmentOps) {
   Variable a =
       Variable::Constant(Tensor::FromData(4, 2, {1, 2, 3, 4, 5, 6, 7, 8}));
-  std::vector<int> seg = {0, 0, 1, 1};
-  Tensor sum = SegmentSum(a, seg, 2).value();
+  const SegmentPlanPtr seg = Plan({0, 0, 1, 1}, 2);
+  Tensor sum = SegmentSum(a, seg).value();
   EXPECT_FLOAT_EQ(sum.at(0, 0), 4.f);
   EXPECT_FLOAT_EQ(sum.at(1, 1), 14.f);
-  Tensor mean = SegmentMean(a, seg, 2).value();
+  Tensor mean = SegmentMean(a, seg).value();
   EXPECT_FLOAT_EQ(mean.at(0, 0), 2.f);
   EXPECT_FLOAT_EQ(mean.at(1, 1), 7.f);
-  Tensor max = SegmentMax(a, seg, 2).value();
+  Tensor max = SegmentMax(a, seg).value();
   EXPECT_FLOAT_EQ(max.at(0, 1), 4.f);
   EXPECT_FLOAT_EQ(max.at(1, 0), 7.f);
-  Tensor min = SegmentMin(a, seg, 2).value();
+  Tensor min = SegmentMin(a, seg).value();
   EXPECT_FLOAT_EQ(min.at(0, 1), 2.f);
   EXPECT_FLOAT_EQ(min.at(1, 0), 5.f);
 }
 
 TEST(OpsForwardTest, EmptySegmentsAreZero) {
   Variable a = Variable::Constant(Tensor::FromData(2, 1, {3, 4}));
-  std::vector<int> seg = {0, 0};
-  Tensor max = SegmentMax(a, seg, 3).value();
+  const SegmentPlanPtr seg = Plan({0, 0}, 3);
+  Tensor max = SegmentMax(a, seg).value();
   EXPECT_FLOAT_EQ(max.at(1, 0), 0.f);
   EXPECT_FLOAT_EQ(max.at(2, 0), 0.f);
-  Tensor mean = SegmentMean(a, seg, 3).value();
+  Tensor mean = SegmentMean(a, seg).value();
   EXPECT_FLOAT_EQ(mean.at(2, 0), 0.f);
 }
 
@@ -416,7 +423,7 @@ std::vector<GradCase> MakeGradCases() {
   cases.push_back(Case("RowGather", [] {
     Variable a = Variable::Param(RandomTensor(4, 3, 24));
     auto fn = [a] {
-      return Sum(Square(RowGather(a, {0, 2, 2, 3})));
+      return Sum(Square(RowGather(a, Plan({0, 2, 2, 3}, 4))));
     };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
@@ -424,7 +431,7 @@ std::vector<GradCase> MakeGradCases() {
   cases.push_back(Case("ScatterAddRows", [] {
     Variable a = Variable::Param(RandomTensor(5, 2, 25));
     auto fn = [a] {
-      return Sum(Square(ScatterAddRows(a, {0, 1, 1, 2, 0}, 3)));
+      return Sum(Square(ScatterAddRows(a, Plan({0, 1, 1, 2, 0}, 3))));
     };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
@@ -432,7 +439,7 @@ std::vector<GradCase> MakeGradCases() {
   cases.push_back(Case("SegmentMean", [] {
     Variable a = Variable::Param(RandomTensor(5, 2, 26));
     auto fn = [a] {
-      return Sum(Square(SegmentMean(a, {0, 0, 1, 1, 1}, 2)));
+      return Sum(Square(SegmentMean(a, Plan({0, 0, 1, 1, 1}, 2))));
     };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
@@ -443,7 +450,7 @@ std::vector<GradCase> MakeGradCases() {
         Tensor::FromData(4, 2, {0.1f, 0.9f, 0.8f, 0.2f, 0.3f, 0.7f, 0.95f,
                                 0.05f}));
     auto fn = [a] {
-      return Sum(Square(SegmentMax(a, {0, 0, 1, 1}, 2)));
+      return Sum(Square(SegmentMax(a, Plan({0, 0, 1, 1}, 2))));
     };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
@@ -453,7 +460,7 @@ std::vector<GradCase> MakeGradCases() {
         Tensor::FromData(4, 2, {0.1f, 0.9f, 0.8f, 0.2f, 0.3f, 0.7f, 0.95f,
                                 0.05f}));
     auto fn = [a] {
-      return Sum(Square(SegmentMin(a, {0, 0, 1, 1}, 2)));
+      return Sum(Square(SegmentMin(a, Plan({0, 0, 1, 1}, 2))));
     };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));

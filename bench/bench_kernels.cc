@@ -4,7 +4,11 @@
 // (GFLOP/s, speedup, and a bitwise-identity check) for the three dense
 // hot paths — matmul, segment sum, RFF cross-covariance — at the
 // paper's batch scale and at 10× that scale. `--threads N` selects the
-// parallel pool size (default 4, matching the CI configuration).
+// parallel pool size (default 4, matching the CI configuration). A
+// second table times grad-free eval of Linear → BatchNorm → ReLU as
+// composite ops and as one pass (the tail applied in the matmul's
+// store) at a DD_200 test batch and a small batch; the run exits
+// nonzero when the two outputs diverge bitwise.
 //
 // Pass any --benchmark* flag to run the google-benchmark micro-suite
 // instead (GEMM, gather/scatter, RFF map, decorrelation loss, weight
@@ -23,6 +27,7 @@
 // variants (dense, and with the ~35% exact zeros of post-ReLU input),
 // axpy, and the RFF map, plus the bitwise scalar==simd check.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -41,6 +46,8 @@
 #include "src/core/rff.h"
 #include "src/core/weight_bank.h"
 #include "src/core/weight_optimizer.h"
+#include "src/nn/batchnorm.h"
+#include "src/nn/linear.h"
 #include "src/obs/json.h"
 #include "src/tensor/backend.h"
 #include "src/train/experiment.h"
@@ -188,6 +195,64 @@ void CompareBackends(int threads) {
                 serial_s / parallel_s,
                 BitwiseEqual(serial_out, parallel_out) ? "OK" : "DIVERGED");
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass eval Linear vs the composite no-grad chain it replaces.
+// ---------------------------------------------------------------------------
+
+/// Times GIN's hidden layer in grad-free eval, Linear → BatchNorm1d →
+/// ReLU, two ways on a `threads` pool: the composite ops (a zero-filled
+/// matmul output, then bias, the four BatchNorm passes and ReLU, each
+/// op allocating or copying its output) and Linear::ForwardNoGrad,
+/// which applies all of them in the matmul's store. Shapes: the node
+/// count of a DD_200 test batch and a small batch. Returns false when
+/// the two outputs differ bitwise.
+bool CompareMatMulTail(int threads) {
+  std::printf("\nEval Linear -> BatchNorm -> ReLU: composite ops vs one "
+              "pass (%d threads)\n",
+              threads);
+  std::printf("%-22s %-22s %13s %12s %8s %8s\n", "workload", "shape",
+              "composite ms", "fused ms", "speedup", "bitwise");
+  ScopedBackendThreads scoped(threads);
+  NoGradGuard no_grad;
+  Rng rng(17);
+  const int d = 64;
+  Linear linear(d, d, &rng);
+  BatchNorm1d norm(d);
+  // Off their init values (mean 0, var 1, γ 1, β 0), where a dropped or
+  // reordered step would still match.
+  for (Tensor* buffer : norm.Buffers()) {
+    *buffer = Tensor::RandomUniform(1, d, &rng, 0.5f, 2.f);
+  }
+  for (Variable& param : norm.Parameters()) {
+    param.mutable_value() = Tensor::RandomNormal(1, d, &rng);
+  }
+  const std::vector<Variable> weights = linear.Parameters();  // W, b
+  bool all_ok = true;
+  for (int m : {31000, 1000}) {
+    // Post-ReLU input: about half the entries are exact zeros.
+    Tensor x = Tensor::RandomNormal(m, d, &rng);
+    for (int i = 0; i < x.size(); ++i) x[i] = std::max(x[i], 0.f);
+    const Variable input = Variable::Constant(std::move(x));
+    const auto composite = [&] {
+      return Relu(norm.Forward(
+          AddRowVec(MatMul(input, weights[0]), weights[1]), false));
+    };
+    const auto fused = [&] {
+      return linear.ForwardNoGrad(input, &norm, /*relu=*/true);
+    };
+    const bool same = BitwiseEqual(composite().value(), fused().value());
+    all_ok = all_ok && same;
+    const double composite_s = TimePerCall([&] { composite(); });
+    const double fused_s = TimePerCall([&] { fused(); });
+    std::printf("%-22s %-22s %13.3f %12.3f %7.2fx %8s\n",
+                m > 10000 ? "gin-hidden (DD_200)" : "gin-hidden (small)",
+                ("[" + std::to_string(m) + "x64]x[64x64]").c_str(),
+                composite_s * 1e3, fused_s * 1e3, composite_s / fused_s,
+                same ? "OK" : "DIVERGED");
+  }
+  return all_ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -607,10 +672,11 @@ int main(int argc, char** argv) {
                                          flags.GetString("mp-json", ""))
                ? 0
                : 1;
-  } else if (flags.Has("simd")) {
-    oodgnn::CompareSimd();
-  } else {
-    oodgnn::CompareBackends(flags.GetThreads(4));
   }
-  return 0;
+  if (flags.Has("simd")) {
+    oodgnn::CompareSimd();
+    return 0;
+  }
+  oodgnn::CompareBackends(flags.GetThreads(4));
+  return oodgnn::CompareMatMulTail(flags.GetThreads(4)) ? 0 : 1;
 }

@@ -54,21 +54,28 @@ MessagePassingEncoder::MessagePassingEncoder(ConvKind kind,
 
 Variable MessagePassingEncoder::ApplyConv(size_t layer, const Variable& h,
                                           const GraphBatch& batch,
-                                          bool training) {
+                                          bool training, bool relu) {
+  BatchNorm1d* norm = norms_[layer].get();
+  Variable out;
   switch (kind_) {
     case ConvKind::kGin:
-      return gin_layers_[layer]->Forward(h, batch, training);
+      // GIN ends in its MLP's Linear, which takes the norm and ReLU.
+      return gin_layers_[layer]->Forward(h, batch, training, norm, relu);
     case ConvKind::kGcn:
-      return gcn_layers_[layer]->Forward(h, batch);
+      out = gcn_layers_[layer]->Forward(h, batch);
+      break;
     case ConvKind::kPna:
-      return pna_layers_[layer]->Forward(h, batch);
+      out = pna_layers_[layer]->Forward(h, batch);
+      break;
     case ConvKind::kGat:
-      return gat_layers_[layer]->Forward(h, batch);
+      out = gat_layers_[layer]->Forward(h, batch);
+      break;
     case ConvKind::kSage:
-      return sage_layers_[layer]->Forward(h, batch);
+      out = sage_layers_[layer]->Forward(h, batch);
+      break;
   }
-  OODGNN_CHECK(false);
-  return Variable();
+  out = norm->Forward(out, training);
+  return relu ? Relu(out) : out;
 }
 
 Variable MessagePassingEncoder::Encode(const GraphBatch& batch, bool training,
@@ -79,10 +86,8 @@ Variable MessagePassingEncoder::Encode(const GraphBatch& batch, bool training,
 
   for (size_t l = 0; l < norms_.size(); ++l) {
     if (virtual_node_) h = virtual_node_->Distribute(h, vn, batch);
-    h = ApplyConv(l, h, batch, training);
-    h = norms_[l]->Forward(h, training);
     const bool last = l + 1 == norms_.size();
-    if (!last) h = Relu(h);
+    h = ApplyConv(l, h, batch, training, /*relu=*/!last);
     h = Dropout(h, config_.dropout, rng, training);
     if (virtual_node_ && !last) {
       vn = virtual_node_->Update(vn, h, batch, training);

@@ -62,8 +62,10 @@ class MessagePassingEncoder : public GraphEncoder {
   int output_dim() const override { return config_.hidden_dim; }
 
  private:
+  /// Layer `layer`'s convolution, then its BatchNorm and (when `relu`)
+  /// ReLU.
   Variable ApplyConv(size_t layer, const Variable& h, const GraphBatch& batch,
-                     bool training);
+                     bool training, bool relu);
 
   ConvKind kind_;
   EncoderConfig config_;

@@ -13,14 +13,14 @@ GinConv::GinConv(int in_dim, int out_dim, Rng* rng) {
 }
 
 Variable GinConv::Forward(const Variable& h, const GraphBatch& batch,
-                          bool training) {
+                          bool training, BatchNorm1d* norm, bool relu) {
   OODGNN_CHECK_EQ(h.rows(), batch.num_nodes());
   Variable aggregated =
       batch.edge_src().empty()
           ? Variable::Constant(Tensor(batch.num_nodes(), h.cols()))
           : GatherScatter(h, batch.plan());
   Variable self_term = MulByScalarVar(h, AddScalar(eps_, 1.f));
-  return mlp_->Forward(Add(self_term, aggregated), training);
+  return mlp_->Forward(Add(self_term, aggregated), training, norm, relu);
 }
 
 }  // namespace oodgnn

@@ -18,8 +18,11 @@ class GinConv : public Module {
  public:
   GinConv(int in_dim, int out_dim, Rng* rng);
 
-  /// h: [num_nodes, in_dim] -> [num_nodes, out_dim].
-  Variable Forward(const Variable& h, const GraphBatch& batch, bool training);
+  /// h: [num_nodes, in_dim] -> [num_nodes, out_dim], then `norm` (when
+  /// not null) and ReLU (when `relu`), which the MLP's last Linear
+  /// takes as its trailing ops (Mlp::Forward).
+  Variable Forward(const Variable& h, const GraphBatch& batch, bool training,
+                   BatchNorm1d* norm = nullptr, bool relu = false);
 
   int out_dim() const { return mlp_->out_features(); }
 

@@ -1,5 +1,7 @@
 #include "src/nn/batchnorm.h"
 
+#include <cmath>
+
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -15,6 +17,20 @@ BatchNorm1d::BatchNorm1d(int num_features, float momentum, float eps)
   beta_ = RegisterParameter(Tensor(1, num_features));
   RegisterBuffer(&running_mean_);
   RegisterBuffer(&running_var_);
+}
+
+BatchNorm1d::EvalConstants BatchNorm1d::Eval(int width) const {
+  OODGNN_CHECK_EQ(width, num_features_);
+  EvalConstants constants;
+  constants.neg_mean = Tensor::Unfilled(1, num_features_);
+  constants.std_dev = Tensor::Unfilled(1, num_features_);
+  for (int c = 0; c < num_features_; ++c) {
+    constants.neg_mean[c] = running_mean_[c] * -1.f;
+    constants.std_dev[c] = std::sqrt(running_var_[c] + eps_);
+  }
+  constants.gamma = &gamma_.value();
+  constants.beta = &beta_.value();
+  return constants;
 }
 
 Variable BatchNorm1d::Forward(const Variable& x, bool training) {

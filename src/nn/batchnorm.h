@@ -21,6 +21,22 @@ class BatchNorm1d : public Module {
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
 
+  /// The per-column constants of Forward(x, false), which computes
+  /// ((x + neg_mean) / std_dev) · gamma + beta element by element.
+  /// neg_mean and std_dev are rounded as its composite ops round them
+  /// (`mean * -1.f` and `std::sqrt(var + eps)`). gamma and beta point
+  /// at the parameters.
+  struct EvalConstants {
+    Tensor neg_mean;
+    Tensor std_dev;
+    const Tensor* gamma = nullptr;
+    const Tensor* beta = nullptr;
+  };
+
+  /// The eval constants for an input `width` columns wide, which must
+  /// equal num_features (the check Forward makes).
+  EvalConstants Eval(int width) const;
+
  private:
   int num_features_;
   float momentum_;

@@ -1,6 +1,8 @@
 #include "src/nn/linear.h"
 
+#include "src/nn/batchnorm.h"
 #include "src/nn/init.h"
+#include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
 #include "src/util/check.h"
 
@@ -15,10 +17,28 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
 }
 
 Variable Linear::Forward(const Variable& x) const {
+  if (!GradMode::Enabled()) return ForwardNoGrad(x, nullptr, false);
   OODGNN_CHECK_EQ(x.cols(), in_features_);
   Variable out = MatMul(x, weight_);
   if (bias_.defined()) out = AddRowVec(out, bias_);
   return out;
+}
+
+Variable Linear::ForwardNoGrad(const Variable& x, const BatchNorm1d* norm,
+                               bool relu) const {
+  OODGNN_CHECK_EQ(x.cols(), in_features_);
+  kernels::MatMulTail tail;
+  if (bias_.defined()) tail.bias = bias_.value().data();
+  BatchNorm1d::EvalConstants bn;  // Outlives the matmul that reads it.
+  if (norm != nullptr) {
+    bn = norm->Eval(out_features_);
+    tail.neg_mean = bn.neg_mean.data();
+    tail.std_dev = bn.std_dev.data();
+    tail.gamma = bn.gamma->data();
+    tail.beta = bn.beta->data();
+  }
+  tail.relu = relu;
+  return MatMulWithTail(x, weight_, tail);
 }
 
 }  // namespace oodgnn

@@ -6,6 +6,7 @@
 
 namespace oodgnn {
 
+class BatchNorm1d;
 class Rng;
 
 /// Fully connected layer: y = x·W + b with W [in,out] (Glorot-uniform
@@ -14,8 +15,16 @@ class Linear : public Module {
  public:
   Linear(int in_features, int out_features, Rng* rng, bool bias = true);
 
-  /// x: [m, in] -> [m, out].
+  /// x: [m, in] -> [m, out]. With grad mode off this is
+  /// ForwardNoGrad(x, nullptr, false).
   Variable Forward(const Variable& x) const;
+
+  /// Grad-free x·W + b, then `norm` with running statistics (when not
+  /// null) and ReLU (when `relu`), in one pass: the matmul applies them
+  /// in its store (MatMulWithTail). Bitwise equal to Forward →
+  /// norm->Forward(·, false) → Relu with the tape on.
+  Variable ForwardNoGrad(const Variable& x, const BatchNorm1d* norm,
+                         bool relu) const;
 
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }

@@ -21,15 +21,22 @@ Mlp::Mlp(const std::vector<int>& dims, Rng* rng, bool batch_norm)
   }
 }
 
-Variable Mlp::Forward(const Variable& x, bool training) {
+Variable Mlp::Forward(const Variable& x, bool training, BatchNorm1d* norm,
+                      bool relu) {
+  const bool one_pass = !training && !GradMode::Enabled();
   Variable h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
     const bool is_hidden = i + 1 < layers_.size();
-    if (is_hidden) {
-      if (!norms_.empty() && norms_[i]) h = norms_[i]->Forward(h, training);
-      h = Relu(h);
+    BatchNorm1d* layer_norm = norm;
+    if (is_hidden) layer_norm = norms_.empty() ? nullptr : norms_[i].get();
+    const bool layer_relu = is_hidden || relu;
+    if (one_pass) {
+      h = layers_[i]->ForwardNoGrad(h, layer_norm, layer_relu);
+      continue;
     }
+    h = layers_[i]->Forward(h);
+    if (layer_norm != nullptr) h = layer_norm->Forward(h, training);
+    if (layer_relu) h = Relu(h);
   }
   return h;
 }

@@ -20,8 +20,13 @@ class Mlp : public Module {
   /// Constructs from layer widths. Requires dims.size() >= 2.
   Mlp(const std::vector<int>& dims, Rng* rng, bool batch_norm = false);
 
-  /// x: [m, dims.front()] -> [m, dims.back()].
-  Variable Forward(const Variable& x, bool training);
+  /// x: [m, dims.front()] -> [m, dims.back()], then `norm` (when not
+  /// null) and ReLU (when `relu`) on the last Linear's output. In eval
+  /// mode with grad mode off, each Linear applies its BatchNorm and
+  /// ReLU in its matmul's store (Linear::ForwardNoGrad); otherwise they
+  /// run as separate ops.
+  Variable Forward(const Variable& x, bool training,
+                   BatchNorm1d* norm = nullptr, bool relu = false);
 
   int in_features() const { return dims_.front(); }
   int out_features() const { return dims_.back(); }

@@ -1,5 +1,6 @@
 #include "src/tensor/backend.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <mutex>
@@ -274,39 +275,69 @@ void Backend::ForCost(int n, std::int64_t flops,
   For(n, fn);
 }
 
-void Backend::MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const {
+namespace {
+
+/// a·b into out: out += a·b when `tail` is null, out = tail(a·b)
+/// otherwise. Counted under `matmul` either way — the tail replaces
+/// element-wise passes, not a matmul. Quantized-weight routing: when a
+/// serving scope registered b's storage, consume the int8 block image
+/// instead of the fp32 tensor (counted under `matmul_quant`); a tail
+/// then runs on the zeroed-and-accumulated rows. Training threads
+/// never install a scope, so this is one thread-local null check for
+/// them.
+void DispatchMatMul(const Backend& be, const Tensor& a, const Tensor& b,
+                    const kernels::MatMulTail* tail, Tensor* out) {
   OODGNN_CHECK_EQ(a.cols(), b.rows());
   OODGNN_CHECK(out->rows() == a.rows() && out->cols() == b.cols());
   const std::int64_t flops =
       2ll * a.rows() * a.cols() * b.cols();
   const bool use_simd = simd::Enabled();
   RecordSimdDispatch(use_simd);
-  // Quantized-weight routing: when a serving scope registered b's
-  // storage, consume the int8 block image instead of the fp32 tensor.
-  // Training threads never install a scope, so this is one
-  // thread-local null check for them.
+  const bool parallel = be.WouldParallelize(out->rows(), flops);
   if (const QuantizedTensor* qw = ActiveQuantizedWeightFor(b.data())) {
     OODGNN_CHECK(qw->rows == b.rows() && qw->cols == b.cols());
-    KernelScope scope(KernelOp::kMatMulQuant, out->size(),
-                      WouldParallelize(out->rows(), flops));
-    ForCost(out->rows(), flops, [&](int r0, int r1) {
+    KernelScope scope(KernelOp::kMatMulQuant, out->size(), parallel);
+    be.ForCost(out->rows(), flops, [&](int r0, int r1) {
+      const size_t cols = static_cast<size_t>(out->cols());
+      if (tail != nullptr) {
+        std::fill(out->data() + static_cast<size_t>(r0) * cols,
+                  out->data() + static_cast<size_t>(r1) * cols, 0.f);
+      }
       if (use_simd) {
         simd::MatMulQuantAcc(a, *qw, out, r0, r1);
       } else {
         kernels::MatMulQuantAcc(a, *qw, out, r0, r1);
       }
+      if (tail != nullptr) kernels::ApplyTailRows(*tail, out, r0, r1);
     });
     return;
   }
-  KernelScope scope(KernelOp::kMatMul, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
+  KernelScope scope(KernelOp::kMatMul, out->size(), parallel);
+  be.ForCost(out->rows(), flops, [&](int r0, int r1) {
+    if (tail != nullptr) {
+      if (use_simd) {
+        simd::MatMulWithTail(a, b, *tail, out, r0, r1);
+      } else {
+        kernels::MatMulWithTail(a, b, *tail, out, r0, r1);
+      }
+    } else if (use_simd) {
       simd::MatMulAcc(a, b, out, r0, r1);
     } else {
       kernels::MatMulAcc(a, b, out, r0, r1);
     }
   });
+}
+
+}  // namespace
+
+void Backend::MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const {
+  DispatchMatMul(*this, a, b, /*tail=*/nullptr, out);
+}
+
+void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
+                             const kernels::MatMulTail& tail,
+                             Tensor* out) const {
+  DispatchMatMul(*this, a, b, &tail, out);
 }
 
 void Backend::MatMulTransAAcc(const Tensor& a, const Tensor& b,

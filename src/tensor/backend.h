@@ -11,6 +11,10 @@
 
 namespace oodgnn {
 
+namespace kernels {
+struct MatMulTail;
+}  // namespace kernels
+
 /// Execution backend for the numeric kernels in src/tensor/kernels.h.
 /// A backend owns exactly one policy decision: how an index range
 /// [0, n) is partitioned into chunks and where those chunks run. All
@@ -49,6 +53,11 @@ class Backend {
 
   /// out += a[m,k] · b[k,n].
   void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const;
+  /// out = tail(a[m,k] · b[k,n]) in one pass (kernels::MatMulTail):
+  /// every element is written, so out may be unfilled. Counted as
+  /// `matmul`; honours quantized-weight routing like MatMulAcc.
+  void MatMulWithTail(const Tensor& a, const Tensor& b,
+                      const kernels::MatMulTail& tail, Tensor* out) const;
   /// out += aᵀ · b (out is [a.cols, b.cols]).
   void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out) const;
   /// out += a · bᵀ (out is [a.rows, b.rows]).

@@ -85,6 +85,22 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
   }
 }
 
+void ApplyTailRows(const MatMulTail& tail, Tensor* out, int r0, int r1) {
+  for (int r = r0; r < r1; ++r) {
+    float* orow = out->row(r);
+    for (int c = 0; c < out->cols(); ++c) orow[c] = ApplyTail(tail, orow[c], c);
+  }
+}
+
+void MatMulWithTail(const Tensor& a, const Tensor& b, const MatMulTail& tail,
+                    Tensor* out, int r0, int r1) {
+  const size_t cols = static_cast<size_t>(out->cols());
+  std::fill(out->data() + static_cast<size_t>(r0) * cols,
+            out->data() + static_cast<size_t>(r1) * cols, 0.f);
+  MatMulAcc(a, b, out, r0, r1);
+  ApplyTailRows(tail, out, r0, r1);
+}
+
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
   for (int i = i0; i < i1; ++i) (*y)[i] += alpha * x[i];
 }

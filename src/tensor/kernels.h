@@ -36,6 +36,45 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 
+/// Per-column epilogue of MatMulWithTail: the element-wise ops that
+/// follow a Linear's matmul in eval mode, as pointers to [1, n] rows.
+/// A finished sum x of column c takes the steps of the composite ops
+/// it replaces, in their order: x + bias[c] (Linear), then
+/// x + neg_mean[c], x / std_dev[c], x · gamma[c], x + beta[c]
+/// (BatchNorm1d with running statistics), then x > 0 ? x : 0 (ReLU).
+/// A null bias skips its add; a null neg_mean skips all four
+/// BatchNorm steps.
+struct MatMulTail {
+  const float* bias = nullptr;
+  const float* neg_mean = nullptr;  ///< −running_mean
+  const float* std_dev = nullptr;   ///< √(running_var + ε)
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+  bool relu = false;
+};
+
+/// The tail steps on one finished sum x of column c.
+inline float ApplyTail(const MatMulTail& tail, float x, int c) {
+  if (tail.bias != nullptr) x = x + tail.bias[c];
+  if (tail.neg_mean != nullptr) {
+    x = x + tail.neg_mean[c];
+    x = x / tail.std_dev[c];
+    x = x * tail.gamma[c];
+    x = x + tail.beta[c];
+  }
+  return tail.relu ? (x > 0.f ? x : 0.f) : x;
+}
+
+/// out[r, :] = ApplyTail(tail, x) over every element x of row r of
+/// out; range over rows.
+void ApplyTailRows(const MatMulTail& tail, Tensor* out, int r0, int r1);
+
+/// out[r0:r1, :] = tail(a · b): zeroes the rows, runs MatMulAcc, then
+/// ApplyTailRows. The oracle of the one-pass eval Linear; outputs are
+/// written, never read, so out may be unfilled.
+void MatMulWithTail(const Tensor& a, const Tensor& b, const MatMulTail& tail,
+                    Tensor* out, int r0, int r1);
+
 // --- element-wise maps over flat ranges ---
 
 /// y[i] += alpha · x[i].

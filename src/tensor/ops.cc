@@ -67,6 +67,16 @@ Variable MatMul(const Variable& a, const Variable& b) {
       });
 }
 
+Variable MatMulWithTail(const Variable& a, const Variable& b,
+                        const kernels::MatMulTail& tail) {
+  OODGNN_CHECK(!GradMode::Enabled()) << "MatMulWithTail builds no tape";
+  OODGNN_CHECK(a.defined() && b.defined());
+  OODGNN_CHECK_EQ(a.cols(), b.rows()) << "MatMulWithTail shape mismatch";
+  Tensor out = Tensor::Unfilled(a.rows(), b.cols());
+  GetBackend().MatMulWithTail(a.value(), b.value(), tail, &out);
+  return Variable::Constant(std::move(out));
+}
+
 Variable Add(const Variable& a, const Variable& b) {
   OODGNN_CHECK(a.value().SameShape(b.value()));
   Tensor out = a.value();

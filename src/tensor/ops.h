@@ -10,6 +10,10 @@ namespace oodgnn {
 
 class Rng;
 
+namespace kernels {
+struct MatMulTail;
+}  // namespace kernels
+
 // ---------------------------------------------------------------------------
 // Differentiable operators. Each returns a new Variable whose backward
 // function accumulates gradients into its inputs. Shape contracts are
@@ -18,6 +22,13 @@ class Rng;
 
 /// Matrix product a[m,k] · b[k,n] -> [m,n].
 Variable MatMul(const Variable& a, const Variable& b);
+
+/// tail(a[m,k] · b[k,n]) -> [m,n] in one pass (kernels::MatMulTail):
+/// the eval form of MatMul → AddRowVec(bias) → BatchNorm1d eval → Relu,
+/// bitwise equal to that chain. It has no backward, so grad mode must
+/// be off.
+Variable MatMulWithTail(const Variable& a, const Variable& b,
+                        const kernels::MatMulTail& tail);
 
 /// Element-wise sum; shapes must match.
 Variable Add(const Variable& a, const Variable& b);

@@ -196,13 +196,33 @@ inline int NonzeroTerms(const float* coef, size_t stride, int count,
   return terms;
 }
 
+/// The tail steps of kernels::ApplyTail on the columns [c, c + kVLen),
+/// in lane form with the scalar operand order; ReLU is the `x > 0`
+/// mask, never a max.
+inline vf VApplyTail(const kernels::MatMulTail& t, vf x, int c) {
+  if (t.bias != nullptr) x = VAdd(x, VLoad(t.bias + c));
+  if (t.neg_mean != nullptr) {
+    x = VAdd(x, VLoad(t.neg_mean + c));
+    x = VDiv(x, VLoad(t.std_dev + c));
+    x = VMul(x, VLoad(t.gamma + c));
+    x = VAdd(x, VLoad(t.beta + c));
+  }
+  return t.relu ? VSelectPositive(x, x) : x;
+}
+
 /// orow[j, j + NV·kVLen) += Σ_t coefs[t]·rows[t][j, …) in term order,
-/// each output vector held in a register across all terms.
-template <int NV>
-void AccumulateTile(const MatMulScratch& s, int terms, float* orow, int j) {
+/// each output vector held in a register across all terms. With
+/// kFromZero the sums start from +0 in registers instead of the stored
+/// output (what a zero-filled output holds); with kTail they take the
+/// tail before the store.
+template <int NV, bool kFromZero, bool kTail>
+void AccumulateTile(const MatMulScratch& s, int terms,
+                    const kernels::MatMulTail* tail, float* orow, int j) {
   vf acc[NV];
 #pragma GCC unroll 8
-  for (int v = 0; v < NV; ++v) acc[v] = VLoad(orow + j + v * kVLen);
+  for (int v = 0; v < NV; ++v) {
+    acc[v] = kFromZero ? VBroadcast(0.f) : VLoad(orow + j + v * kVLen);
+  }
   for (int t = 0; t < terms; ++t) {
     const vf c = VBroadcast(s.coefs[static_cast<size_t>(t)]);
     const float* brow = s.rows[static_cast<size_t>(t)] + j;
@@ -212,34 +232,46 @@ void AccumulateTile(const MatMulScratch& s, int terms, float* orow, int j) {
     }
   }
 #pragma GCC unroll 8
-  for (int v = 0; v < NV; ++v) VStore(orow + j + v * kVLen, acc[v]);
+  for (int v = 0; v < NV; ++v) {
+    const int col = j + v * kVLen;
+    VStore(orow + col, kTail ? VApplyTail(*tail, acc[v], col) : acc[v]);
+  }
 }
 
 /// orow[0, n) += the listed terms: full kTileVecs tiles, one narrower
 /// tile for the remaining whole vectors, then scalar columns.
-void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n) {
-  using Tile = void (*)(const MatMulScratch&, int, float*, int);
+/// kFromZero and kTail as in AccumulateTile.
+template <bool kFromZero = false, bool kTail = false>
+void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n,
+                   const kernels::MatMulTail* tail = nullptr) {
+  using Tile = void (*)(const MatMulScratch&, int, const kernels::MatMulTail*,
+                        float*, int);
   static constexpr Tile kPartial[kTileVecs] = {
-      nullptr,           AccumulateTile<1>, AccumulateTile<2>,
-      AccumulateTile<3>, AccumulateTile<4>, AccumulateTile<5>,
-      AccumulateTile<6>, AccumulateTile<7>};
+      nullptr,
+      AccumulateTile<1, kFromZero, kTail>,
+      AccumulateTile<2, kFromZero, kTail>,
+      AccumulateTile<3, kFromZero, kTail>,
+      AccumulateTile<4, kFromZero, kTail>,
+      AccumulateTile<5, kFromZero, kTail>,
+      AccumulateTile<6, kFromZero, kTail>,
+      AccumulateTile<7, kFromZero, kTail>};
   constexpr int kTileCols = kTileVecs * kVLen;
   int j = 0;
   for (; j + kTileCols <= n; j += kTileCols) {
-    AccumulateTile<kTileVecs>(s, terms, orow, j);
+    AccumulateTile<kTileVecs, kFromZero, kTail>(s, terms, tail, orow, j);
   }
   const int vecs = (n - j) / kVLen;
   if (vecs > 0) {
-    kPartial[vecs](s, terms, orow, j);
+    kPartial[vecs](s, terms, tail, orow, j);
     j += vecs * kVLen;
   }
   for (; j < n; ++j) {
-    float sum = orow[j];
+    float sum = kFromZero ? 0.f : orow[j];
     for (int t = 0; t < terms; ++t) {
       sum += s.coefs[static_cast<size_t>(t)] *
              s.rows[static_cast<size_t>(t)][j];
     }
-    orow[j] = sum;
+    orow[j] = kTail ? kernels::ApplyTail(*tail, sum, j) : sum;
   }
 }
 
@@ -325,6 +357,36 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
     for (int i = r0; i < r1; ++i) {
       const int terms = NonzeroTerms(a.row(i) + p0, 1, rows, b, p0, &s);
       AccumulateRow(s, terms, out->row(i), n);
+    }
+  }
+}
+
+void MatMulWithTail(const Tensor& a, const Tensor& b,
+                    const kernels::MatMulTail& tail, Tensor* out, int r0,
+                    int r1) {
+  const int k = a.cols();
+  const int n = b.cols();
+  MatMulScratch& s = ThreadScratch();
+  s.ReserveTerms(kBlockK);
+  // Every model contraction fits one block, which starts from +0 and
+  // ends in the tail. A longer one stores partial sums between blocks,
+  // as MatMulAcc does. k = 0 still runs one block: its sums are +0.
+  for (int p0 = 0; p0 == 0 || p0 < k; p0 += kBlockK) {
+    const int rows = std::min(kBlockK, k - p0);
+    const bool first = p0 == 0;
+    const bool last = p0 + kBlockK >= k;
+    for (int i = r0; i < r1; ++i) {
+      const int terms = NonzeroTerms(a.row(i) + p0, 1, rows, b, p0, &s);
+      float* orow = out->row(i);
+      if (first && last) {
+        AccumulateRow<true, true>(s, terms, orow, n, &tail);
+      } else if (first) {
+        AccumulateRow<true, false>(s, terms, orow, n);
+      } else if (last) {
+        AccumulateRow<false, true>(s, terms, orow, n, &tail);
+      } else {
+        AccumulateRow(s, terms, orow, n);
+      }
     }
   }
 }
@@ -865,6 +927,11 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1) {
   kernels::MatMulTransBAcc(a, b, out, r0, r1);
+}
+void MatMulWithTail(const Tensor& a, const Tensor& b,
+                    const kernels::MatMulTail& tail, Tensor* out, int r0,
+                    int r1) {
+  kernels::MatMulWithTail(a, b, tail, out, r0, r1);
 }
 void MatMulQuantAcc(const Tensor& a, const QuantizedTensor& w, Tensor* out,
                     int r0, int r1) {

@@ -9,6 +9,10 @@ namespace oodgnn {
 
 struct QuantizedTensor;
 
+namespace kernels {
+struct MatMulTail;
+}  // namespace kernels
+
 namespace simd {
 
 // ---------------------------------------------------------------------------
@@ -82,6 +86,14 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
+
+/// out[r0:r1,:] = tail(a · b) (kernels::MatMulTail). Each tile's sums
+/// start from +0 in registers, so out is never zero-filled or read,
+/// and the tail runs on the last contraction block's registers before
+/// the one store. Bitwise identical to kernels::MatMulWithTail.
+void MatMulWithTail(const Tensor& a, const Tensor& b,
+                    const kernels::MatMulTail& tail, Tensor* out, int r0,
+                    int r1);
 
 /// out[r0:r1,:] += a · dequant(w) over Q8_0 blocks (see
 /// src/tensor/quant.h). Bitwise identical to the scalar

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,6 +30,7 @@
 #include "src/tensor/segment_plan.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -273,6 +275,43 @@ TEST(KernelsTest, MatMulTransBMatchesNaiveBitwiseAcrossThreads) {
           return out;
         },
         reference);
+  }
+}
+
+TEST(KernelsTest, MatMulWithTailMatchesCompositeBitwiseAcrossThreads) {
+  // 301 rows put every width past the parallel cutoff; K = 300 crosses
+  // the SIMD body's 256-row contraction block.
+  const int m = 301;
+  for (int k : {64, 300}) {
+    const Tensor a = SparseTensor(m, k, 35, 40 + static_cast<uint64_t>(k));
+    for (int n : {1, 7, 8, 63, 64, 65, 130}) {
+      const Tensor b = RandomTensor(k, n, 41 + static_cast<uint64_t>(n));
+      test::TailRows rows;
+      rows.bias = RandomTensor(1, n, 42);
+      rows.neg_mean = RandomTensor(1, n, 43);
+      rows.std_dev = test::PositiveRow(n, 44);
+      rows.gamma = RandomTensor(1, n, 45);
+      rows.beta = RandomTensor(1, n, 46);
+      const std::vector<kernels::MatMulTail> tails = test::ModelTails(rows);
+      for (size_t t = 0; t < tails.size(); ++t) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                     " tail " + std::to_string(t));
+        Tensor reference;
+        {
+          ScopedBackendThreads serial(1);
+          reference = test::CompositeTail(a, b, tails[t], rows);
+        }
+        ExpectBitwiseAcrossThreads(
+            [&] {
+              // A NaN sentinel: an element the kernel never writes
+              // cannot match the reference, which has no NaN.
+              Tensor out(m, n, std::numeric_limits<float>::quiet_NaN());
+              GetBackend().MatMulWithTail(a, b, tails[t], &out);
+              return out;
+            },
+            reference);
+      }
+    }
   }
 }
 

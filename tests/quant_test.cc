@@ -26,6 +26,7 @@
 #include "src/graph/batch.h"
 #include "src/nn/serialize.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/serve/inference.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/quant.h"
@@ -414,13 +415,19 @@ TEST_P(QuantParity, QuantizedEngineMatchesFp32WithinTolerance) {
   InferenceEngine q8_engine(spec, q8_options);
   q8_engine.SyncFrom(model);
 
-  float max_diff = 0.f;
+  std::vector<Tensor> fp32_rows;
   for (const Graph* graph : graphs) {
-    const Tensor fp32_row = fp32_engine.Predict(*graph);
-    const Tensor q8_row = q8_engine.Predict(*graph);
-    ASSERT_EQ(fp32_row.size(), q8_row.size());
-    for (int j = 0; j < fp32_row.size(); ++j) {
-      max_diff = std::max(max_diff, std::fabs(fp32_row[j] - q8_row[j]));
+    fp32_rows.push_back(fp32_engine.Predict(*graph));
+  }
+  const bool was_profiling = obs::ProfilingEnabled();
+  obs::SetProfilingEnabled(true);
+  obs::MetricsRegistry::Global().Reset();
+  float max_diff = 0.f;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Tensor q8_row = q8_engine.Predict(*graphs[i]);
+    ASSERT_EQ(fp32_rows[i].size(), q8_row.size());
+    for (int j = 0; j < q8_row.size(); ++j) {
+      max_diff = std::max(max_diff, std::fabs(fp32_rows[i][j] - q8_row[j]));
     }
   }
   // Within the committed tolerance...
@@ -428,6 +435,23 @@ TEST_P(QuantParity, QuantizedEngineMatchesFp32WithinTolerance) {
   // ...but genuinely quantized: bitwise-identical logits would mean
   // the int8 path silently never engaged.
   EXPECT_GT(max_diff, 0.f) << MethodName(method);
+  // These methods multiply only by quantized weights, so a quantized
+  // engine dispatches no fp32 matmul at all. (max_diff cannot see a
+  // bypass: the dequantized image is also the fp32 weight.)
+  const std::vector<Method> weight_only = {
+      Method::kGcn, Method::kGcnVirtual, Method::kGin,      Method::kGinVirtual,
+      Method::kPna, Method::kOodGnn,     Method::kGraphSage};
+  if (std::find(weight_only.begin(), weight_only.end(), method) !=
+      weight_only.end()) {
+    std::int64_t fp32_matmuls = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::Global().GetSnapshot().counters) {
+      if (name == "kernel/matmul/calls") fp32_matmuls = value;
+    }
+    EXPECT_EQ(fp32_matmuls, 0) << MethodName(method);
+  }
+  obs::MetricsRegistry::Global().Reset();
+  obs::SetProfilingEnabled(was_profiling);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "src/obs/trace.h"
 #include "src/serve/inference.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 #include "src/tensor/variable.h"
 #include "src/train/checkpoint.h"
 #include "src/train/trainer.h"
@@ -107,24 +109,48 @@ TEST(NoGradTest, GradModeIsPerThread) {
 
 TEST(NoGradTest, ForwardValuesIdenticalWithAndWithoutTape) {
   GraphDataset dataset = TinyDataset();
-  Rng rng(5);
-  GraphPredictionModel model(Method::kGin, TinyEncoder(dataset.feature_dim),
-                             dataset.OutputDim(), &rng);
   std::vector<const Graph*> graphs;
   for (size_t idx : dataset.train_idx) graphs.push_back(&dataset.graphs[idx]);
   GraphBatch batch = GraphBatch::FromGraphs(graphs);
-  Rng fwd1(1);
-  Tensor taped = model.Predict(batch, /*training=*/false, &fwd1).value();
-  Tensor gradfree;
-  {
-    NoGradGuard guard;
-    Rng fwd2(1);
-    gradfree = model.Predict(batch, /*training=*/false, &fwd2).value();
+  std::vector<Method> methods = AllMethods();
+  for (Method m : ExtensionMethods()) methods.push_back(m);
+  for (Method method : methods) {
+    Rng rng(5);
+    GraphPredictionModel model(method, TinyEncoder(dataset.feature_dim),
+                               dataset.OutputDim(), &rng);
+    // Move every parameter and BatchNorm statistic off its init value.
+    // At init −mean is −0, γ is 1 and β is 0, so a grad-free forward
+    // that dropped or reordered those steps would still match.
+    Rng perturb(11);
+    for (Variable& param : model.Parameters()) {
+      Tensor& value = param.mutable_value();
+      for (int i = 0; i < value.size(); ++i) {
+        value[i] += static_cast<float>(perturb.Uniform(-0.5, 0.5));
+      }
+    }
+    for (Tensor* buffer : model.Buffers()) {  // Means and variances.
+      for (int i = 0; i < buffer->size(); ++i) {
+        (*buffer)[i] = static_cast<float>(perturb.Uniform(0.25, 2.0));
+      }
+    }
+    for (bool use_simd : {true, false}) {
+      SCOPED_TRACE(std::string(MethodName(method)) +
+                   (use_simd ? " simd" : " scalar"));
+      simd::ScopedSimdEnabled simd_mode(use_simd);
+      Rng fwd1(1);
+      Tensor taped = model.Predict(batch, /*training=*/false, &fwd1).value();
+      Tensor gradfree;
+      {
+        NoGradGuard guard;
+        Rng fwd2(1);
+        gradfree = model.Predict(batch, /*training=*/false, &fwd2).value();
+      }
+      ASSERT_EQ(taped.size(), gradfree.size());
+      EXPECT_EQ(std::memcmp(taped.data(), gradfree.data(),
+                            static_cast<size_t>(taped.size()) * sizeof(float)),
+                0);
+    }
   }
-  ASSERT_EQ(taped.size(), gradfree.size());
-  EXPECT_EQ(std::memcmp(taped.data(), gradfree.data(),
-                        static_cast<size_t>(taped.size()) * sizeof(float)),
-            0);
 }
 
 // ---------------------------------------------------------------------------
@@ -134,44 +160,60 @@ TEST(NoGradTest, ForwardValuesIdenticalWithAndWithoutTape) {
 TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
   const bool was_profiling = obs::ProfilingEnabled();
   obs::SetProfilingEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-
   GraphDataset dataset = TinyDataset();
-  Rng rng(6);
-  GraphPredictionModel model(Method::kGin, TinyEncoder(dataset.feature_dim),
-                             dataset.OutputDim(), &rng);
-  Rng eval_rng(7);
-  EvaluateSplit(&model, dataset, dataset.train_idx, /*batch_size=*/8,
-                &eval_rng);
 
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().GetSnapshot();
-  std::int64_t forward_calls = 0;
-  std::int64_t relu_calls = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "kernel/relu/calls") relu_calls = value;
-    // Backward-only kernels: transposed matmuls (weight/input grads),
-    // softmax/segment/ReLU/Square backward passes, gradient row-scatter
-    // and the broadcast-multiply/divide adjoints.
-    const bool backward_kernel =
-        name.rfind("kernel/matmul_ta/", 0) == 0 ||
-        name.rfind("kernel/matmul_tb/", 0) == 0 ||
-        name.rfind("kernel/softmax_rows_backward/", 0) == 0 ||
-        name.rfind("kernel/gather_rows_acc/", 0) == 0 ||
-        name.rfind("kernel/segment_extreme_backward/", 0) == 0 ||
-        name.rfind("kernel/relu_backward/", 0) == 0 ||
-        name.rfind("kernel/square_backward/", 0) == 0 ||
-        name.rfind("kernel/mul_row_vec_acc/", 0) == 0 ||
-        name.rfind("kernel/div_row_vec_acc/", 0) == 0 ||
-        name.rfind("kernel/mul_col_vec_acc/", 0) == 0;
-    if (backward_kernel) {
-      EXPECT_EQ(value, 0) << name << " ran during grad-free eval";
-    } else if (name.rfind("kernel/", 0) == 0) {
-      forward_calls += value;
+  // Kernel counters of one grad-free eval pass of `method`, checked for
+  // backward work on the way.
+  const auto eval_kernel_calls = [&](Method method) {
+    obs::MetricsRegistry::Global().Reset();
+    Rng rng(6);
+    GraphPredictionModel model(method, TinyEncoder(dataset.feature_dim),
+                               dataset.OutputDim(), &rng);
+    Rng eval_rng(7);
+    EvaluateSplit(&model, dataset, dataset.train_idx, /*batch_size=*/8,
+                  &eval_rng);
+
+    std::map<std::string, std::int64_t> calls;
+    std::int64_t forward_calls = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::Global().GetSnapshot().counters) {
+      if (name.rfind("kernel/", 0) == 0) calls[name] = value;
+      // Backward-only kernels: transposed matmuls (weight/input grads),
+      // softmax/segment/ReLU/Square backward passes, gradient
+      // row-scatter and the broadcast-multiply/divide adjoints.
+      const bool backward_kernel =
+          name.rfind("kernel/matmul_ta/", 0) == 0 ||
+          name.rfind("kernel/matmul_tb/", 0) == 0 ||
+          name.rfind("kernel/softmax_rows_backward/", 0) == 0 ||
+          name.rfind("kernel/gather_rows_acc/", 0) == 0 ||
+          name.rfind("kernel/segment_extreme_backward/", 0) == 0 ||
+          name.rfind("kernel/relu_backward/", 0) == 0 ||
+          name.rfind("kernel/square_backward/", 0) == 0 ||
+          name.rfind("kernel/mul_row_vec_acc/", 0) == 0 ||
+          name.rfind("kernel/div_row_vec_acc/", 0) == 0 ||
+          name.rfind("kernel/mul_col_vec_acc/", 0) == 0;
+      if (backward_kernel) {
+        EXPECT_EQ(value, 0) << name << " ran during grad-free "
+                            << MethodName(method) << " eval";
+      } else if (name.rfind("kernel/", 0) == 0) {
+        forward_calls += value;
+      }
     }
+    EXPECT_GT(forward_calls, 0);  // The forward pass itself was counted.
+    return calls;
+  };
+
+  // GIN's Linears apply bias, BatchNorm and ReLU in the matmul's store,
+  // so none of those runs as a kernel of its own.
+  std::map<std::string, std::int64_t> gin = eval_kernel_calls(Method::kGin);
+  EXPECT_GT(gin["kernel/matmul/calls"], 0);
+  for (const char* op : {"relu", "row_broadcast", "div_row_vec",
+                         "mul_row_vec"}) {
+    EXPECT_EQ(gin[std::string("kernel/") + op + "/calls"], 0) << op;
   }
-  EXPECT_GT(forward_calls, 0);  // The forward pass itself was counted.
-  EXPECT_GT(relu_calls, 0);     // ReLU's forward is a counted kernel too.
+  // GCN's BatchNorm and ReLU follow its aggregation, not a Linear, so
+  // its ReLU stays a counted kernel.
+  EXPECT_GT(eval_kernel_calls(Method::kGcn)["kernel/relu/calls"], 0);
 
   obs::MetricsRegistry::Global().Reset();
   obs::SetProfilingEnabled(was_profiling);

@@ -31,6 +31,7 @@
 #include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -59,22 +60,24 @@ Tensor SparseTensor(int rows, int cols, int zero_pct, uint64_t seed) {
   return t;
 }
 
-/// Laces a random tensor with the values the bitwise contract must
-/// survive: signed zeros, quiet NaN, infinities, and denormals.
+/// The values the bitwise contract must survive: signed zeros, quiet
+/// NaN, infinities, and denormals.
+constexpr float kSpecials[] = {
+    0.f,
+    -0.f,
+    std::numeric_limits<float>::quiet_NaN(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    1e-41f,  // single-precision denormal
+    -1e-41f,
+    std::numeric_limits<float>::denorm_min(),
+};
+
+/// Laces a random tensor with the special values.
 Tensor SpecialTensor(int rows, int cols, uint64_t seed) {
   Tensor t = RandomTensor(rows, cols, seed);
-  const float specials[] = {
-      0.f,
-      -0.f,
-      std::numeric_limits<float>::quiet_NaN(),
-      std::numeric_limits<float>::infinity(),
-      -std::numeric_limits<float>::infinity(),
-      1e-41f,  // single-precision denormal
-      -1e-41f,
-      std::numeric_limits<float>::denorm_min(),
-  };
   for (int i = 0; i < t.size(); ++i) {
-    if (i % 5 == 3) t[i] = specials[(static_cast<size_t>(i) / 5) % 8];
+    if (i % 5 == 3) t[i] = kSpecials[(static_cast<size_t>(i) / 5) % 8];
   }
   return t;
 }
@@ -624,6 +627,87 @@ TEST(SimdTest, RffMapBitwise) {
   }
 }
 
+// --- one-pass matmul tail -----------------------------------------------
+
+TEST(SimdTest, MatMulWithTailBitwise) {
+  // The SIMD body must match its scalar oracle over every range
+  // partition, and the Backend entry point must match the composite
+  // chain it replaces, at every thread count with SIMD on and off. a,
+  // the bias and γ carry NaN, ±inf, ±0 and denormals (a also exact
+  // zeros), so the comparison is BitwiseEqual's: which payload
+  // survives NaN · NaN is the compiler's operand order, in the
+  // composite kernels as in the fused one. A NaN or inf in a turns its
+  // whole output row into NaN/inf, so only every fifth row of a gets
+  // one; the bias and γ get them in every sixth column. Outputs start
+  // as a NaN whose payload no input carries, so an element the kernel
+  // never writes shows up. K = 300 crosses the SIMD body's 256-row
+  // contraction block.
+  const auto lace = [](Tensor t, int first, int stride) {
+    for (int i = first, s = 0; i < t.size(); i += stride, ++s) {
+      t[i] = kSpecials[s % 8];
+    }
+    return t;
+  };
+  const std::uint32_t sentinel_bits = 0x7fc0deadu;
+  float sentinel = 0.f;
+  std::memcpy(&sentinel, &sentinel_bits, sizeof(sentinel));
+  const auto unwritten = [&](const Tensor& t) {
+    for (int i = 0; i < t.size(); ++i) {
+      if (std::memcmp(t.data() + i, &sentinel, sizeof(float)) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const int m = 37;
+  for (int k : {64, 300}) {
+    const Tensor a = lace(RandomTensor(m, k, 251 + static_cast<uint64_t>(k)),
+                          2 * k + 3, 5 * k + 1);
+    for (int n : {1, 7, 8, 63, 64, 65, 130}) {
+      const Tensor b = RandomTensor(k, n, 257 + static_cast<uint64_t>(n));
+      test::TailRows rows;
+      rows.bias = lace(RandomTensor(1, n, 263), 1, 6);
+      rows.neg_mean = RandomTensor(1, n, 269);
+      rows.std_dev = test::PositiveRow(n, 271);
+      rows.gamma = lace(RandomTensor(1, n, 277), 4, 6);
+      rows.beta = RandomTensor(1, n, 281);
+      const std::vector<kernels::MatMulTail> tails = test::ModelTails(rows);
+      const Tensor out_init(m, n, sentinel);
+      for (size_t t = 0; t < tails.size(); ++t) {
+        const std::string what = "matmul tail " + std::to_string(t) + " " +
+                                 std::to_string(m) + "x" + std::to_string(k) +
+                                 "x" + std::to_string(n);
+        ExpectRangeKernelBitwise(
+            m, out_init,
+            [&](Tensor* out, int r0, int r1) {
+              kernels::MatMulWithTail(a, b, tails[t], out, r0, r1);
+            },
+            [&](Tensor* out, int r0, int r1) {
+              simd::MatMulWithTail(a, b, tails[t], out, r0, r1);
+            },
+            what);
+        for (bool enabled : {false, true}) {
+          simd::ScopedSimdEnabled toggle(enabled);
+          Tensor composite;
+          {
+            ScopedBackendThreads serial(1);
+            composite = test::CompositeTail(a, b, tails[t], rows);
+          }
+          for (int threads : kThreadCounts) {
+            ScopedBackendThreads scoped(threads);
+            Tensor fused = out_init;
+            GetBackend().MatMulWithTail(a, b, tails[t], &fused);
+            EXPECT_FALSE(unwritten(fused)) << what << " left an element";
+            EXPECT_TRUE(BitwiseEqual(composite, fused))
+                << what << " diverged from the composite chain at "
+                << threads << " threads, simd " << (enabled ? "on" : "off");
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Backend dispatch ---------------------------------------------------
 
 TEST(SimdTest, BackendDispatchBitwiseAcrossThreadsAndToggle) {
@@ -748,6 +832,39 @@ TEST(SimdTest, BackendQuantRoutingBitwiseAcrossThreadsAndToggle) {
       EXPECT_TRUE(BitwiseEqual(scalar_serial, got))
           << "quant routing diverged at " << threads << " threads, simd "
           << (enabled ? "on" : "off");
+    }
+  }
+}
+
+TEST(SimdTest, BackendQuantRoutingAppliesTail) {
+  // MatMulWithTail honours the routing too: with b's quantized image
+  // registered it runs MatMulQuantAcc into zeroed rows, then the tail.
+  const Tensor a = RandomTensor(41, 64, 283);
+  const Tensor w = RandomTensor(64, 37, 293);
+  const QuantizedTensor qw = QuantizeQ8(w);
+  QuantizedWeightMap qmap;
+  qmap[w.data()] = &qw;
+  test::TailRows rows;
+  rows.bias = RandomTensor(1, 37, 307);
+  rows.neg_mean = RandomTensor(1, 37, 311);
+  rows.std_dev = test::PositiveRow(37, 313);
+  rows.gamma = RandomTensor(1, 37, 317);
+  rows.beta = RandomTensor(1, 37, 331);
+  for (const kernels::MatMulTail& tail : test::ModelTails(rows)) {
+    Tensor reference(41, 37);
+    kernels::MatMulQuantAcc(a, qw, &reference, 0, 41);
+    kernels::ApplyTailRows(tail, &reference, 0, 41);
+    for (int threads : kThreadCounts) {
+      for (bool enabled : {false, true}) {
+        ScopedBackendThreads scoped(threads);
+        simd::ScopedSimdEnabled toggle(enabled);
+        ScopedQuantizedWeights scope(&qmap);
+        Tensor got = Tensor::Unfilled(41, 37);
+        GetBackend().MatMulWithTail(a, w, tail, &got);
+        EXPECT_TRUE(BitwiseEqual(reference, got))
+            << "quant-routed tail diverged at " << threads
+            << " threads, simd " << (enabled ? "on" : "off");
+      }
     }
   }
 }

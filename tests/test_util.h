@@ -7,9 +7,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/tensor/backend.h"
+#include "src/tensor/kernels.h"
+#include "src/tensor/tensor.h"
 #include "src/util/clock.h"
+#include "src/util/rng.h"
 
 namespace oodgnn {
 namespace test {
@@ -62,6 +67,61 @@ inline std::string TempPath(const std::string& name) {
     return fresh;
   }();
   return std::string(::testing::TempDir()) + "/tok" + token + "_" + name;
+}
+
+/// The per-column [1, n] rows of a Linear → BatchNorm1d (eval) → ReLU
+/// chain, for kernels::MatMulTail tests.
+struct TailRows {
+  Tensor bias, neg_mean, std_dev, gamma, beta;
+};
+
+/// A [1, n] row of values in [0.5, 2.5): a standard deviation
+/// √(var + ε) is positive.
+inline Tensor PositiveRow(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  return Tensor::RandomUniform(1, n, &rng, 0.5f, 2.5f);
+}
+
+/// The tails the models use: bias only (every Linear without grad
+/// mode), bias + ReLU (a hidden Linear without BatchNorm), bias +
+/// BatchNorm (GIN's last layer) and bias + BatchNorm + ReLU.
+inline std::vector<kernels::MatMulTail> ModelTails(const TailRows& rows) {
+  kernels::MatMulTail bias;
+  bias.bias = rows.bias.data();
+  kernels::MatMulTail norm = bias;
+  norm.neg_mean = rows.neg_mean.data();
+  norm.std_dev = rows.std_dev.data();
+  norm.gamma = rows.gamma.data();
+  norm.beta = rows.beta.data();
+  kernels::MatMulTail bias_relu = bias;
+  bias_relu.relu = true;
+  kernels::MatMulTail norm_relu = norm;
+  norm_relu.relu = true;
+  return {bias, bias_relu, norm, norm_relu};
+}
+
+/// The composite Backend chain a tail replaces: MatMulAcc into zeros →
+/// RowBroadcastAcc(bias) → RowBroadcastAcc(−mean) → DivRowVec →
+/// MulRowVec → RowBroadcastAcc(β) → Relu, each step present when
+/// `tail` has it.
+inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
+                            const kernels::MatMulTail& tail,
+                            const TailRows& rows) {
+  const Backend& be = GetBackend();
+  Tensor out(a.rows(), b.cols());
+  be.MatMulAcc(a, b, &out);
+  if (tail.bias != nullptr) be.RowBroadcastAcc(rows.bias, &out);
+  if (tail.neg_mean != nullptr) {
+    be.RowBroadcastAcc(rows.neg_mean, &out);
+    Tensor normalized(out.rows(), out.cols());
+    be.DivRowVec(out, rows.std_dev, &normalized);
+    be.MulRowVec(normalized, rows.gamma, &out);
+    be.RowBroadcastAcc(rows.beta, &out);
+  }
+  if (!tail.relu) return out;
+  Tensor relu(out.rows(), out.cols());
+  be.Relu(out, &relu);
+  return relu;
 }
 
 }  // namespace test

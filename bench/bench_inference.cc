@@ -14,11 +14,6 @@
 //      clock for both plus the bitwise check (the vector path must be
 //      invisible except in speed; DESIGN.md §16).
 //
-// Int8 quantized serving (DESIGN.md §16) rides sections 2 and 3: a
-// QuantizeMode::kOn engine's latency and throughput, plus its max logit
-// deviation against the fp32 reference (must stay within the tolerance
-// committed in tests/quant_test.cc).
-//
 // Flags: --threads N   compute-backend pool size (default 4)
 //        --workers N   engine worker count for the pooled run (default 4)
 //        --batch N     engine micro-batch size cutoff (default 32)
@@ -26,8 +21,7 @@
 //        --requests N  total graphs submitted in the throughput run
 //                      (default 2000)
 //        --smoke       small deterministic run that exits nonzero if any
-//                      correctness gate fails (bitwise checks, quant
-//                      tolerance) — registered as the
+//                      bitwise check fails — registered as the
 //                      bench_inference_smoke ctest
 //        --json PATH   also write the machine-readable report to PATH
 //                      (scripts/run_bench_inference.sh wraps this into
@@ -38,7 +32,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -57,7 +50,6 @@
 #include "src/serve/inference.h"
 #include "src/tensor/backend.h"
 #include "src/train/experiment.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/simd.h"
 #include "src/tensor/variable.h"
 #include "src/util/flags.h"
@@ -137,16 +129,12 @@ struct ThroughputReport {
   serve::InferenceStats stats;
 };
 
-/// `total_requests` graphs through `engine` from 4 submitter threads.
-/// With `tolerance` 0 every returned row is checked bitwise against
-/// `reference`; a positive tolerance instead bounds the max absolute
-/// deviation (the quantized-serving contract) and reports it via
-/// `max_diff_out`.
+/// `total_requests` graphs through `engine` from 4 submitter threads,
+/// every returned row checked bitwise against `reference`.
 ThroughputReport MeasureThroughput(serve::InferenceEngine* engine,
                                    const std::vector<const Graph*>& graphs,
                                    const std::vector<Tensor>& reference,
-                                   int total_requests, float tolerance = 0.f,
-                                   double* max_diff_out = nullptr) {
+                                   int total_requests) {
   engine->Predict(*graphs[0]);  // Warm-up off the clock.
   ThroughputReport report;
   const int submitters = 4;
@@ -164,23 +152,13 @@ ThroughputReport MeasureThroughput(serve::InferenceEngine* engine,
     });
   }
   for (std::thread& t : threads) t.join();
-  double max_diff = 0;
   for (auto& shard : futures) {
     for (auto& [gi, future] : shard) {
-      const Tensor row = future.get();
-      if (tolerance == 0.f) {
-        if (!BitwiseEqual(row, reference[gi])) report.bitwise_ok = false;
-        continue;
-      }
-      for (int j = 0; j < row.size(); ++j) {
-        const double diff =
-            std::fabs(static_cast<double>(row[j]) - reference[gi][j]);
-        max_diff = std::max(max_diff, diff);
-        if (diff > tolerance) report.bitwise_ok = false;
+      if (!BitwiseEqual(future.get(), reference[gi])) {
+        report.bitwise_ok = false;
       }
     }
   }
-  if (max_diff_out != nullptr) *max_diff_out = max_diff;
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -188,13 +166,8 @@ ThroughputReport MeasureThroughput(serve::InferenceEngine* engine,
   return report;
 }
 
-/// Quantized-serving logit tolerance, matching tests/quant_test.cc's
-/// kQuantLogitTolerance.
-constexpr float kQuantTolerance = 0.25f;
-
-/// Runs the bench; returns the number of failed correctness gates
-/// (bitwise divergence, quant tolerance breach) — the --smoke exit
-/// code.
+/// Runs the bench; returns the number of failed bitwise gates — the
+/// --smoke exit code.
 int RunBench(const Flags& flags) {
   const bool smoke = flags.Has("smoke");
   const int workers = flags.GetInt("workers", 4);
@@ -295,57 +268,10 @@ int RunBench(const Flags& flags) {
               simd_bitwise ? "OK" : "DIVERGED",
               simd::Available() ? "" : "  (no vector ISA: scalar==scalar)");
 
-  // --- 4b. bandwidth-regime quantized matmul probe -------------------
-  // Weight-only int8 cannot beat fp32 SIMD on cache-resident weights
-  // (the int8->f32 conversion adds work and the 4x byte saving never
-  // reaches a bottleneck); its payoff regime is few-row activations
-  // against weights too large for the cache hierarchy — the GEMV shape
-  // production serving hits on wide layers — where fp32 must stream 4x
-  // the bytes. This times exactly that: one activation row against a
-  // 512 MiB fp32 weight matrix vs its 132 MiB Q8_0 image. Skipped
-  // under --smoke (the allocation alone is half a gigabyte).
-  double gemv_fp32_s = 0;
-  double gemv_q8_s = 0;
-  std::int64_t gemv_fp32_bytes = 0;
-  std::int64_t gemv_q8_bytes = 0;
-  if (!smoke && simd::Available()) {
-    const int gk = 4096, gn = 32768;
-    Tensor ga(1, gk);
-    Tensor gw(gk, gn);
-    for (int p = 0; p < gk; ++p) {
-      ga.data()[p] = 0.5f + 0.25f * static_cast<float>(p % 7);
-    }
-    float* wd = gw.data();
-    const std::int64_t wn = static_cast<std::int64_t>(gk) * gn;
-    for (std::int64_t idx = 0; idx < wn; ++idx) {
-      wd[idx] = static_cast<float>(
-                    static_cast<int>((idx * 2654435761ull >> 7) & 255) - 128) /
-                64.f;
-    }
-    const QuantizedTensor gq = QuantizeQ8(gw);
-    gemv_fp32_bytes = wn * static_cast<std::int64_t>(sizeof(float));
-    gemv_q8_bytes = static_cast<std::int64_t>(gq.byte_size());
-    Tensor gout(1, gn);
-    gemv_fp32_s = TimePerCall([&] { simd::MatMulAcc(ga, gw, &gout, 0, 1); });
-    gemv_q8_s =
-        TimePerCall([&] { simd::MatMulQuantAcc(ga, gq, &gout, 0, 1); });
-    const double gflops = 2.0 * static_cast<double>(wn) / 1e9;
-    std::printf(
-        "bandwidth-regime quant probe (1 row x [%dx%d] weights, "
-        "%.0f MiB fp32 vs %.0f MiB q8)\n",
-        gk, gn, gemv_fp32_bytes / 1048576.0, gemv_q8_bytes / 1048576.0);
-    std::printf("  fp32 simd: %9.3f ms/call  (%6.2f GF/s)\n",
-                gemv_fp32_s * 1e3, gflops / gemv_fp32_s);
-    std::printf(
-        "  int8 q8:   %9.3f ms/call  (%6.2f GF/s)   int8-vs-fp32 %.2fx\n\n",
-        gemv_q8_s * 1e3, gflops / gemv_q8_s, gemv_fp32_s / gemv_q8_s);
-  }
-
-  // --- 2. single-graph latency percentiles: fp32 vs int8 ------------
+  // --- 2. single-graph latency percentiles -------------------------
   // One worker, batch size 1, no batching window: each Predict measures
   // queue handoff + one forward.
   LatencyReport eager_latency;
-  LatencyReport quant_latency;
   double direct_us = 0;
   {
     const int samples = latency_samples;
@@ -353,16 +279,10 @@ int RunBench(const Flags& flags) {
     options.num_workers = 1;
     options.max_batch_graphs = 1;
     options.max_batch_wait_us = 0;
-    options.quantize = serve::QuantizeMode::kOff;  // fp32 rows below.
 
     serve::InferenceEngine eager(spec, options);
     eager.SyncFrom(model);
     eager_latency = MeasureLatency(&eager, eval_graphs, samples);
-
-    options.quantize = serve::QuantizeMode::kOn;
-    serve::InferenceEngine quantized(spec, options);
-    quantized.SyncFrom(model);
-    quant_latency = MeasureLatency(&quantized, eval_graphs, samples);
 
     const Graph& probe = *eval_graphs[0];
     const GraphBatch probe_batch = GraphBatch::FromGraphs({&probe});
@@ -372,13 +292,10 @@ int RunBench(const Flags& flags) {
     });
     direct_us = direct_s * 1e6;
     std::printf("single-graph latency (engine, %d samples)\n", samples);
-    std::printf("  fp32:     p50 %8.1f us   p90 %8.1f us   p99 %8.1f us   "
-                "(direct no-grad forward: %.1f us)\n",
+    std::printf("  engine:   p50 %8.1f us   p90 %8.1f us   p99 %8.1f us   "
+                "(direct no-grad forward: %.1f us)\n\n",
                 eager_latency.p50_us, eager_latency.p90_us,
                 eager_latency.p99_us, direct_us);
-    std::printf("  int8:     p50 %8.1f us   p90 %8.1f us   p99 %8.1f us\n\n",
-                quant_latency.p50_us, quant_latency.p90_us,
-                quant_latency.p99_us);
   }
 
   // --- 3. batched throughput: serial loop vs pooled engine -----------
@@ -406,23 +323,12 @@ int RunBench(const Flags& flags) {
   options.num_workers = workers;
   options.max_batch_graphs = max_batch;
   options.max_batch_wait_us = wait_us;
-  options.quantize = serve::QuantizeMode::kOff;  // fp32 rows first.
 
   serve::InferenceEngine eager_engine(spec, options);
   eager_engine.SyncFrom(model);
   const ThroughputReport eager_tp =
       MeasureThroughput(&eager_engine, eval_graphs, reference, total_requests);
 
-  // The int8 serving configuration. Checked against the fp32 reference
-  // within the committed tolerance instead of bitwise (quantized
-  // serving is approximate by design).
-  options.quantize = serve::QuantizeMode::kOn;
-  serve::InferenceEngine quant_engine(spec, options);
-  quant_engine.SyncFrom(model);
-  double quant_max_diff = 0;
-  const ThroughputReport quant_tp =
-      MeasureThroughput(&quant_engine, eval_graphs, reference, total_requests,
-                        kQuantTolerance, &quant_max_diff);
 
   std::printf("batched throughput (%d requests)\n", total_requests);
   std::printf("  serial loop:     %10.1f graphs/sec\n",
@@ -431,11 +337,6 @@ int RunBench(const Flags& flags) {
               "bitwise %s\n",
               total_requests / eager_tp.seconds, serial_s / eager_tp.seconds,
               eager_tp.bitwise_ok ? "OK" : "DIVERGED");
-  std::printf("  int8 engine:     %10.1f graphs/sec   speedup %.2fx   "
-              "max|dlogit| %.4f %s (tol %.2f)\n",
-              total_requests / quant_tp.seconds, serial_s / quant_tp.seconds,
-              quant_max_diff, quant_tp.bitwise_ok ? "OK" : "BREACHED",
-              static_cast<double>(kQuantTolerance));
   std::printf("  engine: %d workers, batch<=%d, wait %d us, "
               "%lld batches (%.1f graphs/batch avg)\n\n",
               workers, max_batch, wait_us,
@@ -469,17 +370,11 @@ int RunBench(const Flags& flags) {
                         .Put("eager_p50", eager_latency.p50_us)
                         .Put("eager_p90", eager_latency.p90_us)
                         .Put("eager_p99", eager_latency.p99_us)
-                        .Put("quant_p50", quant_latency.p50_us)
-                        .Put("quant_p90", quant_latency.p90_us)
-                        .Put("quant_p99", quant_latency.p99_us)
                         .Build())
             .PutRaw("throughput_gps",
                     obs::JsonObjectWriter()
                         .Put("serial", total_requests / serial_s)
                         .Put("eager", total_requests / eager_tp.seconds)
-                        .Put("quant", total_requests / quant_tp.seconds)
-                        .Put("quant_vs_fp32",
-                             eager_tp.seconds / quant_tp.seconds)
                         .Build())
             .PutRaw("simd",
                     obs::JsonObjectWriter()
@@ -489,25 +384,6 @@ int RunBench(const Flags& flags) {
                         .Put("simd_forward_ms", simd_fwd_s * 1e3)
                         .Put("speedup", scalar_fwd_s / simd_fwd_s)
                         .Put("bitwise", simd_bitwise)
-                        .Build())
-            .PutRaw("quant",
-                    obs::JsonObjectWriter()
-                        .Put("block_size", kQuantBlockSize)
-                        .Put("tolerance", static_cast<double>(kQuantTolerance))
-                        .Put("max_logit_diff", quant_max_diff)
-                        .Put("within_tolerance", quant_tp.bitwise_ok)
-                        .PutRaw("bandwidth_gemv",
-                                obs::JsonObjectWriter()
-                                    .Put("fp32_weight_bytes",
-                                         gemv_fp32_bytes)
-                                    .Put("q8_weight_bytes", gemv_q8_bytes)
-                                    .Put("fp32_ms", gemv_fp32_s * 1e3)
-                                    .Put("q8_ms", gemv_q8_s * 1e3)
-                                    .Put("q8_vs_fp32",
-                                         gemv_q8_s > 0
-                                             ? gemv_fp32_s / gemv_q8_s
-                                             : 0.0)
-                                    .Build())
                         .Build())
             .Put("bitwise_ok", bitwise_ok)
             .Build();
@@ -530,8 +406,6 @@ int RunBench(const Flags& flags) {
   gate(nograd_bitwise, "nograd-bitwise");
   gate(simd_bitwise, "simd-bitwise");
   gate(eager_tp.bitwise_ok, "eager-engine-bitwise");
-  gate(quant_tp.bitwise_ok, "quant-within-tolerance");
-  gate(quant_max_diff > 0, "quant-path-engaged");
   if (smoke && failures > 0) std::printf("smoke: %d FAILURES\n", failures);
   return failures;
 }

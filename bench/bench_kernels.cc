@@ -22,7 +22,7 @@
 // writes the rows as a JSON report (scripts/run_bench_message_passing.sh
 // wraps this into BENCH_message_passing.json).
 //
-// Pass --simd for the scalar-vs-SIMD-vs-int8 dense-kernel table
+// Pass --simd for the scalar-vs-SIMD dense-kernel table
 // (DESIGN.md §16): single-threaded GFLOP/s for the vectorized matmul
 // variants (dense, and with the ~35% exact zeros of post-ReLU input),
 // axpy, and the RFF map, plus the bitwise scalar==simd check.
@@ -53,7 +53,6 @@
 #include "src/train/experiment.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/segment_plan.h"
 #include "src/tensor/simd.h"
 #include "src/util/flags.h"
@@ -256,17 +255,15 @@ bool CompareMatMulTail(int threads) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar vs SIMD vs int8-quantized kernel comparison (--simd).
+// Scalar vs SIMD kernel comparison (--simd).
 // ---------------------------------------------------------------------------
 
 /// Single-threaded GFLOP/s for the vectorized dense kernels
-/// (DESIGN.md §16): the scalar oracle, its SIMD mirror (direct simd::
-/// calls, bypassing the Backend dispatch toggle), and — for the plain
-/// matmul — the Q8_0 quantized kernel pair. SIMD rows must be bitwise
-/// identical to scalar; the quant column compares its own scalar/SIMD
-/// pair (quant-vs-fp32 accuracy is tests/quant_test.cc's job).
+/// (DESIGN.md §16): the scalar oracle and its SIMD mirror (direct
+/// simd:: calls, bypassing the Backend dispatch toggle). SIMD rows
+/// must be bitwise identical to scalar.
 void CompareSimd() {
-  std::printf("Dense kernels: scalar vs %s vs int8 (single thread)\n",
+  std::printf("Dense kernels: scalar vs %s (single thread)\n",
               simd::IsaName());
   if (!simd::Available()) {
     std::printf("(no vector ISA compiled/detected: simd:: delegates to the "
@@ -274,8 +271,8 @@ void CompareSimd() {
   }
   std::printf("(-z35 rows: the a operand has ~35%% exact zeros, as after "
               "ReLU)\n");
-  std::printf("\n%-14s %-24s %12s %12s %8s %12s %8s\n", "kernel", "shape",
-              "scalar GF/s", "simd GF/s", "speedup", "int8 GF/s", "bitwise");
+  std::printf("\n%-14s %-24s %12s %12s %8s %8s\n", "kernel", "shape",
+              "scalar GF/s", "simd GF/s", "speedup", "bitwise");
 
   struct Row {
     const char* name;
@@ -283,7 +280,6 @@ void CompareSimd() {
     int64_t flops;
     std::function<void(Tensor*)> scalar;
     std::function<void(Tensor*)> vector;
-    std::function<void(Tensor*)> quant;  ///< May be empty.
     int out_rows, out_cols;
   };
   std::vector<Row> rows;
@@ -298,7 +294,6 @@ void CompareSimd() {
     // TransA contracts over the m rows of both operands: a is m x k,
     // bm is m x n, out is k x n.
     auto bm = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
-    auto qb = std::make_shared<QuantizedTensor>(QuantizeQ8(*b));
     const std::string shape = "[" + std::to_string(m) + "x" +
                               std::to_string(k) + "]x[" + std::to_string(k) +
                               "x" + std::to_string(n) + "]";
@@ -306,9 +301,6 @@ void CompareSimd() {
     rows.push_back({"matmul", shape, flops,
                     [a, b, m](Tensor* o) { kernels::MatMulAcc(*a, *b, o, 0, m); },
                     [a, b, m](Tensor* o) { simd::MatMulAcc(*a, *b, o, 0, m); },
-                    [a, qb, m](Tensor* o) {
-                      simd::MatMulQuantAcc(*a, *qb, o, 0, m);
-                    },
                     m, n});
     rows.push_back(
         {"matmul-transA",
@@ -317,12 +309,12 @@ void CompareSimd() {
          flops,
          [a, bm, k](Tensor* o) { kernels::MatMulTransAAcc(*a, *bm, o, 0, k); },
          [a, bm, k](Tensor* o) { simd::MatMulTransAAcc(*a, *bm, o, 0, k); },
-         nullptr, k, n});
+         k, n});
     rows.push_back(
         {"matmul-transB", shape, flops,
          [a, bt, m](Tensor* o) { kernels::MatMulTransBAcc(*a, *bt, o, 0, m); },
          [a, bt, m](Tensor* o) { simd::MatMulTransBAcc(*a, *bt, o, 0, m); },
-         nullptr, m, n});
+         m, n});
     // The zero-skip case: a with ~35% exact zeros, like the post-ReLU
     // activations the encoder's Linear layers multiply. Flops count the
     // dense product, so these rows compare directly with the ones above.
@@ -339,9 +331,6 @@ void CompareSimd() {
                     [az, b, m](Tensor* o) {
                       simd::MatMulAcc(*az, *b, o, 0, m);
                     },
-                    [az, qb, m](Tensor* o) {
-                      simd::MatMulQuantAcc(*az, *qb, o, 0, m);
-                    },
                     m, n});
     rows.push_back(
         {"transA-z35",
@@ -352,7 +341,7 @@ void CompareSimd() {
            kernels::MatMulTransAAcc(*az, *bm, o, 0, k);
          },
          [az, bm, k](Tensor* o) { simd::MatMulTransAAcc(*az, *bm, o, 0, k); },
-         nullptr, k, n});
+         k, n});
   }
 
   // Elementwise (axpy at optimizer scale) and the RFF feature map.
@@ -368,7 +357,7 @@ void CompareSimd() {
                     [x, m, n](Tensor* o) {
                       simd::Axpy(-0.01f, *x, o, 0, m * n);
                     },
-                    nullptr, m, n});
+                    m, n});
   }
   {
     const int n = 1280, d = 32, q = 5;
@@ -396,7 +385,7 @@ void CompareSimd() {
                       simd::RffMap(*z, *source_dim, *omega, *phase, false,
                                    scale, o, 0, n);
                     },
-                    nullptr, n, features});
+                    n, features});
   }
 
   for (const Row& row : rows) {
@@ -412,25 +401,11 @@ void CompareSimd() {
       Tensor out(row.out_rows, row.out_cols);
       row.vector(&out);
     });
-    double quant_gf = 0;
-    if (row.quant) {
-      const double quant_s = TimePerCall([&] {
-        Tensor out(row.out_rows, row.out_cols);
-        row.quant(&out);
-      });
-      quant_gf = static_cast<double>(row.flops) / quant_s / 1e9;
-    }
-    char quant_col[16];
-    if (row.quant) {
-      std::snprintf(quant_col, sizeof(quant_col), "%.2f", quant_gf);
-    } else {
-      std::snprintf(quant_col, sizeof(quant_col), "-");
-    }
-    std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %12s %8s\n", row.name,
+    std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %8s\n", row.name,
                 row.shape.c_str(),
                 static_cast<double>(row.flops) / scalar_s / 1e9,
                 static_cast<double>(row.flops) / simd_s / 1e9,
-                scalar_s / simd_s, quant_col,
+                scalar_s / simd_s,
                 BitwiseEqual(scalar_out, simd_out) ? "OK" : "DIVERGED");
   }
 }

@@ -78,9 +78,6 @@ serve/version/current
 serve/version/rollouts
 serve/version/rollbacks
 serve/version/requests
-serve/quant/publishes
-serve/quant/params
-serve/quant/bytes
 kernel/simd/vector_calls
 kernel/simd/scalar_calls
 "

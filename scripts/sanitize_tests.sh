@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Builds the project under a sanitizer and runs the hardened-surface
 # suites (ctest label "sanitize": serialize_test, kernels_test,
-# simd_test, quant_test, ops_test, nn_test, checkpoint_test,
-# golden_test, serve_test, serve_telemetry_test, serve_sched_test and
-# arena_test — the untrusted-byte parsers, the parallel kernels, every
+# simd_test, ops_test, nn_test, checkpoint_test, golden_test,
+# serve_test, serve_telemetry_test, serve_sched_test and arena_test — the untrusted-byte parsers, the parallel kernels, every
 # autograd op and BatchNorm path, the concurrent inference engine, and
 # the tensor arena, whose pointer arithmetic over shared slabs is
 # exactly what ASan is for; the address build poisons free arena

@@ -8,16 +8,12 @@
 #include <utility>
 
 #include "src/nn/module.h"
-#include "src/tensor/quant.h"
 #include "src/util/check.h"
 #include "src/util/file.h"
 #include "src/util/logging.h"
 
 namespace oodgnn {
 namespace {
-
-constexpr uint32_t kMagic = 0x4F4F4447;  // "OODG"
-constexpr uint32_t kVersion = 1;
 
 struct FileCloser {
   void operator()(std::FILE* file) const {
@@ -70,11 +66,6 @@ void BinaryPayloadWriter::PutF64Vector(const std::vector<double>& values) {
 void BinaryPayloadWriter::PutU64Vector(const std::vector<uint64_t>& values) {
   PutU64(values.size());
   Append(values.data(), values.size() * sizeof(uint64_t));
-}
-
-void BinaryPayloadWriter::PutI8Vector(const std::vector<int8_t>& values) {
-  PutU64(values.size());
-  Append(values.data(), values.size() * sizeof(int8_t));
 }
 
 bool BinaryPayloadReader::Fetch(void* out, size_t size) {
@@ -135,126 +126,10 @@ bool BinaryPayloadReader::GetU64Vector(std::vector<uint64_t>* values) {
   return Fetch(values->data(), static_cast<size_t>(count) * sizeof(uint64_t));
 }
 
-bool BinaryPayloadReader::GetI8Vector(std::vector<int8_t>* values) {
-  uint64_t count = 0;
-  if (!GetU64(&count) || count > remaining()) return false;
-  values->resize(static_cast<size_t>(count));
-  return Fetch(values->data(), static_cast<size_t>(count) * sizeof(int8_t));
-}
-
-bool SaveParameters(const std::string& path,
-                    const std::vector<Variable>& parameters) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  if (!WriteU32(file.get(), kMagic) || !WriteU32(file.get(), kVersion) ||
-      !WriteU32(file.get(), static_cast<uint32_t>(parameters.size()))) {
-    return false;
-  }
-  for (const Variable& param : parameters) {
-    OODGNN_CHECK(param.defined());
-    const Tensor& value = param.value();
-    if (!WriteU32(file.get(), static_cast<uint32_t>(value.rows())) ||
-        !WriteU32(file.get(), static_cast<uint32_t>(value.cols()))) {
-      return false;
-    }
-    const size_t count = static_cast<size_t>(value.size());
-    if (std::fwrite(value.data(), sizeof(float), count, file.get()) !=
-        count) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SaveParameters(const std::string& path, const Module& module) {
-  return SaveParameters(path, module.Parameters());
-}
-
-bool LoadParameters(const std::string& path,
-                    std::vector<Variable> parameters) {
-  std::string bytes;
-  if (!ReadFileToString(path, &bytes)) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for reading";
-    return false;
-  }
-  BinaryPayloadReader reader(bytes.data(), bytes.size());
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint32_t count = 0;
-  if (!reader.GetU32(&magic) || !reader.GetU32(&version) ||
-      !reader.GetU32(&count)) {
-    OODGNN_LOG(Error) << path << ": truncated checkpoint header";
-    return false;
-  }
-  if (magic != kMagic) {
-    OODGNN_LOG(Error) << path << " is not an oodgnn checkpoint";
-    return false;
-  }
-  if (version != kVersion) {
-    OODGNN_LOG(Error) << path << ": unsupported checkpoint version "
-                      << version;
-    return false;
-  }
-  // Each tensor record is at least its 8-byte shape header, so a
-  // header-declared count larger than the file can back is rejected
-  // before any allocation.
-  if (count != parameters.size() ||
-      static_cast<uint64_t>(count) * 8 > reader.remaining()) {
-    OODGNN_LOG(Error) << path << ": checkpoint declares " << count
-                      << " tensors, module expects " << parameters.size()
-                      << " (" << reader.remaining() << " payload bytes)";
-    return false;
-  }
-  // Stage everything first so a file that fails halfway leaves the
-  // module untouched.
-  std::vector<Tensor> staged(parameters.size());
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    if (!reader.GetTensor(&staged[i])) {
-      OODGNN_LOG(Error) << path << ": tensor " << i
-                        << " is truncated or oversized";
-      return false;
-    }
-    const Tensor& expected = parameters[i].value();
-    if (!staged[i].SameShape(expected)) {
-      OODGNN_LOG(Error) << path << ": checkpoint tensor " << i << " is "
-                        << staged[i].rows() << "x" << staged[i].cols()
-                        << " but the parameter is " << expected.rows() << "x"
-                        << expected.cols();
-      return false;
-    }
-  }
-  if (!reader.AtEnd()) {
-    OODGNN_LOG(Error) << path << ": " << reader.remaining()
-                      << " trailing bytes after the last tensor";
-    return false;
-  }
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    parameters[i].mutable_value() = std::move(staged[i]);
-  }
-  return true;
-}
-
-bool LoadParameters(const std::string& path, Module* module) {
-  OODGNN_CHECK(module != nullptr);
-  return LoadParameters(path, module->Parameters());
-}
-
 namespace {
 
 constexpr uint32_t kModelMagic = 0x4F4F444D;  // "OODM"
 constexpr uint32_t kModelVersion = 1;
-constexpr uint32_t kQuantModelMagic = 0x4F4F4451;  // "OODQ"
-constexpr uint32_t kQuantModelVersion = 1;
-
-/// Only matrix parameters are worth quantizing: bias vectors and
-/// learned scalars are a rounding error of the footprint, but their
-/// quantization error would land directly on every output row.
-bool QuantEligible(const Tensor& value) {
-  return value.rows() > 1 && value.cols() > 1;
-}
 
 /// Writes one framed snapshot file: magic, version, payload size,
 /// FNV-1a checksum, payload.
@@ -425,169 +300,6 @@ bool LoadModelState(const std::string& path, Module* module) {
     *buffers[i] = std::move(staged_buffers[i]);
   }
   return true;
-}
-
-bool SaveQuantizedModelState(const std::string& path, const Module& module) {
-  const std::vector<Variable> params = module.Parameters();
-  const std::vector<Tensor*> buffers = module.Buffers();
-  BinaryPayloadWriter writer;
-  writer.PutU32(static_cast<uint32_t>(params.size()));
-  for (const Variable& param : params) {
-    OODGNN_CHECK(param.defined());
-    const Tensor& value = param.value();
-    if (!QuantEligible(value)) {
-      writer.PutU8(0);
-      writer.PutTensor(value);
-      continue;
-    }
-    const QuantizedTensor quantized = QuantizeQ8(value);
-    writer.PutU8(1);
-    writer.PutU32(static_cast<uint32_t>(quantized.rows));
-    writer.PutU32(static_cast<uint32_t>(quantized.cols));
-    writer.PutI8Vector(quantized.q);
-    writer.PutF32Vector(quantized.scales);
-  }
-  writer.PutU32(static_cast<uint32_t>(buffers.size()));
-  for (const Tensor* buffer : buffers) {
-    OODGNN_CHECK(buffer != nullptr);
-    writer.PutTensor(*buffer);
-  }
-  return WriteFramedFile(path, kQuantModelMagic, kQuantModelVersion,
-                         writer.payload());
-}
-
-bool LoadQuantizedModelState(const std::string& path, Module* module) {
-  OODGNN_CHECK(module != nullptr);
-  std::string bytes;
-  if (!ReadFileToString(path, &bytes)) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for reading";
-    return false;
-  }
-  size_t payload_size = 0;
-  const char* payload =
-      ValidateFramedPayload(path, bytes, kQuantModelMagic, kQuantModelVersion,
-                            "quantized model-state", &payload_size);
-  if (payload == nullptr) return false;
-
-  const std::vector<Variable> params = module->Parameters();
-  const std::vector<Tensor*> buffers = module->Buffers();
-  BinaryPayloadReader reader(payload, payload_size);
-  uint32_t param_count = 0;
-  if (!reader.GetU32(&param_count) || param_count != params.size()) {
-    OODGNN_LOG(Error) << path << ": quantized model state declares "
-                      << param_count << " parameters, module expects "
-                      << params.size();
-    return false;
-  }
-  std::vector<Tensor> staged_params(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Tensor& expected = params[i].value();
-    uint8_t tag = 0;
-    if (!reader.GetU8(&tag)) {
-      OODGNN_LOG(Error) << path << ": parameter " << i << " is truncated";
-      return false;
-    }
-    if (tag == 0) {
-      if (!reader.GetTensor(&staged_params[i])) {
-        OODGNN_LOG(Error) << path << ": parameter " << i
-                          << " is truncated or oversized";
-        return false;
-      }
-      if (!staged_params[i].SameShape(expected)) {
-        OODGNN_LOG(Error) << path << ": parameter " << i << " is "
-                          << staged_params[i].rows() << "x"
-                          << staged_params[i].cols()
-                          << " but the module expects " << expected.rows()
-                          << "x" << expected.cols();
-        return false;
-      }
-      continue;
-    }
-    if (tag != 1) {
-      OODGNN_LOG(Error) << path << ": parameter " << i
-                        << " has unknown encoding tag "
-                        << static_cast<int>(tag);
-      return false;
-    }
-    uint32_t rows = 0;
-    uint32_t cols = 0;
-    if (!reader.GetU32(&rows) || !reader.GetU32(&cols)) {
-      OODGNN_LOG(Error) << path << ": parameter " << i << " is truncated";
-      return false;
-    }
-    if (rows != static_cast<uint32_t>(expected.rows()) ||
-        cols != static_cast<uint32_t>(expected.cols())) {
-      OODGNN_LOG(Error) << path << ": parameter " << i << " is " << rows
-                        << "x" << cols << " but the module expects "
-                        << expected.rows() << "x" << expected.cols();
-      return false;
-    }
-    QuantizedTensor quantized;
-    quantized.rows = static_cast<int>(rows);
-    quantized.cols = static_cast<int>(cols);
-    if (!reader.GetI8Vector(&quantized.q) ||
-        quantized.q.size() !=
-            static_cast<size_t>(rows) * static_cast<size_t>(cols)) {
-      OODGNN_LOG(Error) << path << ": parameter " << i
-                        << " has a truncated or mis-sized code block";
-      return false;
-    }
-    if (!reader.GetF32Vector(&quantized.scales) ||
-        quantized.scales.size() !=
-            static_cast<size_t>(rows) *
-                static_cast<size_t>(quantized.blocks_per_row())) {
-      OODGNN_LOG(Error) << path << ": parameter " << i
-                        << " has a truncated or mis-sized scale block";
-      return false;
-    }
-    staged_params[i] = DequantizeQ8(quantized);
-  }
-  uint32_t buffer_count = 0;
-  if (!reader.GetU32(&buffer_count) || buffer_count != buffers.size()) {
-    OODGNN_LOG(Error) << path << ": quantized model state declares "
-                      << buffer_count << " buffers, module expects "
-                      << buffers.size();
-    return false;
-  }
-  std::vector<std::pair<int, int>> buffer_shapes(buffers.size());
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    buffer_shapes[i] = {buffers[i]->rows(), buffers[i]->cols()};
-  }
-  std::vector<Tensor> staged_buffers;
-  if (!StageTensors(&reader, path, "buffer", buffer_shapes,
-                    &staged_buffers)) {
-    return false;
-  }
-  if (!reader.AtEnd()) {
-    OODGNN_LOG(Error) << path << ": " << reader.remaining()
-                      << " trailing bytes after the last tensor";
-    return false;
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Variable param = params[i];
-    param.mutable_value() = std::move(staged_params[i]);
-  }
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    *buffers[i] = std::move(staged_buffers[i]);
-  }
-  return true;
-}
-
-bool LoadAnyModelState(const std::string& path, Module* module) {
-  OODGNN_CHECK(module != nullptr);
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (!file) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for reading";
-    return false;
-  }
-  uint32_t magic = 0;
-  if (std::fread(&magic, sizeof(magic), 1, file.get()) != 1) {
-    OODGNN_LOG(Error) << path << ": truncated model-state header";
-    return false;
-  }
-  file.reset();
-  return magic == kQuantModelMagic ? LoadQuantizedModelState(path, module)
-                                   : LoadModelState(path, module);
 }
 
 }  // namespace oodgnn

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/tensor/tensor.h"
-#include "src/tensor/variable.h"
 
 namespace oodgnn {
 
@@ -39,7 +38,6 @@ class BinaryPayloadWriter {
   void PutF32Vector(const std::vector<float>& values);
   void PutF64Vector(const std::vector<double>& values);
   void PutU64Vector(const std::vector<uint64_t>& values);
-  void PutI8Vector(const std::vector<int8_t>& values);
 
   const std::string& payload() const { return payload_; }
 
@@ -71,7 +69,6 @@ class BinaryPayloadReader {
   bool GetF32Vector(std::vector<float>* values);
   bool GetF64Vector(std::vector<double>* values);
   bool GetU64Vector(std::vector<uint64_t>* values);
-  bool GetI8Vector(std::vector<int8_t>* values);
 
   size_t remaining() const { return size_ - pos_; }
 
@@ -87,64 +84,22 @@ class BinaryPayloadReader {
   size_t pos_ = 0;
 };
 
-/// Writes the parameter tensors to a binary checkpoint file (magic,
-/// version, per-tensor shape + row-major float32 payload). Parameter
-/// order is the module's registration order, so a checkpoint can only
-/// be restored into an identically constructed module. Returns false on
-/// I/O failure.
-bool SaveParameters(const std::string& path,
-                    const std::vector<Variable>& parameters);
-bool SaveParameters(const std::string& path, const Module& module);
-
-/// Restores parameter values from a checkpoint written by
-/// SaveParameters. The header-declared tensor count and every shape are
-/// validated against both the file's actual size and the module's
-/// expectations before anything is allocated or overwritten; any
-/// mismatch, truncation, or malformed byte returns false with a logged
-/// reason (never aborts, OOMs, or partially applies the file).
-bool LoadParameters(const std::string& path,
-                    std::vector<Variable> parameters);
-bool LoadParameters(const std::string& path, Module* module);
-
 /// Writes a complete forward-pass snapshot of a module: trainable
 /// parameters AND non-trainable buffers (batch-norm running
 /// statistics), both in registration order, framed with a magic,
 /// version, payload size and FNV-1a checksum. This is the serving
-/// format: unlike SaveParameters it captures everything an eval-mode
-/// forward reads, so an InferenceEngine restored from it reproduces
-/// the training process's eval outputs bitwise. Returns false on I/O
-/// failure.
+/// format: it captures everything an eval-mode forward reads, so an
+/// InferenceEngine restored from it reproduces the training process's
+/// eval outputs bitwise. Returns false on I/O failure.
 bool SaveModelState(const std::string& path, const Module& module);
 
 /// Restores a snapshot written by SaveModelState into an identically
-/// constructed module. Hardened like LoadParameters: the checksum,
-/// every declared count and every shape are validated against the
-/// actual bytes and the module before anything is mutated; any
-/// mismatch returns false with a logged reason and leaves the module
-/// untouched.
+/// constructed module. The checksum, every declared count and every
+/// shape are validated against the actual bytes and the module before
+/// the module is touched, and no allocation exceeds the bytes present.
+/// Any mismatch, truncation or malformed byte returns false with a
+/// logged reason and leaves the module untouched; it never aborts.
 bool LoadModelState(const std::string& path, Module* module);
-
-/// Writes a quantized forward-pass snapshot ("OODQ" framing, same
-/// magic/version/size/checksum envelope as SaveModelState): matrix
-/// parameters (rows > 1 and cols > 1) are stored as Q8_0 blocks
-/// (src/tensor/quant.h) — per-param u8 tag, shape, int8 codes and
-/// per-block fp32 scales — while vector/scalar params and all buffers
-/// stay raw fp32. Roughly 4× smaller than OODM for weight-heavy
-/// models. Returns false on I/O failure.
-bool SaveQuantizedModelState(const std::string& path, const Module& module);
-
-/// Restores a snapshot written by SaveQuantizedModelState, hardened
-/// like LoadModelState (checksum, counts, shapes, code/scale lengths
-/// all validated before anything is mutated; corrupt or truncated
-/// files are rejected whole). Quantized entries are dequantized into
-/// the module, so the module afterwards holds exactly the fp32 image a
-/// quantized serving engine computes with.
-bool LoadQuantizedModelState(const std::string& path, Module* module);
-
-/// Sniffs the file magic and dispatches to LoadModelState (OODM) or
-/// LoadQuantizedModelState (OODQ) — the engine's LoadModelFile accepts
-/// either format through this.
-bool LoadAnyModelState(const std::string& path, Module* module);
 
 }  // namespace oodgnn
 

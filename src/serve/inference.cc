@@ -51,14 +51,6 @@ const char* InvalidGraphReason(const Graph& graph, const ModelSpec& spec) {
   return nullptr;
 }
 
-/// Only matrix parameters are quantized (same eligibility rule as
-/// SaveQuantizedModelState): bias vectors and scalars are a rounding
-/// error of the weight traffic but would put quantization noise on
-/// every output row.
-bool QuantEligible(const Tensor& value) {
-  return value.rows() > 1 && value.cols() > 1;
-}
-
 /// Copies `src` tensors into a module's parameters and buffers
 /// (registration order). Caller has already validated counts/shapes.
 void ApplyState(const std::vector<Tensor>& params,
@@ -107,9 +99,6 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
         spec_.method, spec_.encoder, spec_.output_dim, &init_rng));
     worker_rngs_.push_back(std::make_unique<Rng>(kReplicaInitSeed + i));
   }
-  worker_versions_.assign(static_cast<size_t>(options_.num_workers), 0);
-  worker_snapshots_.resize(static_cast<size_t>(options_.num_workers));
-  worker_qmaps_.resize(static_cast<size_t>(options_.num_workers));
   {
     Rng init_rng(kReplicaInitSeed);
     master_ = std::make_unique<GraphPredictionModel>(
@@ -131,16 +120,11 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
     std::lock_guard<std::mutex> lock(master_mu_);
     PublishFromMasterLocked();
   }
-  // Preload every worker with the initial snapshot. Replicas are
-  // bitwise identical to the pre-publish master (same init seed), so
-  // an fp32 publish needs no adoption copy. A quantized publish wrote
-  // the dequantized image back into the master, so the replicas must
-  // copy to match it.
-  const std::shared_ptr<const WeightSnapshot> initial = versions_.current();
-  for (int i = 0; i < options_.num_workers; ++i) {
-    AdoptSnapshot(i, initial,
-                  /*copy_weights=*/initial->dtype != WeightDtype::kF32);
-  }
+  // Replicas are bitwise identical to the master the initial version
+  // was published from (same init seed), so every worker starts on
+  // that version without copying it.
+  worker_versions_.assign(static_cast<size_t>(options_.num_workers),
+                          versions_.current_version());
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back(&InferenceEngine::WorkerLoop, this, i);
@@ -174,11 +158,8 @@ void InferenceEngine::SyncFrom(const GraphPredictionModel& model) {
 bool InferenceEngine::LoadModelFile(const std::string& path) {
   std::lock_guard<std::mutex> lock(master_mu_);
   // Validate + apply against the master; nothing is published (and no
-  // worker is affected) unless the load succeeds in full. Accepts both
-  // fp32 (OODM) and quantized (OODQ) snapshots — a quantized file is
-  // dequantized into the master here, and the publish below decides
-  // independently whether to serve it quantized.
-  if (!LoadAnyModelState(path, master_.get())) return false;
+  // worker is affected) unless the load succeeds in full.
+  if (!LoadModelState(path, master_.get())) return false;
   PublishFromMasterLocked();
   return true;
 }
@@ -334,68 +315,19 @@ InferenceStats InferenceEngine::stats() const {
 }
 
 void InferenceEngine::PublishFromMasterLocked() {
-  const bool quantize =
-      options_.quantize == QuantizeMode::kOn ||
-      (options_.quantize == QuantizeMode::kFollowProcess && QuantizeEnabled());
-  const WeightDtype dtype = quantize ? WeightDtype::kQ8 : WeightDtype::kF32;
-  std::vector<std::shared_ptr<const QuantizedTensor>> qweights;
-  if (quantize) {
-    // Quantize the matrix parameters and write the dequantized image
-    // back into the master, so the published fp32 params and every
-    // non-matmul consumer see exactly the values the quantized matmuls
-    // reproduce. Re-quantizing a dequantized image is a fixed point, so
-    // repeated publishes do not drift.
-    std::vector<Variable> params = master_->Parameters();
-    qweights.reserve(params.size());
-    for (Variable& param : params) {
-      if (!QuantEligible(param.value())) {
-        qweights.push_back(nullptr);
-        continue;
-      }
-      auto quantized = std::make_shared<QuantizedTensor>(
-          QuantizeQ8(param.value()));
-      param.mutable_value() = DequantizeQ8(*quantized);
-      qweights.push_back(std::move(quantized));
-    }
-  }
   std::vector<Tensor> params;
   for (const Variable& p : master_->Parameters()) params.push_back(p.value());
   std::vector<Tensor> buffers;
   for (const Tensor* b : master_->Buffers()) buffers.push_back(*b);
-  versions_.Publish(std::move(params), std::move(buffers), dtype,
-                    std::move(qweights));
+  versions_.Publish(std::move(params), std::move(buffers));
 }
 
 void InferenceEngine::AdoptCurrentVersion(int worker_index) {
   const std::shared_ptr<const WeightSnapshot> target = versions_.current();
   const size_t w = static_cast<size_t>(worker_index);
   if (target == nullptr || target->version == worker_versions_[w]) return;
-  AdoptSnapshot(worker_index, target, /*copy_weights=*/true);
-}
-
-void InferenceEngine::AdoptSnapshot(
-    int worker_index, const std::shared_ptr<const WeightSnapshot>& snapshot,
-    bool copy_weights) {
-  const size_t w = static_cast<size_t>(worker_index);
-  if (copy_weights) {
-    ApplyState(snapshot->params, snapshot->buffers, replicas_[w].get());
-  }
-  // The qmap keys on the replica's own parameter storage (adoption
-  // copies into fresh tensors); the pinned snapshot keeps the mapped
-  // QuantizedTensor blocks alive for as long as the map can be
-  // consulted.
-  worker_qmaps_[w].clear();
-  if (snapshot->dtype == WeightDtype::kQ8) {
-    const std::vector<Variable> params = replicas_[w]->Parameters();
-    OODGNN_CHECK_EQ(params.size(), snapshot->qweights.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (snapshot->qweights[i] == nullptr) continue;
-      worker_qmaps_[w][params[i].value().data()] =
-          snapshot->qweights[i].get();
-    }
-  }
-  worker_snapshots_[w] = snapshot;
-  worker_versions_[w] = snapshot->version;
+  ApplyState(target->params, target->buffers, replicas_[w].get());
+  worker_versions_[w] = target->version;
 }
 
 void InferenceEngine::WorkerLoop(int worker_index) {
@@ -474,16 +406,6 @@ void InferenceEngine::ExecuteBatch(int worker_index,
     Rng* rng = worker_rngs_[w].get();
     const std::string rng_before = rng->SaveState();
     GraphPredictionModel* model = replicas_[w].get();
-    const WeightDtype dtype = worker_snapshots_[w] != nullptr
-                                  ? worker_snapshots_[w]->dtype
-                                  : WeightDtype::kF32;
-    // Routes this worker's matmuls through its int8 block images while
-    // serving a quantized snapshot (one thread-local pointer install;
-    // null keeps the fp32 fast path). The map lookup happens on this
-    // thread inside the Backend entry point, before work fans out to
-    // pool threads.
-    ScopedQuantizedWeights quant_scope(
-        dtype == WeightDtype::kQ8 ? &worker_qmaps_[w] : nullptr);
     const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
     execute_start_us = clock_->NowMicros();
     logits = model->Predict(graph_batch, /*training=*/false, rng).value();

@@ -19,7 +19,6 @@
 #include "src/obs/span.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/version.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/clock.h"
 #include "src/util/rng.h"
@@ -40,18 +39,6 @@ struct ModelSpec {
   /// refuses a graph of any other arity (ShedReason::kInvalidInput):
   /// batch construction requires every graph in a batch to agree.
   int num_targets = 0;
-};
-
-/// Int8 weight quantization policy for the engine (training is never
-/// affected — quantization happens at publish time, on the engine's
-/// own copy of the weights).
-enum class QuantizeMode {
-  /// Follow the process-wide toggle (--quantize / OODGNN_QUANTIZE),
-  /// sampled at every publish — flipping the toggle between SyncFrom
-  /// calls rolls quantization on or off like any weight rollout.
-  kFollowProcess,
-  kOff,
-  kOn,
 };
 
 /// Serving policy. Admission is continuous-batching style: Submit()
@@ -81,16 +68,6 @@ struct InferenceOptions {
   /// windows. Null = Clock::Real(). Tests inject a FakeClock to make
   /// deadline expiry and shed decisions reproducible without sleeping.
   const Clock* clock = nullptr;
-
-  /// Q8_0 weight quantization (DESIGN.md §16): every publish quantizes
-  /// the matrix parameters to per-32-element int8 blocks, writes the
-  /// dequantized image back as the published fp32 weights (so all
-  /// non-matmul consumers agree with the quantized matmuls exactly),
-  /// and serves matmuls from the int8 blocks — ~4x less weight
-  /// traffic per matmul at a bounded, tested accuracy cost. Outputs
-  /// are NOT bitwise equal to fp32 serving; tests/quant_test.cc pins
-  /// the tolerance for every model method.
-  QuantizeMode quantize = QuantizeMode::kFollowProcess;
 
   /// Request-span telemetry (src/obs/span.h): per-phase latency
   /// histograms, queue/in-flight gauges and SLO tracking, always on by
@@ -280,16 +257,6 @@ class InferenceEngine {
   /// at batch boundaries.
   void AdoptCurrentVersion(int worker_index);
 
-  /// Installs `snapshot` as worker `worker_index`'s serving state:
-  /// copies weights into the replica (skippable at construction when
-  /// the replica is already bitwise identical) and rebuilds the
-  /// worker's quantized-weight map keyed on the replica's own
-  /// parameter storage. The snapshot is pinned so the map's
-  /// QuantizedTensor targets stay alive.
-  void AdoptSnapshot(int worker_index,
-                     const std::shared_ptr<const WeightSnapshot>& snapshot,
-                     bool copy_weights);
-
   /// Feeds one finished span to every SLO tracker (selecting the phase
   /// duration each spec targets), logs breached windows, and publishes
   /// the worst current burn rate to the scheduler's shed signal.
@@ -315,12 +282,6 @@ class InferenceEngine {
   /// Rng; each worker passes its own so a violation cannot race.
   std::vector<std::unique_ptr<Rng>> worker_rngs_;
   std::vector<std::int64_t> worker_versions_;
-  /// The snapshot each worker last adopted — pins the QuantizedTensor
-  /// blocks its qmap points into (and carries the serving dtype).
-  std::vector<std::shared_ptr<const WeightSnapshot>> worker_snapshots_;
-  /// Replica-parameter storage -> int8 block image, rebuilt on every
-  /// quantized adoption; empty while serving fp32.
-  std::vector<QuantizedWeightMap> worker_qmaps_;
 
   /// Master copy weight publishers (SyncFrom / Load*) validate against.
   /// Never used to serve requests.

@@ -12,36 +12,16 @@ WeightVersionManager::WeightVersionManager(obs::MetricsRegistry* registry) {
     rollouts_counter_ = &registry->GetCounter("serve/version/rollouts");
     rollbacks_counter_ = &registry->GetCounter("serve/version/rollbacks");
     requests_counter_ = &registry->GetCounter("serve/version/requests");
-    quant_publishes_counter_ = &registry->GetCounter("serve/quant/publishes");
-    quant_params_counter_ = &registry->GetCounter("serve/quant/params");
-    quant_bytes_counter_ = &registry->GetCounter("serve/quant/bytes");
   }
 }
 
-std::int64_t WeightVersionManager::Publish(
-    std::vector<Tensor> params, std::vector<Tensor> buffers, WeightDtype dtype,
-    std::vector<std::shared_ptr<const QuantizedTensor>> qweights) {
+std::int64_t WeightVersionManager::Publish(std::vector<Tensor> params,
+                                          std::vector<Tensor> buffers) {
   auto snapshot = std::make_shared<WeightSnapshot>();
   std::lock_guard<std::mutex> lock(mu_);
   snapshot->version = next_version_++;
   snapshot->params = std::move(params);
   snapshot->buffers = std::move(buffers);
-  snapshot->dtype = dtype;
-  snapshot->qweights = std::move(qweights);
-  if (snapshot->dtype == WeightDtype::kQ8) {
-    std::int64_t quant_params = 0;
-    std::int64_t quant_bytes = 0;
-    for (const auto& qw : snapshot->qweights) {
-      if (qw == nullptr) continue;
-      ++quant_params;
-      quant_bytes += static_cast<std::int64_t>(qw->byte_size());
-    }
-    if (quant_publishes_counter_ != nullptr) {
-      quant_publishes_counter_->Increment();
-      quant_params_counter_->Add(quant_params);
-      quant_bytes_counter_->Add(quant_bytes);
-    }
-  }
   previous_ = std::move(current_);
   current_ = std::move(snapshot);
   ++rollouts_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 
 namespace oodgnn {
@@ -20,13 +19,6 @@ struct WeightSnapshot {
   std::int64_t version = 0;
   std::vector<Tensor> params;
   std::vector<Tensor> buffers;
-  /// Weight representation this publish serves under. When kQ8,
-  /// `params` hold the *dequantized* fp32 image (so every non-matmul
-  /// consumer sees exactly the values the quantized matmuls reproduce)
-  /// and `qweights` aligns with `params`: the int8 block image for
-  /// quantized entries, null for params left fp32 (vectors, scalars).
-  WeightDtype dtype = WeightDtype::kF32;
-  std::vector<std::shared_ptr<const QuantizedTensor>> qweights;
 };
 
 /// Per-version lifetime accounting (see WeightVersionManager::counts).
@@ -56,9 +48,6 @@ struct VersionCount {
 ///   counter  serve/version/rollouts   publishes (including the initial)
 ///   counter  serve/version/rollbacks  successful rollbacks
 ///   counter  serve/version/requests   graphs served across all versions
-///   counter  serve/quant/publishes    publishes carrying Q8 weights
-///   counter  serve/quant/params       quantized param tensors published
-///   counter  serve/quant/bytes        int8+scale bytes published
 class WeightVersionManager {
  public:
   explicit WeightVersionManager(obs::MetricsRegistry* registry);
@@ -68,13 +57,9 @@ class WeightVersionManager {
 
   /// Publishes a new snapshot and returns its (monotonically
   /// increasing) version id. The previous snapshot is retained as the
-  /// rollback target (a rollback restores that snapshot whole —
-  /// params, dtype and qweights move together, so a quantized rollout
-  /// rolls back to exactly the fp32 state it replaced).
-  std::int64_t Publish(
-      std::vector<Tensor> params, std::vector<Tensor> buffers,
-      WeightDtype dtype = WeightDtype::kF32,
-      std::vector<std::shared_ptr<const QuantizedTensor>> qweights = {});
+  /// rollback target.
+  std::int64_t Publish(std::vector<Tensor> params,
+                       std::vector<Tensor> buffers);
 
   /// Re-publishes the previously active snapshot under its original
   /// version id; the replaced snapshot becomes the new rollback target
@@ -114,9 +99,6 @@ class WeightVersionManager {
   obs::Counter* rollouts_counter_ = nullptr;
   obs::Counter* rollbacks_counter_ = nullptr;
   obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* quant_publishes_counter_ = nullptr;
-  obs::Counter* quant_params_counter_ = nullptr;
-  obs::Counter* quant_bytes_counter_ = nullptr;
 };
 
 }  // namespace serve

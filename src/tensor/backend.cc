@@ -1,6 +1,5 @@
 #include "src/tensor/backend.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/kernels.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/simd.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -69,7 +67,6 @@ enum class KernelOp : int {
   kSegmentExtremePlanned,
   kSegmentExtremeBackward,
   kCopyRows,
-  kMatMulQuant,
   kRffMap,
   kRelu,
   kReluBackward,
@@ -141,8 +138,6 @@ const char* KernelOpName(KernelOp op) {
       return "segment_extreme_backward";
     case KernelOp::kCopyRows:
       return "copy_rows";
-    case KernelOp::kMatMulQuant:
-      return "matmul_quant";
     case KernelOp::kRffMap:
       return "rff_map";
     case KernelOp::kRelu:
@@ -279,12 +274,7 @@ namespace {
 
 /// a·b into out: out += a·b when `tail` is null, out = tail(a·b)
 /// otherwise. Counted under `matmul` either way — the tail replaces
-/// element-wise passes, not a matmul. Quantized-weight routing: when a
-/// serving scope registered b's storage, consume the int8 block image
-/// instead of the fp32 tensor (counted under `matmul_quant`); a tail
-/// then runs on the zeroed-and-accumulated rows. Training threads
-/// never install a scope, so this is one thread-local null check for
-/// them.
+/// element-wise passes, not a matmul.
 void DispatchMatMul(const Backend& be, const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail* tail, Tensor* out) {
   OODGNN_CHECK_EQ(a.cols(), b.rows());
@@ -293,26 +283,8 @@ void DispatchMatMul(const Backend& be, const Tensor& a, const Tensor& b,
       2ll * a.rows() * a.cols() * b.cols();
   const bool use_simd = simd::Enabled();
   RecordSimdDispatch(use_simd);
-  const bool parallel = be.WouldParallelize(out->rows(), flops);
-  if (const QuantizedTensor* qw = ActiveQuantizedWeightFor(b.data())) {
-    OODGNN_CHECK(qw->rows == b.rows() && qw->cols == b.cols());
-    KernelScope scope(KernelOp::kMatMulQuant, out->size(), parallel);
-    be.ForCost(out->rows(), flops, [&](int r0, int r1) {
-      const size_t cols = static_cast<size_t>(out->cols());
-      if (tail != nullptr) {
-        std::fill(out->data() + static_cast<size_t>(r0) * cols,
-                  out->data() + static_cast<size_t>(r1) * cols, 0.f);
-      }
-      if (use_simd) {
-        simd::MatMulQuantAcc(a, *qw, out, r0, r1);
-      } else {
-        kernels::MatMulQuantAcc(a, *qw, out, r0, r1);
-      }
-      if (tail != nullptr) kernels::ApplyTailRows(*tail, out, r0, r1);
-    });
-    return;
-  }
-  KernelScope scope(KernelOp::kMatMul, out->size(), parallel);
+  KernelScope scope(KernelOp::kMatMul, out->size(),
+                    be.WouldParallelize(out->rows(), flops));
   be.ForCost(out->rows(), flops, [&](int r0, int r1) {
     if (tail != nullptr) {
       if (use_simd) {

@@ -55,7 +55,7 @@ class Backend {
   void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const;
   /// out = tail(a[m,k] · b[k,n]) in one pass (kernels::MatMulTail):
   /// every element is written, so out may be unfilled. Counted as
-  /// `matmul`; honours quantized-weight routing like MatMulAcc.
+  /// `matmul`.
   void MatMulWithTail(const Tensor& a, const Tensor& b,
                       const kernels::MatMulTail& tail, Tensor* out) const;
   /// out += aᵀ · b (out is [a.cols, b.cols]).

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "src/tensor/kernels.h"
-#include "src/tensor/quant.h"
 
 // This is the only translation unit built with an explicit vector ISA
 // flag (src/CMakeLists.txt adds -mavx2 + OODGNN_SIMD_AVX2 on x86-64
@@ -106,12 +105,6 @@ inline vf VDiv(vf a, vf b) { return _mm256_div_ps(a, b); }
 inline vf VSelectPositive(vf x, vf v) {
   return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), v);
 }
-/// Sign-extends 8 int8 codes to 8 floats (exact conversion).
-inline vf VLoadI8AsF32(const int8_t* p) {
-  const __m128i bytes =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-}
 
 #else  // OODGNN_SIMD_ISA_NEON
 
@@ -127,13 +120,6 @@ inline vf VDiv(vf a, vf b) { return vdivq_f32(a, b); }
 inline vf VSelectPositive(vf x, vf v) {
   return vreinterpretq_f32_u32(
       vandq_u32(vcgtq_f32(x, vdupq_n_f32(0.f)), vreinterpretq_u32_f32(v)));
-}
-/// Converts 4 int8 codes to 4 floats without reading past p[3].
-inline vf VLoadI8AsF32(const int8_t* p) {
-  const float buf[4] = {
-      static_cast<float>(p[0]), static_cast<float>(p[1]),
-      static_cast<float>(p[2]), static_cast<float>(p[3])};
-  return vld1q_f32(buf);
 }
 
 #endif
@@ -430,134 +416,6 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
       for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
       orow[jt] += acc;
     }
-  }
-}
-
-namespace {
-
-/// Column tail of the quantized matmul ([j0, n) narrower than a
-/// register tile): scalar per-element form of the oracle expression.
-inline void MatMulQuantTailCols(const float* arow, const QuantizedTensor& w,
-                                float* orow, int j0, int n, int k) {
-  for (int p = 0; p < k; ++p) {
-    const float av = arow[p];
-    if (av == 0.f) continue;
-    const int8_t* qrow = w.qrow(p);
-    const float* srow = w.srow(p);
-    for (int j = j0; j < n; ++j) {
-      const float m = av * srow[j / kQuantBlockSize];
-      orow[j] += m * static_cast<float>(qrow[j]);
-    }
-  }
-}
-
-/// One output row of the quantized matmul, p outer / columns inner, so
-/// the q8 rows stream sequentially. That memory order is what matters
-/// in the GEMV regime (one activation row against weights far larger
-/// than cache): the column-tiled body below would revisit every weight
-/// row once per tile at a full-row stride, thrashing TLB and cache.
-/// The output row churns in L1/L2 instead, which is the cheap side.
-inline void MatMulQuantAccRow(const float* arow, const QuantizedTensor& w,
-                              float* orow, int n, int k, int bpr) {
-  for (int p = 0; p < k; ++p) {
-    const float av = arow[p];
-    if (av == 0.f) continue;
-    const int8_t* qrow = w.qrow(p);
-    const float* srow = w.srow(p);
-    for (int b = 0; b < bpr; ++b) {
-      const float m = av * srow[b];
-      const vf vm = VBroadcast(m);
-      const int j0 = b * kQuantBlockSize;
-      const int j1 = std::min(n, j0 + kQuantBlockSize);
-      int j = j0;
-      for (; j + kVLen <= j1; j += kVLen) {
-        const vf prod = VMul(vm, VLoadI8AsF32(qrow + j));
-        VStore(orow + j, VAdd(VLoad(orow + j), prod));
-      }
-      for (; j < j1; ++j) orow[j] += m * static_cast<float>(qrow[j]);
-    }
-  }
-}
-
-}  // namespace
-
-void MatMulQuantAcc(const Tensor& a, const QuantizedTensor& w, Tensor* out,
-                    int r0, int r1) {
-  const int k = a.cols();
-  const int n = w.cols;
-  const int bpr = w.blocks_per_row();
-  // Register-tiled main body: 4 output rows x 2 column vectors per
-  // tile. The int8->f32 conversion of a weight vector dominates the
-  // cache-resident quantized kernel, so one conversion is shared
-  // across four output rows, and outputs accumulate in registers (one
-  // load + one store per tile instead of one per p step). Bitwise-
-  // equal to the scalar oracle by construction: every output element
-  // still accumulates in ascending p order, with the identical skip
-  // (av == 0.f) and the identical expression (av * scale) * q. A tile
-  // never straddles a quant block: kQuantBlockSize (32) is a multiple
-  // of 2 * kVLen. Row remainders (and therefore the GEMV case) take
-  // the sequential-streaming row kernel instead — see its comment.
-  constexpr int kTileCols = 2 * kVLen;
-  static_assert(kQuantBlockSize % kTileCols == 0,
-                "tile must not straddle quant blocks");
-  const int jt_end = n - (n % kTileCols);
-  int i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    const float* arow[4] = {a.row(i), a.row(i + 1), a.row(i + 2),
-                            a.row(i + 3)};
-    float* orow[4] = {out->row(i), out->row(i + 1), out->row(i + 2),
-                      out->row(i + 3)};
-    for (int j = 0; j < jt_end; j += kTileCols) {
-      const int b = j / kQuantBlockSize;
-      vf acc0[4], acc1[4];
-      for (int r = 0; r < 4; ++r) {
-        acc0[r] = VLoad(orow[r] + j);
-        acc1[r] = VLoad(orow[r] + j + kVLen);
-      }
-      for (int p = 0; p < k; ++p) {
-        const float a0 = arow[0][p];
-        const float a1 = arow[1][p];
-        const float a2 = arow[2][p];
-        const float a3 = arow[3][p];
-        if (a0 == 0.f && a1 == 0.f && a2 == 0.f && a3 == 0.f) continue;
-        const float s = w.srow(p)[b];
-        const int8_t* qp = w.qrow(p) + j;
-        const vf wq0 = VLoadI8AsF32(qp);
-        const vf wq1 = VLoadI8AsF32(qp + kVLen);
-        if (a0 != 0.f) {
-          const vf m = VBroadcast(a0 * s);
-          acc0[0] = VAdd(acc0[0], VMul(m, wq0));
-          acc1[0] = VAdd(acc1[0], VMul(m, wq1));
-        }
-        if (a1 != 0.f) {
-          const vf m = VBroadcast(a1 * s);
-          acc0[1] = VAdd(acc0[1], VMul(m, wq0));
-          acc1[1] = VAdd(acc1[1], VMul(m, wq1));
-        }
-        if (a2 != 0.f) {
-          const vf m = VBroadcast(a2 * s);
-          acc0[2] = VAdd(acc0[2], VMul(m, wq0));
-          acc1[2] = VAdd(acc1[2], VMul(m, wq1));
-        }
-        if (a3 != 0.f) {
-          const vf m = VBroadcast(a3 * s);
-          acc0[3] = VAdd(acc0[3], VMul(m, wq0));
-          acc1[3] = VAdd(acc1[3], VMul(m, wq1));
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        VStore(orow[r] + j, acc0[r]);
-        VStore(orow[r] + j + kVLen, acc1[r]);
-      }
-    }
-    if (jt_end < n) {
-      for (int r = 0; r < 4; ++r) {
-        MatMulQuantTailCols(arow[r], w, orow[r], jt_end, n, k);
-      }
-    }
-  }
-  for (; i < r1; ++i) {
-    MatMulQuantAccRow(a.row(i), w, out->row(i), n, k, bpr);
   }
 }
 
@@ -932,10 +790,6 @@ void MatMulWithTail(const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail& tail, Tensor* out, int r0,
                     int r1) {
   kernels::MatMulWithTail(a, b, tail, out, r0, r1);
-}
-void MatMulQuantAcc(const Tensor& a, const QuantizedTensor& w, Tensor* out,
-                    int r0, int r1) {
-  kernels::MatMulQuantAcc(a, w, out, r0, r1);
 }
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
   kernels::Axpy(alpha, x, y, i0, i1);

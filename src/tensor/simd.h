@@ -7,8 +7,6 @@
 
 namespace oodgnn {
 
-struct QuantizedTensor;
-
 namespace kernels {
 struct MatMulTail;
 }  // namespace kernels
@@ -94,12 +92,6 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
 void MatMulWithTail(const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail& tail, Tensor* out, int r0,
                     int r1);
-
-/// out[r0:r1,:] += a · dequant(w) over Q8_0 blocks (see
-/// src/tensor/quant.h). Bitwise identical to the scalar
-/// kernels::MatMulQuantAcc, which is itself the quantized oracle.
-void MatMulQuantAcc(const Tensor& a, const QuantizedTensor& w, Tensor* out,
-                    int r0, int r1);
 
 // --- element-wise maps ---
 

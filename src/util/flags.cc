@@ -61,13 +61,6 @@ int Flags::GetThreads(int fallback) const {
   return fallback;
 }
 
-bool Flags::GetQuantize(bool fallback) const {
-  if (Has("quantize")) return GetBool("quantize", fallback);
-  const char* env = std::getenv("OODGNN_QUANTIZE");
-  if (env != nullptr && *env != '\0') return std::atoi(env) != 0;
-  return fallback;
-}
-
 std::string Flags::GetMetricsOut(const std::string& fallback) const {
   if (Has("metrics-out")) return GetString("metrics-out", fallback);
   const char* env = std::getenv("OODGNN_METRICS_OUT");

@@ -41,13 +41,6 @@ class Flags {
   /// (src/tensor/backend.h); values <= 1 select the serial backend.
   int GetThreads(int fallback = 1) const;
 
-  /// Int8 weight quantization toggle for the inference engine: the
-  /// `--quantize` flag if given, else the OODGNN_QUANTIZE environment
-  /// variable, else `fallback`. Maps to
-  /// serve::InferenceOptions::quantize (kOn/kOff); training is never
-  /// affected.
-  bool GetQuantize(bool fallback = false) const;
-
   /// Metrics-exporter output prefix: the `--metrics-out` flag if
   /// given, else the OODGNN_METRICS_OUT environment variable, else
   /// `fallback` (empty means "exporter off"). Pass the result to

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <map>
 #include <string>
@@ -24,6 +23,7 @@
 #include "src/tensor/variable.h"
 #include "src/train/checkpoint.h"
 #include "src/train/trainer.h"
+#include "src/util/file.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -474,20 +474,58 @@ TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
   GraphPredictionModel model(spec.method, spec.encoder, spec.output_dim, &rng);
   const std::string path = TempPath("serve_corrupt.bin");
   ASSERT_TRUE(SaveModelState(path, model));
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(path, &good));
+
+  InferenceEngine engine(spec, InferenceOptions{});
+  const Graph& graph = dataset.graphs[0];
+  const Tensor before = engine.Predict(graph);
+  const std::int64_t version = engine.stats().weight_version;
+  // A rejected load publishes nothing: the engine keeps serving the
+  // weights it had before the first attempt.
+  const auto expect_rejected = [&](const std::string& file, const char* what) {
+    EXPECT_FALSE(engine.LoadModelFile(file)) << what;
+    EXPECT_EQ(engine.stats().weight_version, version) << what;
+    const Tensor after = engine.Predict(graph);
+    ASSERT_TRUE(after.SameShape(before)) << what;
+    EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                          static_cast<size_t>(before.size()) * sizeof(float)),
+              0)
+        << what;
+  };
 
   // Flip one payload byte: the checksum must catch it.
-  {
-    std::string bytes;
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x5a);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x5a);
+  ASSERT_TRUE(WriteStringToFile(path, flipped));
+  expect_rejected(path, "payload byte flipped");
+  expect_rejected(path + ".does_not_exist", "missing file");
+
+  // Shorter than the 24-byte framed header.
+  ASSERT_TRUE(WriteStringToFile(path, good.substr(0, 3)));
+  expect_rejected(path, "3-byte file");
+
+  // The version field (bytes 4..7) rewritten to a version no loader
+  // knows.
+  std::string future_version = good;
+  const uint32_t version_two = 2;
+  std::memcpy(&future_version[4], &version_two, sizeof(version_two));
+  ASSERT_TRUE(WriteStringToFile(path, future_version));
+  expect_rejected(path, "version 2");
+
+  // A valid training checkpoint of the same model is another container
+  // (OODC), not a model state.
+  TrainState state;
+  state.dataset_name = dataset.name;
+  state.method = static_cast<uint32_t>(spec.method);
+  for (const Variable& param : model.Parameters()) {
+    state.params.push_back(param.value());
   }
-  InferenceEngine engine(spec, InferenceOptions{});
-  EXPECT_FALSE(engine.LoadModelFile(path));
-  EXPECT_FALSE(engine.LoadModelFile(path + ".does_not_exist"));
+  for (const Tensor* buffer : model.Buffers()) state.buffers.push_back(*buffer);
+  ASSERT_TRUE(SaveTrainState(path, state));
+  TrainState reloaded;
+  ASSERT_TRUE(LoadTrainState(path, &reloaded));
+  expect_rejected(path, "training checkpoint");
 
   // A snapshot of a different architecture must be rejected too.
   ModelSpec other = spec;
@@ -496,7 +534,7 @@ TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
   GraphPredictionModel bigger(other.method, other.encoder, other.output_dim,
                               &rng2);
   ASSERT_TRUE(SaveModelState(path, bigger));
-  EXPECT_FALSE(engine.LoadModelFile(path));
+  expect_rejected(path, "different architecture");
   std::remove(path.c_str());
 }
 

@@ -26,7 +26,6 @@
 #include "gtest/gtest.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/segment_plan.h"
 #include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
@@ -271,29 +270,6 @@ TEST(SimdTest, MatMulSpecialValuesBitwise) {
           simd::MatMulTransBAcc(a, bt, out, r0, r1);
         },
         "matmul_tb specials " + shape);
-  }
-}
-
-TEST(SimdTest, MatMulQuantAccBitwise) {
-  // Block tails only happen in the last block of a row (32 % kVLen ==
-  // 0), so cols that are off multiples of 32 are the interesting case.
-  for (const MatMulShape& s : {MatMulShape{9, 7, 5}, MatMulShape{4, 33, 37},
-                               MatMulShape{17, 64, 64}, MatMulShape{3, 50, 95},
-                               MatMulShape{1, 1, 1}}) {
-    const Tensor a = RandomTensor(s.m, s.k, 59 * static_cast<uint64_t>(s.k));
-    const Tensor w = RandomTensor(s.k, s.n, 61 * static_cast<uint64_t>(s.n));
-    const QuantizedTensor qw = QuantizeQ8(w);
-    const Tensor out_init = RandomTensor(s.m, s.n, 67);
-    ExpectRangeKernelBitwise(
-        s.m, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulQuantAcc(a, qw, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulQuantAcc(a, qw, out, r0, r1);
-        },
-        "matmul_quant " + std::to_string(s.m) + "x" + std::to_string(s.k) +
-            "x" + std::to_string(s.n));
   }
 }
 
@@ -791,80 +767,6 @@ TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
       EXPECT_TRUE(BitwiseEqual(scalar_serial, run()))
           << "element-wise/broadcast dispatch diverged at " << threads
           << " threads, simd " << (enabled ? "on" : "off");
-    }
-  }
-}
-
-TEST(SimdTest, BackendQuantRoutingBitwiseAcrossThreadsAndToggle) {
-  // Backend::MatMulAcc must route onto the quantized image whenever a
-  // scope maps the b operand — identically (bitwise) at every thread
-  // count and SIMD toggle, since scalar MatMulQuantAcc is the oracle
-  // for its vector mirror.
-  const Tensor a = RandomTensor(21, 50, 181);
-  const Tensor w = RandomTensor(50, 37, 191);
-  const QuantizedTensor qw = QuantizeQ8(w);
-  QuantizedWeightMap qmap;
-  qmap[w.data()] = &qw;
-  const auto run = [&]() {
-    ScopedQuantizedWeights scope(&qmap);
-    Tensor out(21, 37);
-    GetBackend().MatMulAcc(a, w, &out);
-    return out;
-  };
-  Tensor scalar_serial;
-  {
-    ScopedBackendThreads threads(1);
-    simd::ScopedSimdEnabled off(false);
-    scalar_serial = run();
-  }
-  // Routed output is the quantized matmul, not the fp32 one.
-  Tensor fp32(21, 37);
-  kernels::MatMulAcc(a, w, &fp32, 0, 21);
-  EXPECT_FALSE(BitwiseEqual(scalar_serial, fp32));
-  Tensor reference(21, 37);
-  kernels::MatMulQuantAcc(a, qw, &reference, 0, 21);
-  EXPECT_TRUE(BitwiseEqual(scalar_serial, reference));
-  for (int threads : kThreadCounts) {
-    for (bool enabled : {false, true}) {
-      ScopedBackendThreads scoped(threads);
-      simd::ScopedSimdEnabled toggle(enabled);
-      const Tensor got = run();
-      EXPECT_TRUE(BitwiseEqual(scalar_serial, got))
-          << "quant routing diverged at " << threads << " threads, simd "
-          << (enabled ? "on" : "off");
-    }
-  }
-}
-
-TEST(SimdTest, BackendQuantRoutingAppliesTail) {
-  // MatMulWithTail honours the routing too: with b's quantized image
-  // registered it runs MatMulQuantAcc into zeroed rows, then the tail.
-  const Tensor a = RandomTensor(41, 64, 283);
-  const Tensor w = RandomTensor(64, 37, 293);
-  const QuantizedTensor qw = QuantizeQ8(w);
-  QuantizedWeightMap qmap;
-  qmap[w.data()] = &qw;
-  test::TailRows rows;
-  rows.bias = RandomTensor(1, 37, 307);
-  rows.neg_mean = RandomTensor(1, 37, 311);
-  rows.std_dev = test::PositiveRow(37, 313);
-  rows.gamma = RandomTensor(1, 37, 317);
-  rows.beta = RandomTensor(1, 37, 331);
-  for (const kernels::MatMulTail& tail : test::ModelTails(rows)) {
-    Tensor reference(41, 37);
-    kernels::MatMulQuantAcc(a, qw, &reference, 0, 41);
-    kernels::ApplyTailRows(tail, &reference, 0, 41);
-    for (int threads : kThreadCounts) {
-      for (bool enabled : {false, true}) {
-        ScopedBackendThreads scoped(threads);
-        simd::ScopedSimdEnabled toggle(enabled);
-        ScopedQuantizedWeights scope(&qmap);
-        Tensor got = Tensor::Unfilled(41, 37);
-        GetBackend().MatMulWithTail(a, w, tail, &got);
-        EXPECT_TRUE(BitwiseEqual(reference, got))
-            << "quant-routed tail diverged at " << threads
-            << " threads, simd " << (enabled ? "on" : "off");
-      }
     }
   }
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Builds bench_inference and runs the serving-path comparison: taped vs
-# no-grad forwards, the scalar-vs-SIMD forward (DESIGN.md §16), then
-# the engine's latency percentiles and pooled throughput. Engine
-# outputs are checked bitwise against the tape-based reference. Emits
-# the tables on stdout and the machine-readable report to
-# BENCH_inference.json (override with OUT=path). THREADS defaults to 4, matching the benchmark's default
-# backend pool.
+# Builds bench_inference and runs its two forward-pass comparisons:
+# taped vs no-grad, and scalar vs SIMD (DESIGN.md §16), each checked
+# bitwise. Emits the tables on stdout and the machine-readable report
+# to BENCH_inference.json (override with OUT=path). THREADS defaults to
+# 4, matching the benchmark's default backend pool. Serving is
+# benchmarked by perfbench's serve-tri-open workload
+# (perfbench/README.md).
 #
 # Usage: scripts/run_bench_inference.sh [build-dir]
 set -euo pipefail

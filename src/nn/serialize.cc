@@ -22,10 +22,6 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-bool WriteU32(std::FILE* file, uint32_t value) {
-  return std::fwrite(&value, sizeof(value), 1, file) == 1;
-}
-
 }  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size) {
@@ -126,36 +122,16 @@ bool BinaryPayloadReader::GetU64Vector(std::vector<uint64_t>* values) {
   return Fetch(values->data(), static_cast<size_t>(count) * sizeof(uint64_t));
 }
 
-namespace {
-
-constexpr uint32_t kModelMagic = 0x4F4F444D;  // "OODM"
-constexpr uint32_t kModelVersion = 1;
-
-/// Writes one framed snapshot file: magic, version, payload size,
-/// FNV-1a checksum, payload.
-bool WriteFramedFile(const std::string& path, uint32_t magic,
-                     uint32_t version, const std::string& payload) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  const uint64_t size = payload.size();
-  const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
-  if (!WriteU32(file.get(), magic) || !WriteU32(file.get(), version) ||
-      std::fwrite(&size, sizeof(size), 1, file.get()) != 1 ||
-      std::fwrite(&checksum, sizeof(checksum), 1, file.get()) != 1 ||
-      std::fwrite(payload.data(), 1, payload.size(), file.get()) !=
-          payload.size()) {
-    OODGNN_LOG(Error) << "short write to " << path;
-    return false;
-  }
-  return true;
+std::string EncodeFramedHeader(uint32_t magic, uint32_t version,
+                               const std::string& payload) {
+  BinaryPayloadWriter header;
+  header.PutU32(magic);
+  header.PutU32(version);
+  header.PutU64(payload.size());
+  header.PutU64(Fnv1a64(payload.data(), payload.size()));
+  return header.payload();
 }
 
-/// Validates a framed file's magic, version, declared size and
-/// checksum, returning a view of the payload inside `bytes` (null on
-/// any mismatch, with the reason logged).
 const char* ValidateFramedPayload(const std::string& path,
                                   const std::string& bytes,
                                   uint32_t expected_magic,
@@ -192,6 +168,30 @@ const char* ValidateFramedPayload(const std::string& path,
   }
   *payload_size = header.remaining();
   return payload;
+}
+
+namespace {
+
+constexpr uint32_t kModelMagic = 0x4F4F444D;  // "OODM"
+constexpr uint32_t kModelVersion = 1;
+
+/// Writes one framed snapshot file: header, then payload.
+bool WriteFramedFile(const std::string& path, uint32_t magic,
+                     uint32_t version, const std::string& payload) {
+  FilePtr file(std::fopen(path.c_str(), "wb"));
+  if (!file) {
+    OODGNN_LOG(Error) << "cannot open " << path << " for writing";
+    return false;
+  }
+  const std::string header = EncodeFramedHeader(magic, version, payload);
+  if (std::fwrite(header.data(), 1, header.size(), file.get()) !=
+          header.size() ||
+      std::fwrite(payload.data(), 1, payload.size(), file.get()) !=
+          payload.size()) {
+    OODGNN_LOG(Error) << "short write to " << path;
+    return false;
+  }
+  return true;
 }
 
 /// Reads one tensor per expected (rows, cols) shape into `staged`,

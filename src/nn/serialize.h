@@ -84,6 +84,26 @@ class BinaryPayloadReader {
   size_t pos_ = 0;
 };
 
+/// Framed snapshot files — "OODM" model states (SaveModelState) and
+/// "OODC" training checkpoints (SaveTrainState) — are a 24-byte header
+/// (u32 magic, u32 version, u64 payload size, u64 FNV-1a checksum of
+/// the payload) followed by the payload. This returns the header that
+/// frames `payload`.
+std::string EncodeFramedHeader(uint32_t magic, uint32_t version,
+                               const std::string& payload);
+
+/// Validates the framing of a whole file's `bytes`: magic, version,
+/// declared payload size against the bytes actually present, and
+/// checksum. Returns a view of the payload inside `bytes` and sets
+/// `payload_size`; returns null on any mismatch, with the reason
+/// logged against `path` and `kind`. Nothing of the payload is
+/// interpreted here.
+const char* ValidateFramedPayload(const std::string& path,
+                                  const std::string& bytes,
+                                  uint32_t expected_magic,
+                                  uint32_t expected_version,
+                                  const char* kind, size_t* payload_size);
+
 /// Writes a complete forward-pass snapshot of a module: trainable
 /// parameters AND non-trainable buffers (batch-norm running
 /// statistics), both in registration order, framed with a magic,

@@ -24,7 +24,8 @@ namespace obs {
 /// FakeClock in tests for deterministic deadline/latency behavior. The struct is plain data with no ownership: the engine
 /// embeds one per queued request (no extra heap), and Submit can
 /// optionally mirror the finished span into caller-owned storage for
-/// exact client-side percentile computation (the load generator does).
+/// exact client-side percentile computation (perfbench's serving
+/// workload does).
 struct RequestSpan {
   std::int64_t request_id = 0;  ///< Monotonically increasing per engine.
   std::int64_t enqueue_us = 0;

@@ -69,7 +69,6 @@ void ApplyState(const std::vector<Tensor>& params,
 }
 
 obs::MetricsRegistry* TelemetryRegistry(const InferenceOptions& options) {
-  if (!options.telemetry) return nullptr;
   return options.telemetry_registry != nullptr
              ? options.telemetry_registry
              : &obs::MetricsRegistry::Global();
@@ -104,17 +103,15 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
     master_ = std::make_unique<GraphPredictionModel>(
         spec_.method, spec_.encoder, spec_.output_dim, &init_rng);
   }
-  if (options_.telemetry) {
-    obs::MetricsRegistry* registry = TelemetryRegistry(options_);
-    collector_ = std::make_unique<obs::SpanCollector>(registry);
-    slo_trackers_.reserve(options_.slos.size());
-    for (const obs::SloSpec& slo : options_.slos) {
-      slo_trackers_.push_back(
-          std::make_unique<obs::SloTracker>(slo, registry, clock_));
-    }
+  obs::MetricsRegistry* registry = TelemetryRegistry(options_);
+  collector_ = std::make_unique<obs::SpanCollector>(registry);
+  slo_trackers_.reserve(options_.slos.size());
+  for (const obs::SloSpec& slo : options_.slos) {
+    slo_trackers_.push_back(
+        std::make_unique<obs::SloTracker>(slo, registry, clock_));
   }
-  scheduler_ = std::make_unique<Scheduler>(options_.scheduler,
-                                           TelemetryRegistry(options_), clock_);
+  scheduler_ = std::make_unique<Scheduler>(options_.scheduler, registry,
+                                           clock_);
   // Workers have not started yet, so master_mu_ is uncontended here.
   {
     std::lock_guard<std::mutex> lock(master_mu_);
@@ -254,9 +251,7 @@ SubmitResult InferenceEngine::Submit(const Graph& graph,
       request.release();
       // Inside the lock so depth updates are totally ordered with the
       // workers' pops — the gauge provably reads 0 once drained.
-      if (collector_ != nullptr) {
-        collector_->RecordEnqueue(scheduler_->size());
-      }
+      collector_->RecordEnqueue(scheduler_->size());
     }
   }
   if (reason == ShedReason::kNone) {
@@ -291,17 +286,15 @@ InferenceStats InferenceEngine::stats() const {
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.heap_allocs = heap_allocs_.load(std::memory_order_relaxed);
-  if (collector_ != nullptr) {
-    stats.queue_depth = collector_->queue_depth();
-    stats.inflight_batches = collector_->inflight_batches();
-    stats.queue_wait_us = collector_->queue_wait().GetSummary();
-    stats.batch_build_us = collector_->batch_build().GetSummary();
-    stats.execute_us = collector_->execute().GetSummary();
-    stats.e2e_us = collector_->e2e().GetSummary();
-    stats.slos.reserve(slo_trackers_.size());
-    for (const auto& tracker : slo_trackers_) {
-      stats.slos.push_back({tracker->spec().name, tracker->status()});
-    }
+  stats.queue_depth = collector_->queue_depth();
+  stats.inflight_batches = collector_->inflight_batches();
+  stats.queue_wait_us = collector_->queue_wait().GetSummary();
+  stats.batch_build_us = collector_->batch_build().GetSummary();
+  stats.execute_us = collector_->execute().GetSummary();
+  stats.e2e_us = collector_->e2e().GetSummary();
+  stats.slos.reserve(slo_trackers_.size());
+  for (const auto& tracker : slo_trackers_) {
+    stats.slos.push_back({tracker->spec().name, tracker->status()});
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -353,9 +346,7 @@ void InferenceEngine::WorkerLoop(int worker_index) {
       // in dispatch order; whatever remains is immediately available
       // to a sibling.
       scheduler_->PopBatch(slot_budget_, &popped, &expired);
-      if (collector_ != nullptr) {
-        collector_->RecordQueueDepth(scheduler_->size());
-      }
+      collector_->RecordQueueDepth(scheduler_->size());
     }
     // More requests may remain; let a sibling start on them while this
     // worker executes.
@@ -384,7 +375,7 @@ void InferenceEngine::WorkerLoop(int worker_index) {
 void InferenceEngine::ExecuteBatch(int worker_index,
                                    std::vector<std::unique_ptr<Request>> batch) {
   OODGNN_TRACE_SCOPE("serve/batch");
-  if (collector_ != nullptr) collector_->RecordBatchBegin();
+  collector_->RecordBatchBegin();
   const size_t w = static_cast<size_t>(worker_index);
   std::vector<const Graph*> graphs;
   graphs.reserve(batch.size());
@@ -438,16 +429,12 @@ void InferenceEngine::ExecuteBatch(int worker_index,
     // span_out) before the promise resolves, so totals reconcile the
     // moment future.get() returns.
     if (request.span_out != nullptr) *request.span_out = request.span;
-    if (collector_ != nullptr) {
-      collector_->RecordSpan(request.span);
-      ObserveSlos(request.span);
-    }
+    collector_->RecordSpan(request.span);
+    ObserveSlos(request.span);
     request.promise.set_value(std::move(rows[i]));
   }
-  if (collector_ != nullptr) {
-    collector_->RecordBatchEnd(static_cast<std::int64_t>(batch.size()),
-                               total_nodes);
-  }
+  collector_->RecordBatchEnd(static_cast<std::int64_t>(batch.size()),
+                             total_nodes);
 }
 
 void InferenceEngine::ObserveSlos(const obs::RequestSpan& span) {

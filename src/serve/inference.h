@@ -69,28 +69,20 @@ struct InferenceOptions {
   /// deadline expiry and shed decisions reproducible without sleeping.
   const Clock* clock = nullptr;
 
-  /// Request-span telemetry (src/obs/span.h): per-phase latency
-  /// histograms, queue/in-flight gauges and SLO tracking, always on by
-  /// default. All metric handles are resolved at engine construction;
+  /// Registry the request-span collector (src/obs/span.h), SLO
+  /// trackers, scheduler and version manager publish to; null means
+  /// MetricsRegistry::Global() (what exporters scrape). Tests pass a
+  /// private registry for per-engine accounting. Telemetry is always
+  /// on: all metric handles are resolved at engine construction, so
   /// the per-request cost is a few clock reads, relaxed atomics and a
   /// histogram bucket increment — no strings, maps, or heap, so a
-  /// warmed-up engine still allocates no tensor memory with telemetry
-  /// on. Engine outputs are bitwise identical either way (pinned by
-  /// tests/serve_telemetry_test.cc). Telemetry also feeds the SLO
-  /// burn-rate signal the scheduler sheds on; with telemetry off,
-  /// shed_on_slo is inert.
-  bool telemetry = true;
-
-  /// Registry the span collector, SLO trackers, scheduler and version
-  /// manager publish to; null means MetricsRegistry::Global() (what
-  /// exporters scrape). Tests pass a private registry for per-engine
-  /// accounting.
+  /// warmed-up engine still allocates no tensor memory. It also feeds
+  /// the SLO burn-rate signal the scheduler sheds on.
   obs::MetricsRegistry* telemetry_registry = nullptr;
 
-  /// Latency objectives evaluated on every finished request (ignored
-  /// when telemetry is off). Default: p99 end-to-end under 100 ms over
-  /// 512-request windows. Breached windows are counted in stats() and
-  /// logged at Warning.
+  /// Latency objectives evaluated on every finished request. Default:
+  /// p99 end-to-end under 100 ms over 512-request windows. Breached
+  /// windows are counted in stats() and logged at Warning.
   std::vector<obs::SloSpec> slos = {obs::SloSpec{}};
 };
 
@@ -111,9 +103,8 @@ struct InferenceStats {
   /// zero-allocation serving guarantee the tests pin.
   std::int64_t heap_allocs = 0;
 
-  // Request-span telemetry (all zero / empty when options.telemetry is
-  // off). Histogram summaries carry count/sum/min/max plus
-  // bucket-approximate p50/p95/p99.
+  // Request-span telemetry. Histogram summaries carry count/sum/min/max
+  // plus bucket-approximate p50/p95/p99.
   double queue_depth = 0.0;       ///< Queued requests right now.
   double inflight_batches = 0.0;  ///< Micro-batches executing right now.
   obs::StreamingHistogram::Summary queue_wait_us;   ///< Enqueue → admit.
@@ -210,9 +201,9 @@ class InferenceEngine {
   /// request's finished RequestSpan (all four phase timestamps plus
   /// the serving weight version) is copied into it before the future
   /// is fulfilled, so after future.get() returns the span is complete
-  /// and race-free. The load generator uses this for exact client-side
-  /// percentiles; the engine's own histograms are factor-of-2 bucket
-  /// approximations.
+  /// and race-free. perfbench's serving workload uses this for exact
+  /// client-side percentiles; the engine's own histograms are
+  /// factor-of-2 bucket approximations.
   std::future<Tensor> Submit(const Graph& graph, obs::RequestSpan* span_out);
 
   /// Full-control submit: tenant, priority and deadline per request.
@@ -299,11 +290,10 @@ class InferenceEngine {
   std::atomic<std::int64_t> batches_{0};
   std::atomic<std::int64_t> heap_allocs_{0};
 
-  /// Null when options.telemetry is off. The collector's handles point
-  /// into options.telemetry_registry (or the global registry), which
-  /// must outlive the engine.
+  /// The collector's handles point into options.telemetry_registry (or
+  /// the global registry), which must outlive the engine.
   std::unique_ptr<obs::SpanCollector> collector_;
-  /// One tracker per options.slos entry; empty when telemetry is off.
+  /// One tracker per options.slos entry.
   std::vector<std::unique_ptr<obs::SloTracker>> slo_trackers_;
 
   std::vector<std::thread> workers_;

@@ -19,8 +19,6 @@ namespace {
 
 constexpr uint32_t kStateMagic = 0x4F4F4443;  // "OODC"
 constexpr uint32_t kStateVersion = 1;
-// magic + version + payload size + checksum.
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 struct FileCloser {
   void operator()(std::FILE* file) const {
@@ -242,11 +240,8 @@ bool EnsureDirectory(const std::string& path) {
 
 bool SaveTrainState(const std::string& path, const TrainState& state) {
   const std::string payload = BuildPayload(state);
-  BinaryPayloadWriter header;
-  header.PutU32(kStateMagic);
-  header.PutU32(kStateVersion);
-  header.PutU64(payload.size());
-  header.PutU64(Fnv1a64(payload.data(), payload.size()));
+  const std::string header =
+      EncodeFramedHeader(kStateMagic, kStateVersion, payload);
 
   const std::string tmp_path = path + ".tmp";
   FilePtr file(std::fopen(tmp_path.c_str(), "wb"));
@@ -254,8 +249,8 @@ bool SaveTrainState(const std::string& path, const TrainState& state) {
     OODGNN_LOG(Error) << "cannot open " << tmp_path << " for writing";
     return false;
   }
-  if (std::fwrite(header.payload().data(), 1, header.payload().size(),
-                  file.get()) != header.payload().size()) {
+  if (std::fwrite(header.data(), 1, header.size(), file.get()) !=
+      header.size()) {
     return false;
   }
   if (CrashInWriteRequested()) {
@@ -289,44 +284,13 @@ bool LoadTrainState(const std::string& path, TrainState* state) {
     OODGNN_LOG(Error) << "cannot open " << path << " for reading";
     return false;
   }
-  if (bytes.size() < kHeaderBytes) {
-    OODGNN_LOG(Error) << path << ": file smaller than the checkpoint header";
-    return false;
-  }
-  BinaryPayloadReader header(bytes.data(), kHeaderBytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
-  header.GetU32(&magic);
-  header.GetU32(&version);
-  header.GetU64(&payload_size);
-  header.GetU64(&checksum);
-  if (magic != kStateMagic) {
-    OODGNN_LOG(Error) << path << " is not an oodgnn training checkpoint";
-    return false;
-  }
-  if (version != kStateVersion) {
-    OODGNN_LOG(Error) << path << ": unsupported training checkpoint version "
-                      << version;
-    return false;
-  }
-  // The declared payload must exactly match the bytes on disk — both
-  // truncation and an oversized header are rejected before any of the
-  // payload is interpreted (or allocated against).
-  if (payload_size != bytes.size() - kHeaderBytes) {
-    OODGNN_LOG(Error) << path << ": header declares " << payload_size
-                      << " payload bytes but the file holds "
-                      << bytes.size() - kHeaderBytes;
-    return false;
-  }
-  const char* payload = bytes.data() + kHeaderBytes;
-  if (Fnv1a64(payload, static_cast<size_t>(payload_size)) != checksum) {
-    OODGNN_LOG(Error) << path << ": checksum mismatch (corrupted checkpoint)";
-    return false;
-  }
+  size_t payload_size = 0;
+  const char* payload =
+      ValidateFramedPayload(path, bytes, kStateMagic, kStateVersion,
+                            "training checkpoint", &payload_size);
+  if (payload == nullptr) return false;
   TrainState parsed;
-  BinaryPayloadReader reader(payload, static_cast<size_t>(payload_size));
+  BinaryPayloadReader reader(payload, payload_size);
   if (!ParsePayload(path, &reader, &parsed)) return false;
   *state = std::move(parsed);
   return true;

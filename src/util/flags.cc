@@ -77,51 +77,4 @@ int Flags::GetMetricsIntervalMs(int fallback) const {
   return fallback;
 }
 
-int Flags::GetMaxInflight(int fallback) const {
-  return GetInt("max-inflight", fallback);
-}
-
-std::int64_t Flags::GetDeadlineUs(std::int64_t fallback) const {
-  auto it = values_.find("deadline-us");
-  return it == values_.end()
-             ? fallback
-             : static_cast<std::int64_t>(std::atoll(it->second.c_str()));
-}
-
-bool Flags::GetShedOnSlo(bool fallback) const {
-  return GetBool("shed-on-slo", fallback);
-}
-
-std::vector<TenantQuotaFlag> Flags::GetTenantQuotas() const {
-  std::vector<TenantQuotaFlag> quotas;
-  const std::string spec = GetString("tenant-quota", "");
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-    const size_t c1 = entry.find(':');
-    OODGNN_CHECK(c1 != std::string::npos && c1 > 0)
-        << "malformed --tenant-quota entry '" << entry
-        << "' (want name:tokens_per_sec[:burst])";
-    TenantQuotaFlag quota;
-    quota.tenant = entry.substr(0, c1);
-    const size_t c2 = entry.find(':', c1 + 1);
-    if (c2 == std::string::npos) {
-      quota.tokens_per_sec = std::atof(entry.substr(c1 + 1).c_str());
-    } else {
-      quota.tokens_per_sec =
-          std::atof(entry.substr(c1 + 1, c2 - c1 - 1).c_str());
-      quota.burst = std::atof(entry.substr(c2 + 1).c_str());
-    }
-    OODGNN_CHECK(quota.tokens_per_sec > 0)
-        << "--tenant-quota rate must be positive in '" << entry << "'";
-    if (quota.burst < 1.0) quota.burst = 1.0;
-    quotas.push_back(quota);
-  }
-  return quotas;
-}
-
 }  // namespace oodgnn

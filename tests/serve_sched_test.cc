@@ -377,7 +377,6 @@ TEST(ServeSchedTest, PrioritizedSubmitsStayBitwiseEqualToReference) {
   options.num_workers = 2;
   options.max_batch_graphs = 3;
   options.max_inflight = 5;
-  options.telemetry = false;
   InferenceEngine engine(TinySpec(dataset), options);
   engine.SyncFrom(model);
 
@@ -474,7 +473,6 @@ TEST(ServeSchedTest, DeadlineAdmissionIsExactOnFrozenClock) {
   InferenceOptions options;
   options.num_workers = 1;
   options.clock = &clock;
-  options.telemetry = false;
   options.scheduler.min_deadline_slack_us = 1000;
   InferenceEngine engine(TinySpec(dataset), options);
   const Graph& graph = dataset.graphs[dataset.test_idx[0]];
@@ -502,6 +500,60 @@ TEST(ServeSchedTest, DeadlineAdmissionIsExactOnFrozenClock) {
   SubmitResult healthy = engine.Submit(graph, healthy_opts);
   ASSERT_TRUE(healthy.admitted);
   EXPECT_EQ(healthy.future.get().cols(), dataset.OutputDim());
+}
+
+TEST(ServeSchedTest, QueuedDeadlineExpiryShedsAtDispatch) {
+  GraphDataset dataset = TinyDataset();
+  Rng rng(5);
+  GraphPredictionModel model(Method::kGin, TinyEncoder(dataset.feature_dim),
+                             dataset.OutputDim(), &rng);
+  const Graph& doomed_graph = dataset.graphs[dataset.test_idx[0]];
+  const Graph& filler_graph = dataset.graphs[dataset.test_idx[1]];
+  const Tensor reference = ReferenceLogits(&model, {&filler_graph});
+
+  FakeClock clock(1000000);
+  InferenceOptions options;
+  options.num_workers = 1;
+  options.max_batch_graphs = 2;
+  // A batching window far longer than the test: a lone request waits in
+  // it until a second one fills the batch, so the worker pops both
+  // together, after the clock has moved past the first one's deadline.
+  options.max_batch_wait_us = 600 * 1000 * 1000;
+  options.clock = &clock;
+  obs::MetricsRegistry registry;
+  options.telemetry_registry = &registry;
+  InferenceEngine engine(TinySpec(dataset), options);
+  engine.SyncFrom(model);
+
+  SubmitOptions deadline_opts;
+  deadline_opts.deadline_us = 1000;
+  obs::RequestSpan doomed_span;
+  SubmitResult doomed =
+      engine.Submit(doomed_graph, deadline_opts, &doomed_span);
+  ASSERT_TRUE(doomed.admitted);
+  const std::int64_t expired_at = clock.Advance(1500);
+  SubmitResult filler = engine.Submit(filler_graph, SubmitOptions{});
+  ASSERT_TRUE(filler.admitted);
+
+  try {
+    (void)doomed.future.get();
+    FAIL() << "a request whose deadline passed in the queue was served";
+  } catch (const ShedError& error) {
+    EXPECT_EQ(error.reason(), ShedReason::kDeadlineExpired);
+    EXPECT_EQ(error.request_id(), doomed.request_id);
+  }
+  // The span is mirrored before the future throws.
+  EXPECT_EQ(doomed_span.request_id, doomed.request_id);
+  EXPECT_EQ(doomed_span.model_version, 0);  // Never reached a replica.
+  EXPECT_EQ(doomed_span.done_us, expired_at);
+  EXPECT_TRUE(RowsBitwiseEqual(filler.future.get(), reference, 0));
+
+  const SchedulerStats stats = engine.stats().scheduler;
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.dispatched, 1);
+  EXPECT_EQ(stats.shed, 1);
+  EXPECT_EQ(stats.shed_by[static_cast<int>(ShedReason::kDeadlineExpired)], 1);
+  ExpectConservation(stats);
 }
 
 TEST(ServeSchedTest, BurnRateBreachShedsUnprotectedPriorities) {
@@ -606,7 +658,6 @@ TEST(ServeSchedTest, RollbackRestoresPreviousVersionBitwise) {
 
   InferenceOptions options;
   options.num_workers = 2;
-  options.telemetry = false;
   InferenceEngine engine(TinySpec(dataset), options);
   engine.SyncFrom(model_a);  // v2
   obs::RequestSpan span;
@@ -641,7 +692,6 @@ TEST(ServeSchedTest, ZeroAllocHoldsWithSchedulingOn) {
   options.num_workers = 1;
   options.max_batch_graphs = 1;
   options.max_batch_wait_us = 0;
-  options.telemetry = false;
   options.scheduler.max_queue = 64;
   options.scheduler.min_deadline_slack_us = 10;
   InferenceEngine engine(TinySpec(dataset), options);
@@ -899,7 +949,6 @@ TEST(ServeSchedTest, DestructionDrainsQueuedRequests) {
   InferenceOptions options;
   options.num_workers = 2;
   options.max_batch_graphs = 2;
-  options.telemetry = false;
   std::vector<std::future<Tensor>> futures;
   {
     InferenceEngine engine(TinySpec(dataset), options);

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Lints every metric name registered through MetricsRegistry::
-# Get{Counter,Gauge,Histogram} in src/ against the area/object/unit
-# convention the exporters and dashboards key on: at least three
-# lowercase [a-z0-9_] segments separated by '/', e.g. "serve/e2e/us"
-# or "kernel/matmul/calls".
+# Get{Counter,Gauge,Histogram} or named by an OODGNN_TRACE_SCOPE phase
+# histogram in src/ against the area/object/unit convention the
+# exporters and dashboards key on: at least three lowercase [a-z0-9_]
+# segments separated by '/', e.g. "serve/e2e/us", "kernel/matmul/calls"
+# or "core/rff_transform/us".
 #
 # Dynamically composed names (some_prefix + "/unit") are validated on
 # their literal tail, which must itself be one or more '/'-led
@@ -19,6 +20,9 @@ cd "$(dirname "$0")/.."
 
 fail=0
 checked=0
+# The registry and the scope macro's own definition pass names through
+# parameters; they are excluded below.
+registration='(Get(Counter|Gauge|Histogram)|OODGNN_TRACE_SCOPE)'
 
 while IFS= read -r hit; do
   file=${hit%%:*}
@@ -54,16 +58,15 @@ while IFS= read -r hit; do
         fail=1
       fi
     fi
-  done < <(printf '%s\n' "$text" | grep -Eo 'Get(Counter|Gauge|Histogram)\([^)]*' || true)
-done < <(grep -rnE 'Get(Counter|Gauge|Histogram)\(' src \
-           --include='*.cc' --include='*.h' \
-         | grep -v '^src/obs/metrics\.')
+  done < <(printf '%s\n' "$text" | grep -Eo "$registration\\([^)]*" || true)
+done < <(grep -rnE "$registration\\(" src --include='*.cc' --include='*.h' \
+         | grep -vE '^src/obs/(metrics\.|trace\.h:)')
 
-# Family-presence check: the scheduler's shed accounting and the
-# rollout manager's version accounting are exporter/dashboard contracts
-# — every name below must stay registered somewhere in src/. Renaming
-# one silently breaks alerts keyed on the old name, so the rename must
-# land here in the same change.
+# Family-presence check: the scheduler's shed accounting, the rollout
+# manager's version accounting and the training phase histograms are
+# exporter/dashboard contracts — every name below must stay registered
+# somewhere in src/. Renaming one silently breaks alerts keyed on the
+# old name, so the rename must land here in the same change.
 required_names="
 serve/shed/total
 serve/shed/queue_full
@@ -80,6 +83,14 @@ serve/version/rollbacks
 serve/version/requests
 kernel/simd/vector_calls
 kernel/simd/scalar_calls
+train/encode/us
+train/reweight/us
+train/loss_step/us
+train/eval/us
+core/compute_weights/us
+core/weight_optimize/us
+core/rff_transform/us
+core/decorrelation_loss/us
 "
 for name in $required_names; do
   checked=$((checked + 1))

@@ -9,7 +9,7 @@ namespace oodgnn {
 Variable DecorrelationLoss(const Tensor& features,
                            const std::vector<int>& feature_source_dim,
                            const Variable& weights) {
-  OODGNN_TRACE_SCOPE("core/decorrelation_loss");
+  OODGNN_TRACE_SCOPE("core/decorrelation_loss/us");
   const int n = features.rows();
   const int m = features.cols();
   OODGNN_CHECK_EQ(static_cast<int>(feature_source_dim.size()), m);

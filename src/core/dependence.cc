@@ -10,7 +10,7 @@
 namespace oodgnn {
 
 Tensor PairwiseDependenceMatrix(const Tensor& z, const RffFeatureMap& rff) {
-  OODGNN_TRACE_SCOPE("core/dependence_matrix");
+  OODGNN_TRACE_SCOPE("core/dependence_matrix/us");
   OODGNN_CHECK_EQ(z.cols(), rff.input_dim());
   const int n = z.rows();
   OODGNN_CHECK_GT(n, 1);

@@ -74,7 +74,7 @@ double MedianBandwidth(const Tensor& x) {
 }
 
 double ExactHsic(const Tensor& x, const Tensor& y, double bandwidth) {
-  OODGNN_TRACE_SCOPE("core/hsic_exact");
+  OODGNN_TRACE_SCOPE("core/hsic_exact/us");
   OODGNN_CHECK_EQ(x.cols(), 1);
   OODGNN_CHECK_EQ(y.cols(), 1);
   OODGNN_CHECK_EQ(x.rows(), y.rows());
@@ -108,7 +108,7 @@ double ExactHsic(const Tensor& x, const Tensor& y, double bandwidth) {
 }
 
 double ExactPairwiseHsic(const Tensor& z, double bandwidth) {
-  OODGNN_TRACE_SCOPE("core/hsic_pairwise");
+  OODGNN_TRACE_SCOPE("core/hsic_pairwise/us");
   const int d = z.cols();
   const int n = z.rows();
   // Materialize the dimension-pair list, score every pair independently

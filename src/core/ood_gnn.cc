@@ -16,7 +16,7 @@ OodGnnReweighter::OodGnnReweighter(int representation_dim, int batch_size,
       optimizer_(config.weights) {}
 
 std::vector<float> OodGnnReweighter::ComputeWeights(const Tensor& local_z) {
-  OODGNN_TRACE_SCOPE("core/compute_weights");
+  OODGNN_TRACE_SCOPE("core/compute_weights/us");
   OODGNN_CHECK_EQ(local_z.cols(), rff_.input_dim());
   if (local_z.rows() < 2) {
     // A single-sample batch carries no pairwise dependence signal.

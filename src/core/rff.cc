@@ -42,7 +42,7 @@ RffFeatureMap::RffFeatureMap(int input_dim, const RffConfig& config, Rng* rng)
 }
 
 Tensor RffFeatureMap::Transform(const Tensor& z) const {
-  OODGNN_TRACE_SCOPE("core/rff_transform");
+  OODGNN_TRACE_SCOPE("core/rff_transform/us");
   OODGNN_CHECK_EQ(z.cols(), input_dim_);
   const int n = z.rows();
   const int m = num_features();

@@ -13,7 +13,7 @@ namespace oodgnn {
 WeightOptimizerResult GraphWeightOptimizer::Optimize(
     const Tensor& local_z, const RffFeatureMap& rff,
     const GlobalWeightBank* bank) const {
-  OODGNN_TRACE_SCOPE("core/weight_optimize");
+  OODGNN_TRACE_SCOPE("core/weight_optimize/us");
   const int local_n = local_z.rows();
   OODGNN_CHECK_GT(local_n, 1);
   OODGNN_CHECK_EQ(local_z.cols(), rff.input_dim());

@@ -1,10 +1,12 @@
 #include "src/nn/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "src/nn/module.h"
@@ -13,16 +15,6 @@
 #include "src/util/logging.h"
 
 namespace oodgnn {
-namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* file) const {
-    if (file) std::fclose(file);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-}  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
@@ -175,43 +167,34 @@ namespace {
 constexpr uint32_t kModelMagic = 0x4F4F444D;  // "OODM"
 constexpr uint32_t kModelVersion = 1;
 
-/// Writes one framed snapshot file: header, then payload.
-bool WriteFramedFile(const std::string& path, uint32_t magic,
-                     uint32_t version, const std::string& payload) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  const std::string header = EncodeFramedHeader(magic, version, payload);
-  if (std::fwrite(header.data(), 1, header.size(), file.get()) !=
-          header.size() ||
-      std::fwrite(payload.data(), 1, payload.size(), file.get()) !=
-          payload.size()) {
-    OODGNN_LOG(Error) << "short write to " << path;
-    return false;
-  }
-  return true;
+/// Best-effort fsync of the directory containing `path` so a rename
+/// into it is durable.
+void SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash == 0 ? 1 : slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
 }
 
-/// Reads one tensor per expected (rows, cols) shape into `staged`,
-/// rejecting truncation and shape mismatches before anything is
-/// applied to the module.
-bool StageTensors(BinaryPayloadReader* reader, const std::string& path,
-                  const char* kind,
-                  const std::vector<std::pair<int, int>>& expected,
-                  std::vector<Tensor>* staged) {
-  staged->resize(expected.size());
+/// Checks one staged tensor list against the module's (rows, cols).
+bool MatchesShapes(const std::string& path, const char* kind,
+                   const std::vector<Tensor>& staged,
+                   const std::vector<std::pair<int, int>>& expected) {
+  if (staged.size() != expected.size()) {
+    OODGNN_LOG(Error) << path << ": " << staged.size() << " " << kind
+                      << " tensors, but the module expects "
+                      << expected.size();
+    return false;
+  }
   for (size_t i = 0; i < expected.size(); ++i) {
-    if (!reader->GetTensor(&(*staged)[i])) {
-      OODGNN_LOG(Error) << path << ": " << kind << " tensor " << i
-                        << " is truncated or oversized";
-      return false;
-    }
-    if ((*staged)[i].rows() != expected[i].first ||
-        (*staged)[i].cols() != expected[i].second) {
+    if (staged[i].rows() != expected[i].first ||
+        staged[i].cols() != expected[i].second) {
       OODGNN_LOG(Error) << path << ": " << kind << " tensor " << i << " is "
-                        << (*staged)[i].rows() << "x" << (*staged)[i].cols()
+                        << staged[i].rows() << "x" << staged[i].cols()
                         << " but the module expects " << expected[i].first
                         << "x" << expected[i].second;
       return false;
@@ -220,7 +203,65 @@ bool StageTensors(BinaryPayloadReader* reader, const std::string& path,
   return true;
 }
 
+/// Reads a u32 count and that many tensors into `staged`. A count the
+/// remaining bytes cannot back (8 shape bytes per tensor) is refused
+/// before anything is reserved.
+bool StageTensors(BinaryPayloadReader* reader, std::vector<Tensor>* staged) {
+  uint32_t count = 0;
+  if (!reader->GetU32(&count) ||
+      static_cast<uint64_t>(count) * 8 > reader->remaining()) {
+    return false;
+  }
+  staged->resize(count);
+  for (Tensor& tensor : *staged) {
+    if (!reader->GetTensor(&tensor)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool WriteFramedFile(const std::string& path, uint32_t magic,
+                     uint32_t version, const std::string& payload) {
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
+  if (file == nullptr) {
+    OODGNN_LOG(Error) << "cannot open " << tmp_path << " for writing";
+    return false;
+  }
+  const std::string header = EncodeFramedHeader(magic, version, payload);
+  const bool written =
+      std::fwrite(header.data(), 1, header.size(), file) == header.size() &&
+      std::fwrite(payload.data(), 1, payload.size(), file) ==
+          payload.size() &&
+      std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  // fclose runs first so the stream is released on every path.
+  if (std::fclose(file) != 0 || !written) {
+    OODGNN_LOG(Error) << "cannot write " << tmp_path;
+    return false;
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    OODGNN_LOG(Error) << "cannot rename " << tmp_path << " to " << path;
+    return false;
+  }
+  SyncParentDirectory(path);
+  return true;
+}
+
+bool MatchesModuleShapes(const std::string& path, const Module& module,
+                         const std::vector<Tensor>& params,
+                         const std::vector<Tensor>& buffers) {
+  std::vector<std::pair<int, int>> param_shapes;
+  for (const Variable& param : module.Parameters()) {
+    param_shapes.emplace_back(param.value().rows(), param.value().cols());
+  }
+  std::vector<std::pair<int, int>> buffer_shapes;
+  for (const Tensor* buffer : module.Buffers()) {
+    buffer_shapes.emplace_back(buffer->rows(), buffer->cols());
+  }
+  return MatchesShapes(path, "parameter", params, param_shapes) &&
+         MatchesShapes(path, "buffer", buffers, buffer_shapes);
+}
 
 bool SaveModelState(const std::string& path, const Module& module) {
   const std::vector<Variable> params = module.Parameters();
@@ -252,37 +293,12 @@ bool LoadModelState(const std::string& path, Module* module) {
                             "model-state", &payload_size);
   if (payload == nullptr) return false;
 
-  const std::vector<Variable> params = module->Parameters();
-  const std::vector<Tensor*> buffers = module->Buffers();
   BinaryPayloadReader reader(payload, payload_size);
-  uint32_t param_count = 0;
-  if (!reader.GetU32(&param_count) || param_count != params.size()) {
-    OODGNN_LOG(Error) << path << ": model state declares " << param_count
-                      << " parameters, module expects " << params.size();
-    return false;
-  }
-  std::vector<std::pair<int, int>> param_shapes(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    param_shapes[i] = {params[i].value().rows(), params[i].value().cols()};
-  }
   std::vector<Tensor> staged_params;
-  if (!StageTensors(&reader, path, "parameter", param_shapes,
-                    &staged_params)) {
-    return false;
-  }
-  uint32_t buffer_count = 0;
-  if (!reader.GetU32(&buffer_count) || buffer_count != buffers.size()) {
-    OODGNN_LOG(Error) << path << ": model state declares " << buffer_count
-                      << " buffers, module expects " << buffers.size();
-    return false;
-  }
-  std::vector<std::pair<int, int>> buffer_shapes(buffers.size());
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    buffer_shapes[i] = {buffers[i]->rows(), buffers[i]->cols()};
-  }
   std::vector<Tensor> staged_buffers;
-  if (!StageTensors(&reader, path, "buffer", buffer_shapes,
-                    &staged_buffers)) {
+  if (!StageTensors(&reader, &staged_params) ||
+      !StageTensors(&reader, &staged_buffers)) {
+    OODGNN_LOG(Error) << path << ": truncated or oversized tensor list";
     return false;
   }
   if (!reader.AtEnd()) {
@@ -290,8 +306,13 @@ bool LoadModelState(const std::string& path, Module* module) {
                       << " trailing bytes after the last tensor";
     return false;
   }
+  if (!MatchesModuleShapes(path, *module, staged_params, staged_buffers)) {
+    return false;
+  }
   // Everything validated; apply atomically. Variable copies share the
   // underlying node, so writing through `params` updates the module.
+  const std::vector<Variable> params = module->Parameters();
+  const std::vector<Tensor*> buffers = module->Buffers();
   for (size_t i = 0; i < params.size(); ++i) {
     Variable param = params[i];
     param.mutable_value() = std::move(staged_params[i]);

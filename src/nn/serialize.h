@@ -104,13 +104,30 @@ const char* ValidateFramedPayload(const std::string& path,
                                   uint32_t expected_version,
                                   const char* kind, size_t* payload_size);
 
+/// Durably writes one framed file (header from EncodeFramedHeader, then
+/// `payload`): the bytes go to `path + ".tmp"`, which is flushed,
+/// fsynced and closed, then renamed over `path`, and the directory is
+/// fsynced. A failed or interrupted save leaves any previous file at
+/// `path` intact. Returns false with a logged reason on I/O failure.
+bool WriteFramedFile(const std::string& path, uint32_t magic,
+                     uint32_t version, const std::string& payload);
+
+/// Checks tensors staged for `module` against its parameters and
+/// buffers (registration order): the same counts, and each tensor the
+/// same shape. Logs the first mismatch against `path` and returns
+/// false, so a loader can refuse a file before applying anything.
+bool MatchesModuleShapes(const std::string& path, const Module& module,
+                         const std::vector<Tensor>& params,
+                         const std::vector<Tensor>& buffers);
+
 /// Writes a complete forward-pass snapshot of a module: trainable
 /// parameters AND non-trainable buffers (batch-norm running
 /// statistics), both in registration order, framed with a magic,
 /// version, payload size and FNV-1a checksum. This is the serving
 /// format: it captures everything an eval-mode forward reads, so an
 /// InferenceEngine restored from it reproduces the training process's
-/// eval outputs bitwise. Returns false on I/O failure.
+/// eval outputs bitwise. Written through WriteFramedFile, so a failed
+/// save keeps the previous file. Returns false on I/O failure.
 bool SaveModelState(const std::string& path, const Module& module);
 
 /// Restores a snapshot written by SaveModelState into an identically

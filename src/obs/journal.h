@@ -12,7 +12,7 @@ namespace obs {
 /// line, flushed per write so a crashed run keeps every completed
 /// record. Writers pass finished objects (see JsonObjectWriter);
 /// records are distinguished by their "event" field by convention
-/// ("epoch", "run_summary", "profile", …).
+/// ("epoch", "resume", "run_summary").
 class RunJournal {
  public:
   /// Opens `path` for writing, truncating any previous journal. ok()

@@ -110,9 +110,11 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry the instrumentation layer writes to.
-  /// Stays empty unless profiling is enabled (src/obs/trace.h) — the
-  /// zero-overhead contract for uninstrumented runs.
+  /// The process-wide registry the instrumentation layer writes to:
+  /// phase scope histograms (always on, src/obs/trace.h), the
+  /// trainer's core/hsic/last_value gauge, the serve/* series of
+  /// engines given no private registry, and the kernel counters, which
+  /// alone are registered only while profiling is enabled.
   static MetricsRegistry& Global();
 
   Counter& GetCounter(const std::string& name);

@@ -20,7 +20,7 @@ namespace obs {
 ///
 /// All stamps come from the engine's injected Clock (util/clock.h) —
 /// the real monotonic clock in production, so spans are directly
-/// comparable to the tracer's and the journal's timestamps, or a
+/// comparable to the phase scopes' and the journal's timestamps, or a
 /// FakeClock in tests for deterministic deadline/latency behavior. The struct is plain data with no ownership: the engine
 /// embeds one per queued request (no extra heap), and Submit can
 /// optionally mirror the finished span into caller-owned storage for

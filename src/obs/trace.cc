@@ -1,16 +1,8 @@
 #include "src/obs/trace.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
-#include "src/util/table.h"
-#include "src/util/timer.h"
+#include <string>
 
 namespace oodgnn {
 namespace obs {
@@ -21,52 +13,6 @@ std::atomic<int> g_profiling{-1};  // -1 = read OODGNN_PROFILE on first use
 bool ProfilingFromEnv() {
   const char* env = std::getenv("OODGNN_PROFILE");
   return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-/// One span currently open on a thread.
-struct OpenSpan {
-  const char* name;
-  std::int64_t start_us;
-  std::int64_t child_us;  // time already spent in closed nested spans
-};
-
-/// Per-thread trace state. The owning thread touches `stack` without
-/// locking (it is the only writer); `agg` is written by the owner and
-/// read by snapshots, so it takes `mu`. The global registry holds a
-/// shared_ptr, keeping aggregates alive after the thread exits.
-struct ThreadState {
-  std::mutex mu;
-  std::unordered_map<const char*, PhaseStats> agg;  // guarded by mu
-  std::vector<OpenSpan> stack;                      // owner thread only
-};
-
-std::mutex g_registry_mu;
-std::vector<std::shared_ptr<ThreadState>>& Registry() {
-  static auto* registry = new std::vector<std::shared_ptr<ThreadState>>();
-  return *registry;
-}
-
-ThreadState& LocalState() {
-  thread_local std::shared_ptr<ThreadState> state = [] {
-    auto s = std::make_shared<ThreadState>();
-    std::lock_guard<std::mutex> lock(g_registry_mu);
-    Registry().push_back(s);
-    return s;
-  }();
-  return *state;
-}
-
-void MergeInto(PhaseStats* into, const PhaseStats& from) {
-  if (into->count == 0) {
-    into->min_us = from.min_us;
-    into->max_us = from.max_us;
-  } else if (from.count > 0) {
-    into->min_us = std::min(into->min_us, from.min_us);
-    into->max_us = std::max(into->max_us, from.max_us);
-  }
-  into->count += from.count;
-  into->total_us += from.total_us;
-  into->child_us += from.child_us;
 }
 
 }  // namespace
@@ -84,94 +30,6 @@ bool ProfilingEnabled() {
 void SetProfilingEnabled(bool enabled) {
   g_profiling.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
-
-TraceScope::TraceScope(const char* name) : active_(ProfilingEnabled()) {
-  if (!active_) return;
-  LocalState().stack.push_back({name, NowMicros(), 0});
-}
-
-TraceScope::~TraceScope() {
-  if (!active_) return;
-  ThreadState& state = LocalState();
-  // The scope was opened with profiling on; a mid-span toggle could
-  // leave the stack empty, so close defensively.
-  if (state.stack.empty()) return;
-  const OpenSpan span = state.stack.back();
-  state.stack.pop_back();
-  const std::int64_t elapsed_us = NowMicros() - span.start_us;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    PhaseStats& stats = state.agg[span.name];
-    PhaseStats sample;
-    sample.count = 1;
-    sample.total_us = elapsed_us;
-    sample.child_us = span.child_us;
-    sample.min_us = elapsed_us;
-    sample.max_us = elapsed_us;
-    MergeInto(&stats, sample);
-  }
-  if (!state.stack.empty()) state.stack.back().child_us += elapsed_us;
-}
-
-std::vector<PhaseStats> TraceSnapshot() {
-  std::map<std::string, PhaseStats> merged;
-  {
-    std::lock_guard<std::mutex> registry_lock(g_registry_mu);
-    for (const auto& state : Registry()) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      for (const auto& [name, stats] : state->agg) {
-        MergeInto(&merged[name], stats);
-      }
-    }
-  }
-  std::vector<PhaseStats> result;
-  result.reserve(merged.size());
-  for (auto& [name, stats] : merged) {
-    stats.name = name;
-    result.push_back(stats);
-  }
-  std::sort(result.begin(), result.end(),
-            [](const PhaseStats& a, const PhaseStats& b) {
-              if (a.total_us != b.total_us) return a.total_us > b.total_us;
-              return a.name < b.name;
-            });
-  return result;
-}
-
-void ResetTrace() {
-  std::lock_guard<std::mutex> registry_lock(g_registry_mu);
-  for (const auto& state : Registry()) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->agg.clear();
-  }
-}
-
-std::string RenderProfile(const std::vector<PhaseStats>& stats) {
-  std::int64_t total_self_us = 0;
-  for (const PhaseStats& s : stats) total_self_us += s.self_us();
-  ResultTable table(
-      {"Phase", "Calls", "Total ms", "Self ms", "% wall", "Avg us"});
-  for (const PhaseStats& s : stats) {
-    char total_ms[32], self_ms[32], pct[32], avg_us[32];
-    std::snprintf(total_ms, sizeof(total_ms), "%.2f",
-                  static_cast<double>(s.total_us) / 1e3);
-    std::snprintf(self_ms, sizeof(self_ms), "%.2f",
-                  static_cast<double>(s.self_us()) / 1e3);
-    std::snprintf(pct, sizeof(pct), "%.1f",
-                  total_self_us > 0 ? 100.0 * static_cast<double>(s.self_us()) /
-                                          static_cast<double>(total_self_us)
-                                    : 0.0);
-    std::snprintf(avg_us, sizeof(avg_us), "%.1f",
-                  s.count > 0 ? static_cast<double>(s.total_us) /
-                                    static_cast<double>(s.count)
-                              : 0.0);
-    table.AddRow(
-        {s.name, std::to_string(s.count), total_ms, self_ms, pct, avg_us});
-  }
-  return table.ToString();
-}
-
-std::string RenderProfile() { return RenderProfile(TraceSnapshot()); }
 
 }  // namespace obs
 }  // namespace oodgnn

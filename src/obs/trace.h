@@ -2,65 +2,39 @@
 #define OODGNN_OBS_TRACE_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "src/obs/metrics.h"
+#include "src/util/timer.h"
 
 namespace oodgnn {
 namespace obs {
 
-/// True when instrumentation is active. Initialized once from the
-/// OODGNN_PROFILE environment variable ("", "0" and unset mean off);
-/// the --profile flag flips it via SetProfilingEnabled. When false,
-/// every trace scope and kernel counter is a branch on one relaxed
-/// atomic load — nothing is allocated, timed, or registered.
+/// True when the per-kernel counters (src/tensor/backend.cc) record.
+/// Initialized once from the OODGNN_PROFILE environment variable ("",
+/// "0" and unset mean off); the --profile flag flips it via
+/// SetProfilingEnabled. When false, every kernel counter is a branch on
+/// one relaxed atomic load: nothing is timed or registered. Phase
+/// scopes do not read it; they are always on.
 bool ProfilingEnabled();
 void SetProfilingEnabled(bool enabled);
 
-/// Aggregate statistics for one span label, merged across threads.
-/// total_us is inclusive wall time; child_us the portion spent inside
-/// nested spans, so self_us() is the phase's own cost.
-struct PhaseStats {
-  std::string name;
-  std::int64_t count = 0;
-  std::int64_t total_us = 0;
-  std::int64_t child_us = 0;
-  std::int64_t min_us = 0;
-  std::int64_t max_us = 0;
-
-  std::int64_t self_us() const { return total_us - child_us; }
-};
-
-/// Every phase observed so far, sorted by total time descending. Only
-/// *closed* spans are aggregated; call between runs, not mid-span.
-std::vector<PhaseStats> TraceSnapshot();
-
-/// Discards all aggregated spans (open scopes on any thread are
-/// unaffected and will aggregate when they close).
-void ResetTrace();
-
-/// Renders a profile table: phase, calls, total/self milliseconds, the
-/// share of traced wall time (self ÷ Σ self), and mean microseconds.
-std::string RenderProfile(const std::vector<PhaseStats>& stats);
-
-/// RenderProfile(TraceSnapshot()).
-std::string RenderProfile();
-
-/// RAII span. Cheap no-op while profiling is disabled; otherwise
-/// records wall time into a per-thread buffer (no locks on the hot
-/// path beyond the thread's own aggregation mutex at close). Spans
-/// nest: time inside an inner scope is attributed to the inner
-/// phase's self time and to the outer phase's child time.
-class TraceScope {
+/// RAII phase timer: observes the microseconds between construction
+/// and destruction into `histogram`. Two clock reads and one Observe;
+/// no strings and no heap.
+class PhaseTimer {
  public:
-  /// `name` must outlive the program's tracing (string literals only).
-  explicit TraceScope(const char* name);
-  ~TraceScope();
+  explicit PhaseTimer(StreamingHistogram* histogram)
+      : histogram_(histogram), start_us_(NowMicros()) {}
+  ~PhaseTimer() {
+    histogram_->Observe(static_cast<double>(NowMicros() - start_us_));
+  }
 
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
-  bool active_;
+  StreamingHistogram* histogram_;
+  std::int64_t start_us_;
 };
 
 }  // namespace obs
@@ -69,9 +43,17 @@ class TraceScope {
 #define OODGNN_TRACE_CONCAT_IMPL(a, b) a##b
 #define OODGNN_TRACE_CONCAT(a, b) OODGNN_TRACE_CONCAT_IMPL(a, b)
 
-/// Opens a trace span covering the rest of the enclosing block.
-#define OODGNN_TRACE_SCOPE(name) \
-  ::oodgnn::obs::TraceScope OODGNN_TRACE_CONCAT(oodgnn_trace_scope_, \
-                                                __LINE__)(name)
+/// Times the rest of the enclosing block into the global registry's
+/// histogram `name`, a string literal following the area/phase/us
+/// convention (scripts/check_metric_names.sh); the `""` pasted in front
+/// makes any other argument a compile error. Each call site looks its
+/// histogram up once, on its first pass.
+#define OODGNN_TRACE_SCOPE(name)                                          \
+  static ::oodgnn::obs::StreamingHistogram& OODGNN_TRACE_CONCAT(          \
+      oodgnn_phase_histogram_, __LINE__) =                                \
+      ::oodgnn::obs::MetricsRegistry::Global().GetHistogram("" name);     \
+  ::oodgnn::obs::PhaseTimer OODGNN_TRACE_CONCAT(oodgnn_phase_timer_,      \
+                                                __LINE__)(                \
+      &OODGNN_TRACE_CONCAT(oodgnn_phase_histogram_, __LINE__))
 
 #endif  // OODGNN_OBS_TRACE_H_

@@ -7,7 +7,6 @@
 
 #include "src/nn/serialize.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/graph/batch.h"
 #include "src/tensor/arena.h"
 #include "src/train/checkpoint.h"
@@ -171,21 +170,8 @@ bool InferenceEngine::LoadCheckpoint(const std::string& path) {
     return false;
   }
   std::lock_guard<std::mutex> lock(master_mu_);
-  const std::vector<Variable> expected = master_->Parameters();
-  if (state.params.size() != expected.size() ||
-      state.buffers.size() != master_->Buffers().size()) {
-    OODGNN_LOG(Error) << path << ": checkpoint has " << state.params.size()
-                      << " parameter and " << state.buffers.size()
-                      << " buffer tensors; the spec's model expects "
-                      << expected.size() << " / " << master_->Buffers().size();
+  if (!MatchesModuleShapes(path, *master_, state.params, state.buffers)) {
     return false;
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (!state.params[i].SameShape(expected[i].value())) {
-      OODGNN_LOG(Error) << path << ": checkpoint parameter " << i
-                        << " shape mismatch";
-      return false;
-    }
   }
   ApplyState(state.params, state.buffers, master_.get());
   PublishFromMasterLocked();
@@ -374,7 +360,6 @@ void InferenceEngine::WorkerLoop(int worker_index) {
 
 void InferenceEngine::ExecuteBatch(int worker_index,
                                    std::vector<std::unique_ptr<Request>> batch) {
-  OODGNN_TRACE_SCOPE("serve/batch");
   collector_->RecordBatchBegin();
   const size_t w = static_cast<size_t>(worker_index);
   std::vector<const Graph*> graphs;

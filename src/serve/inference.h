@@ -181,8 +181,10 @@ class InferenceEngine {
 
   /// Publishes the model parameters and buffers out of a full training
   /// checkpoint written by SaveTrainState, validating that the
-  /// checkpoint's method matches the spec. Returns false (nothing
-  /// published) on mismatch or corruption.
+  /// checkpoint's method matches the spec and that every parameter and
+  /// buffer matches the model's shape (MatchesModuleShapes, the check
+  /// LoadModelFile runs too). Returns false (nothing published) on
+  /// mismatch or corruption.
   bool LoadCheckpoint(const std::string& path);
 
   /// Re-publishes the previous weight version (staggered adoption,

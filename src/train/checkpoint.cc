@@ -1,6 +1,5 @@
 #include "src/train/checkpoint.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -8,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 #include "src/nn/serialize.h"
 #include "src/util/file.h"
@@ -19,13 +17,6 @@ namespace {
 
 constexpr uint32_t kStateMagic = 0x4F4F4443;  // "OODC"
 constexpr uint32_t kStateVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* file) const {
-    if (file) std::fclose(file);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 std::string BuildPayload(const TrainState& state) {
   BinaryPayloadWriter writer;
@@ -177,19 +168,6 @@ bool ParsePayload(const std::string& path, BinaryPayloadReader* reader,
   return true;
 }
 
-/// Best-effort fsync of the directory containing `path` so the rename
-/// itself is durable.
-void SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
 bool CrashInWriteRequested() {
   const char* value = std::getenv("OODGNN_CRASH_IN_WRITE");
   return value != nullptr && value[0] != '\0' &&
@@ -240,42 +218,16 @@ bool EnsureDirectory(const std::string& path) {
 
 bool SaveTrainState(const std::string& path, const TrainState& state) {
   const std::string payload = BuildPayload(state);
-  const std::string header =
-      EncodeFramedHeader(kStateMagic, kStateVersion, payload);
-
-  const std::string tmp_path = path + ".tmp";
-  FilePtr file(std::fopen(tmp_path.c_str(), "wb"));
-  if (!file) {
-    OODGNN_LOG(Error) << "cannot open " << tmp_path << " for writing";
-    return false;
-  }
-  if (std::fwrite(header.data(), 1, header.size(), file.get()) !=
-      header.size()) {
-    return false;
-  }
   if (CrashInWriteRequested()) {
     // Fault injection: die with only the header and half the payload in
     // the temp file. The durable snapshot at `path` must survive.
-    std::fwrite(payload.data(), 1, payload.size() / 2, file.get());
-    std::fflush(file.get());
+    WriteStringToFile(
+        path + ".tmp",
+        EncodeFramedHeader(kStateMagic, kStateVersion, payload) +
+            payload.substr(0, payload.size() / 2));
     CrashNow("SaveTrainState(OODGNN_CRASH_IN_WRITE)");
   }
-  if (!payload.empty() &&
-      std::fwrite(payload.data(), 1, payload.size(), file.get()) !=
-          payload.size()) {
-    return false;
-  }
-  if (std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
-    OODGNN_LOG(Error) << "cannot flush " << tmp_path;
-    return false;
-  }
-  file.reset();
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    OODGNN_LOG(Error) << "cannot rename " << tmp_path << " to " << path;
-    return false;
-  }
-  SyncParentDirectory(path);
-  return true;
+  return WriteFramedFile(path, kStateMagic, kStateVersion, payload);
 }
 
 bool LoadTrainState(const std::string& path, TrainState* state) {

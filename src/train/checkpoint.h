@@ -83,10 +83,11 @@ std::string CheckpointPath(const std::string& dir,
 /// when a component exists as a non-directory or creation fails.
 bool EnsureDirectory(const std::string& path);
 
-/// Atomically writes `state` to `path`: the framed payload (magic,
-/// version, size, FNV-1a checksum) goes to `path + ".tmp"`, is fsynced,
-/// and only then renamed over `path`, so a crash mid-write can never
-/// destroy the previous snapshot. Honors the OODGNN_CRASH_IN_WRITE
+/// Atomically writes `state` to `path` through WriteFramedFile
+/// (src/nn/serialize.h): the framed payload (magic, version, size,
+/// FNV-1a checksum) goes to `path + ".tmp"`, is fsynced, and only then
+/// renamed over `path`, so a crash mid-write can never destroy the
+/// previous snapshot. Honors the OODGNN_CRASH_IN_WRITE
 /// fault hook (see below). Returns false on I/O failure.
 bool SaveTrainState(const std::string& path, const TrainState& state);
 

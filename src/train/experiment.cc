@@ -19,22 +19,18 @@ namespace oodgnn {
 namespace {
 
 void PrintProfileReport() {
-  const std::vector<obs::PhaseStats> phases = obs::TraceSnapshot();
-  if (!phases.empty()) {
-    std::printf("\n=== Profile: phases (--profile) ===\n%s",
-                obs::RenderProfile(phases).c_str());
-  }
   const obs::MetricsSnapshot metrics =
       obs::MetricsRegistry::Global().GetSnapshot();
   if (!metrics.empty()) {
-    std::printf("\n=== Profile: kernel counters ===\n%s",
+    std::printf("\n=== Profile: metrics (--profile) ===\n%s",
                 metrics.ToTableString().c_str());
   }
   std::fflush(stdout);
 }
 
-/// Prints the aggregate phase/kernel tables once, when the binary
-/// exits — every benchmark gets a final profile report for free.
+/// Prints the global registry's table (phase histograms and kernel
+/// counters) once, when the binary exits — every benchmark gets a
+/// final profile report for free.
 void RegisterProfileReportAtExit() {
   static std::once_flag once;
   std::call_once(once, [] { std::atexit(PrintProfileReport); });
@@ -162,10 +158,10 @@ BenchOptions BenchOptions::FromFlags(const Flags& flags) {
   // value instead of re-probing (and so a probe returning 0 cannot
   // leak into committed benchmark artifacts).
   options.hardware_concurrency = HardwareConcurrency();
-  // Shared observability handling: --profile turns on the tracer and
-  // the per-kernel counters (also reachable via OODGNN_PROFILE) and
-  // schedules the final profile tables; --trace-json=<path> opens the
-  // JSONL run journal the trainer writes per-epoch records to.
+  // Shared observability handling: --profile turns on the per-kernel
+  // counters (also reachable via OODGNN_PROFILE) and schedules the
+  // final profile table; --trace-json=<path> opens the JSONL run
+  // journal the trainer writes per-epoch records to.
   if (flags.GetBool("profile", false)) obs::SetProfilingEnabled(true);
   if (obs::ProfilingEnabled()) RegisterProfileReportAtExit();
   const std::string trace_json = flags.GetString("trace-json", "");

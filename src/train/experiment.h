@@ -34,8 +34,8 @@ std::string FormatCell(const std::vector<double>& values, bool percent);
 /// binaries: `--full` switches to paper-scale settings, `--seeds`,
 /// `--epochs`, `--scale`, `--hidden`, `--layers`, `--batch`,
 /// `--eval-every` override individual knobs. Observability: `--profile`
-/// enables the tracer and per-kernel counters (src/obs) and prints
-/// aggregate profile tables at exit; `--trace-json=<path>` writes the
+/// enables the per-kernel counters (src/obs) and prints the global
+/// metrics table at exit; `--trace-json=<path>` writes the
 /// per-epoch JSONL run journal; `--metrics-out=<prefix>` starts the
 /// background exporter publishing <prefix>.prom / <prefix>.jsonl every
 /// `--metrics-interval-ms` (default 1000, also reachable via

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,6 +11,7 @@
 #include "src/graph/batch.h"
 #include "src/nn/loss.h"
 #include "src/nn/optimizer.h"
+#include "src/nn/serialize.h"
 #include "src/obs/journal.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -87,62 +87,6 @@ Tensor PredictSplit(GraphPredictionModel* model, const GraphDataset& dataset,
   return all_logits;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Cumulative totals of the backend's per-kernel perf counters
-/// ("kernel/<op>/…" in the global metrics registry; all zero unless
-/// profiling is enabled).
-struct KernelTotals {
-  std::int64_t calls = 0;
-  std::int64_t elems = 0;
-  std::int64_t us = 0;
-  std::int64_t parallel_calls = 0;
-};
-
-KernelTotals SumKernelCounters() {
-  KernelTotals totals;
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().GetSnapshot();
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.rfind("kernel/", 0) != 0) continue;
-    if (EndsWith(name, "/parallel_calls")) {
-      totals.parallel_calls += value;
-    } else if (EndsWith(name, "/calls")) {
-      totals.calls += value;
-    } else if (EndsWith(name, "/elems")) {
-      totals.elems += value;
-    } else if (EndsWith(name, "/us")) {
-      totals.us += value;
-    }
-  }
-  return totals;
-}
-
-/// Inclusive microseconds per phase, for per-epoch deltas.
-std::map<std::string, std::int64_t> PhaseTotalsUs() {
-  std::map<std::string, std::int64_t> totals;
-  for (const obs::PhaseStats& stats : obs::TraceSnapshot()) {
-    totals[stats.name] = stats.total_us;
-  }
-  return totals;
-}
-
-/// {"phase":delta_ms,...} between two PhaseTotalsUs() snapshots.
-std::string PhaseDeltaJson(const std::map<std::string, std::int64_t>& before,
-                           const std::map<std::string, std::int64_t>& after) {
-  obs::JsonObjectWriter phases;
-  for (const auto& [name, total_us] : after) {
-    auto it = before.find(name);
-    const std::int64_t delta_us =
-        total_us - (it == before.end() ? 0 : it->second);
-    if (delta_us > 0) phases.Put(name, static_cast<double>(delta_us) / 1e3);
-  }
-  return phases.Build();
-}
-
 /// Everything the checkpoint subsystem snapshots, gathered in one place
 /// so capture and restore cannot drift apart.
 struct RunState {
@@ -196,11 +140,12 @@ TrainState CaptureState(const RunState& run, int next_epoch) {
   return state;
 }
 
-/// Applies a loaded snapshot to freshly constructed training objects.
-/// Every structural property is validated against the live run before
-/// anything is mutated; a false return means "ignore the checkpoint and
-/// start fresh" and leaves the run untouched.
-bool RestoreFromState(const TrainState& state, const RunState& run) {
+/// Applies a snapshot loaded from `path` to freshly constructed
+/// training objects. Every structural property is validated against the
+/// live run before anything is mutated; a false return means "ignore
+/// the checkpoint and start fresh" and leaves the run untouched.
+bool RestoreFromState(const std::string& path, const TrainState& state,
+                      const RunState& run) {
   if (state.dataset_name != run.dataset->name ||
       state.method != static_cast<uint32_t>(run.method) ||
       state.seed != run.config->seed ||
@@ -223,27 +168,11 @@ bool RestoreFromState(const TrainState& state, const RunState& run) {
       return false;
     }
   }
-  std::vector<Variable> params = run.model->Parameters();
-  if (state.params.size() != params.size()) return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (!state.params[i].SameShape(params[i].value())) {
-      OODGNN_LOG(Warning) << "checkpoint parameter " << i
-                          << " has a mismatched shape";
-      return false;
-    }
-  }
-  std::vector<Tensor*> buffers = run.model->Buffers();
-  if (state.buffers.size() != buffers.size()) {
-    OODGNN_LOG(Warning) << "checkpoint buffer count does not match the model";
+  if (!MatchesModuleShapes(path, *run.model, state.params, state.buffers)) {
     return false;
   }
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    if (!state.buffers[i].SameShape(*buffers[i])) {
-      OODGNN_LOG(Warning) << "checkpoint buffer " << i
-                          << " has a mismatched shape";
-      return false;
-    }
-  }
+  std::vector<Variable> params = run.model->Parameters();
+  std::vector<Tensor*> buffers = run.model->Buffers();
   if (state.has_bank != (run.reweighter != nullptr)) return false;
   // Adam keeps one first- and one second-moment tensor per parameter;
   // validate the slot layout here so the mutation phase below cannot
@@ -309,7 +238,7 @@ bool HigherIsBetter(TaskType type) {
 double EvaluateSplit(GraphPredictionModel* model, const GraphDataset& dataset,
                      const std::vector<size_t>& indices, int batch_size,
                      Rng* rng) {
-  OODGNN_TRACE_SCOPE("train/eval");
+  OODGNN_TRACE_SCOPE("train/eval/us");
   OODGNN_CHECK(!indices.empty());
   std::vector<int> labels;
   Tensor targets;
@@ -387,7 +316,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
   if (config.resume && FileExists(checkpoint_path)) {
     TrainState state;
     if (LoadTrainState(checkpoint_path, &state) &&
-        RestoreFromState(state, run)) {
+        RestoreFromState(checkpoint_path, state, run)) {
       start_epoch = static_cast<int>(state.next_epoch);
       OODGNN_LOG(Info) << dataset.name << " [" << MethodName(method)
                        << "]: resumed from " << checkpoint_path
@@ -436,10 +365,6 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
 
   for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     Timer epoch_timer;
-    std::map<std::string, std::int64_t> phase_before;
-    if (journal != nullptr && obs::ProfilingEnabled()) {
-      phase_before = PhaseTotalsUs();
-    }
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
     double epoch_decor = 0.0;
@@ -460,7 +385,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
 
       // Algorithm 1 line 3: forward to representations.
       Variable z = [&] {
-        OODGNN_TRACE_SCOPE("train/encode");
+        OODGNN_TRACE_SCOPE("train/encode/us");
         return model.Encode(batch, /*training=*/true, &rng);
       }();
 
@@ -468,7 +393,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
       // (after a short warmup during which the encoder settles).
       std::vector<float> weights;
       if (reweighter && epoch >= config.ood.warmup_epochs) {
-        OODGNN_TRACE_SCOPE("train/reweight");
+        OODGNN_TRACE_SCOPE("train/reweight/us");
         weights = reweighter->ComputeWeights(z.value());
         epoch_decor += reweighter->last_decorrelation_loss();
         if (journal != nullptr) {
@@ -486,7 +411,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
 
       // Line 9: weighted prediction loss, backprop, update Φ and R.
       {
-        OODGNN_TRACE_SCOPE("train/loss_step");
+        OODGNN_TRACE_SCOPE("train/loss_step/us");
         Variable logits = model.Classify(z, /*training=*/true);
         Variable loss =
             PredictionLoss(logits, batch, dataset.task_type, weights);
@@ -585,14 +510,6 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
             .Put("weight_min", *min_it)
             .Put("weight_max", *max_it);
       }
-      if (obs::ProfilingEnabled()) {
-        const KernelTotals kernels = SumKernelCounters();
-        record.Put("kernel_calls", kernels.calls)
-            .Put("kernel_elems", kernels.elems)
-            .Put("kernel_us", kernels.us)
-            .Put("kernel_parallel_calls", kernels.parallel_calls)
-            .PutRaw("phase_ms", PhaseDeltaJson(phase_before, PhaseTotalsUs()));
-      }
       journal->WriteLine(record.Build());
     }
     if (config.checkpoint_every > 0 &&
@@ -612,8 +529,8 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
   result.train_seconds = timer.ElapsedSeconds();
 
   if (journal != nullptr) {
-    // Final run record: best-epoch metrics plus, when profiling, the
-    // whole run's phase aggregate and backend counters.
+    // Final run record: best-epoch metrics. Phase and kernel timings
+    // live in the metrics registry, not here.
     obs::JsonObjectWriter record;
     record.Put("event", "run_summary")
         .Put("dataset", dataset.name)
@@ -625,24 +542,6 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
         .Put("test2_metric", result.test2_metric)
         .Put("num_parameters", result.num_parameters)
         .Put("train_seconds", result.train_seconds);
-    if (obs::ProfilingEnabled()) {
-      obs::JsonObjectWriter phases;
-      for (const obs::PhaseStats& s : obs::TraceSnapshot()) {
-        phases.PutRaw(s.name,
-                      obs::JsonObjectWriter()
-                          .Put("count", s.count)
-                          .Put("total_ms", static_cast<double>(s.total_us) / 1e3)
-                          .Put("self_ms",
-                               static_cast<double>(s.self_us()) / 1e3)
-                          .Build());
-      }
-      const KernelTotals kernels = SumKernelCounters();
-      record.PutRaw("phases", phases.Build())
-          .Put("kernel_calls", kernels.calls)
-          .Put("kernel_elems", kernels.elems)
-          .Put("kernel_us", kernels.us)
-          .Put("kernel_parallel_calls", kernels.parallel_calls);
-    }
     journal->WriteLine(record.Build());
   }
   return result;

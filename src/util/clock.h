@@ -11,8 +11,8 @@ namespace oodgnn {
 /// *decides* based on time: request-span stamps, SLO sliding windows,
 /// token-bucket refills, and deadline expiry all read an abstract
 /// Clock instead of calling NowMicros() directly. Production code uses
-/// Clock::Real() (the same process-wide monotonic clock as the tracer
-/// and journal, so timestamps stay comparable); tests inject a
+/// Clock::Real() (the same process-wide monotonic clock as the phase
+/// scopes and journal, so timestamps stay comparable); tests inject a
 /// FakeClock (tests/test_util.h) and advance it by hand, which makes
 /// deadline expiry, quota refill, burn-rate breach and shed decisions
 /// exactly reproducible without wall-clock sleeps.

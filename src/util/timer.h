@@ -6,7 +6,7 @@
 
 namespace oodgnn {
 
-/// Microseconds on the process-wide monotonic clock. The tracer
+/// Microseconds on the process-wide monotonic clock. Phase scopes
 /// (src/obs/trace), the run journal (src/obs/journal) and Timer all
 /// read this one clock, so their timestamps are directly comparable.
 inline std::int64_t NowMicros() {

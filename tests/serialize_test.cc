@@ -1,5 +1,8 @@
 #include "src/nn/serialize.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -63,6 +66,30 @@ TEST(SerializeTest, MissingFileFailsGracefully) {
   Mlp mlp({2, 2}, &rng);
   EXPECT_FALSE(LoadModelState(TempPath("does_not_exist.bin"), &mlp));
   EXPECT_FALSE(SaveModelState("/nonexistent_dir/x.bin", mlp));
+}
+
+TEST(SerializeTest, FailedSaveLeavesThePreviousFileIntact) {
+  Rng rng(13);
+  Mlp first({3, 4, 2}, &rng);
+  const std::string path = TempPath("durable.bin");
+  ASSERT_TRUE(SaveModelState(path, first));
+  std::string saved;
+  ASSERT_TRUE(ReadFileToString(path, &saved));
+
+  // A directory where the temp file goes makes the next save fail.
+  const std::string tmp_path = path + ".tmp";
+  std::remove(tmp_path.c_str());
+  ASSERT_EQ(::mkdir(tmp_path.c_str(), 0755), 0);
+  Mlp second({3, 4, 2}, &rng);
+  EXPECT_FALSE(SaveModelState(path, second));
+  ::rmdir(tmp_path.c_str());
+
+  std::string after;
+  ASSERT_TRUE(ReadFileToString(path, &after));
+  EXPECT_EQ(after, saved);
+  Mlp restored({3, 4, 2}, &rng);
+  EXPECT_TRUE(LoadModelState(path, &restored));
+  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, RejectsWrongMagic) {

@@ -584,6 +584,56 @@ TEST(InferenceEngineTest, LoadCheckpointRestoresTrainedWeights) {
   EXPECT_FALSE(mismatched.LoadCheckpoint(path));
 }
 
+TEST(InferenceEngineTest, LoadCheckpointRejectsMismatchedBufferShapes) {
+  GraphDataset dataset = TinyDataset();
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 8;
+  config.seed = 3;
+  config.encoder = TinyEncoder(dataset.feature_dim);
+  config.checkpoint_every = 1;
+  config.checkpoint_dir = TempPath("serve_ckpt_buffers");
+  TrainAndEvaluate(Method::kGin, dataset, config);
+  const std::string path =
+      CheckpointPath(config.checkpoint_dir, dataset.name,
+                     MethodName(Method::kGin), config.seed);
+
+  ModelSpec spec;
+  spec.method = Method::kGin;
+  spec.encoder = config.encoder;
+  spec.encoder.feature_dim = dataset.feature_dim;
+  spec.output_dim = dataset.OutputDim();
+  InferenceEngine engine(spec, InferenceOptions{});
+  ASSERT_TRUE(engine.LoadCheckpoint(path));
+  const std::int64_t version = engine.stats().weight_version;
+  const Tensor before = engine.Predict(dataset.graphs[0]);
+
+  TrainState state;
+  ASSERT_TRUE(LoadTrainState(path, &state));
+  ASSERT_FALSE(state.buffers.empty());
+  // Buffer 0 is a BatchNorm running statistic, one row wide.
+  const Tensor& stat = state.buffers[0];
+  ASSERT_EQ(stat.rows(), 1);
+  ASSERT_GT(stat.cols(), 1);
+  const std::vector<std::pair<const char*, int>> widths = {
+      {"narrow.ckpt", stat.cols() - 1}, {"wide.ckpt", stat.cols() + 5}};
+  for (const auto& [name, cols] : widths) {
+    TrainState bad = state;
+    bad.buffers[0] = Tensor(1, cols, 0.5f);
+    const std::string bad_path = TempPath(name);
+    ASSERT_TRUE(SaveTrainState(bad_path, bad));
+    EXPECT_FALSE(engine.LoadCheckpoint(bad_path)) << name;
+    EXPECT_EQ(engine.stats().weight_version, version) << name;
+    const Tensor after = engine.Predict(dataset.graphs[0]);
+    ASSERT_EQ(after.size(), before.size()) << name;
+    EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                          static_cast<size_t>(before.size()) * sizeof(float)),
+              0)
+        << name;
+    std::remove(bad_path.c_str());
+  }
+}
+
 TEST(ModelStateTest, RoundTripPreservesParametersAndBuffers) {
   GraphDataset dataset = TinyDataset();
   Rng rng(14);

@@ -17,9 +17,9 @@
 
 #include "src/data/registry.h"
 #include "src/graph/batch.h"
-#include "src/nn/serialize.h"
 #include "src/serve/inference.h"
 #include "src/tensor/variable.h"
+#include "src/train/checkpoint.h"
 #include "src/train/experiment.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -41,15 +41,18 @@ oodgnn::Method MethodFromName(const std::string& name) {
 
 /// `--serve` smoke mode: push the dataset's test split through the
 /// grad-free InferenceEngine from several submitter threads and check
-/// every returned row bitwise against a direct no-grad forward. Returns
-/// the process exit code.
+/// every returned row bitwise against a direct no-grad forward. The
+/// model is the one a training run on the same flags builds (RunSeeds'
+/// readout, TrainAndEvaluate's encoder), so `--model-file` can take
+/// the checkpoint that run wrote. Returns the process exit code.
 int RunServeSmoke(const oodgnn::GraphDataset& dataset, oodgnn::Method method,
                   const oodgnn::TrainConfig& train,
                   const oodgnn::Flags& flags) {
+  oodgnn::EncoderConfig encoder = train.encoder;
+  encoder.readout = oodgnn::RecommendedReadout(dataset.name);
   oodgnn::serve::ModelSpec spec;
   spec.method = method;
-  spec.encoder = train.encoder;
-  spec.encoder.feature_dim = dataset.feature_dim;
+  spec.encoder = oodgnn::ModelEncoderConfig(method, dataset, encoder);
   spec.output_dim = dataset.OutputDim();
   // Binary/regression datasets carry one target per task on every graph.
   if (dataset.task_type != oodgnn::TaskType::kMulticlass) {
@@ -67,8 +70,10 @@ int RunServeSmoke(const oodgnn::GraphDataset& dataset, oodgnn::Method method,
   oodgnn::serve::InferenceEngine engine(spec, options);
   const std::string model_file = flags.GetString("model-file", "");
   if (!model_file.empty()) {
-    if (!engine.LoadModelFile(model_file)) {
-      std::fprintf(stderr, "failed to load model file '%s'\n",
+    // The reference model below reads the same checkpoint.
+    if (!engine.LoadCheckpoint(model_file) ||
+        !oodgnn::LoadCheckpointWeights(model_file, method, &model)) {
+      std::fprintf(stderr, "failed to load checkpoint '%s'\n",
                    model_file.c_str());
       return 1;
     }
@@ -86,9 +91,6 @@ int RunServeSmoke(const oodgnn::GraphDataset& dataset, oodgnn::Method method,
   }
 
   // Reference rows via a direct grad-free forward on the same weights.
-  if (!model_file.empty()) {
-    oodgnn::LoadModelState(model_file, &model);
-  }
   std::vector<oodgnn::Tensor> reference;
   {
     oodgnn::NoGradGuard no_grad;
@@ -159,7 +161,8 @@ int main(int argc, char** argv) {
         "       [--profile] [--trace-json=PATH]\n"
         "       [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume]\n"
         "       [--serve [--workers N] [--serve-batch N] [--serve-wait-us N]\n"
-        "        [--model-file PATH]]\n"
+        "        [--model-file CKPT]]  (CKPT: a .ckpt that --checkpoint-every\n"
+        "        wrote for the same dataset, method and model flags)\n"
         "datasets:");
     for (const std::string& name : oodgnn::AllDatasetNames()) {
       std::printf(" %s", name.c_str());

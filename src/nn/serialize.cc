@@ -11,7 +11,6 @@
 
 #include "src/nn/module.h"
 #include "src/util/check.h"
-#include "src/util/file.h"
 #include "src/util/logging.h"
 
 namespace oodgnn {
@@ -41,6 +40,11 @@ void BinaryPayloadWriter::PutTensor(const Tensor& value) {
   Append(value.data(), static_cast<size_t>(value.size()) * sizeof(float));
 }
 
+void BinaryPayloadWriter::PutTensorList(const std::vector<Tensor>& values) {
+  PutU32(static_cast<uint32_t>(values.size()));
+  for (const Tensor& value : values) PutTensor(value);
+}
+
 void BinaryPayloadWriter::PutF32Vector(const std::vector<float>& values) {
   PutU64(values.size());
   Append(values.data(), values.size() * sizeof(float));
@@ -58,7 +62,8 @@ void BinaryPayloadWriter::PutU64Vector(const std::vector<uint64_t>& values) {
 
 bool BinaryPayloadReader::Fetch(void* out, size_t size) {
   if (size > remaining()) return false;
-  std::memcpy(out, data_ + pos_, size);
+  // An empty vector's data() may be null, which memcpy must not get.
+  if (size > 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
   return true;
 }
@@ -90,6 +95,16 @@ bool BinaryPayloadReader::GetTensor(Tensor* value) {
     return false;
   }
   *value = std::move(result);
+  return true;
+}
+
+bool BinaryPayloadReader::GetTensorList(std::vector<Tensor>* values) {
+  uint32_t count = 0;
+  if (!GetU32(&count) || uint64_t{count} * 8 > remaining()) return false;
+  values->resize(count);
+  for (Tensor& value : *values) {
+    if (!GetTensor(&value)) return false;
+  }
   return true;
 }
 
@@ -164,9 +179,6 @@ const char* ValidateFramedPayload(const std::string& path,
 
 namespace {
 
-constexpr uint32_t kModelMagic = 0x4F4F444D;  // "OODM"
-constexpr uint32_t kModelVersion = 1;
-
 /// Best-effort fsync of the directory containing `path` so a rename
 /// into it is durable.
 void SyncParentDirectory(const std::string& path) {
@@ -199,22 +211,6 @@ bool MatchesShapes(const std::string& path, const char* kind,
                         << "x" << expected[i].second;
       return false;
     }
-  }
-  return true;
-}
-
-/// Reads a u32 count and that many tensors into `staged`. A count the
-/// remaining bytes cannot back (8 shape bytes per tensor) is refused
-/// before anything is reserved.
-bool StageTensors(BinaryPayloadReader* reader, std::vector<Tensor>* staged) {
-  uint32_t count = 0;
-  if (!reader->GetU32(&count) ||
-      static_cast<uint64_t>(count) * 8 > reader->remaining()) {
-    return false;
-  }
-  staged->resize(count);
-  for (Tensor& tensor : *staged) {
-    if (!reader->GetTensor(&tensor)) return false;
   }
   return true;
 }
@@ -263,64 +259,20 @@ bool MatchesModuleShapes(const std::string& path, const Module& module,
          MatchesShapes(path, "buffer", buffers, buffer_shapes);
 }
 
-bool SaveModelState(const std::string& path, const Module& module) {
-  const std::vector<Variable> params = module.Parameters();
-  const std::vector<Tensor*> buffers = module.Buffers();
-  BinaryPayloadWriter writer;
-  writer.PutU32(static_cast<uint32_t>(params.size()));
-  for (const Variable& param : params) {
-    OODGNN_CHECK(param.defined());
-    writer.PutTensor(param.value());
-  }
-  writer.PutU32(static_cast<uint32_t>(buffers.size()));
-  for (const Tensor* buffer : buffers) {
-    OODGNN_CHECK(buffer != nullptr);
-    writer.PutTensor(*buffer);
-  }
-  return WriteFramedFile(path, kModelMagic, kModelVersion, writer.payload());
-}
-
-bool LoadModelState(const std::string& path, Module* module) {
-  OODGNN_CHECK(module != nullptr);
-  std::string bytes;
-  if (!ReadFileToString(path, &bytes)) {
-    OODGNN_LOG(Error) << "cannot open " << path << " for reading";
-    return false;
-  }
-  size_t payload_size = 0;
-  const char* payload =
-      ValidateFramedPayload(path, bytes, kModelMagic, kModelVersion,
-                            "model-state", &payload_size);
-  if (payload == nullptr) return false;
-
-  BinaryPayloadReader reader(payload, payload_size);
-  std::vector<Tensor> staged_params;
-  std::vector<Tensor> staged_buffers;
-  if (!StageTensors(&reader, &staged_params) ||
-      !StageTensors(&reader, &staged_buffers)) {
-    OODGNN_LOG(Error) << path << ": truncated or oversized tensor list";
-    return false;
-  }
-  if (!reader.AtEnd()) {
-    OODGNN_LOG(Error) << path << ": " << reader.remaining()
-                      << " trailing bytes after the last tensor";
-    return false;
-  }
-  if (!MatchesModuleShapes(path, *module, staged_params, staged_buffers)) {
-    return false;
-  }
-  // Everything validated; apply atomically. Variable copies share the
-  // underlying node, so writing through `params` updates the module.
-  const std::vector<Variable> params = module->Parameters();
-  const std::vector<Tensor*> buffers = module->Buffers();
+void ApplyModuleState(const std::vector<Tensor>& params,
+                      const std::vector<Tensor>& buffers, Module* module) {
+  // Variable copies share the underlying node, so writing through
+  // `dst_params` updates the module.
+  std::vector<Variable> dst_params = module->Parameters();
+  OODGNN_CHECK_EQ(params.size(), dst_params.size());
   for (size_t i = 0; i < params.size(); ++i) {
-    Variable param = params[i];
-    param.mutable_value() = std::move(staged_params[i]);
+    dst_params[i].mutable_value() = params[i];
   }
+  const std::vector<Tensor*> dst_buffers = module->Buffers();
+  OODGNN_CHECK_EQ(buffers.size(), dst_buffers.size());
   for (size_t i = 0; i < buffers.size(); ++i) {
-    *buffers[i] = std::move(staged_buffers[i]);
+    *dst_buffers[i] = buffers[i];
   }
-  return true;
 }
 
 }  // namespace oodgnn

@@ -34,6 +34,9 @@ class BinaryPayloadWriter {
   /// u32 rows, u32 cols, then rows*cols raw float32 values.
   void PutTensor(const Tensor& value);
 
+  /// u32 count followed by that many PutTensor records.
+  void PutTensorList(const std::vector<Tensor>& values);
+
   /// u64 count followed by the raw elements.
   void PutF32Vector(const std::vector<float>& values);
   void PutF64Vector(const std::vector<double>& values);
@@ -66,6 +69,9 @@ class BinaryPayloadReader {
 
   bool GetString(std::string* value);
   bool GetTensor(Tensor* value);
+  /// Refuses a count the remaining bytes cannot back (8 shape bytes
+  /// per tensor) before anything is reserved.
+  bool GetTensorList(std::vector<Tensor>* values);
   bool GetF32Vector(std::vector<float>* values);
   bool GetF64Vector(std::vector<double>* values);
   bool GetU64Vector(std::vector<uint64_t>* values);
@@ -84,11 +90,11 @@ class BinaryPayloadReader {
   size_t pos_ = 0;
 };
 
-/// Framed snapshot files — "OODM" model states (SaveModelState) and
-/// "OODC" training checkpoints (SaveTrainState) — are a 24-byte header
-/// (u32 magic, u32 version, u64 payload size, u64 FNV-1a checksum of
-/// the payload) followed by the payload. This returns the header that
-/// frames `payload`.
+/// A framed file is a 24-byte header (u32 magic, u32 version, u64
+/// payload size, u64 FNV-1a checksum of the payload) followed by the
+/// payload. The "OODC" training checkpoint (SaveTrainState) is the one
+/// format framed this way; it is also what the inference engine loads.
+/// This returns the header that frames `payload`.
 std::string EncodeFramedHeader(uint32_t magic, uint32_t version,
                                const std::string& payload);
 
@@ -120,23 +126,11 @@ bool MatchesModuleShapes(const std::string& path, const Module& module,
                          const std::vector<Tensor>& params,
                          const std::vector<Tensor>& buffers);
 
-/// Writes a complete forward-pass snapshot of a module: trainable
-/// parameters AND non-trainable buffers (batch-norm running
-/// statistics), both in registration order, framed with a magic,
-/// version, payload size and FNV-1a checksum. This is the serving
-/// format: it captures everything an eval-mode forward reads, so an
-/// InferenceEngine restored from it reproduces the training process's
-/// eval outputs bitwise. Written through WriteFramedFile, so a failed
-/// save keeps the previous file. Returns false on I/O failure.
-bool SaveModelState(const std::string& path, const Module& module);
-
-/// Restores a snapshot written by SaveModelState into an identically
-/// constructed module. The checksum, every declared count and every
-/// shape are validated against the actual bytes and the module before
-/// the module is touched, and no allocation exceeds the bytes present.
-/// Any mismatch, truncation or malformed byte returns false with a
-/// logged reason and leaves the module untouched; it never aborts.
-bool LoadModelState(const std::string& path, Module* module);
+/// Copies `params` and `buffers` into `module`'s parameters and
+/// buffers (registration order). The caller has checked them with
+/// MatchesModuleShapes; a count mismatch aborts.
+void ApplyModuleState(const std::vector<Tensor>& params,
+                      const std::vector<Tensor>& buffers, Module* module);
 
 }  // namespace oodgnn
 

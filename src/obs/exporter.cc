@@ -54,15 +54,16 @@ std::string SnapshotJsonLine(const MetricsSnapshot& snapshot) {
 
 /// Writes `content` to `path` via a temporary file and rename, so a
 /// concurrent reader (Prometheus scraping the file) never sees a
-/// partial write.
+/// partial write. A failed write or rename removes the temp file and
+/// leaves the last good `path` in place.
 bool WriteFileAtomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
-  if (!WriteStringToFile(tmp, content)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
+  if (WriteStringToFile(tmp, content) &&
+      std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
   }
-  return true;
+  std::remove(tmp.c_str());
+  return false;
 }
 
 }  // namespace

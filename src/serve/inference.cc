@@ -50,23 +50,6 @@ const char* InvalidGraphReason(const Graph& graph, const ModelSpec& spec) {
   return nullptr;
 }
 
-/// Copies `src` tensors into a module's parameters and buffers
-/// (registration order). Caller has already validated counts/shapes.
-void ApplyState(const std::vector<Tensor>& params,
-                const std::vector<Tensor>& buffers,
-                GraphPredictionModel* model) {
-  std::vector<Variable> dst_params = model->Parameters();
-  OODGNN_CHECK_EQ(params.size(), dst_params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    dst_params[i].mutable_value() = params[i];
-  }
-  std::vector<Tensor*> dst_buffers = model->Buffers();
-  OODGNN_CHECK_EQ(buffers.size(), dst_buffers.size());
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    *dst_buffers[i] = buffers[i];
-  }
-}
-
 obs::MetricsRegistry* TelemetryRegistry(const InferenceOptions& options) {
   return options.telemetry_registry != nullptr
              ? options.telemetry_registry
@@ -147,33 +130,17 @@ void InferenceEngine::SyncFrom(const GraphPredictionModel& model) {
   for (const Tensor* b : src_buffers) buffers.push_back(*b);
 
   std::lock_guard<std::mutex> lock(master_mu_);
-  ApplyState(params, buffers, master_.get());
+  ApplyModuleState(params, buffers, master_.get());
   PublishFromMasterLocked();
-}
-
-bool InferenceEngine::LoadModelFile(const std::string& path) {
-  std::lock_guard<std::mutex> lock(master_mu_);
-  // Validate + apply against the master; nothing is published (and no
-  // worker is affected) unless the load succeeds in full.
-  if (!LoadModelState(path, master_.get())) return false;
-  PublishFromMasterLocked();
-  return true;
 }
 
 bool InferenceEngine::LoadCheckpoint(const std::string& path) {
-  TrainState state;
-  if (!LoadTrainState(path, &state)) return false;
-  if (state.method != static_cast<uint32_t>(spec_.method)) {
-    OODGNN_LOG(Error) << path << ": checkpoint method " << state.method
-                      << " does not match the engine's spec ("
-                      << MethodName(spec_.method) << ")";
-    return false;
-  }
   std::lock_guard<std::mutex> lock(master_mu_);
-  if (!MatchesModuleShapes(path, *master_, state.params, state.buffers)) {
+  // Validate + apply against the master; nothing is published (and no
+  // worker is affected) unless the load succeeds in full.
+  if (!LoadCheckpointWeights(path, spec_.method, master_.get())) {
     return false;
   }
-  ApplyState(state.params, state.buffers, master_.get());
   PublishFromMasterLocked();
   return true;
 }
@@ -305,7 +272,7 @@ void InferenceEngine::AdoptCurrentVersion(int worker_index) {
   const std::shared_ptr<const WeightSnapshot> target = versions_.current();
   const size_t w = static_cast<size_t>(worker_index);
   if (target == nullptr || target->version == worker_versions_[w]) return;
-  ApplyState(target->params, target->buffers, replicas_[w].get());
+  ApplyModuleState(target->params, target->buffers, replicas_[w].get());
   worker_versions_[w] = target->version;
 }
 
@@ -380,12 +347,12 @@ void InferenceEngine::ExecuteBatch(int worker_index,
     // needed around the forward.
     NoGradGuard no_grad;
     Rng* rng = worker_rngs_[w].get();
-    const std::string rng_before = rng->SaveState();
+    const std::mt19937_64 rng_before = rng->engine();
     GraphPredictionModel* model = replicas_[w].get();
     const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
     execute_start_us = clock_->NowMicros();
     logits = model->Predict(graph_batch, /*training=*/false, rng).value();
-    OODGNN_CHECK(rng->SaveState() == rng_before)
+    OODGNN_CHECK(rng->engine() == rng_before)
         << "eval-mode Predict consumed randomness";
   }
 

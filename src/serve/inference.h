@@ -27,8 +27,8 @@ namespace oodgnn {
 namespace serve {
 
 /// Everything needed to reconstruct a GraphPredictionModel shell whose
-/// weights will be overwritten from a snapshot: the serialized formats
-/// store tensors in registration order, so the architecture must match
+/// weights will be overwritten from a snapshot: a checkpoint stores
+/// tensors in registration order, so the architecture must match
 /// exactly.
 struct ModelSpec {
   Method method = Method::kGin;
@@ -152,7 +152,7 @@ struct SubmitResult {
 /// results).
 ///
 /// Weights are versioned (src/serve/version.h): SyncFrom /
-/// LoadModelFile / LoadCheckpoint publish an immutable snapshot, and
+/// LoadCheckpoint publish an immutable snapshot, and
 /// each worker adopts the newest version at its own batch boundary — a
 /// hot rollout staggers across workers with no stop-the-world, and
 /// RollbackWeights() un-publishes a bad one. All replicas are
@@ -174,17 +174,12 @@ class InferenceEngine {
   /// on the version they started with).
   void SyncFrom(const GraphPredictionModel& model);
 
-  /// Publishes a SaveModelState snapshot (parameters + buffers) as a
-  /// new weight version. Returns false (nothing published) on any
-  /// validation failure.
-  bool LoadModelFile(const std::string& path);
-
-  /// Publishes the model parameters and buffers out of a full training
-  /// checkpoint written by SaveTrainState, validating that the
-  /// checkpoint's method matches the spec and that every parameter and
-  /// buffer matches the model's shape (MatchesModuleShapes, the check
-  /// LoadModelFile runs too). Returns false (nothing published) on
-  /// mismatch or corruption.
+  /// Publishes the model parameters and buffers out of a training
+  /// checkpoint written by SaveTrainState (the `.ckpt` that
+  /// `--checkpoint-every` writes) as a new weight version, through
+  /// LoadCheckpointWeights: the checkpoint's method must match the
+  /// spec and every parameter and buffer the model's shape. Returns
+  /// false (nothing published) on mismatch or corruption.
   bool LoadCheckpoint(const std::string& path);
 
   /// Re-publishes the previous weight version (staggered adoption,
@@ -276,7 +271,8 @@ class InferenceEngine {
   std::vector<std::unique_ptr<Rng>> worker_rngs_;
   std::vector<std::int64_t> worker_versions_;
 
-  /// Master copy weight publishers (SyncFrom / Load*) validate against.
+  /// Master copy weight publishers (SyncFrom / LoadCheckpoint) validate
+  /// against.
   /// Never used to serve requests.
   std::unique_ptr<GraphPredictionModel> master_;  // guarded by master_mu_
   std::mutex master_mu_;

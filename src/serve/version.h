@@ -29,12 +29,13 @@ struct VersionCount {
 
 /// Versioned hot weight rollout for the inference engine.
 ///
-/// Publishers (SyncFrom / LoadModelFile / LoadCheckpoint) push an
-/// immutable WeightSnapshot; workers poll `current()` at their own
-/// batch boundaries and copy the snapshot into their private replica
-/// when the version moved — so a rollout staggers across workers
-/// instead of stopping the world, and two workers may briefly serve
-/// different versions (each span carries the version that served it).
+/// Publishers (SyncFrom from a live model, LoadCheckpoint from a
+/// training checkpoint) push an immutable WeightSnapshot; workers poll
+/// `current()` at their own batch boundaries and copy the snapshot into
+/// their private replica when the version moved — so a rollout
+/// staggers across workers instead of stopping the world, and two
+/// workers may briefly serve different versions (each span carries the
+/// version that served it).
 /// `Rollback()` re-publishes the previously active snapshot under its
 /// original id, so a bad rollout is undone by the same staggered
 /// mechanism, and per-version request counts attribute the damage.

@@ -28,13 +28,10 @@ std::string BuildPayload(const TrainState& state) {
   writer.PutU32(state.next_epoch);
   writer.PutString(state.rng_state);
   writer.PutU64Vector(state.order);
-  writer.PutU32(static_cast<uint32_t>(state.params.size()));
-  for (const Tensor& param : state.params) writer.PutTensor(param);
+  writer.PutTensorList(state.params);
   writer.PutI64(state.optimizer.step_count);
-  writer.PutU32(static_cast<uint32_t>(state.optimizer.slots.size()));
-  for (const Tensor& slot : state.optimizer.slots) writer.PutTensor(slot);
-  writer.PutU32(static_cast<uint32_t>(state.buffers.size()));
-  for (const Tensor& buffer : state.buffers) writer.PutTensor(buffer);
+  writer.PutTensorList(state.optimizer.slots);
+  writer.PutTensorList(state.buffers);
   writer.PutU8(state.has_bank ? 1 : 0);
   if (state.has_bank) {
     writer.PutU8(state.bank_initialized ? 1 : 0);
@@ -56,8 +53,6 @@ std::string BuildPayload(const TrainState& state) {
 
 bool ParsePayload(const std::string& path, BinaryPayloadReader* reader,
                   TrainState* state) {
-  uint32_t param_count = 0;
-  uint32_t slot_count = 0;
   uint8_t has_bank = 0;
   if (!reader->GetString(&state->dataset_name) ||
       !reader->GetU32(&state->method) || !reader->GetU64(&state->seed) ||
@@ -65,7 +60,7 @@ bool ParsePayload(const std::string& path, BinaryPayloadReader* reader,
       !reader->GetU32(&state->batch_size) ||
       !reader->GetU32(&state->next_epoch) ||
       !reader->GetString(&state->rng_state) ||
-      !reader->GetU64Vector(&state->order) || !reader->GetU32(&param_count)) {
+      !reader->GetU64Vector(&state->order)) {
     OODGNN_LOG(Error) << path << ": truncated checkpoint preamble";
     return false;
   }
@@ -74,45 +69,19 @@ bool ParsePayload(const std::string& path, BinaryPayloadReader* reader,
                       << " exceeds declared horizon " << state->epochs;
     return false;
   }
-  // Every tensor record needs at least its 8-byte shape header; reject
-  // inflated counts before reserving anything.
-  if (static_cast<uint64_t>(param_count) * 8 > reader->remaining()) {
-    OODGNN_LOG(Error) << path << ": parameter count " << param_count
-                      << " exceeds the remaining payload";
+  if (!reader->GetTensorList(&state->params)) {
+    OODGNN_LOG(Error) << path << ": truncated or oversized parameter list";
     return false;
   }
-  state->params.resize(param_count);
-  for (Tensor& param : state->params) {
-    if (!reader->GetTensor(&param)) {
-      OODGNN_LOG(Error) << path << ": truncated or oversized parameter";
-      return false;
-    }
-  }
   if (!reader->GetI64(&state->optimizer.step_count) ||
-      state->optimizer.step_count < 0 || !reader->GetU32(&slot_count) ||
-      static_cast<uint64_t>(slot_count) * 8 > reader->remaining()) {
+      state->optimizer.step_count < 0 ||
+      !reader->GetTensorList(&state->optimizer.slots)) {
     OODGNN_LOG(Error) << path << ": malformed optimizer section";
     return false;
   }
-  state->optimizer.slots.resize(slot_count);
-  for (Tensor& slot : state->optimizer.slots) {
-    if (!reader->GetTensor(&slot)) {
-      OODGNN_LOG(Error) << path << ": truncated or oversized optimizer slot";
-      return false;
-    }
-  }
-  uint32_t buffer_count = 0;
-  if (!reader->GetU32(&buffer_count) ||
-      static_cast<uint64_t>(buffer_count) * 8 > reader->remaining()) {
+  if (!reader->GetTensorList(&state->buffers)) {
     OODGNN_LOG(Error) << path << ": malformed buffer section";
     return false;
-  }
-  state->buffers.resize(buffer_count);
-  for (Tensor& buffer : state->buffers) {
-    if (!reader->GetTensor(&buffer)) {
-      OODGNN_LOG(Error) << path << ": truncated or oversized buffer";
-      return false;
-    }
   }
   if (!reader->GetU8(&has_bank) || has_bank > 1) {
     OODGNN_LOG(Error) << path << ": malformed bank flag";
@@ -245,6 +214,23 @@ bool LoadTrainState(const std::string& path, TrainState* state) {
   BinaryPayloadReader reader(payload, payload_size);
   if (!ParsePayload(path, &reader, &parsed)) return false;
   *state = std::move(parsed);
+  return true;
+}
+
+bool LoadCheckpointWeights(const std::string& path, Method method,
+                           Module* module) {
+  TrainState state;
+  if (!LoadTrainState(path, &state)) return false;
+  if (state.method != static_cast<uint32_t>(method)) {
+    OODGNN_LOG(Error) << path << ": checkpoint method " << state.method
+                      << " does not match the model's ("
+                      << MethodName(method) << ")";
+    return false;
+  }
+  if (!MatchesModuleShapes(path, *module, state.params, state.buffers)) {
+    return false;
+  }
+  ApplyModuleState(state.params, state.buffers, module);
   return true;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/gnn/model_zoo.h"
 #include "src/nn/optimizer.h"
 #include "src/tensor/tensor.h"
 
@@ -98,6 +99,16 @@ bool SaveTrainState(const std::string& path, const TrainState& state);
 /// Returns false with a logged reason on any corruption; never crashes
 /// or over-allocates.
 bool LoadTrainState(const std::string& path, TrainState* state);
+
+/// Restores `module`'s parameters and buffers — everything an eval
+/// forward reads — from the checkpoint at `path`. The file is loaded
+/// through LoadTrainState, then its method tag must equal `method` and
+/// every tensor must match `module`'s shapes (MatchesModuleShapes)
+/// before ApplyModuleState copies anything. On any failure it returns
+/// false with a logged reason and leaves `module` untouched. This is
+/// how a trained model is served (InferenceEngine::LoadCheckpoint).
+bool LoadCheckpointWeights(const std::string& path, Method method,
+                           Module* module);
 
 /// Crash-injection hooks for fault-tolerance tests, driven by
 /// environment variables (read at call time):

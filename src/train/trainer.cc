@@ -56,7 +56,7 @@ Tensor PredictSplit(GraphPredictionModel* model, const GraphDataset& dataset,
                     Rng* rng, std::vector<int>* labels, Tensor* targets,
                     Tensor* mask) {
   NoGradGuard no_grad;
-  const std::string rng_before = rng->SaveState();
+  const std::mt19937_64 rng_before = rng->engine();
   Tensor all_logits(static_cast<int>(indices.size()), model->output_dim());
   if (targets->empty() && dataset.task_type != TaskType::kMulticlass) {
     *targets = Tensor(static_cast<int>(indices.size()), dataset.num_tasks);
@@ -82,7 +82,7 @@ Tensor PredictSplit(GraphPredictionModel* model, const GraphDataset& dataset,
     }
     row += logits.rows();
   }
-  OODGNN_CHECK(rng->SaveState() == rng_before)
+  OODGNN_CHECK(rng->engine() == rng_before)
       << "eval-mode Predict consumed randomness";
   return all_logits;
 }
@@ -171,8 +171,7 @@ bool RestoreFromState(const std::string& path, const TrainState& state,
   if (!MatchesModuleShapes(path, *run.model, state.params, state.buffers)) {
     return false;
   }
-  std::vector<Variable> params = run.model->Parameters();
-  std::vector<Tensor*> buffers = run.model->Buffers();
+  const std::vector<Variable> params = run.model->Parameters();
   if (state.has_bank != (run.reweighter != nullptr)) return false;
   // Adam keeps one first- and one second-moment tensor per parameter;
   // validate the slot layout here so the mutation phase below cannot
@@ -208,12 +207,7 @@ bool RestoreFromState(const std::string& path, const TrainState& state,
     return false;
   }
   OODGNN_CHECK(run.optimizer->SetState(state.optimizer));
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].mutable_value() = state.params[i];
-  }
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    *buffers[i] = state.buffers[i];
-  }
+  ApplyModuleState(state.params, state.buffers, run.model);
   *run.rng = restored_rng;
   run.order->assign(state.order.begin(), state.order.end());
   *run.best_valid = state.best_valid;
@@ -230,6 +224,20 @@ bool RestoreFromState(const std::string& path, const TrainState& state,
 }
 
 }  // namespace
+
+EncoderConfig ModelEncoderConfig(Method method, const GraphDataset& dataset,
+                                 const EncoderConfig& base) {
+  EncoderConfig encoder = base;
+  encoder.feature_dim = dataset.feature_dim;
+  if (method == Method::kPna) {
+    std::vector<const Graph*> train_graphs;
+    for (size_t idx : dataset.train_idx) {
+      train_graphs.push_back(&dataset.graphs[idx]);
+    }
+    encoder.pna_delta = ComputePnaDelta(train_graphs);
+  }
+  return encoder;
+}
 
 bool HigherIsBetter(TaskType type) {
   return type != TaskType::kRegression;
@@ -270,18 +278,9 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
   // rather than incidental.
   Rng eval_rng(config.seed ^ 0x9E3779B97F4A7C15ull);
 
-  EncoderConfig encoder_config = config.encoder;
-  encoder_config.feature_dim = dataset.feature_dim;
-  if (method == Method::kPna) {
-    std::vector<const Graph*> train_graphs;
-    for (size_t idx : dataset.train_idx) {
-      train_graphs.push_back(&dataset.graphs[idx]);
-    }
-    encoder_config.pna_delta = ComputePnaDelta(train_graphs);
-  }
-
-  GraphPredictionModel model(method, encoder_config, dataset.OutputDim(),
-                             &rng);
+  GraphPredictionModel model(
+      method, ModelEncoderConfig(method, dataset, config.encoder),
+      dataset.OutputDim(), &rng);
   Adam optimizer(model.Parameters(), config.lr, 0.9f, 0.999f, 1e-8f,
                  config.weight_decay);
 

@@ -76,6 +76,13 @@ struct TrainResult {
   double train_seconds = 0.0;
 };
 
+/// The encoder TrainAndEvaluate builds for `method` on `dataset`:
+/// `base` with the dataset's feature width and, for PNA, the degree
+/// scaler of its train split. A server rebuilding a trained model for
+/// its checkpoint starts from the same config.
+EncoderConfig ModelEncoderConfig(Method method, const GraphDataset& dataset,
+                                 const EncoderConfig& base);
+
 /// Trains `method` on the dataset's train split and evaluates on every
 /// split. Deterministic given config.seed.
 TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,

@@ -16,14 +16,14 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 }  // namespace
 
 bool WriteStringToFile(const std::string& path, const std::string& content) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) return false;
-  if (!content.empty() &&
-      std::fwrite(content.data(), 1, content.size(), file.get()) !=
-          content.size()) {
-    return false;
-  }
-  return true;
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) return false;
+  const bool written =
+      content.empty() ||
+      std::fwrite(content.data(), 1, content.size(), file) == content.size();
+  // fclose flushes the stream's buffer, so a write that fails there
+  // (a full disk) is only seen in its result.
+  return std::fclose(file) == 0 && written;
 }
 
 bool ReadFileToString(const std::string& path, std::string* content) {

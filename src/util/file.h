@@ -6,7 +6,7 @@
 namespace oodgnn {
 
 /// Writes `content` to `path`, replacing any existing file. Returns
-/// false on I/O failure.
+/// false on I/O failure, including a failed final flush.
 bool WriteStringToFile(const std::string& path, const std::string& content);
 
 /// Reads the whole file into `content`. Returns false if the file

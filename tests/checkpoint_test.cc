@@ -1,7 +1,9 @@
 #include "src/train/checkpoint.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "src/graph/graph.h"
+#include "src/nn/mlp.h"
 #include "src/nn/serialize.h"
 #include "src/obs/journal.h"
 #include "src/train/trainer.h"
@@ -20,7 +23,107 @@
 namespace oodgnn {
 namespace {
 
+using test::ModuleCheckpoint;
 using test::TempPath;
+
+/// Framed-file layout: u32 magic, u32 version, u64 payload size, u64
+/// FNV-1a checksum, then the payload.
+constexpr size_t kHeaderBytes = 24;
+
+/// Recomputes the declared payload size and checksum, so a payload
+/// mutation reaches the parser instead of the checksum check.
+void RefreshFrame(std::string* bytes) {
+  const uint64_t payload_size = bytes->size() - kHeaderBytes;
+  std::memcpy(&(*bytes)[8], &payload_size, sizeof(payload_size));
+  const uint64_t checksum =
+      Fnv1a64(bytes->data() + kHeaderBytes, payload_size);
+  std::memcpy(&(*bytes)[16], &checksum, sizeof(checksum));
+}
+
+/// Payload offsets of the structural words of `state`'s three tensor
+/// lists (parameters, optimizer slots, buffers): each list's count,
+/// then every tensor's rows and cols.
+std::vector<size_t> TensorListWordOffsets(const TrainState& state) {
+  // Preamble: dataset name, method, seed, epochs, batch size,
+  // next_epoch, RNG state, train order.
+  size_t at = sizeof(uint64_t) + state.dataset_name.size() +
+              sizeof(uint32_t) + sizeof(uint64_t) + 3 * sizeof(uint32_t) +
+              sizeof(uint64_t) + state.rng_state.size() + sizeof(uint64_t) +
+              state.order.size() * sizeof(uint64_t);
+  std::vector<size_t> offsets;
+  auto walk = [&](const std::vector<Tensor>& tensors) {
+    offsets.push_back(at);
+    at += sizeof(uint32_t);
+    for (const Tensor& tensor : tensors) {
+      offsets.push_back(at);
+      offsets.push_back(at + sizeof(uint32_t));
+      at += 2 * sizeof(uint32_t) +
+            static_cast<size_t>(tensor.size()) * sizeof(float);
+    }
+  };
+  walk(state.params);
+  at += sizeof(int64_t);  // Optimizer step count.
+  walk(state.optimizer.slots);
+  walk(state.buffers);
+  return offsets;
+}
+
+/// Writes one fuzz mutant to `path` as a fresh file: some filesystems
+/// flush on close when a file is truncated and rewritten, and the fuzz
+/// writes thousands of mutants.
+bool WriteMutant(const std::string& path, const std::string& bytes) {
+  std::remove(path.c_str());
+  return WriteStringToFile(path, bytes);
+}
+
+uint32_t PayloadWord(const std::string& bytes, size_t offset) {
+  uint32_t word = 0;
+  std::memcpy(&word, &bytes[kHeaderBytes + offset], sizeof(word));
+  return word;
+}
+
+/// Writes byte mutants of the good file `good` to `path` and calls
+/// `load()` on each. Every truncation and every single-byte flip must
+/// fail (the header checks and the checksum). 0xFF over each aligned
+/// payload word, with size and checksum refreshed, must never crash or
+/// over-allocate — a stomped float is a valid file with other values
+/// and may load — and must fail on every payload offset in
+/// `structural` (count and shape words). Trailing garbage must fail
+/// whether or not the header is refreshed to declare it.
+template <typename Load>
+void ExpectMutantsFailCleanly(const std::string& good,
+                              const std::vector<size_t>& structural,
+                              const std::string& path, Load load) {
+  for (size_t len = 0; len < good.size(); ++len) {
+    ASSERT_TRUE(WriteMutant(path, good.substr(0, len)));
+    EXPECT_FALSE(load()) << "truncation at " << len;
+  }
+  for (size_t offset = 0; offset < good.size(); ++offset) {
+    std::string mutated = good;
+    mutated[offset] = static_cast<char>(mutated[offset] ^ 0xFF);
+    ASSERT_TRUE(WriteMutant(path, mutated));
+    EXPECT_FALSE(load()) << "flip at " << offset;
+  }
+  const size_t payload_size = good.size() - kHeaderBytes;
+  for (size_t offset = 0; offset + sizeof(uint32_t) <= payload_size;
+       offset += sizeof(uint32_t)) {
+    std::string mutated = good;
+    std::memset(&mutated[kHeaderBytes + offset], 0xFF, sizeof(uint32_t));
+    RefreshFrame(&mutated);
+    ASSERT_TRUE(WriteMutant(path, mutated));
+    const bool loaded = load();
+    if (std::find(structural.begin(), structural.end(), offset) !=
+        structural.end()) {
+      EXPECT_FALSE(loaded) << "stomp on count/shape word at " << offset;
+    }
+  }
+  std::string trailing = good + std::string(7, '\xAB');
+  ASSERT_TRUE(WriteMutant(path, trailing));
+  EXPECT_FALSE(load()) << "undeclared trailing garbage";
+  RefreshFrame(&trailing);
+  ASSERT_TRUE(WriteMutant(path, trailing));
+  EXPECT_FALSE(load()) << "declared trailing garbage";
+}
 
 /// Trivially separable dataset: label = 1 iff the graph has edges.
 /// Construction is deterministic and independent of any global state,
@@ -341,90 +444,206 @@ TEST(CheckpointTest, ResumeFromFinishedRunSkipsTraining) {
 }
 
 // Deterministic byte-mutation fuzz over a real snapshot: truncations,
-// header damage, and blind payload flips must all fail cleanly (the
-// checksum catches them); mutations that *fix up* the checksum — e.g.
-// inflated counts — must still never crash, over-allocate, or trip a
-// sanitizer, because every count is bounds-checked against the bytes
-// actually present.
+// header damage, and payload flips must all fail cleanly (the checksum
+// catches them); mutations that *fix up* the checksum must still never
+// crash, over-allocate, or trip a sanitizer, because every count is
+// bounds-checked against the bytes actually present — and a stomped
+// count or shape word of a tensor list must fail.
 TEST(CheckpointTest, FuzzCorruptedSnapshotsFailCleanly) {
+  const TrainState example = ExampleState();
   const std::string good_path = TempPath("fuzz_state_good.ckpt");
-  ASSERT_TRUE(SaveTrainState(good_path, ExampleState()));
+  ASSERT_TRUE(SaveTrainState(good_path, example));
   std::string good;
   ASSERT_TRUE(ReadFileToString(good_path, &good));
-  ASSERT_GT(good.size(), 24u);
+  ASSERT_GT(good.size(), kHeaderBytes);
   const std::string path = TempPath("fuzz_state_mutant.ckpt");
 
-  auto rebuild_header = [](std::string* bytes) {
-    // Recompute declared size + checksum so the payload mutation is the
-    // part under test, not the checksum.
-    const uint64_t payload_size = bytes->size() - 24;
-    std::memcpy(&(*bytes)[8], &payload_size, sizeof(payload_size));
-    const uint64_t checksum = Fnv1a64(bytes->data() + 24, payload_size);
-    std::memcpy(&(*bytes)[16], &checksum, sizeof(checksum));
-  };
-
   TrainState scratch;
+  auto load = [&] { return LoadTrainState(path, &scratch); };
 
-  // 1. Truncation at every length (stride keeps the loop fast).
-  for (size_t len = 0; len < good.size(); len += 7) {
-    ASSERT_TRUE(WriteStringToFile(path, good.substr(0, len)));
-    EXPECT_FALSE(LoadTrainState(path, &scratch)) << "truncation at " << len;
-  }
+  // Truncations, flips, 0xFF stomps (each count and shape word of the
+  // parameter, optimizer-slot and buffer lists must fail) and trailing
+  // garbage.
+  const std::vector<size_t> structural = TensorListWordOffsets(example);
+  ASSERT_EQ(PayloadWord(good, structural.front()), example.params.size());
+  ExpectMutantsFailCleanly(good, structural, path, load);
 
-  // 2. Single-byte flips anywhere (header or payload) without fixing
-  // the checksum: magic/version/size checks or the checksum reject all.
-  for (size_t offset = 0; offset < good.size(); offset += 3) {
-    std::string mutated = good;
-    mutated[offset] = static_cast<char>(mutated[offset] ^ 0xFF);
-    ASSERT_TRUE(WriteStringToFile(path, mutated));
-    EXPECT_FALSE(LoadTrainState(path, &scratch)) << "flip at " << offset;
-  }
-
-  // 3. Oversized header: payload size beyond the file, or astronomical.
+  // Oversized header: payload size beyond the file, or astronomical.
   for (uint64_t declared : {good.size() - 23, good.size() * 2,
                             uint64_t{1} << 60}) {
     std::string mutated = good;
     std::memcpy(&mutated[8], &declared, sizeof(declared));
-    ASSERT_TRUE(WriteStringToFile(path, mutated));
-    EXPECT_FALSE(LoadTrainState(path, &scratch))
-        << "declared payload " << declared;
+    ASSERT_TRUE(WriteMutant(path, mutated));
+    EXPECT_FALSE(load()) << "declared payload " << declared;
   }
 
-  // 4. Count inflation with a fixed-up checksum: stomp 0xFF over every
-  // aligned word of the early payload (where the string lengths and
-  // tensor/vector counts live). The loader must bound every allocation
-  // by the bytes actually present — most mutants fail parsing, none may
-  // crash or OOM.
-  for (size_t offset = 24; offset + 4 <= std::min(good.size(), size_t{24} + 256);
-       offset += 4) {
-    std::string mutated = good;
-    std::memset(&mutated[offset], 0xFF, 4);
-    rebuild_header(&mutated);
-    ASSERT_TRUE(WriteStringToFile(path, mutated));
-    LoadTrainState(path, &scratch);  // Must not crash; usually false.
-  }
-
-  // 5. Zeroed payload with a valid checksum: parses as nonsense and is
+  // Zeroed payload with a valid checksum: parses as nonsense and is
   // rejected (trailing bytes / semantic checks), never accepted as-is.
   {
     std::string mutated = good;
-    std::memset(&mutated[24], 0, mutated.size() - 24);
-    rebuild_header(&mutated);
-    ASSERT_TRUE(WriteStringToFile(path, mutated));
-    EXPECT_FALSE(LoadTrainState(path, &scratch));
+    std::memset(&mutated[kHeaderBytes], 0, mutated.size() - kHeaderBytes);
+    RefreshFrame(&mutated);
+    ASSERT_TRUE(WriteMutant(path, mutated));
+    EXPECT_FALSE(load());
   }
 
-  // 6. Truncated payload with a fixed-up header: inner bounds checks
+  // Truncated payload with a fixed-up header: inner bounds checks
   // reject it even though size and checksum agree.
   {
-    std::string mutated = good.substr(0, 24 + (good.size() - 24) / 2);
-    rebuild_header(&mutated);
-    ASSERT_TRUE(WriteStringToFile(path, mutated));
-    EXPECT_FALSE(LoadTrainState(path, &scratch));
+    std::string mutated =
+        good.substr(0, kHeaderBytes + (good.size() - kHeaderBytes) / 2);
+    RefreshFrame(&mutated);
+    ASSERT_TRUE(WriteMutant(path, mutated));
+    EXPECT_FALSE(load());
   }
 
   // The pristine snapshot still loads after the whole gauntlet.
   EXPECT_TRUE(LoadTrainState(good_path, &scratch));
+}
+
+// ---------------------------------------------------------------------------
+// The container itself: durable saves, framing, tensor lists, and
+// LoadCheckpointWeights, the one routine that restores a module from a
+// checkpoint (what the inference engine serves).
+// ---------------------------------------------------------------------------
+
+TEST(SerializeTest, MissingFileFailsGracefully) {
+  TrainState state;
+  EXPECT_FALSE(LoadTrainState(TempPath("does_not_exist.ckpt"), &state));
+  EXPECT_FALSE(SaveTrainState("/nonexistent_dir/x.ckpt", ExampleState()));
+  Rng rng(7);
+  Mlp mlp({2, 2}, &rng);
+  EXPECT_FALSE(LoadCheckpointWeights(TempPath("does_not_exist.ckpt"),
+                                     Method::kGin, &mlp));
+}
+
+TEST(SerializeTest, FailedSaveLeavesThePreviousFileIntact) {
+  const std::string path = TempPath("durable.ckpt");
+  const TrainState first = ExampleState();
+  ASSERT_TRUE(SaveTrainState(path, first));
+  std::string saved;
+  ASSERT_TRUE(ReadFileToString(path, &saved));
+
+  // A directory where the temp file goes makes the next save fail.
+  const std::string tmp_path = path + ".tmp";
+  std::remove(tmp_path.c_str());
+  ASSERT_EQ(::mkdir(tmp_path.c_str(), 0755), 0);
+  TrainState second = ExampleState();
+  second.next_epoch = 6;
+  EXPECT_FALSE(SaveTrainState(path, second));
+  ::rmdir(tmp_path.c_str());
+
+  std::string after;
+  ASSERT_TRUE(ReadFileToString(path, &after));
+  EXPECT_EQ(after, saved);
+  TrainState loaded;
+  ASSERT_TRUE(LoadTrainState(path, &loaded));
+  ExpectStatesEqual(first, loaded);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, RejectsWrongMagic) {
+  const std::string path = TempPath("garbage.ckpt");
+  const char junk[32] = "this is not a checkpoint";
+  ASSERT_TRUE(WriteStringToFile(path, std::string(junk, sizeof(junk))));
+  TrainState state;
+  EXPECT_FALSE(LoadTrainState(path, &state));
+  Rng rng(8);
+  Mlp mlp({2, 2}, &rng);
+  EXPECT_FALSE(LoadCheckpointWeights(path, Method::kGin, &mlp));
+}
+
+TEST(SerializeTest, ShapeMismatchFailsWithoutModifyingModule) {
+  Rng rng(9);
+  Mlp small({2, 3, 2}, &rng, /*batch_norm=*/true);
+  const std::string path = TempPath("small.ckpt");
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(small, Method::kGin)));
+  Rng rng_b(11);
+  Mlp bigger({2, 4, 2}, &rng_b, /*batch_norm=*/true);
+  ASSERT_FALSE(bigger.Buffers().empty());
+  const TrainState before = ModuleCheckpoint(bigger, Method::kGin);
+  EXPECT_FALSE(LoadCheckpointWeights(path, Method::kGin, &bigger));
+  ExpectStatesEqual(before, ModuleCheckpoint(bigger, Method::kGin));
+}
+
+TEST(SerializeTest, ParameterCountMismatchFails) {
+  Rng rng(10);
+  Mlp two_layers({2, 3, 1}, &rng);
+  const std::string path = TempPath("two.ckpt");
+  ASSERT_TRUE(
+      SaveTrainState(path, ModuleCheckpoint(two_layers, Method::kGin)));
+  Mlp one_layer({2, 1}, &rng);
+  EXPECT_FALSE(LoadCheckpointWeights(path, Method::kGin, &one_layer));
+}
+
+TEST(SerializeTest, RejectsHeaderDeclaringMoreTensorsThanFileHolds) {
+  const TrainState example = ExampleState();
+  const std::string path = TempPath("inflated.ckpt");
+  ASSERT_TRUE(SaveTrainState(path, example));
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(path, &good));
+  const size_t count_at = TensorListWordOffsets(example).front();
+  ASSERT_EQ(PayloadWord(good, count_at), example.params.size());
+  TrainState state;
+
+  // A parameter count far beyond what the file can back; the loader
+  // must refuse before allocating.
+  std::string inflated = good;
+  const uint32_t huge = 0x7FFFFFFF;
+  std::memcpy(&inflated[kHeaderBytes + count_at], &huge, sizeof(huge));
+  RefreshFrame(&inflated);
+  ASSERT_TRUE(WriteStringToFile(path, inflated));
+  EXPECT_FALSE(LoadTrainState(path, &state));
+
+  // The right count, but the payload ends after the first tensor.
+  ASSERT_GT(example.params.size(), 1u);
+  std::string cut = good.substr(
+      0, kHeaderBytes + count_at + sizeof(uint32_t) + 2 * sizeof(uint32_t) +
+             static_cast<size_t>(example.params[0].size()) * sizeof(float));
+  RefreshFrame(&cut);
+  ASSERT_TRUE(WriteStringToFile(path, cut));
+  EXPECT_FALSE(LoadTrainState(path, &state));
+}
+
+// The same byte-mutation fuzz seen from the serving side: a module
+// checkpoint restored through LoadCheckpointWeights. No mutant that
+// fails to load may change the module.
+TEST(SerializeTest, FuzzCorruptedModelStateFilesFailCleanly) {
+  // Batch norm gives the file a buffer list as well.
+  Rng rng(13);
+  Mlp source({3, 4, 2}, &rng, /*batch_norm=*/true);
+  ASSERT_FALSE(source.Buffers().empty());
+  const TrainState saved = ModuleCheckpoint(source, Method::kGin);
+  const std::string good_path = TempPath("fuzz_model_good.ckpt");
+  ASSERT_TRUE(SaveTrainState(good_path, saved));
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(good_path, &good));
+  ASSERT_GT(good.size(), kHeaderBytes);
+  const std::string path = TempPath("fuzz_model_mutant.ckpt");
+
+  // Each mutant loads into a fresh target with the same architecture
+  // but other weights, so a partial restore would show.
+  auto make_target = [] {
+    Rng target_rng(14);
+    return Mlp({3, 4, 2}, &target_rng, /*batch_norm=*/true);
+  };
+  const TrainState before = ModuleCheckpoint(make_target(), Method::kGin);
+  auto load = [&] {
+    Mlp target = make_target();
+    const bool loaded = LoadCheckpointWeights(path, Method::kGin, &target);
+    if (!loaded) {
+      ExpectStatesEqual(before, ModuleCheckpoint(target, Method::kGin));
+    }
+    return loaded;
+  };
+  const std::vector<size_t> structural = TensorListWordOffsets(saved);
+  ASSERT_EQ(PayloadWord(good, structural.front()), saved.params.size());
+  ExpectMutantsFailCleanly(good, structural, path, load);
+
+  // The pristine file still restores the source's weights.
+  Mlp target = make_target();
+  EXPECT_TRUE(LoadCheckpointWeights(good_path, Method::kGin, &target));
+  ExpectStatesEqual(saved, ModuleCheckpoint(target, Method::kGin));
 }
 
 }  // namespace

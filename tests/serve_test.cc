@@ -14,7 +14,6 @@
 #include "src/data/triangles.h"
 #include "src/gnn/model_zoo.h"
 #include "src/graph/batch.h"
-#include "src/nn/serialize.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/inference.h"
@@ -33,6 +32,7 @@ namespace {
 using serve::InferenceEngine;
 using serve::InferenceOptions;
 using serve::ModelSpec;
+using test::ModuleCheckpoint;
 using test::TempPath;
 
 /// Small deterministic dataset shared by the equivalence tests.
@@ -424,7 +424,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Snapshot loading.
 // ---------------------------------------------------------------------------
 
-TEST(InferenceEngineTest, LoadModelFileReproducesSourceModel) {
+TEST(InferenceEngineTest, LoadCheckpointReproducesSourceModel) {
   GraphDataset dataset = TinyDataset();
   Rng rng(11);
   ModelSpec spec;
@@ -443,8 +443,8 @@ TEST(InferenceEngineTest, LoadModelFileReproducesSourceModel) {
     }
   }
 
-  const std::string path = TempPath("serve_model_state.bin");
-  ASSERT_TRUE(SaveModelState(path, model));
+  const std::string path = TempPath("serve_model_state.ckpt");
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(model, spec.method)));
 
   std::vector<const Graph*> graphs;
   for (size_t idx : dataset.valid_idx) graphs.push_back(&dataset.graphs[idx]);
@@ -454,7 +454,7 @@ TEST(InferenceEngineTest, LoadModelFileReproducesSourceModel) {
   options.num_workers = 2;
   options.max_batch_graphs = 4;
   InferenceEngine engine(spec, options);
-  ASSERT_TRUE(engine.LoadModelFile(path));
+  ASSERT_TRUE(engine.LoadCheckpoint(path));
   std::vector<std::future<Tensor>> futures;
   for (const Graph* graph : graphs) futures.push_back(engine.Submit(*graph));
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -464,7 +464,7 @@ TEST(InferenceEngineTest, LoadModelFileReproducesSourceModel) {
   std::remove(path.c_str());
 }
 
-TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
+TEST(InferenceEngineTest, LoadCheckpointRejectsCorruptAndMismatchedFiles) {
   GraphDataset dataset = TinyDataset();
   Rng rng(12);
   ModelSpec spec;
@@ -472,8 +472,8 @@ TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
   spec.encoder = TinyEncoder(dataset.feature_dim);
   spec.output_dim = dataset.OutputDim();
   GraphPredictionModel model(spec.method, spec.encoder, spec.output_dim, &rng);
-  const std::string path = TempPath("serve_corrupt.bin");
-  ASSERT_TRUE(SaveModelState(path, model));
+  const std::string path = TempPath("serve_corrupt.ckpt");
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(model, spec.method)));
   std::string good;
   ASSERT_TRUE(ReadFileToString(path, &good));
 
@@ -484,7 +484,7 @@ TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
   // A rejected load publishes nothing: the engine keeps serving the
   // weights it had before the first attempt.
   const auto expect_rejected = [&](const std::string& file, const char* what) {
-    EXPECT_FALSE(engine.LoadModelFile(file)) << what;
+    EXPECT_FALSE(engine.LoadCheckpoint(file)) << what;
     EXPECT_EQ(engine.stats().weight_version, version) << what;
     const Tensor after = engine.Predict(graph);
     ASSERT_TRUE(after.SameShape(before)) << what;
@@ -513,27 +513,18 @@ TEST(InferenceEngineTest, LoadModelFileRejectsCorruptAndMismatchedFiles) {
   ASSERT_TRUE(WriteStringToFile(path, future_version));
   expect_rejected(path, "version 2");
 
-  // A valid training checkpoint of the same model is another container
-  // (OODC), not a model state.
-  TrainState state;
-  state.dataset_name = dataset.name;
-  state.method = static_cast<uint32_t>(spec.method);
-  for (const Variable& param : model.Parameters()) {
-    state.params.push_back(param.value());
-  }
-  for (const Tensor* buffer : model.Buffers()) state.buffers.push_back(*buffer);
-  ASSERT_TRUE(SaveTrainState(path, state));
-  TrainState reloaded;
-  ASSERT_TRUE(LoadTrainState(path, &reloaded));
-  expect_rejected(path, "training checkpoint");
+  // A checkpoint of another method is refused by its method tag, even
+  // when it holds this model's tensors.
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(model, Method::kGcn)));
+  expect_rejected(path, "other method");
 
-  // A snapshot of a different architecture must be rejected too.
+  // A checkpoint of a different architecture must be rejected too.
   ModelSpec other = spec;
   other.encoder.hidden_dim = 16;
   Rng rng2(13);
   GraphPredictionModel bigger(other.method, other.encoder, other.output_dim,
                               &rng2);
-  ASSERT_TRUE(SaveModelState(path, bigger));
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(bigger, other.method)));
   expect_rejected(path, "different architecture");
   std::remove(path.c_str());
 }
@@ -634,6 +625,8 @@ TEST(InferenceEngineTest, LoadCheckpointRejectsMismatchedBufferShapes) {
   }
 }
 
+// A model's state — parameters and buffers — round-trips through a
+// checkpoint into a freshly initialized model.
 TEST(ModelStateTest, RoundTripPreservesParametersAndBuffers) {
   GraphDataset dataset = TinyDataset();
   Rng rng(14);
@@ -642,14 +635,14 @@ TEST(ModelStateTest, RoundTripPreservesParametersAndBuffers) {
   for (Tensor* buffer : model.Buffers()) {
     for (int i = 0; i < buffer->size(); ++i) (*buffer)[i] = 0.125f * i;
   }
-  const std::string path = TempPath("model_state_rt.bin");
-  ASSERT_TRUE(SaveModelState(path, model));
+  const std::string path = TempPath("model_state_rt.ckpt");
+  ASSERT_TRUE(SaveTrainState(path, ModuleCheckpoint(model, Method::kGin)));
 
   Rng rng2(15);
   GraphPredictionModel restored(Method::kGin,
                                 TinyEncoder(dataset.feature_dim),
                                 dataset.OutputDim(), &rng2);
-  ASSERT_TRUE(LoadModelState(path, &restored));
+  ASSERT_TRUE(LoadCheckpointWeights(path, Method::kGin, &restored));
   const std::vector<Variable> a = model.Parameters();
   const std::vector<Variable> b = restored.Parameters();
   ASSERT_EQ(a.size(), b.size());

@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/gnn/model_zoo.h"
+#include "src/nn/module.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/tensor.h"
+#include "src/train/checkpoint.h"
 #include "src/util/clock.h"
 #include "src/util/rng.h"
 
@@ -67,6 +70,20 @@ inline std::string TempPath(const std::string& name) {
     return fresh;
   }();
   return std::string(::testing::TempDir()) + "/tok" + token + "_" + name;
+}
+
+/// A checkpoint holding `module`'s parameters and buffers, tagged
+/// `method` — what LoadCheckpointWeights reads of a training snapshot.
+inline TrainState ModuleCheckpoint(const Module& module, Method method) {
+  TrainState state;
+  state.method = static_cast<std::uint32_t>(method);
+  for (const Variable& param : module.Parameters()) {
+    state.params.push_back(param.value());
+  }
+  for (const Tensor* buffer : module.Buffers()) {
+    state.buffers.push_back(*buffer);
+  }
+  return state;
 }
 
 /// The per-column [1, n] rows of a Linear → BatchNorm1d (eval) → ReLU

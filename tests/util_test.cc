@@ -1,7 +1,11 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "gtest/gtest.h"
+#include "src/util/file.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -168,6 +172,13 @@ TEST(FlagsTest, BoolFalseValues) {
   EXPECT_FALSE(flags.GetBool("a", true));
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
+}
+
+// /dev/full accepts the open and the buffered write, then fails the
+// flush at close with ENOSPC: the write must report that.
+TEST(FileTest, FailedFlushIsReported) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(WriteStringToFile("/dev/full", std::string(100, 'x')));
 }
 
 }  // namespace

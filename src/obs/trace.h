@@ -9,12 +9,10 @@
 namespace oodgnn {
 namespace obs {
 
-/// True when the per-kernel counters (src/tensor/backend.cc) record.
-/// Initialized once from the OODGNN_PROFILE environment variable ("",
-/// "0" and unset mean off); the --profile flag flips it via
-/// SetProfilingEnabled. When false, every kernel counter is a branch on
-/// one relaxed atomic load: nothing is timed or registered. Phase
-/// scopes do not read it; they are always on.
+/// True when the per-kernel counters (src/tensor/backend.cc) record;
+/// off until SetProfilingEnabled(true), which the --profile flag calls.
+/// When false, every kernel counter is a branch on one relaxed atomic
+/// load: nothing is timed or registered. Phase scopes are always on.
 bool ProfilingEnabled();
 void SetProfilingEnabled(bool enabled);
 

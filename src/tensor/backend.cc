@@ -1,7 +1,6 @@
 #include "src/tensor/backend.h"
 
 #include <array>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "src/tensor/kernels.h"
 #include "src/tensor/simd.h"
 #include "src/util/check.h"
+#include "src/util/flags.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
@@ -23,12 +23,6 @@ constexpr std::int64_t kMinFlopsToParallelize = 32 * 1024;
 
 std::mutex g_backend_mu;
 std::unique_ptr<Backend> g_backend;  // guarded by g_backend_mu
-
-int ThreadsFromEnv() {
-  const char* env = std::getenv("OODGNN_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  return std::atoi(env);
-}
 
 // --- per-kernel perf counters (the ggml perf_runs/perf_time_us idea) ---
 //
@@ -800,7 +794,7 @@ std::unique_ptr<Backend> MakeBackend(int threads) {
 
 Backend& GetBackend() {
   std::lock_guard<std::mutex> lock(g_backend_mu);
-  if (!g_backend) g_backend = MakeBackend(ThreadsFromEnv());
+  if (!g_backend) g_backend = MakeBackend(ThreadCountFromEnv(1));
   return *g_backend;
 }
 
@@ -815,7 +809,7 @@ std::unique_ptr<Backend> ExchangeBackend(std::unique_ptr<Backend> backend) {
   std::lock_guard<std::mutex> lock(g_backend_mu);
   std::unique_ptr<Backend> previous = std::move(g_backend);
   g_backend = std::move(backend);
-  if (!previous) previous = MakeBackend(ThreadsFromEnv());
+  if (!previous) previous = MakeBackend(ThreadCountFromEnv(1));
   return previous;
 }
 

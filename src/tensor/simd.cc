@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/tensor/kernels.h"
 
@@ -40,18 +38,7 @@ bool CompiledIsaAvailable() {
 #endif
 }
 
-// -1 = uninitialized, 0 = scalar, 1 = vector. Initialization is
-// idempotent, so a racing first read is benign.
-std::atomic<int> g_mode{-1};
-
-int InitMode() {
-  if (!CompiledIsaAvailable()) return 0;
-  const char* env = std::getenv("OODGNN_FORCE_SCALAR");
-  if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
-    return 0;
-  }
-  return 1;
-}
+std::atomic<bool> g_disabled{false};  // Set by SetEnabled(false).
 
 }  // namespace
 
@@ -68,16 +55,11 @@ const char* IsaName() {
 }
 
 bool Enabled() {
-  int mode = g_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = InitMode();
-    g_mode.store(mode, std::memory_order_relaxed);
-  }
-  return mode == 1;
+  return !g_disabled.load(std::memory_order_relaxed) && Available();
 }
 
 void SetEnabled(bool enabled) {
-  g_mode.store(enabled && Available() ? 1 : 0, std::memory_order_relaxed);
+  g_disabled.store(!enabled, std::memory_order_relaxed);
 }
 
 #if defined(OODGNN_SIMD_ISA_AVX2) || defined(OODGNN_SIMD_ISA_NEON)

@@ -53,14 +53,13 @@ bool Available();
 /// "scalar".
 const char* IsaName();
 
-/// Dispatch decision the Backend reads: Available(), minus the
-/// OODGNN_FORCE_SCALAR=1 environment override (read once, lazily) and
-/// any SetEnabled() call. Lock-free after the first read.
+/// Dispatch decision the Backend reads: Available(), unless a
+/// SetEnabled(false) call turned it off. Lock-free.
 bool Enabled();
 
 /// Overrides the dispatch decision (clamped to Available(): enabling
 /// on a scalar-only build stays off). For A/B benchmarking and the
-/// oracle tests.
+/// oracle tests (tests/oracle_test.cc runs every config both ways).
 void SetEnabled(bool enabled);
 
 /// RAII Enabled() override for tests and benches.

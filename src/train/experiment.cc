@@ -159,9 +159,8 @@ BenchOptions BenchOptions::FromFlags(const Flags& flags) {
   // leak into committed benchmark artifacts).
   options.hardware_concurrency = HardwareConcurrency();
   // Shared observability handling: --profile turns on the per-kernel
-  // counters (also reachable via OODGNN_PROFILE) and schedules the
-  // final profile table; --trace-json=<path> opens the JSONL run
-  // journal the trainer writes per-epoch records to.
+  // counters and schedules the final profile table; --trace-json=<path>
+  // opens the JSONL run journal the trainer writes per-epoch records to.
   if (flags.GetBool("profile", false)) obs::SetProfilingEnabled(true);
   if (obs::ProfilingEnabled()) RegisterProfileReportAtExit();
   const std::string trace_json = flags.GetString("trace-json", "");

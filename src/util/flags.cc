@@ -3,8 +3,31 @@
 #include <cstdlib>
 
 #include "src/util/check.h"
+#include "src/util/logging.h"
 
 namespace oodgnn {
+
+int ParseThreadCount(const std::string& text, const std::string& source) {
+  int threads = 0;  // The scan stops past the cap, so it cannot overflow.
+  for (const char c : text) {
+    if (c < '0' || c > '9' || threads > kMaxThreads) {
+      threads = 0;
+      break;
+    }
+    threads = threads * 10 + (c - '0');
+  }
+  if (threads >= 1 && threads <= kMaxThreads) return threads;
+  OODGNN_LOG(Error) << source << ": thread count '" << text
+                    << "' is not a whole number in [1, " << kMaxThreads
+                    << "]; running serial";
+  return 1;
+}
+
+int ThreadCountFromEnv(int fallback) {
+  const char* env = std::getenv("OODGNN_THREADS");
+  if (env == nullptr || *env == '\0') return fallback;
+  return ParseThreadCount(env, "OODGNN_THREADS");
+}
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -55,10 +78,8 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
 }
 
 int Flags::GetThreads(int fallback) const {
-  if (Has("threads")) return GetInt("threads", fallback);
-  const char* env = std::getenv("OODGNN_THREADS");
-  if (env != nullptr && *env != '\0') return std::atoi(env);
-  return fallback;
+  if (!Has("threads")) return ThreadCountFromEnv(fallback);
+  return ParseThreadCount(GetString("threads", ""), "--threads");
 }
 
 std::string Flags::GetMetricsOut(const std::string& fallback) const {

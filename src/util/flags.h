@@ -7,6 +7,20 @@
 
 namespace oodgnn {
 
+/// Most worker threads a backend may be given. ThreadPool starts one OS
+/// thread per worker with no bound of its own, so an unchecked count (a
+/// typo such as 100000) would ask the OS for that many threads; 256 is
+/// far above any core count the kernels are tuned for.
+constexpr int kMaxThreads = 256;
+
+/// A whole decimal number in [1, kMaxThreads], with no sign, space or
+/// suffix. Anything else logs `text` and its `source` at Error and
+/// returns 1, the serial backend.
+int ParseThreadCount(const std::string& text, const std::string& source);
+
+/// OODGNN_THREADS through ParseThreadCount; `fallback` if unset or empty.
+int ThreadCountFromEnv(int fallback);
+
 /// Minimal command-line flag parser for the benchmark and example
 /// binaries. Accepts "--name=value", "--name value" and boolean
 /// "--name" forms; everything else is collected as a positional
@@ -27,9 +41,8 @@ class Flags {
   bool GetBool(const std::string& name, bool fallback) const;
 
   /// Worker-thread count for the compute backend: the `--threads` flag
-  /// if given, else the OODGNN_THREADS environment variable, else
-  /// `fallback`. Pass the result to SetBackendThreads()
-  /// (src/tensor/backend.h); values <= 1 select the serial backend.
+  /// (through ParseThreadCount) if given, else ThreadCountFromEnv. Pass
+  /// the result to SetBackendThreads() (src/tensor/backend.h).
   int GetThreads(int fallback = 1) const;
 
   /// Metrics-exporter output prefix: the `--metrics-out` flag if

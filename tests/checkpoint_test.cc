@@ -317,12 +317,16 @@ TEST(CheckpointTest, CheckpointingDoesNotPerturbTraining) {
 
 /// Shared body for the crash → resume → bitwise-compare scenario.
 /// A child process (threadsafe death test, so it re-execs this binary
-/// and builds its own backend threads) trains with the crash hook armed
-/// and dies after epoch 3; the parent resumes from the epoch-3 snapshot
-/// and must reproduce an uninterrupted run exactly — metrics, loss
-/// curves, learned weights, and the final snapshot's bytes.
+/// and builds its own backend threads) trains under the reference
+/// execution config with the crash hook armed and dies after epoch 3.
+/// The parent resumes a copy of that epoch-3 snapshot under each
+/// execution config (test::AllExecConfigs) and must reproduce an
+/// uninterrupted reference run exactly — metrics, loss curves, learned
+/// weights, and the final snapshot's bytes.
 void CrashResumeScenario(Method method, const std::string& tag) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<test::ExecConfig> configs = test::AllExecConfigs();
+  const test::ScopedExecConfig reference(configs[0]);
   const std::string crashed_dir = TempPath("ckpt_crash_" + tag);
   const std::string straight_dir = TempPath("ckpt_straight_" + tag);
   GraphDataset ds = EasyDataset(12);
@@ -337,44 +341,57 @@ void CrashResumeScenario(Method method, const std::string& tag) {
         TrainAndEvaluate(method, EasyDataset(12), config);
       },
       testing::ExitedWithCode(kCrashExitCode), "injected crash");
-  ASSERT_TRUE(FileExists(crashed_ckpt));
+  std::string crashed_bytes;
+  ASSERT_TRUE(ReadFileToString(crashed_ckpt, &crashed_bytes));
   {
     TrainState state;
     ASSERT_TRUE(LoadTrainState(crashed_ckpt, &state));
     EXPECT_EQ(state.next_epoch, 3u);
   }
 
+  // An uninterrupted run with the same seed (separate snapshot dir).
+  TrainConfig straight_config = FastConfig(straight_dir);
+  TrainResult straight = TrainAndEvaluate(method, ds, straight_config);
+  const std::string straight_ckpt = CheckpointPath(
+      straight_dir, ds.name, MethodName(method), straight_config.seed);
+  std::string straight_bytes;
+  ASSERT_TRUE(ReadFileToString(straight_ckpt, &straight_bytes));
+
   // Resume the interrupted run, journaling so the resume event lands in
   // the trace output.
   const std::string journal_path = TempPath("resume_" + tag + ".jsonl");
   obs::OpenGlobalJournal(journal_path);
-  TrainConfig resume_config = config;
-  resume_config.resume = true;
-  TrainResult resumed = TrainAndEvaluate(method, ds, resume_config);
+  for (size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE(configs[c].Describe());
+    const std::string resume_dir =
+        TempPath("ckpt_resume_" + tag + "_" + std::to_string(c));
+    ASSERT_TRUE(EnsureDirectory(resume_dir));
+    const std::string resume_ckpt =
+        CheckpointPath(resume_dir, ds.name, MethodName(method), config.seed);
+    ASSERT_TRUE(WriteStringToFile(resume_ckpt, crashed_bytes));
+    TrainConfig resume_config = FastConfig(resume_dir);
+    resume_config.resume = true;
+    TrainResult resumed;
+    {
+      const test::ScopedExecConfig scoped(configs[c]);
+      resumed = TrainAndEvaluate(method, ds, resume_config);
+    }
+    ExpectResultsBitwiseEqual(straight, resumed);
+
+    // Both runs snapshot after the final epoch; the files must be
+    // byte-identical — parameters, optimizer moments, RNG stream,
+    // order, bank, and bookkeeping all agree exactly.
+    std::string resumed_bytes;
+    ASSERT_TRUE(ReadFileToString(resume_ckpt, &resumed_bytes));
+    EXPECT_EQ(resumed_bytes.size(), straight_bytes.size());
+    EXPECT_TRUE(resumed_bytes == straight_bytes);
+  }
   obs::CloseGlobalJournal();
 
   std::string journal;
   ASSERT_TRUE(ReadFileToString(journal_path, &journal));
   EXPECT_NE(journal.find("\"event\":\"resume\""), std::string::npos);
   EXPECT_NE(journal.find("\"restored_epoch\":3"), std::string::npos);
-
-  // An uninterrupted run with the same seed (separate snapshot dir).
-  TrainConfig straight_config = FastConfig(straight_dir);
-  TrainResult straight = TrainAndEvaluate(method, ds, straight_config);
-
-  ExpectResultsBitwiseEqual(straight, resumed);
-
-  // Both runs snapshot after the final epoch; the files must be
-  // byte-identical — parameters, optimizer moments, RNG stream, order,
-  // bank, and bookkeeping all agree exactly.
-  const std::string straight_ckpt = CheckpointPath(
-      straight_dir, ds.name, MethodName(method), straight_config.seed);
-  std::string resumed_bytes;
-  std::string straight_bytes;
-  ASSERT_TRUE(ReadFileToString(crashed_ckpt, &resumed_bytes));
-  ASSERT_TRUE(ReadFileToString(straight_ckpt, &straight_bytes));
-  EXPECT_EQ(resumed_bytes.size(), straight_bytes.size());
-  EXPECT_TRUE(resumed_bytes == straight_bytes);
 }
 
 TEST(CheckpointDeathTest, ResumeAfterCrashIsBitwiseIdenticalGin) {

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/decorrelation.h"
@@ -11,6 +13,7 @@
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -301,6 +304,47 @@ TEST(ReweighterTest, ReweightingLowersDependenceVsUniform) {
   GraphWeightOptimizer optimizer(config);
   WeightOptimizerResult result = optimizer.Optimize(z, rff, nullptr);
   EXPECT_LT(result.final_loss, uniform_loss);
+}
+
+// The determinism oracle's OOD-GNN batches (tests/oracle_test.cc) are
+// too small for the reweighter's kernels to reach the parallel cutoff,
+// so the reweighter takes the oracle's execution configs here, on a
+// batch that does: bank seeding, then a momentum update, must
+// reproduce the (1 thread, scalar, counters off) reference bitwise.
+TEST(ReweighterTest, EveryExecConfigMatchesReferenceBitwise) {
+  const Tensor first = IndependentColumns(256, 16, 30);
+  const Tensor second = IndependentColumns(256, 16, 31);
+  struct Outputs {
+    std::vector<float> first, second;
+    double loss;
+  };
+  const auto run = [&](const test::ExecConfig& exec) {
+    const test::ScopedExecConfig scoped(exec);
+    Rng rng(29);
+    OodGnnConfig config;
+    config.weights.epochs_reweight = 5;
+    OodGnnReweighter reweighter(16, 256, config, &rng);
+    Outputs out;
+    out.first = reweighter.ComputeWeights(first);
+    out.second = reweighter.ComputeWeights(second);
+    out.loss = reweighter.last_decorrelation_loss();
+    return out;
+  };
+  const std::vector<test::ExecConfig> configs = test::AllExecConfigs();
+  const Outputs reference = run(configs[0]);
+  for (size_t c = 1; c < configs.size(); ++c) {
+    SCOPED_TRACE(configs[c].Describe());
+    const Outputs got = run(configs[c]);
+    ASSERT_EQ(got.first.size(), reference.first.size());
+    ASSERT_EQ(got.second.size(), reference.second.size());
+    EXPECT_EQ(std::memcmp(got.first.data(), reference.first.data(),
+                          sizeof(float) * reference.first.size()),
+              0);
+    EXPECT_EQ(std::memcmp(got.second.data(), reference.second.data(),
+                          sizeof(float) * reference.second.size()),
+              0);
+    EXPECT_EQ(std::memcmp(&got.loss, &reference.loss, sizeof(double)), 0);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "src/core/dependence.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/decorrelation.h"
+#include "src/core/hsic.h"
 #include "src/util/file.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -65,6 +69,42 @@ TEST(DependenceMatrixTest, IdentifiesThePlantedPair) {
   EXPECT_EQ(summary.max_i, 0);
   EXPECT_EQ(summary.max_j, 1);
   EXPECT_GT(summary.max_pair, 0.5 * summary.total);
+}
+
+// The dependence diagnostics the benches report sit outside the
+// training path the determinism oracle (tests/oracle_test.cc) covers,
+// so they take its execution configs here: every config must
+// reproduce the (1 thread, scalar, counters off) reference bitwise.
+TEST(DependenceMatrixTest, EveryExecConfigMatchesReferenceBitwise) {
+  Rng rng(7);
+  RffConfig config;
+  config.num_functions = 2;
+  RffFeatureMap rff(3, config, &rng);
+  const Tensor z = PlantedData(1000, 8);  // Past the parallel cutoff.
+  const Tensor head = PlantedData(200, 9);
+  struct Outputs {
+    Tensor matrix;
+    double measure;
+    double hsic;
+  };
+  const auto run = [&](const test::ExecConfig& exec) {
+    const test::ScopedExecConfig scoped(exec);
+    return Outputs{PairwiseDependenceMatrix(z, rff), DependenceMeasure(z, rff),
+                   ExactPairwiseHsic(head)};
+  };
+  const std::vector<test::ExecConfig> configs = test::AllExecConfigs();
+  const Outputs reference = run(configs[0]);
+  for (size_t c = 1; c < configs.size(); ++c) {
+    SCOPED_TRACE(configs[c].Describe());
+    const Outputs got = run(configs[c]);
+    ASSERT_TRUE(got.matrix.SameShape(reference.matrix));
+    EXPECT_EQ(std::memcmp(got.matrix.data(), reference.matrix.data(),
+                          sizeof(float) * reference.matrix.size()),
+              0);
+    EXPECT_EQ(std::memcmp(&got.measure, &reference.measure, sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&got.hsic, &reference.hsic, sizeof(double)), 0);
+  }
 }
 
 TEST(FileTest, WriteReadRoundTrip) {

@@ -20,9 +20,12 @@
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
+
+using test::ScopedProfiling;
 
 /// Minimal recursive-descent JSON reader used to verify journal lines:
 /// validates the full grammar subset the writer emits and flattens
@@ -198,22 +201,6 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-/// Restores the profiling flag and zeroes the global metrics so tests
-/// cannot leak instrumentation into each other.
-class ProfilingGuard {
- public:
-  explicit ProfilingGuard(bool enabled) : previous_(obs::ProfilingEnabled()) {
-    obs::SetProfilingEnabled(enabled);
-  }
-  ~ProfilingGuard() {
-    obs::MetricsRegistry::Global().Reset();
-    obs::SetProfilingEnabled(previous_);
-  }
-
- private:
-  bool previous_;
-};
-
 /// Trivially separable two-class dataset (mirrors train_test.cc).
 GraphDataset EasyDataset(int per_class) {
   GraphDataset ds;
@@ -287,7 +274,7 @@ TEST(ObsZeroOverheadTest, DisabledKernelsRegisterNoMetrics) {
 }
 
 TEST(ObsZeroOverheadTest, UnprofiledRunRecordsTrainPhases) {
-  ProfilingGuard guard(false);
+  ScopedProfiling guard(false);
   GraphDataset ds = EasyDataset(16);
   TrainConfig config = TinyConfig();
   config.epochs = 2;
@@ -433,7 +420,7 @@ TEST(JsonTest, ObjectWriterRoundTrips) {
 // --- trace ------------------------------------------------------------------
 
 TEST(TraceTest, NestedScopesRecordInclusiveTime) {
-  ProfilingGuard guard(false);
+  ScopedProfiling guard(false);
   constexpr int kIterations = 3;
   for (int i = 0; i < kIterations; ++i) {
     OODGNN_TRACE_SCOPE("test/outer/us");
@@ -457,7 +444,7 @@ TEST(TraceTest, NestedScopesRecordInclusiveTime) {
 }
 
 TEST(TraceTest, ScopesOnWorkerThreadsMerge) {
-  ProfilingGuard guard(false);
+  ScopedProfiling guard(false);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -472,7 +459,7 @@ TEST(TraceTest, ScopesOnWorkerThreadsMerge) {
 }
 
 TEST(TraceTest, EnabledKernelsRecordCounters) {
-  ProfilingGuard guard(true);
+  ScopedProfiling guard(true);
   obs::MetricsRegistry::Global().Reset();
   Tensor a(4, 4, 1.f);
   Tensor b(4, 4, 2.f);
@@ -542,7 +529,7 @@ TEST(ObsIntegrationTest, ProfiledTrainingIsBitwiseIdentical) {
   const std::string path = testing::TempDir() + "/obs_profiled_run.jsonl";
   TrainResult profiled;
   {
-    ProfilingGuard guard(true);
+    ScopedProfiling guard(true);
     obs::OpenGlobalJournal(path);
     profiled = TrainAndEvaluate(Method::kOodGnn, ds, config);
     obs::CloseGlobalJournal();
@@ -591,7 +578,7 @@ TEST(ObsIntegrationTest, ProfiledTrainingIsBitwiseIdentical) {
 }
 
 TEST(ObsIntegrationTest, ProfiledRunRecordsTrainPhases) {
-  ProfilingGuard guard(true);
+  ScopedProfiling guard(true);
   obs::MetricsRegistry::Global().Reset();
   GraphDataset ds = EasyDataset(16);
   TrainConfig config = TinyConfig();

@@ -158,8 +158,7 @@ TEST(NoGradTest, ForwardValuesIdenticalWithAndWithoutTape) {
 // ---------------------------------------------------------------------------
 
 TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
-  const bool was_profiling = obs::ProfilingEnabled();
-  obs::SetProfilingEnabled(true);
+  test::ScopedProfiling profiling(true);
   GraphDataset dataset = TinyDataset();
 
   // Kernel counters of one grad-free eval pass of `method`, checked for
@@ -214,9 +213,6 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
   // GCN's BatchNorm and ReLU follow its aggregation, not a Linear, so
   // its ReLU stays a counted kernel.
   EXPECT_GT(eval_kernel_calls(Method::kGcn)["kernel/relu/calls"], 0);
-
-  obs::MetricsRegistry::Global().Reset();
-  obs::SetProfilingEnabled(was_profiling);
 }
 
 // ---------------------------------------------------------------------------

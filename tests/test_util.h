@@ -12,8 +12,11 @@
 #include "gtest/gtest.h"
 #include "src/gnn/model_zoo.h"
 #include "src/nn/module.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
+#include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
 #include "src/train/checkpoint.h"
 #include "src/util/clock.h"
@@ -55,10 +58,9 @@ class FakeClock final : public Clock {
 
 /// Process-unique temp path under gtest's TempDir.
 ///
-/// Unique per top-level test process so the env-variant re-runs of a
-/// binary (<name>_threads4 / _profile / _scalar) don't race on
-/// shared files under a parallel ctest. The token is carried in the
-/// environment (OODGNN_TEST_TMP_TOKEN) so crash-injection /
+/// Unique per top-level test process so test processes running under
+/// a parallel ctest don't race on shared files. The token is carried
+/// in the environment (OODGNN_TEST_TMP_TOKEN) so crash-injection /
 /// death-test children resolve the parent's paths instead of minting
 /// their own.
 inline std::string TempPath(const std::string& name) {
@@ -71,6 +73,69 @@ inline std::string TempPath(const std::string& name) {
   }();
   return std::string(::testing::TempDir()) + "/tok" + token + "_" + name;
 }
+
+/// Sets whether the per-kernel counters record (obs::ProfilingEnabled)
+/// for one scope. On exit it zeroes the global metrics and restores the
+/// previous setting, so tests cannot leak instrumentation into each
+/// other.
+class ScopedProfiling {
+ public:
+  explicit ScopedProfiling(bool enabled) : previous_(obs::ProfilingEnabled()) {
+    obs::SetProfilingEnabled(enabled);
+  }
+  ~ScopedProfiling() {
+    obs::MetricsRegistry::Global().Reset();
+    obs::SetProfilingEnabled(previous_);
+  }
+  ScopedProfiling(const ScopedProfiling&) = delete;
+  ScopedProfiling& operator=(const ScopedProfiling&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// One execution config of the determinism oracle (tests/oracle_test.cc):
+/// the backend's thread count, SIMD dispatch and the kernel counters.
+/// No output may depend on any of them.
+struct ExecConfig {
+  int threads = 1;
+  bool simd = false;
+  bool counters = false;
+
+  std::string Describe() const {
+    return "threads=" + std::to_string(threads) +
+           " simd=" + (simd ? "on" : "off") +
+           " counters=" + (counters ? "on" : "off");
+  }
+};
+
+/// {threads 1, 4} × {SIMD off, on} × {counters off, on}. The first,
+/// (1 thread, scalar, counters off), is the reference.
+inline std::vector<ExecConfig> AllExecConfigs() {
+  std::vector<ExecConfig> configs;
+  for (int threads : {1, 4}) {
+    for (bool simd : {false, true}) {
+      for (bool counters : {false, true}) {
+        configs.push_back({threads, simd, counters});
+      }
+    }
+  }
+  return configs;
+}
+
+/// Runs the rest of a scope under `config`, set in-process.
+class ScopedExecConfig {
+ public:
+  explicit ScopedExecConfig(const ExecConfig& config)
+      : threads_(config.threads),
+        simd_(config.simd),
+        profiling_(config.counters) {}
+
+ private:
+  ScopedBackendThreads threads_;
+  simd::ScopedSimdEnabled simd_;
+  ScopedProfiling profiling_;
+};
 
 /// A checkpoint holding `module`'s parameters and buffers, tagged
 /// `method` — what LoadCheckpointWeights reads of a training snapshot.

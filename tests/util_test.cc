@@ -1,8 +1,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/util/file.h"
@@ -172,6 +174,50 @@ TEST(FlagsTest, BoolFalseValues) {
   EXPECT_FALSE(flags.GetBool("a", true));
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
+}
+
+TEST(ThreadCountTest, AcceptsWholeNumbersUpToTheCap) {
+  EXPECT_EQ(ParseThreadCount("1", "test"), 1);
+  EXPECT_EQ(ParseThreadCount("4", "test"), 4);
+  EXPECT_EQ(ParseThreadCount("007", "test"), 7);
+  EXPECT_EQ(ParseThreadCount(std::to_string(kMaxThreads), "test"),
+            kMaxThreads);
+}
+
+TEST(ThreadCountTest, RejectsEverythingElseAndRunsSerial) {
+  const std::vector<std::string> rejected = {
+      "",   "0",    "abc", "4x", " 4", "4 ", "+4", "-4", "4.0", "0x10",
+      std::to_string(kMaxThreads + 1), "100000", "99999999999999999999999"};
+  for (const std::string& text : rejected) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseThreadCount(text, "--threads"), 1) << "'" << text << "'";
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("--threads: thread count '" + text + "'"),
+              std::string::npos)
+        << log;
+  }
+}
+
+TEST(ThreadCountTest, FlagAndEnvironmentGoThroughTheParser) {
+  const auto threads = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    ::testing::internal::CaptureStderr();
+    const int parsed =
+        Flags(static_cast<int>(args.size()), const_cast<char**>(args.data()))
+            .GetThreads(2);
+    ::testing::internal::GetCapturedStderr();
+    return parsed;
+  };
+  EXPECT_EQ(threads({"--threads", "3"}), 3);
+  EXPECT_EQ(threads({"--threads", "abc"}), 1);
+  EXPECT_EQ(threads({"--threads", "4x"}), 1);
+  EXPECT_EQ(threads({"--threads=100000"}), 1);
+  EXPECT_EQ(threads({"--threads"}), 1);  // Bare flag: "true".
+  ASSERT_EQ(::setenv("OODGNN_THREADS", "4x", 1), 0);
+  EXPECT_EQ(threads({}), 1);
+  EXPECT_EQ(threads({"--threads", "3"}), 3);  // The flag wins.
+  ASSERT_EQ(::unsetenv("OODGNN_THREADS"), 0);
+  EXPECT_EQ(threads({}), 2);
 }
 
 // /dev/full accepts the open and the buffered write, then fails the

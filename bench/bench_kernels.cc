@@ -25,7 +25,11 @@
 // Pass --simd for the scalar-vs-SIMD dense-kernel table
 // (DESIGN.md §16): single-threaded GFLOP/s for the vectorized matmul
 // variants (dense, and with the ~35% exact zeros of post-ReLU input),
-// axpy, and the RFF map, plus the bitwise scalar==simd check.
+// axpy, and the RFF map, plus the bitwise scalar==simd check; then the
+// dropout mask in ns per element, as the per-element Rng::Bernoulli
+// loop, the scalar kernel and the SIMD kernel, at mean 64-graph
+// TRIANGLES and DD_200 batch shapes. It exits nonzero when any row
+// diverges bitwise.
 
 #include <algorithm>
 #include <chrono>
@@ -258,11 +262,67 @@ bool CompareMatMulTail(int threads) {
 // Scalar vs SIMD kernel comparison (--simd).
 // ---------------------------------------------------------------------------
 
+/// The dropout mask three ways, in ns per element: the per-element
+/// Rng::Bernoulli loop Dropout once ran, and Backend::DropoutMask with
+/// the scalar kernel and with the SIMD kernel. All three must give the
+/// same mask bitwise and leave the stream in the same state. Returns
+/// false when they do not.
+bool CompareDropoutMask() {
+  constexpr double kP = 0.5;
+  const float keep_scale = static_cast<float>(1.0 / (1.0 - kP));
+  std::printf("\nDropout mask at p = %.1f (single thread, ns per element; "
+              "rows: mean 64-graph TRIANGLES and DD_200 batches)\n",
+              kP);
+  std::printf("%-14s %-12s %12s %12s %12s %8s\n", "kernel", "shape",
+              "bernoulli", "scalar", "simd", "bitwise");
+  const auto bernoulli_loop = [&](Rng* rng, Tensor* mask) {
+    for (int i = 0; i < mask->size(); ++i) {
+      (*mask)[i] = rng->Bernoulli(kP) ? 0.f : keep_scale;
+    }
+  };
+  const auto kernel = [&](bool vector) {
+    return [&, vector](Rng* rng, Tensor* mask) {
+      simd::ScopedSimdEnabled toggle(vector);
+      GetBackend().DropoutMask(kP, keep_scale, rng, mask);
+    };
+  };
+  const std::function<void(Rng*, Tensor*)> ways[] = {
+      bernoulli_loop, kernel(false), kernel(true)};
+  bool all_equal = true;
+  for (const int rows : {1031, 7230}) {
+    constexpr int kCols = 64;
+    std::vector<Tensor> masks;
+    std::vector<std::string> states;
+    double ns[3];
+    for (int w = 0; w < 3; ++w) {
+      Rng check_rng(23);
+      check_rng.UniformInt(0, 100);  // Start mid-block.
+      masks.push_back(Tensor::Unfilled(rows, kCols));
+      ways[w](&check_rng, &masks.back());
+      states.push_back(check_rng.SaveState());
+      Rng rng(29);
+      Tensor mask = Tensor::Unfilled(rows, kCols);
+      ns[w] = TimePerCall([&] { ways[w](&rng, &mask); }) * 1e9 /
+              (static_cast<double>(rows) * kCols);
+    }
+    const bool equal = BitwiseEqual(masks[0], masks[1]) &&
+                       BitwiseEqual(masks[0], masks[2]) &&
+                       states[0] == states[1] && states[0] == states[2];
+    all_equal = all_equal && equal;
+    const std::string shape =
+        "[" + std::to_string(rows) + "x" + std::to_string(kCols) + "]";
+    std::printf("%-14s %-12s %12.2f %12.2f %12.2f %8s\n", "dropout_mask",
+                shape.c_str(), ns[0], ns[1], ns[2],
+                equal ? "OK" : "DIVERGED");
+  }
+  return all_equal;
+}
+
 /// Single-threaded GFLOP/s for the vectorized dense kernels
 /// (DESIGN.md §16): the scalar oracle and its SIMD mirror (direct
 /// simd:: calls, bypassing the Backend dispatch toggle). SIMD rows
-/// must be bitwise identical to scalar.
-void CompareSimd() {
+/// must be bitwise identical to scalar. Returns false when one is not.
+bool CompareSimd() {
   std::printf("Dense kernels: scalar vs %s (single thread)\n",
               simd::IsaName());
   if (!simd::Available()) {
@@ -388,6 +448,7 @@ void CompareSimd() {
                     n, features});
   }
 
+  bool all_equal = true;
   for (const Row& row : rows) {
     Tensor scalar_out(row.out_rows, row.out_cols);
     row.scalar(&scalar_out);
@@ -401,13 +462,15 @@ void CompareSimd() {
       Tensor out(row.out_rows, row.out_cols);
       row.vector(&out);
     });
+    const bool equal = BitwiseEqual(scalar_out, simd_out);
+    all_equal = all_equal && equal;
     std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %8s\n", row.name,
                 row.shape.c_str(),
                 static_cast<double>(row.flops) / scalar_s / 1e9,
                 static_cast<double>(row.flops) / simd_s / 1e9,
-                scalar_s / simd_s,
-                BitwiseEqual(scalar_out, simd_out) ? "OK" : "DIVERGED");
+                scalar_s / simd_s, equal ? "OK" : "DIVERGED");
   }
+  return CompareDropoutMask() && all_equal;
 }
 
 // ---------------------------------------------------------------------------
@@ -648,10 +711,7 @@ int main(int argc, char** argv) {
                ? 0
                : 1;
   }
-  if (flags.Has("simd")) {
-    oodgnn::CompareSimd();
-    return 0;
-  }
+  if (flags.Has("simd")) return oodgnn::CompareSimd() ? 0 : 1;
   oodgnn::CompareBackends(flags.GetThreads(4));
   return oodgnn::CompareMatMulTail(flags.GetThreads(4)) ? 0 : 1;
 }

@@ -24,4 +24,4 @@ cmake -B "${BUILD_DIR}" -S . -DOODGNN_SANITIZE="${SANITIZER}"
 # One compile job per CPU: an uncapped -j starts every translation unit
 # at once, and sanitizer builds are memory-hungry.
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
-ctest --test-dir "${BUILD_DIR}" -L sanitize --output-on-failure -j
+ctest --test-dir "${BUILD_DIR}" -L sanitize --output-on-failure -j "$(nproc)"

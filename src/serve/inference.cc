@@ -347,7 +347,7 @@ void InferenceEngine::ExecuteBatch(int worker_index,
     // needed around the forward.
     NoGradGuard no_grad;
     Rng* rng = worker_rngs_[w].get();
-    const std::mt19937_64 rng_before = rng->engine();
+    const Mt19937_64 rng_before = rng->engine();
     GraphPredictionModel* model = replicas_[w].get();
     const GraphBatch graph_batch = GraphBatch::FromGraphs(graphs);
     execute_start_us = clock_->NowMicros();

@@ -10,6 +10,7 @@
 #include "src/tensor/simd.h"
 #include "src/util/check.h"
 #include "src/util/flags.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
@@ -71,6 +72,7 @@ enum class KernelOp : int {
   kDivRowVecAcc,
   kMulColVec,
   kMulColVecAcc,
+  kDropoutMask,
   kNumOps,
 };
 
@@ -152,6 +154,8 @@ const char* KernelOpName(KernelOp op) {
       return "mul_col_vec";
     case KernelOp::kMulColVecAcc:
       return "mul_col_vec_acc";
+    case KernelOp::kDropoutMask:
+      return "dropout_mask";
     case KernelOp::kNumOps:
       break;
   }
@@ -769,6 +773,26 @@ void Backend::CopyRowsTo(const Tensor& src, Tensor* dst,
   ForCost(src.rows(), src.size(), [&](int r0, int r1) {
     kernels::CopyRowsTo(src, dst, dst_row_begin, r0, r1);
   });
+}
+
+void Backend::DropoutMask(double p, float keep_scale, Rng* rng,
+                          Tensor* mask) const {
+  const std::uint64_t threshold = Rng::BernoulliThreshold(p);
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  KernelScope scope(KernelOp::kDropoutMask, mask->size(), /*parallel=*/false);
+  // One pass per run of words left in the engine's state block.
+  for (int i = 0; i < mask->size();) {
+    int count = 0;
+    const std::uint64_t* words =
+        rng->engine().TakeWords(mask->size() - i, &count);
+    if (use_simd) {
+      simd::DropoutMask(words, threshold, keep_scale, mask, i, i + count);
+    } else {
+      kernels::DropoutMask(words, threshold, keep_scale, mask, i, i + count);
+    }
+    i += count;
+  }
 }
 
 void SerialBackend::For(int n, const std::function<void(int, int)>& fn) const {

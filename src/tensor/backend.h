@@ -15,6 +15,8 @@ namespace kernels {
 struct MatMulTail;
 }  // namespace kernels
 
+class Rng;
+
 /// Execution backend for the numeric kernels in src/tensor/kernels.h.
 /// A backend owns exactly one policy decision: how an index range
 /// [0, n) is partitioned into chunks and where those chunks run. All
@@ -164,6 +166,14 @@ class Backend {
 
   /// dst[dst_row_begin + r, :] = src[r, :] for every row of src.
   void CopyRowsTo(const Tensor& src, Tensor* dst, int dst_row_begin) const;
+
+  /// Dropout mask: element i (flat order) is 0 where the i-th next
+  /// rng->Bernoulli(p) would be true, keep_scale elsewhere. Consumes
+  /// exactly the mask->size() words those calls would, so the mask and
+  /// every later draw match the per-element loop bitwise. Writes every
+  /// element (the mask may be unfilled). Always serial: the element
+  /// order is the stream order. Requires 0 <= p < 1.
+  void DropoutMask(double p, float keep_scale, Rng* rng, Tensor* mask) const;
 };
 
 /// Runs every range inline on the calling thread.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/util/rng.h"
+
 namespace oodgnn {
 namespace kernels {
 namespace {
@@ -428,6 +430,14 @@ void RffMap(const Tensor& z, const std::vector<int>& source_dim,
                     : scale * std::cos(omega[static_cast<size_t>(j)] * x +
                                        phase[static_cast<size_t>(j)]);
     }
+  }
+}
+
+void DropoutMask(const std::uint64_t* words, std::uint64_t threshold,
+                 float keep_scale, Tensor* out, int i0, int i1) {
+  float* o = out->data();
+  for (int i = i0; i < i1; ++i) {
+    o[i] = Mt19937_64::Temper(words[i - i0]) < threshold ? 0.f : keep_scale;
   }
 }
 

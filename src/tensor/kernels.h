@@ -1,6 +1,7 @@
 #ifndef OODGNN_TENSOR_KERNELS_H_
 #define OODGNN_TENSOR_KERNELS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -239,6 +240,16 @@ void SegmentExtremeBackwardAcc(const Tensor& g,
 void RffMap(const Tensor& z, const std::vector<int>& source_dim,
             const std::vector<float>& omega, const std::vector<float>& phase,
             bool linear_only, float scale, Tensor* out, int r0, int r1);
+
+// --- dropout masks ---
+
+/// out[i] = Mt19937_64::Temper(words[i − i0]) < threshold ? 0 :
+/// keep_scale for i in [i0, i1): words are untempered state words
+/// (Mt19937_64::TakeWords) and threshold comes from
+/// Rng::BernoulliThreshold(p), so each element is 0 exactly where
+/// Rng::Bernoulli(p) would have drawn true from the same word.
+void DropoutMask(const std::uint64_t* words, std::uint64_t threshold,
+                 float keep_scale, Tensor* out, int i0, int i1);
 
 // --- copies ---
 

@@ -608,13 +608,11 @@ Variable SliceRows(const Variable& a, int start, int len) {
 Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
   OODGNN_CHECK(p >= 0.f && p < 1.f);
   if (!training || p == 0.f) return a;
-  auto mask = std::make_shared<Tensor>(a.rows(), a.cols());
+  auto mask =
+      std::make_shared<Tensor>(Tensor::Unfilled(a.rows(), a.cols()));
   const float keep_scale = 1.f / (1.f - p);
-  // Mask generation consumes the rng stream and must stay serial so the
-  // draw order is independent of the backend.
-  for (int i = 0; i < mask->size(); ++i) {
-    (*mask)[i] = rng->Bernoulli(p) ? 0.f : keep_scale;
-  }
+  // Element i is dropped where the i-th rng->Bernoulli(p) would be true.
+  GetBackend().DropoutMask(p, keep_scale, rng, mask.get());
   Tensor out = Tensor::Unfilled(a.rows(), a.cols());
   GetBackend().Hadamard(a.value(), *mask, &out);
   NodePtr pa = a.node();

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/tensor/kernels.h"
+#include "src/util/rng.h"
 
 // This is the only translation unit built with an explicit vector ISA
 // flag (src/CMakeLists.txt adds -mavx2 + OODGNN_SIMD_AVX2 on x86-64
@@ -868,6 +869,55 @@ void RffMap(const Tensor& z, const std::vector<int>& source_dim,
 }
 
 #endif
+
+// The dropout mask needs 64-bit integer lanes, which the vf layer above
+// does not model. Only AVX2 has a vector body: no build of this project
+// compiles aarch64 code, so a NEON body could not be tested, and
+// aarch64 runs the oracle.
+void DropoutMask(const std::uint64_t* words, std::uint64_t threshold,
+                 float keep_scale, Tensor* out, int i0, int i1) {
+#if defined(OODGNN_SIMD_ISA_AVX2)
+  const auto splat = [](std::uint64_t v) {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  };
+  const __m256i d = splat(Mt19937_64::kTemperD);
+  const __m256i b = splat(Mt19937_64::kTemperB);
+  const __m256i c = splat(Mt19937_64::kTemperC);
+  // x < threshold (unsigned) ⇔ x ^ 2⁶³ < threshold ^ 2⁶³ (signed).
+  const __m256i sign = splat(std::uint64_t{1} << 63);
+  const __m256i biased_threshold = _mm256_xor_si256(splat(threshold), sign);
+  // All-ones lanes where the tempered word is below the threshold.
+  const auto below = [&](const std::uint64_t* w) {
+    __m256i z = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+    z = _mm256_xor_si256(
+        z, _mm256_and_si256(_mm256_srli_epi64(z, Mt19937_64::kTemperU), d));
+    z = _mm256_xor_si256(
+        z, _mm256_and_si256(_mm256_slli_epi64(z, Mt19937_64::kTemperS), b));
+    z = _mm256_xor_si256(
+        z, _mm256_and_si256(_mm256_slli_epi64(z, Mt19937_64::kTemperT), c));
+    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, Mt19937_64::kTemperL));
+    return _mm256_cmpgt_epi64(biased_threshold, _mm256_xor_si256(z, sign));
+  };
+  // Each 64-bit compare lane is all ones or all zeros, so either 32-bit
+  // half stands for it: take the halves of words 0-3 from the first
+  // compare and 4-7 from the second, then put them in word order.
+  const __m256i word_order = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256 keep = _mm256_set1_ps(keep_scale);
+  float* o = out->data();
+  const int n = i1 - i0;
+  int k = 0;
+  for (; k + 8 <= n; k += 8) {
+    const __m256i drop = _mm256_permutevar8x32_epi32(
+        _mm256_blend_epi32(below(words + k), below(words + k + 4), 0xAA),
+        word_order);
+    _mm256_storeu_ps(o + i0 + k,
+                     _mm256_andnot_ps(_mm256_castsi256_ps(drop), keep));
+  }
+  kernels::DropoutMask(words + k, threshold, keep_scale, out, i0 + k, i1);
+#else
+  kernels::DropoutMask(words, threshold, keep_scale, out, i0, i1);
+#endif
+}
 
 }  // namespace simd
 }  // namespace oodgnn

@@ -1,6 +1,7 @@
 #ifndef OODGNN_TENSOR_SIMD_H_
 #define OODGNN_TENSOR_SIMD_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -151,6 +152,14 @@ void GatherScatterWeightedAcc(const Tensor& h, const Tensor& w,
 void RffMap(const Tensor& z, const std::vector<int>& source_dim,
             const std::vector<float>& omega, const std::vector<float>& phase,
             bool linear_only, float scale, Tensor* out, int r0, int r1);
+
+/// Dropout mask from untempered MT19937-64 words
+/// (kernels::DropoutMask). The AVX2 body tempers four words per vector
+/// with 64-bit shifts, ands and xors, and tests x < threshold as a
+/// signed compare of both sides with the sign bit flipped (AVX2 has no
+/// unsigned 64-bit compare). aarch64 and scalar builds run the oracle.
+void DropoutMask(const std::uint64_t* words, std::uint64_t threshold,
+                 float keep_scale, Tensor* out, int i0, int i1);
 
 }  // namespace simd
 }  // namespace oodgnn

@@ -56,7 +56,7 @@ Tensor PredictSplit(GraphPredictionModel* model, const GraphDataset& dataset,
                     Rng* rng, std::vector<int>* labels, Tensor* targets,
                     Tensor* mask) {
   NoGradGuard no_grad;
-  const std::mt19937_64 rng_before = rng->engine();
+  const Mt19937_64 rng_before = rng->engine();
   Tensor all_logits(static_cast<int>(indices.size()), model->output_dim());
   if (targets->empty() && dataset.task_type != TaskType::kMulticlass) {
     *targets = Tensor(static_cast<int>(indices.size()), dataset.num_tasks);
@@ -271,11 +271,11 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
   OODGNN_CHECK_GE(config.eval_every, 1);
   Timer timer;
   Rng rng(config.seed);
-  // Evaluation gets its own stream derived straight from the seed (NOT
-  // rng.Fork(), which would consume training draws). Eval-mode forwards
-  // draw nothing anyway — PredictSplit asserts it — but isolating the
-  // streams makes "mid-run eval cannot perturb training" structural
-  // rather than incidental.
+  // Evaluation gets its own stream derived straight from the seed, not
+  // one seeded by a draw from `rng`, which would consume training draws.
+  // Eval-mode forwards draw nothing anyway — PredictSplit asserts it —
+  // but isolating the streams makes "mid-run eval cannot perturb
+  // training" structural rather than incidental.
   Rng eval_rng(config.seed ^ 0x9E3779B97F4A7C15ull);
 
   GraphPredictionModel model(

@@ -1,11 +1,38 @@
 #include "src/util/flags.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <type_traits>
 
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
 namespace oodgnn {
+
+namespace {
+
+/// `text` as a T when std::from_chars consumes all of it and the value
+/// is in range (and finite, for a double); otherwise logs `source` and
+/// `text` at Error and returns `fallback`.
+template <typename T>
+T ParseNumberOr(const std::string& text, const std::string& source,
+                T fallback) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (ok) return value;
+  OODGNN_LOG(Error) << source << ": '" << text << "' is not a "
+                    << (std::is_floating_point_v<T> ? "finite number"
+                                                    : "whole number in range")
+                    << "; using " << fallback;
+  return fallback;
+}
+
+}  // namespace
 
 int ParseThreadCount(const std::string& text, const std::string& source) {
   int threads = 0;  // The scan stops past the cap, so it cannot overflow.
@@ -63,12 +90,14 @@ std::string Flags::GetString(const std::string& name,
 
 int Flags::GetInt(const std::string& name, int fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+  return it == values_.end() ? fallback
+                             : ParseNumberOr(it->second, "--" + name, fallback);
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  return it == values_.end() ? fallback
+                             : ParseNumberOr(it->second, "--" + name, fallback);
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
@@ -94,7 +123,9 @@ int Flags::GetMetricsIntervalMs(int fallback) const {
     return GetInt("metrics-interval-ms", fallback);
   }
   const char* env = std::getenv("OODGNN_METRICS_INTERVAL_MS");
-  if (env != nullptr && *env != '\0') return std::atoi(env);
+  if (env != nullptr && *env != '\0') {
+    return ParseNumberOr<int>(env, "OODGNN_METRICS_INTERVAL_MS", fallback);
+  }
   return fallback;
 }
 

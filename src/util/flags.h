@@ -34,6 +34,10 @@ class Flags {
   bool Has(const std::string& name) const;
 
   /// Typed getters returning `fallback` when the flag is absent.
+  /// GetInt and GetDouble parse the whole value (std::from_chars: no
+  /// sign but '-', no space or suffix; an int in range, a finite
+  /// double); any other text logs the flag and its text at Error and
+  /// returns `fallback`.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
   int GetInt(const std::string& name, int fallback) const;
@@ -53,7 +57,7 @@ class Flags {
 
   /// Exporter tick interval: the `--metrics-interval-ms` flag if
   /// given, else the OODGNN_METRICS_INTERVAL_MS environment variable,
-  /// else `fallback`.
+  /// else `fallback`. Both are parsed as GetInt parses.
   int GetMetricsIntervalMs(int fallback = 1000) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

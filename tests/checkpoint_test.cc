@@ -276,6 +276,76 @@ TEST(CheckpointTest, StateRoundTripIsExact) {
   }
 }
 
+// A checkpoint's RNG text reaches Rng::LoadState before anything checks
+// it against the run: bad text must be refused with the stream left as
+// it was, and (under ASan) without a read outside the state array.
+TEST(CheckpointTest, RngLoadStateRejectsBadTextAndKeepsTheStream) {
+  Rng source(99);
+  for (int i = 0; i < 100; ++i) source.UniformInt(0, 10);
+  const std::string good = source.SaveState();
+  std::vector<std::string> fields;
+  for (size_t begin = 0; begin <= good.size();) {
+    const size_t end = std::min(good.find(' ', begin), good.size());
+    fields.push_back(good.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  ASSERT_EQ(fields.size(), 313u);  // 312 words, then the index.
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string text;
+    for (const std::string& part : parts) {
+      text += (text.empty() ? "" : " ") + part;
+    }
+    return text;
+  };
+  const auto with_field = [&](size_t i, const std::string& value) {
+    std::vector<std::string> parts = fields;
+    parts[i] = value;
+    return join(parts);
+  };
+  std::vector<std::string> words_only = fields;
+  words_only.pop_back();
+  std::vector<std::string> short_by_one = fields;
+  short_by_one.erase(short_by_one.begin());
+  const std::vector<std::string> rejected = {
+      with_field(312, "313"),
+      with_field(312, "-1"),
+      with_field(312, "4294967608"),  // 312 + 2³²
+      with_field(312, "x"),
+      join(words_only),    // 312 words, no index
+      join(short_by_one),  // 311 words, then the index
+      with_field(0, "abc"),
+      with_field(7, "12a"),
+      with_field(200, "-3"),
+      with_field(200, "+3"),
+      with_field(311, "18446744073709551616"),  // 2⁶⁴
+      good + " 0",
+      good + "x",
+      "",
+      " ",
+  };
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    Rng rng(7);
+    rng.UniformInt(0, 10);
+    const std::string before = rng.SaveState();
+    EXPECT_FALSE(rng.LoadState(rejected[i])) << "rejected case " << i;
+    EXPECT_TRUE(rng.SaveState() == before) << "rejected case " << i;
+  }
+  // Any whitespace may separate fields, and the index may be 0 or 312.
+  std::string spaced = "\n" + good + "\t\n";
+  std::replace(spaced.begin(), spaced.begin() + 40, ' ', '\t');
+  for (const std::string& text :
+       {spaced, with_field(312, "0"), with_field(312, "312")}) {
+    Rng rng(7);
+    EXPECT_TRUE(rng.LoadState(text));
+  }
+  Rng restored(7);
+  ASSERT_TRUE(restored.LoadState(spaced));
+  EXPECT_EQ(restored.SaveState(), good);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_EQ(restored.UniformInt(0, 1 << 30), source.UniformInt(0, 1 << 30));
+  }
+}
+
 TEST(CheckpointTest, EnsureDirectoryCreatesNestedPaths) {
   const std::string dir = TempPath("nested/check/point/dir");
   EXPECT_TRUE(EnsureDirectory(dir));

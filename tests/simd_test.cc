@@ -20,6 +20,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -767,6 +769,96 @@ TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
       EXPECT_TRUE(BitwiseEqual(scalar_serial, run()))
           << "element-wise/broadcast dispatch diverged at " << threads
           << " threads, simd " << (enabled ? "on" : "off");
+    }
+  }
+}
+
+// The dropout mask's vector body against its oracle at thresholds on
+// both sides of 2⁶³, at the ends of the range and one off a tempered
+// word, where a plain signed compare or an off-by-one would flip a lane.
+TEST(SimdTest, DropoutMaskBitwiseAtEveryThreshold) {
+  std::mt19937_64 gen(11);
+  std::vector<uint64_t> words(1000);
+  for (uint64_t& w : words) w = gen();
+  const uint64_t kTop = uint64_t{1} << 63;
+  words[5] = 0;
+  words[6] = ~uint64_t{0};
+  words[7] = kTop;
+  words[8] = kTop - 1;
+  std::vector<uint64_t> thresholds = {0, 1, kTop - 1, kTop, kTop + 1,
+                                      ~uint64_t{0},
+                                      Rng::BernoulliThreshold(0.5)};
+  for (const size_t j : {3, 5, 6, 7, 500, 999}) {
+    const uint64_t tempered = Mt19937_64::Temper(words[j]);
+    for (const uint64_t delta : {~uint64_t{0}, uint64_t{0}, uint64_t{1}}) {
+      thresholds.push_back(tempered + delta);
+    }
+  }
+  const Tensor unwritten(1, 1000, std::numeric_limits<float>::quiet_NaN());
+  for (const uint64_t threshold : thresholds) {
+    for (const int n : {1, 7, 8, 9, 15, 16, 17, 1000}) {
+      ExpectRangeKernelBitwise(
+          n, unwritten,
+          [&](Tensor* o, int i0, int i1) {
+            kernels::DropoutMask(words.data() + i0, threshold, 2.5f, o, i0,
+                                 i1);
+          },
+          [&](Tensor* o, int i0, int i1) {
+            simd::DropoutMask(words.data() + i0, threshold, 2.5f, o, i0, i1);
+          },
+          "dropout_mask threshold " + std::to_string(threshold) + " n " +
+              std::to_string(n));
+    }
+  }
+}
+
+// Backend::DropoutMask against its definition: element i is 0 where the
+// i-th std::bernoulli_distribution(p) draw on a std::mt19937_64 twin is
+// true. Masks cross state blocks from every kind of start, and the
+// stream must end where the per-element draws leave the twin.
+TEST(DropoutMaskTest, MatchesStdBernoulliDrawsOnATwinEngine) {
+  const double ps[] = {std::ldexp(1.0, -60), 1e-4, 0.1, 0.3, 1.0 / 3.0,
+                       0.5, 0.9, std::nextafter(1.f, 0.f)};
+  const int ns[] = {1, 7, 311, 312, 313, 1000, 65539};
+  // Words drawn before the mask: none (a fresh engine twists first),
+  // 100 (mid-block) and 311 (one word left); -1 loads a state whose
+  // index is 0, the first word of an untouched block.
+  const int leads[] = {0, 100, 311, -1};
+  for (const bool simd_on : {true, false}) {
+    simd::ScopedSimdEnabled toggle(simd_on);
+    for (const double p : ps) {
+      const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
+      for (const int n : ns) {
+        for (const int lead : leads) {
+          Rng rng(17);
+          std::mt19937_64 twin(17);
+          if (lead < 0) {
+            twin.discard(312);
+            std::string text = test::StdEngineText(twin);
+            text.replace(text.rfind(' ') + 1, std::string::npos, "0");
+            ASSERT_TRUE(rng.LoadState(text));
+            std::istringstream in(text);
+            in >> twin;
+            ASSERT_FALSE(in.fail());
+          }
+          for (int i = 0; i < lead; ++i) {
+            rng.engine()();
+            twin();
+          }
+          Tensor mask = Tensor::Unfilled(1, n);
+          GetBackend().DropoutMask(p, keep_scale, &rng, &mask);
+          std::vector<float> want(static_cast<size_t>(n));
+          std::bernoulli_distribution dist(p);
+          for (float& v : want) v = dist(twin) ? 0.f : keep_scale;
+          ASSERT_EQ(std::memcmp(mask.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "p " << p << " n " << n << " lead " << lead << " simd "
+              << simd_on;
+          ASSERT_TRUE(rng.SaveState() == test::StdEngineText(twin))
+              << "p " << p << " n " << n << " lead " << lead;
+        }
+      }
     }
   }
 }

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,14 @@ inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
   Tensor relu(out.rows(), out.cols());
   be.Relu(out, &relu);
   return relu;
+}
+
+/// The state text of a std::mt19937_64 (its operator<<), which
+/// Rng::SaveState must reproduce byte for byte.
+inline std::string StdEngineText(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
 }
 
 }  // namespace test

@@ -79,7 +79,6 @@ serve/sched/admitted
 serve/sched/dispatched
 serve/version/current
 serve/version/rollouts
-serve/version/rollbacks
 serve/version/requests
 kernel/simd/vector_calls
 kernel/simd/scalar_calls

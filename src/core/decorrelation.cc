@@ -43,12 +43,4 @@ Variable DecorrelationLoss(const Tensor& features,
   return Scale(Sum(Square(masked)), 0.5f);
 }
 
-double DependenceMeasure(const Tensor& z, const RffFeatureMap& rff) {
-  Tensor features = rff.Transform(z);
-  Variable uniform = Variable::Constant(Tensor(z.rows(), 1, 1.f));
-  Variable loss =
-      DecorrelationLoss(features, rff.feature_source_dim(), uniform);
-  return static_cast<double>(loss.value()[0]);
-}
-
 }  // namespace oodgnn

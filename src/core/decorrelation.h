@@ -29,12 +29,6 @@ Variable DecorrelationLoss(const Tensor& features,
                            const std::vector<int>& feature_source_dim,
                            const Variable& weights);
 
-/// Unweighted dependence diagnostic: the same objective evaluated with
-/// uniform weights (no autograd). Returns the scalar Σ_{i<j}‖Ĉ_ij‖_F².
-/// Near zero iff the (RFF-measured) dimensions are pairwise
-/// uncorrelated — the empirical analogue of Proposition 1.
-double DependenceMeasure(const Tensor& z, const RffFeatureMap& rff);
-
 }  // namespace oodgnn
 
 #endif  // OODGNN_CORE_DECORRELATION_H_

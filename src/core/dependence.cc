@@ -75,22 +75,4 @@ Tensor PairwiseDependenceMatrix(const Tensor& z, const RffFeatureMap& rff) {
   return dependence;
 }
 
-DependenceSummary SummarizeDependence(const Tensor& z,
-                                      const RffFeatureMap& rff) {
-  Tensor matrix = PairwiseDependenceMatrix(z, rff);
-  DependenceSummary summary;
-  for (int i = 0; i < matrix.rows(); ++i) {
-    for (int j = i + 1; j < matrix.cols(); ++j) {
-      const double v = matrix.at(i, j);
-      summary.total += v;
-      if (v > summary.max_pair) {
-        summary.max_pair = v;
-        summary.max_i = i;
-        summary.max_j = j;
-      }
-    }
-  }
-  return summary;
-}
-
 }  // namespace oodgnn

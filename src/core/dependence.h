@@ -9,21 +9,10 @@ namespace oodgnn {
 /// Diagnostic: the d×d matrix of pairwise RFF dependence values between
 /// representation dimensions, D[i][j] = ‖Ĉ_{Z_i,Z_j}‖²_F with uniform
 /// weights (zero diagonal). The sum of its upper triangle equals
-/// DependenceMeasure(z, rff). Useful for inspecting *which* dimensions
-/// a trained encoder entangles before/after reweighting.
+/// DecorrelationLoss with uniform weights. Useful for inspecting
+/// *which* dimensions a trained encoder entangles before/after
+/// reweighting.
 Tensor PairwiseDependenceMatrix(const Tensor& z, const RffFeatureMap& rff);
-
-/// Summary statistics of a dependence matrix.
-struct DependenceSummary {
-  double total = 0.0;    ///< Σ_{i<j} D[i][j].
-  double max_pair = 0.0; ///< Largest single pairwise dependence.
-  int max_i = -1;        ///< Indices of the most dependent pair.
-  int max_j = -1;
-};
-
-/// Computes the summary of PairwiseDependenceMatrix(z, rff).
-DependenceSummary SummarizeDependence(const Tensor& z,
-                                      const RffFeatureMap& rff);
 
 }  // namespace oodgnn
 

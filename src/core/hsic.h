@@ -19,8 +19,8 @@ namespace oodgnn {
 double ExactHsic(const Tensor& x, const Tensor& y, double bandwidth = -1.0);
 
 /// Sum of exact pairwise HSIC over all dimension pairs i<j of a
-/// representation matrix Z [N, d] — the exact counterpart of
-/// DependenceMeasure. O(d²·N²).
+/// representation matrix Z [N, d] — the exact counterpart of the
+/// uniformly weighted DecorrelationLoss. O(d²·N²).
 double ExactPairwiseHsic(const Tensor& z, double bandwidth = -1.0);
 
 /// Median pairwise distance of a scalar sample (the classic bandwidth

@@ -4,47 +4,8 @@
 #include <map>
 
 #include "src/util/check.h"
-#include "src/util/rng.h"
 
 namespace oodgnn {
-
-void SizeSplit(GraphDataset* dataset, int train_min, int train_max,
-               int test_min, int test_max, size_t max_train,
-               double valid_fraction, Rng* rng) {
-  OODGNN_CHECK(dataset != nullptr);
-  OODGNN_CHECK_LE(train_min, train_max);
-  OODGNN_CHECK_LE(test_min, test_max);
-  dataset->train_idx.clear();
-  dataset->valid_idx.clear();
-  dataset->test_idx.clear();
-
-  std::vector<size_t> small;
-  for (size_t i = 0; i < dataset->graphs.size(); ++i) {
-    const int n = dataset->graphs[i].num_nodes();
-    if (n >= train_min && n <= train_max) small.push_back(i);
-  }
-  rng->Shuffle(&small);
-
-  const size_t num_train_valid = std::min(small.size(), max_train);
-  const size_t num_valid = static_cast<size_t>(
-      valid_fraction * static_cast<double>(num_train_valid));
-  for (size_t i = 0; i < num_train_valid; ++i) {
-    if (i < num_valid) {
-      dataset->valid_idx.push_back(small[i]);
-    } else {
-      dataset->train_idx.push_back(small[i]);
-    }
-  }
-
-  std::vector<bool> used(dataset->graphs.size(), false);
-  for (size_t i = 0; i < num_train_valid; ++i) used[small[i]] = true;
-  for (size_t i = 0; i < dataset->graphs.size(); ++i) {
-    const int n = dataset->graphs[i].num_nodes();
-    if (!used[i] && n >= test_min && n <= test_max) {
-      dataset->test_idx.push_back(i);
-    }
-  }
-}
 
 void ScaffoldSplit(GraphDataset* dataset, double train_fraction,
                    double valid_fraction) {
@@ -86,21 +47,6 @@ void ScaffoldSplit(GraphDataset* dataset, double train_fraction,
     target->insert(target->end(), group->begin(), group->end());
     assigned += group->size();
   }
-}
-
-void RandomSplit(GraphDataset* dataset, double train_fraction,
-                 double valid_fraction, Rng* rng) {
-  OODGNN_CHECK(dataset != nullptr);
-  std::vector<size_t> order = rng->Permutation(dataset->graphs.size());
-  const size_t total = order.size();
-  const size_t train_cutoff =
-      static_cast<size_t>(train_fraction * static_cast<double>(total));
-  const size_t valid_cutoff = static_cast<size_t>(
-      (train_fraction + valid_fraction) * static_cast<double>(total));
-  dataset->train_idx.assign(order.begin(), order.begin() + train_cutoff);
-  dataset->valid_idx.assign(order.begin() + train_cutoff,
-                            order.begin() + valid_cutoff);
-  dataset->test_idx.assign(order.begin() + valid_cutoff, order.end());
 }
 
 }  // namespace oodgnn

@@ -1,23 +1,9 @@
 #ifndef OODGNN_DATA_SPLITS_H_
 #define OODGNN_DATA_SPLITS_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "src/graph/dataset.h"
 
 namespace oodgnn {
-
-class Rng;
-
-/// Splits `dataset` by graph size: graphs whose node count falls in
-/// [train_min, train_max] become train/validation candidates (split
-/// `valid_fraction` to validation), everything with node count in
-/// [test_min, test_max] and NOT selected for train/valid becomes test.
-/// Candidate order is shuffled with `rng`.
-void SizeSplit(GraphDataset* dataset, int train_min, int train_max,
-               int test_min, int test_max, size_t max_train,
-               double valid_fraction, Rng* rng);
 
 /// OGB-style scaffold split: graphs are grouped by Graph::scaffold_id,
 /// groups are sorted by size (largest first), and whole groups are
@@ -27,11 +13,6 @@ void SizeSplit(GraphDataset* dataset, int train_min, int train_max,
 /// novel molecules in the test set, as in the paper.
 void ScaffoldSplit(GraphDataset* dataset, double train_fraction,
                    double valid_fraction);
-
-/// Random i.i.d. split (fractions of the whole dataset), for contrast
-/// experiments.
-void RandomSplit(GraphDataset* dataset, double train_fraction,
-                 double valid_fraction, Rng* rng);
 
 }  // namespace oodgnn
 

@@ -1,10 +1,8 @@
 #include "src/graph/algorithms.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-
-#include "src/util/check.h"
+#include <cstdint>
+#include <vector>
 
 namespace oodgnn {
 namespace {
@@ -28,47 +26,7 @@ std::vector<std::vector<int>> UndirectedAdjacency(const Graph& graph) {
   return adj;
 }
 
-uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  // splitmix64-style mixing.
-  value += 0x9e3779b97f4a7c15ULL + seed;
-  value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  value = (value ^ (value >> 27)) * 0x94d049bb133111ebULL;
-  return value ^ (value >> 31);
-}
-
 }  // namespace
-
-std::vector<int> BfsDistances(const Graph& graph, int source) {
-  OODGNN_CHECK(source >= 0 && source < graph.num_nodes());
-  std::vector<std::vector<int>> adj = UndirectedAdjacency(graph);
-  std::vector<int> dist(static_cast<size_t>(graph.num_nodes()), -1);
-  std::deque<int> queue = {source};
-  dist[static_cast<size_t>(source)] = 0;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    for (int v : adj[static_cast<size_t>(u)]) {
-      if (dist[static_cast<size_t>(v)] < 0) {
-        dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-int Diameter(const Graph& graph) {
-  if (graph.num_nodes() < 2) return 0;
-  int diameter = 0;
-  for (int v = 0; v < graph.num_nodes(); ++v) {
-    std::vector<int> dist = BfsDistances(graph, v);
-    for (int d : dist) {
-      if (d < 0) return -1;  // Disconnected.
-      diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
 
 double ClusteringCoefficient(const Graph& graph) {
   std::vector<std::vector<int>> adj = UndirectedAdjacency(graph);
@@ -80,59 +38,6 @@ double ClusteringCoefficient(const Graph& graph) {
   if (triples == 0) return 0.0;
   return 3.0 * static_cast<double>(CountTriangles(graph)) /
          static_cast<double>(triples);
-}
-
-std::vector<int> DegreeHistogram(const Graph& graph) {
-  std::vector<std::vector<int>> adj = UndirectedAdjacency(graph);
-  size_t max_degree = 0;
-  for (const auto& neighbors : adj) {
-    max_degree = std::max(max_degree, neighbors.size());
-  }
-  std::vector<int> histogram(max_degree + 1, 0);
-  for (const auto& neighbors : adj) ++histogram[neighbors.size()];
-  return histogram;
-}
-
-uint64_t WeisfeilerLehmanHash(const Graph& graph, int iterations,
-                              bool use_features) {
-  const int n = graph.num_nodes();
-  if (n == 0) return 0;
-  std::vector<std::vector<int>> adj = UndirectedAdjacency(graph);
-
-  // Initial colors: degree, optionally refined by the feature argmax.
-  std::vector<uint64_t> color(static_cast<size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    uint64_t c = adj[static_cast<size_t>(v)].size();
-    if (use_features && graph.feature_dim() > 0) {
-      const float* row = graph.x.row(v);
-      const int arg = static_cast<int>(
-          std::max_element(row, row + graph.feature_dim()) - row);
-      c = HashCombine(c, static_cast<uint64_t>(arg));
-    }
-    color[static_cast<size_t>(v)] = c;
-  }
-
-  for (int iter = 0; iter < iterations; ++iter) {
-    std::vector<uint64_t> next(static_cast<size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      std::vector<uint64_t> neighborhood;
-      neighborhood.reserve(adj[static_cast<size_t>(v)].size());
-      for (int u : adj[static_cast<size_t>(v)]) {
-        neighborhood.push_back(color[static_cast<size_t>(u)]);
-      }
-      std::sort(neighborhood.begin(), neighborhood.end());
-      uint64_t c = HashCombine(0x5151, color[static_cast<size_t>(v)]);
-      for (uint64_t nc : neighborhood) c = HashCombine(c, nc);
-      next[static_cast<size_t>(v)] = c;
-    }
-    color = std::move(next);
-  }
-
-  // Order-independent summary: hash the sorted multiset of colors.
-  std::sort(color.begin(), color.end());
-  uint64_t result = HashCombine(0xABCD, static_cast<uint64_t>(n));
-  for (uint64_t c : color) result = HashCombine(result, c);
-  return result;
 }
 
 }  // namespace oodgnn

@@ -1,36 +1,13 @@
 #ifndef OODGNN_GRAPH_ALGORITHMS_H_
 #define OODGNN_GRAPH_ALGORITHMS_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "src/graph/graph.h"
 
 namespace oodgnn {
 
-/// BFS distances from `source` (undirected interpretation);
-/// unreachable nodes get −1.
-std::vector<int> BfsDistances(const Graph& graph, int source);
-
-/// Longest shortest path over all node pairs (undirected). Returns 0
-/// for graphs with < 2 nodes and −1 for disconnected graphs. O(V·E).
-int Diameter(const Graph& graph);
-
 /// Global clustering coefficient: 3·#triangles / #connected-triples.
 /// Returns 0 when there are no triples.
 double ClusteringCoefficient(const Graph& graph);
-
-/// Histogram of undirected node degrees; index d holds the number of
-/// nodes with degree d (ignoring duplicate parallel edges).
-std::vector<int> DegreeHistogram(const Graph& graph);
-
-/// 1-Weisfeiler-Lehman color-refinement hash after `iterations`
-/// rounds, seeded from (optionally) the node features' argmax. Two
-/// isomorphic graphs always collide; most non-isomorphic graphs do not
-/// (exactly the expressiveness ceiling of GIN discussed in the paper's
-/// related work). Node features are used iff use_features is true.
-uint64_t WeisfeilerLehmanHash(const Graph& graph, int iterations = 3,
-                              bool use_features = false);
 
 }  // namespace oodgnn
 

@@ -1,8 +1,6 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 
 #include "src/tensor/segment_plan.h"
 #include "src/util/check.h"
@@ -63,30 +61,6 @@ int64_t CountTriangles(const Graph& graph) {
     }
   }
   return triangles;
-}
-
-int NumConnectedComponents(const Graph& graph) {
-  const int n = graph.num_nodes();
-  std::vector<int> parent(static_cast<size_t>(n));
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<int(int)> find = [&](int a) {
-    while (parent[static_cast<size_t>(a)] != a) {
-      parent[static_cast<size_t>(a)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(a)])];
-      a = parent[static_cast<size_t>(a)];
-    }
-    return a;
-  };
-  int components = n;
-  for (size_t i = 0; i < graph.edge_src.size(); ++i) {
-    int ra = find(graph.edge_src[i]);
-    int rb = find(graph.edge_dst[i]);
-    if (ra != rb) {
-      parent[static_cast<size_t>(ra)] = rb;
-      --components;
-    }
-  }
-  return components;
 }
 
 }  // namespace oodgnn

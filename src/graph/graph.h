@@ -66,9 +66,6 @@ struct Graph {
 /// pairwise adjacent). Treats the graph as undirected.
 int64_t CountTriangles(const Graph& graph);
 
-/// Number of connected components (undirected interpretation).
-int NumConnectedComponents(const Graph& graph);
-
 }  // namespace oodgnn
 
 #endif  // OODGNN_GRAPH_GRAPH_H_

@@ -14,10 +14,4 @@ Tensor GlorotUniform(int fan_in, int fan_out, Rng* rng) {
   return Tensor::RandomUniform(fan_in, fan_out, rng, -a, a);
 }
 
-Tensor HeNormal(int fan_in, int fan_out, Rng* rng) {
-  OODGNN_CHECK(fan_in > 0 && fan_out > 0);
-  const float stddev = std::sqrt(2.f / static_cast<float>(fan_in));
-  return Tensor::RandomNormal(fan_in, fan_out, rng, 0.f, stddev);
-}
-
 }  // namespace oodgnn

@@ -11,10 +11,6 @@ class Rng;
 /// a = sqrt(6 / (fan_in + fan_out)). Shape [fan_in, fan_out].
 Tensor GlorotUniform(int fan_in, int fan_out, Rng* rng);
 
-/// He/Kaiming normal initialization: N(0, sqrt(2 / fan_in)). Shape
-/// [fan_in, fan_out]; suited to ReLU networks.
-Tensor HeNormal(int fan_in, int fan_out, Rng* rng);
-
 }  // namespace oodgnn
 
 #endif  // OODGNN_NN_INIT_H_

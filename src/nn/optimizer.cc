@@ -5,85 +5,27 @@
 #include "src/util/check.h"
 
 namespace oodgnn {
-namespace {
-
-/// Shape-checked copy of checkpointed slot tensors into an optimizer's
-/// live slots. Leaves `dst` untouched and returns false on mismatch.
-bool RestoreSlots(const std::vector<Tensor>& src, std::vector<Tensor>* dst) {
-  if (src.size() != dst->size()) return false;
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (!src[i].SameShape((*dst)[i])) return false;
-  }
-  for (size_t i = 0; i < src.size(); ++i) (*dst)[i] = src[i];
-  return true;
-}
-
-}  // namespace
-
-Optimizer::Optimizer(std::vector<Variable> params)
-    : params_(std::move(params)) {
-  for (const Variable& p : params_) {
-    OODGNN_CHECK(p.defined() && p.requires_grad())
-        << "optimizer parameters must be trainable leaves";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Variable& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params)),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  lr_ = lr;
-  velocity_.reserve(params_.size());
-  for (const Variable& p : params_) {
-    velocity_.emplace_back(p.value().rows(), p.value().cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Variable& p = params_[i];
-    if (p.grad().empty()) continue;  // Never touched by Backward.
-    Tensor& value = p.mutable_value();
-    const Tensor& grad = p.grad();
-    Tensor& vel = velocity_[i];
-    for (int j = 0; j < value.size(); ++j) {
-      float g = grad[j] + weight_decay_ * value[j];
-      vel[j] = momentum_ * vel[j] + g;
-      value[j] -= lr_ * vel[j];
-    }
-  }
-}
-
-OptimizerState Sgd::GetState() const {
-  OptimizerState state;
-  state.slots = velocity_;
-  return state;
-}
-
-bool Sgd::SetState(const OptimizerState& state) {
-  if (state.step_count != 0) return false;
-  return RestoreSlots(state.slots, &velocity_);
-}
 
 Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-  lr_ = lr;
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Variable& p : params_) {
+    OODGNN_CHECK(p.defined() && p.requires_grad())
+        << "optimizer parameters must be trainable leaves";
     m_.emplace_back(p.value().rows(), p.value().cols());
     v_.emplace_back(p.value().rows(), p.value().cols());
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Variable& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {
@@ -115,22 +57,26 @@ OptimizerState Adam::GetState() const {
   return state;
 }
 
-bool Adam::SetState(const OptimizerState& state) {
-  if (state.step_count < 0 || state.slots.size() != m_.size() + v_.size()) {
+bool Adam::Accepts(const OptimizerState& state) const {
+  if (state.step_count < 0 || state.slots.size() != 2 * params_.size()) {
     return false;
   }
-  std::vector<Tensor> m(state.slots.begin(),
-                        state.slots.begin() + static_cast<long>(m_.size()));
-  std::vector<Tensor> v(state.slots.begin() + static_cast<long>(m_.size()),
-                        state.slots.end());
-  std::vector<Tensor> m_backup = m_;
-  if (!RestoreSlots(m, &m_)) return false;
-  if (!RestoreSlots(v, &v_)) {
-    m_ = std::move(m_backup);
-    return false;
+  for (size_t i = 0; i < state.slots.size(); ++i) {
+    if (!state.slots[i].SameShape(params_[i % params_.size()].value())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Adam::SetState(const OptimizerState& state) {
+  OODGNN_CHECK(Accepts(state)) << "optimizer state does not fit this Adam";
+  const size_t n = params_.size();
+  for (size_t i = 0; i < n; ++i) {
+    m_[i] = state.slots[i];
+    v_[i] = state.slots[n + i];
   }
   step_count_ = state.step_count;
-  return true;
 }
 
 }  // namespace oodgnn

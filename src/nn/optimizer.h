@@ -8,83 +8,44 @@
 
 namespace oodgnn {
 
-/// Snapshot of an optimizer's internal slot state for checkpointing.
-/// `slots` is a flat list of per-parameter moment tensors whose layout
-/// is defined by the concrete optimizer (SGD: velocity; Adam: first
-/// moments then second moments). Restoring into a differently shaped
-/// optimizer fails rather than silently corrupting the run.
+/// Snapshot of Adam's slot state for checkpointing: the step count and
+/// one first-moment slot per parameter, then one second-moment slot per
+/// parameter, each shaped like its parameter.
 struct OptimizerState {
   int64_t step_count = 0;
   std::vector<Tensor> slots;
 };
 
-/// Base class for first-order optimizers over a fixed parameter list.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Variable> params);
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using the gradients currently stored on the
-  /// parameters.
-  virtual void Step() = 0;
-
-  /// Clears parameter gradients (call between steps).
-  void ZeroGrad();
-
-  /// Copies the internal slot state (for checkpointing). Stateless
-  /// optimizers return an empty state.
-  virtual OptimizerState GetState() const { return {}; }
-
-  /// Restores a state captured by GetState on an identically
-  /// constructed optimizer. Returns false (without modifying anything)
-  /// when the slot count or any slot shape disagrees.
-  virtual bool SetState(const OptimizerState& state) {
-    return state.slots.empty() && state.step_count == 0;
-  }
-
-  /// Changes the learning rate.
-  void set_learning_rate(float lr) { lr_ = lr; }
-  float learning_rate() const { return lr_; }
-
- protected:
-  std::vector<Variable> params_;
-  float lr_ = 1e-3f;
-};
-
-/// Stochastic gradient descent with optional momentum and decoupled L2
-/// weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.f,
-      float weight_decay = 0.f);
-
-  void Step() override;
-
-  OptimizerState GetState() const override;
-  bool SetState(const OptimizerState& state) override;
-
- private:
-  float momentum_;
-  float weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam optimizer (Kingma & Ba, 2015) with bias correction and optional
-/// L2 weight decay added to the gradient.
-class Adam : public Optimizer {
+/// Adam optimizer (Kingma & Ba, 2015) over a fixed parameter list, with
+/// bias correction and optional L2 weight decay added to the gradient.
+class Adam {
  public:
   Adam(std::vector<Variable> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.f);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
-  OptimizerState GetState() const override;
-  bool SetState(const OptimizerState& state) override;
+  /// Applies one update using the gradients currently stored on the
+  /// parameters.
+  void Step();
+
+  /// Clears parameter gradients (call between steps).
+  void ZeroGrad();
+
+  /// Copies the slot state (for checkpointing).
+  OptimizerState GetState() const;
+
+  /// True when `state` has this optimizer's layout: a non-negative step
+  /// count and 2 × params slots, each with its parameter's shape.
+  bool Accepts(const OptimizerState& state) const;
+
+  /// Restores a state this optimizer Accepts.
+  void SetState(const OptimizerState& state);
 
  private:
+  std::vector<Variable> params_;
+  float lr_;
   float beta1_;
   float beta2_;
   float eps_;

@@ -131,7 +131,6 @@ void MetricsExporter::ExportNow() {
         << "metrics exporter: cannot append to " << options_.output_prefix
         << ".jsonl";
   }
-  ++exports_;
 }
 
 void MetricsExporter::Stop() {
@@ -142,11 +141,6 @@ void MetricsExporter::Stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-}
-
-std::int64_t MetricsExporter::exports() const {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  return exports_;
 }
 
 void MetricsExporter::Loop() {

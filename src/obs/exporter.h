@@ -55,9 +55,6 @@ class MetricsExporter {
   /// Stops the background thread after one final export. Idempotent.
   void Stop();
 
-  /// Completed exports (both periodic and explicit).
-  std::int64_t exports() const;
-
  private:
   void Loop();
 
@@ -68,8 +65,7 @@ class MetricsExporter {
   std::condition_variable cv_;
   bool stop_requested_ = false;  // guarded by mu_
 
-  mutable std::mutex write_mu_;  // serializes file writes across callers
-  std::int64_t exports_ = 0;     // guarded by write_mu_
+  std::mutex write_mu_;  // serializes file writes across callers
 
   std::thread thread_;
 };

@@ -103,18 +103,6 @@ JsonObjectWriter& JsonObjectWriter::PutRaw(const std::string& key,
   return *this;
 }
 
-JsonObjectWriter& JsonObjectWriter::Put(const std::string& key,
-                                        const std::vector<double>& values) {
-  AppendKey(&body_, key);
-  body_.push_back('[');
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) body_.push_back(',');
-    body_ += JsonNumber(values[i]);
-  }
-  body_.push_back(']');
-  return *this;
-}
-
 std::string JsonObjectWriter::Build() const { return "{" + body_ + "}"; }
 
 }  // namespace obs

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace oodgnn {
 namespace obs {
@@ -31,8 +30,6 @@ class JsonObjectWriter {
   /// Inserts `raw_json` verbatim as the value (must itself be valid
   /// JSON — typically a nested object or array).
   JsonObjectWriter& PutRaw(const std::string& key, const std::string& raw_json);
-  JsonObjectWriter& Put(const std::string& key,
-                        const std::vector<double>& values);
 
   /// The finished object, e.g. {"epoch":3,"loss":0.25}.
   std::string Build() const;

@@ -70,11 +70,6 @@ double StreamingHistogram::QuantileLocked(double q) const {
   return summary_.max;
 }
 
-double StreamingHistogram::ApproxQuantile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return QuantileLocked(q);
-}
-
 void StreamingHistogram::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   summary_ = Summary();

@@ -57,9 +57,9 @@ class StreamingHistogram {
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-    /// Bucket-approximated quantiles (upper bucket edges, exact within
-    /// a factor of 2 — see ApproxQuantile), captured with the counts so
-    /// snapshots and exporters see one consistent view.
+    /// Bucket-approximated quantiles (the upper edge of the bucket
+    /// holding the quantile, exact within a factor of 2), captured with
+    /// the counts so snapshots and exporters see one consistent view.
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
@@ -70,9 +70,6 @@ class StreamingHistogram {
 
   void Observe(double v);
   Summary GetSummary() const;
-  /// Upper edge of the bucket containing the q-quantile (q in [0, 1]);
-  /// exact to within a factor of 2. Returns 0 with no observations.
-  double ApproxQuantile(double q) const;
   void Reset();
 
  private:

@@ -18,30 +18,14 @@ bool ValidSloName(const std::string& name) {
 
 }  // namespace
 
-const char* SloPhaseName(SloPhase phase) {
-  switch (phase) {
-    case SloPhase::kE2e: return "e2e";
-    case SloPhase::kQueueWait: return "queue_wait";
-    case SloPhase::kExecute: return "execute";
-  }
-  return "unknown";
-}
-
-SloTracker::SloTracker(const SloSpec& spec, MetricsRegistry* registry,
-                       const Clock* clock)
-    : spec_(spec), clock_(clock != nullptr ? clock : Clock::Real()) {
+SloTracker::SloTracker(const SloSpec& spec, MetricsRegistry* registry)
+    : spec_(spec) {
   OODGNN_CHECK(ValidSloName(spec_.name))
       << "SLO name '" << spec_.name << "' must match [a-z0-9_]+";
   OODGNN_CHECK(spec_.quantile > 0.0 && spec_.quantile < 1.0)
       << "SLO '" << spec_.name << "': quantile must be in (0, 1)";
   OODGNN_CHECK_GE(spec_.window, 1);
-  OODGNN_CHECK_GE(spec_.window_us, 0);
-  if (spec_.window_us > 0) {
-    OODGNN_CHECK_GE(spec_.max_window_events, 1);
-    events_.assign(static_cast<size_t>(spec_.max_window_events), TimedEvent{});
-  } else {
-    ring_.assign(static_cast<size_t>(spec_.window), 0);
-  }
+  ring_.assign(static_cast<size_t>(spec_.window), 0);
   if (registry != nullptr) {
     const std::string prefix = "slo/" + spec_.name;
     burn_rate_gauge_ = &registry->GetGauge(prefix + "/burn_rate");
@@ -58,8 +42,7 @@ bool SloTracker::Observe(double latency_us, bool error) {
     std::lock_guard<std::mutex> lock(mu_);
     ++status_.observed;
     if (violation) ++status_.violations;
-    breached = spec_.window_us > 0 ? ObserveTimeWindowLocked(violation)
-                                   : ObserveCountWindowLocked(violation);
+    breached = ObserveLocked(violation);
   }
   if (violation && violations_counter_ != nullptr) {
     violations_counter_->Increment();
@@ -67,7 +50,7 @@ bool SloTracker::Observe(double latency_us, bool error) {
   return breached;
 }
 
-bool SloTracker::ObserveCountWindowLocked(bool violation) {
+bool SloTracker::ObserveLocked(bool violation) {
   bool breached = false;
   window_violations_ += ring_[static_cast<size_t>(ring_pos_)] == 0
                             ? (violation ? 1 : 0)
@@ -94,58 +77,6 @@ bool SloTracker::ObserveCountWindowLocked(bool violation) {
         if (breaches_counter_ != nullptr) breaches_counter_->Increment();
       }
     }
-  }
-  return breached;
-}
-
-bool SloTracker::ObserveTimeWindowLocked(bool violation) {
-  // Clamp backward clock jumps: time-window arithmetic needs
-  // non-decreasing stamps, and a fake/adjusted clock may step back.
-  std::int64_t now = clock_->NowMicros();
-  if (now < last_now_us_) now = last_now_us_;
-  last_now_us_ = now;
-
-  // Evict everything strictly older than the window (keep events with
-  // t in (now - window_us, now]), then make room if the ring is full.
-  const std::int64_t horizon = now - spec_.window_us;
-  const size_t capacity = events_.size();
-  while (events_count_ > 0 && events_[events_head_].t_us <= horizon) {
-    window_violations_ -= events_[events_head_].violation;
-    events_head_ = (events_head_ + 1) % capacity;
-    --events_count_;
-  }
-  if (events_count_ == capacity) {
-    window_violations_ -= events_[events_head_].violation;
-    events_head_ = (events_head_ + 1) % capacity;
-    --events_count_;
-  }
-  TimedEvent& slot = events_[(events_head_ + events_count_) % capacity];
-  slot.t_us = now;
-  slot.violation = violation ? 1 : 0;
-  ++events_count_;
-  if (violation) ++window_violations_;
-
-  const double share = static_cast<double>(window_violations_) /
-                       static_cast<double>(events_count_);
-  status_.burn_rate = share / (1.0 - spec_.quantile);
-  if (burn_rate_gauge_ != nullptr) burn_rate_gauge_->Set(status_.burn_rate);
-
-  // Event-driven window completion: the first observation opens a
-  // window; any observation at least window_us past the anchor closes
-  // it (evaluating the sliding rate exactly once) and anchors the
-  // next. An idle stretch therefore completes at most one window —
-  // windows are counted per evaluation, not per elapsed interval.
-  bool breached = false;
-  if (window_anchor_us_ == 0) {
-    window_anchor_us_ = now;
-  } else if (now - window_anchor_us_ >= spec_.window_us) {
-    ++status_.windows;
-    if (status_.burn_rate > 1.0) {
-      ++status_.breached_windows;
-      breached = true;
-      if (breaches_counter_ != nullptr) breaches_counter_->Increment();
-    }
-    window_anchor_us_ = now;
   }
   return breached;
 }

@@ -7,20 +7,14 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/util/clock.h"
 
 namespace oodgnn {
 namespace obs {
 
-/// Which request-span duration a latency objective is evaluated on.
-enum class SloPhase { kE2e, kQueueWait, kExecute };
-
-const char* SloPhaseName(SloPhase phase);
-
 /// One declarative serving objective: "at most (1 - quantile) of
-/// requests in any window may exceed threshold_us or fail". Stated as
-/// a quantile target ("p99 end-to-end latency under 50 ms") but
-/// evaluated in its equivalent budget form — a window breaches when
+/// requests in any window may exceed threshold_us end to end or fail".
+/// Stated as a quantile target ("p99 end-to-end latency under 50 ms")
+/// but evaluated in its equivalent budget form — a window breaches when
 /// the fraction of violating requests exceeds the error budget
 /// (1 - quantile), i.e. when the burn rate passes 1. Errored requests
 /// always consume budget, whatever their latency.
@@ -28,25 +22,9 @@ struct SloSpec {
   /// Lowercase [a-z0-9_]+ tag used in metric names
   /// ("slo/<name>/burn_rate" etc.) and breach logs.
   std::string name = "e2e_p99";
-  SloPhase phase = SloPhase::kE2e;
   double quantile = 0.99;        ///< In (0, 1); budget is 1 - quantile.
   double threshold_us = 100000;  ///< Latency objective at that quantile.
   int window = 512;              ///< Requests per evaluation window.
-
-  /// Time-based sliding window: when nonzero, the burn rate is the
-  /// violating share of the requests observed in the last `window_us`
-  /// microseconds (instead of the last `window` requests), read off
-  /// the tracker's injected Clock. Window completion is event-driven:
-  /// every observation at least `window_us` after the current window's
-  /// anchor closes it (counting one breach at most), so breach totals
-  /// stay one-per-window just like count mode. Backward clock jumps
-  /// are clamped to the last seen time.
-  std::int64_t window_us = 0;
-  /// Ring capacity in time mode: at most this many events are held;
-  /// beyond it the oldest in-window event is evicted (the burn rate
-  /// degrades gracefully to a suffix of the window). Ignored in count
-  /// mode.
-  int max_window_events = 4096;
 };
 
 /// Lifetime accounting of one tracked objective (atomic snapshot; safe
@@ -76,48 +54,30 @@ struct SloStatus {
 class SloTracker {
  public:
   /// Aborts on malformed specs (empty/illegal name, quantile outside
-  /// (0, 1), window < 1, or time mode with max_window_events < 1).
-  /// `clock` drives time-mode windows; null selects Clock::Real().
-  /// Count-mode trackers never read the clock.
-  SloTracker(const SloSpec& spec, MetricsRegistry* registry,
-             const Clock* clock = nullptr);
+  /// (0, 1), window < 1).
+  SloTracker(const SloSpec& spec, MetricsRegistry* registry);
 
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
 
-  /// Records one request. Returns true when this observation closed a
-  /// window AND that window breached — the caller's hook for logging.
+  /// Records one request's end-to-end latency. Returns true when this
+  /// observation closed a window AND that window breached — the
+  /// caller's hook for logging.
   bool Observe(double latency_us, bool error = false);
 
   SloStatus status() const;
   const SloSpec& spec() const { return spec_; }
 
  private:
-  /// One time-mode ring entry: clamped observation time + outcome.
-  struct TimedEvent {
-    std::int64_t t_us = 0;
-    unsigned char violation = 0;
-  };
-
-  bool ObserveCountWindowLocked(bool violation);
-  bool ObserveTimeWindowLocked(bool violation);
+  bool ObserveLocked(bool violation);
 
   const SloSpec spec_;
-  const Clock* const clock_;  // never null
 
   mutable std::mutex mu_;
   std::vector<unsigned char> ring_;  // guarded by mu_; 1 = violation
   int ring_pos_ = 0;                 // guarded by mu_
   SloStatus status_;                 // guarded by mu_
   std::int64_t window_violations_ = 0;  // guarded by mu_
-
-  // Time-mode state (all guarded by mu_): a circular buffer of the
-  // events inside the sliding window, plus the running violation sum.
-  std::vector<TimedEvent> events_;
-  size_t events_head_ = 0;   ///< Index of the oldest event.
-  size_t events_count_ = 0;  ///< Events currently in the ring.
-  std::int64_t last_now_us_ = 0;       ///< Monotonic clamp.
-  std::int64_t window_anchor_us_ = 0;  ///< Current window's start (0 = unset).
 
   // Null when constructed without a registry.
   Gauge* burn_rate_gauge_ = nullptr;

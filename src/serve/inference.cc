@@ -90,7 +90,7 @@ InferenceEngine::InferenceEngine(const ModelSpec& spec,
   slo_trackers_.reserve(options_.slos.size());
   for (const obs::SloSpec& slo : options_.slos) {
     slo_trackers_.push_back(
-        std::make_unique<obs::SloTracker>(slo, registry, clock_));
+        std::make_unique<obs::SloTracker>(slo, registry));
   }
   scheduler_ = std::make_unique<Scheduler>(options_.scheduler, registry,
                                            clock_);
@@ -145,13 +145,6 @@ bool InferenceEngine::LoadCheckpoint(const std::string& path) {
   return true;
 }
 
-bool InferenceEngine::RollbackWeights() {
-  // master_mu_ serializes rollbacks against publishes, so the
-  // previous/current pair the manager swaps is never mid-update.
-  std::lock_guard<std::mutex> lock(master_mu_);
-  return versions_.Rollback();
-}
-
 std::future<Tensor> InferenceEngine::Submit(const Graph& graph) {
   return Submit(graph, static_cast<obs::RequestSpan*>(nullptr));
 }
@@ -187,11 +180,9 @@ SubmitResult InferenceEngine::Submit(const Graph& graph,
       // Deadlines arrive relative to enqueue (a negative value means
       // already expired — the chaos tests use that); the queue stores
       // them absolute.
-      const std::int64_t relative =
-          submit_options.deadline_us != 0
-              ? submit_options.deadline_us
-              : scheduler_->options().default_deadline_us;
-      if (relative != 0) request->span.deadline_us = now + relative;
+      if (submit_options.deadline_us != 0) {
+        request->span.deadline_us = now + submit_options.deadline_us;
+      }
       QueuedRequest queued;
       queued.priority = submit_options.priority;
       queued.deadline_us = request->span.deadline_us;
@@ -255,7 +246,6 @@ InferenceStats InferenceEngine::stats() const {
   }
   stats.weight_version = versions_.current_version();
   stats.rollouts = versions_.rollouts();
-  stats.rollbacks = versions_.rollbacks();
   stats.versions = versions_.counts();
   return stats;
 }
@@ -392,19 +382,7 @@ void InferenceEngine::ExecuteBatch(int worker_index,
 void InferenceEngine::ObserveSlos(const obs::RequestSpan& span) {
   double worst_burn = 0.0;
   for (auto& tracker : slo_trackers_) {
-    double latency_us = 0.0;
-    switch (tracker->spec().phase) {
-      case obs::SloPhase::kE2e:
-        latency_us = static_cast<double>(span.e2e_us());
-        break;
-      case obs::SloPhase::kQueueWait:
-        latency_us = static_cast<double>(span.queue_wait_us());
-        break;
-      case obs::SloPhase::kExecute:
-        latency_us = static_cast<double>(span.execute_dur_us());
-        break;
-    }
-    if (tracker->Observe(latency_us)) {
+    if (tracker->Observe(static_cast<double>(span.e2e_us()))) {
       const obs::SloStatus status = tracker->status();
       OODGNN_LOG(Warning) << "SLO '" << tracker->spec().name
                           << "' breached: burn rate " << status.burn_rate

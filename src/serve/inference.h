@@ -120,7 +120,6 @@ struct InferenceStats {
   // Versioned-rollout accounting.
   std::int64_t weight_version = 0;  ///< Latest published version.
   std::int64_t rollouts = 0;        ///< Publishes (ctor + syncs/loads).
-  std::int64_t rollbacks = 0;
   /// Graphs served per weight version; sums to the graphs executed.
   std::vector<VersionCount> versions;
 };
@@ -152,10 +151,9 @@ struct SubmitResult {
 /// results).
 ///
 /// Weights are versioned (src/serve/version.h): SyncFrom /
-/// LoadCheckpoint publish an immutable snapshot, and
-/// each worker adopts the newest version at its own batch boundary — a
-/// hot rollout staggers across workers with no stop-the-world, and
-/// RollbackWeights() un-publishes a bad one. All replicas are
+/// LoadCheckpoint publish an immutable snapshot, and each worker adopts
+/// the newest version at its own batch boundary — a hot rollout
+/// staggers across workers with no stop-the-world. All replicas are
 /// constructed from one fixed seed, so they are bitwise identical to
 /// each other at all times, even before any sync.
 class InferenceEngine {
@@ -181,11 +179,6 @@ class InferenceEngine {
   /// spec and every parameter and buffer the model's shape. Returns
   /// false (nothing published) on mismatch or corruption.
   bool LoadCheckpoint(const std::string& path);
-
-  /// Re-publishes the previous weight version (staggered adoption,
-  /// like any rollout). Returns false when there is nothing to roll
-  /// back to.
-  bool RollbackWeights();
 
   /// Enqueues one graph for prediction. The returned future resolves to
   /// the 1 x output_dim logits row — or throws ShedError if the policy

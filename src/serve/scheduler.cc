@@ -46,8 +46,6 @@ Scheduler::Scheduler(const SchedulerOptions& options,
                      obs::MetricsRegistry* registry, const Clock* clock)
     : options_(options), clock_(clock != nullptr ? clock : Clock::Real()) {
   OODGNN_CHECK_GE(options_.max_queue, 0);
-  OODGNN_CHECK_GE(options_.default_deadline_us, 0);
-  OODGNN_CHECK_GE(options_.min_deadline_slack_us, 0);
   // The default tenant exists from the start and is never quota-limited.
   tenants_.push_back(Tenant{});
   tenants_[0].name = "default";
@@ -146,13 +144,11 @@ ShedReason Scheduler::Admit(QueuedRequest request) {
 
   const std::int64_t now = clock_->NowMicros();
   request.enqueue_us = now;
-  if (request.deadline_us != 0) {
-    // Fail fast on deadlines that have passed or cannot plausibly be
-    // met — queueing them only burns capacity on doomed work.
-    if (request.deadline_us - now <= options_.min_deadline_slack_us) {
-      AccountShed(request.tenant_index, ShedReason::kDeadlineExpired);
-      return ShedReason::kDeadlineExpired;
-    }
+  if (request.deadline_us != 0 && request.deadline_us <= now) {
+    // Fail fast on deadlines that have already passed — queueing them
+    // only burns capacity on doomed work.
+    AccountShed(request.tenant_index, ShedReason::kDeadlineExpired);
+    return ShedReason::kDeadlineExpired;
   }
   if (options_.shed_on_slo &&
       request.priority > options_.slo_protected_priority &&

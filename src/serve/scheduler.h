@@ -22,7 +22,7 @@ enum class ShedReason {
   kNone = 0,
   kQueueFull,        ///< Admission queue at max_queue.
   kTenantQuota,      ///< The tenant's token bucket was empty.
-  kDeadlineExpired,  ///< Deadline passed (or slack below the floor).
+  kDeadlineExpired,  ///< Deadline passed.
   kSloShed,          ///< Burn-rate overload shed of a non-protected priority.
   kInvalidInput,     ///< Malformed graph refused at Submit (never queued).
 };
@@ -62,15 +62,6 @@ struct SchedulerOptions {
   /// 0 = unbounded.
   int max_queue = 0;
 
-  /// Deadline applied to requests that don't carry their own, relative
-  /// to enqueue. 0 = no default deadline.
-  std::int64_t default_deadline_us = 0;
-
-  /// Fail-fast floor: a request whose deadline is closer than this at
-  /// admission is shed immediately (kDeadlineExpired) instead of
-  /// queueing doomed work. Already-expired deadlines always fail fast.
-  std::int64_t min_deadline_slack_us = 0;
-
   /// Overload shedding against the SLO burn-rate signal (the engine
   /// feeds its tracker's sliding rate via SetBurnRate): while the
   /// signal exceeds `slo_shed_burn_rate`, requests with priority
@@ -92,7 +83,8 @@ struct SubmitOptions {
   /// Smaller = more urgent; ties dispatch FIFO. Priority 0 is the
   /// default and is SLO-protected under the default policy.
   int priority = 0;
-  /// Deadline relative to enqueue; 0 = the policy's default deadline.
+  /// Deadline relative to enqueue; 0 = none. A deadline that has
+  /// already passed at admission is shed at once (kDeadlineExpired).
   std::int64_t deadline_us = 0;
 };
 
@@ -213,8 +205,6 @@ class Scheduler {
   /// Snapshot of totals and per-tenant accounting (externally
   /// synchronized like the queue operations).
   SchedulerStats stats() const;
-
-  const SchedulerOptions& options() const { return options_; }
 
  private:
   struct TokenBucket {

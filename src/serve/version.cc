@@ -10,7 +10,6 @@ WeightVersionManager::WeightVersionManager(obs::MetricsRegistry* registry) {
   if (registry != nullptr) {
     current_gauge_ = &registry->GetGauge("serve/version/current");
     rollouts_counter_ = &registry->GetCounter("serve/version/rollouts");
-    rollbacks_counter_ = &registry->GetCounter("serve/version/rollbacks");
     requests_counter_ = &registry->GetCounter("serve/version/requests");
   }
 }
@@ -22,7 +21,6 @@ std::int64_t WeightVersionManager::Publish(std::vector<Tensor> params,
   snapshot->version = next_version_++;
   snapshot->params = std::move(params);
   snapshot->buffers = std::move(buffers);
-  previous_ = std::move(current_);
   current_ = std::move(snapshot);
   ++rollouts_;
   if (rollouts_counter_ != nullptr) rollouts_counter_->Increment();
@@ -30,18 +28,6 @@ std::int64_t WeightVersionManager::Publish(std::vector<Tensor> params,
     current_gauge_->Set(static_cast<double>(current_->version));
   }
   return current_->version;
-}
-
-bool WeightVersionManager::Rollback() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (previous_ == nullptr) return false;
-  std::swap(current_, previous_);
-  ++rollbacks_;
-  if (rollbacks_counter_ != nullptr) rollbacks_counter_->Increment();
-  if (current_gauge_ != nullptr) {
-    current_gauge_->Set(static_cast<double>(current_->version));
-  }
-  return true;
 }
 
 std::shared_ptr<const WeightSnapshot> WeightVersionManager::current() const {
@@ -78,11 +64,6 @@ std::vector<VersionCount> WeightVersionManager::counts() const {
 std::int64_t WeightVersionManager::rollouts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rollouts_;
-}
-
-std::int64_t WeightVersionManager::rollbacks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rollbacks_;
 }
 
 }  // namespace serve

@@ -36,9 +36,6 @@ struct VersionCount {
 /// staggers across workers instead of stopping the world, and two
 /// workers may briefly serve different versions (each span carries the
 /// version that served it).
-/// `Rollback()` re-publishes the previously active snapshot under its
-/// original id, so a bad rollout is undone by the same staggered
-/// mechanism, and per-version request counts attribute the damage.
 ///
 /// Thread-safe. Snapshots are shared_ptr<const>: a worker mid-copy
 /// pins the state it is reading even if a newer publish lands.
@@ -47,7 +44,6 @@ struct VersionCount {
 ///
 ///   gauge    serve/version/current    latest published version id
 ///   counter  serve/version/rollouts   publishes (including the initial)
-///   counter  serve/version/rollbacks  successful rollbacks
 ///   counter  serve/version/requests   graphs served across all versions
 class WeightVersionManager {
  public:
@@ -57,16 +53,10 @@ class WeightVersionManager {
   WeightVersionManager& operator=(const WeightVersionManager&) = delete;
 
   /// Publishes a new snapshot and returns its (monotonically
-  /// increasing) version id. The previous snapshot is retained as the
-  /// rollback target.
+  /// increasing) version id. The replaced snapshot stays alive only
+  /// while a worker still copies from it.
   std::int64_t Publish(std::vector<Tensor> params,
                        std::vector<Tensor> buffers);
-
-  /// Re-publishes the previously active snapshot under its original
-  /// version id; the replaced snapshot becomes the new rollback target
-  /// (so two rollbacks toggle). Returns false when there is no earlier
-  /// snapshot to return to.
-  bool Rollback();
 
   /// The snapshot workers should converge to. Null until the first
   /// Publish.
@@ -84,21 +74,17 @@ class WeightVersionManager {
   std::vector<VersionCount> counts() const;
 
   std::int64_t rollouts() const;
-  std::int64_t rollbacks() const;
 
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const WeightSnapshot> current_;   // guarded by mu_
-  std::shared_ptr<const WeightSnapshot> previous_;  // guarded by mu_
   std::int64_t next_version_ = 1;                   // guarded by mu_
   std::int64_t rollouts_ = 0;                       // guarded by mu_
-  std::int64_t rollbacks_ = 0;                      // guarded by mu_
   std::vector<VersionCount> counts_;                // guarded by mu_
 
   // Null when constructed without a registry.
   obs::Gauge* current_gauge_ = nullptr;
   obs::Counter* rollouts_counter_ = nullptr;
-  obs::Counter* rollbacks_counter_ = nullptr;
   obs::Counter* requests_counter_ = nullptr;
 };
 

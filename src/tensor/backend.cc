@@ -44,15 +44,11 @@ enum class KernelOp : int {
   kHadamard,
   kHadamardAcc,
   kColumnSum,
-  kRowSum,
   kRowBroadcast,
-  kColBroadcast,
   kAddTransposed,
   kHadamardColumnSum,
   kHadamardRowSum,
   kDot,
-  kSoftmaxRows,
-  kSoftmaxRowsBackward,
   kGatherRows,
   kGatherRowsAcc,
   kScatterPlanned,
@@ -98,12 +94,8 @@ const char* KernelOpName(KernelOp op) {
       return "hadamard_acc";
     case KernelOp::kColumnSum:
       return "column_sum";
-    case KernelOp::kRowSum:
-      return "row_sum";
     case KernelOp::kRowBroadcast:
       return "row_broadcast";
-    case KernelOp::kColBroadcast:
-      return "col_broadcast";
     case KernelOp::kAddTransposed:
       return "add_transposed";
     case KernelOp::kHadamardColumnSum:
@@ -112,10 +104,6 @@ const char* KernelOpName(KernelOp op) {
       return "hadamard_row_sum";
     case KernelOp::kDot:
       return "dot";
-    case KernelOp::kSoftmaxRows:
-      return "softmax_rows";
-    case KernelOp::kSoftmaxRowsBackward:
-      return "softmax_rows_backward";
     case KernelOp::kGatherRows:
       return "gather_rows";
     case KernelOp::kGatherRowsAcc:
@@ -497,15 +485,6 @@ void Backend::ColumnSumAcc(const Tensor& a, Tensor* out) const {
   });
 }
 
-void Backend::RowSumAcc(const Tensor& a, Tensor* out) const {
-  OODGNN_CHECK(out->rows() == a.rows() && out->cols() == 1);
-  KernelScope scope(KernelOp::kRowSum, a.size(),
-                    WouldParallelize(a.rows(), a.size()));
-  ForCost(a.rows(), a.size(), [&](int r0, int r1) {
-    kernels::RowSumAcc(a, out, r0, r1);
-  });
-}
-
 void Backend::RowBroadcastAcc(const Tensor& row, Tensor* out) const {
   OODGNN_CHECK(row.rows() == 1 && row.cols() == out->cols());
   const bool use_simd = simd::Enabled();
@@ -517,21 +496,6 @@ void Backend::RowBroadcastAcc(const Tensor& row, Tensor* out) const {
       simd::RowBroadcastAcc(row, out, r0, r1);
     } else {
       kernels::RowBroadcastAcc(row, out, r0, r1);
-    }
-  });
-}
-
-void Backend::ColBroadcastAcc(const Tensor& col, Tensor* out) const {
-  OODGNN_CHECK(col.rows() == out->rows() && col.cols() == 1);
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kColBroadcast, out->size(),
-                    WouldParallelize(out->rows(), out->size()));
-  ForCost(out->rows(), out->size(), [&](int r0, int r1) {
-    if (use_simd) {
-      simd::ColBroadcastAcc(col, out, r0, r1);
-    } else {
-      kernels::ColBroadcastAcc(col, out, r0, r1);
     }
   });
 }
@@ -600,25 +564,6 @@ void Backend::RffMap(const Tensor& z, const std::vector<int>& source_dim,
       kernels::RffMap(z, source_dim, omega, phase, linear_only, scale, out,
                       r0, r1);
     }
-  });
-}
-
-void Backend::SoftmaxRows(const Tensor& a, Tensor* out) const {
-  OODGNN_CHECK(a.SameShape(*out));
-  KernelScope scope(KernelOp::kSoftmaxRows, out->size(),
-                    WouldParallelize(a.rows(), 4ll * a.size()));
-  ForCost(a.rows(), 4ll * a.size(), [&](int r0, int r1) {
-    kernels::SoftmaxRows(a, out, r0, r1);
-  });
-}
-
-void Backend::SoftmaxRowsBackwardAcc(const Tensor& y, const Tensor& g,
-                                     Tensor* out) const {
-  OODGNN_CHECK(y.SameShape(g) && y.SameShape(*out));
-  KernelScope scope(KernelOp::kSoftmaxRowsBackward, out->size(),
-                    WouldParallelize(y.rows(), 4ll * y.size()));
-  ForCost(y.rows(), 4ll * y.size(), [&](int r0, int r1) {
-    kernels::SoftmaxRowsBackwardAcc(y, g, out, r0, r1);
   });
 }
 

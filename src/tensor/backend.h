@@ -97,12 +97,8 @@ class Backend {
 
   /// out[1,n] += column sums of a[m,n].
   void ColumnSumAcc(const Tensor& a, Tensor* out) const;
-  /// out[m,1] += row sums of a[m,n].
-  void RowSumAcc(const Tensor& a, Tensor* out) const;
   /// out[r,:] += row[0,:] for every row.
   void RowBroadcastAcc(const Tensor& row, Tensor* out) const;
-  /// out[r,:] += col[r,0] for every row.
-  void ColBroadcastAcc(const Tensor& col, Tensor* out) const;
   /// out += gᵀ.
   void AddTransposedAcc(const Tensor& g, Tensor* out) const;
   /// out[1,n] += column-wise Σ_r x ⊙ y.
@@ -122,12 +118,6 @@ class Backend {
               const std::vector<float>& omega,
               const std::vector<float>& phase, bool linear_only, float scale,
               Tensor* out) const;
-
-  /// Row-wise softmax.
-  void SoftmaxRows(const Tensor& a, Tensor* out) const;
-  /// Softmax backward: out += y ⊙ (g − rowdot(g, y)).
-  void SoftmaxRowsBackwardAcc(const Tensor& y, const Tensor& g,
-                              Tensor* out) const;
 
   /// out[r,:] = a[index[r],:].
   void GatherRows(const Tensor& a, const std::vector<int>& index,

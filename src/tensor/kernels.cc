@@ -1,6 +1,7 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -206,28 +207,11 @@ void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
   }
 }
 
-void RowSumAcc(const Tensor& a, Tensor* out, int r0, int r1) {
-  for (int r = r0; r < r1; ++r) {
-    const float* arow = a.row(r);
-    float acc = 0.f;
-    for (int c = 0; c < a.cols(); ++c) acc += arow[c];
-    out->at(r, 0) += acc;
-  }
-}
-
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   const float* src = row.row(0);
   for (int r = r0; r < r1; ++r) {
     float* orow = out->row(r);
     for (int c = 0; c < out->cols(); ++c) orow[c] += src[c];
-  }
-}
-
-void ColBroadcastAcc(const Tensor& col, Tensor* out, int r0, int r1) {
-  for (int r = r0; r < r1; ++r) {
-    const float v = col.at(r, 0);
-    float* orow = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) orow[c] += v;
   }
 }
 
@@ -263,35 +247,6 @@ float Dot(const Tensor& a, const Tensor& b, int i0, int i1) {
   float acc = 0.f;
   for (int i = i0; i < i1; ++i) acc += a[i] * b[i];
   return acc;
-}
-
-void SoftmaxRows(const Tensor& a, Tensor* out, int r0, int r1) {
-  const int cols = a.cols();
-  for (int r = r0; r < r1; ++r) {
-    const float* arow = a.row(r);
-    float* orow = out->row(r);
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int c = 0; c < cols; ++c) mx = std::max(mx, arow[c]);
-    float total = 0.f;
-    for (int c = 0; c < cols; ++c) {
-      orow[c] = std::exp(arow[c] - mx);
-      total += orow[c];
-    }
-    for (int c = 0; c < cols; ++c) orow[c] /= total;
-  }
-}
-
-void SoftmaxRowsBackwardAcc(const Tensor& y, const Tensor& g, Tensor* out,
-                            int r0, int r1) {
-  const int cols = y.cols();
-  for (int r = r0; r < r1; ++r) {
-    const float* yrow = y.row(r);
-    const float* grow = g.row(r);
-    float dot = 0.f;
-    for (int c = 0; c < cols; ++c) dot += grow[c] * yrow[c];
-    float* orow = out->row(r);
-    for (int c = 0; c < cols; ++c) orow[c] += yrow[c] * (grow[c] - dot);
-  }
 }
 
 void GatherRows(const Tensor& a, const std::vector<int>& index, Tensor* out,
@@ -435,9 +390,15 @@ void RffMap(const Tensor& z, const std::vector<int>& source_dim,
 
 void DropoutMask(const std::uint64_t* words, std::uint64_t threshold,
                  float keep_scale, Tensor* out, int i0, int i1) {
+  // keep_scale's bits ANDed with an all-ones (kept) or all-zero
+  // (dropped, +0) mask: a select without the per-element branch that
+  // a p = 0.5 mask mispredicts half the time.
+  const std::uint32_t keep_bits = std::bit_cast<std::uint32_t>(keep_scale);
   float* o = out->data();
   for (int i = i0; i < i1; ++i) {
-    o[i] = Mt19937_64::Temper(words[i - i0]) < threshold ? 0.f : keep_scale;
+    const bool kept = Mt19937_64::Temper(words[i - i0]) >= threshold;
+    const std::uint32_t mask = 0u - static_cast<std::uint32_t>(kept);
+    o[i] = std::bit_cast<float>(keep_bits & mask);
   }
 }
 

@@ -135,14 +135,8 @@ void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
 /// out[0,c] += Σ_r a[r,c]; range over columns.
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1);
 
-/// out[r,0] += Σ_c a[r,c]; range over rows.
-void RowSumAcc(const Tensor& a, Tensor* out, int r0, int r1);
-
 /// out[r,:] += row[0,:]; range over rows (adjoint of ColumnSum).
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1);
-
-/// out[r,:] += col[r,0]; range over rows (adjoint of RowSum).
-void ColBroadcastAcc(const Tensor& col, Tensor* out, int r0, int r1);
 
 /// out[r,c] += g[c,r]; range over rows of out (transpose adjoint).
 void AddTransposedAcc(const Tensor& g, Tensor* out, int r0, int r1);
@@ -159,16 +153,6 @@ void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
 
 /// Partial dot product Σ_{i0 ≤ i < i1} a[i]·b[i] over flat indices.
 float Dot(const Tensor& a, const Tensor& b, int i0, int i1);
-
-// --- softmax ---
-
-/// Row-wise numerically stable softmax; range over rows.
-void SoftmaxRows(const Tensor& a, Tensor* out, int r0, int r1);
-
-/// out[r,:] += y[r,:] ⊙ (g[r,:] − ⟨g[r,:], y[r,:]⟩) where y is the
-/// softmax output; range over rows.
-void SoftmaxRowsBackwardAcc(const Tensor& y, const Tensor& g, Tensor* out,
-                            int r0, int r1);
 
 // --- gather / scatter / segment ops ---
 

@@ -275,22 +275,10 @@ Variable TanhOp(const Variable& a) {
       [](float, float y) { return 1.f - y * y; });
 }
 
-Variable CosOp(const Variable& a) {
-  return UnaryOp(
-      a, [](float x) { return std::cos(x); },
-      [](float x, float) { return -std::sin(x); });
-}
-
 Variable ExpOp(const Variable& a) {
   return UnaryOp(
       a, [](float x) { return std::exp(x); },
       [](float, float y) { return y; });
-}
-
-Variable LogOp(const Variable& a) {
-  return UnaryOp(
-      a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.f / x; });
 }
 
 Variable SqrtOp(const Variable& a) {
@@ -309,12 +297,6 @@ Variable Square(const Variable& a) {
         if (!pa->requires_grad) return;
         GetBackend().SquareBackwardAcc(self.grad, pa->value, &pa->grad);
       });
-}
-
-Variable AbsOp(const Variable& a) {
-  return UnaryOp(
-      a, [](float x) { return std::fabs(x); },
-      [](float x, float) { return x > 0.f ? 1.f : (x < 0.f ? -1.f : 0.f); });
 }
 
 Variable Sum(const Variable& a) {
@@ -344,17 +326,6 @@ Variable SumRows(const Variable& a) {
       });
 }
 
-Variable SumCols(const Variable& a) {
-  Tensor out(a.rows(), 1);
-  GetBackend().RowSumAcc(a.value(), &out);
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().ColBroadcastAcc(self.grad, &pa->grad);
-      });
-}
-
 Variable MeanRows(const Variable& a) {
   OODGNN_CHECK_GT(a.rows(), 0);
   return Scale(SumRows(a), 1.f / static_cast<float>(a.rows()));
@@ -367,17 +338,6 @@ Variable Transpose(const Variable& a) {
       std::move(out), {pa}, [pa](const VariableNode& self) {
         if (!pa->requires_grad) return;
         GetBackend().AddTransposedAcc(self.grad, &pa->grad);
-      });
-}
-
-Variable SoftmaxRows(const Variable& a) {
-  Tensor out(a.rows(), a.cols());
-  GetBackend().SoftmaxRows(a.value(), &out);
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().SoftmaxRowsBackwardAcc(self.value, self.grad, &pa->grad);
       });
 }
 
@@ -580,31 +540,6 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
       });
 }
 
-Variable SliceRows(const Variable& a, int start, int len) {
-  OODGNN_CHECK(start >= 0 && len >= 0 && start + len <= a.rows());
-  Tensor out(len, a.cols());
-  const Tensor& av = a.value();
-  GetBackend().ForCost(len, out.size(), [&](int r0, int r1) {
-    for (int r = r0; r < r1; ++r) {
-      const float* src = av.row(start + r);
-      std::copy(src, src + av.cols(), out.row(r));
-    }
-  });
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa}, [pa, start](const VariableNode& self) {
-        if (!pa->requires_grad) return;
-        const Tensor& g = self.grad;
-        GetBackend().ForCost(g.rows(), g.size(), [&](int r0, int r1) {
-          for (int r = r0; r < r1; ++r) {
-            const float* grow = g.row(r);
-            float* drow = pa->grad.row(start + r);
-            for (int c = 0; c < g.cols(); ++c) drow[c] += grow[c];
-          }
-        });
-      });
-}
-
 Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
   OODGNN_CHECK(p >= 0.f && p < 1.f);
   if (!training || p == 0.f) return a;
@@ -621,13 +556,6 @@ Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
         if (!pa->requires_grad) return;
         GetBackend().HadamardAcc(self.grad, *mask, &pa->grad);
       });
-}
-
-Variable Clamp(const Variable& a, float lo, float hi) {
-  OODGNN_CHECK_LE(lo, hi);
-  return UnaryOp(
-      a, [lo, hi](float x) { return std::clamp(x, lo, hi); },
-      [lo, hi](float x, float) { return (x >= lo && x <= hi) ? 1.f : 0.f; });
 }
 
 }  // namespace oodgnn

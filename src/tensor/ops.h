@@ -69,12 +69,9 @@ Variable Relu(const Variable& a);
 Variable LeakyRelu(const Variable& a, float negative_slope = 0.2f);
 Variable Sigmoid(const Variable& a);
 Variable TanhOp(const Variable& a);
-Variable CosOp(const Variable& a);
 Variable ExpOp(const Variable& a);
-Variable LogOp(const Variable& a);    // requires strictly positive input
 Variable SqrtOp(const Variable& a);   // requires non-negative input
 Variable Square(const Variable& a);
-Variable AbsOp(const Variable& a);
 
 /// Sum of all elements -> 1×1.
 Variable Sum(const Variable& a);
@@ -85,17 +82,11 @@ Variable MeanAll(const Variable& a);
 /// Column sums: [m,n] -> [1,n] (reduces over rows).
 Variable SumRows(const Variable& a);
 
-/// Row sums: [m,n] -> [m,1] (reduces over columns).
-Variable SumCols(const Variable& a);
-
 /// Column means: [m,n] -> [1,n].
 Variable MeanRows(const Variable& a);
 
 /// Transpose [m,n] -> [n,m].
 Variable Transpose(const Variable& a);
-
-/// Row-wise softmax.
-Variable SoftmaxRows(const Variable& a);
 
 // --- message passing over CSR segment plans (DESIGN.md §12) ---
 //
@@ -144,16 +135,9 @@ Variable ConcatCols(const std::vector<Variable>& parts);
 /// Vertical concatenation [m1,n],[m2,n],... -> [Σm, n].
 Variable ConcatRows(const std::vector<Variable>& parts);
 
-/// Contiguous row slice [start, start+len).
-Variable SliceRows(const Variable& a, int start, int len);
-
 /// Inverted dropout: during training, zeroes each element with
 /// probability p and scales survivors by 1/(1-p); identity otherwise.
 Variable Dropout(const Variable& a, float p, Rng* rng, bool training);
-
-/// Element-wise clamp to [lo, hi]; gradient is passed through inside the
-/// interval and zero outside.
-Variable Clamp(const Variable& a, float lo, float hi);
 
 }  // namespace oodgnn
 

@@ -612,20 +612,6 @@ void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   }
 }
 
-void ColBroadcastAcc(const Tensor& col, Tensor* out, int r0, int r1) {
-  const int cols = out->cols();
-  for (int r = r0; r < r1; ++r) {
-    const float v = col.at(r, 0);
-    const vf vv = VBroadcast(v);
-    float* orow = out->row(r);
-    int c = 0;
-    for (; c + kVLen <= cols; c += kVLen) {
-      VStore(orow + c, VAdd(VLoad(orow + c), vv));
-    }
-    for (; c < cols; ++c) orow[c] += v;
-  }
-}
-
 void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
                           int c0, int c1) {
   float* orow = out->row(0);
@@ -831,9 +817,6 @@ void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
 }
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   kernels::RowBroadcastAcc(row, out, r0, r1);
-}
-void ColBroadcastAcc(const Tensor& col, Tensor* out, int r0, int r1) {
-  kernels::ColBroadcastAcc(col, out, r0, r1);
 }
 void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
                           int c0, int c1) {

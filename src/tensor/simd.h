@@ -27,8 +27,8 @@ namespace simd {
 // exception is which NaN payload survives NaN + NaN, which C++ leaves
 // to the compiler's operand order; NaNs still land in the same
 // elements.
-// Kernels whose scalar form is a horizontal reduction (Dot, RowSum,
-// EdgeDot, softmax) have no mirror: vectorizing them would reassociate
+// Kernels whose scalar form is a horizontal reduction (Dot, EdgeDot,
+// HadamardRowSum) have no mirror: vectorizing them would reassociate
 // the sum. Only kernels where the innermost loop walks the contiguous
 // output (or panel-packed) dimension with independent per-lane
 // accumulators are mirrored. The scalar kernels' branches become lane
@@ -125,7 +125,6 @@ void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
 
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1);
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1);
-void ColBroadcastAcc(const Tensor& col, Tensor* out, int r0, int r1);
 void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
                           int c0, int c1);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "src/tensor/arena.h"
 #include "src/util/check.h"
@@ -86,20 +85,9 @@ Tensor Tensor::FromData(int rows, int cols, std::vector<float> data) {
   return t;
 }
 
-Tensor Tensor::RowVector(std::vector<float> values) {
-  int n = static_cast<int>(values.size());
-  return FromData(1, n, std::move(values));
-}
-
 Tensor Tensor::ColVector(std::vector<float> values) {
   int n = static_cast<int>(values.size());
   return FromData(n, 1, std::move(values));
-}
-
-Tensor Tensor::Identity(int n) {
-  Tensor t(n, n);
-  for (int i = 0; i < n; ++i) t.at(i, i) = 1.f;
-  return t;
 }
 
 Tensor Tensor::RandomNormal(int rows, int cols, Rng* rng, float mean,
@@ -148,31 +136,11 @@ void Tensor::Add(const Tensor& other) {
   for (int i = 0; i < size(); ++i) dst[i] += src[i];
 }
 
-void Tensor::Scale(float s) {
-  float* dst = storage_.get();
-  for (int i = 0; i < size(); ++i) dst[i] *= s;
-}
-
 float Tensor::Sum() const {
   double acc = 0.0;
   const float* src = storage_.get();
   for (int i = 0; i < size(); ++i) acc += src[i];
   return static_cast<float>(acc);
-}
-
-float Tensor::MaxAbs() const {
-  float m = 0.f;
-  const float* src = storage_.get();
-  for (int i = 0; i < size(); ++i) m = std::max(m, std::fabs(src[i]));
-  return m;
-}
-
-Tensor Tensor::Reshaped(int rows, int cols) const {
-  OODGNN_CHECK_EQ(rows * cols, size());
-  Tensor t = *this;
-  t.rows_ = rows;
-  t.cols_ = cols;
-  return t;
 }
 
 Tensor Tensor::Transposed() const {
@@ -181,24 +149,6 @@ Tensor Tensor::Transposed() const {
     for (int c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
   }
   return t;
-}
-
-std::string Tensor::ToString() const {
-  std::ostringstream out;
-  out << "Tensor(" << rows_ << "x" << cols_ << ")";
-  const int max_rows = 8;
-  const int max_cols = 12;
-  for (int r = 0; r < std::min(rows_, max_rows); ++r) {
-    out << "\n  [";
-    for (int c = 0; c < std::min(cols_, max_cols); ++c) {
-      if (c) out << ", ";
-      out << at(r, c);
-    }
-    if (cols_ > max_cols) out << ", ...";
-    out << "]";
-  }
-  if (rows_ > max_rows) out << "\n  ...";
-  return out.str();
 }
 
 bool AllClose(const Tensor& a, const Tensor& b, float tol) {

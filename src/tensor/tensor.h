@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace oodgnn {
@@ -46,14 +45,8 @@ class Tensor {
   /// equal rows*cols.
   static Tensor FromData(int rows, int cols, std::vector<float> data);
 
-  /// 1×n row vector from values.
-  static Tensor RowVector(std::vector<float> values);
-
   /// n×1 column vector from values.
   static Tensor ColVector(std::vector<float> values);
-
-  /// n×n identity matrix.
-  static Tensor Identity(int n);
 
   /// rows×cols with i.i.d. N(mean, stddev) entries.
   static Tensor RandomNormal(int rows, int cols, Rng* rng, float mean = 0.f,
@@ -98,24 +91,11 @@ class Tensor {
   /// In-place element-wise accumulate: this += other. Shapes must match.
   void Add(const Tensor& other);
 
-  /// In-place scale: this *= s.
-  void Scale(float s);
-
   /// Sum of all elements.
   float Sum() const;
 
-  /// Largest absolute element (0 for empty tensors).
-  float MaxAbs() const;
-
-  /// Reshape view-copy: returns the same data with a new shape; the
-  /// element count must be preserved.
-  Tensor Reshaped(int rows, int cols) const;
-
   /// Returns the transpose.
   Tensor Transposed() const;
-
-  /// Human-readable dump (small tensors only; rows truncated at 8).
-  std::string ToString() const;
 
  private:
   int rows_ = 0;

@@ -16,8 +16,6 @@ thread_local bool tls_grad_enabled = true;
 
 bool GradMode::Enabled() { return tls_grad_enabled; }
 
-void GradMode::SetEnabled(bool enabled) { tls_grad_enabled = enabled; }
-
 NoGradGuard::NoGradGuard() : previous_(tls_grad_enabled) {
   tls_grad_enabled = false;
 }
@@ -41,11 +39,6 @@ Tensor& Variable::mutable_value() {
 }
 
 const Tensor& Variable::grad() const {
-  OODGNN_CHECK(defined());
-  return node_->grad;
-}
-
-Tensor& Variable::mutable_grad() {
   OODGNN_CHECK(defined());
   return node_->grad;
 }
@@ -113,11 +106,6 @@ void Variable::Backward(const Tensor& seed) {
     VariableNode* node = *it;
     if (node->backward) node->backward(*node);
   }
-}
-
-Variable Variable::Detach() const {
-  OODGNN_CHECK(defined());
-  return Variable(node_->value);
 }
 
 Variable Variable::MakeOp(

@@ -31,11 +31,10 @@ struct VariableNode {
 /// — a forward pass allocates exactly its forward values and the graph
 /// is never retained. Each thread has its own flag, so inference
 /// worker threads can run grad-free while a training thread keeps the
-/// tape. Enabled by default.
+/// tape. Enabled by default; NoGradGuard turns it off for a scope.
 class GradMode {
  public:
   static bool Enabled();
-  static void SetEnabled(bool enabled);
 };
 
 /// RAII scope that disables tape construction on the current thread
@@ -79,7 +78,6 @@ class Variable {
   Tensor& mutable_value();
 
   const Tensor& grad() const;
-  Tensor& mutable_grad();
 
   bool requires_grad() const;
 
@@ -95,10 +93,6 @@ class Variable {
   /// the optimizer).
   void Backward();
   void Backward(const Tensor& seed);
-
-  /// Returns a new leaf Variable sharing this node's value but detached
-  /// from the graph (no gradient flows through it).
-  Variable Detach() const;
 
   /// Low-level node access for op implementations.
   const std::shared_ptr<VariableNode>& node() const { return node_; }

@@ -171,22 +171,12 @@ bool RestoreFromState(const std::string& path, const TrainState& state,
   if (!MatchesModuleShapes(path, *run.model, state.params, state.buffers)) {
     return false;
   }
-  const std::vector<Variable> params = run.model->Parameters();
   if (state.has_bank != (run.reweighter != nullptr)) return false;
-  // Adam keeps one first- and one second-moment tensor per parameter;
-  // validate the slot layout here so the mutation phase below cannot
+  // Validate Adam's slot layout here so the mutation phase below cannot
   // fail halfway and leave the fresh-start fallback corrupted.
-  if (state.optimizer.slots.size() != 2 * params.size()) {
+  if (!run.optimizer->Accepts(state.optimizer)) {
     OODGNN_LOG(Warning) << "checkpoint optimizer state is incompatible";
     return false;
-  }
-  for (size_t i = 0; i < state.optimizer.slots.size(); ++i) {
-    if (!state.optimizer.slots[i].SameShape(
-            params[i % params.size()].value())) {
-      OODGNN_LOG(Warning) << "checkpoint optimizer slot " << i
-                          << " has a mismatched shape";
-      return false;
-    }
   }
   if (run.reweighter != nullptr &&
       state.bank_gammas != run.reweighter->bank().gammas()) {
@@ -206,7 +196,7 @@ bool RestoreFromState(const std::string& path, const TrainState& state,
     OODGNN_LOG(Warning) << "checkpoint weight bank is incompatible";
     return false;
   }
-  OODGNN_CHECK(run.optimizer->SetState(state.optimizer));
+  run.optimizer->SetState(state.optimizer);
   ApplyModuleState(state.params, state.buffers, run.model);
   *run.rng = restored_rng;
   run.order->assign(state.order.begin(), state.order.end());

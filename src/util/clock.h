@@ -8,9 +8,9 @@
 namespace oodgnn {
 
 /// Injectable time source for everything in the serving path that
-/// *decides* based on time: request-span stamps, SLO sliding windows,
-/// token-bucket refills, and deadline expiry all read an abstract
-/// Clock instead of calling NowMicros() directly. Production code uses
+/// *decides* based on time: request-span stamps, token-bucket refills
+/// and deadline expiry all read an abstract Clock instead of calling
+/// NowMicros() directly. Production code uses
 /// Clock::Real() (the same process-wide monotonic clock as the phase
 /// scopes and journal, so timestamps stay comparable); tests inject a
 /// FakeClock (tests/test_util.h) and advance it by hand, which makes
@@ -25,8 +25,7 @@ class Clock {
   virtual ~Clock() = default;
 
   /// Current time in microseconds. Real time is monotonic; fake clocks
-  /// may jump arbitrarily (consumers that need monotonicity clamp —
-  /// see SloTracker).
+  /// may jump arbitrarily (consumers that need monotonicity clamp).
   virtual std::int64_t NowMicros() const = 0;
 
   /// The process-wide monotonic clock (util/timer.h NowMicros).

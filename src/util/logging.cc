@@ -1,15 +1,13 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace oodgnn {
 namespace {
-
-constexpr int kUninitializedLevel = -1;
 
 /// Parses OODGNN_LOG_LEVEL ("debug"/"info"/"warning"/"warn"/"error",
 /// case-insensitive, or 0–3). Returns kInfo when unset or unparseable.
@@ -37,17 +35,10 @@ int LevelFromEnv() {
   return static_cast<int>(LogLevel::kInfo);
 }
 
-std::atomic<int> g_min_level{kUninitializedLevel};
-
-/// Lazily resolves the env default so the variable is honored no matter
-/// how early the first log statement runs (a racing first read computes
-/// the same value twice, which is benign).
+/// The minimum severity printed, resolved from OODGNN_LOG_LEVEL on the
+/// first log statement, however early that runs, and fixed after.
 int MinLevel() {
-  int level = g_min_level.load(std::memory_order_relaxed);
-  if (level == kUninitializedLevel) {
-    level = LevelFromEnv();
-    g_min_level.store(level, std::memory_order_relaxed);
-  }
+  static const int level = LevelFromEnv();
   return level;
 }
 
@@ -66,12 +57,6 @@ const char* LevelName(LogLevel level) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(MinLevel()); }
 
 namespace internal_logging {
 

@@ -7,17 +7,11 @@
 
 namespace oodgnn {
 
-/// Severity levels for the library logger.
+/// Severity levels for the library logger. Messages below the minimum
+/// severity are dropped; the minimum is the OODGNN_LOG_LEVEL environment
+/// variable ("debug"/"info"/"warning"/"error" or the numeric values
+/// 0–3), read once, or kInfo when it is unset or unknown.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the minimum severity that is printed to stderr. Messages below
-/// this level are dropped. Default: kInfo, or the OODGNN_LOG_LEVEL
-/// environment variable if set (accepts "debug"/"info"/"warning"/
-/// "error" or the numeric values 0–3; unknown values are ignored).
-void SetLogLevel(LogLevel level);
-
-/// Returns the current minimum severity.
-LogLevel GetLogLevel();
 
 namespace internal_logging {
 

@@ -14,8 +14,6 @@ thread_local bool tls_dispatching = false;
 
 }  // namespace
 
-bool ThreadPool::InWorker() { return tls_in_worker; }
-
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));

@@ -45,9 +45,6 @@ class ThreadPool {
     return {static_cast<int>(lo), static_cast<int>(hi)};
   }
 
-  /// True when the calling thread is a pool worker.
-  static bool InWorker();
-
  private:
   void WorkerLoop(int worker_index);
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -183,7 +184,7 @@ TrainState ExampleState() {
   state.next_epoch = 3;
   state.rng_state = Rng(99).SaveState();
   state.order = {3, 1, 4, 1, 5, 9, 2, 6};
-  state.params = {Tensor::RowVector({1.f, 2.f, 3.f}),
+  state.params = {test::RowVector({1.f, 2.f, 3.f}),
                   Tensor::ColVector({4.f, 5.f})};
   state.optimizer.step_count = 17;
   state.optimizer.slots = {Tensor(1, 3, 0.25f), Tensor(2, 1, -0.5f),
@@ -514,6 +515,50 @@ TEST(CheckpointTest, ResumeWithCorruptSnapshotStartsFresh) {
   TrainConfig straight_config = FastConfig(TempPath("ckpt_corrupt_straight"));
   TrainResult straight = TrainAndEvaluate(Method::kGin, ds, straight_config);
   ExpectResultsBitwiseEqual(straight, resumed);
+}
+
+// A well-formed snapshot (right checksum, dataset, order, weights and
+// bank) whose Adam slots do not fit the model: one slot short, or one
+// second-moment slot of the wrong shape. The trainer's validate phase
+// (Adam::Accepts) must refuse it before anything is mutated, log why,
+// and train from scratch.
+TEST(CheckpointTest, ResumeWithIncompatibleOptimizerSlotsStartsFresh) {
+  GraphDataset ds = EasyDataset(12);
+  const std::string method = MethodName(Method::kGin);
+  TrainConfig straight_config = FastConfig(TempPath("ckpt_slots_straight"));
+  TrainResult straight = TrainAndEvaluate(Method::kGin, ds, straight_config);
+  TrainState written;
+  ASSERT_TRUE(LoadTrainState(CheckpointPath(straight_config.checkpoint_dir,
+                                            ds.name, method,
+                                            straight_config.seed),
+                             &written));
+  const size_t num_params = written.params.size();
+  ASSERT_EQ(written.optimizer.slots.size(), 2 * num_params);
+
+  TrainState short_state = written;
+  short_state.optimizer.slots.pop_back();
+  TrainState misshapen = written;
+  const Tensor& second_moment = written.optimizer.slots[num_params];
+  misshapen.optimizer.slots[num_params] =
+      Tensor(second_moment.rows() + 1, second_moment.cols());
+  const std::vector<std::pair<std::string, TrainState>> cases = {
+      {"short", short_state}, {"misshapen", misshapen}};
+  for (const auto& [tag, state] : cases) {
+    const std::string dir = TempPath("ckpt_slots_" + tag);
+    ASSERT_TRUE(EnsureDirectory(dir));
+    TrainConfig resume_config = FastConfig(dir);
+    resume_config.resume = true;
+    ASSERT_TRUE(SaveTrainState(
+        CheckpointPath(dir, ds.name, method, resume_config.seed), state));
+    ::testing::internal::CaptureStderr();
+    TrainResult resumed = TrainAndEvaluate(Method::kGin, ds, resume_config);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("checkpoint optimizer state is incompatible"),
+              std::string::npos)
+        << tag << ": " << log;
+    EXPECT_NE(log.find("starting fresh"), std::string::npos) << tag;
+    ExpectResultsBitwiseEqual(straight, resumed);
+  }
 }
 
 TEST(CheckpointTest, ResumeFromFinishedRunSkipsTraining) {

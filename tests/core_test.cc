@@ -98,7 +98,8 @@ TEST(DecorrelationTest, NearZeroForIndependentColumns) {
   RffConfig config;
   config.num_functions = 2;
   RffFeatureMap rff(4, config, &rng);
-  const double dep = DependenceMeasure(IndependentColumns(4000, 4, 10), rff);
+  const double dep =
+      test::DependenceMeasure(IndependentColumns(4000, 4, 10), rff);
   EXPECT_LT(dep, 5e-3);
 }
 
@@ -107,9 +108,10 @@ TEST(DecorrelationTest, DetectsNonlinearDependence) {
   RffConfig config;
   config.num_functions = 4;
   RffFeatureMap rff(3, config, &rng);
-  const double dependent = DependenceMeasure(DependentColumns(4000, 11), rff);
+  const double dependent =
+      test::DependenceMeasure(DependentColumns(4000, 11), rff);
   const double independent =
-      DependenceMeasure(IndependentColumns(4000, 3, 12), rff);
+      test::DependenceMeasure(IndependentColumns(4000, 3, 12), rff);
   EXPECT_GT(dependent, 10.0 * independent);
 }
 
@@ -131,8 +133,8 @@ TEST(DecorrelationTest, LinearModeMissesNonlinearDependence) {
   RffConfig fourier;
   fourier.num_functions = 4;
   RffFeatureMap fourier_map(2, fourier, &map_rng);
-  const double linear_dep = DependenceMeasure(z, linear_map);
-  const double fourier_dep = DependenceMeasure(z, fourier_map);
+  const double linear_dep = test::DependenceMeasure(z, linear_map);
+  const double fourier_dep = test::DependenceMeasure(z, fourier_map);
   EXPECT_LT(linear_dep, 0.01);
   EXPECT_GT(fourier_dep, 10.0 * std::max(linear_dep, 1e-6));
 }

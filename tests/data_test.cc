@@ -11,6 +11,7 @@
 #include "src/data/superpixel.h"
 #include "src/data/triangles.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -26,43 +27,6 @@ int MaxNodes(const GraphDataset& ds, const std::vector<size_t>& split) {
 // ---------------------------------------------------------------------------
 // Split helpers.
 // ---------------------------------------------------------------------------
-
-GraphDataset SyntheticSizes() {
-  GraphDataset ds;
-  ds.num_tasks = 1;
-  ds.feature_dim = 1;
-  for (int n = 2; n <= 41; ++n) {
-    Graph g(n, 1);
-    g.label = 0;
-    ds.graphs.push_back(std::move(g));
-  }
-  return ds;
-}
-
-TEST(SplitsTest, SizeSplitRespectsRanges) {
-  GraphDataset ds = SyntheticSizes();
-  Rng rng(1);
-  SizeSplit(&ds, /*train_min=*/2, /*train_max=*/20, /*test_min=*/21,
-            /*test_max=*/100, /*max_train=*/100, /*valid_fraction=*/0.2,
-            &rng);
-  for (size_t idx : ds.train_idx) {
-    EXPECT_LE(ds.graphs[idx].num_nodes(), 20);
-  }
-  for (size_t idx : ds.test_idx) {
-    EXPECT_GE(ds.graphs[idx].num_nodes(), 21);
-  }
-  EXPECT_EQ(ds.train_idx.size() + ds.valid_idx.size(), 19u);
-  ds.Validate();
-}
-
-TEST(SplitsTest, SizeSplitCapsTrainCount) {
-  GraphDataset ds = SyntheticSizes();
-  Rng rng(2);
-  SizeSplit(&ds, 2, 41, 2, 41, /*max_train=*/10, 0.0, &rng);
-  EXPECT_EQ(ds.train_idx.size(), 10u);
-  // Everything unused but in the test range lands in test.
-  EXPECT_EQ(ds.test_idx.size(), 30u);
-}
 
 TEST(SplitsTest, ScaffoldSplitGroupsAreAtomic) {
   GraphDataset ds;
@@ -107,16 +71,6 @@ TEST(SplitsTest, ScaffoldSplitPutsCommonScaffoldsInTrain) {
   ScaffoldSplit(&ds, 0.8, 0.1);
   EXPECT_EQ(ds.graphs[ds.train_idx[0]].scaffold_id, 0);
   EXPECT_EQ(ds.graphs[ds.test_idx[0]].scaffold_id, 2);
-}
-
-TEST(SplitsTest, RandomSplitFractions) {
-  GraphDataset ds = SyntheticSizes();
-  Rng rng(4);
-  RandomSplit(&ds, 0.5, 0.25, &rng);
-  EXPECT_EQ(ds.train_idx.size(), 20u);
-  EXPECT_EQ(ds.valid_idx.size(), 10u);
-  EXPECT_EQ(ds.test_idx.size(), 10u);
-  ds.Validate();
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +334,7 @@ TEST(MoleculeTest, FeatureRowsAreValid) {
 TEST(MoleculeTest, MoleculesAreConnected) {
   GraphDataset ds = MakeMoleculeDataset(SmallMolecules(), 20);
   for (size_t i = 0; i < std::min<size_t>(ds.graphs.size(), 50); ++i) {
-    EXPECT_EQ(NumConnectedComponents(ds.graphs[i]), 1);
+    EXPECT_EQ(test::NumConnectedComponents(ds.graphs[i]), 1);
   }
 }
 

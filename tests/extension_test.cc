@@ -14,6 +14,7 @@
 #include "src/tensor/ops.h"
 #include "src/train/trainer.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -72,7 +73,7 @@ TEST(GatConvTest, HandlesIsolatedNodesViaSelfLoop) {
   }
   // Every node attends only to itself -> output is its own transform,
   // generally non-zero.
-  EXPECT_GT(out.value().MaxAbs(), 0.f);
+  EXPECT_GT(test::MaxAbs(out.value()), 0.f);
 }
 
 TEST(GatConvTest, BackpropReachesAttentionParameters) {
@@ -85,7 +86,7 @@ TEST(GatConvTest, BackpropReachesAttentionParameters) {
   Sum(Square(out)).Backward();
   float max_grad = 0.f;
   for (const Variable& p : conv.Parameters()) {
-    max_grad = std::max(max_grad, p.grad().MaxAbs());
+    max_grad = std::max(max_grad, test::MaxAbs(p.grad()));
   }
   EXPECT_GT(max_grad, 0.f);
 }
@@ -235,8 +236,8 @@ TEST(HsicTest, RffMeasureAgreesWithExactHsicOrdering) {
   RffConfig config;
   config.num_functions = 4;
   RffFeatureMap rff(2, config, &map_rng);
-  const double rff_dep = DependenceMeasure(dependent, rff);
-  const double rff_indep = DependenceMeasure(independent, rff);
+  const double rff_dep = test::DependenceMeasure(dependent, rff);
+  const double rff_indep = test::DependenceMeasure(independent, rff);
   EXPECT_GT(rff_dep, rff_indep);
 }
 

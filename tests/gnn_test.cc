@@ -19,6 +19,7 @@
 #include "src/graph/batch.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -308,7 +309,7 @@ TEST_P(ModelZooForward, PredictsCorrectShapeAndBackprops) {
   // At least one parameter receives a non-zero gradient.
   float max_grad = 0.f;
   for (const Variable& p : model.Parameters()) {
-    max_grad = std::max(max_grad, p.grad().MaxAbs());
+    max_grad = std::max(max_grad, test::MaxAbs(p.grad()));
   }
   EXPECT_GT(max_grad, 0.f);
   EXPECT_GT(model.NumParameters(), 0);

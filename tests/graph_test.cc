@@ -4,6 +4,7 @@
 #include "src/graph/batch.h"
 #include "src/graph/dataset.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -97,10 +98,10 @@ TEST(ComponentsTest, CountsComponents) {
   Graph g(5, 1);
   g.AddUndirectedEdge(0, 1);
   g.AddUndirectedEdge(3, 4);
-  EXPECT_EQ(NumConnectedComponents(g), 3);  // {0,1}, {2}, {3,4}.
+  EXPECT_EQ(test::NumConnectedComponents(g), 3);  // {0,1}, {2}, {3,4}.
   g.AddUndirectedEdge(1, 2);
   g.AddUndirectedEdge(2, 3);
-  EXPECT_EQ(NumConnectedComponents(g), 1);
+  EXPECT_EQ(test::NumConnectedComponents(g), 1);
 }
 
 TEST(BatchTest, OffsetsNodesAndEdges) {

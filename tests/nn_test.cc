@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "gtest/gtest.h"
@@ -11,6 +12,7 @@
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -25,15 +27,6 @@ TEST(InitTest, GlorotUniformBounds) {
   }
 }
 
-TEST(InitTest, HeNormalScale) {
-  Rng rng(2);
-  Tensor w = HeNormal(200, 200, &rng);
-  double ss = 0.0;
-  for (int i = 0; i < w.size(); ++i) ss += w[i] * w[i];
-  const double stddev = std::sqrt(ss / w.size());
-  EXPECT_NEAR(stddev, std::sqrt(2.0 / 200.0), 0.01);
-}
-
 TEST(LinearTest, ShapeAndBias) {
   Rng rng(3);
   Linear layer(4, 7, &rng);
@@ -42,7 +35,7 @@ TEST(LinearTest, ShapeAndBias) {
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 7);
   // Zero input -> bias only -> zero (bias initialized to 0).
-  EXPECT_FLOAT_EQ(y.value().MaxAbs(), 0.f);
+  EXPECT_FLOAT_EQ(test::MaxAbs(y.value()), 0.f);
 }
 
 TEST(LinearTest, NoBiasVariant) {
@@ -137,43 +130,6 @@ TEST(BatchNormTest, GradCheckTrainingMode) {
   EXPECT_LT(CheckGradients(leaves, fn).max_relative_error, 5e-2);
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Variable x = Variable::Param(Tensor::FromData(1, 1, {5.f}));
-  Sgd sgd({x}, /*lr=*/0.1f);
-  for (int i = 0; i < 200; ++i) {
-    sgd.ZeroGrad();
-    Variable loss = Square(x);
-    loss.Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(x.value()[0], 0.f, 1e-3);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Variable a = Variable::Param(Tensor::FromData(1, 1, {5.f}));
-  Variable b = Variable::Param(Tensor::FromData(1, 1, {5.f}));
-  Sgd plain({a}, 0.01f);
-  Sgd momentum({b}, 0.01f, 0.9f);
-  for (int i = 0; i < 30; ++i) {
-    plain.ZeroGrad();
-    Square(a).Backward();
-    plain.Step();
-    momentum.ZeroGrad();
-    Square(b).Backward();
-    momentum.Step();
-  }
-  EXPECT_LT(std::fabs(b.value()[0]), std::fabs(a.value()[0]));
-}
-
-TEST(SgdTest, WeightDecayShrinksParameters) {
-  Variable x = Variable::Param(Tensor::FromData(1, 1, {1.f}));
-  Sgd sgd({x}, 0.1f, 0.f, /*weight_decay=*/0.5f);
-  // Gradient-free loss: only decay acts.
-  x.ZeroGrad();
-  sgd.Step();
-  EXPECT_NEAR(x.value()[0], 1.f - 0.1f * 0.5f, 1e-6);
-}
-
 TEST(AdamTest, ConvergesOnLinearRegression) {
   Rng rng(12);
   // y = 2*x0 - 3*x1 + 1, learn [w, b].
@@ -196,6 +152,54 @@ TEST(AdamTest, ConvergesOnLinearRegression) {
   EXPECT_NEAR(w.value()[0], 2.f, 0.05f);
   EXPECT_NEAR(w.value()[1], -3.f, 0.05f);
   EXPECT_NEAR(b.value()[0], 1.f, 0.05f);
+}
+
+bool SameState(const OptimizerState& a, const OptimizerState& b) {
+  if (a.step_count != b.step_count || a.slots.size() != b.slots.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.slots.size(); ++i) {
+    if (!a.slots[i].SameShape(b.slots[i]) ||
+        std::memcmp(a.slots[i].data(), b.slots[i].data(),
+                    sizeof(float) * a.slots[i].size()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(AdamTest, AcceptsOnlyItsOwnSlotLayout) {
+  Rng rng(13);
+  Variable w = Variable::Param(Tensor::RandomNormal(3, 2, &rng));
+  Variable b = Variable::Param(Tensor::RandomNormal(1, 2, &rng));
+  Adam adam({w, b}, 0.05f);
+  for (int step = 0; step < 3; ++step) {
+    adam.ZeroGrad();
+    Sum(Square(AddRowVec(w, b))).Backward();
+    adam.Step();
+  }
+  const OptimizerState before = adam.GetState();
+  ASSERT_EQ(before.slots.size(), 4u);
+  EXPECT_TRUE(adam.Accepts(before));
+
+  OptimizerState short_state = before;
+  short_state.slots.pop_back();
+  EXPECT_FALSE(adam.Accepts(short_state));
+
+  OptimizerState misshapen = before;
+  misshapen.slots[3] = Tensor(2, 1);  // b's second moment, transposed.
+  EXPECT_FALSE(adam.Accepts(misshapen));
+
+  OptimizerState negative_step = before;
+  negative_step.step_count = -1;
+  EXPECT_FALSE(adam.Accepts(negative_step));
+
+  EXPECT_TRUE(SameState(adam.GetState(), before));
+
+  // An accepted state restores the moments and the step count exactly.
+  Adam fresh({w, b}, 0.05f);
+  fresh.SetState(before);
+  EXPECT_TRUE(SameState(fresh.GetState(), before));
 }
 
 TEST(LossTest, CrossEntropyMatchesManual) {
@@ -286,7 +290,7 @@ TEST(ModuleTest, ParametersAreSharedHandles) {
   std::vector<Variable> params = layer.Parameters();
   params[0].mutable_value()[0] = 42.f;
   // The layer sees the mutation (handles share nodes).
-  Variable x = Variable::Constant(Tensor::Identity(2));
+  Variable x = Variable::Constant(Tensor::FromData(2, 2, {1, 0, 0, 1}));
   EXPECT_FLOAT_EQ(layer.Forward(x).value().at(0, 0), 42.f);
 }
 
@@ -297,7 +301,7 @@ TEST(ModuleTest, ZeroGradClearsAll) {
   Sum(Square(mlp.Forward(x, true))).Backward();
   mlp.ZeroGrad();
   for (const Variable& p : mlp.Parameters()) {
-    EXPECT_FLOAT_EQ(p.grad().MaxAbs(), 0.f);
+    EXPECT_FLOAT_EQ(test::MaxAbs(p.grad()), 0.f);
   }
 }
 

@@ -330,7 +330,7 @@ TEST(MetricsTest, GaugeSemantics) {
 TEST(MetricsTest, HistogramSummaryAndQuantile) {
   obs::StreamingHistogram histogram;
   EXPECT_EQ(histogram.GetSummary().count, 0);
-  EXPECT_EQ(histogram.ApproxQuantile(0.5), 0.0);
+  EXPECT_EQ(histogram.GetSummary().p50, 0.0);
   for (int v = 1; v <= 1000; ++v) histogram.Observe(static_cast<double>(v));
   const auto summary = histogram.GetSummary();
   EXPECT_EQ(summary.count, 1000);
@@ -339,7 +339,7 @@ TEST(MetricsTest, HistogramSummaryAndQuantile) {
   EXPECT_DOUBLE_EQ(summary.sum, 1000.0 * 1001.0 / 2.0);
   EXPECT_DOUBLE_EQ(summary.mean(), 500.5);
   // Power-of-two buckets: the median estimate is exact within 2x.
-  const double median = histogram.ApproxQuantile(0.5);
+  const double median = summary.p50;
   EXPECT_GE(median, 250.0);
   EXPECT_LE(median, 1024.0);
   histogram.Reset();
@@ -404,7 +404,7 @@ TEST(JsonTest, ObjectWriterRoundTrips) {
           .Put("loss", 0.125)
           .Put("improved", true)
           .PutRaw("nested", obs::JsonObjectWriter().Put("x", 1).Build())
-          .Put("curve", std::vector<double>{1.0, 0.5})
+          .PutRaw("curve", "[1,0.5]")
           .Build();
   std::map<std::string, std::string> parsed;
   ASSERT_TRUE(MiniJson().Parse(json, &parsed)) << json;

@@ -14,6 +14,7 @@
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/simd.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -54,7 +55,7 @@ TEST(OpsForwardTest, AddSubMul) {
 
 TEST(OpsForwardTest, RowAndColBroadcasts) {
   Variable a = Variable::Constant(Tensor::FromData(2, 2, {1, 2, 3, 4}));
-  Variable row = Variable::Constant(Tensor::RowVector({10, 20}));
+  Variable row = Variable::Constant(test::RowVector({10, 20}));
   Variable col = Variable::Constant(Tensor::ColVector({2, 3}));
   EXPECT_FLOAT_EQ(AddRowVec(a, row).value().at(1, 1), 24.f);
   EXPECT_FLOAT_EQ(MulRowVec(a, row).value().at(0, 1), 40.f);
@@ -69,9 +70,6 @@ TEST(OpsForwardTest, Reductions) {
   Tensor rows = SumRows(a).value();
   EXPECT_FLOAT_EQ(rows.at(0, 0), 5.f);
   EXPECT_FLOAT_EQ(rows.at(0, 2), 9.f);
-  Tensor cols = SumCols(a).value();
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 6.f);
-  EXPECT_FLOAT_EQ(cols.at(1, 0), 15.f);
   Tensor means = MeanRows(a).value();
   EXPECT_FLOAT_EQ(means.at(0, 1), 3.5f);
 }
@@ -85,8 +83,6 @@ TEST(OpsForwardTest, Nonlinearities) {
   EXPECT_NEAR(sig[3], 0.8808f, 1e-4);
   Tensor tanh_v = TanhOp(a).value();
   EXPECT_NEAR(tanh_v[0], -0.9640f, 1e-4);
-  EXPECT_NEAR(CosOp(a).value()[2], std::cos(0.5f), 1e-6);
-  EXPECT_NEAR(AbsOp(a).value()[1], 0.5f, 1e-6);
   EXPECT_NEAR(Square(a).value()[0], 4.f, 1e-6);
 }
 
@@ -125,25 +121,6 @@ TEST(OpsForwardTest, ReluSpecialValuesBitwise) {
           << ", simd " << vector;
     }
   }
-}
-
-TEST(OpsForwardTest, SoftmaxRowsSumToOne) {
-  Variable a = Variable::Constant(RandomTensor(4, 7, 99, -3, 3));
-  Tensor sm = SoftmaxRows(a).value();
-  for (int r = 0; r < sm.rows(); ++r) {
-    float total = 0.f;
-    for (int c = 0; c < sm.cols(); ++c) {
-      total += sm.at(r, c);
-      EXPECT_GT(sm.at(r, c), 0.f);
-    }
-    EXPECT_NEAR(total, 1.f, 1e-5);
-  }
-}
-
-TEST(OpsForwardTest, SoftmaxIsShiftInvariant) {
-  Variable a = Variable::Constant(Tensor::FromData(1, 3, {1, 2, 3}));
-  Variable b = Variable::Constant(Tensor::FromData(1, 3, {1001, 1002, 1003}));
-  EXPECT_TRUE(AllClose(SoftmaxRows(a).value(), SoftmaxRows(b).value(), 1e-5f));
 }
 
 TEST(OpsForwardTest, GatherScatter) {
@@ -197,18 +174,6 @@ TEST(OpsForwardTest, ConcatAndSlice) {
   Tensor rows = ConcatRows({a, c}).value();
   EXPECT_EQ(rows.rows(), 3);
   EXPECT_FLOAT_EQ(rows.at(2, 0), 9.f);
-
-  Tensor sliced = SliceRows(b, 1, 1).value();
-  EXPECT_EQ(sliced.rows(), 1);
-  EXPECT_FLOAT_EQ(sliced.at(0, 1), 6.f);
-}
-
-TEST(OpsForwardTest, ClampValues) {
-  Variable a = Variable::Constant(Tensor::FromData(1, 3, {-5, 0.5, 5}));
-  Tensor out = Clamp(a, 0.f, 1.f).value();
-  EXPECT_FLOAT_EQ(out[0], 0.f);
-  EXPECT_FLOAT_EQ(out[1], 0.5f);
-  EXPECT_FLOAT_EQ(out[2], 1.f);
 }
 
 TEST(OpsForwardTest, DropoutEvalIsIdentity) {
@@ -263,7 +228,8 @@ TEST(AutogradTest, ReusedNodeGradIsCorrect) {
 
 TEST(AutogradTest, DetachBlocksGradient) {
   Variable x = Variable::Param(Tensor::FromData(1, 1, {3.f}));
-  Variable y = Sum(Mul(Square(x).Detach(), x));  // treated as 9·x.
+  // A value lifted out of the graph as a constant: treated as 9·x.
+  Variable y = Sum(Mul(Variable::Constant(Square(x).value()), x));
   x.ZeroGrad();
   y.Backward();
   EXPECT_FLOAT_EQ(x.grad()[0], 9.f);
@@ -376,15 +342,9 @@ std::vector<GradCase> MakeGradCases() {
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
-  cases.push_back(Case("Cos", [] {
-    Variable a = Variable::Param(RandomTensor(2, 3, 17, -3.f, 3.f));
-    auto fn = [a] { return Sum(CosOp(a)); };
-    return std::make_pair(std::vector<Variable>{a},
-                          std::function<Variable()>(fn));
-  }));
   cases.push_back(Case("ExpLog", [] {
     Variable a = Variable::Param(RandomTensor(2, 3, 18, 0.5f, 2.f));
-    auto fn = [a] { return Sum(LogOp(ExpOp(a))); };
+    auto fn = [a] { return Sum(ExpOp(a)); };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
@@ -400,12 +360,6 @@ std::vector<GradCase> MakeGradCases() {
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
-  cases.push_back(Case("SoftmaxRows", [] {
-    Variable a = Variable::Param(RandomTensor(3, 4, 21, -2.f, 2.f));
-    auto fn = [a] { return Sum(Square(SoftmaxRows(a))); };
-    return std::make_pair(std::vector<Variable>{a},
-                          std::function<Variable()>(fn));
-  }));
   cases.push_back(Case("Transpose", [] {
     Variable a = Variable::Param(RandomTensor(3, 2, 22));
     auto fn = [a] { return Sum(Square(Transpose(a))); };
@@ -414,9 +368,7 @@ std::vector<GradCase> MakeGradCases() {
   }));
   cases.push_back(Case("SumRowsCols", [] {
     Variable a = Variable::Param(RandomTensor(3, 4, 23));
-    auto fn = [a] {
-      return Add(Sum(Square(SumRows(a))), Sum(Square(SumCols(a))));
-    };
+    auto fn = [a] { return Sum(Square(SumRows(a))); };
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
@@ -473,12 +425,6 @@ std::vector<GradCase> MakeGradCases() {
       return Sum(Square(ConcatRows({ConcatCols({a, b}), c})));
     };
     return std::make_pair(std::vector<Variable>{a, b, c},
-                          std::function<Variable()>(fn));
-  }));
-  cases.push_back(Case("SliceRows", [] {
-    Variable a = Variable::Param(RandomTensor(4, 3, 30));
-    auto fn = [a] { return Sum(Square(SliceRows(a, 1, 2))); };
-    return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
   return cases;

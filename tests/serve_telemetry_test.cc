@@ -313,7 +313,6 @@ TEST(ExporterTest, BackgroundExporterWritesBothFormatsAndFlushesOnStop) {
     options.registry = &registry;
     obs::MetricsExporter exporter(options);
     exporter.ExportNow();
-    EXPECT_GE(exporter.exports(), 1);
   }  // Destructor stops the thread and flushes a final export.
 
   std::string prom;
@@ -489,185 +488,14 @@ TEST(EngineTelemetryTest, SteadyStateStaysZeroAllocWithTelemetryOn) {
 }
 
 // ---------------------------------------------------------------------------
-// SLO burn-rate window property tests: the tracker's incremental
-// sliding-window arithmetic against a naive reference model, driven by
-// randomized event streams off a FakeClock — including window-boundary
-// events, forward clock jumps, backward clock jumps, and ring-capacity
-// eviction.
-
-/// Naive O(window) reference for time-mode burn rates: a deque of
-/// (clamped time, violation) pairs, evicting strictly-older-than-window
-/// entries and then the oldest entry when at capacity — the exact
-/// contract SloTracker implements incrementally.
-class NaiveTimeWindow {
- public:
-  NaiveTimeWindow(std::int64_t window_us, size_t capacity, double quantile)
-      : window_us_(window_us), capacity_(capacity), quantile_(quantile) {}
-
-  double Observe(std::int64_t raw_now_us, bool violation) {
-    const std::int64_t now = std::max(raw_now_us, last_now_us_);
-    last_now_us_ = now;
-    while (!events_.empty() && events_.front().first <= now - window_us_) {
-      events_.pop_front();
-    }
-    if (events_.size() == capacity_) events_.pop_front();
-    events_.emplace_back(now, violation);
-    std::int64_t violations = 0;
-    for (const auto& event : events_) violations += event.second ? 1 : 0;
-    return (static_cast<double>(violations) /
-            static_cast<double>(events_.size())) /
-           (1.0 - quantile_);
-  }
-
-  size_t size() const { return events_.size(); }
-
- private:
-  const std::int64_t window_us_;
-  const size_t capacity_;
-  const double quantile_;
-  std::deque<std::pair<std::int64_t, bool>> events_;
-  std::int64_t last_now_us_ = 0;
-};
-
-TEST(SloPropertyTest, TimeWindowMatchesNaiveReferenceUnderRandomStreams) {
-  for (const uint64_t seed : {11u, 29u, 4242u, 90210u}) {
-    Rng rng(seed);
-    test::FakeClock clock(1000000);
-    obs::SloSpec spec;
-    spec.name = "prop_time";
-    spec.quantile = 0.9;
-    spec.threshold_us = 1000.0;
-    spec.window_us = 10000;
-    spec.max_window_events = 64;
-    obs::SloTracker tracker(spec, /*registry=*/nullptr, &clock);
-    NaiveTimeWindow reference(spec.window_us,
-                              static_cast<size_t>(spec.max_window_events),
-                              spec.quantile);
-    std::int64_t naive_violations = 0;
-    for (int step = 0; step < 2000; ++step) {
-      // Mostly small forward steps; occasionally a jump far past the
-      // window, occasionally a backward jump (which both sides clamp).
-      if (rng.Bernoulli(0.02)) {
-        clock.Advance(rng.UniformInt(1, 20) * spec.window_us);
-      } else if (rng.Bernoulli(0.05)) {
-        clock.Set(clock.NowMicros() - rng.UniformInt(1, 5000));
-      } else {
-        clock.Advance(rng.UniformInt(0, spec.window_us / 4));
-      }
-      const bool violation = rng.Bernoulli(0.25);
-      const double latency = violation ? 2000.0 : 100.0;
-      tracker.Observe(latency);
-      naive_violations += violation ? 1 : 0;
-      const double expected = reference.Observe(clock.NowMicros(), violation);
-      const obs::SloStatus status = tracker.status();
-      ASSERT_NEAR(status.burn_rate, expected, 1e-12)
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(status.violations, naive_violations);
-      ASSERT_EQ(status.observed, step + 1);
-    }
-  }
-}
-
-TEST(SloPropertyTest, WindowBoundaryEvictsExactlyAtHorizon) {
-  test::FakeClock clock(0);
-  obs::SloSpec spec;
-  spec.name = "prop_boundary";
-  spec.quantile = 0.5;  // Error budget 0.5: burn = 2 * violating share.
-  spec.threshold_us = 1000.0;
-  spec.window_us = 1000;
-  obs::SloTracker tracker(spec, /*registry=*/nullptr, &clock);
-
-  clock.Set(1000);
-  tracker.Observe(5000.0);  // Violation at t=1000.
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 2.0);
-  // t=1999: the violation (t=1000 > 1999-1000) is still in-window.
-  clock.Set(1999);
-  tracker.Observe(100.0);
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 1.0);  // 1/2 over budget 0.5
-  // t=2999: horizon is 1999 — both earlier events sit exactly at or
-  // before it (t <= now - window_us) and must be gone.
-  clock.Set(2999);
-  tracker.Observe(100.0);
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 0.0);
-}
-
-TEST(SloPropertyTest, ForwardClockJumpCompletesAtMostOneWindow) {
-  test::FakeClock clock(1000000);
-  obs::SloSpec spec;
-  spec.name = "prop_jump";
-  spec.quantile = 0.5;
-  spec.threshold_us = 1000.0;
-  spec.window_us = 1000;
-  obs::SloTracker tracker(spec, /*registry=*/nullptr, &clock);
-
-  tracker.Observe(5000.0);  // Anchors the first window.
-  EXPECT_EQ(tracker.status().windows, 0);
-  // An idle stretch of 100 windows then one observation: windows are
-  // counted per evaluation, not per elapsed interval.
-  clock.Advance(100 * spec.window_us);
-  tracker.Observe(5000.0);
-  EXPECT_EQ(tracker.status().windows, 1);
-  EXPECT_EQ(tracker.status().breached_windows, 1);  // Lone violation breaches.
-  // The next window needs a full window_us past the new anchor again.
-  clock.Advance(spec.window_us - 1);
-  tracker.Observe(100.0);
-  EXPECT_EQ(tracker.status().windows, 1);
-  clock.Advance(1);
-  tracker.Observe(100.0);
-  EXPECT_EQ(tracker.status().windows, 2);
-}
-
-TEST(SloPropertyTest, BackwardClockJumpClampsToLastSeenTime) {
-  test::FakeClock clock(1000000);
-  obs::SloSpec spec;
-  spec.name = "prop_backward";
-  spec.quantile = 0.5;
-  spec.threshold_us = 1000.0;
-  spec.window_us = 1000;
-  obs::SloTracker tracker(spec, /*registry=*/nullptr, &clock);
-
-  tracker.Observe(5000.0);
-  clock.Set(0);  // Hard backward jump.
-  tracker.Observe(100.0);  // Clamped to t=1000000: joins the window.
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 1.0);  // 1/2 over budget 0.5
-  // Time resumes past the clamp: both clamped events expire together.
-  clock.Set(1000000 + spec.window_us + 1);
-  tracker.Observe(100.0);
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 0.0);
-}
-
-TEST(SloPropertyTest, CapacityEvictionDegradesToWindowSuffix) {
-  test::FakeClock clock(1000000);
-  obs::SloSpec spec;
-  spec.name = "prop_capacity";
-  spec.quantile = 0.5;
-  spec.threshold_us = 1000.0;
-  spec.window_us = 1000000;  // Nothing ages out by time in this test.
-  spec.max_window_events = 4;
-  obs::SloTracker tracker(spec, /*registry=*/nullptr, &clock);
-
-  // Two violations then four successes, all within the time window:
-  // the 4-slot ring holds only the last 4 events, so the violations
-  // fall off the back even though their time hasn't expired.
-  tracker.Observe(5000.0);
-  tracker.Observe(5000.0);
-  for (int i = 0; i < 2; ++i) {
-    clock.Advance(10);
-    tracker.Observe(100.0);
-  }
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 1.0);  // 2/4 over budget 0.5
-  clock.Advance(10);
-  tracker.Observe(100.0);
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 0.5);  // 1/4
-  clock.Advance(10);
-  tracker.Observe(100.0);
-  EXPECT_DOUBLE_EQ(tracker.status().burn_rate, 0.0);  // 0/4
-}
+// SLO burn-rate window property test: the tracker's incremental
+// sliding-window arithmetic against a naive reference ring, driven by
+// randomized event streams.
+// ---------------------------------------------------------------------------
 
 TEST(SloPropertyTest, CountModeMatchesNaiveRingUnderRandomStreams) {
-  // The pre-existing count-window path, pinned the same way: burn rate
-  // equals the violating share of the last `window` observations once
-  // the ring has filled.
+  // The burn rate equals the violating share of the last `window`
+  // observations once the ring has filled.
   for (const uint64_t seed : {7u, 1234u}) {
     Rng rng(seed);
     obs::SloSpec spec;

@@ -178,12 +178,11 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
          obs::MetricsRegistry::Global().GetSnapshot().counters) {
       if (name.rfind("kernel/", 0) == 0) calls[name] = value;
       // Backward-only kernels: transposed matmuls (weight/input grads),
-      // softmax/segment/ReLU/Square backward passes, gradient
+      // segment/ReLU/Square backward passes, gradient
       // row-scatter and the broadcast-multiply/divide adjoints.
       const bool backward_kernel =
           name.rfind("kernel/matmul_ta/", 0) == 0 ||
           name.rfind("kernel/matmul_tb/", 0) == 0 ||
-          name.rfind("kernel/softmax_rows_backward/", 0) == 0 ||
           name.rfind("kernel/gather_rows_acc/", 0) == 0 ||
           name.rfind("kernel/segment_extreme_backward/", 0) == 0 ||
           name.rfind("kernel/relu_backward/", 0) == 0 ||

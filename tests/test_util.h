@@ -3,16 +3,23 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/decorrelation.h"
+#include "src/core/rff.h"
 #include "src/gnn/model_zoo.h"
+#include "src/graph/graph.h"
 #include "src/nn/module.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -29,13 +36,10 @@ namespace test {
 
 /// Manually driven Clock for timing tests: starts at `start_us` and
 /// moves only when the test says so. Injected wherever production code
-/// takes a Clock* (request spans, SLO windows, token buckets,
-/// deadlines), it makes every time-driven decision reproducible
-/// without wall-clock sleeps. Thread-safe: submitter/worker threads
-/// may read while the test advances.
-///
-/// Set() may move time backwards on purpose — the clock-jump edge case
-/// the SLO property tests exercise (consumers are expected to clamp).
+/// takes a Clock* (request spans, token buckets, deadlines), it makes
+/// every time-driven decision reproducible without wall-clock sleeps.
+/// Thread-safe: submitter/worker threads may read while the test
+/// advances.
 class FakeClock final : public Clock {
  public:
   explicit FakeClock(std::int64_t start_us = 1000000) : now_us_(start_us) {}
@@ -47,11 +51,6 @@ class FakeClock final : public Clock {
   /// Moves time forward by `delta_us` (>= 0) and returns the new time.
   std::int64_t Advance(std::int64_t delta_us) {
     return now_us_.fetch_add(delta_us, std::memory_order_relaxed) + delta_us;
-  }
-
-  /// Jumps to an absolute time — possibly backwards.
-  void Set(std::int64_t now_us) {
-    now_us_.store(now_us, std::memory_order_relaxed);
   }
 
  private:
@@ -206,6 +205,57 @@ inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
   Tensor relu(out.rows(), out.cols());
   be.Relu(out, &relu);
   return relu;
+}
+
+/// 1×n row vector from values.
+inline Tensor RowVector(std::vector<float> values) {
+  const int n = static_cast<int>(values.size());
+  return Tensor::FromData(1, n, std::move(values));
+}
+
+/// Largest absolute element (0 for empty tensors).
+inline float MaxAbs(const Tensor& t) {
+  float m = 0.f;
+  for (int i = 0; i < t.size(); ++i) m = std::max(m, std::fabs(t[i]));
+  return m;
+}
+
+/// Number of connected components (undirected interpretation): the
+/// oracle for the generators' connectivity.
+inline int NumConnectedComponents(const Graph& graph) {
+  const int n = graph.num_nodes();
+  std::vector<int> parent(static_cast<size_t>(n));
+  std::iota(parent.begin(), parent.end(), 0);
+  std::function<int(int)> find = [&](int a) {
+    while (parent[static_cast<size_t>(a)] != a) {
+      parent[static_cast<size_t>(a)] =
+          parent[static_cast<size_t>(parent[static_cast<size_t>(a)])];
+      a = parent[static_cast<size_t>(a)];
+    }
+    return a;
+  };
+  int components = n;
+  for (size_t i = 0; i < graph.edge_src.size(); ++i) {
+    int ra = find(graph.edge_src[i]);
+    int rb = find(graph.edge_dst[i]);
+    if (ra != rb) {
+      parent[static_cast<size_t>(ra)] = rb;
+      --components;
+    }
+  }
+  return components;
+}
+
+/// Unweighted dependence diagnostic: the decorrelation objective of
+/// Eqs. (5)/(7) with uniform weights, Σ_{i<j}‖Ĉ_ij‖_F². Near zero iff
+/// the (RFF-measured) dimensions are pairwise uncorrelated — the
+/// empirical analogue of Proposition 1.
+inline double DependenceMeasure(const Tensor& z, const RffFeatureMap& rff) {
+  Tensor features = rff.Transform(z);
+  Variable uniform = Variable::Constant(Tensor(z.rows(), 1, 1.f));
+  Variable loss =
+      DecorrelationLoss(features, rff.feature_source_dim(), uniform);
+  return static_cast<double>(loss.value()[0]);
 }
 
 /// The state text of a std::mt19937_64 (its operator<<), which

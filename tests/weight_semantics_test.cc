@@ -14,6 +14,7 @@
 #include "src/nn/optimizer.h"
 #include "src/train/metrics.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace oodgnn {
 namespace {
@@ -152,7 +153,7 @@ TEST(WeightSemanticsTest, ZeroWeightSamplesContributeNoGradient) {
   EXPECT_FLOAT_EQ(loss.value()[0], 0.f);
   loss.Backward();
   for (const Variable& p : model.Parameters()) {
-    EXPECT_FLOAT_EQ(p.grad().MaxAbs(), 0.f);
+    EXPECT_FLOAT_EQ(test::MaxAbs(p.grad()), 0.f);
   }
 }
 

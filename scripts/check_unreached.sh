@@ -22,6 +22,11 @@
 #     inlining leaves behind depends on the compiler (this list is for
 #     GCC 12 at -O2); a different compiler may report others.
 #
+# It cannot see a function defined inline in a header (a class-body
+# accessor, say): its out-of-line copy is a comdat section emitted only
+# in objects that call it, so an uncalled one leaves no section to drop.
+# Find those with a grep for callers.
+#
 # Prints what is left and exits 1 if anything is; exits 0 otherwise.
 # Not a ctest entry, because it needs its own build tree.
 #

@@ -52,28 +52,34 @@ WeightOptimizerResult GraphWeightOptimizer::Optimize(
             : local_w;
     return DecorrelationLoss(features, rff.feature_source_dim(), w_hat);
   };
-  auto objective = [&]() {
+
+  // Adam plus the Σw=N projection can overshoot and oscillate; we keep
+  // the best iterate seen (the uniform start included), so the returned
+  // weights never increase the objective. Each iterate is scored by the
+  // decorrelation value on its own step's tape, read before the ℓ2 term
+  // is added; the last iterate gets one forward of its own.
+  WeightOptimizerResult result;
+  double best_loss = 0.0;
+  Tensor best_weights;
+  for (int epoch = 0;; ++epoch) {
     Variable loss = decorrelation();
+    const double current = static_cast<double>(loss.value()[0]);
+    if (epoch == 0) {
+      result.initial_loss = current;
+      best_loss = current;
+      best_weights = local_w.value();
+    } else if (current < best_loss) {
+      best_loss = current;
+      best_weights = local_w.value();
+    }
+    if (epoch >= config_.epochs_reweight) break;
+
     if (config_.l2_penalty > 0.f) {
       // Mean-normalized ℓ2 keeps the regularizer strength independent
       // of the batch size.
       loss = Add(loss, Scale(MeanAll(Square(local_w)), config_.l2_penalty));
     }
-    return loss;
-  };
-
-  WeightOptimizerResult result;
-  result.initial_loss = static_cast<double>(decorrelation().value()[0]);
-
-  // Adam plus the Σw=N projection can overshoot and oscillate; we keep
-  // the best iterate seen (the uniform start included), so the returned
-  // weights never increase the objective.
-  double best_loss = result.initial_loss;
-  Tensor best_weights = local_w.value();
-
-  for (int epoch = 0; epoch < config_.epochs_reweight; ++epoch) {
     inner.ZeroGrad();
-    Variable loss = objective();
     loss.Backward();
     inner.Step();
 
@@ -90,20 +96,10 @@ WeightOptimizerResult GraphWeightOptimizer::Optimize(
     } else {
       w.Fill(1.f);  // Degenerate: reset to uniform.
     }
-
-    const double current = static_cast<double>(decorrelation().value()[0]);
-    if (current < best_loss) {
-      best_loss = current;
-      best_weights = local_w.value();
-    }
   }
-  local_w.mutable_value() = best_weights;
 
   result.final_loss = best_loss;
-  result.weights.resize(static_cast<size_t>(local_n));
-  for (int i = 0; i < local_n; ++i) {
-    result.weights[static_cast<size_t>(i)] = local_w.value()[i];
-  }
+  result.weights.assign(best_weights.data(), best_weights.data() + local_n);
   return result;
 }
 

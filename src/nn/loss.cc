@@ -55,14 +55,15 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
   return Variable::MakeOp(
       std::move(out), {node},
       [node, probs, labels_copy, weights_copy, m,
-       classes](const VariableNode& self) {
+       classes](VariableNode& self) {
         if (!node->requires_grad) return;
+        Tensor& grad = node->GradBuffer();
         const float g = self.grad[0] / static_cast<float>(m);
         for (int r = 0; r < m; ++r) {
           const float w =
               WeightAt(*weights_copy, static_cast<size_t>(r)) * g;
           const float* prow = probs->row(r);
-          float* grow = node->grad.row(r);
+          float* grow = grad.row(r);
           const int y = (*labels_copy)[static_cast<size_t>(r)];
           for (int c = 0; c < classes; ++c) {
             grow[c] += w * (prow[c] - (c == y ? 1.f : 0.f));
@@ -107,8 +108,9 @@ Variable BceWithLogits(const Variable& logits, const Tensor& targets,
   return Variable::MakeOp(
       std::move(out), {node},
       [node, targets_copy, mask_copy, weights_copy, inv_count, m,
-       tasks](const VariableNode& self) {
+       tasks](VariableNode& self) {
         if (!node->requires_grad) return;
+        Tensor& grad = node->GradBuffer();
         const float g = self.grad[0] * inv_count;
         for (int r = 0; r < m; ++r) {
           const float w =
@@ -116,7 +118,7 @@ Variable BceWithLogits(const Variable& logits, const Tensor& targets,
           const float* x = node->value.row(r);
           const float* y = targets_copy->row(r);
           const float* mk = mask_copy->row(r);
-          float* grow = node->grad.row(r);
+          float* grow = grad.row(r);
           for (int c = 0; c < tasks; ++c) {
             if (mk[c] == 0.f) continue;
             const float sig = 1.f / (1.f + std::exp(-x[c]));
@@ -153,15 +155,16 @@ Variable MseLoss(const Variable& pred, const Tensor& targets,
   return Variable::MakeOp(
       std::move(out), {node},
       [node, targets_copy, weights_copy, inv, m,
-       tasks](const VariableNode& self) {
+       tasks](VariableNode& self) {
         if (!node->requires_grad) return;
+        Tensor& grad = node->GradBuffer();
         const float g = self.grad[0] * inv;
         for (int r = 0; r < m; ++r) {
           const float w =
               WeightAt(*weights_copy, static_cast<size_t>(r)) * g;
           const float* p = node->value.row(r);
           const float* t = targets_copy->row(r);
-          float* grow = node->grad.row(r);
+          float* grow = grad.row(r);
           for (int c = 0; c < tasks; ++c) {
             grow[c] += 2.f * w * (p[c] - t[c]);
           }

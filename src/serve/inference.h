@@ -209,9 +209,6 @@ class InferenceEngine {
 
   InferenceStats stats() const;
 
-  const ModelSpec& spec() const { return spec_; }
-  const InferenceOptions& options() const { return options_; }
-
  private:
   struct Request {
     const Graph* graph;

@@ -20,6 +20,20 @@ namespace {
 
 using NodePtr = std::shared_ptr<VariableNode>;
 
+/// Adds `self`'s gradient, unchanged, to `parent`'s. A parent with no
+/// buffer yet takes self.grad's buffer instead of a zero-fill plus an
+/// Axpy. That stores the same bits: a gradient buffer is only ever
+/// written by accumulation onto a +0 fill, so it never holds −0, and
+/// +0 + g is g. The hand-off empties self.grad, so this must be the
+/// closure's last read of it.
+void PassGrad(VariableNode& self, VariableNode& parent) {
+  if (parent.grad.SameShape(parent.value)) {
+    GetBackend().Axpy(1.f, self.grad, &parent.grad);
+  } else {
+    parent.grad = std::move(self.grad);
+  }
+}
+
 /// Unary element-wise op helper: forward maps value, backward multiplies
 /// upstream grad by a locally computed derivative. The map itself runs
 /// under the backend's partitioned loop.
@@ -35,12 +49,13 @@ Variable UnaryOp(const Variable& a, Fwd&& fwd, Bwd&& dfn) {
   // The derivative receives (input, output) so implementations can use
   // whichever is cheaper.
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, dfn](const VariableNode& self) {
+      std::move(out), {pa}, [pa, dfn](VariableNode& self) {
         if (!pa->requires_grad) return;
         const Tensor& g = self.grad;
+        Tensor& da = pa->GradBuffer();
         GetBackend().ForCost(g.size(), 2ll * g.size(), [&](int i0, int i1) {
           for (int i = i0; i < i1; ++i) {
-            pa->grad[i] += g[i] * dfn(pa->value[i], self.value[i]);
+            da[i] += g[i] * dfn(pa->value[i], self.value[i]);
           }
         });
       });
@@ -56,13 +71,13 @@ Variable MatMul(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
         const Backend& be = GetBackend();
         if (pa->requires_grad) {
-          be.MatMulTransBAcc(self.grad, pb->value, &pa->grad);
+          be.MatMulTransBAcc(self.grad, pb->value, &pa->GradBuffer());
         }
         if (pb->requires_grad) {
-          be.MatMulTransAAcc(pa->value, self.grad, &pb->grad);
+          be.MatMulTransAAcc(pa->value, self.grad, &pb->GradBuffer());
         }
       });
 }
@@ -84,10 +99,17 @@ Variable Add(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
-        const Backend& be = GetBackend();
-        if (pa->requires_grad) be.Axpy(1.f, self.grad, &pa->grad);
-        if (pb->requires_grad) be.Axpy(1.f, self.grad, &pb->grad);
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
+        // Only the last pass-through may hand self.grad over; Add(x, x)
+        // adds it to x twice, as two Axpys.
+        if (pa->requires_grad) {
+          if (pb->requires_grad) {
+            GetBackend().Axpy(1.f, self.grad, &pa->GradBuffer());
+          } else {
+            PassGrad(self, *pa);
+          }
+        }
+        if (pb->requires_grad) PassGrad(self, *pb);
       });
 }
 
@@ -98,10 +120,13 @@ Variable Sub(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
         const Backend& be = GetBackend();
-        if (pa->requires_grad) be.Axpy(1.f, self.grad, &pa->grad);
-        if (pb->requires_grad) be.Axpy(-1.f, self.grad, &pb->grad);
+        // a's pass-through goes last, as it may hand self.grad over;
+        // Sub(x, x) keeps x += g before x -= g.
+        if (pa == pb) be.Axpy(1.f, self.grad, &pa->GradBuffer());
+        if (pb->requires_grad) be.Axpy(-1.f, self.grad, &pb->GradBuffer());
+        if (pa->requires_grad && pa != pb) PassGrad(self, *pa);
       });
 }
 
@@ -112,10 +137,14 @@ Variable Mul(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
         const Backend& be = GetBackend();
-        if (pa->requires_grad) be.HadamardAcc(self.grad, pb->value, &pa->grad);
-        if (pb->requires_grad) be.HadamardAcc(self.grad, pa->value, &pb->grad);
+        if (pa->requires_grad) {
+          be.HadamardAcc(self.grad, pb->value, &pa->GradBuffer());
+        }
+        if (pb->requires_grad) {
+          be.HadamardAcc(self.grad, pa->value, &pb->GradBuffer());
+        }
       });
 }
 
@@ -127,10 +156,14 @@ Variable AddRowVec(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
-        const Backend& be = GetBackend();
-        if (pa->requires_grad) be.Axpy(1.f, self.grad, &pa->grad);
-        if (pb->requires_grad) be.ColumnSumAcc(self.grad, &pb->grad);
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
+        // a's pass-through goes last, as it may hand self.grad over. In
+        // a 1-row AddRowVec(x, x) both contributions add the same g to
+        // x, so their order cannot change a bit.
+        if (pb->requires_grad) {
+          GetBackend().ColumnSumAcc(self.grad, &pb->GradBuffer());
+        }
+        if (pa->requires_grad) PassGrad(self, *pa);
       });
 }
 
@@ -142,11 +175,13 @@ Variable MulRowVec(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
         const Backend& be = GetBackend();
-        if (pa->requires_grad) be.MulRowVecAcc(self.grad, pb->value, &pa->grad);
+        if (pa->requires_grad) {
+          be.MulRowVecAcc(self.grad, pb->value, &pa->GradBuffer());
+        }
         if (pb->requires_grad) {
-          be.HadamardColumnSumAcc(self.grad, pa->value, &pb->grad);
+          be.HadamardColumnSumAcc(self.grad, pa->value, &pb->GradBuffer());
         }
       });
 }
@@ -159,17 +194,17 @@ Variable DivRowVec(const Variable& a, const Variable& b) {
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](const VariableNode& self) {
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
         const Backend& be = GetBackend();
         const Tensor& g = self.grad;
-        if (pa->requires_grad) be.DivRowVecAcc(g, pb->value, &pa->grad);
+        if (pa->requires_grad) be.DivRowVecAcc(g, pb->value, &pa->GradBuffer());
         if (pb->requires_grad) {
           // d/db (a/b) = -y/b with y = a/b: column sums of g ⊙ y, scaled
           // by -1/b per column.
           Tensor colsum(1, g.cols());
           be.HadamardColumnSumAcc(g, self.value, &colsum);
           const float* brow = pb->value.row(0);
-          float* out_row = pb->grad.row(0);
+          float* out_row = pb->GradBuffer().row(0);
           for (int c = 0; c < g.cols(); ++c) {
             out_row[c] -= colsum.at(0, c) / brow[c];
           }
@@ -185,11 +220,13 @@ Variable MulColVec(const Variable& a, const Variable& w) {
   NodePtr pa = a.node();
   NodePtr pw = w.node();
   return Variable::MakeOp(
-      std::move(out), {pa, pw}, [pa, pw](const VariableNode& self) {
+      std::move(out), {pa, pw}, [pa, pw](VariableNode& self) {
         const Backend& be = GetBackend();
-        if (pa->requires_grad) be.MulColVecAcc(self.grad, pw->value, &pa->grad);
+        if (pa->requires_grad) {
+          be.MulColVecAcc(self.grad, pw->value, &pa->GradBuffer());
+        }
         if (pw->requires_grad) {
-          be.HadamardRowSumAcc(self.grad, pa->value, &pw->grad);
+          be.HadamardRowSumAcc(self.grad, pa->value, &pw->GradBuffer());
         }
       });
 }
@@ -199,9 +236,9 @@ Variable Scale(const Variable& a, float s) {
   GetBackend().ScaleInPlace(s, &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, s](const VariableNode& self) {
+      std::move(out), {pa}, [pa, s](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().Axpy(s, self.grad, &pa->grad);
+        GetBackend().Axpy(s, self.grad, &pa->GradBuffer());
       });
 }
 
@@ -212,13 +249,13 @@ Variable MulByScalarVar(const Variable& a, const Variable& s) {
   NodePtr pa = a.node();
   NodePtr ps = s.node();
   return Variable::MakeOp(
-      std::move(out), {pa, ps}, [pa, ps](const VariableNode& self) {
+      std::move(out), {pa, ps}, [pa, ps](VariableNode& self) {
         const Backend& be = GetBackend();
         if (pa->requires_grad) {
-          be.Axpy(ps->value[0], self.grad, &pa->grad);
+          be.Axpy(ps->value[0], self.grad, &pa->GradBuffer());
         }
         if (ps->requires_grad) {
-          ps->grad[0] += be.Dot(self.grad, pa->value);
+          ps->GradBuffer()[0] += be.Dot(self.grad, pa->value);
         }
       });
 }
@@ -233,11 +270,9 @@ Variable AddScalar(const Variable& a, float s) {
   Tensor out = a.value();
   GetBackend().AddScalarAcc(s, &out);
   NodePtr pa = a.node();
-  return Variable::MakeOp(std::move(out), {pa},
-                          [pa](const VariableNode& self) {
-                            if (!pa->requires_grad) return;
-                            GetBackend().Axpy(1.f, self.grad, &pa->grad);
-                          });
+  return Variable::MakeOp(std::move(out), {pa}, [pa](VariableNode& self) {
+    if (pa->requires_grad) PassGrad(self, *pa);
+  });
 }
 
 Variable Relu(const Variable& a) {
@@ -246,9 +281,9 @@ Variable Relu(const Variable& a) {
   GetBackend().Relu(a.value(), &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
+      std::move(out), {pa}, [pa](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().ReluBackwardAcc(self.grad, pa->value, &pa->grad);
+        GetBackend().ReluBackwardAcc(self.grad, pa->value, &pa->GradBuffer());
       });
 }
 
@@ -293,9 +328,9 @@ Variable Square(const Variable& a) {
   GetBackend().Hadamard(a.value(), a.value(), &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
+      std::move(out), {pa}, [pa](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().SquareBackwardAcc(self.grad, pa->value, &pa->grad);
+        GetBackend().SquareBackwardAcc(self.grad, pa->value, &pa->GradBuffer());
       });
 }
 
@@ -304,9 +339,9 @@ Variable Sum(const Variable& a) {
   Tensor out(1, 1, a.value().Sum());
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
+      std::move(out), {pa}, [pa](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().AddScalarAcc(self.grad[0], &pa->grad);
+        GetBackend().AddScalarAcc(self.grad[0], &pa->GradBuffer());
       });
 }
 
@@ -320,9 +355,9 @@ Variable SumRows(const Variable& a) {
   GetBackend().ColumnSumAcc(a.value(), &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
+      std::move(out), {pa}, [pa](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().RowBroadcastAcc(self.grad, &pa->grad);
+        GetBackend().RowBroadcastAcc(self.grad, &pa->GradBuffer());
       });
 }
 
@@ -335,9 +370,9 @@ Variable Transpose(const Variable& a) {
   Tensor out = a.value().Transposed();
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa](const VariableNode& self) {
+      std::move(out), {pa}, [pa](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().AddTransposedAcc(self.grad, &pa->grad);
+        GetBackend().AddTransposedAcc(self.grad, &pa->GradBuffer());
       });
 }
 
@@ -350,9 +385,9 @@ Variable RowGather(const Variable& a, const SegmentPlanPtr& plan) {
   GetBackend().GatherRows(a.value(), plan->items, &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, plan](const VariableNode& self) {
+      std::move(out), {pa}, [pa, plan](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().ScatterAddRowsPlanned(self.grad, *plan, &pa->grad);
+        GetBackend().ScatterAddRowsPlanned(self.grad, *plan, &pa->GradBuffer());
       });
 }
 
@@ -363,9 +398,9 @@ Variable ScatterAddRows(const Variable& a, const SegmentPlanPtr& plan) {
   GetBackend().ScatterAddRowsPlanned(a.value(), *plan, &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, plan](const VariableNode& self) {
+      std::move(out), {pa}, [pa, plan](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().GatherRowsAcc(self.grad, plan->items, &pa->grad);
+        GetBackend().GatherRowsAcc(self.grad, plan->items, &pa->GradBuffer());
       });
 }
 
@@ -399,9 +434,10 @@ Variable SegmentExtreme(const Variable& a, const SegmentPlanPtr& plan,
                                      argrow.get());
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, argrow](const VariableNode& self) {
+      std::move(out), {pa}, [pa, argrow](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().SegmentExtremeBackwardAcc(self.grad, *argrow, &pa->grad);
+        GetBackend().SegmentExtremeBackwardAcc(self.grad, *argrow,
+                                               &pa->GradBuffer());
       });
 }
 
@@ -423,12 +459,12 @@ Variable GatherScatter(const Variable& h, const MessagePlanPtr& plan) {
                                 &out);
   NodePtr ph = h.node();
   return Variable::MakeOp(
-      std::move(out), {ph}, [ph, plan](const VariableNode& self) {
+      std::move(out), {ph}, [ph, plan](VariableNode& self) {
         if (!ph->requires_grad) return;
         // The adjoint is the transposed message pass: gradient rows
         // gathered by dst, accumulated into src segments.
         GetBackend().GatherScatterAcc(self.grad, plan->dst_by_src,
-                                      plan->by_src, &ph->grad);
+                                      plan->by_src, &ph->GradBuffer());
       });
 }
 
@@ -444,15 +480,15 @@ Variable GatherScatterWeighted(const Variable& h, const Variable& w,
   NodePtr ph = h.node();
   NodePtr pw = w.node();
   return Variable::MakeOp(
-      std::move(out), {ph, pw}, [ph, pw, plan](const VariableNode& self) {
+      std::move(out), {ph, pw}, [ph, pw, plan](VariableNode& self) {
         if (ph->requires_grad) {
           GetBackend().GatherScatterWeightedAcc(self.grad, pw->value,
                                                 plan->dst_by_src, plan->by_src,
-                                                &ph->grad);
+                                                &ph->GradBuffer());
         }
         if (pw->requires_grad) {
           GetBackend().EdgeDotAcc(self.grad, ph->value, plan->dst(),
-                                  plan->src(), &pw->grad);
+                                  plan->src(), &pw->GradBuffer());
         }
       });
 }
@@ -482,17 +518,18 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
   nodes.reserve(parts.size());
   for (const Variable& p : parts) nodes.push_back(p.node());
   return Variable::MakeOp(
-      std::move(out), nodes, [nodes](const VariableNode& self) {
+      std::move(out), nodes, [nodes](VariableNode& self) {
         const Backend& be = GetBackend();
         int offset = 0;
         for (const NodePtr& node : nodes) {
           const int cols = node->value.cols();
           if (node->requires_grad) {
+            Tensor& grad = node->GradBuffer();
             be.ForCost(node->value.rows(), node->value.size(),
                        [&](int r0, int r1) {
                          for (int r = r0; r < r1; ++r) {
                            const float* grow = self.grad.row(r) + offset;
-                           float* drow = node->grad.row(r);
+                           float* drow = grad.row(r);
                            for (int c = 0; c < cols; ++c) drow[c] += grow[c];
                          }
                        });
@@ -521,16 +558,17 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
   nodes.reserve(parts.size());
   for (const Variable& p : parts) nodes.push_back(p.node());
   return Variable::MakeOp(
-      std::move(out), nodes, [nodes](const VariableNode& self) {
+      std::move(out), nodes, [nodes](VariableNode& self) {
         const Backend& be = GetBackend();
         int offset = 0;
         for (const NodePtr& node : nodes) {
           if (node->requires_grad) {
             const int part_rows = node->value.rows();
+            Tensor& grad = node->GradBuffer();
             be.ForCost(part_rows, node->value.size(), [&](int r0, int r1) {
               for (int r = r0; r < r1; ++r) {
                 const float* grow = self.grad.row(offset + r);
-                float* drow = node->grad.row(r);
+                float* drow = grad.row(r);
                 for (int c = 0; c < self.grad.cols(); ++c) drow[c] += grow[c];
               }
             });
@@ -552,9 +590,9 @@ Variable Dropout(const Variable& a, float p, Rng* rng, bool training) {
   GetBackend().Hadamard(a.value(), *mask, &out);
   NodePtr pa = a.node();
   return Variable::MakeOp(
-      std::move(out), {pa}, [pa, mask](const VariableNode& self) {
+      std::move(out), {pa}, [pa, mask](VariableNode& self) {
         if (!pa->requires_grad) return;
-        GetBackend().HadamardAcc(self.grad, *mask, &pa->grad);
+        GetBackend().HadamardAcc(self.grad, *mask, &pa->GradBuffer());
       });
 }
 

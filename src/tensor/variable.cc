@@ -22,6 +22,11 @@ NoGradGuard::NoGradGuard() : previous_(tls_grad_enabled) {
 
 NoGradGuard::~NoGradGuard() { tls_grad_enabled = previous_; }
 
+Tensor& VariableNode::GradBuffer() {
+  if (!grad.SameShape(value)) grad = Tensor(value.rows(), value.cols());
+  return grad;
+}
+
 Variable::Variable(Tensor value, bool requires_grad)
     : node_(std::make_shared<VariableNode>()) {
   node_->value = std::move(value);
@@ -88,29 +93,35 @@ void Variable::Backward(const Tensor& seed) {
   std::vector<VariableNode*> order;
   TopoSort(node_, &visited, &order);
 
-  // Zero interior grads; leaf grads accumulate across Backward() calls
-  // until the optimizer clears them, matching the usual autograd
-  // convention — but here we also accumulate interior grads freshly per
-  // call, so everything reachable is (re)allocated and zeroed except
-  // pre-existing leaf grads.
+  // Leaf grads accumulate across Backward() calls until the optimizer
+  // clears them, so a trainable leaf keeps its buffer (or gets a zeroed
+  // one). Interior grads are recomputed from scratch: each buffer
+  // appears with its node's first contribution and is released once
+  // the node's closure has run, so only gradients still waiting for
+  // their closure are alive. Constants get no buffer.
   for (VariableNode* node : order) {
-    if (!node->grad.SameShape(node->value)) {
-      node->grad = Tensor(node->value.rows(), node->value.cols());
-    } else if (node->backward) {
-      node->grad.Fill(0.f);  // Interior node: recomputed from scratch.
+    if (node->backward) {
+      node->grad = Tensor();
+    } else if (node->requires_grad) {
+      node->GradBuffer();
     }
   }
-  node_->grad.Add(seed);
+  if (node_->requires_grad) node_->GradBuffer().Add(seed);
 
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VariableNode* node = *it;
-    if (node->backward) node->backward(*node);
+    if (!node->backward) continue;
+    // Every interior node lies on a path of closures from the seeded
+    // root, each of which contributes to all its trainable parents.
+    OODGNN_DCHECK(node->grad.SameShape(node->value));
+    node->backward(*node);
+    node->grad = Tensor();
   }
 }
 
 Variable Variable::MakeOp(
     Tensor value, std::vector<std::shared_ptr<VariableNode>> parents,
-    std::function<void(const VariableNode&)> backward) {
+    std::function<void(VariableNode&)> backward) {
   Variable out(std::move(value));
   // Grad-free mode: the result carries only its forward value. Parents
   // and the backward closure are dropped before they can pin the graph,

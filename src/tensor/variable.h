@@ -15,15 +15,25 @@ namespace oodgnn {
 /// backward graph reachable.
 struct VariableNode {
   Tensor value;
-  /// Gradient of the final scalar w.r.t. `value`; allocated lazily
-  /// during Backward() and retained afterwards for optimizer reads.
+  /// Gradient of the final scalar w.r.t. `value`. A trainable leaf's
+  /// buffer is allocated once and accumulates across Backward() calls
+  /// until ZeroGrad(), for the optimizer to read. An interior node's
+  /// buffer lives only inside Backward(): it appears with the node's
+  /// first contribution and is released as soon as the node's own
+  /// closure has run. A constant never gets one.
   Tensor grad;
   bool requires_grad = false;
   /// Parents this node was computed from (empty for leaves).
   std::vector<std::shared_ptr<VariableNode>> parents;
-  /// Accumulates this node's grad into its parents' grads. Null for
-  /// leaves.
-  std::function<void(const VariableNode&)> backward;
+  /// Accumulates this node's grad into its parents' grads, each
+  /// reached through GradBuffer() (or handed `grad` itself, see
+  /// PassGrad in ops.cc). Null for leaves.
+  std::function<void(VariableNode&)> backward;
+
+  /// `grad`, allocated and zero-filled if this node has none yet: the
+  /// buffer a child's backward closure accumulates into. Call it on
+  /// the thread running Backward(), before any parallel range starts.
+  Tensor& GradBuffer();
 };
 
 /// Thread-local autograd mode. While disabled, Variable::MakeOp builds
@@ -77,6 +87,8 @@ class Variable {
   /// Mutable access to the stored value (optimizer updates on leaves).
   Tensor& mutable_value();
 
+  /// The gradient. After Backward() a trainable leaf holds it; an
+  /// interior node's or a constant's is empty.
   const Tensor& grad() const;
 
   bool requires_grad() const;
@@ -89,8 +101,10 @@ class Variable {
 
   /// Runs reverse-mode accumulation from this node. Without a seed the
   /// variable must be 1×1 and is seeded with 1. Gradients accumulate
-  /// into every reachable node with requires_grad (leaves keep them for
-  /// the optimizer).
+  /// into every reachable trainable leaf, which keeps them for the
+  /// optimizer. Interior gradients, this node's included, are
+  /// recomputed each call and released as soon as their node's
+  /// closure has run.
   void Backward();
   void Backward(const Tensor& seed);
 
@@ -98,11 +112,12 @@ class Variable {
   const std::shared_ptr<VariableNode>& node() const { return node_; }
 
   /// Builds an interior graph node. `backward` receives the completed
-  /// node (value + grad) and must accumulate into parents' grads; it is
-  /// dropped if no parent requires a gradient.
+  /// node (value + grad) and must accumulate into parents' grads; it
+  /// may hand the node's grad itself to a parent as its last read. It
+  /// is dropped if no parent requires a gradient.
   static Variable MakeOp(Tensor value,
                          std::vector<std::shared_ptr<VariableNode>> parents,
-                         std::function<void(const VariableNode&)> backward);
+                         std::function<void(VariableNode&)> backward);
 
  private:
   std::shared_ptr<VariableNode> node_;

@@ -10,6 +10,7 @@
 #include "src/core/rff.h"
 #include "src/core/weight_bank.h"
 #include "src/core/weight_optimizer.h"
+#include "src/nn/optimizer.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
@@ -260,6 +261,108 @@ TEST(WeightOptimizerTest, UsesBankWhenInitialized) {
   WeightOptimizerResult result =
       optimizer.Optimize(IndependentColumns(6, 3, 21), rff, &bank);
   EXPECT_EQ(result.weights.size(), 6u);
+}
+
+/// GraphWeightOptimizer::Optimize's loop before it read each iterate's
+/// decorrelation off its own step's tape: every step runs the
+/// objective's forward and then a second decorrelation forward after
+/// the projection, so 20 steps make 41 forwards instead of 21.
+WeightOptimizerResult TwoForwardLoop(const WeightOptimizerConfig& config,
+                                     const Tensor& local_z,
+                                     const RffFeatureMap& rff,
+                                     const GlobalWeightBank* bank) {
+  const int local_n = local_z.rows();
+  const bool use_bank = bank != nullptr && bank->initialized();
+  Tensor stacked_z = local_z;
+  Tensor global_w;
+  if (use_bank) {
+    const Tensor bank_z = bank->StackedZ();
+    stacked_z = Tensor(bank_z.rows() + local_n, local_z.cols());
+    for (int i = 0; i < bank_z.size(); ++i) stacked_z[i] = bank_z[i];
+    for (int i = 0; i < local_z.size(); ++i) {
+      stacked_z[bank_z.size() + i] = local_z[i];
+    }
+    global_w = bank->StackedW();
+  }
+  const Tensor features = rff.Transform(stacked_z);
+  Variable local_w = Variable::Param(Tensor(local_n, 1, 1.f));
+  Adam inner({local_w}, config.lr);
+  auto decorrelation = [&]() {
+    Variable w_hat =
+        use_bank ? ConcatRows({Variable::Constant(global_w), local_w})
+                 : local_w;
+    return DecorrelationLoss(features, rff.feature_source_dim(), w_hat);
+  };
+
+  WeightOptimizerResult result;
+  result.initial_loss = static_cast<double>(decorrelation().value()[0]);
+  double best_loss = result.initial_loss;
+  Tensor best_weights = local_w.value();
+  for (int epoch = 0; epoch < config.epochs_reweight; ++epoch) {
+    inner.ZeroGrad();
+    Variable loss = decorrelation();
+    if (config.l2_penalty > 0.f) {
+      loss = Add(loss, Scale(MeanAll(Square(local_w)), config.l2_penalty));
+    }
+    loss.Backward();
+    inner.Step();
+    Tensor& w = local_w.mutable_value();
+    float total = 0.f;
+    for (int i = 0; i < w.size(); ++i) {
+      w[i] = std::clamp(w[i], 0.f, config.clamp_max);
+      total += w[i];
+    }
+    if (total > 1e-8f) {
+      const float scale = static_cast<float>(local_n) / total;
+      for (int i = 0; i < w.size(); ++i) w[i] *= scale;
+    } else {
+      w.Fill(1.f);
+    }
+    const double current = static_cast<double>(decorrelation().value()[0]);
+    if (current < best_loss) {
+      best_loss = current;
+      best_weights = local_w.value();
+    }
+  }
+  result.final_loss = best_loss;
+  result.weights.assign(best_weights.data(), best_weights.data() + local_n);
+  return result;
+}
+
+TEST(WeightOptimizerTest, MatchesTheTwoForwardLoopBitwise) {
+  Rng rng(33);
+  RffConfig rff_config;
+  rff_config.num_functions = 2;
+  RffFeatureMap rff(3, rff_config, &rng);
+  GlobalWeightBank bank(8, 3, {0.9f});
+  bank.Update(DependentColumns(8, 34), Tensor(8, 1, 1.f));
+  const Tensor z = DependentColumns(24, 35);
+  for (int epochs : {0, 1, 20}) {
+    for (const GlobalWeightBank* b : {static_cast<GlobalWeightBank*>(nullptr),
+                                      &bank}) {
+      for (float l2 : {0.f, 0.05f}) {
+        SCOPED_TRACE(::testing::Message()
+                     << epochs << " epochs, bank " << (b != nullptr)
+                     << ", l2 " << l2);
+        WeightOptimizerConfig config;
+        config.epochs_reweight = epochs;
+        config.l2_penalty = l2;
+        const WeightOptimizerResult want = TwoForwardLoop(config, z, rff, b);
+        const WeightOptimizerResult got =
+            GraphWeightOptimizer(config).Optimize(z, rff, b);
+        ASSERT_EQ(got.weights.size(), want.weights.size());
+        EXPECT_EQ(std::memcmp(got.weights.data(), want.weights.data(),
+                              sizeof(float) * want.weights.size()),
+                  0);
+        EXPECT_EQ(std::memcmp(&got.initial_loss, &want.initial_loss,
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(
+            std::memcmp(&got.final_loss, &want.final_loss, sizeof(double)),
+            0);
+      }
+    }
+  }
 }
 
 TEST(ReweighterTest, EndToEndProducesMeanOneWeights) {

@@ -659,6 +659,30 @@ TEST(KernelsTest, BackwardGradientsBitwiseIdenticalAcrossThreads) {
   }
 }
 
+// A UnaryOp (Sigmoid here), ConcatCols and ConcatRows write their
+// parents' gradients inside a parallel range. Each parent below is an
+// interior node that only that closure reads, so the closure is where
+// its buffer is first requested; that request must happen on the
+// calling thread, before the range starts. Every part is past the
+// parallel cutoff.
+TEST(KernelsTest, RangedBackwardClosuresBitwiseIdenticalAcrossThreads) {
+  const Tensor a0 = RandomTensor(512, 64, 40);
+  const Tensor b0 = RandomTensor(512, 64, 41);
+  auto run = [&](int threads) {
+    ScopedBackendThreads scoped(threads);
+    Variable a = Variable::Param(a0);
+    Variable b = Variable::Param(b0);
+    Variable cols = ConcatCols({Sigmoid(Scale(a, 0.5f)), Scale(b, -2.f)});
+    Variable rows = ConcatRows({Scale(a, 3.f), Scale(b, 0.25f)});
+    Add(Sum(Square(cols)), Sum(Square(rows))).Backward();
+    return std::make_pair(a.grad(), b.grad());
+  };
+  const auto [a_serial, b_serial] = run(1);
+  const auto [a_grad, b_grad] = run(4);
+  EXPECT_TRUE(BitwiseEqual(a_serial, a_grad)) << "a grad diverged";
+  EXPECT_TRUE(BitwiseEqual(b_serial, b_grad)) << "b grad diverged";
+}
+
 // ---------------------------------------------------------------------------
 // CSR segment plans.
 // ---------------------------------------------------------------------------

@@ -242,6 +242,53 @@ TEST(AutogradTest, ConstantsReceiveNoBackward) {
   y.Backward();  // Must not crash.
 }
 
+TEST(AutogradTest, BackwardKeepsOnlyLeafGradients) {
+  Variable x = Variable::Param(Tensor::FromData(1, 2, {1.f, 2.f}));
+  Variable c = Variable::Constant(Tensor::FromData(1, 2, {3.f, 4.f}));
+  Variable h = Mul(x, c);
+  Variable y = Sum(Square(h));  // dy/dx = 2·x·c².
+  y.Backward();
+  EXPECT_TRUE(h.grad().empty());
+  EXPECT_TRUE(y.grad().empty());
+  EXPECT_TRUE(c.grad().empty());
+  ASSERT_TRUE(x.grad().SameShape(x.value()));
+  EXPECT_EQ(x.grad()[0], 18.f);
+  EXPECT_EQ(x.grad()[1], 64.f);
+}
+
+TEST(AutogradTest, PassThroughSumsEveryConsumer) {
+  // Small integers and halves keep every expected value exact.
+  const Tensor w = Tensor::FromData(2, 3, {1, 2, 3, 5, 6, 8});
+  const Tensor x0 = Tensor::FromData(2, 3, {1, -2, 3, 0, 4, -1});
+  auto expect_grad = [](const Variable& x, const std::vector<float>& want) {
+    ASSERT_EQ(x.grad().size(), static_cast<int>(want.size()));
+    for (int i = 0; i < x.grad().size(); ++i) {
+      EXPECT_EQ(x.grad()[i], want[static_cast<size_t>(i)]) << "at " << i;
+    }
+  };
+  {
+    // Aliased operands: Add(h, h) passes 2g to h, Sub(h, h) nets 0.
+    Variable x = Variable::Param(x0);
+    Variable h = Scale(x, 3.f);
+    Variable y =
+        Sum(Mul(Add(Add(h, h), Sub(h, h)), Variable::Constant(w)));
+    y.Backward();
+    y.Backward();  // Leaves accumulate: 2 · (6·w).
+    expect_grad(x, {12, 24, 36, 60, 72, 96});
+  }
+  {
+    // BatchNorm's centering: h feeds both AddRowVec's matrix operand
+    // and MeanRows, so dy/dh = w − mean_rows(w).
+    Variable x = Variable::Param(x0);
+    Variable h = Scale(x, 3.f);
+    Variable centered = AddRowVec(h, Scale(MeanRows(h), -1.f));
+    Variable y = Sum(Mul(centered, Variable::Constant(w)));
+    y.Backward();
+    y.Backward();  // Leaves accumulate: 2 · 3 · (w − mean_rows(w)).
+    expect_grad(x, {-12, -12, -15, 12, 12, 15});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parameterized finite-difference gradient checks over the op grid.
 // ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@
 //
 // Pass --simd for the scalar-vs-SIMD dense-kernel table
 // (DESIGN.md §16): single-threaded GFLOP/s for the vectorized matmul
-// variants (dense, and with the ~35% exact zeros of post-ReLU input),
-// axpy, and the RFF map, plus the bitwise scalar==simd check; then the
+// variants at the workloads' shapes (the reweighter's, a DD_200 batch
+// dense and post-ReLU, a one-hot first layer), Dot, axpy, and the RFF
+// map, plus the bitwise scalar==simd check; then the
 // dropout mask in ns per element, as the per-element Rng::Bernoulli
 // loop, the scalar kernel and the SIMD kernel, at mean 64-graph
 // TRIANGLES and DD_200 batch shapes. It exits nonzero when any row
@@ -130,8 +131,8 @@ void CompareBackends(int threads) {
          "[" + std::to_string(m) + "x" + std::to_string(k) + "]x[" +
              std::to_string(k) + "x" + std::to_string(n) + "]",
          2ll * m * k * n, [a, b, m, n] {
-           Tensor out(m, n);
-           GetBackend().MatMulAcc(*a, *b, &out);
+           Tensor out = Tensor::Unfilled(m, n);
+           GetBackend().MatMulWithTail(*a, *b, kernels::MatMulTail{}, &out);
            return out;
          }});
   }
@@ -329,13 +330,13 @@ bool CompareSimd() {
     std::printf("(no vector ISA compiled/detected: simd:: delegates to the "
                 "scalar kernels, so speedup ~1.0x is expected)\n");
   }
-  std::printf("(-z35 rows: the a operand has ~35%% exact zeros, as after "
-              "ReLU)\n");
+  std::printf("(-z50 rows: half of the a operand is exact zeros, as after "
+              "ReLU; -1hot rows: one 1 per row of a)\n");
   std::printf("\n%-14s %-24s %12s %12s %8s %8s\n", "kernel", "shape",
               "scalar GF/s", "simd GF/s", "speedup", "bitwise");
 
   struct Row {
-    const char* name;
+    std::string name;
     std::string shape;
     int64_t flops;
     std::function<void(Tensor*)> scalar;
@@ -345,63 +346,82 @@ bool CompareSimd() {
   std::vector<Row> rows;
   Rng rng(13);
 
-  // The three matmul variants at the encoder shape and 10x.
-  for (int scale : {1, 10}) {
-    const int m = 128 * scale, k = 64, n = 64;
+  // The matmul family at the workloads' shapes: the reweighter's
+  // [128×64] RFF features (G = UᵀU and U·(mask ⊙ G)), a DD_200 batch of
+  // 7230 nodes through a 64-wide Linear, its post-ReLU form (half the
+  // entries exact zeros) and the one-hot first layer of a TRIANGLES
+  // batch ([1031×17] features). a·b runs as MatMulWithTail with an
+  // empty tail, the forward MatMul's entry; aᵀ·b is a weight gradient
+  // (or G), a·bᵀ an input gradient.
+  const auto coefs = [&rng](int m, int k, int zero_pct, bool one_hot) {
     auto a = std::make_shared<Tensor>(Tensor::RandomNormal(m, k, &rng));
-    auto b = std::make_shared<Tensor>(Tensor::RandomNormal(k, n, &rng));
-    auto bt = std::make_shared<Tensor>(Tensor::RandomNormal(n, k, &rng));
-    // TransA contracts over the m rows of both operands: a is m x k,
-    // bm is m x n, out is k x n.
-    auto bm = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
-    const std::string shape = "[" + std::to_string(m) + "x" +
-                              std::to_string(k) + "]x[" + std::to_string(k) +
-                              "x" + std::to_string(n) + "]";
-    const int64_t flops = 2ll * m * k * n;
-    rows.push_back({"matmul", shape, flops,
-                    [a, b, m](Tensor* o) { kernels::MatMulAcc(*a, *b, o, 0, m); },
-                    [a, b, m](Tensor* o) { simd::MatMulAcc(*a, *b, o, 0, m); },
-                    m, n});
-    rows.push_back(
-        {"matmul-transA",
-         "[" + std::to_string(m) + "x" + std::to_string(k) + "]Tx[" +
-             std::to_string(m) + "x" + std::to_string(n) + "]",
-         flops,
-         [a, bm, k](Tensor* o) { kernels::MatMulTransAAcc(*a, *bm, o, 0, k); },
-         [a, bm, k](Tensor* o) { simd::MatMulTransAAcc(*a, *bm, o, 0, k); },
-         k, n});
-    rows.push_back(
-        {"matmul-transB", shape, flops,
-         [a, bt, m](Tensor* o) { kernels::MatMulTransBAcc(*a, *bt, o, 0, m); },
-         [a, bt, m](Tensor* o) { simd::MatMulTransBAcc(*a, *bt, o, 0, m); },
-         m, n});
-    // The zero-skip case: a with ~35% exact zeros, like the post-ReLU
-    // activations the encoder's Linear layers multiply. Flops count the
-    // dense product, so these rows compare directly with the ones above.
-    // Its own stream, so the other rows' inputs stay as they were.
-    Rng zero_rng(static_cast<uint64_t>(29 * scale));
-    auto az = std::make_shared<Tensor>(*a);
-    for (int i = 0; i < az->size(); ++i) {
-      if (zero_rng.Uniform() < 0.35) (*az)[i] = 0.f;
+    if (one_hot) {
+      a->Fill(0.f);
+      for (int r = 0; r < m; ++r) {
+        a->at(r, static_cast<int>(rng.UniformInt(0, k - 1))) = 1.f;
+      }
     }
-    rows.push_back({"matmul-z35", shape, flops,
-                    [az, b, m](Tensor* o) {
-                      kernels::MatMulAcc(*az, *b, o, 0, m);
+    for (int i = 0; i < a->size(); ++i) {
+      if (rng.Uniform() * 100.0 < zero_pct) (*a)[i] = 0.f;
+    }
+    return a;
+  };
+  const auto dims = [](int m, int k, int n, bool trans_a) {
+    return "[" + std::to_string(m) + "x" + std::to_string(k) + "]" +
+           (trans_a ? "Tx[" + std::to_string(m) : "x[" + std::to_string(k)) +
+           "x" + std::to_string(n) + "]";
+  };
+  struct MatMulRow {
+    const char* suffix;
+    int m, k, n, zero_pct;
+    bool one_hot;
+  };
+  const kernels::MatMulTail none;
+  for (const MatMulRow& r : {MatMulRow{"", 128, 64, 64, 0, false},
+                             MatMulRow{"", 7230, 64, 64, 0, false},
+                             MatMulRow{"-z50", 7230, 64, 64, 50, false},
+                             MatMulRow{"-1hot", 1031, 17, 64, 0, true}}) {
+    auto a = coefs(r.m, r.k, r.zero_pct, r.one_hot);
+    auto b = std::make_shared<Tensor>(Tensor::RandomNormal(r.k, r.n, &rng));
+    auto bm = std::make_shared<Tensor>(Tensor::RandomNormal(r.m, r.n, &rng));
+    auto bt = std::make_shared<Tensor>(Tensor::RandomNormal(r.n, r.k, &rng));
+    const int64_t flops = 2ll * r.m * r.k * r.n;
+    const int m = r.m, k = r.k;
+    const std::string suffix = r.suffix;
+    rows.push_back({"matmul" + suffix, dims(r.m, r.k, r.n, false), flops,
+                    [=](Tensor* o) {
+                      kernels::MatMulWithTail(*a, *b, none, o, 0, m);
                     },
-                    [az, b, m](Tensor* o) {
-                      simd::MatMulAcc(*az, *b, o, 0, m);
+                    [=](Tensor* o) {
+                      simd::MatMulWithTail(*a, *b, none, o, 0, m);
                     },
-                    m, n});
-    rows.push_back(
-        {"transA-z35",
-         "[" + std::to_string(m) + "x" + std::to_string(k) + "]Tx[" +
-             std::to_string(m) + "x" + std::to_string(n) + "]",
-         flops,
-         [az, bm, k](Tensor* o) {
-           kernels::MatMulTransAAcc(*az, *bm, o, 0, k);
-         },
-         [az, bm, k](Tensor* o) { simd::MatMulTransAAcc(*az, *bm, o, 0, k); },
-         k, n});
+                    r.m, r.n});
+    rows.push_back({"transA" + suffix, dims(r.m, r.k, r.n, true), flops,
+                    [=](Tensor* o) {
+                      kernels::MatMulTransAAcc(*a, *bm, o, 0, k);
+                    },
+                    [=](Tensor* o) { simd::MatMulTransAAcc(*a, *bm, o, 0, k); },
+                    r.k, r.n});
+    if (r.zero_pct == 0 && !r.one_hot) {
+      rows.push_back({"transB", dims(r.m, r.k, r.n, false), flops,
+                      [=](Tensor* o) {
+                        kernels::MatMulTransBAcc(*a, *bt, o, 0, m);
+                      },
+                      [=](Tensor* o) {
+                        simd::MatMulTransBAcc(*a, *bt, o, 0, m);
+                      },
+                      r.m, r.n});
+    }
+  }
+  // Dot over a DD_200 batch's [7230×64] activations: GIN's ε gradient.
+  {
+    const int m = 7230, n = 64;
+    auto x = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
+    auto y = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
+    rows.push_back({"dot", "[" + std::to_string(m) + "x" + std::to_string(n) + "]",
+                    2ll * m * n,
+                    [x, y](Tensor* o) { (*o)[0] = kernels::Dot(*x, *y); },
+                    [x, y](Tensor* o) { (*o)[0] = simd::Dot(*x, *y); }, 1, 1});
   }
 
   // Elementwise (axpy at optimizer scale) and the RFF feature map.
@@ -464,7 +484,7 @@ bool CompareSimd() {
     });
     const bool equal = BitwiseEqual(scalar_out, simd_out);
     all_equal = all_equal && equal;
-    std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %8s\n", row.name,
+    std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %8s\n", row.name.c_str(),
                 row.shape.c_str(),
                 static_cast<double>(row.flops) / scalar_s / 1e9,
                 static_cast<double>(row.flops) / simd_s / 1e9,

@@ -20,13 +20,22 @@ namespace oodgnn {
 /// weight column, typically a concatenation of constant global weights
 /// and a trainable local block.
 ///
-/// Implementation note: with U = diag(w)·F and Ū its column-centered
-/// version, the full covariance G = ŪᵀŪ/(N−1) contains every block
-/// Ĉ_ij, so the objective is ½·Σ of squared entries of G outside the
-/// within-dimension diagonal blocks — a single GEMM instead of O(d²)
-/// block computations.
+/// Implementation note: with U = diag(w)·F column-centered and
+/// G = UᵀU/(N−1) the full covariance, which contains every block
+/// Ĉ_ij, the objective is L = ½‖mask ⊙ G‖_F², the mask zeroing the
+/// within-dimension blocks: a single aᵀ·b product instead of O(d²)
+/// block computations. The result is one tape node whose closure
+/// writes the closed-form gradient
+///   ∂L/∂w_i = (2/(N−1))·Σ_j F_ij·[U·(mask ⊙ G)]_ij,
+/// one a·b product and a row-wise dot with F.
 Variable DecorrelationLoss(const Tensor& features,
                            const std::vector<int>& feature_source_dim,
+                           const Variable& weights);
+
+/// The same objective with the [M, M] mask given: 1 where two feature
+/// columns come from different dimensions, 0 elsewhere
+/// (RffFeatureMap::pair_mask, CrossDimensionMask).
+Variable DecorrelationLoss(const Tensor& features, const Tensor& pair_mask,
                            const Variable& weights);
 
 }  // namespace oodgnn

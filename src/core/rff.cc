@@ -9,6 +9,21 @@
 
 namespace oodgnn {
 
+Tensor CrossDimensionMask(const std::vector<int>& source_dim) {
+  const int m = static_cast<int>(source_dim.size());
+  Tensor mask = Tensor::Unfilled(m, m);
+  for (int a = 0; a < m; ++a) {
+    float* row = mask.row(a);
+    for (int b = 0; b < m; ++b) {
+      row[b] = source_dim[static_cast<size_t>(a)] !=
+                       source_dim[static_cast<size_t>(b)]
+                   ? 1.f
+                   : 0.f;
+    }
+  }
+  return mask;
+}
+
 RffFeatureMap::RffFeatureMap(int input_dim, const RffConfig& config, Rng* rng)
     : input_dim_(input_dim), config_(config) {
   OODGNN_CHECK_GT(input_dim, 0);
@@ -39,6 +54,7 @@ RffFeatureMap::RffFeatureMap(int input_dim, const RffConfig& config, Rng* rng)
           static_cast<float>(rng->Uniform(0.0, 2.0 * M_PI)));
     }
   }
+  pair_mask_ = CrossDimensionMask(feature_source_dim_);
 }
 
 Tensor RffFeatureMap::Transform(const Tensor& z) const {

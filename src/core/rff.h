@@ -9,6 +9,11 @@ namespace oodgnn {
 
 class Rng;
 
+/// The [M, M] mask of the decorrelation objective (DecorrelationLoss)
+/// over M feature columns: mask[a][b] = 1 where source_dim[a] and
+/// source_dim[b] differ, 0 where both come from one dimension.
+Tensor CrossDimensionMask(const std::vector<int>& source_dim);
+
 /// Configuration of the random-Fourier-feature map of Eq. (4).
 struct RffConfig {
   /// Number of random Fourier functions per representation dimension
@@ -51,6 +56,9 @@ class RffFeatureMap {
     return feature_source_dim_;
   }
 
+  /// CrossDimensionMask(feature_source_dim()), built once with the map.
+  const Tensor& pair_mask() const { return pair_mask_; }
+
   int input_dim() const { return input_dim_; }
   bool linear_only() const { return config_.linear_only; }
 
@@ -61,6 +69,7 @@ class RffFeatureMap {
   std::vector<int> feature_source_dim_;
   std::vector<float> omega_;  ///< One frequency per output column.
   std::vector<float> phase_;  ///< One phase per output column.
+  Tensor pair_mask_;
 };
 
 }  // namespace oodgnn

@@ -50,7 +50,7 @@ WeightOptimizerResult GraphWeightOptimizer::Optimize(
         use_bank
             ? ConcatRows({Variable::Constant(global_w), local_w})
             : local_w;
-    return DecorrelationLoss(features, rff.feature_source_dim(), w_hat);
+    return DecorrelationLoss(features, rff.pair_mask(), w_hat);
   };
 
   // Adam plus the Σw=N projection can overshoot and oscillate; we keep

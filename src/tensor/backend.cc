@@ -45,7 +45,6 @@ enum class KernelOp : int {
   kHadamardAcc,
   kColumnSum,
   kRowBroadcast,
-  kAddTransposed,
   kHadamardColumnSum,
   kHadamardRowSum,
   kDot,
@@ -96,8 +95,6 @@ const char* KernelOpName(KernelOp op) {
       return "column_sum";
     case KernelOp::kRowBroadcast:
       return "row_broadcast";
-    case KernelOp::kAddTransposed:
-      return "add_transposed";
     case KernelOp::kHadamardColumnSum:
       return "hadamard_column_sum";
     case KernelOp::kHadamardRowSum:
@@ -256,13 +253,9 @@ void Backend::ForCost(int n, std::int64_t flops,
   For(n, fn);
 }
 
-namespace {
-
-/// a·b into out: out += a·b when `tail` is null, out = tail(a·b)
-/// otherwise. Counted under `matmul` either way — the tail replaces
-/// element-wise passes, not a matmul.
-void DispatchMatMul(const Backend& be, const Tensor& a, const Tensor& b,
-                    const kernels::MatMulTail* tail, Tensor* out) {
+void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
+                             const kernels::MatMulTail& tail,
+                             Tensor* out) const {
   OODGNN_CHECK_EQ(a.cols(), b.rows());
   OODGNN_CHECK(out->rows() == a.rows() && out->cols() == b.cols());
   const std::int64_t flops =
@@ -270,32 +263,14 @@ void DispatchMatMul(const Backend& be, const Tensor& a, const Tensor& b,
   const bool use_simd = simd::Enabled();
   RecordSimdDispatch(use_simd);
   KernelScope scope(KernelOp::kMatMul, out->size(),
-                    be.WouldParallelize(out->rows(), flops));
-  be.ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (tail != nullptr) {
-      if (use_simd) {
-        simd::MatMulWithTail(a, b, *tail, out, r0, r1);
-      } else {
-        kernels::MatMulWithTail(a, b, *tail, out, r0, r1);
-      }
-    } else if (use_simd) {
-      simd::MatMulAcc(a, b, out, r0, r1);
+                    WouldParallelize(out->rows(), flops));
+  ForCost(out->rows(), flops, [&](int r0, int r1) {
+    if (use_simd) {
+      simd::MatMulWithTail(a, b, tail, out, r0, r1);
     } else {
-      kernels::MatMulAcc(a, b, out, r0, r1);
+      kernels::MatMulWithTail(a, b, tail, out, r0, r1);
     }
   });
-}
-
-}  // namespace
-
-void Backend::MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const {
-  DispatchMatMul(*this, a, b, /*tail=*/nullptr, out);
-}
-
-void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
-                             const kernels::MatMulTail& tail,
-                             Tensor* out) const {
-  DispatchMatMul(*this, a, b, &tail, out);
 }
 
 void Backend::MatMulTransAAcc(const Tensor& a, const Tensor& b,
@@ -500,15 +475,6 @@ void Backend::RowBroadcastAcc(const Tensor& row, Tensor* out) const {
   });
 }
 
-void Backend::AddTransposedAcc(const Tensor& g, Tensor* out) const {
-  OODGNN_CHECK(g.rows() == out->cols() && g.cols() == out->rows());
-  KernelScope scope(KernelOp::kAddTransposed, out->size(),
-                    WouldParallelize(out->rows(), out->size()));
-  ForCost(out->rows(), out->size(), [&](int r0, int r1) {
-    kernels::AddTransposedAcc(g, out, r0, r1);
-  });
-}
-
 void Backend::HadamardColumnSumAcc(const Tensor& x, const Tensor& y,
                                    Tensor* out) const {
   OODGNN_CHECK(x.SameShape(y));
@@ -539,8 +505,10 @@ void Backend::HadamardRowSumAcc(const Tensor& x, const Tensor& y,
 
 float Backend::Dot(const Tensor& a, const Tensor& b) const {
   OODGNN_CHECK(a.SameShape(b));
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
   KernelScope scope(KernelOp::kDot, a.size(), /*parallel=*/false);
-  return kernels::Dot(a, b, 0, a.size());
+  return use_simd ? simd::Dot(a, b) : kernels::Dot(a, b);
 }
 
 void Backend::RffMap(const Tensor& z, const std::vector<int>& source_dim,

@@ -53,11 +53,9 @@ class Backend {
 
   // --- dense kernel entry points (shape-checked, partitioned via For) ---
 
-  /// out += a[m,k] · b[k,n].
-  void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) const;
   /// out = tail(a[m,k] · b[k,n]) in one pass (kernels::MatMulTail):
-  /// every element is written, so out may be unfilled. Counted as
-  /// `matmul`.
+  /// every element is written, so out may be unfilled. An empty tail
+  /// gives the plain product. Counted as `matmul`.
   void MatMulWithTail(const Tensor& a, const Tensor& b,
                       const kernels::MatMulTail& tail, Tensor* out) const;
   /// out += aᵀ · b (out is [a.cols, b.cols]).
@@ -99,15 +97,13 @@ class Backend {
   void ColumnSumAcc(const Tensor& a, Tensor* out) const;
   /// out[r,:] += row[0,:] for every row.
   void RowBroadcastAcc(const Tensor& row, Tensor* out) const;
-  /// out += gᵀ.
-  void AddTransposedAcc(const Tensor& g, Tensor* out) const;
   /// out[1,n] += column-wise Σ_r x ⊙ y.
   void HadamardColumnSumAcc(const Tensor& x, const Tensor& y,
                             Tensor* out) const;
   /// out[m,1] += row-wise Σ_c x ⊙ y.
   void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out) const;
-  /// Σ_i a[i]·b[i]. Always runs serially: scalar reductions keep one
-  /// fixed association order on every backend (determinism contract).
+  /// Σ_i a[i]·b[i] in kernels::Dot's fixed 8-lane association, on
+  /// the calling thread on every backend (determinism contract).
   float Dot(const Tensor& a, const Tensor& b) const;
 
   /// Random Fourier feature map: out[r,j] = scale·cos(omega[j]·x +

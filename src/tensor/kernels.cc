@@ -40,7 +40,9 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
           const float av = arow[p];
           if (av == 0.f) continue;
           const float* brow = b.row(p);
-          for (int j = j0; j < j1; ++j) orow[j] += av * brow[j];
+          for (int j = j0; j < j1; ++j) {
+            orow[j] = std::fma(av, brow[j], orow[j]);
+          }
         }
       }
     }
@@ -62,7 +64,9 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
           const float av = arow[p];
           if (av == 0.f) continue;
           float* orow = out->row(p);
-          for (int j = j0; j < j1; ++j) orow[j] += av * brow[j];
+          for (int j = j0; j < j1; ++j) {
+            orow[j] = std::fma(av, brow[j], orow[j]);
+          }
         }
       }
     }
@@ -81,7 +85,7 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
       for (int j = j0; j < j1; ++j) {
         const float* brow = b.row(j);
         float acc = 0.f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+        for (int p = 0; p < k; ++p) acc = std::fma(arow[p], brow[p], acc);
         orow[j] += acc;
       }
     }
@@ -215,13 +219,6 @@ void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   }
 }
 
-void AddTransposedAcc(const Tensor& g, Tensor* out, int r0, int r1) {
-  for (int r = r0; r < r1; ++r) {
-    float* orow = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) orow[c] += g.at(c, r);
-  }
-}
-
 void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
                           int c0, int c1) {
   float* orow = out->row(0);
@@ -243,9 +240,24 @@ void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
   }
 }
 
-float Dot(const Tensor& a, const Tensor& b, int i0, int i1) {
-  float acc = 0.f;
-  for (int i = i0; i < i1; ++i) acc += a[i] * b[i];
+float Dot(const Tensor& a, const Tensor& b) {
+  const float* x = a.data();
+  const float* y = b.data();
+  const int n = a.size();
+  float lane[kDotLanes] = {};
+  int i = 0;
+  for (; i + kDotLanes <= n; i += kDotLanes) {
+    for (int l = 0; l < kDotLanes; ++l) {
+      lane[l] = std::fma(x[i + l], y[i + l], lane[l]);
+    }
+  }
+  // Fold the lanes in halves, lane l taking lane l + 4, then l + 2,
+  // then l + 1: the order of a vector body's 8 → 4 → 2 → 1 folds.
+  for (int half = kDotLanes / 2; half > 0; half /= 2) {
+    for (int l = 0; l < half; ++l) lane[l] = lane[l] + lane[l + half];
+  }
+  float acc = lane[0];
+  for (; i < n; ++i) acc = std::fma(x[i], y[i], acc);
   return acc;
 }
 

@@ -20,20 +20,29 @@ namespace kernels {
 //
 // `Acc` kernels accumulate into the output (out += ...); the rest
 // overwrite it. Shape checks live in the callers (src/tensor/backend.*).
+//
+// Rounding: the matmul family and Dot fuse each multiply-add into one
+// std::fma (one rounding), as their SIMD mirrors do with fused vector
+// instructions. Every other kernel multiplies, then adds, and the
+// build pins -ffp-contract=off so the compiler fuses nothing itself.
 // ---------------------------------------------------------------------------
 
 // --- dense matmul family (cache-blocked, zero-skip on the a operand) ---
 
-/// out[r0:r1, :] += a[m,k] · b[k,n]; range over rows of out (= rows of a).
+/// out[r0:r1, :] += a[m,k] · b[k,n]: out[i,j] = fma(a[i,p], b[p,j],
+/// out[i,j]) in ascending p, skipping every a[i,p] == 0; range over
+/// rows of out (= rows of a).
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0, int r1);
 
-/// out[r0:r1, :] += aᵀ · b, i.e. out[p,j] += Σ_i a[i,p]·b[i,j]; range
-/// over rows of out (= columns of a).
+/// out[r0:r1, :] += aᵀ · b: out[p,j] = fma(a[i,p], b[i,j], out[p,j]) in
+/// ascending i, skipping every a[i,p] == 0; range over rows of out
+/// (= columns of a).
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 
-/// out[r0:r1, :] += a · bᵀ where b is [n,k]: out[i,j] += dot(a[i,:],
-/// b[j,:]); range over rows of out (= rows of a).
+/// out[r0:r1, :] += a · bᵀ where b is [n,k]: out[i,j] += acc, where acc
+/// starts from +0 and takes fma(a[i,p], b[j,p], acc) in ascending p;
+/// range over rows of out (= rows of a).
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 
@@ -138,9 +147,6 @@ void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1);
 /// out[r,:] += row[0,:]; range over rows (adjoint of ColumnSum).
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1);
 
-/// out[r,c] += g[c,r]; range over rows of out (transpose adjoint).
-void AddTransposedAcc(const Tensor& g, Tensor* out, int r0, int r1);
-
 /// out[0,c] += Σ_r x[r,c]·y[r,c]; range over columns (row-vector
 /// broadcast adjoint).
 void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
@@ -151,8 +157,16 @@ void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
 void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
                        int r1);
 
-/// Partial dot product Σ_{i0 ≤ i < i1} a[i]·b[i] over flat indices.
-float Dot(const Tensor& a, const Tensor& b, int i0, int i1);
+/// Lanes of Dot's fixed association.
+constexpr int kDotLanes = 8;
+
+/// Σ_i a[i]·b[i] over all flat indices, in one fixed association:
+/// lane l (of kDotLanes) starts from +0 and takes fma(a[i], b[i], ·)
+/// for i ≡ l (mod kDotLanes) in ascending i over the whole multiples
+/// of kDotLanes; the lanes fold in halves (lane l takes lane l + 4,
+/// then l + 2, then l + 1); the remaining elements then take fma in
+/// ascending i.
+float Dot(const Tensor& a, const Tensor& b);
 
 // --- gather / scatter / segment ops ---
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/tensor/backend.h"
+#include "src/tensor/kernels.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -66,8 +67,11 @@ Variable UnaryOp(const Variable& a, Fwd&& fwd, Bwd&& dfn) {
 Variable MatMul(const Variable& a, const Variable& b) {
   OODGNN_CHECK(a.defined() && b.defined());
   OODGNN_CHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch";
-  Tensor out(a.rows(), b.cols());
-  GetBackend().MatMulAcc(a.value(), b.value(), &out);
+  // The eval Linear's entry with an empty tail: sums start from +0 in
+  // the kernel, so the output needs no zero fill.
+  Tensor out = Tensor::Unfilled(a.rows(), b.cols());
+  GetBackend().MatMulWithTail(a.value(), b.value(), kernels::MatMulTail{},
+                              &out);
   NodePtr pa = a.node();
   NodePtr pb = b.node();
   return Variable::MakeOp(
@@ -364,16 +368,6 @@ Variable SumRows(const Variable& a) {
 Variable MeanRows(const Variable& a) {
   OODGNN_CHECK_GT(a.rows(), 0);
   return Scale(SumRows(a), 1.f / static_cast<float>(a.rows()));
-}
-
-Variable Transpose(const Variable& a) {
-  Tensor out = a.value().Transposed();
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa}, [pa](VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().AddTransposedAcc(self.grad, &pa->GradBuffer());
-      });
 }
 
 // --- message passing over segment plans ---

@@ -85,9 +85,6 @@ Variable SumRows(const Variable& a);
 /// Column means: [m,n] -> [1,n].
 Variable MeanRows(const Variable& a);
 
-/// Transpose [m,n] -> [n,m].
-Variable Transpose(const Variable& a);
-
 // --- message passing over CSR segment plans (DESIGN.md §12) ---
 //
 // Every gather, scatter and segment reduction runs over a SegmentPlan:

@@ -8,15 +8,17 @@
 #include "src/util/rng.h"
 
 // This is the only translation unit built with an explicit vector ISA
-// flag (src/CMakeLists.txt adds -mavx2 + OODGNN_SIMD_AVX2 on x86-64
-// compilers that accept it; aarch64 has NEON at baseline). Everything
-// below the runtime gate therefore may use vector intrinsics, but no
-// caller reaches it unless Enabled() returned true — which requires
-// the CPU feature check to have passed. FMA is deliberately never
-// used (and -ffp-contract=off is pinned globally): a fused
-// multiply-add rounds once where the scalar oracle rounds twice, which
-// would break the bitwise contract.
-#if defined(OODGNN_SIMD_AVX2) && defined(__AVX2__)
+// flag (src/CMakeLists.txt adds -mavx2 -mfma + OODGNN_SIMD_AVX2 on
+// x86-64 compilers that accept both; aarch64 has NEON, fused
+// multiply-add included, at baseline). Everything below the runtime
+// gate therefore may use vector intrinsics, but no caller reaches it
+// unless Enabled() returned true — which requires the CPU feature
+// check to have passed. Fused multiply-add appears only where its
+// scalar oracle calls std::fma (the matmul family and Dot), and
+// -ffp-contract=off, pinned globally, keeps the compiler from fusing
+// anything else: every other body rounds its multiply and its add
+// separately, as its oracle does.
+#if defined(OODGNN_SIMD_AVX2) && defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define OODGNN_SIMD_ISA_AVX2 1
 #elif defined(__aarch64__) && (defined(__ARM_NEON) || defined(__ARM_NEON__))
@@ -31,7 +33,8 @@ namespace {
 
 bool CompiledIsaAvailable() {
 #if defined(OODGNN_SIMD_ISA_AVX2)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #elif defined(OODGNN_SIMD_ISA_NEON)
   return true;
 #else
@@ -69,7 +72,7 @@ namespace {
 
 // Minimal vector abstraction. Every wrapper keeps the C operand order
 // of the scalar expression it stands in for (VMul(a, b) ≡ a*b,
-// VAdd(a, b) ≡ a+b). The compiler may still commute an add, in either
+// VAdd(a, b) ≡ a+b, VFma(a, b, c) ≡ std::fma(a, b, c)). The compiler may still commute an add, in either
 // path, and x86/ARM keep the first source operand's NaN, so which NaN
 // payload survives NaN + NaN is outside the bitwise contract; where
 // NaNs land is not (DESIGN.md §16).
@@ -83,10 +86,27 @@ inline vf VBroadcast(float x) { return _mm256_set1_ps(x); }
 inline vf VMul(vf a, vf b) { return _mm256_mul_ps(a, b); }
 inline vf VAdd(vf a, vf b) { return _mm256_add_ps(a, b); }
 inline vf VDiv(vf a, vf b) { return _mm256_div_ps(a, b); }
+/// a·b + c rounded once.
+inline vf VFma(vf a, vf b, vf c) { return _mm256_fmadd_ps(a, b, c); }
 /// Lane-wise x > 0 ? v : +0. The compare is ordered, so NaN lanes of x
 /// select +0, as the scalar `x > 0.f` does.
 inline vf VSelectPositive(vf x, vf v) {
   return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), v);
+}
+/// True when a lane is NaN or ±inf (x·0 is NaN there, ±0 elsewhere).
+inline bool VAnyNonFinite(vf x) {
+  const vf p = _mm256_mul_ps(x, _mm256_setzero_ps());
+  return _mm256_movemask_ps(_mm256_cmp_ps(p, p, _CMP_UNORD_Q)) != 0;
+}
+/// True when a lane is −0: the lanes equal to 0 keep their sign bit.
+inline bool VAnyNegativeZero(vf x) {
+  const vf zeros = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ);
+  return _mm256_movemask_ps(_mm256_and_ps(zeros, x)) != 0;
+}
+/// The number of lanes that are not == 0 (NaN lanes count).
+inline int VCountNonzero(vf x) {
+  return __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(
+      _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ))));
 }
 
 #else  // OODGNN_SIMD_ISA_NEON
@@ -99,28 +119,55 @@ inline vf VBroadcast(float x) { return vdupq_n_f32(x); }
 inline vf VMul(vf a, vf b) { return vmulq_f32(a, b); }
 inline vf VAdd(vf a, vf b) { return vaddq_f32(a, b); }
 inline vf VDiv(vf a, vf b) { return vdivq_f32(a, b); }
+/// a·b + c rounded once.
+inline vf VFma(vf a, vf b, vf c) { return vfmaq_f32(c, a, b); }
 /// Lane-wise x > 0 ? v : +0 (vcgtq_f32 is false on NaN lanes).
 inline vf VSelectPositive(vf x, vf v) {
   return vreinterpretq_f32_u32(
       vandq_u32(vcgtq_f32(x, vdupq_n_f32(0.f)), vreinterpretq_u32_f32(v)));
 }
+/// True when a lane is NaN or ±inf (x·0 is NaN there, ±0 elsewhere).
+inline bool VAnyNonFinite(vf x) {
+  const vf p = vmulq_n_f32(x, 0.f);
+  return vminvq_u32(vceqq_f32(p, p)) == 0;
+}
+/// True when a lane is −0: the lanes equal to 0 keep their sign bit.
+inline bool VAnyNegativeZero(vf x) {
+  const uint32x4_t zeros = vceqq_f32(x, vdupq_n_f32(0.f));
+  return vmaxvq_u32(vandq_u32(zeros, vreinterpretq_u32_f32(x))) != 0;
+}
+/// The number of lanes that are not == 0 (NaN lanes count).
+inline int VCountNonzero(vf x) {
+  const uint32x4_t nonzero = vmvnq_u32(vceqq_f32(x, vdupq_n_f32(0.f)));
+  return static_cast<int>(vaddvq_u32(vshrq_n_u32(nonzero, 31)));
+}
 
 #endif
 
 // Register tiles of the fp32 matmul bodies. Each output tile is loaded
-// once per block of contraction rows, summed in vector registers over
-// the block and stored once, so no running sum waits on a
-// store-to-load forward. Tiling changes only which elements are in
-// flight together, never the terms an element sums or their order, so
-// the scalar kernels stay the oracle. The a·b block covers every model
+// once per block of contraction rows (or starts from +0 in registers),
+// summed in vector registers over the block and stored once, so no
+// running sum waits on a store-to-load forward. Every product is fused
+// into its sum (VFma), as the oracle's std::fma does, and tiling
+// changes only which elements are in flight together, never the terms
+// an element sums or their order. The a·b block covers every model
 // contraction in one pass; it exists so that a GEMV against a huge b
 // walks a bounded set of b rows (pages) per tile. The aᵀ·b block keeps
 // its rows of b in L1.
-constexpr int kTileVecs = 8;          // a·b, aᵀ·b: output vectors per tile
+constexpr int kTileVecs = 8;          // term lists: output vectors per tile
+constexpr int kDenseRows = 4;         // dense tiles: output rows
+constexpr int kDenseVecs = 2;         // dense tiles: output vectors
 constexpr int kBlockK = 256;          // a·b: contraction rows per block
 constexpr int kTransABlockRows = 64;  // aᵀ·b: contraction rows per block
 constexpr int kTransBRows = 4;        // a·bᵀ: output rows per tile
 constexpr int kTransBVecs = 2;        // a·bᵀ: panel vectors per tile
+
+/// A block runs dense tiles when at least this share of its
+/// coefficients is nonzero; sparser blocks (one-hot features) take
+/// term lists, which list the nonzero ones only. `bench_kernels
+/// --simd` put the crossover between 25% (term lists as fast or
+/// faster) and 50% nonzero (dense tiles ~1.5x faster), DESIGN.md §16.
+constexpr int kDenseSharePct = 40;
 
 /// Per-thread scratch of the matmul bodies. It grows to the largest
 /// size a call has needed and never shrinks, so a warm call makes no
@@ -142,6 +189,39 @@ struct MatMulScratch {
 MatMulScratch& ThreadScratch() {
   thread_local MatMulScratch scratch;
   return scratch;
+}
+
+/// True when x[0, count) holds no NaN and no ±inf.
+bool AllFinite(const float* x, size_t count) {
+  size_t i = 0;
+  for (; i + kVLen <= count; i += kVLen) {
+    if (VAnyNonFinite(VLoad(x + i))) return false;
+  }
+  for (; i < count; ++i) {
+    if (!std::isfinite(x[i])) return false;
+  }
+  return true;
+}
+
+/// True when x[0, count) holds a −0.
+bool AnyNegativeZero(const float* x, size_t count) {
+  size_t i = 0;
+  for (; i + kVLen <= count; i += kVLen) {
+    if (VAnyNegativeZero(VLoad(x + i))) return true;
+  }
+  for (; i < count; ++i) {
+    if (x[i] == 0.f && std::signbit(x[i])) return true;
+  }
+  return false;
+}
+
+/// The number of x[0, count) that are not `== 0.f` (NaN counts).
+int CountNonzero(const float* x, int count) {
+  int nonzero = 0;
+  int i = 0;
+  for (; i + kVLen <= count; i += kVLen) nonzero += VCountNonzero(VLoad(x + i));
+  for (; i < count; ++i) nonzero += x[i] != 0.f ? 1 : 0;
+  return nonzero;
 }
 
 /// Lists the nonzero terms of one contraction in ascending order:
@@ -179,11 +259,28 @@ inline vf VApplyTail(const kernels::MatMulTail& t, vf x, int c) {
   return t.relu ? VSelectPositive(x, x) : x;
 }
 
+/// Calls fn.template operator()<kFromZero, kTail>() with the two
+/// template flags chosen at run time.
+template <typename Fn>
+void WithTileFlags(bool from_zero, bool tail, Fn&& fn) {
+  if (from_zero) {
+    if (tail) {
+      fn.template operator()<true, true>();
+    } else {
+      fn.template operator()<true, false>();
+    }
+  } else if (tail) {
+    fn.template operator()<false, true>();
+  } else {
+    fn.template operator()<false, false>();
+  }
+}
+
 /// orow[j, j + NV·kVLen) += Σ_t coefs[t]·rows[t][j, …) in term order,
-/// each output vector held in a register across all terms. With
-/// kFromZero the sums start from +0 in registers instead of the stored
-/// output (what a zero-filled output holds); with kTail they take the
-/// tail before the store.
+/// each output vector held in a register across all terms and each
+/// product fused into its sum. With kFromZero the sums start from +0
+/// in registers instead of the stored output (what a zero-filled
+/// output holds); with kTail they take the tail before the store.
 template <int NV, bool kFromZero, bool kTail>
 void AccumulateTile(const MatMulScratch& s, int terms,
                     const kernels::MatMulTail* tail, float* orow, int j) {
@@ -197,7 +294,7 @@ void AccumulateTile(const MatMulScratch& s, int terms,
     const float* brow = s.rows[static_cast<size_t>(t)] + j;
 #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
-      acc[v] = VAdd(acc[v], VMul(c, VLoad(brow + v * kVLen)));
+      acc[v] = VFma(c, VLoad(brow + v * kVLen), acc[v]);
     }
   }
 #pragma GCC unroll 8
@@ -210,9 +307,9 @@ void AccumulateTile(const MatMulScratch& s, int terms,
 /// orow[0, n) += the listed terms: full kTileVecs tiles, one narrower
 /// tile for the remaining whole vectors, then scalar columns.
 /// kFromZero and kTail as in AccumulateTile.
-template <bool kFromZero = false, bool kTail = false>
+template <bool kFromZero, bool kTail>
 void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n,
-                   const kernels::MatMulTail* tail = nullptr) {
+                   const kernels::MatMulTail* tail) {
   using Tile = void (*)(const MatMulScratch&, int, const kernels::MatMulTail*,
                         float*, int);
   static constexpr Tile kPartial[kTileVecs] = {
@@ -237,17 +334,139 @@ void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n,
   for (; j < n; ++j) {
     float sum = kFromZero ? 0.f : orow[j];
     for (int t = 0; t < terms; ++t) {
-      sum += s.coefs[static_cast<size_t>(t)] *
-             s.rows[static_cast<size_t>(t)][j];
+      sum = std::fma(s.coefs[static_cast<size_t>(t)],
+                     s.rows[static_cast<size_t>(t)][j], sum);
     }
     orow[j] = kTail ? kernels::ApplyTail(*tail, sum, j) : sum;
   }
 }
 
+/// One contraction block of R output rows, every term included:
+/// orows[r][j, j + NV·kVLen) += Σ_{t < count} coef[r·row_step +
+/// t·term_step]·bblock[t·ldb + j, …) in ascending t. Each loaded b
+/// vector feeds R fused multiply-adds. kFromZero and kTail as in
+/// AccumulateTile.
+template <int R, int NV, bool kFromZero, bool kTail>
+void DenseTile(const float* coef, size_t row_step, size_t term_step,
+               int count, const float* bblock, size_t ldb,
+               const kernels::MatMulTail* tail, float* const* orows, int j) {
+  vf acc[R][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] =
+          kFromZero ? VBroadcast(0.f) : VLoad(orows[r] + j + v * kVLen);
+    }
+  }
+  for (int t = 0; t < count; ++t) {
+    const float* c = coef + static_cast<size_t>(t) * term_step;
+    const float* brow = bblock + static_cast<size_t>(t) * ldb + j;
+    vf w[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) w[v] = VLoad(brow + v * kVLen);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const vf x = VBroadcast(c[static_cast<size_t>(r) * row_step]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] = VFma(x, w[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      const int col = j + v * kVLen;
+      VStore(orows[r] + col,
+             kTail ? VApplyTail(*tail, acc[r][v], col) : acc[r][v]);
+    }
+  }
+}
+
+/// DenseTile over all n columns of kDenseRows rows: kDenseVecs-vector
+/// tiles, one-vector tiles, then scalar columns with the same steps.
+template <bool kFromZero, bool kTail>
+void DenseRows(const float* coef, size_t row_step, size_t term_step,
+               int count, const float* bblock, size_t ldb,
+               const kernels::MatMulTail* tail, float* const* orows, int n) {
+  constexpr int R = kDenseRows;
+  int j = 0;
+  for (; j + kDenseVecs * kVLen <= n; j += kDenseVecs * kVLen) {
+    DenseTile<R, kDenseVecs, kFromZero, kTail>(coef, row_step, term_step,
+                                               count, bblock, ldb, tail,
+                                               orows, j);
+  }
+  for (; j + kVLen <= n; j += kVLen) {
+    DenseTile<R, 1, kFromZero, kTail>(coef, row_step, term_step, count,
+                                      bblock, ldb, tail, orows, j);
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < R; ++r) {
+      float sum = kFromZero ? 0.f : orows[r][j];
+      for (int t = 0; t < count; ++t) {
+        sum = std::fma(coef[r * row_step + t * term_step],
+                       bblock[t * ldb + j], sum);
+      }
+      orows[r][j] = kTail ? kernels::ApplyTail(*tail, sum, j) : sum;
+    }
+  }
+}
+
+/// Output rows [r0, r1) of one contraction block of `count` terms: out
+/// row q's coefficient for term t is coef0[q·row_step + t·term_step],
+/// and it multiplies b row b0 + t. Dense tiles also add the products
+/// of zero coefficients, which the oracle skips; with `dense_ok` they
+/// run, kDenseRows rows at a time, when the block is dense enough
+/// (kDenseSharePct). Every other row sums its own nonzero terms. Sums
+/// start from +0 when `from_zero` and take `tail` when it is set.
+void ContractBlock(const float* coef0, size_t row_step, size_t term_step,
+                   int count, const Tensor& b, int b0, bool dense_ok,
+                   bool from_zero, const kernels::MatMulTail* tail,
+                   Tensor* out, int r0, int r1, MatMulScratch* s) {
+  const int n = out->cols();
+  if (dense_ok) {
+    // The block's coefficients lie in runs of count (a·b: a row) or of
+    // r1 − r0 (aᵀ·b: a row of a across the output rows).
+    int nonzero = 0;
+    if (term_step == 1) {
+      for (int q = r0; q < r1; ++q) {
+        nonzero += CountNonzero(coef0 + static_cast<size_t>(q) * row_step,
+                                count);
+      }
+    } else {
+      for (int t = 0; t < count; ++t) {
+        nonzero += CountNonzero(
+            coef0 + static_cast<size_t>(t) * term_step + r0, r1 - r0);
+      }
+    }
+    dense_ok = 100ll * nonzero >=
+               static_cast<long long>(kDenseSharePct) * count * (r1 - r0);
+  }
+  const float* bblock = b.data() + static_cast<size_t>(b0) * b.cols();
+  const size_t ldb = static_cast<size_t>(b.cols());
+  WithTileFlags(from_zero, tail != nullptr, [&]<bool kFromZero, bool kTail>() {
+    int q = r0;
+    for (; dense_ok && q + kDenseRows <= r1; q += kDenseRows) {
+      float* orows[kDenseRows];
+      for (int r = 0; r < kDenseRows; ++r) orows[r] = out->row(q + r);
+      DenseRows<kFromZero, kTail>(coef0 + static_cast<size_t>(q) * row_step,
+                                  row_step, term_step, count, bblock, ldb,
+                                  tail, orows, n);
+    }
+    for (; q < r1; ++q) {
+      const int terms =
+          NonzeroTerms(coef0 + static_cast<size_t>(q) * row_step, term_step,
+                       count, b, b0, s);
+      AccumulateRow<kFromZero, kTail>(*s, terms, out->row(q), n, tail);
+    }
+  });
+}
+
 /// orows[r][j, j + NV·kVLen) += dot(arows[r], b rows j…) for R rows:
 /// the panel holds those b rows p-major (NV vectors per p), so each
-/// panel load feeds R rows, and the R·NV sums start from +0 and run
-/// in ascending p like the oracle's `acc`.
+/// panel load feeds R rows, and the R·NV sums start from +0 and take
+/// one fused multiply-add per p in ascending p, like the oracle's
+/// `acc`.
 template <int R, int NV>
 void DotTile(const float* const* arows, const float* panel, int k,
              float* const* orows, int j) {
@@ -266,9 +485,7 @@ void DotTile(const float* const* arows, const float* panel, int k,
     for (int r = 0; r < R; ++r) {
       const vf x = VBroadcast(arows[r][p]);
 #pragma GCC unroll 8
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = VAdd(acc[r][v], VMul(x, w[v]));
-      }
+      for (int v = 0; v < NV; ++v) acc[r][v] = VFma(x, w[v], acc[r][v]);
     }
   }
 #pragma GCC unroll 8
@@ -315,66 +532,51 @@ void DotPanel(const Tensor& a, const Tensor& b, Tensor* out, int r0, int r1,
 
 }  // namespace
 
-void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
-               int r1) {
-  const int k = a.cols();
-  const int n = b.cols();
-  MatMulScratch& s = ThreadScratch();
-  s.ReserveTerms(kBlockK);
-  for (int p0 = 0; p0 < k; p0 += kBlockK) {
-    const int rows = std::min(kBlockK, k - p0);
-    for (int i = r0; i < r1; ++i) {
-      const int terms = NonzeroTerms(a.row(i) + p0, 1, rows, b, p0, &s);
-      AccumulateRow(s, terms, out->row(i), n);
-    }
-  }
-}
-
 void MatMulWithTail(const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail& tail, Tensor* out, int r0,
                     int r1) {
   const int k = a.cols();
-  const int n = b.cols();
+  const size_t lda = static_cast<size_t>(a.cols());
   MatMulScratch& s = ThreadScratch();
   s.ReserveTerms(kBlockK);
+  // A dense tile also adds the products of the zero coefficients the
+  // oracle skips. With b finite each is ±0, and adding ±0 changes no
+  // sum that started from +0: such a sum is never −0, and x + ±0 is x
+  // for every other x, NaN and ±inf included.
+  const bool dense_ok = AllFinite(b.data(), static_cast<size_t>(b.size()));
   // Every model contraction fits one block, which starts from +0 and
-  // ends in the tail. A longer one stores partial sums between blocks,
-  // as MatMulAcc does. k = 0 still runs one block: its sums are +0.
+  // ends in the tail. A longer one stores partial sums between blocks.
+  // k = 0 still runs one block: its sums are +0.
   for (int p0 = 0; p0 == 0 || p0 < k; p0 += kBlockK) {
-    const int rows = std::min(kBlockK, k - p0);
-    const bool first = p0 == 0;
+    const int count = std::min(kBlockK, k - p0);
     const bool last = p0 + kBlockK >= k;
-    for (int i = r0; i < r1; ++i) {
-      const int terms = NonzeroTerms(a.row(i) + p0, 1, rows, b, p0, &s);
-      float* orow = out->row(i);
-      if (first && last) {
-        AccumulateRow<true, true>(s, terms, orow, n, &tail);
-      } else if (first) {
-        AccumulateRow<true, false>(s, terms, orow, n);
-      } else if (last) {
-        AccumulateRow<false, true>(s, terms, orow, n, &tail);
-      } else {
-        AccumulateRow(s, terms, orow, n);
-      }
-    }
+    ContractBlock(a.data() + p0, lda, 1, count, b, p0, dense_ok, p0 == 0,
+                  last ? &tail : nullptr, out, r0, r1, &s);
   }
 }
 
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1) {
+  if (r0 >= r1) return;
   const int m = a.rows();
   const int n = b.cols();
-  const size_t stride = static_cast<size_t>(a.cols());
+  const size_t lda = static_cast<size_t>(a.cols());
   MatMulScratch& s = ThreadScratch();
   s.ReserveTerms(kTransABlockRows);
+  // The sums start from the stored output, so a dense tile's ±0
+  // products are exact only where none of it is −0 (−0 + +0 is +0); a
+  // sum that starts anywhere else never reaches −0.
+  const bool no_negative_zero = !AnyNegativeZero(
+      out->row(r0), static_cast<size_t>(r1 - r0) * static_cast<size_t>(n));
   // Blocks of contraction rows in ascending order keep their rows of b
   // in L1 while every output row of the range sums over them.
   for (int i0 = 0; i0 < m; i0 += kTransABlockRows) {
-    const int rows = std::min(kTransABlockRows, m - i0);
-    for (int p = r0; p < r1; ++p) {
-      const int terms = NonzeroTerms(a.row(i0) + p, stride, rows, b, i0, &s);
-      AccumulateRow(s, terms, out->row(p), n);
-    }
+    const int count = std::min(kTransABlockRows, m - i0);
+    const bool dense_ok =
+        no_negative_zero &&
+        AllFinite(b.row(i0), static_cast<size_t>(count) * n);
+    ContractBlock(a.row(i0), 1, lda, count, b, i0, dense_ok,
+                  /*from_zero=*/false, /*tail=*/nullptr, out, r0, r1, &s);
   }
 }
 
@@ -396,10 +598,36 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
     for (int jt = j; jt < n; ++jt) {
       const float* brow = b.row(jt);
       float acc = 0.f;
-      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      for (int p = 0; p < k; ++p) acc = std::fma(arow[p], brow[p], acc);
       orow[jt] += acc;
     }
   }
+}
+
+float Dot(const Tensor& a, const Tensor& b) {
+  constexpr int kLanes = kernels::kDotLanes;
+  constexpr int kVecs = kLanes / kVLen;  // 1 on AVX2, 2 on NEON
+  const float* x = a.data();
+  const float* y = b.data();
+  const int n = a.size();
+  vf acc[kVecs];
+  for (int v = 0; v < kVecs; ++v) acc[v] = VBroadcast(0.f);
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int v = 0; v < kVecs; ++v) {
+      const int at = i + v * kVLen;
+      acc[v] = VFma(VLoad(x + at), VLoad(y + at), acc[v]);
+    }
+  }
+  // The oracle's fold and tail on the stored lanes.
+  float lane[kLanes];
+  for (int v = 0; v < kVecs; ++v) VStore(lane + v * kVLen, acc[v]);
+  for (int half = kLanes / 2; half > 0; half /= 2) {
+    for (int l = 0; l < half; ++l) lane[l] = lane[l] + lane[l + half];
+  }
+  float sum = lane[0];
+  for (; i < n; ++i) sum = std::fma(x[i], y[i], sum);
+  return sum;
 }
 
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
@@ -743,10 +971,6 @@ void RffMap(const Tensor& z, const std::vector<int>& source_dim,
 
 #else  // no vector ISA compiled in: delegate so the symbols still link.
 
-void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
-               int r1) {
-  kernels::MatMulAcc(a, b, out, r0, r1);
-}
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1) {
   kernels::MatMulTransAAcc(a, b, out, r0, r1);
@@ -760,6 +984,7 @@ void MatMulWithTail(const Tensor& a, const Tensor& b,
                     int r1) {
   kernels::MatMulWithTail(a, b, tail, out, r0, r1);
 }
+float Dot(const Tensor& a, const Tensor& b) { return kernels::Dot(a, b); }
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
   kernels::Axpy(alpha, x, y, i0, i1);
 }

@@ -20,34 +20,41 @@ namespace simd {
 //
 // Every function here is *bitwise identical* to its scalar twin: the
 // vector lanes perform exactly the scalar per-element operation
-// sequence — separate multiply and add (never FMA; fused rounding
-// would diverge from the scalar oracle, so the build also pins
-// -ffp-contract=off), the same per-output-element accumulation order,
-// and the same zero-skip decisions on the same a coefficients. The one
-// exception is which NaN payload survives NaN + NaN, which C++ leaves
-// to the compiler's operand order; NaNs still land in the same
-// elements.
-// Kernels whose scalar form is a horizontal reduction (Dot, EdgeDot,
-// HadamardRowSum) have no mirror: vectorizing them would reassociate
-// the sum. Only kernels where the innermost loop walks the contiguous
-// output (or panel-packed) dimension with independent per-lane
-// accumulators are mirrored. The scalar kernels' branches become lane
-// masks: ReLU is an `x > 0` compare ANDed with x, never a `max`: by ISA
-// and operand order, max(x, 0) returns NaN for a NaN lane and −0 for
-// −0, where the scalar `x > 0 ? x : 0` returns +0. tests/simd_test.cc
-// pins the bitwise contract across shapes, tails, denormals, ±0/NaN and
-// thread counts. The matmul bodies are register-tiled (DESIGN.md §16):
-// each output tile is summed in vector registers, and a·b and aᵀ·b
-// apply the zero-skip once per row through a list of nonzero terms.
+// sequence, the same per-output-element accumulation order, and the
+// same zero-skip decisions on the same a coefficients. The matmul
+// family and Dot fuse each multiply-add (one rounding) where their
+// oracles call std::fma; every other kernel multiplies, then adds, as
+// its oracle does, and the build pins -ffp-contract=off so the
+// compiler fuses nothing on its own. The one exception is which NaN
+// payload survives NaN + NaN, which C++ leaves to the compiler's
+// operand order; NaNs still land in the same elements.
+// Dot is a horizontal reduction whose oracle fixes one association,
+// 8 lanes folded in halves (kernels::Dot), so its mirror sums the
+// same lanes in vector registers. The other reductions (EdgeDot,
+// HadamardRowSum) sum serially and have no mirror: vectorizing them
+// would reassociate the sum. Otherwise only kernels where the
+// innermost loop walks the contiguous output (or panel-packed)
+// dimension with independent per-lane accumulators are mirrored. The
+// scalar kernels' branches become lane masks: ReLU is an `x > 0`
+// compare ANDed with x, never a `max`: by ISA and operand order,
+// max(x, 0) returns NaN for a NaN lane and −0 for −0, where the scalar
+// `x > 0 ? x : 0` returns +0. tests/simd_test.cc pins the bitwise
+// contract across shapes, tails, denormals, ±0/NaN and thread counts.
+// The matmul bodies are register-tiled (DESIGN.md §16): each output
+// tile is summed in vector registers. a·b and aᵀ·b apply the zero-skip
+// once per row through a list of nonzero terms, or share one
+// multi-row tile that also adds the zero terms' ±0 products where
+// that changes no sum (b finite, and no −0 among the stored sums).
 //
 // The file src/tensor/simd.cc is the only translation unit compiled
-// with -mavx2 (x86; NEON is baseline on aarch64); its functions are
-// reached only after Enabled() returned true, so no AVX2 instruction
-// can execute on a CPU without the feature.
+// with -mavx2 -mfma (x86; NEON is baseline on aarch64); its functions
+// are reached only after Enabled() returned true, so no AVX2 or FMA
+// instruction can execute on a CPU without both features.
 // ---------------------------------------------------------------------------
 
 /// True when this binary carries a vector ISA (compile-time) *and* the
-/// running CPU supports it. False on the pure-scalar build.
+/// running CPU supports it (AVX2 and FMA on x86). False on the
+/// pure-scalar build.
 bool Available();
 
 /// The ISA the vector path was compiled for: "avx2", "neon" or
@@ -79,19 +86,22 @@ class ScopedSimdEnabled {
 
 // --- dense matmul family ---
 
-void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0, int r1);
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
                      int r1);
 
-/// out[r0:r1,:] = tail(a · b) (kernels::MatMulTail). Each tile's sums
-/// start from +0 in registers, so out is never zero-filled or read,
-/// and the tail runs on the last contraction block's registers before
-/// the one store. Bitwise identical to kernels::MatMulWithTail.
+/// out[r0:r1,:] = tail(a · b) (kernels::MatMulTail); an empty tail
+/// gives the plain product. Each tile's sums start from +0 in
+/// registers, so out is never zero-filled or read, and the tail runs
+/// on the last contraction block's registers before the one store.
+/// Bitwise identical to kernels::MatMulWithTail.
 void MatMulWithTail(const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail& tail, Tensor* out, int r0,
                     int r1);
+
+/// kernels::Dot's 8 lanes in vector registers, then its fold and tail.
+float Dot(const Tensor& a, const Tensor& b);
 
 // --- element-wise maps ---
 

@@ -143,14 +143,6 @@ float Tensor::Sum() const {
   return static_cast<float>(acc);
 }
 
-Tensor Tensor::Transposed() const {
-  Tensor t = Unfilled(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  }
-  return t;
-}
-
 bool AllClose(const Tensor& a, const Tensor& b, float tol) {
   if (!a.SameShape(b)) return false;
   for (int i = 0; i < a.size(); ++i) {

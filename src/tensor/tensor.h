@@ -94,9 +94,6 @@ class Tensor {
   /// Sum of all elements.
   float Sum() const;
 
-  /// Returns the transpose.
-  Tensor Transposed() const;
-
  private:
   int rows_ = 0;
   int cols_ = 0;

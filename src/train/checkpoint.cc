@@ -10,6 +10,7 @@
 
 #include "src/nn/serialize.h"
 #include "src/util/file.h"
+#include "src/util/flags.h"
 #include "src/util/logging.h"
 
 namespace oodgnn {
@@ -234,9 +235,10 @@ bool LoadCheckpointWeights(const std::string& path, Method method,
   return true;
 }
 
-bool CrashAfterEpochRequested(int completed_epoch) {
+int CrashAfterEpochFromEnv() {
   const char* value = std::getenv("OODGNN_CRASH_AFTER_EPOCH");
-  return value != nullptr && std::atoi(value) == completed_epoch;
+  if (value == nullptr || *value == '\0') return 0;
+  return ParseIntOr(value, "OODGNN_CRASH_AFTER_EPOCH", 0);
 }
 
 void CrashNow(const char* where) {

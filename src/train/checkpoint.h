@@ -112,12 +112,16 @@ bool LoadCheckpointWeights(const std::string& path, Method method,
 
 /// Crash-injection hooks for fault-tolerance tests, driven by
 /// environment variables (read at call time):
-///  - OODGNN_CRASH_AFTER_EPOCH=<n>: the trainer calls
-///    CrashAfterEpochRequested(n) after checkpointing epoch n and, if it
-///    matches, terminates via CrashNow.
+///  - OODGNN_CRASH_AFTER_EPOCH=<n>: the trainer reads it once per run
+///    (CrashAfterEpochFromEnv) and, after checkpointing epoch n,
+///    terminates via CrashNow.
 ///  - OODGNN_CRASH_IN_WRITE=1: SaveTrainState aborts after writing a
 ///    partial temp file (exercising the atomic-rename protocol).
-bool CrashAfterEpochRequested(int completed_epoch);
+///
+/// The epoch OODGNN_CRASH_AFTER_EPOCH names, or 0 (no epoch: they count
+/// from 1) when it is unset or not a whole number (ParseIntOr: `2x`
+/// logs an error instead of reading as 2).
+int CrashAfterEpochFromEnv();
 [[noreturn]] void CrashNow(const char* where);
 
 }  // namespace oodgnn

@@ -352,6 +352,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
                      << config.batch_size << ")";
   }
 
+  const int crash_after_epoch = CrashAfterEpochFromEnv();
   for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     Timer epoch_timer;
     rng.Shuffle(&order);
@@ -510,9 +511,7 @@ TrainResult TrainAndEvaluate(Method method, const GraphDataset& dataset,
     }
     // Fault injection: simulate the process dying right after this
     // epoch (and its scheduled checkpoint, if any) completed.
-    if (CrashAfterEpochRequested(epoch + 1)) {
-      CrashNow("OODGNN_CRASH_AFTER_EPOCH");
-    }
+    if (epoch + 1 == crash_after_epoch) CrashNow("OODGNN_CRASH_AFTER_EPOCH");
   }
 
   result.train_seconds = timer.ElapsedSeconds();

@@ -56,6 +56,11 @@ int ThreadCountFromEnv(int fallback) {
   return ParseThreadCount(env, "OODGNN_THREADS");
 }
 
+int ParseIntOr(const std::string& text, const std::string& source,
+               int fallback) {
+  return ParseNumberOr(text, source, fallback);
+}
+
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -124,7 +129,7 @@ int Flags::GetMetricsIntervalMs(int fallback) const {
   }
   const char* env = std::getenv("OODGNN_METRICS_INTERVAL_MS");
   if (env != nullptr && *env != '\0') {
-    return ParseNumberOr<int>(env, "OODGNN_METRICS_INTERVAL_MS", fallback);
+    return ParseIntOr(env, "OODGNN_METRICS_INTERVAL_MS", fallback);
   }
   return fallback;
 }

@@ -21,6 +21,12 @@ int ParseThreadCount(const std::string& text, const std::string& source);
 /// OODGNN_THREADS through ParseThreadCount; `fallback` if unset or empty.
 int ThreadCountFromEnv(int fallback);
 
+/// `text` as an int when std::from_chars reads all of it and the value
+/// is in range, as Flags::GetInt parses; anything else (`2x`, `x`, a
+/// space) logs `source` and `text` at Error and returns `fallback`.
+int ParseIntOr(const std::string& text, const std::string& source,
+               int fallback);
+
 /// Minimal command-line flag parser for the benchmark and example
 /// binaries. Accepts "--name=value", "--name value" and boolean
 /// "--name" forms; everything else is collected as a positional

@@ -1,38 +1,48 @@
 #include "src/util/logging.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 namespace oodgnn {
 namespace {
 
 /// Parses OODGNN_LOG_LEVEL ("debug"/"info"/"warning"/"warn"/"error",
-/// case-insensitive, or 0–3). Returns kInfo when unset or unparseable.
+/// case-insensitive, or a whole number 0–3). Returns kInfo when unset;
+/// any other text prints one line naming the variable and its text,
+/// and also returns kInfo. The line goes straight to stderr: the
+/// logger cannot log while it resolves its own level.
 int LevelFromEnv() {
+  const int info = static_cast<int>(LogLevel::kInfo);
   const char* env = std::getenv("OODGNN_LOG_LEVEL");
-  if (env == nullptr || *env == '\0') {
-    return static_cast<int>(LogLevel::kInfo);
-  }
-  if (std::isdigit(static_cast<unsigned char>(env[0]))) {
-    const int v = std::atoi(env);
-    if (v >= 0 && v <= static_cast<int>(LogLevel::kError)) return v;
-    return static_cast<int>(LogLevel::kInfo);
+  if (env == nullptr || *env == '\0') return info;
+  const std::string text = env;
+  int number = -1;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, number);
+  if (parsed.ec == std::errc() && parsed.ptr == end && number >= 0 &&
+      number <= static_cast<int>(LogLevel::kError)) {
+    return number;
   }
   std::string name;
-  for (const char* p = env; *p != '\0'; ++p) {
+  for (const char c : text) {
     name.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(*p))));
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
   if (name == "debug") return static_cast<int>(LogLevel::kDebug);
-  if (name == "info") return static_cast<int>(LogLevel::kInfo);
+  if (name == "info") return info;
   if (name == "warning" || name == "warn") {
     return static_cast<int>(LogLevel::kWarning);
   }
   if (name == "error") return static_cast<int>(LogLevel::kError);
-  return static_cast<int>(LogLevel::kInfo);
+  std::fprintf(stderr,
+               "[oodgnn ERROR] OODGNN_LOG_LEVEL: '%s' is not debug, info, "
+               "warning, error or a whole number 0-3; using info\n",
+               env);
+  return info;
 }
 
 /// The minimum severity printed, resolved from OODGNN_LOG_LEVEL on the

@@ -9,8 +9,9 @@ namespace oodgnn {
 
 /// Severity levels for the library logger. Messages below the minimum
 /// severity are dropped; the minimum is the OODGNN_LOG_LEVEL environment
-/// variable ("debug"/"info"/"warning"/"error" or the numeric values
-/// 0–3), read once, or kInfo when it is unset or unknown.
+/// variable ("debug"/"info"/"warning"/"error" or the whole numbers
+/// 0–3), read once, or kInfo when it is unset; other text prints an
+/// error line and keeps kInfo.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 namespace internal_logging {

@@ -473,6 +473,23 @@ TEST(CheckpointDeathTest, ResumeAfterCrashIsBitwiseIdenticalOodGnn) {
   CrashResumeScenario(Method::kOodGnn, "oodgnn");
 }
 
+TEST(CheckpointDeathTest, CrashHookNeedsAWholeEpochNumber) {
+  // `2x` once read as 2 (std::atoi) and crashed the run after epoch 2.
+  // Now it logs one line naming the variable and its text, and the
+  // run trains all its epochs.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dir = TempPath("ckpt_crash_text");
+  EXPECT_EXIT(
+      {
+        setenv("OODGNN_CRASH_AFTER_EPOCH", "2x", 1);
+        const TrainResult result =
+            TrainAndEvaluate(Method::kGin, EasyDataset(12), FastConfig(dir));
+        std::fflush(nullptr);
+        std::_Exit(result.epoch_losses.size() == 6 ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "OODGNN_CRASH_AFTER_EPOCH: '2x'");
+}
+
 TEST(CheckpointDeathTest, CrashInWriteLeavesPreviousSnapshotIntact) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string path = TempPath("crash_in_write.ckpt");

@@ -153,6 +153,56 @@ TEST(DecorrelationTest, LossGradCheckWrtWeights) {
   EXPECT_LT(CheckGradients({w}, fn, 1e-3f).max_relative_error, 5e-2);
 }
 
+TEST(DecorrelationTest, OneNodeMatchesTheCompositeOps) {
+  // The one-node loss against test::CompositeDecorrelationLoss, the
+  // ~15-op composite it replaced: the same value bit for bit (its
+  // forward makes the same roundings), and the closed-form gradient
+  // of the trainable local weights within float rounding of autograd
+  // through the composite. With and without a constant bank block in
+  // front, Q ∈ {1, 2}, on all dimensions and on half of them.
+  for (int q : {1, 2}) {
+    for (float dim_fraction : {1.f, 0.5f}) {
+      for (bool bank : {false, true}) {
+        SCOPED_TRACE("Q=" + std::to_string(q) + " dim_fraction=" +
+                     std::to_string(dim_fraction) +
+                     (bank ? " bank" : " no bank"));
+        Rng rng(23 + q);
+        RffConfig config;
+        config.num_functions = q;
+        config.dim_fraction = dim_fraction;
+        RffFeatureMap rff(6, config, &rng);
+        const int global_n = bank ? 24 : 0;
+        const int local_n = 20;
+        const Tensor features =
+            rff.Transform(IndependentColumns(global_n + local_n, 6, 31));
+        Tensor local = Tensor::RandomUniform(local_n, 1, &rng, 0.f, 2.f);
+        local[3] = 0.f;  // a clamped-away sample
+        const Tensor global =
+            Tensor::RandomUniform(global_n, 1, &rng, 0.5f, 1.5f);
+        Variable w_one = Variable::Param(local);
+        Variable w_ref = Variable::Param(local);
+        const auto stacked = [&](const Variable& w) {
+          return bank ? ConcatRows({Variable::Constant(global), w}) : w;
+        };
+        Variable one =
+            DecorrelationLoss(features, rff.pair_mask(), stacked(w_one));
+        Variable ref = test::CompositeDecorrelationLoss(
+            features, rff.feature_source_dim(), stacked(w_ref));
+        EXPECT_EQ(one.value()[0], ref.value()[0]);
+        EXPECT_GT(one.value()[0], 0.f);
+        one.Backward();
+        ref.Backward();
+        const float scale = test::MaxAbs(w_ref.grad());
+        ASSERT_GT(scale, 0.f);
+        for (int i = 0; i < local_n; ++i) {
+          EXPECT_NEAR(w_one.grad()[i], w_ref.grad()[i], 1e-4f * scale)
+              << "weight " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(DecorrelationTest, ExcludesWithinDimensionPairs) {
   // With a single dimension there are no cross pairs: loss must be 0.
   Rng rng(11);

@@ -1,6 +1,8 @@
 // Tests for the low-level infrastructure: check macros, logging
 // controls, and the stopwatch.
 
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "gtest/gtest.h"
@@ -42,6 +44,21 @@ TEST(LoggingTest, LevelRoundTrip) {
   // safe to build.
   OODGNN_LOG(Debug) << "suppressed " << 1;
   OODGNN_LOG(Error) << "emitted " << 2;
+}
+
+TEST(LoggingDeathTest, BadLevelTextKeepsInfoAndSaysSo) {
+  // The child re-runs this binary, so it resolves the level afresh.
+  // `2x` once read as 2 (warning) through std::atoi, with no word.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("OODGNN_LOG_LEVEL", "2x", 1);
+        OODGNN_LOG(Info) << "info still printed";
+        std::fflush(stderr);
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "OODGNN_LOG_LEVEL: '2x'.*info still printed");
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

@@ -5,6 +5,7 @@
 // backward pass is deterministic too.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -190,40 +191,62 @@ Tensor SparseTensor(int rows, int cols, int zero_pct, uint64_t seed) {
 
 /// A matmul test case: m, k, n name the operands of a·b ([m×k]·[k×n]),
 /// aᵀ·b ([m×k]ᵀ·[m×n]) and a·bᵀ ([m×k]·[n×k]ᵀ); zero_pct adds exact
-/// zeros to a.
+/// zeros to a, and one_hot makes each row of a a single 1.
 struct MatMulCase {
   int m, k, n;
   int zero_pct = 0;
+  bool one_hot = false;
 };
 
-/// Each test's original small shape plus two model shapes, both past
-/// the parallel cutoff: the encoder's Linear over post-ReLU input
-/// (full 64-column tiles, a 4-row a·bᵀ remainder, three aᵀ·b row
-/// blocks) and a wide one (vector and scalar column remainders).
+/// Each test's original small shape plus model shapes past the
+/// parallel cutoff: the encoder's Linear over post-ReLU input (full
+/// 64-column tiles, a 4-row a·bᵀ remainder, three aᵀ·b row blocks), a
+/// wide one (vector and scalar column remainders), the one-hot first
+/// layer, half-zero input with a row count off the 4-row tile, a long
+/// contraction into a narrow head and a 3-term contraction.
 std::vector<MatMulCase> MatMulCases(MatMulCase original) {
-  return {original, {131, 64, 64, 35}, {70, 130, 150}};
+  return {original,           {131, 64, 64, 35},   {70, 130, 150},
+          {301, 17, 64, 0, true}, {263, 128, 80, 50}, {97, 300, 10},
+          {150, 3, 32}};
+}
+
+/// The a operand of `c`.
+Tensor MatMulCoefs(const MatMulCase& c, uint64_t seed) {
+  if (!c.one_hot) return SparseTensor(c.m, c.k, c.zero_pct, seed);
+  Tensor a(c.m, c.k);
+  Rng rng(seed);
+  for (int r = 0; r < c.m; ++r) {
+    a.at(r, static_cast<int>(rng.UniformInt(0, c.k - 1))) = 1.f;
+  }
+  return a;
 }
 
 TEST(KernelsTest, MatMulMatchesNaiveBitwiseAcrossThreads) {
   for (const MatMulCase& c : MatMulCases({37, 29, 43})) {
     SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
                  std::to_string(c.n));
-    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 1);
+    const Tensor a = MatMulCoefs(c, 1);
     const Tensor b = RandomTensor(c.k, c.n, 2);
-    // Naive ikj reference with ascending-k accumulation per output cell —
-    // the same per-element order the blocked kernel commits to.
+    // Naive ikj reference with ascending-k fused accumulation per output
+    // cell — the same per-element order and roundings the blocked
+    // kernel commits to (a zero term adds ±0 to a sum that started
+    // from +0, which changes nothing).
     Tensor reference(a.rows(), b.cols());
     for (int i = 0; i < a.rows(); ++i) {
       for (int p = 0; p < a.cols(); ++p) {
         for (int j = 0; j < b.cols(); ++j) {
-          reference.at(i, j) += a.at(i, p) * b.at(p, j);
+          reference.at(i, j) =
+              std::fma(a.at(i, p), b.at(p, j), reference.at(i, j));
         }
       }
     }
-    ExpectDeterministic(
+    ExpectBitwiseAcrossThreads(
         [&] {
-          Tensor out(a.rows(), b.cols());
-          GetBackend().MatMulAcc(a, b, &out);
+          // The forward MatMul's entry: an empty tail into a NaN
+          // sentinel, so an element the kernel never writes shows up.
+          Tensor out(a.rows(), b.cols(),
+                     std::numeric_limits<float>::quiet_NaN());
+          GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
           return out;
         },
         reference);
@@ -234,17 +257,18 @@ TEST(KernelsTest, MatMulTransAMatchesNaiveBitwiseAcrossThreads) {
   for (const MatMulCase& c : MatMulCases({31, 17, 23})) {
     SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
                  std::to_string(c.n));
-    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 3);
+    const Tensor a = MatMulCoefs(c, 3);
     const Tensor b = RandomTensor(c.m, c.n, 4);
     Tensor reference(a.cols(), b.cols());
     for (int i = 0; i < a.rows(); ++i) {
       for (int p = 0; p < a.cols(); ++p) {
         for (int j = 0; j < b.cols(); ++j) {
-          reference.at(p, j) += a.at(i, p) * b.at(i, j);
+          reference.at(p, j) =
+              std::fma(a.at(i, p), b.at(i, j), reference.at(p, j));
         }
       }
     }
-    ExpectDeterministic(
+    ExpectBitwiseAcrossThreads(
         [&] {
           Tensor out(a.cols(), b.cols());
           GetBackend().MatMulTransAAcc(a, b, &out);
@@ -258,17 +282,19 @@ TEST(KernelsTest, MatMulTransBMatchesNaiveBitwiseAcrossThreads) {
   for (const MatMulCase& c : MatMulCases({19, 41, 27})) {
     SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
                  std::to_string(c.n));
-    const Tensor a = SparseTensor(c.m, c.k, c.zero_pct, 5);
+    const Tensor a = MatMulCoefs(c, 5);
     const Tensor b = RandomTensor(c.n, c.k, 6);
     Tensor reference(a.rows(), b.rows());
     for (int i = 0; i < a.rows(); ++i) {
       for (int j = 0; j < b.rows(); ++j) {
         float acc = 0.f;
-        for (int p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
+        for (int p = 0; p < a.cols(); ++p) {
+          acc = std::fma(a.at(i, p), b.at(j, p), acc);
+        }
         reference.at(i, j) = acc;
       }
     }
-    ExpectDeterministic(
+    ExpectBitwiseAcrossThreads(
         [&] {
           Tensor out(a.rows(), b.rows());
           GetBackend().MatMulTransBAcc(a, b, &out);
@@ -454,16 +480,15 @@ TEST(KernelsTest, ReductionsAndBroadcastsAcrossThreads) {
       colsum_ref);
   ExpectDeterministic(
       [&] {
-        Tensor out(a.rows(), a.cols());
+        Tensor out = a;
         GetBackend().RowBroadcastAcc(colsum_ref, &out);
-        GetBackend().AddTransposedAcc(a.Transposed(), &out);
         return out;
       },
       [&] {
         Tensor out(a.rows(), a.cols());
         for (int r = 0; r < a.rows(); ++r) {
           for (int c = 0; c < a.cols(); ++c) {
-            out.at(r, c) = colsum_ref.at(0, c) + a.at(r, c);
+            out.at(r, c) = a.at(r, c) + colsum_ref.at(0, c);
           }
         }
         return out;

@@ -144,7 +144,7 @@ TEST(AdamTest, ConvergesOnLinearRegression) {
   Variable x = Variable::Constant(inputs);
   for (int step = 0; step < 400; ++step) {
     adam.ZeroGrad();
-    Variable pred = AddRowVec(MatMul(x, w), Transpose(b));
+    Variable pred = AddRowVec(MatMul(x, w), b);
     Variable loss = MseLoss(pred, targets);
     loss.Backward();
     adam.Step();

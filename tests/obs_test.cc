@@ -266,7 +266,7 @@ TEST(ObsZeroOverheadTest, DisabledKernelsRegisterNoMetrics) {
   Tensor a(8, 8, 1.f);
   Tensor b(8, 8, 2.f);
   Tensor out(8, 8);
-  GetBackend().MatMulAcc(a, b, &out);
+  GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
   GetBackend().Axpy(0.5f, a, &b);
   (void)GetBackend().Dot(a, b);
   EXPECT_EQ(obs::MetricsRegistry::Global().size(), 0u);
@@ -464,8 +464,8 @@ TEST(TraceTest, EnabledKernelsRecordCounters) {
   Tensor a(4, 4, 1.f);
   Tensor b(4, 4, 2.f);
   Tensor out(4, 4);
-  GetBackend().MatMulAcc(a, b, &out);
-  GetBackend().MatMulAcc(a, b, &out);
+  GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
+  GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
   std::int64_t matmul_calls = 0;
   std::int64_t matmul_elems = 0;
   for (const auto& [name, value] :

@@ -407,12 +407,6 @@ std::vector<GradCase> MakeGradCases() {
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
-  cases.push_back(Case("Transpose", [] {
-    Variable a = Variable::Param(RandomTensor(3, 2, 22));
-    auto fn = [a] { return Sum(Square(Transpose(a))); };
-    return std::make_pair(std::vector<Variable>{a},
-                          std::function<Variable()>(fn));
-  }));
   cases.push_back(Case("SumRowsCols", [] {
     Variable a = Variable::Param(RandomTensor(3, 4, 23));
     auto fn = [a] { return Sum(Square(SumRows(a))); };

@@ -152,7 +152,8 @@ TEST(SimdTest, ToggleClampsToAvailabilityAndRestores) {
 
 struct MatMulShape {
   int m, k, n;
-  int zero_pct = 0;  ///< extra exact zeros in the a operand, percent
+  int zero_pct = 0;      ///< extra exact zeros in the a operand, percent
+  bool one_hot = false;  ///< a's rows hold one 1 each (one-hot features)
 };
 
 constexpr MatMulShape kMatMulShapes[] = {
@@ -169,109 +170,175 @@ constexpr MatMulShape kMatMulShapes[] = {
     {131, 64, 64, 35},
     // Wide: two full tiles, then a vector and a scalar remainder.
     {70, 130, 150},
+    // One-hot input rows: the first Linear over TRIANGLES features.
+    {37, 17, 64, 0, true},
+    {13, 17, 10, 0, true},
 };
 
-TEST(SimdTest, MatMulAccBitwise) {
-  for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a =
-        SparseTensor(s.m, s.k, s.zero_pct, 11 * static_cast<uint64_t>(s.m));
+/// kMatMulShapes, then a sweep of 13-row products (three 4-row tiles and
+/// a remainder row) over k ∈ {3, 17, 64, 128, 300} and
+/// n ∈ {8, 10, 32, 64, 80}, alternately dense and with half of a zero.
+std::vector<MatMulShape> MatMulShapes() {
+  std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
+                                  std::end(kMatMulShapes));
+  int i = 0;
+  for (int k : {3, 17, 64, 128, 300}) {
+    for (int n : {8, 10, 32, 64, 80}) {
+      shapes.push_back({13, k, n, (i++ % 2) * 50});
+    }
+  }
+  return shapes;
+}
+
+std::string ShapeName(const MatMulShape& s) {
+  return std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+         std::to_string(s.n) + (s.one_hot ? " one-hot" : "");
+}
+
+/// The [m×k] a operand of `s`.
+Tensor MatMulCoefs(const MatMulShape& s, uint64_t seed) {
+  if (!s.one_hot) return SparseTensor(s.m, s.k, s.zero_pct, seed);
+  Tensor a(s.m, s.k);
+  Rng rng(seed);
+  for (int r = 0; r < s.m; ++r) {
+    a.at(r, static_cast<int>(rng.UniformInt(0, s.k - 1))) = 1.f;
+  }
+  return a;
+}
+
+/// Runs a·b as the forward MatMul does: MatMulWithTail with an empty
+/// tail, whose sums start from +0.
+void ExpectMatMulBitwise(const Tensor& a, const Tensor& b,
+                         const Tensor& out_init, const std::string& what) {
+  const kernels::MatMulTail none;
+  ExpectRangeKernelBitwise(
+      a.rows(), out_init,
+      [&](Tensor* out, int r0, int r1) {
+        kernels::MatMulWithTail(a, b, none, out, r0, r1);
+      },
+      [&](Tensor* out, int r0, int r1) {
+        simd::MatMulWithTail(a, b, none, out, r0, r1);
+      },
+      what);
+}
+
+void ExpectMatMulTransABitwise(const Tensor& a, const Tensor& b,
+                               const Tensor& out_init,
+                               const std::string& what) {
+  ExpectRangeKernelBitwise(
+      a.cols(), out_init,
+      [&](Tensor* out, int r0, int r1) {
+        kernels::MatMulTransAAcc(a, b, out, r0, r1);
+      },
+      [&](Tensor* out, int r0, int r1) {
+        simd::MatMulTransAAcc(a, b, out, r0, r1);
+      },
+      what);
+}
+
+void ExpectMatMulTransBBitwise(const Tensor& a, const Tensor& b,
+                               const Tensor& out_init,
+                               const std::string& what) {
+  ExpectRangeKernelBitwise(
+      a.rows(), out_init,
+      [&](Tensor* out, int r0, int r1) {
+        kernels::MatMulTransBAcc(a, b, out, r0, r1);
+      },
+      [&](Tensor* out, int r0, int r1) {
+        simd::MatMulTransBAcc(a, b, out, r0, r1);
+      },
+      what);
+}
+
+TEST(SimdTest, MatMulBitwise) {
+  for (const MatMulShape& s : MatMulShapes()) {
+    const Tensor a = MatMulCoefs(s, 11 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.k, s.n, 13 * static_cast<uint64_t>(s.n));
-    const Tensor out_init = RandomTensor(s.m, s.n, 17);  // Acc: seed the sum
-    ExpectRangeKernelBitwise(
-        s.m, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulAcc(a, b, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) { simd::MatMulAcc(a, b, out, r0, r1); },
-        "matmul " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
-            std::to_string(s.n));
+    const Tensor out_init = RandomTensor(s.m, s.n, 17);  // overwritten
+    ExpectMatMulBitwise(a, b, out_init, "matmul " + ShapeName(s));
   }
 }
 
 TEST(SimdTest, MatMulTransAAccBitwise) {
-  for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a =
-        SparseTensor(s.m, s.k, s.zero_pct, 19 * static_cast<uint64_t>(s.k));
+  for (const MatMulShape& s : MatMulShapes()) {
+    const Tensor a = MatMulCoefs(s, 19 * static_cast<uint64_t>(s.k));
     const Tensor b = RandomTensor(s.m, s.n, 23 * static_cast<uint64_t>(s.n));
     const Tensor out_init = RandomTensor(s.k, s.n, 29);
-    ExpectRangeKernelBitwise(
-        s.k, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulTransAAcc(a, b, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulTransAAcc(a, b, out, r0, r1);
-        },
-        "matmul_ta " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
-            std::to_string(s.n));
+    ExpectMatMulTransABitwise(a, b, out_init, "matmul_ta " + ShapeName(s));
+    // A dead column of a (a unit ReLU never lets through) under a stored
+    // −0 row: the oracle adds nothing to that row, so its −0 stays,
+    // where a multi-row tile's ±0 products could turn it into +0.
+    Tensor dead = a;
+    Tensor stored = out_init;
+    const int p = s.k / 2;
+    for (int i = 0; i < s.m; ++i) dead.at(i, p) = 0.f;
+    for (int j = 0; j < s.n; ++j) stored.at(p, j) = -0.f;
+    ExpectMatMulTransABitwise(dead, b, stored,
+                              "matmul_ta stored -0 " + ShapeName(s));
   }
 }
 
 TEST(SimdTest, MatMulTransBAccBitwise) {
-  for (const MatMulShape& s : kMatMulShapes) {
-    const Tensor a =
-        SparseTensor(s.m, s.k, s.zero_pct, 31 * static_cast<uint64_t>(s.m));
+  for (const MatMulShape& s : MatMulShapes()) {
+    const Tensor a = MatMulCoefs(s, 31 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.n, s.k, 37 * static_cast<uint64_t>(s.k));
     const Tensor out_init = RandomTensor(s.m, s.n, 41);
-    ExpectRangeKernelBitwise(
-        s.m, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulTransBAcc(a, b, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulTransBAcc(a, b, out, r0, r1);
-        },
-        "matmul_tb " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
-            std::to_string(s.n));
+    ExpectMatMulTransBBitwise(a, b, out_init, "matmul_tb " + ShapeName(s));
   }
 }
 
 TEST(SimdTest, MatMulSpecialValuesBitwise) {
   // NaN placement, inf·0 → NaN, signed-zero results and denormal
   // products must all come out of the vector lanes exactly as the
-  // scalar oracle produces them (same operand order, no FMA). Every
-  // output starts from special values too (−0 included), so a body
-  // that does not start its sums from the loaded output fails. Short
-  // contractions keep most sums finite; the shapes reach a full
-  // 64-column tile, vector and scalar remainders, and two aᵀ·b row
-  // blocks.
+  // scalar oracle produces them (same operand order, each multiply-add
+  // fused in both). The a operand carries NaN, ±inf, ±0 and denormal
+  // coefficients throughout. Against a finite b the multi-row tiles
+  // run and must add the zero coefficients' ±0 products without effect;
+  // against a b with NaN and ±inf (where 0·inf is NaN) and into stored
+  // outputs with −0 (where −0 + +0 is +0), only the one-row nonzero
+  // term lists may run. Short contractions keep most sums finite; the
+  // shapes reach a full 64-column tile, vector and scalar remainders,
+  // 4-row tiles with remainder rows and two aᵀ·b row blocks.
   for (const MatMulShape& s : {MatMulShape{13, 21, 19}, MatMulShape{6, 4, 75},
-                               MatMulShape{67, 5, 9}}) {
-    const std::string shape = std::to_string(s.m) + "x" +
-                              std::to_string(s.k) + "x" + std::to_string(s.n);
+                               MatMulShape{67, 5, 9}, MatMulShape{13, 17, 80},
+                               MatMulShape{9, 64, 10}}) {
+    const std::string shape = ShapeName(s);
     const Tensor a = SpecialTensor(s.m, s.k, 43);
-    const Tensor b = SpecialTensor(s.k, s.n, 47);
-    const Tensor bm = SpecialTensor(s.m, s.n, 53);
-    const Tensor bt = SpecialTensor(s.n, s.k, 59);
-    const Tensor out_init = SpecialTensor(s.m, s.n, 61);
-    const Tensor out_ta_init = SpecialTensor(s.k, s.n, 67);
-    ExpectRangeKernelBitwise(
-        s.m, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulAcc(a, b, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulAcc(a, b, out, r0, r1);
-        },
-        "matmul specials " + shape);
-    ExpectRangeKernelBitwise(
-        s.k, out_ta_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulTransAAcc(a, bm, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulTransAAcc(a, bm, out, r0, r1);
-        },
-        "matmul_ta specials " + shape);
-    ExpectRangeKernelBitwise(
-        s.m, out_init,
-        [&](Tensor* out, int r0, int r1) {
-          kernels::MatMulTransBAcc(a, bt, out, r0, r1);
-        },
-        [&](Tensor* out, int r0, int r1) {
-          simd::MatMulTransBAcc(a, bt, out, r0, r1);
-        },
-        "matmul_tb specials " + shape);
+    for (bool special_b : {false, true}) {
+      const auto make_b = [&](int rows, int cols, uint64_t seed) {
+        return special_b ? SpecialTensor(rows, cols, seed)
+                         : RandomTensor(rows, cols, seed);
+      };
+      const Tensor b = make_b(s.k, s.n, 47);
+      const Tensor bm = make_b(s.m, s.n, 53);
+      const Tensor bt = make_b(s.n, s.k, 59);
+      const std::string what = shape + (special_b ? " special b" : "");
+      ExpectMatMulBitwise(a, b, RandomTensor(s.m, s.n, 61),
+                          "matmul specials " + what);
+      ExpectMatMulTransABitwise(a, bm, RandomTensor(s.k, s.n, 67),
+                                "matmul_ta specials " + what);
+      ExpectMatMulTransABitwise(a, bm, SpecialTensor(s.k, s.n, 67),
+                                "matmul_ta special out " + what);
+      ExpectMatMulTransBBitwise(a, bt, SpecialTensor(s.m, s.n, 61),
+                                "matmul_tb specials " + what);
+    }
+    // Dense a (1 in 7 coefficients zero) against a b with one ±inf or
+    // NaN, each in a b row that some zero coefficient multiplies: a
+    // multi-row tile would be chosen but for them, and its 0·inf would
+    // be a NaN the oracle never computes.
+    Tensor dense_a = RandomTensor(s.m, s.k, 71);
+    Tensor b = RandomTensor(s.k, s.n, 73);
+    b.at(s.k / 2, s.n / 2) = std::numeric_limits<float>::infinity();
+    dense_a.at(0, s.k / 2) = 0.f;
+    b.at(s.k - 1, s.n - 1) = std::numeric_limits<float>::quiet_NaN();
+    dense_a.at(s.m - 1, s.k - 1) = 0.f;
+    Tensor bm = RandomTensor(s.m, s.n, 79);
+    bm.at(s.m / 2, 0) = -std::numeric_limits<float>::infinity();
+    dense_a.at(s.m / 2, s.k - 1) = 0.f;
+    ExpectMatMulBitwise(dense_a, b, RandomTensor(s.m, s.n, 61),
+                        "matmul non-finite b " + shape);
+    ExpectMatMulTransABitwise(dense_a, bm, RandomTensor(s.k, s.n, 67),
+                              "matmul_ta non-finite b " + shape);
   }
 }
 
@@ -415,7 +482,7 @@ TEST(SimdTest, RowAndColVecBroadcastsBitwise) {
                                  : RandomTensor(1, s.cols, 223);
       const Tensor col_values = special ? SpecialRow(s.rows, 227)
                                         : RandomTensor(1, s.rows, 227);
-      const Tensor col = col_values.Transposed();
+      const Tensor col = test::Transposed(col_values);
       const std::string what = shape + (special ? " specials" : "");
       using RowKernel =
           void (*)(const Tensor&, const Tensor&, Tensor*, int, int);
@@ -484,6 +551,25 @@ TEST(SimdTest, ReductionAdjointsBitwise) {
         simd::RowBroadcastAcc(row, out, r0, r1);
       },
       "row_broadcast");
+}
+
+TEST(SimdTest, DotBitwise) {
+  // Dot's 8 fused lanes, their fold and the serial tail must match the
+  // oracle at every length around the lane count, on random values and
+  // on ±0, NaN, ±inf and denormals.
+  for (int n : {0, 1, 7, 8, 9, 15, 16, 17, 64, 851}) {
+    for (bool special : {false, true}) {
+      const Tensor x =
+          special ? SpecialTensor(1, n, 131) : RandomTensor(1, n, 131);
+      const Tensor y =
+          special ? SpecialTensor(1, n, 137) : RandomTensor(1, n, 137);
+      Tensor want(1, 1, kernels::Dot(x, y));
+      Tensor got(1, 1, simd::Dot(x, y));
+      EXPECT_TRUE(BitwiseEqual(want, got))
+          << "dot n=" << n << (special ? " specials" : "") << ": "
+          << want[0] << " vs " << got[0];
+    }
+  }
 }
 
 // --- gather / scatter family -------------------------------------------
@@ -684,15 +770,17 @@ TEST(SimdTest, BackendDispatchBitwiseAcrossThreadsAndToggle) {
   const Tensor bt = RandomTensor(43, 29, 179);
   const Tensor c = RandomTensor(29, 37, 181);
   const auto run = [&]() {
-    Tensor out(37, 43);
-    GetBackend().MatMulAcc(a, b, &out);
+    Tensor out = Tensor::Unfilled(37, 43);
+    GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
     GetBackend().MatMulTransBAcc(a, bt, &out);
     Tensor ta(37, 43);
     GetBackend().MatMulTransAAcc(c, b, &ta);
     GetBackend().MatMulTransAAcc(c, b, &ta);
-    Tensor combined(37 + 37, 43);
+    Tensor combined(37 + 37 + 1, 43);
     kernels::CopyRowsTo(out, &combined, 0, 0, out.rows());
     kernels::CopyRowsTo(ta, &combined, 37, 0, ta.rows());
+    combined.at(74, 0) = GetBackend().Dot(a, a);
+    combined.at(74, 1) = GetBackend().Dot(c, c);
     return combined;
   };
   Tensor scalar_serial;
@@ -721,7 +809,7 @@ TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
   const Tensor x = SpecialTensor(rows, cols, 229);
   const Tensor g = RandomTensor(rows, cols, 233);
   const Tensor row = SpecialRow(cols, 239);
-  const Tensor col = SpecialRow(rows, 241).Transposed();
+  const Tensor col = test::Transposed(SpecialRow(rows, 241));
   const auto run = [&]() {
     const Backend& be = GetBackend();
     Tensor relu(rows, cols);

@@ -93,15 +93,6 @@ TEST(TensorTest, SumAndMaxAbs) {
   EXPECT_FLOAT_EQ(test::MaxAbs(t), 5.f);
 }
 
-TEST(TensorTest, Transposed) {
-  Tensor t = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
-  Tensor tt = t.Transposed();
-  EXPECT_EQ(tt.rows(), 3);
-  EXPECT_EQ(tt.cols(), 2);
-  EXPECT_FLOAT_EQ(tt.at(2, 1), 6.f);
-  EXPECT_FLOAT_EQ(tt.at(0, 1), 4.f);
-}
-
 TEST(TensorTest, RandomNormalMoments) {
   Rng rng(11);
   Tensor t = Tensor::RandomNormal(100, 100, &rng, 1.f, 0.5f);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "src/obs/trace.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/kernels.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
 #include "src/train/checkpoint.h"
@@ -183,16 +185,16 @@ inline std::vector<kernels::MatMulTail> ModelTails(const TailRows& rows) {
   return {bias, bias_relu, norm, norm_relu};
 }
 
-/// The composite Backend chain a tail replaces: MatMulAcc into zeros →
-/// RowBroadcastAcc(bias) → RowBroadcastAcc(−mean) → DivRowVec →
-/// MulRowVec → RowBroadcastAcc(β) → Relu, each step present when
-/// `tail` has it.
+/// The composite Backend chain a tail replaces: the plain product (an
+/// empty tail) → RowBroadcastAcc(bias) → RowBroadcastAcc(−mean) →
+/// DivRowVec → MulRowVec → RowBroadcastAcc(β) → Relu, each step present
+/// when `tail` has it.
 inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
                             const kernels::MatMulTail& tail,
                             const TailRows& rows) {
   const Backend& be = GetBackend();
-  Tensor out(a.rows(), b.cols());
-  be.MatMulAcc(a, b, &out);
+  Tensor out = Tensor::Unfilled(a.rows(), b.cols());
+  be.MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
   if (tail.bias != nullptr) be.RowBroadcastAcc(rows.bias, &out);
   if (tail.neg_mean != nullptr) {
     be.RowBroadcastAcc(rows.neg_mean, &out);
@@ -205,6 +207,56 @@ inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
   Tensor relu(out.rows(), out.cols());
   be.Relu(out, &relu);
   return relu;
+}
+
+/// The transpose of `t`.
+inline Tensor Transposed(const Tensor& t) {
+  Tensor out(t.cols(), t.rows());
+  for (int r = 0; r < t.rows(); ++r) {
+    for (int c = 0; c < t.cols(); ++c) out.at(c, r) = t.at(r, c);
+  }
+  return out;
+}
+
+/// The decorrelation objective as the composite of differentiable ops
+/// DecorrelationLoss was before it became one tape node, kept as the
+/// reference for its value and closed-form gradient: U = diag(w)·F
+/// centered by MeanRows, G = UᵀU/(N−1) through an explicit transpose
+/// op, then ½·Σ (mask ⊙ G)², the mask built from feature_source_dim.
+inline Variable CompositeDecorrelationLoss(
+    const Tensor& features, const std::vector<int>& feature_source_dim,
+    const Variable& weights) {
+  const int n = features.rows();
+  const int m = features.cols();
+  Variable f = Variable::Constant(features);
+  Variable weighted = MulColVec(f, weights);
+  Variable mean = MeanRows(weighted);
+  Variable centered = AddRowVec(weighted, Scale(mean, -1.f));
+  // Uᵀ as an op: the transposed value, and the transposed gradient
+  // added back.
+  std::shared_ptr<VariableNode> pc = centered.node();
+  Variable centered_t = Variable::MakeOp(
+      Transposed(centered.value()), {pc}, [pc](VariableNode& self) {
+        Tensor& grad = pc->GradBuffer();
+        for (int r = 0; r < grad.rows(); ++r) {
+          for (int c = 0; c < grad.cols(); ++c) {
+            grad.at(r, c) += self.grad.at(c, r);
+          }
+        }
+      });
+  Variable cov = Scale(MatMul(centered_t, centered),
+                       1.f / static_cast<float>(n - 1));
+  Tensor mask(m, m);
+  for (int a = 0; a < m; ++a) {
+    for (int b = 0; b < m; ++b) {
+      mask.at(a, b) = feature_source_dim[static_cast<size_t>(a)] !=
+                              feature_source_dim[static_cast<size_t>(b)]
+                          ? 1.f
+                          : 0.f;
+    }
+  }
+  Variable masked = Mul(cov, Variable::Constant(mask));
+  return Scale(Sum(Square(masked)), 0.5f);
 }
 
 /// 1×n row vector from values.

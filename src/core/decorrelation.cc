@@ -1,6 +1,5 @@
 #include "src/core/decorrelation.h"
 
-#include <memory>
 #include <utility>
 
 #include "src/obs/trace.h"

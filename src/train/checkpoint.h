@@ -111,12 +111,13 @@ bool LoadCheckpointWeights(const std::string& path, Method method,
                            Module* module);
 
 /// Crash-injection hooks for fault-tolerance tests, driven by
-/// environment variables (read at call time):
+/// environment variables:
 ///  - OODGNN_CRASH_AFTER_EPOCH=<n>: the trainer reads it once per run
 ///    (CrashAfterEpochFromEnv) and, after checkpointing epoch n,
 ///    terminates via CrashNow.
-///  - OODGNN_CRASH_IN_WRITE=1: SaveTrainState aborts after writing a
-///    partial temp file (exercising the atomic-rename protocol).
+///  - OODGNN_CRASH_IN_WRITE=1: SaveTrainState, reading it at each
+///    call, aborts after writing a partial temp file (exercising the
+///    atomic-rename protocol).
 ///
 /// The epoch OODGNN_CRASH_AFTER_EPOCH names, or 0 (no epoch: they count
 /// from 1) when it is unset or not a whole number (ParseIntOr: `2x`

@@ -354,9 +354,9 @@ bool CompareSimd() {
   // empty tail, the forward MatMul's entry; aᵀ·b is a weight gradient
   // (or G), a·bᵀ an input gradient.
   const auto coefs = [&rng](int m, int k, int zero_pct, bool one_hot) {
-    auto a = std::make_shared<Tensor>(Tensor::RandomNormal(m, k, &rng));
+    auto a = std::make_shared<Tensor>(
+        one_hot ? Tensor(m, k) : Tensor::RandomNormal(m, k, &rng));
     if (one_hot) {
-      a->Fill(0.f);
       for (int r = 0; r < m; ++r) {
         a->at(r, static_cast<int>(rng.UniformInt(0, k - 1))) = 1.f;
       }
@@ -418,7 +418,8 @@ bool CompareSimd() {
     const int m = 7230, n = 64;
     auto x = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
     auto y = std::make_shared<Tensor>(Tensor::RandomNormal(m, n, &rng));
-    rows.push_back({"dot", "[" + std::to_string(m) + "x" + std::to_string(n) + "]",
+    rows.push_back({"dot",
+                    "[" + std::to_string(m) + "x" + std::to_string(n) + "]",
                     2ll * m * n,
                     [x, y](Tensor* o) { (*o)[0] = kernels::Dot(*x, *y); },
                     [x, y](Tensor* o) { (*o)[0] = simd::Dot(*x, *y); }, 1, 1});

@@ -72,10 +72,11 @@ namespace {
 
 // Minimal vector abstraction. Every wrapper keeps the C operand order
 // of the scalar expression it stands in for (VMul(a, b) ≡ a*b,
-// VAdd(a, b) ≡ a+b, VFma(a, b, c) ≡ std::fma(a, b, c)). The compiler may still commute an add, in either
-// path, and x86/ARM keep the first source operand's NaN, so which NaN
-// payload survives NaN + NaN is outside the bitwise contract; where
-// NaNs land is not (DESIGN.md §16).
+// VAdd(a, b) ≡ a+b, VFma(a, b, c) ≡ std::fma(a, b, c)). The compiler
+// may still commute an add, in either path, and x86/ARM keep the first
+// source operand's NaN, so which NaN payload survives NaN + NaN is
+// outside the bitwise contract; where NaNs land is not (DESIGN.md
+// §16).
 #if defined(OODGNN_SIMD_ISA_AVX2)
 
 using vf = __m256;

@@ -5,7 +5,6 @@
 // backward pass is deterministic too.
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -227,20 +226,17 @@ TEST(KernelsTest, MatMulMatchesNaiveBitwiseAcrossThreads) {
                  std::to_string(c.n));
     const Tensor a = MatMulCoefs(c, 1);
     const Tensor b = RandomTensor(c.k, c.n, 2);
-    // Naive ikj reference with ascending-k fused accumulation per output
-    // cell — the same per-element order and roundings the blocked
-    // kernel commits to (a zero term adds ±0 to a sum that started
-    // from +0, which changes nothing).
+    // Naive ikj reference with ascending-k accumulation per output cell —
+    // the same per-element order the blocked kernel commits to.
     Tensor reference(a.rows(), b.cols());
     for (int i = 0; i < a.rows(); ++i) {
       for (int p = 0; p < a.cols(); ++p) {
         for (int j = 0; j < b.cols(); ++j) {
-          reference.at(i, j) =
-              std::fma(a.at(i, p), b.at(p, j), reference.at(i, j));
+          reference.at(i, j) += a.at(i, p) * b.at(p, j);
         }
       }
     }
-    ExpectBitwiseAcrossThreads(
+    ExpectDeterministic(
         [&] {
           // The forward MatMul's entry: an empty tail into a NaN
           // sentinel, so an element the kernel never writes shows up.
@@ -263,12 +259,11 @@ TEST(KernelsTest, MatMulTransAMatchesNaiveBitwiseAcrossThreads) {
     for (int i = 0; i < a.rows(); ++i) {
       for (int p = 0; p < a.cols(); ++p) {
         for (int j = 0; j < b.cols(); ++j) {
-          reference.at(p, j) =
-              std::fma(a.at(i, p), b.at(i, j), reference.at(p, j));
+          reference.at(p, j) += a.at(i, p) * b.at(i, j);
         }
       }
     }
-    ExpectBitwiseAcrossThreads(
+    ExpectDeterministic(
         [&] {
           Tensor out(a.cols(), b.cols());
           GetBackend().MatMulTransAAcc(a, b, &out);
@@ -288,13 +283,11 @@ TEST(KernelsTest, MatMulTransBMatchesNaiveBitwiseAcrossThreads) {
     for (int i = 0; i < a.rows(); ++i) {
       for (int j = 0; j < b.rows(); ++j) {
         float acc = 0.f;
-        for (int p = 0; p < a.cols(); ++p) {
-          acc = std::fma(a.at(i, p), b.at(j, p), acc);
-        }
+        for (int p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
         reference.at(i, j) = acc;
       }
     }
-    ExpectBitwiseAcrossThreads(
+    ExpectDeterministic(
         [&] {
           Tensor out(a.rows(), b.rows());
           GetBackend().MatMulTransBAcc(a, b, &out);
@@ -488,7 +481,7 @@ TEST(KernelsTest, ReductionsAndBroadcastsAcrossThreads) {
         Tensor out(a.rows(), a.cols());
         for (int r = 0; r < a.rows(); ++r) {
           for (int c = 0; c < a.cols(); ++c) {
-            out.at(r, c) = a.at(r, c) + colsum_ref.at(0, c);
+            out.at(r, c) = colsum_ref.at(0, c) + a.at(r, c);
           }
         }
         return out;

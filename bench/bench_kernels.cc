@@ -25,8 +25,9 @@
 // Pass --simd for the scalar-vs-SIMD dense-kernel table
 // (DESIGN.md §16): single-threaded GFLOP/s for the vectorized matmul
 // variants at the workloads' shapes (the reweighter's, a DD_200 batch
-// dense and post-ReLU, a one-hot first layer), Dot, axpy, and the RFF
-// map, plus the bitwise scalar==simd check; then the
+// dense and post-ReLU, a one-hot first layer), with an extra column
+// for the AVX-512 matmul bodies, Dot, axpy, and the RFF map, plus the
+// bitwise scalar==simd check; then the
 // dropout mask in ns per element, as the per-element Rng::Bernoulli
 // loop, the scalar kernel and the SIMD kernel, at mean 64-graph
 // TRIANGLES and DD_200 batch shapes. It exits nonzero when any row
@@ -70,28 +71,37 @@ namespace {
 // Serial-vs-parallel backend comparison.
 // ---------------------------------------------------------------------------
 
-/// Median-free best-of-repetitions wall-clock of `fn`, in seconds per
-/// call. Calibrates the iteration count so each repetition runs at
-/// least ~50 ms.
-double TimePerCall(const std::function<void()>& fn) {
+/// Median-free best-of-`reps` wall-clock of each of `fns`, in seconds
+/// per call. Calibrates each one's iteration count so a repetition runs
+/// at least ~50 ms, then interleaves the repetitions (fns[0], fns[1], …,
+/// fns[0], …), so drift in the shared host's speed hits every one alike.
+std::vector<double> TimeAlternating(
+    const std::vector<std::function<void()>>& fns, int reps) {
   using Clock = std::chrono::steady_clock;
-  fn();  // Warm-up.
-  int iters = 1;
-  for (;;) {
+  const auto seconds = [](const std::function<void()>& fn, int iters) {
     const auto t0 = Clock::now();
     for (int i = 0; i < iters; ++i) fn();
-    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (dt >= 0.05 || iters >= (1 << 22)) break;
-    iters *= 2;
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  std::vector<int> iters;
+  for (const auto& fn : fns) {
+    fn();  // Warm-up.
+    int n = 1;
+    while (seconds(fn, n) < 0.05 && n < (1 << 22)) n *= 2;
+    iters.push_back(n);
   }
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (dt / iters < best) best = dt / iters;
+  std::vector<double> best(fns.size(), 1e300);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t f = 0; f < fns.size(); ++f) {
+      best[f] = std::min(best[f], seconds(fns[f], iters[f]) / iters[f]);
+    }
   }
   return best;
+}
+
+/// TimeAlternating of one function, best of 3.
+double TimePerCall(const std::function<void()>& fn) {
+  return TimeAlternating({fn}, 3)[0];
 }
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -320,20 +330,27 @@ bool CompareDropoutMask() {
 }
 
 /// Single-threaded GFLOP/s for the vectorized dense kernels
-/// (DESIGN.md §16): the scalar oracle and its SIMD mirror (direct
-/// simd:: calls, bypassing the Backend dispatch toggle). SIMD rows
-/// must be bitwise identical to scalar. Returns false when one is not.
+/// (DESIGN.md §16): the scalar oracle, its SIMD mirror and, for the
+/// matmul family, the AVX-512 body (direct simd:: and simd::avx512::
+/// calls, bypassing the Backend dispatch), each row's columns timed in
+/// alternating repetitions. Every vector result must be bitwise
+/// identical to scalar. Returns false when one is not.
 bool CompareSimd() {
-  std::printf("Dense kernels: scalar vs %s (single thread)\n",
+  std::printf("Dense kernels: scalar vs SIMD (single thread; vector "
+              "dispatch runs the %s matmul body)\n",
               simd::IsaName());
   if (!simd::Available()) {
     std::printf("(no vector ISA compiled/detected: simd:: delegates to the "
                 "scalar kernels, so speedup ~1.0x is expected)\n");
   }
+  std::printf("(simd: the AVX2 (NEON) bodies; avx512: the AVX-512 matmul "
+              "bodies, n/a on a CPU without avx512f, - where there is "
+              "none; speedup: scalar / simd)\n");
   std::printf("(-z50 rows: half of the a operand is exact zeros, as after "
               "ReLU; -1hot rows: one 1 per row of a)\n");
-  std::printf("\n%-14s %-24s %12s %12s %8s %8s\n", "kernel", "shape",
-              "scalar GF/s", "simd GF/s", "speedup", "bitwise");
+  std::printf("\n%-14s %-24s %12s %12s %12s %8s %8s\n", "kernel", "shape",
+              "scalar GF/s", "simd GF/s", "avx512 GF/s", "speedup",
+              "bitwise");
 
   struct Row {
     std::string name;
@@ -342,6 +359,7 @@ bool CompareSimd() {
     std::function<void(Tensor*)> scalar;
     std::function<void(Tensor*)> vector;
     int out_rows, out_cols;
+    std::function<void(Tensor*)> avx512 = nullptr;  ///< matmul family only
   };
   std::vector<Row> rows;
   Rng rng(13);
@@ -395,13 +413,19 @@ bool CompareSimd() {
                     [=](Tensor* o) {
                       simd::MatMulWithTail(*a, *b, none, o, 0, m);
                     },
-                    r.m, r.n});
+                    r.m, r.n,
+                    [=](Tensor* o) {
+                      simd::avx512::MatMulWithTail(*a, *b, none, o, 0, m);
+                    }});
     rows.push_back({"transA" + suffix, dims(r.m, r.k, r.n, true), flops,
                     [=](Tensor* o) {
                       kernels::MatMulTransAAcc(*a, *bm, o, 0, k);
                     },
                     [=](Tensor* o) { simd::MatMulTransAAcc(*a, *bm, o, 0, k); },
-                    r.k, r.n});
+                    r.k, r.n,
+                    [=](Tensor* o) {
+                      simd::avx512::MatMulTransAAcc(*a, *bm, o, 0, k);
+                    }});
     if (r.zero_pct == 0 && !r.one_hot) {
       rows.push_back({"transB", dims(r.m, r.k, r.n, false), flops,
                       [=](Tensor* o) {
@@ -410,7 +434,10 @@ bool CompareSimd() {
                       [=](Tensor* o) {
                         simd::MatMulTransBAcc(*a, *bt, o, 0, m);
                       },
-                      r.m, r.n});
+                      r.m, r.n,
+                      [=](Tensor* o) {
+                        simd::avx512::MatMulTransBAcc(*a, *bt, o, 0, m);
+                      }});
     }
   }
   // Dot over a DD_200 batch's [7230×64] activations: GIN's ε gradient.
@@ -469,27 +496,41 @@ bool CompareSimd() {
                     n, features});
   }
 
+  const bool has_avx512 = simd::avx512::Available();
   bool all_equal = true;
   for (const Row& row : rows) {
+    // The columns this host can run, scalar first; each is checked
+    // against the scalar output, then all are timed together.
+    std::vector<std::function<void(Tensor*)>> columns = {row.scalar,
+                                                         row.vector};
+    if (row.avx512 && has_avx512) columns.push_back(row.avx512);
+    bool equal = true;
+    std::vector<std::function<void()>> timed;
     Tensor scalar_out(row.out_rows, row.out_cols);
     row.scalar(&scalar_out);
-    const double scalar_s = TimePerCall([&] {
+    for (const auto& column : columns) {
       Tensor out(row.out_rows, row.out_cols);
-      row.scalar(&out);
-    });
-    Tensor simd_out(row.out_rows, row.out_cols);
-    row.vector(&simd_out);
-    const double simd_s = TimePerCall([&] {
-      Tensor out(row.out_rows, row.out_cols);
-      row.vector(&out);
-    });
-    const bool equal = BitwiseEqual(scalar_out, simd_out);
+      column(&out);
+      equal = equal && BitwiseEqual(scalar_out, out);
+      timed.push_back([&row, &column] {
+        Tensor o(row.out_rows, row.out_cols);
+        column(&o);
+      });
+    }
     all_equal = all_equal && equal;
-    std::printf("%-14s %-24s %12.2f %12.2f %7.2fx %8s\n", row.name.c_str(),
-                row.shape.c_str(),
-                static_cast<double>(row.flops) / scalar_s / 1e9,
-                static_cast<double>(row.flops) / simd_s / 1e9,
-                scalar_s / simd_s, equal ? "OK" : "DIVERGED");
+    const std::vector<double> s = TimeAlternating(timed, 5);
+    const auto gflops = [&](double seconds) {
+      return static_cast<double>(row.flops) / seconds / 1e9;
+    };
+    char wide[16];
+    if (s.size() > 2) {
+      std::snprintf(wide, sizeof(wide), "%.2f", gflops(s[2]));
+    } else {
+      std::snprintf(wide, sizeof(wide), "%s", row.avx512 ? "n/a" : "-");
+    }
+    std::printf("%-14s %-24s %12.2f %12.2f %12s %7.2fx %8s\n",
+                row.name.c_str(), row.shape.c_str(), gflops(s[0]),
+                gflops(s[1]), wide, s[0] / s[1], equal ? "OK" : "DIVERGED");
   }
   return CompareDropoutMask() && all_equal;
 }

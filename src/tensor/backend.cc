@@ -237,6 +237,15 @@ void RunMirrored(const Backend& be, KernelOp op, BinaryRangeKernel scalar,
   be.ForCost(n, flops, [&](int b, int e) { kernel(x, y, out, b, e); });
 }
 
+/// The matmul body a call runs: the scalar oracle with vector dispatch
+/// off, else the AVX-512 body where the CPU has it, else the AVX2 (or
+/// NEON) body.
+template <typename Fn>
+Fn PickMatMulBody(bool use_simd, Fn scalar, Fn vector, Fn avx512) {
+  if (!use_simd) return scalar;
+  return simd::avx512::Available() ? avx512 : vector;
+}
+
 }  // namespace
 
 bool Backend::WouldParallelize(int n, std::int64_t flops) const {
@@ -264,13 +273,11 @@ void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
   RecordSimdDispatch(use_simd);
   KernelScope scope(KernelOp::kMatMul, out->size(),
                     WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
-      simd::MatMulWithTail(a, b, tail, out, r0, r1);
-    } else {
-      kernels::MatMulWithTail(a, b, tail, out, r0, r1);
-    }
-  });
+  const auto body =
+      PickMatMulBody(use_simd, kernels::MatMulWithTail, simd::MatMulWithTail,
+                     simd::avx512::MatMulWithTail);
+  ForCost(out->rows(), flops,
+          [&](int r0, int r1) { body(a, b, tail, out, r0, r1); });
 }
 
 void Backend::MatMulTransAAcc(const Tensor& a, const Tensor& b,
@@ -283,13 +290,11 @@ void Backend::MatMulTransAAcc(const Tensor& a, const Tensor& b,
   RecordSimdDispatch(use_simd);
   KernelScope scope(KernelOp::kMatMulTransA, out->size(),
                     WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
-      simd::MatMulTransAAcc(a, b, out, r0, r1);
-    } else {
-      kernels::MatMulTransAAcc(a, b, out, r0, r1);
-    }
-  });
+  const auto body =
+      PickMatMulBody(use_simd, kernels::MatMulTransAAcc, simd::MatMulTransAAcc,
+                     simd::avx512::MatMulTransAAcc);
+  ForCost(out->rows(), flops,
+          [&](int r0, int r1) { body(a, b, out, r0, r1); });
 }
 
 void Backend::MatMulTransBAcc(const Tensor& a, const Tensor& b,
@@ -302,13 +307,11 @@ void Backend::MatMulTransBAcc(const Tensor& a, const Tensor& b,
   RecordSimdDispatch(use_simd);
   KernelScope scope(KernelOp::kMatMulTransB, out->size(),
                     WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
-      simd::MatMulTransBAcc(a, b, out, r0, r1);
-    } else {
-      kernels::MatMulTransBAcc(a, b, out, r0, r1);
-    }
-  });
+  const auto body =
+      PickMatMulBody(use_simd, kernels::MatMulTransBAcc, simd::MatMulTransBAcc,
+                     simd::avx512::MatMulTransBAcc);
+  ForCost(out->rows(), flops,
+          [&](int r0, int r1) { body(a, b, out, r0, r1); });
 }
 
 void Backend::Axpy(float alpha, const Tensor& x, Tensor* y) const {

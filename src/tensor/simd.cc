@@ -5,19 +5,22 @@
 #include <cmath>
 
 #include "src/tensor/kernels.h"
+#include "src/tensor/simd_scratch.h"
 #include "src/util/rng.h"
 
-// This is the only translation unit built with an explicit vector ISA
+// One of the two translation units built with an explicit vector ISA
 // flag (src/CMakeLists.txt adds -mavx2 -mfma + OODGNN_SIMD_AVX2 on
 // x86-64 compilers that accept both; aarch64 has NEON, fused
-// multiply-add included, at baseline). Everything below the runtime
-// gate therefore may use vector intrinsics, but no caller reaches it
-// unless Enabled() returned true — which requires the CPU feature
-// check to have passed. Fused multiply-add appears only where its
-// scalar oracle calls std::fma (the matmul family and Dot), and
-// -ffp-contract=off, pinned globally, keeps the compiler from fusing
-// anything else: every other body rounds its multiply and its add
-// separately, as its oracle does.
+// multiply-add included, at baseline); simd_avx512.cc is the other.
+// Everything below the runtime gate therefore may use vector
+// intrinsics, but no caller reaches it unless Enabled() returned true —
+// which requires the CPU feature check to have passed. Fused
+// multiply-add appears only where its scalar oracle calls std::fma (the
+// matmul family and Dot), and -ffp-contract=off, pinned globally, keeps
+// the compiler from fusing anything else: every other body rounds its
+// multiply and its add separately, as its oracle does. The file defines
+// no inline or template function with external linkage
+// (simd_scratch.h says why).
 #if defined(OODGNN_SIMD_AVX2) && defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define OODGNN_SIMD_ISA_AVX2 1
@@ -50,7 +53,8 @@ bool Available() { return CompiledIsaAvailable(); }
 
 const char* IsaName() {
 #if defined(OODGNN_SIMD_ISA_AVX2)
-  return Available() ? "avx2" : "scalar";
+  if (!Available()) return "scalar";
+  return avx512::Available() ? "avx512" : "avx2";
 #elif defined(OODGNN_SIMD_ISA_NEON)
   return "neon";
 #else
@@ -145,465 +149,9 @@ inline int VCountNonzero(vf x) {
 
 #endif
 
-// Register tiles of the fp32 matmul bodies. Each output tile is loaded
-// once per block of contraction rows (or starts from +0 in registers),
-// summed in vector registers over the block and stored once, so no
-// running sum waits on a store-to-load forward. Every product is fused
-// into its sum (VFma), as the oracle's std::fma does, and tiling
-// changes only which elements are in flight together, never the terms
-// an element sums or their order. The a·b block covers every model
-// contraction in one pass; it exists so that a GEMV against a huge b
-// walks a bounded set of b rows (pages) per tile. The aᵀ·b block keeps
-// its rows of b in L1.
-constexpr int kTileVecs = 8;          // term lists: output vectors per tile
-constexpr int kDenseRows = 4;         // dense tiles: output rows
-constexpr int kDenseVecs = 2;         // dense tiles: output vectors
-constexpr int kBlockK = 256;          // a·b: contraction rows per block
-constexpr int kTransABlockRows = 64;  // aᵀ·b: contraction rows per block
-constexpr int kTransBRows = 4;        // a·bᵀ: output rows per tile
-constexpr int kTransBVecs = 2;        // a·bᵀ: panel vectors per tile
-
-/// A block runs dense tiles when at least this share of its
-/// coefficients is nonzero; sparser blocks (one-hot features) take
-/// term lists, which list the nonzero ones only. `bench_kernels
-/// --simd` put the crossover between 25% (term lists as fast or
-/// faster) and 50% nonzero (dense tiles ~1.5x faster), DESIGN.md §16.
-constexpr int kDenseSharePct = 40;
-
-/// Per-thread scratch of the matmul bodies. It grows to the largest
-/// size a call has needed and never shrinks, so a warm call makes no
-/// heap allocation; it is not tensor storage, so the arena accounting
-/// never sees it.
-struct MatMulScratch {
-  std::vector<const float*> rows;  ///< b row of each nonzero term
-  std::vector<float> coefs;        ///< its nonzero a coefficient
-  std::vector<float> panel;        ///< a·bᵀ: b rows packed p-major
-
-  void ReserveTerms(int n) {
-    if (rows.size() < static_cast<size_t>(n)) {
-      rows.resize(static_cast<size_t>(n));
-      coefs.resize(static_cast<size_t>(n));
-    }
-  }
-};
-
-MatMulScratch& ThreadScratch() {
-  thread_local MatMulScratch scratch;
-  return scratch;
-}
-
-/// True when x[0, count) holds no NaN and no ±inf.
-bool AllFinite(const float* x, size_t count) {
-  size_t i = 0;
-  for (; i + kVLen <= count; i += kVLen) {
-    if (VAnyNonFinite(VLoad(x + i))) return false;
-  }
-  for (; i < count; ++i) {
-    if (!std::isfinite(x[i])) return false;
-  }
-  return true;
-}
-
-/// True when x[0, count) holds a −0.
-bool AnyNegativeZero(const float* x, size_t count) {
-  size_t i = 0;
-  for (; i + kVLen <= count; i += kVLen) {
-    if (VAnyNegativeZero(VLoad(x + i))) return true;
-  }
-  for (; i < count; ++i) {
-    if (x[i] == 0.f && std::signbit(x[i])) return true;
-  }
-  return false;
-}
-
-/// The number of x[0, count) that are not `== 0.f` (NaN counts).
-int CountNonzero(const float* x, int count) {
-  int nonzero = 0;
-  int i = 0;
-  for (; i + kVLen <= count; i += kVLen) nonzero += VCountNonzero(VLoad(x + i));
-  for (; i < count; ++i) nonzero += x[i] != 0.f ? 1 : 0;
-  return nonzero;
-}
-
-/// Lists the nonzero terms of one contraction in ascending order:
-/// coefficient t is coef[t·stride], and it multiplies b row b0 + t.
-/// Branch-free — every t is written, and the count advances only past
-/// a coefficient that is not `== 0.f` — so this applies the oracle's
-/// zero-skip (±0 drop out, NaN stays) once per row and contraction
-/// block instead of once per tile, with nothing to mispredict on
-/// post-ReLU input. Returns the number of terms.
-inline int NonzeroTerms(const float* coef, size_t stride, int count,
-                        const Tensor& b, int b0, MatMulScratch* s) {
-  const float** rows = s->rows.data();
-  float* coefs = s->coefs.data();
-  int terms = 0;
-  for (int t = 0; t < count; ++t) {
-    const float c = coef[static_cast<size_t>(t) * stride];
-    rows[terms] = b.row(b0 + t);
-    coefs[terms] = c;
-    terms += c != 0.f ? 1 : 0;
-  }
-  return terms;
-}
-
-/// The tail steps of kernels::ApplyTail on the columns [c, c + kVLen),
-/// in lane form with the scalar operand order; ReLU is the `x > 0`
-/// mask, never a max.
-inline vf VApplyTail(const kernels::MatMulTail& t, vf x, int c) {
-  if (t.bias != nullptr) x = VAdd(x, VLoad(t.bias + c));
-  if (t.neg_mean != nullptr) {
-    x = VAdd(x, VLoad(t.neg_mean + c));
-    x = VDiv(x, VLoad(t.std_dev + c));
-    x = VMul(x, VLoad(t.gamma + c));
-    x = VAdd(x, VLoad(t.beta + c));
-  }
-  return t.relu ? VSelectPositive(x, x) : x;
-}
-
-/// Calls fn.template operator()<kFromZero, kTail>() with the two
-/// template flags chosen at run time.
-template <typename Fn>
-void WithTileFlags(bool from_zero, bool tail, Fn&& fn) {
-  if (from_zero) {
-    if (tail) {
-      fn.template operator()<true, true>();
-    } else {
-      fn.template operator()<true, false>();
-    }
-  } else if (tail) {
-    fn.template operator()<false, true>();
-  } else {
-    fn.template operator()<false, false>();
-  }
-}
-
-/// orow[j, j + NV·kVLen) += Σ_t coefs[t]·rows[t][j, …) in term order,
-/// each output vector held in a register across all terms and each
-/// product fused into its sum. With kFromZero the sums start from +0
-/// in registers instead of the stored output (what a zero-filled
-/// output holds); with kTail they take the tail before the store.
-template <int NV, bool kFromZero, bool kTail>
-void AccumulateTile(const MatMulScratch& s, int terms,
-                    const kernels::MatMulTail* tail, float* orow, int j) {
-  vf acc[NV];
-#pragma GCC unroll 8
-  for (int v = 0; v < NV; ++v) {
-    acc[v] = kFromZero ? VBroadcast(0.f) : VLoad(orow + j + v * kVLen);
-  }
-  for (int t = 0; t < terms; ++t) {
-    const vf c = VBroadcast(s.coefs[static_cast<size_t>(t)]);
-    const float* brow = s.rows[static_cast<size_t>(t)] + j;
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = VFma(c, VLoad(brow + v * kVLen), acc[v]);
-    }
-  }
-#pragma GCC unroll 8
-  for (int v = 0; v < NV; ++v) {
-    const int col = j + v * kVLen;
-    VStore(orow + col, kTail ? VApplyTail(*tail, acc[v], col) : acc[v]);
-  }
-}
-
-/// orow[0, n) += the listed terms: full kTileVecs tiles, one narrower
-/// tile for the remaining whole vectors, then scalar columns.
-/// kFromZero and kTail as in AccumulateTile.
-template <bool kFromZero, bool kTail>
-void AccumulateRow(const MatMulScratch& s, int terms, float* orow, int n,
-                   const kernels::MatMulTail* tail) {
-  using Tile = void (*)(const MatMulScratch&, int, const kernels::MatMulTail*,
-                        float*, int);
-  static constexpr Tile kPartial[kTileVecs] = {
-      nullptr,
-      AccumulateTile<1, kFromZero, kTail>,
-      AccumulateTile<2, kFromZero, kTail>,
-      AccumulateTile<3, kFromZero, kTail>,
-      AccumulateTile<4, kFromZero, kTail>,
-      AccumulateTile<5, kFromZero, kTail>,
-      AccumulateTile<6, kFromZero, kTail>,
-      AccumulateTile<7, kFromZero, kTail>};
-  constexpr int kTileCols = kTileVecs * kVLen;
-  int j = 0;
-  for (; j + kTileCols <= n; j += kTileCols) {
-    AccumulateTile<kTileVecs, kFromZero, kTail>(s, terms, tail, orow, j);
-  }
-  const int vecs = (n - j) / kVLen;
-  if (vecs > 0) {
-    kPartial[vecs](s, terms, tail, orow, j);
-    j += vecs * kVLen;
-  }
-  for (; j < n; ++j) {
-    float sum = kFromZero ? 0.f : orow[j];
-    for (int t = 0; t < terms; ++t) {
-      sum = std::fma(s.coefs[static_cast<size_t>(t)],
-                     s.rows[static_cast<size_t>(t)][j], sum);
-    }
-    orow[j] = kTail ? kernels::ApplyTail(*tail, sum, j) : sum;
-  }
-}
-
-/// One contraction block of R output rows, every term included:
-/// orows[r][j, j + NV·kVLen) += Σ_{t < count} coef[r·row_step +
-/// t·term_step]·bblock[t·ldb + j, …) in ascending t. Each loaded b
-/// vector feeds R fused multiply-adds. kFromZero and kTail as in
-/// AccumulateTile.
-template <int R, int NV, bool kFromZero, bool kTail>
-void DenseTile(const float* coef, size_t row_step, size_t term_step,
-               int count, const float* bblock, size_t ldb,
-               const kernels::MatMulTail* tail, float* const* orows, int j) {
-  vf acc[R][NV];
-#pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) {
-      acc[r][v] =
-          kFromZero ? VBroadcast(0.f) : VLoad(orows[r] + j + v * kVLen);
-    }
-  }
-  for (int t = 0; t < count; ++t) {
-    const float* c = coef + static_cast<size_t>(t) * term_step;
-    const float* brow = bblock + static_cast<size_t>(t) * ldb + j;
-    vf w[NV];
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) w[v] = VLoad(brow + v * kVLen);
-#pragma GCC unroll 8
-    for (int r = 0; r < R; ++r) {
-      const vf x = VBroadcast(c[static_cast<size_t>(r) * row_step]);
-#pragma GCC unroll 8
-      for (int v = 0; v < NV; ++v) acc[r][v] = VFma(x, w[v], acc[r][v]);
-    }
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) {
-      const int col = j + v * kVLen;
-      VStore(orows[r] + col,
-             kTail ? VApplyTail(*tail, acc[r][v], col) : acc[r][v]);
-    }
-  }
-}
-
-/// DenseTile over all n columns of kDenseRows rows: kDenseVecs-vector
-/// tiles, one-vector tiles, then scalar columns with the same steps.
-template <bool kFromZero, bool kTail>
-void DenseRows(const float* coef, size_t row_step, size_t term_step,
-               int count, const float* bblock, size_t ldb,
-               const kernels::MatMulTail* tail, float* const* orows, int n) {
-  constexpr int R = kDenseRows;
-  int j = 0;
-  for (; j + kDenseVecs * kVLen <= n; j += kDenseVecs * kVLen) {
-    DenseTile<R, kDenseVecs, kFromZero, kTail>(coef, row_step, term_step,
-                                               count, bblock, ldb, tail,
-                                               orows, j);
-  }
-  for (; j + kVLen <= n; j += kVLen) {
-    DenseTile<R, 1, kFromZero, kTail>(coef, row_step, term_step, count,
-                                      bblock, ldb, tail, orows, j);
-  }
-  for (; j < n; ++j) {
-    for (int r = 0; r < R; ++r) {
-      float sum = kFromZero ? 0.f : orows[r][j];
-      for (int t = 0; t < count; ++t) {
-        sum = std::fma(coef[r * row_step + t * term_step],
-                       bblock[t * ldb + j], sum);
-      }
-      orows[r][j] = kTail ? kernels::ApplyTail(*tail, sum, j) : sum;
-    }
-  }
-}
-
-/// Output rows [r0, r1) of one contraction block of `count` terms: out
-/// row q's coefficient for term t is coef0[q·row_step + t·term_step],
-/// and it multiplies b row b0 + t. Dense tiles also add the products
-/// of zero coefficients, which the oracle skips; with `dense_ok` they
-/// run, kDenseRows rows at a time, when the block is dense enough
-/// (kDenseSharePct). Every other row sums its own nonzero terms. Sums
-/// start from +0 when `from_zero` and take `tail` when it is set.
-void ContractBlock(const float* coef0, size_t row_step, size_t term_step,
-                   int count, const Tensor& b, int b0, bool dense_ok,
-                   bool from_zero, const kernels::MatMulTail* tail,
-                   Tensor* out, int r0, int r1, MatMulScratch* s) {
-  const int n = out->cols();
-  if (dense_ok) {
-    // The block's coefficients lie in runs of count (a·b: a row) or of
-    // r1 − r0 (aᵀ·b: a row of a across the output rows).
-    int nonzero = 0;
-    if (term_step == 1) {
-      for (int q = r0; q < r1; ++q) {
-        nonzero += CountNonzero(coef0 + static_cast<size_t>(q) * row_step,
-                                count);
-      }
-    } else {
-      for (int t = 0; t < count; ++t) {
-        nonzero += CountNonzero(
-            coef0 + static_cast<size_t>(t) * term_step + r0, r1 - r0);
-      }
-    }
-    dense_ok = 100ll * nonzero >=
-               static_cast<long long>(kDenseSharePct) * count * (r1 - r0);
-  }
-  const float* bblock = b.data() + static_cast<size_t>(b0) * b.cols();
-  const size_t ldb = static_cast<size_t>(b.cols());
-  WithTileFlags(from_zero, tail != nullptr, [&]<bool kFromZero, bool kTail>() {
-    int q = r0;
-    for (; dense_ok && q + kDenseRows <= r1; q += kDenseRows) {
-      float* orows[kDenseRows];
-      for (int r = 0; r < kDenseRows; ++r) orows[r] = out->row(q + r);
-      DenseRows<kFromZero, kTail>(coef0 + static_cast<size_t>(q) * row_step,
-                                  row_step, term_step, count, bblock, ldb,
-                                  tail, orows, n);
-    }
-    for (; q < r1; ++q) {
-      const int terms =
-          NonzeroTerms(coef0 + static_cast<size_t>(q) * row_step, term_step,
-                       count, b, b0, s);
-      AccumulateRow<kFromZero, kTail>(*s, terms, out->row(q), n, tail);
-    }
-  });
-}
-
-/// orows[r][j, j + NV·kVLen) += dot(arows[r], b rows j…) for R rows:
-/// the panel holds those b rows p-major (NV vectors per p), so each
-/// panel load feeds R rows, and the R·NV sums start from +0 and take
-/// one fused multiply-add per p in ascending p, like the oracle's
-/// `acc`.
-template <int R, int NV>
-void DotTile(const float* const* arows, const float* panel, int k,
-             float* const* orows, int j) {
-  vf acc[R][NV];
-#pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) acc[r][v] = VBroadcast(0.f);
-  }
-  for (int p = 0; p < k; ++p) {
-    const float* wp = panel + static_cast<size_t>(p) * NV * kVLen;
-    vf w[NV];
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) w[v] = VLoad(wp + v * kVLen);
-#pragma GCC unroll 8
-    for (int r = 0; r < R; ++r) {
-      const vf x = VBroadcast(arows[r][p]);
-#pragma GCC unroll 8
-      for (int v = 0; v < NV; ++v) acc[r][v] = VFma(x, w[v], acc[r][v]);
-    }
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) {
-      float* o = orows[r] + j + v * kVLen;
-      VStore(o, VAdd(VLoad(o), acc[r][v]));
-    }
-  }
-}
-
-/// One panel of NV·kVLen b rows starting at row j, against out rows
-/// [r0, r1): kTransBRows-row tiles, then single rows.
-template <int NV>
-void DotPanel(const Tensor& a, const Tensor& b, Tensor* out, int r0, int r1,
-              int j, MatMulScratch* s) {
-  const int k = a.cols();
-  constexpr int kCols = NV * kVLen;
-  s->panel.resize(static_cast<size_t>(k) * kCols);
-  float* panel = s->panel.data();
-  for (int l = 0; l < kCols; ++l) {
-    const float* brow = b.row(j + l);
-    for (int p = 0; p < k; ++p) {
-      panel[static_cast<size_t>(p) * kCols + l] = brow[p];
-    }
-  }
-  int i = r0;
-  for (; i + kTransBRows <= r1; i += kTransBRows) {
-    const float* arows[kTransBRows];
-    float* orows[kTransBRows];
-    for (int r = 0; r < kTransBRows; ++r) {
-      arows[r] = a.row(i + r);
-      orows[r] = out->row(i + r);
-    }
-    DotTile<kTransBRows, NV>(arows, panel, k, orows, j);
-  }
-  for (; i < r1; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out->row(i);
-    DotTile<1, NV>(&arow, panel, k, &orow, j);
-  }
-}
-
 }  // namespace
 
-void MatMulWithTail(const Tensor& a, const Tensor& b,
-                    const kernels::MatMulTail& tail, Tensor* out, int r0,
-                    int r1) {
-  const int k = a.cols();
-  const size_t lda = static_cast<size_t>(a.cols());
-  MatMulScratch& s = ThreadScratch();
-  s.ReserveTerms(kBlockK);
-  // A dense tile also adds the products of the zero coefficients the
-  // oracle skips. With b finite each is ±0, and adding ±0 changes no
-  // sum that started from +0: such a sum is never −0, and x + ±0 is x
-  // for every other x, NaN and ±inf included.
-  const bool dense_ok = AllFinite(b.data(), static_cast<size_t>(b.size()));
-  // Every model contraction fits one block, which starts from +0 and
-  // ends in the tail. A longer one stores partial sums between blocks.
-  // k = 0 still runs one block: its sums are +0.
-  for (int p0 = 0; p0 == 0 || p0 < k; p0 += kBlockK) {
-    const int count = std::min(kBlockK, k - p0);
-    const bool last = p0 + kBlockK >= k;
-    ContractBlock(a.data() + p0, lda, 1, count, b, p0, dense_ok, p0 == 0,
-                  last ? &tail : nullptr, out, r0, r1, &s);
-  }
-}
-
-void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
-                     int r1) {
-  if (r0 >= r1) return;
-  const int m = a.rows();
-  const int n = b.cols();
-  const size_t lda = static_cast<size_t>(a.cols());
-  MatMulScratch& s = ThreadScratch();
-  s.ReserveTerms(kTransABlockRows);
-  // The sums start from the stored output, so a dense tile's ±0
-  // products are exact only where none of it is −0 (−0 + +0 is +0); a
-  // sum that starts anywhere else never reaches −0.
-  const bool no_negative_zero = !AnyNegativeZero(
-      out->row(r0), static_cast<size_t>(r1 - r0) * static_cast<size_t>(n));
-  // Blocks of contraction rows in ascending order keep their rows of b
-  // in L1 while every output row of the range sums over them.
-  for (int i0 = 0; i0 < m; i0 += kTransABlockRows) {
-    const int count = std::min(kTransABlockRows, m - i0);
-    const bool dense_ok =
-        no_negative_zero &&
-        AllFinite(b.row(i0), static_cast<size_t>(count) * n);
-    ContractBlock(a.row(i0), 1, lda, count, b, i0, dense_ok,
-                  /*from_zero=*/false, /*tail=*/nullptr, out, r0, r1, &s);
-  }
-}
-
-void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
-                     int r1) {
-  const int k = a.cols();
-  const int n = b.rows();
-  MatMulScratch& s = ThreadScratch();
-  constexpr int kWide = kTransBVecs * kVLen;
-  int j = 0;
-  for (; j + kWide <= n; j += kWide) {
-    DotPanel<kTransBVecs>(a, b, out, r0, r1, j, &s);
-  }
-  for (; j + kVLen <= n; j += kVLen) DotPanel<1>(a, b, out, r0, r1, j, &s);
-  // Tail columns: scalar dots, same as the oracle.
-  for (int i = r0; i < r1; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out->row(i);
-    for (int jt = j; jt < n; ++jt) {
-      const float* brow = b.row(jt);
-      float acc = 0.f;
-      for (int p = 0; p < k; ++p) acc = std::fma(arow[p], brow[p], acc);
-      orow[jt] += acc;
-    }
-  }
-}
+#include "src/tensor/simd_matmul.inc"
 
 float Dot(const Tensor& a, const Tensor& b) {
   constexpr int kLanes = kernels::kDotLanes;

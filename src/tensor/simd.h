@@ -46,10 +46,21 @@ namespace simd {
 // multi-row tile that also adds the zero terms' ±0 products where
 // that changes no sum (b finite, and no −0 among the stored sums).
 //
-// The file src/tensor/simd.cc is the only translation unit compiled
-// with -mavx2 -mfma (x86; NEON is baseline on aarch64); its functions
-// are reached only after Enabled() returned true, so no AVX2 or FMA
-// instruction can execute on a CPU without both features.
+// The matmul family has a second, 16-lane body in simd::avx512, built
+// from the same tile source (src/tensor/simd_matmul.inc). With vector
+// dispatch on, the Backend runs it where avx512::Available() holds and
+// the AVX2 (or NEON) body everywhere else; Dot, the dropout mask and
+// every other kernel run the AVX2 body on either kind of CPU.
+//
+// Two translation units are compiled with vector flags:
+// src/tensor/simd.cc with -mavx2 -mfma (x86; NEON is baseline on
+// aarch64) and src/tensor/simd_avx512.cc with -mavx512f -mfma. Their
+// functions are reached only after Enabled() (and, for the AVX-512
+// body, avx512::Available()) returned true, so no instruction of
+// either ISA can execute on a CPU without it. Neither defines an
+// inline or template function with external linkage, whose one
+// program-wide copy the linker might take from them
+// (scripts/check_isa_symbols.sh, a `lint` ctest).
 // ---------------------------------------------------------------------------
 
 /// True when this binary carries a vector ISA (compile-time) *and* the
@@ -57,8 +68,8 @@ namespace simd {
 /// pure-scalar build.
 bool Available();
 
-/// The ISA the vector path was compiled for: "avx2", "neon" or
-/// "scalar".
+/// The ISA of the matmul body a vector dispatch runs: "avx512",
+/// "avx2", "neon", or "scalar" when Available() is false.
 const char* IsaName();
 
 /// Dispatch decision the Backend reads: Available(), unless a
@@ -99,6 +110,25 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
 void MatMulWithTail(const Tensor& a, const Tensor& b,
                     const kernels::MatMulTail& tail, Tensor* out, int r0,
                     int r1);
+
+/// The 16-lane matmul bodies (src/tensor/simd_avx512.cc), bitwise
+/// identical to the scalar oracle like the ones above.
+namespace avx512 {
+
+/// True when this binary carries the AVX-512 body and the running CPU
+/// has avx512f and fma. The Backend's vector dispatch then runs it in
+/// place of the AVX2 matmuls.
+bool Available();
+
+void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
+                     int r1);
+void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
+                     int r1);
+void MatMulWithTail(const Tensor& a, const Tensor& b,
+                    const kernels::MatMulTail& tail, Tensor* out, int r0,
+                    int r1);
+
+}  // namespace avx512
 
 /// kernels::Dot's 8 lanes in vector registers, then its fold and tail.
 float Dot(const Tensor& a, const Tensor& b);

@@ -12,8 +12,11 @@
 //
 // On a build without a vector ISA (or a CPU without AVX2) the simd::
 // functions delegate to the scalar kernels, so every comparison here
-// degenerates to scalar==scalar and still passes — the suite never
-// needs to be skipped.
+// degenerates to scalar==scalar and still passes. The matmul family
+// has a second body, simd::avx512: each matmul test runs once per body,
+// as SimdTest.<name> on the AVX2 (or NEON) body and as
+// SimdAvx512Test.<name> on the AVX-512 one, which is skipped on a CPU
+// without avx512f.
 
 #include <cmath>
 #include <cstdint>
@@ -128,12 +131,15 @@ void ExpectRangeKernelBitwise(
 }
 
 TEST(SimdTest, ToggleClampsToAvailabilityAndRestores) {
-  const char* isa = simd::IsaName();
-  EXPECT_TRUE(std::string(isa) == "avx2" || std::string(isa) == "neon" ||
-              std::string(isa) == "scalar");
+  const std::string isa = simd::IsaName();
+  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "neon" ||
+              isa == "scalar");
   if (!simd::Available()) {
-    EXPECT_STREQ(isa, "scalar");
+    EXPECT_EQ(isa, "scalar");
   }
+  // The name is that of the matmul body a vector dispatch runs.
+  EXPECT_EQ(isa == "avx512",
+            simd::Available() && simd::avx512::Available());
   const bool before = simd::Enabled();
   EXPECT_TRUE(!before || simd::Available());  // Enabled ⇒ Available
   {
@@ -149,6 +155,34 @@ TEST(SimdTest, ToggleClampsToAvailabilityAndRestores) {
 }
 
 // --- dense matmul family ------------------------------------------------
+
+/// One vector body of the matmul family: simd.cc's AVX2 one (NEON on
+/// aarch64, the oracle where no vector ISA is compiled in), whose tests
+/// always run, or the AVX-512 one, whose SimdAvx512Test cases skip on a
+/// CPU without avx512f.
+struct MatMulBody {
+  const char* name;
+  decltype(&simd::MatMulWithTail) with_tail;
+  decltype(&simd::MatMulTransAAcc) trans_a;
+  decltype(&simd::MatMulTransBAcc) trans_b;
+};
+
+constexpr MatMulBody kVectorBody = {"avx2", simd::MatMulWithTail,
+                                    simd::MatMulTransAAcc,
+                                    simd::MatMulTransBAcc};
+constexpr MatMulBody kAvx512Body = {"avx512", simd::avx512::MatMulWithTail,
+                                    simd::avx512::MatMulTransAAcc,
+                                    simd::avx512::MatMulTransBAcc};
+
+class SimdAvx512Test : public testing::Test {
+ protected:
+  void SetUp() override {
+    if (!simd::avx512::Available()) {
+      GTEST_SKIP() << "CPU without avx512f: the AVX-512 matmul body is "
+                      "not run";
+    }
+  }
+};
 
 struct MatMulShape {
   int m, k, n;
@@ -168,22 +202,28 @@ constexpr MatMulShape kMatMulShapes[] = {
     // Encoder Linear: post-ReLU input, three aᵀ·b row blocks, a 4-row
     // a·bᵀ tile remainder.
     {131, 64, 64, 35},
-    // Wide: two full tiles, then a vector and a scalar remainder.
+    // Wide: two full tiles, then a vector and a scalar remainder (at 16
+    // lanes: one 128-column term-list tile, four 32-column dense tiles
+    // and four 32-row a·bᵀ panels, each then a vector and 6 scalars).
     {70, 130, 150},
-    // One-hot input rows: the first Linear over TRIANGLES features.
+    // One-hot input rows: the first Linear over TRIANGLES features, and
+    // term lists only, as wide as the wide shape.
     {37, 17, 64, 0, true},
     {13, 17, 10, 0, true},
+    {37, 17, 150, 0, true},
 };
 
 /// kMatMulShapes, then a sweep of 13-row products (three 4-row tiles and
 /// a remainder row) over k ∈ {3, 17, 64, 128, 300} and
-/// n ∈ {8, 10, 32, 64, 80}, alternately dense and with half of a zero.
+/// n ∈ {8, 10, 16, 32, 48, 64, 80, 144, 150}, alternately dense and with
+/// half of a zero. At 16 lanes n = 16, 48 and 144 end in a one-vector
+/// tile or panel after zero, one and four 32-column ones.
 std::vector<MatMulShape> MatMulShapes() {
   std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
                                   std::end(kMatMulShapes));
   int i = 0;
   for (int k : {3, 17, 64, 128, 300}) {
-    for (int n : {8, 10, 32, 64, 80}) {
+    for (int n : {8, 10, 16, 32, 48, 64, 80, 144, 150}) {
       shapes.push_back({13, k, n, (i++ % 2) * 50});
     }
   }
@@ -208,8 +248,9 @@ Tensor MatMulCoefs(const MatMulShape& s, uint64_t seed) {
 
 /// Runs a·b as the forward MatMul does: MatMulWithTail with an empty
 /// tail, whose sums start from +0.
-void ExpectMatMulBitwise(const Tensor& a, const Tensor& b,
-                         const Tensor& out_init, const std::string& what) {
+void ExpectMatMulBitwise(const MatMulBody& body, const Tensor& a,
+                         const Tensor& b, const Tensor& out_init,
+                         const std::string& what) {
   const kernels::MatMulTail none;
   ExpectRangeKernelBitwise(
       a.rows(), out_init,
@@ -217,54 +258,51 @@ void ExpectMatMulBitwise(const Tensor& a, const Tensor& b,
         kernels::MatMulWithTail(a, b, none, out, r0, r1);
       },
       [&](Tensor* out, int r0, int r1) {
-        simd::MatMulWithTail(a, b, none, out, r0, r1);
+        body.with_tail(a, b, none, out, r0, r1);
       },
-      what);
+      std::string(body.name) + " " + what);
 }
 
-void ExpectMatMulTransABitwise(const Tensor& a, const Tensor& b,
-                               const Tensor& out_init,
+void ExpectMatMulTransABitwise(const MatMulBody& body, const Tensor& a,
+                               const Tensor& b, const Tensor& out_init,
                                const std::string& what) {
   ExpectRangeKernelBitwise(
       a.cols(), out_init,
       [&](Tensor* out, int r0, int r1) {
         kernels::MatMulTransAAcc(a, b, out, r0, r1);
       },
-      [&](Tensor* out, int r0, int r1) {
-        simd::MatMulTransAAcc(a, b, out, r0, r1);
-      },
-      what);
+      [&](Tensor* out, int r0, int r1) { body.trans_a(a, b, out, r0, r1); },
+      std::string(body.name) + " " + what);
 }
 
-void ExpectMatMulTransBBitwise(const Tensor& a, const Tensor& b,
-                               const Tensor& out_init,
+void ExpectMatMulTransBBitwise(const MatMulBody& body, const Tensor& a,
+                               const Tensor& b, const Tensor& out_init,
                                const std::string& what) {
   ExpectRangeKernelBitwise(
       a.rows(), out_init,
       [&](Tensor* out, int r0, int r1) {
         kernels::MatMulTransBAcc(a, b, out, r0, r1);
       },
-      [&](Tensor* out, int r0, int r1) {
-        simd::MatMulTransBAcc(a, b, out, r0, r1);
-      },
-      what);
+      [&](Tensor* out, int r0, int r1) { body.trans_b(a, b, out, r0, r1); },
+      std::string(body.name) + " " + what);
 }
 
-TEST(SimdTest, MatMulBitwise) {
+void CheckMatMul(const MatMulBody& body) {
   for (const MatMulShape& s : MatMulShapes()) {
     const Tensor a = MatMulCoefs(s, 11 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.k, s.n, 13 * static_cast<uint64_t>(s.n));
     const Tensor out_init = RandomTensor(s.m, s.n, 17);  // overwritten
-    ExpectMatMulBitwise(a, b, out_init, "matmul " + ShapeName(s));
+    ExpectMatMulBitwise(body, a, b, out_init, "matmul " + ShapeName(s));
   }
 }
 
-TEST(SimdTest, MatMulTransAAccBitwise) {
+void CheckMatMulTransA(const MatMulBody& body) {
   for (const MatMulShape& s : MatMulShapes()) {
     const Tensor a = MatMulCoefs(s, 19 * static_cast<uint64_t>(s.k));
     const Tensor b = RandomTensor(s.m, s.n, 23 * static_cast<uint64_t>(s.n));
     const Tensor out_init = RandomTensor(s.k, s.n, 29);
-    ExpectMatMulTransABitwise(a, b, out_init, "matmul_ta " + ShapeName(s));
+    ExpectMatMulTransABitwise(body, a, b, out_init,
+                              "matmul_ta " + ShapeName(s));
     // A dead column of a (a unit ReLU never lets through) under a stored
     // −0 row: the oracle adds nothing to that row, so its −0 stays,
     // where a multi-row tile's ±0 products could turn it into +0.
@@ -273,21 +311,22 @@ TEST(SimdTest, MatMulTransAAccBitwise) {
     const int p = s.k / 2;
     for (int i = 0; i < s.m; ++i) dead.at(i, p) = 0.f;
     for (int j = 0; j < s.n; ++j) stored.at(p, j) = -0.f;
-    ExpectMatMulTransABitwise(dead, b, stored,
+    ExpectMatMulTransABitwise(body, dead, b, stored,
                               "matmul_ta stored -0 " + ShapeName(s));
   }
 }
 
-TEST(SimdTest, MatMulTransBAccBitwise) {
+void CheckMatMulTransB(const MatMulBody& body) {
   for (const MatMulShape& s : MatMulShapes()) {
     const Tensor a = MatMulCoefs(s, 31 * static_cast<uint64_t>(s.m));
     const Tensor b = RandomTensor(s.n, s.k, 37 * static_cast<uint64_t>(s.k));
     const Tensor out_init = RandomTensor(s.m, s.n, 41);
-    ExpectMatMulTransBBitwise(a, b, out_init, "matmul_tb " + ShapeName(s));
+    ExpectMatMulTransBBitwise(body, a, b, out_init,
+                              "matmul_tb " + ShapeName(s));
   }
 }
 
-TEST(SimdTest, MatMulSpecialValuesBitwise) {
+void CheckMatMulSpecialValues(const MatMulBody& body) {
   // NaN placement, inf·0 → NaN, signed-zero results and denormal
   // products must all come out of the vector lanes exactly as the
   // scalar oracle produces them (same operand order, each multiply-add
@@ -298,10 +337,12 @@ TEST(SimdTest, MatMulSpecialValuesBitwise) {
   // outputs with −0 (where −0 + +0 is +0), only the one-row nonzero
   // term lists may run. Short contractions keep most sums finite; the
   // shapes reach a full 64-column tile, vector and scalar remainders,
-  // 4-row tiles with remainder rows and two aᵀ·b row blocks.
+  // 4-row tiles with remainder rows and two aᵀ·b row blocks, and at 16
+  // lanes a 128-column term-list tile and 32-column dense tiles.
   for (const MatMulShape& s : {MatMulShape{13, 21, 19}, MatMulShape{6, 4, 75},
                                MatMulShape{67, 5, 9}, MatMulShape{13, 17, 80},
-                               MatMulShape{9, 64, 10}}) {
+                               MatMulShape{9, 64, 10},
+                               MatMulShape{9, 7, 150}}) {
     const std::string shape = ShapeName(s);
     const Tensor a = SpecialTensor(s.m, s.k, 43);
     for (bool special_b : {false, true}) {
@@ -313,13 +354,13 @@ TEST(SimdTest, MatMulSpecialValuesBitwise) {
       const Tensor bm = make_b(s.m, s.n, 53);
       const Tensor bt = make_b(s.n, s.k, 59);
       const std::string what = shape + (special_b ? " special b" : "");
-      ExpectMatMulBitwise(a, b, RandomTensor(s.m, s.n, 61),
+      ExpectMatMulBitwise(body, a, b, RandomTensor(s.m, s.n, 61),
                           "matmul specials " + what);
-      ExpectMatMulTransABitwise(a, bm, RandomTensor(s.k, s.n, 67),
+      ExpectMatMulTransABitwise(body, a, bm, RandomTensor(s.k, s.n, 67),
                                 "matmul_ta specials " + what);
-      ExpectMatMulTransABitwise(a, bm, SpecialTensor(s.k, s.n, 67),
+      ExpectMatMulTransABitwise(body, a, bm, SpecialTensor(s.k, s.n, 67),
                                 "matmul_ta special out " + what);
-      ExpectMatMulTransBBitwise(a, bt, SpecialTensor(s.m, s.n, 61),
+      ExpectMatMulTransBBitwise(body, a, bt, SpecialTensor(s.m, s.n, 61),
                                 "matmul_tb specials " + what);
     }
     // Dense a (1 in 7 coefficients zero) against a b with one ±inf or
@@ -335,11 +376,31 @@ TEST(SimdTest, MatMulSpecialValuesBitwise) {
     Tensor bm = RandomTensor(s.m, s.n, 79);
     bm.at(s.m / 2, 0) = -std::numeric_limits<float>::infinity();
     dense_a.at(s.m / 2, s.k - 1) = 0.f;
-    ExpectMatMulBitwise(dense_a, b, RandomTensor(s.m, s.n, 61),
+    ExpectMatMulBitwise(body, dense_a, b, RandomTensor(s.m, s.n, 61),
                         "matmul non-finite b " + shape);
-    ExpectMatMulTransABitwise(dense_a, bm, RandomTensor(s.k, s.n, 67),
+    ExpectMatMulTransABitwise(body, dense_a, bm, RandomTensor(s.k, s.n, 67),
                               "matmul_ta non-finite b " + shape);
   }
+}
+
+TEST(SimdTest, MatMulBitwise) { CheckMatMul(kVectorBody); }
+TEST_F(SimdAvx512Test, MatMulBitwise) { CheckMatMul(kAvx512Body); }
+
+TEST(SimdTest, MatMulTransAAccBitwise) { CheckMatMulTransA(kVectorBody); }
+TEST_F(SimdAvx512Test, MatMulTransAAccBitwise) {
+  CheckMatMulTransA(kAvx512Body);
+}
+
+TEST(SimdTest, MatMulTransBAccBitwise) { CheckMatMulTransB(kVectorBody); }
+TEST_F(SimdAvx512Test, MatMulTransBAccBitwise) {
+  CheckMatMulTransB(kAvx512Body);
+}
+
+TEST(SimdTest, MatMulSpecialValuesBitwise) {
+  CheckMatMulSpecialValues(kVectorBody);
+}
+TEST_F(SimdAvx512Test, MatMulSpecialValuesBitwise) {
+  CheckMatMulSpecialValues(kAvx512Body);
 }
 
 // --- element-wise maps --------------------------------------------------
@@ -683,41 +744,50 @@ TEST(SimdTest, RffMapBitwise) {
 
 // --- one-pass matmul tail -----------------------------------------------
 
-TEST(SimdTest, MatMulWithTailBitwise) {
-  // The SIMD body must match its scalar oracle over every range
-  // partition, and the Backend entry point must match the composite
-  // chain it replaces, at every thread count with SIMD on and off. a,
-  // the bias and γ carry NaN, ±inf, ±0 and denormals (a also exact
-  // zeros), so the comparison is BitwiseEqual's: which payload
-  // survives NaN · NaN is the compiler's operand order, in the
-  // composite kernels as in the fused one. A NaN or inf in a turns its
-  // whole output row into NaN/inf, so only every fifth row of a gets
-  // one; the bias and γ get them in every sixth column. Outputs start
-  // as a NaN whose payload no input carries, so an element the kernel
-  // never writes shows up. K = 300 crosses the SIMD body's 256-row
-  // contraction block.
+/// The inputs of the one-pass tail tests, handed to a check. a, the bias
+/// and γ carry NaN, ±inf, ±0 and denormals (a also exact zeros), so the
+/// comparison is BitwiseEqual's: which payload survives NaN · NaN is the
+/// compiler's operand order, in the composite kernels as in the fused
+/// one. A NaN or inf in a turns its whole output row into NaN/inf, so
+/// only every fifth row of a gets one; the bias and γ get them in every
+/// sixth column. Outputs start as a NaN whose payload no input carries,
+/// so an element the kernel never writes shows up (LeftUnwritten).
+/// K = 300 crosses the SIMD body's 256-row contraction block.
+struct MatMulTailCase {
+  const Tensor& a;
+  const Tensor& b;
+  const kernels::MatMulTail& tail;
+  const test::TailRows& rows;
+  const Tensor& out_init;
+  std::string what;
+};
+
+constexpr std::uint32_t kSentinelBits = 0x7fc0deadu;
+
+bool LeftUnwritten(const Tensor& t) {
+  for (int i = 0; i < t.size(); ++i) {
+    if (std::memcmp(t.data() + i, &kSentinelBits, sizeof(float)) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ForEachMatMulTailCase(
+    const std::function<void(const MatMulTailCase&)>& check) {
   const auto lace = [](Tensor t, int first, int stride) {
     for (int i = first, s = 0; i < t.size(); i += stride, ++s) {
       t[i] = kSpecials[s % 8];
     }
     return t;
   };
-  const std::uint32_t sentinel_bits = 0x7fc0deadu;
   float sentinel = 0.f;
-  std::memcpy(&sentinel, &sentinel_bits, sizeof(sentinel));
-  const auto unwritten = [&](const Tensor& t) {
-    for (int i = 0; i < t.size(); ++i) {
-      if (std::memcmp(t.data() + i, &sentinel, sizeof(float)) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
+  std::memcpy(&sentinel, &kSentinelBits, sizeof(sentinel));
   const int m = 37;
   for (int k : {64, 300}) {
     const Tensor a = lace(RandomTensor(m, k, 251 + static_cast<uint64_t>(k)),
                           2 * k + 3, 5 * k + 1);
-    for (int n : {1, 7, 8, 63, 64, 65, 130}) {
+    for (int n : {1, 7, 8, 16, 48, 63, 64, 65, 130, 144}) {
       const Tensor b = RandomTensor(k, n, 257 + static_cast<uint64_t>(n));
       test::TailRows rows;
       rows.bias = lace(RandomTensor(1, n, 263), 1, 6);
@@ -728,38 +798,57 @@ TEST(SimdTest, MatMulWithTailBitwise) {
       const std::vector<kernels::MatMulTail> tails = test::ModelTails(rows);
       const Tensor out_init(m, n, sentinel);
       for (size_t t = 0; t < tails.size(); ++t) {
-        const std::string what = "matmul tail " + std::to_string(t) + " " +
-                                 std::to_string(m) + "x" + std::to_string(k) +
-                                 "x" + std::to_string(n);
-        ExpectRangeKernelBitwise(
-            m, out_init,
-            [&](Tensor* out, int r0, int r1) {
-              kernels::MatMulWithTail(a, b, tails[t], out, r0, r1);
-            },
-            [&](Tensor* out, int r0, int r1) {
-              simd::MatMulWithTail(a, b, tails[t], out, r0, r1);
-            },
-            what);
-        for (bool enabled : {false, true}) {
-          simd::ScopedSimdEnabled toggle(enabled);
-          Tensor composite;
-          {
-            ScopedBackendThreads serial(1);
-            composite = test::CompositeTail(a, b, tails[t], rows);
-          }
-          for (int threads : kThreadCounts) {
-            ScopedBackendThreads scoped(threads);
-            Tensor fused = out_init;
-            GetBackend().MatMulWithTail(a, b, tails[t], &fused);
-            EXPECT_FALSE(unwritten(fused)) << what << " left an element";
-            EXPECT_TRUE(BitwiseEqual(composite, fused))
-                << what << " diverged from the composite chain at "
-                << threads << " threads, simd " << (enabled ? "on" : "off");
-          }
-        }
+        check({a, b, tails[t], rows, out_init,
+               "matmul tail " + std::to_string(t) + " " + std::to_string(m) +
+                   "x" + std::to_string(k) + "x" + std::to_string(n)});
       }
     }
   }
+}
+
+/// A body against its scalar oracle over every range partition.
+void CheckMatMulWithTail(const MatMulBody& body) {
+  ForEachMatMulTailCase([&](const MatMulTailCase& c) {
+    ExpectRangeKernelBitwise(
+        c.a.rows(), c.out_init,
+        [&](Tensor* out, int r0, int r1) {
+          kernels::MatMulWithTail(c.a, c.b, c.tail, out, r0, r1);
+        },
+        [&](Tensor* out, int r0, int r1) {
+          body.with_tail(c.a, c.b, c.tail, out, r0, r1);
+        },
+        std::string(body.name) + " " + c.what);
+  });
+}
+
+TEST(SimdTest, MatMulWithTailBitwise) {
+  // The SIMD body must match its scalar oracle over every range
+  // partition, and the Backend entry point must match the composite
+  // chain it replaces, at every thread count with SIMD on and off.
+  CheckMatMulWithTail(kVectorBody);
+  ForEachMatMulTailCase([](const MatMulTailCase& c) {
+    for (bool enabled : {false, true}) {
+      simd::ScopedSimdEnabled toggle(enabled);
+      Tensor composite;
+      {
+        ScopedBackendThreads serial(1);
+        composite = test::CompositeTail(c.a, c.b, c.tail, c.rows);
+      }
+      for (int threads : kThreadCounts) {
+        ScopedBackendThreads scoped(threads);
+        Tensor fused = c.out_init;
+        GetBackend().MatMulWithTail(c.a, c.b, c.tail, &fused);
+        EXPECT_FALSE(LeftUnwritten(fused)) << c.what << " left an element";
+        EXPECT_TRUE(BitwiseEqual(composite, fused))
+            << c.what << " diverged from the composite chain at " << threads
+            << " threads, simd " << (enabled ? "on" : "off");
+      }
+    }
+  });
+}
+
+TEST_F(SimdAvx512Test, MatMulWithTailBitwise) {
+  CheckMatMulWithTail(kAvx512Body);
 }
 
 // --- Backend dispatch ---------------------------------------------------

@@ -12,6 +12,11 @@
 # local ones; src/tensor/simd_scratch.h shows how the matmul bodies
 # stay clear of std::vector.
 #
+# The check reads the objects of the build it is given. An unoptimized
+# (-O0) build leaves every inline callee out of line (Tensor::row,
+# std::fma, kernels::ApplyTail, ...), so the check fails there, and
+# rightly: such a build should not run on a CPU without AVX-512.
+#
 # Usage: scripts/check_isa_symbols.sh OBJECT...
 # The `lint`-labelled ctest check_isa_symbols passes the objects of the
 # oodgnn_isa library (src/CMakeLists.txt). Exits 1 and lists the

@@ -6,9 +6,12 @@
 // paper's batch scale and at 10× that scale. `--threads N` selects the
 // parallel pool size (default 4, matching the CI configuration). A
 // second table times grad-free eval of Linear → BatchNorm → ReLU as
-// composite ops and as one pass (the tail applied in the matmul's
+// separate ops and as one pass (the tail applied in the matmul's
 // store) at a DD_200 test batch and a small batch; the run exits
-// nonzero when the two outputs diverge bitwise.
+// nonzero when the two outputs diverge bitwise. A third times a
+// train-mode BatchNorm + ReLU node's forward and backward beside a
+// Linear's on the same input, single-threaded, at a mean TRIANGLES
+// batch and a DD_200 batch.
 //
 // Pass any --benchmark* flag to run the google-benchmark micro-suite
 // instead (GEMM, gather/scatter, RFF map, decorrelation loss, weight
@@ -212,22 +215,22 @@ void CompareBackends(int threads) {
 }
 
 // ---------------------------------------------------------------------------
-// One-pass eval Linear vs the composite no-grad chain it replaces.
+// One-pass eval Linear vs the separate no-grad ops it replaces.
 // ---------------------------------------------------------------------------
 
 /// Times GIN's hidden layer in grad-free eval, Linear → BatchNorm1d →
-/// ReLU, two ways on a `threads` pool: the composite ops (a zero-filled
-/// matmul output, then bias, the four BatchNorm passes and ReLU, each
-/// op allocating or copying its output) and Linear::ForwardNoGrad,
-/// which applies all of them in the matmul's store. Shapes: the node
-/// count of a DD_200 test batch and a small batch. Returns false when
-/// the two outputs differ bitwise.
+/// ReLU, two ways on a `threads` pool: separate ops (MatMul, AddRowVec
+/// for the bias, the BatchNorm node's one store, then Relu, each op
+/// allocating or copying its output) and Linear::ForwardNoGrad, which
+/// applies all of them in the matmul's store. Shapes: the node count of
+/// a DD_200 test batch and a small batch. Returns false when the two
+/// outputs differ bitwise.
 bool CompareMatMulTail(int threads) {
-  std::printf("\nEval Linear -> BatchNorm -> ReLU: composite ops vs one "
+  std::printf("\nEval Linear -> BatchNorm -> ReLU: separate ops vs one "
               "pass (%d threads)\n",
               threads);
   std::printf("%-22s %-22s %13s %12s %8s %8s\n", "workload", "shape",
-              "composite ms", "fused ms", "speedup", "bitwise");
+              "separate ms", "fused ms", "speedup", "bitwise");
   ScopedBackendThreads scoped(threads);
   NoGradGuard no_grad;
   Rng rng(17);
@@ -249,24 +252,58 @@ bool CompareMatMulTail(int threads) {
     Tensor x = Tensor::RandomNormal(m, d, &rng);
     for (int i = 0; i < x.size(); ++i) x[i] = std::max(x[i], 0.f);
     const Variable input = Variable::Constant(std::move(x));
-    const auto composite = [&] {
+    const auto separate = [&] {
       return Relu(norm.Forward(
           AddRowVec(MatMul(input, weights[0]), weights[1]), false));
     };
     const auto fused = [&] {
       return linear.ForwardNoGrad(input, &norm, /*relu=*/true);
     };
-    const bool same = BitwiseEqual(composite().value(), fused().value());
+    const bool same = BitwiseEqual(separate().value(), fused().value());
     all_ok = all_ok && same;
-    const double composite_s = TimePerCall([&] { composite(); });
+    const double separate_s = TimePerCall([&] { separate(); });
     const double fused_s = TimePerCall([&] { fused(); });
     std::printf("%-22s %-22s %13.3f %12.3f %7.2fx %8s\n",
                 m > 10000 ? "gin-hidden (DD_200)" : "gin-hidden (small)",
                 ("[" + std::to_string(m) + "x64]x[64x64]").c_str(),
-                composite_s * 1e3, fused_s * 1e3, composite_s / fused_s,
+                separate_s * 1e3, fused_s * 1e3, separate_s / fused_s,
                 same ? "OK" : "DIVERGED");
   }
   return all_ok;
+}
+
+/// Times one training step's worth of a train-mode BatchNorm1d + ReLU
+/// node, forward then backward, beside a Linear's forward and backward
+/// on the same [m×64] input, single-threaded and alternating, at a mean
+/// TRIANGLES batch (1031 nodes) and a DD_200 batch (7230). The input is
+/// a trainable leaf; both backward passes seed the same upstream
+/// gradient.
+void CompareBatchNormToLinear() {
+  std::printf("\nTrain BatchNorm + ReLU node vs Linear, forward + backward "
+              "(1 thread)\n");
+  std::printf("%-22s %-12s %14s %10s %8s\n", "workload", "shape",
+              "batchnorm ms", "linear ms", "ratio");
+  ScopedBackendThreads scoped(1);
+  Rng rng(19);
+  const int d = 64;
+  Linear linear(d, d, &rng);
+  BatchNorm1d norm(d);
+  for (Variable& param : norm.Parameters()) {
+    param.mutable_value() = Tensor::RandomUniform(1, d, &rng, 0.5f, 1.5f);
+  }
+  for (int m : {1031, 7230}) {
+    const Variable input = Variable::Param(Tensor::RandomNormal(m, d, &rng));
+    const Tensor seed = Tensor::RandomNormal(m, d, &rng);
+    const auto batch_norm = [&] {
+      norm.Forward(input, /*training=*/true, /*relu=*/true).Backward(seed);
+    };
+    const auto dense = [&] { linear.Forward(input).Backward(seed); };
+    const std::vector<double> s = TimeAlternating({batch_norm, dense}, 5);
+    std::printf("%-22s %-12s %14.3f %10.3f %7.2fx\n",
+                m > 5000 ? "train-bn-relu (DD_200)" : "train-bn-relu (tri)",
+                ("[" + std::to_string(m) + "x64]").c_str(), s[0] * 1e3,
+                s[1] * 1e3, s[0] / s[1]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -775,5 +812,7 @@ int main(int argc, char** argv) {
   }
   if (flags.Has("simd")) return oodgnn::CompareSimd() ? 0 : 1;
   oodgnn::CompareBackends(flags.GetThreads(4));
-  return oodgnn::CompareMatMulTail(flags.GetThreads(4)) ? 0 : 1;
+  const bool tail_ok = oodgnn::CompareMatMulTail(flags.GetThreads(4));
+  oodgnn::CompareBatchNormToLinear();
+  return tail_ok ? 0 : 1;
 }

@@ -12,10 +12,11 @@
 # local ones; src/tensor/simd_scratch.h shows how the matmul bodies
 # stay clear of std::vector.
 #
-# The check reads the objects of the build it is given. An unoptimized
-# (-O0) build leaves every inline callee out of line (Tensor::row,
-# std::fma, kernels::ApplyTail, ...), so the check fails there, and
-# rightly: such a build should not run on a CPU without AVX-512.
+# Unoptimized (-O0), a vector-ISA object would leave every inline
+# callee out of line (Tensor::row, std::fma, kernels::ApplyTail, ...),
+# so src/CMakeLists.txt builds both objects -O2 in every
+# configuration, and the check passes in a Debug build as in a
+# Release one.
 #
 # Usage: scripts/check_isa_symbols.sh OBJECT...
 # The `lint`-labelled ctest check_isa_symbols passes the objects of the

@@ -74,8 +74,7 @@ Variable MessagePassingEncoder::ApplyConv(size_t layer, const Variable& h,
       out = sage_layers_[layer]->Forward(h, batch);
       break;
   }
-  out = norm->Forward(out, training);
-  return relu ? Relu(out) : out;
+  return norm->Forward(out, training, relu);
 }
 
 Variable MessagePassingEncoder::Encode(const GraphBatch& batch, bool training,

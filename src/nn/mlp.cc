@@ -35,8 +35,11 @@ Variable Mlp::Forward(const Variable& x, bool training, BatchNorm1d* norm,
       continue;
     }
     h = layers_[i]->Forward(h);
-    if (layer_norm != nullptr) h = layer_norm->Forward(h, training);
-    if (layer_relu) h = Relu(h);
+    if (layer_norm != nullptr) {
+      h = layer_norm->Forward(h, training, layer_relu);
+    } else if (layer_relu) {
+      h = Relu(h);
+    }
   }
   return h;
 }

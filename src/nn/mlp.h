@@ -23,8 +23,8 @@ class Mlp : public Module {
   /// x: [m, dims.front()] -> [m, dims.back()], then `norm` (when not
   /// null) and ReLU (when `relu`) on the last Linear's output. In eval
   /// mode with grad mode off, each Linear applies its BatchNorm and
-  /// ReLU in its matmul's store (Linear::ForwardNoGrad); otherwise they
-  /// run as separate ops.
+  /// ReLU in its matmul's store (Linear::ForwardNoGrad); otherwise the
+  /// BatchNorm takes the ReLU into its own node (BatchNorm1d::Forward).
   Variable Forward(const Variable& x, bool training,
                    BatchNorm1d* norm = nullptr, bool relu = false);
 

@@ -45,7 +45,6 @@ enum class KernelOp : int {
   kHadamardAcc,
   kColumnSum,
   kRowBroadcast,
-  kHadamardColumnSum,
   kHadamardRowSum,
   kDot,
   kGatherRows,
@@ -61,13 +60,13 @@ enum class KernelOp : int {
   kRelu,
   kReluBackward,
   kSquareBackward,
-  kMulRowVec,
-  kMulRowVecAcc,
-  kDivRowVec,
-  kDivRowVecAcc,
   kMulColVec,
   kMulColVecAcc,
   kDropoutMask,
+  kBatchNorm,
+  kCenteredSquareSum,
+  kBatchNormGradSums,
+  kBatchNormGradX,
   kNumOps,
 };
 
@@ -95,8 +94,6 @@ const char* KernelOpName(KernelOp op) {
       return "column_sum";
     case KernelOp::kRowBroadcast:
       return "row_broadcast";
-    case KernelOp::kHadamardColumnSum:
-      return "hadamard_column_sum";
     case KernelOp::kHadamardRowSum:
       return "hadamard_row_sum";
     case KernelOp::kDot:
@@ -127,20 +124,20 @@ const char* KernelOpName(KernelOp op) {
       return "relu_backward";
     case KernelOp::kSquareBackward:
       return "square_backward";
-    case KernelOp::kMulRowVec:
-      return "mul_row_vec";
-    case KernelOp::kMulRowVecAcc:
-      return "mul_row_vec_acc";
-    case KernelOp::kDivRowVec:
-      return "div_row_vec";
-    case KernelOp::kDivRowVecAcc:
-      return "div_row_vec_acc";
     case KernelOp::kMulColVec:
       return "mul_col_vec";
     case KernelOp::kMulColVecAcc:
       return "mul_col_vec_acc";
     case KernelOp::kDropoutMask:
       return "dropout_mask";
+    case KernelOp::kBatchNorm:
+      return "batch_norm";
+    case KernelOp::kCenteredSquareSum:
+      return "centered_square_sum";
+    case KernelOp::kBatchNormGradSums:
+      return "batch_norm_grad_sums";
+    case KernelOp::kBatchNormGradX:
+      return "batch_norm_grad_x";
     case KernelOp::kNumOps:
       break;
   }
@@ -400,38 +397,6 @@ void Backend::SquareBackwardAcc(const Tensor& g, const Tensor& x,
               2ll * dx->size());
 }
 
-void Backend::MulRowVec(const Tensor& a, const Tensor& row,
-                        Tensor* out) const {
-  OODGNN_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  OODGNN_CHECK(a.SameShape(*out));
-  RunMirrored(*this, KernelOp::kMulRowVec, kernels::MulRowVec,
-              simd::MulRowVec, a, row, out, out->rows(), out->size());
-}
-
-void Backend::MulRowVecAcc(const Tensor& g, const Tensor& row,
-                           Tensor* dx) const {
-  OODGNN_CHECK(row.rows() == 1 && row.cols() == g.cols());
-  OODGNN_CHECK(g.SameShape(*dx));
-  RunMirrored(*this, KernelOp::kMulRowVecAcc, kernels::MulRowVecAcc,
-              simd::MulRowVecAcc, g, row, dx, dx->rows(), dx->size());
-}
-
-void Backend::DivRowVec(const Tensor& a, const Tensor& row,
-                        Tensor* out) const {
-  OODGNN_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  OODGNN_CHECK(a.SameShape(*out));
-  RunMirrored(*this, KernelOp::kDivRowVec, kernels::DivRowVec,
-              simd::DivRowVec, a, row, out, out->rows(), out->size());
-}
-
-void Backend::DivRowVecAcc(const Tensor& g, const Tensor& row,
-                           Tensor* dx) const {
-  OODGNN_CHECK(row.rows() == 1 && row.cols() == g.cols());
-  OODGNN_CHECK(g.SameShape(*dx));
-  RunMirrored(*this, KernelOp::kDivRowVecAcc, kernels::DivRowVecAcc,
-              simd::DivRowVecAcc, g, row, dx, dx->rows(), dx->size());
-}
-
 void Backend::MulColVec(const Tensor& a, const Tensor& col,
                         Tensor* out) const {
   OODGNN_CHECK(col.rows() == a.rows() && col.cols() == 1);
@@ -478,23 +443,6 @@ void Backend::RowBroadcastAcc(const Tensor& row, Tensor* out) const {
   });
 }
 
-void Backend::HadamardColumnSumAcc(const Tensor& x, const Tensor& y,
-                                   Tensor* out) const {
-  OODGNN_CHECK(x.SameShape(y));
-  OODGNN_CHECK(out->rows() == 1 && out->cols() == x.cols());
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kHadamardColumnSum, x.size(),
-                    WouldParallelize(x.cols(), 2ll * x.size()));
-  ForCost(x.cols(), 2ll * x.size(), [&](int c0, int c1) {
-    if (use_simd) {
-      simd::HadamardColumnSumAcc(x, y, out, c0, c1);
-    } else {
-      kernels::HadamardColumnSumAcc(x, y, out, c0, c1);
-    }
-  });
-}
-
 void Backend::HadamardRowSumAcc(const Tensor& x, const Tensor& y,
                                 Tensor* out) const {
   OODGNN_CHECK(x.SameShape(y));
@@ -503,6 +451,93 @@ void Backend::HadamardRowSumAcc(const Tensor& x, const Tensor& y,
                     WouldParallelize(x.rows(), 2ll * x.size()));
   ForCost(x.rows(), 2ll * x.size(), [&](int r0, int r1) {
     kernels::HadamardRowSumAcc(x, y, out, r0, r1);
+  });
+}
+
+void Backend::BatchNorm(const kernels::MatMulTail& tail, const Tensor& x,
+                        Tensor* out) const {
+  OODGNN_CHECK(x.SameShape(*out));
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  const std::int64_t flops = 5ll * out->size();
+  KernelScope scope(KernelOp::kBatchNorm, out->size(),
+                    WouldParallelize(out->rows(), flops));
+  ForCost(out->rows(), flops, [&](int r0, int r1) {
+    if (use_simd) {
+      simd::ApplyTailRows(tail, x, out, r0, r1);
+    } else {
+      kernels::ApplyTailRows(tail, x, out, r0, r1);
+    }
+  });
+}
+
+void Backend::CenteredSquareSumAcc(const Tensor& x, const Tensor& neg_mean,
+                                   Tensor* out) const {
+  OODGNN_CHECK(neg_mean.rows() == 1 && neg_mean.cols() == x.cols());
+  OODGNN_CHECK(out->rows() == 1 && out->cols() == x.cols());
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  const std::int64_t flops = 3ll * x.size();
+  KernelScope scope(KernelOp::kCenteredSquareSum, x.size(),
+                    WouldParallelize(x.cols(), flops));
+  ForCost(x.cols(), flops, [&](int c0, int c1) {
+    if (use_simd) {
+      simd::CenteredSquareSumAcc(x, neg_mean.data(), out, c0, c1);
+    } else {
+      kernels::CenteredSquareSumAcc(x, neg_mean.data(), out, c0, c1);
+    }
+  });
+}
+
+void Backend::BatchNormGradSumsAcc(const Tensor& g, const Tensor& y,
+                                   const Tensor& x,
+                                   const kernels::MatMulTail& tail,
+                                   Tensor* dgamma, Tensor* dbeta,
+                                   Tensor* dn_xhat) const {
+  OODGNN_CHECK(g.SameShape(y) && g.SameShape(x));
+  for (const Tensor* sum : {dgamma, dbeta, dn_xhat}) {
+    OODGNN_CHECK(sum == nullptr ||
+                 (sum->rows() == 1 && sum->cols() == x.cols()));
+  }
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  const std::int64_t flops = 8ll * x.size();
+  KernelScope scope(KernelOp::kBatchNormGradSums, x.size(),
+                    WouldParallelize(x.cols(), flops));
+  ForCost(x.cols(), flops, [&](int c0, int c1) {
+    if (use_simd) {
+      simd::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, c0,
+                                 c1);
+    } else {
+      kernels::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, c0,
+                                    c1);
+    }
+  });
+}
+
+void Backend::BatchNormGradX(const Tensor& g, const Tensor& y,
+                             const Tensor& x, const kernels::MatMulTail& tail,
+                             const Tensor* dsq, bool accumulate, Tensor* dx,
+                             Tensor* dx_sum) const {
+  OODGNN_CHECK(g.SameShape(y) && g.SameShape(x) && g.SameShape(*dx));
+  for (const Tensor* row : {dsq, static_cast<const Tensor*>(dx_sum)}) {
+    OODGNN_CHECK(row == nullptr ||
+                 (row->rows() == 1 && row->cols() == x.cols()));
+  }
+  const float* dsq_row = dsq != nullptr ? dsq->data() : nullptr;
+  const bool use_simd = simd::Enabled();
+  RecordSimdDispatch(use_simd);
+  const std::int64_t flops = 8ll * x.size();
+  KernelScope scope(KernelOp::kBatchNormGradX, x.size(),
+                    WouldParallelize(x.cols(), flops));
+  ForCost(x.cols(), flops, [&](int c0, int c1) {
+    if (use_simd) {
+      simd::BatchNormGradX(g, y, x, tail, dsq_row, accumulate, dx, dx_sum, c0,
+                           c1);
+    } else {
+      kernels::BatchNormGradX(g, y, x, tail, dsq_row, accumulate, dx, dx_sum,
+                              c0, c1);
+    }
   });
 }
 

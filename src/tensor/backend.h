@@ -80,14 +80,6 @@ class Backend {
   /// dx += g ⊙ (2·x).
   void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx) const;
 
-  /// out[r,:] = a[r,:] ⊙ row[0,:].
-  void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out) const;
-  /// dx[r,:] += g[r,:] ⊙ row[0,:].
-  void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx) const;
-  /// out[r,:] = a[r,:] / row[0,:].
-  void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out) const;
-  /// dx[r,:] += g[r,:] / row[0,:].
-  void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx) const;
   /// out[r,:] = a[r,:] · col[r,0].
   void MulColVec(const Tensor& a, const Tensor& col, Tensor* out) const;
   /// dx[r,:] += g[r,:] · col[r,0].
@@ -97,14 +89,33 @@ class Backend {
   void ColumnSumAcc(const Tensor& a, Tensor* out) const;
   /// out[r,:] += row[0,:] for every row.
   void RowBroadcastAcc(const Tensor& row, Tensor* out) const;
-  /// out[1,n] += column-wise Σ_r x ⊙ y.
-  void HadamardColumnSumAcc(const Tensor& x, const Tensor& y,
-                            Tensor* out) const;
   /// out[m,1] += row-wise Σ_c x ⊙ y.
   void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out) const;
   /// Σ_i a[i]·b[i] in kernels::Dot's fixed 8-lane association, on
   /// the calling thread on every backend (determinism contract).
   float Dot(const Tensor& a, const Tensor& b) const;
+
+  // --- the BatchNorm1d (+ ReLU) tape node (kernels.h states each
+  // contract; `tail` holds its per-column constants, without bias) ---
+
+  /// out = kernels::ApplyTail(tail, x) element by element: the node's
+  /// normalize, affine and ReLU store, written, never read, so out may
+  /// be unfilled. Counted as `batch_norm`.
+  void BatchNorm(const kernels::MatMulTail& tail, const Tensor& x,
+                 Tensor* out) const;
+  /// out[1,n] += Σ_r (x + neg_mean)², a column-partitioned pass.
+  void CenteredSquareSumAcc(const Tensor& x, const Tensor& neg_mean,
+                            Tensor* out) const;
+  /// kernels::BatchNormGradSumsAcc over every column; each non-null
+  /// output is a [1,n] row.
+  void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                            const kernels::MatMulTail& tail, Tensor* dgamma,
+                            Tensor* dbeta, Tensor* dn_xhat) const;
+  /// kernels::BatchNormGradX over every column; dsq (train mode) and
+  /// dx_sum are [1,n] rows or null.
+  void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                      const kernels::MatMulTail& tail, const Tensor* dsq,
+                      bool accumulate, Tensor* dx, Tensor* dx_sum) const;
 
   /// Random Fourier feature map: out[r,j] = scale·cos(omega[j]·x +
   /// phase[j]) with x = z[r, source_dim[j]] (plain gather when

@@ -92,10 +92,12 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* out, int r0,
   }
 }
 
-void ApplyTailRows(const MatMulTail& tail, Tensor* out, int r0, int r1) {
+void ApplyTailRows(const MatMulTail& tail, const Tensor& x, Tensor* out,
+                   int r0, int r1) {
   for (int r = r0; r < r1; ++r) {
+    const float* xrow = x.row(r);
     float* orow = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) orow[c] = ApplyTail(tail, orow[c], c);
+    for (int c = 0; c < out->cols(); ++c) orow[c] = ApplyTail(tail, xrow[c], c);
   }
 }
 
@@ -105,7 +107,7 @@ void MatMulWithTail(const Tensor& a, const Tensor& b, const MatMulTail& tail,
   std::fill(out->data() + static_cast<size_t>(r0) * cols,
             out->data() + static_cast<size_t>(r1) * cols, 0.f);
   MatMulAcc(a, b, out, r0, r1);
-  ApplyTailRows(tail, out, r0, r1);
+  ApplyTailRows(tail, *out, out, r0, r1);
 }
 
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
@@ -141,46 +143,6 @@ void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
 void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                        int i1) {
   for (int i = i0; i < i1; ++i) (*dx)[i] += g[i] * (2.f * x[i]);
-}
-
-void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  const float* v = row.row(0);
-  for (int r = r0; r < r1; ++r) {
-    const float* arow = a.row(r);
-    float* orow = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) orow[c] = arow[c] * v[c];
-  }
-}
-
-void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  const float* v = row.row(0);
-  for (int r = r0; r < r1; ++r) {
-    const float* grow = g.row(r);
-    float* drow = dx->row(r);
-    for (int c = 0; c < dx->cols(); ++c) drow[c] += grow[c] * v[c];
-  }
-}
-
-void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  const float* v = row.row(0);
-  for (int r = r0; r < r1; ++r) {
-    const float* arow = a.row(r);
-    float* orow = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) orow[c] = arow[c] / v[c];
-  }
-}
-
-void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  const float* v = row.row(0);
-  for (int r = r0; r < r1; ++r) {
-    const float* grow = g.row(r);
-    float* drow = dx->row(r);
-    for (int c = 0; c < dx->cols(); ++c) drow[c] += grow[c] / v[c];
-  }
 }
 
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
@@ -219,16 +181,6 @@ void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   }
 }
 
-void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
-                          int c0, int c1) {
-  float* orow = out->row(0);
-  for (int r = 0; r < x.rows(); ++r) {
-    const float* xrow = x.row(r);
-    const float* yrow = y.row(r);
-    for (int c = c0; c < c1; ++c) orow[c] += xrow[c] * yrow[c];
-  }
-}
-
 void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
                        int r1) {
   for (int r = r0; r < r1; ++r) {
@@ -237,6 +189,71 @@ void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
     float acc = 0.f;
     for (int c = 0; c < x.cols(); ++c) acc += xrow[c] * yrow[c];
     out->at(r, 0) += acc;
+  }
+}
+
+namespace {
+
+/// Relu's adjoint at one element of the BatchNorm node: the gradient
+/// of its pre-ReLU value, which the composite's Relu closure wrote
+/// into a fresh +0 buffer.
+inline float NodeGradIn(const MatMulTail& tail, float g, float y) {
+  return tail.relu ? 0.f + g * (y > 0.f ? 1.f : 0.f) : g;
+}
+
+}  // namespace
+
+void CenteredSquareSumAcc(const Tensor& x, const float* neg_mean,
+                          Tensor* out, int c0, int c1) {
+  float* orow = out->row(0);
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* xrow = x.row(r);
+    for (int c = c0; c < c1; ++c) {
+      const float centered = xrow[c] + neg_mean[c];
+      orow[c] += centered * centered;
+    }
+  }
+}
+
+void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                          const MatMulTail& tail, Tensor* dgamma,
+                          Tensor* dbeta, Tensor* dn_xhat, int c0, int c1) {
+  float* dg = dgamma != nullptr ? dgamma->row(0) : nullptr;
+  float* db = dbeta != nullptr ? dbeta->row(0) : nullptr;
+  float* ds = dn_xhat != nullptr ? dn_xhat->row(0) : nullptr;
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* grow = g.row(r);
+    const float* yrow = y.row(r);
+    const float* xrow = x.row(r);
+    for (int c = c0; c < c1; ++c) {
+      const float dy = NodeGradIn(tail, grow[c], yrow[c]);
+      if (db != nullptr) db[c] += dy;
+      const float xhat = (xrow[c] + tail.neg_mean[c]) / tail.std_dev[c];
+      if (dg != nullptr) dg[c] += dy * xhat;
+      if (ds != nullptr) ds[c] += (0.f + dy * tail.gamma[c]) * xhat;
+    }
+  }
+}
+
+void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                    const MatMulTail& tail, const float* dsq,
+                    bool accumulate, Tensor* dx, Tensor* dx_sum, int c0,
+                    int c1) {
+  float* sum = dx_sum != nullptr ? dx_sum->row(0) : nullptr;
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* grow = g.row(r);
+    const float* yrow = y.row(r);
+    const float* xrow = x.row(r);
+    float* drow = dx->row(r);
+    for (int c = c0; c < c1; ++c) {
+      const float dn = 0.f + NodeGradIn(tail, grow[c], yrow[c]) * tail.gamma[c];
+      float dc = 0.f + dn / tail.std_dev[c];
+      if (dsq != nullptr) {
+        dc = dc + dsq[c] * (2.f * (xrow[c] + tail.neg_mean[c]));
+      }
+      drow[c] = accumulate ? drow[c] + dc : dc;
+      if (sum != nullptr) sum[c] += dc;
+    }
   }
 }
 

@@ -75,9 +75,10 @@ inline float ApplyTail(const MatMulTail& tail, float x, int c) {
   return tail.relu ? (x > 0.f ? x : 0.f) : x;
 }
 
-/// out[r, :] = ApplyTail(tail, x) over every element x of row r of
-/// out; range over rows.
-void ApplyTailRows(const MatMulTail& tail, Tensor* out, int r0, int r1);
+/// out[r, c] = ApplyTail(tail, x[r, c], c); range over rows. x may be
+/// out itself.
+void ApplyTailRows(const MatMulTail& tail, const Tensor& x, Tensor* out,
+                   int r0, int r1);
 
 /// out[r0:r1, :] = tail(a · b): zeroes the rows, runs MatMulAcc, then
 /// ApplyTailRows. The oracle of the one-pass eval Linear; outputs are
@@ -113,23 +114,7 @@ void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
 void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                        int i1);
 
-// --- row- and column-vector broadcasts; ranges over rows ---
-
-/// out[r,c] = a[r,c] · row[0,c].
-void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1);
-
-/// dx[r,c] += g[r,c] · row[0,c]; MulRowVec's adjoint in a.
-void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1);
-
-/// out[r,c] = a[r,c] / row[0,c].
-void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1);
-
-/// dx[r,c] += g[r,c] / row[0,c]; DivRowVec's adjoint in a.
-void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1);
+// --- column-vector broadcasts; ranges over rows ---
 
 /// out[r,c] = a[r,c] · col[r,0].
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
@@ -147,11 +132,6 @@ void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1);
 /// out[r,:] += row[0,:]; range over rows (adjoint of ColumnSum).
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1);
 
-/// out[0,c] += Σ_r x[r,c]·y[r,c]; range over columns (row-vector
-/// broadcast adjoint).
-void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
-                          int c0, int c1);
-
 /// out[r,0] += Σ_c x[r,c]·y[r,c]; range over rows (column-vector
 /// broadcast adjoint).
 void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out, int r0,
@@ -167,6 +147,48 @@ constexpr int kDotLanes = 8;
 /// then l + 2, then l + 1); the remaining elements then take fma in
 /// ascending i.
 float Dot(const Tensor& a, const Tensor& b);
+
+// --- the BatchNorm1d (+ ReLU) tape node (src/nn/batchnorm.cc) ---
+//
+// The node is bitwise equal to the composite ops MeanRows → Scale(−1)
+// → AddRowVec → Square → MeanRows → AddScalar(ε) → SqrtOp → DivRowVec
+// → MulRowVec(γ) → AddRowVec(β) → Relu (tests/test_util.h keeps them
+// as its reference), because each element takes their operations in
+// their order. Its per-column constants are a MatMulTail without bias:
+// neg_mean = −mean, std_dev = σ = √(var + ε), gamma, beta and relu,
+// and x̂ = (x + neg_mean) / σ is recomputed, never stored. Every
+// kernel below takes the node's output y (for ReLU's mask: y > 0
+// exactly where the pre-ReLU value is) and upstream gradient g, and
+// starts each element from the composite's fresh +0 gradient buffers:
+//   dy = relu ? 0 + g·(y > 0 ? 1 : 0) : g    (Relu's adjoint)
+//   dn = 0 + dy·γ                             (MulRowVec's, in a)
+// The column-ranged ones visit rows in ascending order, as the
+// composite's column sums do.
+
+/// out[0,c] += Σ_r (x[r,c] + neg_mean[c])², each term centered,
+/// squared and added in ascending r; range over columns. The
+/// train-mode variance's center, square and column sum in one pass.
+void CenteredSquareSumAcc(const Tensor& x, const float* neg_mean,
+                          Tensor* out, int c0, int c1);
+
+/// The sums of the node's backward over columns [c0, c1), each added
+/// in ascending r into its [1, n] row when that is not null:
+/// dbeta += dy (AddRowVec's adjoint in β), dgamma += dy·x̂ (MulRowVec's
+/// in γ) and dn_xhat += dn·x̂ (DivRowVec's column sum in σ).
+void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                          const MatMulTail& tail, Tensor* dgamma,
+                          Tensor* dbeta, Tensor* dn_xhat, int c0, int c1);
+
+/// The node's input gradient over columns [c0, c1): dc = 0 + dn/σ
+/// (DivRowVec's adjoint in a), then, with dsq not null (train mode),
+/// dc + dsq[c]·(2·(x + neg_mean)) (Square's adjoint; dsq is the
+/// variance path's gradient of each square). dx = dx + dc when
+/// `accumulate`, else dx = dc (the composite hands its buffer over),
+/// and with dx_sum not null, dx_sum += dc in ascending r.
+void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                    const MatMulTail& tail, const float* dsq,
+                    bool accumulate, Tensor* dx, Tensor* dx_sum, int c0,
+                    int c1);
 
 // --- gather / scatter / segment ops ---
 

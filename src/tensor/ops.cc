@@ -171,51 +171,6 @@ Variable AddRowVec(const Variable& a, const Variable& b) {
       });
 }
 
-Variable MulRowVec(const Variable& a, const Variable& b) {
-  OODGNN_CHECK_EQ(b.rows(), 1);
-  OODGNN_CHECK_EQ(b.cols(), a.cols());
-  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
-  GetBackend().MulRowVec(a.value(), b.value(), &out);
-  NodePtr pa = a.node();
-  NodePtr pb = b.node();
-  return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
-        const Backend& be = GetBackend();
-        if (pa->requires_grad) {
-          be.MulRowVecAcc(self.grad, pb->value, &pa->GradBuffer());
-        }
-        if (pb->requires_grad) {
-          be.HadamardColumnSumAcc(self.grad, pa->value, &pb->GradBuffer());
-        }
-      });
-}
-
-Variable DivRowVec(const Variable& a, const Variable& b) {
-  OODGNN_CHECK_EQ(b.rows(), 1);
-  OODGNN_CHECK_EQ(b.cols(), a.cols());
-  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
-  GetBackend().DivRowVec(a.value(), b.value(), &out);
-  NodePtr pa = a.node();
-  NodePtr pb = b.node();
-  return Variable::MakeOp(
-      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
-        const Backend& be = GetBackend();
-        const Tensor& g = self.grad;
-        if (pa->requires_grad) be.DivRowVecAcc(g, pb->value, &pa->GradBuffer());
-        if (pb->requires_grad) {
-          // d/db (a/b) = -y/b with y = a/b: column sums of g ⊙ y, scaled
-          // by -1/b per column.
-          Tensor colsum(1, g.cols());
-          be.HadamardColumnSumAcc(g, self.value, &colsum);
-          const float* brow = pb->value.row(0);
-          float* out_row = pb->GradBuffer().row(0);
-          for (int c = 0; c < g.cols(); ++c) {
-            out_row[c] -= colsum.at(0, c) / brow[c];
-          }
-        }
-      });
-}
-
 Variable MulColVec(const Variable& a, const Variable& w) {
   OODGNN_CHECK_EQ(w.cols(), 1);
   OODGNN_CHECK_EQ(w.rows(), a.rows());
@@ -352,22 +307,6 @@ Variable Sum(const Variable& a) {
 Variable MeanAll(const Variable& a) {
   OODGNN_CHECK_GT(a.value().size(), 0);
   return Scale(Sum(a), 1.f / static_cast<float>(a.value().size()));
-}
-
-Variable SumRows(const Variable& a) {
-  Tensor out(1, a.cols());
-  GetBackend().ColumnSumAcc(a.value(), &out);
-  NodePtr pa = a.node();
-  return Variable::MakeOp(
-      std::move(out), {pa}, [pa](VariableNode& self) {
-        if (!pa->requires_grad) return;
-        GetBackend().RowBroadcastAcc(self.grad, &pa->GradBuffer());
-      });
-}
-
-Variable MeanRows(const Variable& a) {
-  OODGNN_CHECK_GT(a.rows(), 0);
-  return Scale(SumRows(a), 1.f / static_cast<float>(a.rows()));
 }
 
 // --- message passing over segment plans ---

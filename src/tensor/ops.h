@@ -42,12 +42,6 @@ Variable Mul(const Variable& a, const Variable& b);
 /// a[m,n] + row vector b[1,n] broadcast over rows.
 Variable AddRowVec(const Variable& a, const Variable& b);
 
-/// a[m,n] * row vector b[1,n] broadcast over rows.
-Variable MulRowVec(const Variable& a, const Variable& b);
-
-/// a[m,n] / row vector b[1,n] broadcast over rows. b must be non-zero.
-Variable DivRowVec(const Variable& a, const Variable& b);
-
 /// a[m,n] with row i scaled by w[i,0] (column-vector broadcast across
 /// columns). Used for per-sample weighting.
 Variable MulColVec(const Variable& a, const Variable& w);
@@ -78,12 +72,6 @@ Variable Sum(const Variable& a);
 
 /// Mean of all elements -> 1×1.
 Variable MeanAll(const Variable& a);
-
-/// Column sums: [m,n] -> [1,n] (reduces over rows).
-Variable SumRows(const Variable& a);
-
-/// Column means: [m,n] -> [1,n].
-Variable MeanRows(const Variable& a);
 
 // --- message passing over CSR segment plans (DESIGN.md §12) ---
 //

@@ -277,39 +277,6 @@ void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
 
 namespace {
 
-/// The two per-element maps of the row-vector broadcasts, in lane and
-/// scalar form with the scalar operand order.
-struct MulMap {
-  vf operator()(vf a, vf b) const { return VMul(a, b); }
-  float operator()(float a, float b) const { return a * b; }
-};
-struct DivMap {
-  vf operator()(vf a, vf b) const { return VDiv(a, b); }
-  float operator()(float a, float b) const { return a / b; }
-};
-
-/// d[c] = map(s[c], v[c]) over rows [r0, r1) of s, or d[c] += … when
-/// kAcc; v is the one row of `row`.
-template <bool kAcc, typename Map>
-void RowVecRows(const Tensor& s, const Tensor& row, Tensor* d, int r0,
-                int r1, Map map) {
-  const float* v = row.row(0);
-  const int cols = d->cols();
-  for (int r = r0; r < r1; ++r) {
-    const float* srow = s.row(r);
-    float* drow = d->row(r);
-    int c = 0;
-    for (; c + kVLen <= cols; c += kVLen) {
-      const vf m = map(VLoad(srow + c), VLoad(v + c));
-      VStore(drow + c, kAcc ? VAdd(VLoad(drow + c), m) : m);
-    }
-    for (; c < cols; ++c) {
-      const float m = map(srow[c], v[c]);
-      drow[c] = kAcc ? drow[c] + m : m;
-    }
-  }
-}
-
 /// d[r,c] = s[r,c] · col[r,0] over rows [r0, r1), or += when kAcc.
 template <bool kAcc>
 void ColVecRows(const Tensor& s, const Tensor& col, Tensor* d, int r0,
@@ -333,26 +300,6 @@ void ColVecRows(const Tensor& s, const Tensor& col, Tensor* d, int r0,
 }
 
 }  // namespace
-
-void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  RowVecRows<false>(a, row, out, r0, r1, MulMap());
-}
-
-void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  RowVecRows<true>(g, row, dx, r0, r1, MulMap());
-}
-
-void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  RowVecRows<false>(a, row, out, r0, r1, DivMap());
-}
-
-void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  RowVecRows<true>(g, row, dx, r0, r1, DivMap());
-}
 
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
                int r1) {
@@ -386,21 +333,6 @@ void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
       VStore(orow + c, VAdd(VLoad(orow + c), VLoad(src + c)));
     }
     for (; c < cols; ++c) orow[c] += src[c];
-  }
-}
-
-void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
-                          int c0, int c1) {
-  float* orow = out->row(0);
-  for (int r = 0; r < x.rows(); ++r) {
-    const float* xrow = x.row(r);
-    const float* yrow = y.row(r);
-    int c = c0;
-    for (; c + kVLen <= c1; c += kVLen) {
-      const vf prod = VMul(VLoad(xrow + c), VLoad(yrow + c));
-      VStore(orow + c, VAdd(VLoad(orow + c), prod));
-    }
-    for (; c < c1; ++c) orow[c] += xrow[c] * yrow[c];
   }
 }
 
@@ -478,6 +410,108 @@ void GatherScatterWeightedAcc(const Tensor& h, const Tensor& w,
       for (; c < cols; ++c) orow[c] += src[c] * wv;
     }
   }
+}
+
+void ApplyTailRows(const kernels::MatMulTail& tail, const Tensor& x,
+                   Tensor* out, int r0, int r1) {
+  const int cols = out->cols();
+  for (int r = r0; r < r1; ++r) {
+    const float* xrow = x.row(r);
+    float* orow = out->row(r);
+    int c = 0;
+    for (; c + kVLen <= cols; c += kVLen) {
+      VStore(orow + c, VApplyTail(tail, VLoad(xrow + c), c));
+    }
+    for (; c < cols; ++c) orow[c] = kernels::ApplyTail(tail, xrow[c], c);
+  }
+}
+
+// The column-ranged BatchNorm bodies below run whole vectors of
+// columns over every row, then hand the last (c1 − c0) mod kVLen
+// columns to their oracle: columns are independent, and each keeps the
+// oracle's ascending row order either way.
+
+void CenteredSquareSumAcc(const Tensor& x, const float* neg_mean,
+                          Tensor* out, int c0, int c1) {
+  const int cv = c0 + (c1 - c0) / kVLen * kVLen;
+  float* orow = out->row(0);
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* xrow = x.row(r);
+    for (int c = c0; c < cv; c += kVLen) {
+      const vf centered = VAdd(VLoad(xrow + c), VLoad(neg_mean + c));
+      VStore(orow + c, VAdd(VLoad(orow + c), VMul(centered, centered)));
+    }
+  }
+  kernels::CenteredSquareSumAcc(x, neg_mean, out, cv, c1);
+}
+
+namespace {
+
+/// The node's gradient into its pre-ReLU value on kVLen lanes (the
+/// oracle's NodeGradIn): Relu's adjoint into a fresh +0 buffer, or g
+/// itself without ReLU.
+inline vf VNodeGradIn(bool relu, const float* g, const float* y) {
+  if (!relu) return VLoad(g);
+  const vf mask = VSelectPositive(VLoad(y), VBroadcast(1.f));
+  return VAdd(VBroadcast(0.f), VMul(VLoad(g), mask));
+}
+
+}  // namespace
+
+void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                          const kernels::MatMulTail& tail, Tensor* dgamma,
+                          Tensor* dbeta, Tensor* dn_xhat, int c0, int c1) {
+  const int cv = c0 + (c1 - c0) / kVLen * kVLen;
+  float* dg = dgamma != nullptr ? dgamma->row(0) : nullptr;
+  float* db = dbeta != nullptr ? dbeta->row(0) : nullptr;
+  float* ds = dn_xhat != nullptr ? dn_xhat->row(0) : nullptr;
+  const vf zero = VBroadcast(0.f);
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* grow = g.row(r);
+    const float* yrow = y.row(r);
+    const float* xrow = x.row(r);
+    for (int c = c0; c < cv; c += kVLen) {
+      const vf dy = VNodeGradIn(tail.relu, grow + c, yrow + c);
+      if (db != nullptr) VStore(db + c, VAdd(VLoad(db + c), dy));
+      const vf xhat = VDiv(VAdd(VLoad(xrow + c), VLoad(tail.neg_mean + c)),
+                           VLoad(tail.std_dev + c));
+      if (dg != nullptr) VStore(dg + c, VAdd(VLoad(dg + c), VMul(dy, xhat)));
+      if (ds != nullptr) {
+        const vf dn = VAdd(zero, VMul(dy, VLoad(tail.gamma + c)));
+        VStore(ds + c, VAdd(VLoad(ds + c), VMul(dn, xhat)));
+      }
+    }
+  }
+  kernels::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, cv,
+                                c1);
+}
+
+void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                    const kernels::MatMulTail& tail, const float* dsq,
+                    bool accumulate, Tensor* dx, Tensor* dx_sum, int c0,
+                    int c1) {
+  const int cv = c0 + (c1 - c0) / kVLen * kVLen;
+  float* sum = dx_sum != nullptr ? dx_sum->row(0) : nullptr;
+  const vf zero = VBroadcast(0.f);
+  const vf two = VBroadcast(2.f);
+  for (int r = 0; r < x.rows(); ++r) {
+    const float* grow = g.row(r);
+    const float* yrow = y.row(r);
+    const float* xrow = x.row(r);
+    float* drow = dx->row(r);
+    for (int c = c0; c < cv; c += kVLen) {
+      const vf dy = VNodeGradIn(tail.relu, grow + c, yrow + c);
+      const vf dn = VAdd(zero, VMul(dy, VLoad(tail.gamma + c)));
+      vf dc = VAdd(zero, VDiv(dn, VLoad(tail.std_dev + c)));
+      if (dsq != nullptr) {
+        const vf centered = VAdd(VLoad(xrow + c), VLoad(tail.neg_mean + c));
+        dc = VAdd(dc, VMul(VLoad(dsq + c), VMul(two, centered)));
+      }
+      VStore(drow + c, accumulate ? VAdd(VLoad(drow + c), dc) : dc);
+      if (sum != nullptr) VStore(sum + c, VAdd(VLoad(sum + c), dc));
+    }
+  }
+  kernels::BatchNormGradX(g, y, x, tail, dsq, accumulate, dx, dx_sum, cv, c1);
 }
 
 void RffMap(const Tensor& z, const std::vector<int>& source_dim,
@@ -562,22 +596,6 @@ void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                        int i1) {
   kernels::SquareBackwardAcc(g, x, dx, i0, i1);
 }
-void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  kernels::MulRowVec(a, row, out, r0, r1);
-}
-void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  kernels::MulRowVecAcc(g, row, dx, r0, r1);
-}
-void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1) {
-  kernels::DivRowVec(a, row, out, r0, r1);
-}
-void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1) {
-  kernels::DivRowVecAcc(g, row, dx, r0, r1);
-}
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
                int r1) {
   kernels::MulColVec(a, col, out, r0, r1);
@@ -592,9 +610,25 @@ void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1) {
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1) {
   kernels::RowBroadcastAcc(row, out, r0, r1);
 }
-void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
-                          int c0, int c1) {
-  kernels::HadamardColumnSumAcc(x, y, out, c0, c1);
+void ApplyTailRows(const kernels::MatMulTail& tail, const Tensor& x,
+                   Tensor* out, int r0, int r1) {
+  kernels::ApplyTailRows(tail, x, out, r0, r1);
+}
+void CenteredSquareSumAcc(const Tensor& x, const float* neg_mean,
+                          Tensor* out, int c0, int c1) {
+  kernels::CenteredSquareSumAcc(x, neg_mean, out, c0, c1);
+}
+void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                          const kernels::MatMulTail& tail, Tensor* dgamma,
+                          Tensor* dbeta, Tensor* dn_xhat, int c0, int c1) {
+  kernels::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, c0,
+                                c1);
+}
+void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                    const kernels::MatMulTail& tail, const float* dsq,
+                    bool accumulate, Tensor* dx, Tensor* dx_sum, int c0,
+                    int c1) {
+  kernels::BatchNormGradX(g, y, x, tail, dsq, accumulate, dx, dx_sum, c0, c1);
 }
 void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
                    Tensor* out, int r0, int r1) {

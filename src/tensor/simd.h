@@ -146,16 +146,8 @@ void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
 void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                        int i1);
 
-// --- row- and column-vector broadcasts (ranges over rows) ---
+// --- column-vector broadcasts (ranges over rows) ---
 
-void MulRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1);
-void MulRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1);
-void DivRowVec(const Tensor& a, const Tensor& row, Tensor* out, int r0,
-               int r1);
-void DivRowVecAcc(const Tensor& g, const Tensor& row, Tensor* dx, int r0,
-                  int r1);
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
                int r1);
 void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
@@ -165,8 +157,22 @@ void MulColVecAcc(const Tensor& g, const Tensor& col, Tensor* dx, int r0,
 
 void ColumnSumAcc(const Tensor& a, Tensor* out, int c0, int c1);
 void RowBroadcastAcc(const Tensor& row, Tensor* out, int r0, int r1);
-void HadamardColumnSumAcc(const Tensor& x, const Tensor& y, Tensor* out,
-                          int c0, int c1);
+
+// --- the BatchNorm1d node (kernels.h states each contract) ---
+
+/// kernels::ApplyTail over rows [r0, r1), through the lane form the
+/// matmul bodies store with.
+void ApplyTailRows(const kernels::MatMulTail& tail, const Tensor& x,
+                   Tensor* out, int r0, int r1);
+void CenteredSquareSumAcc(const Tensor& x, const float* neg_mean,
+                          Tensor* out, int c0, int c1);
+void BatchNormGradSumsAcc(const Tensor& g, const Tensor& y, const Tensor& x,
+                          const kernels::MatMulTail& tail, Tensor* dgamma,
+                          Tensor* dbeta, Tensor* dn_xhat, int c0, int c1);
+void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
+                    const kernels::MatMulTail& tail, const float* dsq,
+                    bool accumulate, Tensor* dx, Tensor* dx_sum, int c0,
+                    int c1);
 
 // --- gather / scatter family (planned) ---
 

@@ -396,66 +396,142 @@ TEST(KernelsTest, ReluAndSquareBackwardAcrossThreads) {
 TEST(KernelsTest, RowAndColVecBroadcastsAcrossThreads) {
   const Tensor a = RandomTensor(131, 257, 22);
   const Tensor g = RandomTensor(131, 257, 23);
-  Tensor row = RandomTensor(1, 257, 24);
-  for (int c = 0; c < row.cols(); ++c) row[c] += 3.f;  // No zero divisors.
   const Tensor col = RandomTensor(131, 1, 25);
-  using Op = float (*)(float, float);
-  const Op mul = [](float p, float q) { return p * q; };
-  const Op div = [](float p, float q) { return p / q; };
-  // Reference: out = op(a, broadcast v); with acc, out = g + op(a, v).
-  const auto reference = [&](Op op, bool by_row, bool acc) {
+  // Reference: out = a · broadcast col; with acc, out = g + a · col.
+  const auto reference = [&](bool acc) {
     Tensor out = acc ? g : Tensor(a.rows(), a.cols());
     for (int r = 0; r < a.rows(); ++r) {
       for (int c = 0; c < a.cols(); ++c) {
-        const float v = by_row ? row.at(0, c) : col.at(r, 0);
-        out.at(r, c) += op(a.at(r, c), v);
+        out.at(r, c) += a.at(r, c) * col.at(r, 0);
       }
     }
     return out;
   };
-  const auto fresh = [&] { return Tensor(a.rows(), a.cols()); };
   ExpectDeterministic(
       [&] {
-        Tensor out = fresh();
-        GetBackend().MulRowVec(a, row, &out);
-        return out;
-      },
-      reference(mul, true, false), 0.f);
-  ExpectDeterministic(
-      [&] {
-        Tensor out = g;
-        GetBackend().MulRowVecAcc(a, row, &out);
-        return out;
-      },
-      reference(mul, true, true), 0.f);
-  ExpectDeterministic(
-      [&] {
-        Tensor out = fresh();
-        GetBackend().DivRowVec(a, row, &out);
-        return out;
-      },
-      reference(div, true, false), 0.f);
-  ExpectDeterministic(
-      [&] {
-        Tensor out = g;
-        GetBackend().DivRowVecAcc(a, row, &out);
-        return out;
-      },
-      reference(div, true, true), 0.f);
-  ExpectDeterministic(
-      [&] {
-        Tensor out = fresh();
+        Tensor out(a.rows(), a.cols());
         GetBackend().MulColVec(a, col, &out);
         return out;
       },
-      reference(mul, false, false), 0.f);
+      reference(false), 0.f);
   ExpectDeterministic(
       [&] {
         Tensor out = g;
         GetBackend().MulColVecAcc(a, col, &out);
         return out;
       },
-      reference(mul, false, true), 0.f);
+      reference(true), 0.f);
+}
+
+TEST(KernelsTest, BatchNormKernelsAcrossThreads) {
+  // The BatchNorm node's entry points against naive loops at 1, 2 and 8
+  // threads, with ReLU on and off. 1031 rows (a mean TRIANGLES batch)
+  // put every width past the parallel cutoff; 130 columns leave the
+  // column ranges a partial vector.
+  const int m = 1031;
+  for (int n : {1, 17, 64, 130}) {
+    const Tensor x = RandomTensor(m, n, 50);
+    const Tensor g = RandomTensor(m, n, 51);
+    const Tensor dx0 = RandomTensor(m, n, 52);
+    const Tensor neg_mean = RandomTensor(1, n, 53);
+    const Tensor std_dev = test::PositiveRow(n, 54);
+    const Tensor gamma = RandomTensor(1, n, 55);
+    const Tensor beta = RandomTensor(1, n, 56);
+    const Tensor dsq = RandomTensor(1, n, 57);
+    for (bool relu : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (relu ? " relu" : ""));
+      kernels::MatMulTail tail;
+      tail.neg_mean = neg_mean.data();
+      tail.std_dev = std_dev.data();
+      tail.gamma = gamma.data();
+      tail.beta = beta.data();
+      tail.relu = relu;
+      // The store, and the naive per-element terms of the backward.
+      Tensor y(m, n);
+      Tensor square_sum(1, n);
+      Tensor sums(3, n);  // dγ, dβ, Σ dn·x̂
+      Tensor dx = dx0;
+      Tensor dx_fresh(m, n);
+      Tensor dx_sum(1, n);
+      for (int r = 0; r < m; ++r) {
+        for (int c = 0; c < n; ++c) {
+          const float t = x.at(r, c) + neg_mean[c];
+          const float xhat = t / std_dev[c];
+          float v = xhat * gamma[c] + beta[c];
+          if (relu) v = v > 0.f ? v : 0.f;
+          y.at(r, c) = v;
+          square_sum[c] += t * t;
+        }
+      }
+      for (int r = 0; r < m; ++r) {
+        for (int c = 0; c < n; ++c) {
+          const float t = x.at(r, c) + neg_mean[c];
+          const float xhat = t / std_dev[c];
+          const float dy =
+              relu ? 0.f + g.at(r, c) * (y.at(r, c) > 0.f ? 1.f : 0.f)
+                   : g.at(r, c);
+          const float dn = 0.f + dy * gamma[c];
+          sums.at(0, c) += dy * xhat;
+          sums.at(1, c) += dy;
+          sums.at(2, c) += dn * xhat;
+          const float dc = (0.f + dn / std_dev[c]) + dsq[c] * (2.f * t);
+          dx.at(r, c) += dc;
+          dx_fresh.at(r, c) = dc;
+          dx_sum[c] += dc;
+        }
+      }
+      ExpectBitwiseAcrossThreads(
+          [&] {
+            Tensor out(m, n, std::numeric_limits<float>::quiet_NaN());
+            GetBackend().BatchNorm(tail, x, &out);
+            return out;
+          },
+          y);
+      ExpectBitwiseAcrossThreads(
+          [&] {
+            Tensor out(1, n);
+            GetBackend().CenteredSquareSumAcc(x, neg_mean, &out);
+            return out;
+          },
+          square_sum);
+      ExpectBitwiseAcrossThreads(
+          [&] {
+            Tensor dgamma(1, n);
+            Tensor dbeta(1, n);
+            Tensor dn_xhat(1, n);
+            GetBackend().BatchNormGradSumsAcc(g, y, x, tail, &dgamma, &dbeta,
+                                              &dn_xhat);
+            Tensor out(3, n);
+            kernels::CopyRowsTo(dgamma, &out, 0, 0, 1);
+            kernels::CopyRowsTo(dbeta, &out, 1, 0, 1);
+            kernels::CopyRowsTo(dn_xhat, &out, 2, 0, 1);
+            return out;
+          },
+          sums);
+      ExpectBitwiseAcrossThreads(
+          [&] {
+            Tensor out = dx0;
+            Tensor sum(1, n);
+            GetBackend().BatchNormGradX(g, y, x, tail, &dsq,
+                                        /*accumulate=*/true, &out, &sum);
+            Tensor fresh(m, n, std::numeric_limits<float>::quiet_NaN());
+            GetBackend().BatchNormGradX(g, y, x, tail, &dsq,
+                                        /*accumulate=*/false, &fresh, nullptr);
+            Tensor packed(2 * m + 1, n);
+            kernels::CopyRowsTo(out, &packed, 0, 0, m);
+            kernels::CopyRowsTo(fresh, &packed, m, 0, m);
+            kernels::CopyRowsTo(sum, &packed, 2 * m, 0, 1);
+            return packed;
+          },
+          [&] {
+            Tensor packed(2 * m + 1, n);
+            kernels::CopyRowsTo(dx, &packed, 0, 0, m);
+            kernels::CopyRowsTo(dx_fresh, &packed, m, 0, m);
+            kernels::CopyRowsTo(dx_sum, &packed, 2 * m, 0, 1);
+            return packed;
+          }());
+    }
+  }
 }
 
 TEST(KernelsTest, ReductionsAndBroadcastsAcrossThreads) {
@@ -491,21 +567,12 @@ TEST(KernelsTest, ReductionsAndBroadcastsAcrossThreads) {
 TEST(KernelsTest, WeightedReductionsAcrossThreads) {
   const Tensor x = RandomTensor(21, 33, 10);
   const Tensor y = RandomTensor(21, 33, 11);
-  Tensor col_ref(1, x.cols());
   Tensor row_ref(x.rows(), 1);
   for (int r = 0; r < x.rows(); ++r) {
     for (int c = 0; c < x.cols(); ++c) {
-      col_ref.at(0, c) += x.at(r, c) * y.at(r, c);
       row_ref.at(r, 0) += x.at(r, c) * y.at(r, c);
     }
   }
-  ExpectDeterministic(
-      [&] {
-        Tensor out(1, x.cols());
-        GetBackend().HadamardColumnSumAcc(x, y, &out);
-        return out;
-      },
-      col_ref);
   ExpectDeterministic(
       [&] {
         Tensor out(x.rows(), 1);

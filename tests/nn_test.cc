@@ -130,6 +130,102 @@ TEST(BatchNormTest, GradCheckTrainingMode) {
   EXPECT_LT(CheckGradients(leaves, fn).max_relative_error, 5e-2);
 }
 
+/// Same shape and the same bytes in every element.
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+TEST(BatchNormTest, OneNodeMatchesTheCompositeChainBitwise) {
+  // BatchNorm1d::Forward against the composite ops it replaced
+  // (test::CompositeBatchNorm), bit for bit: the output, the running
+  // statistics, and the gradients of x, γ and β after two Backward
+  // calls, which accumulate into the leaves. With momentum 1 the
+  // running statistics are the batch mean and variance themselves.
+  // Column 0 is constant (zero variance). x is an interior node (0.5·a
+  // leaf), so its gradient arrives by the composite's hand-off when the
+  // node's closure runs first and by accumulation when a second
+  // consumer's ran before it; `consumer` picks neither, before or
+  // after. The composite runs once under the reference config, the
+  // node under every execution config.
+  const std::vector<test::ExecConfig> configs = test::AllExecConfigs();
+  struct Result {
+    Tensor y, running_mean, running_var, dx, dgamma, dbeta;
+  };
+  for (int rows : {2, 17, 1031}) {
+    for (int cols : {1, 17, 64, 130}) {
+      Rng rng(static_cast<std::uint64_t>(rows * 1000 + cols));
+      Tensor x0 = Tensor::RandomNormal(rows, cols, &rng, 0.5f, 2.f);
+      for (int r = 0; r < rows; ++r) x0.at(r, 0) = 1.25f;
+      const Tensor w = Tensor::RandomNormal(rows, cols, &rng);
+      const Tensor w2 = Tensor::RandomNormal(rows, cols, &rng);
+      const Tensor gamma0 = Tensor::RandomUniform(1, cols, &rng, 0.5f, 1.5f);
+      const Tensor beta0 = Tensor::RandomNormal(1, cols, &rng);
+      const Tensor mean0 = Tensor::RandomNormal(1, cols, &rng);
+      const Tensor var0 = Tensor::RandomUniform(1, cols, &rng, 0.5f, 2.f);
+      for (bool training : {true, false}) {
+        for (bool relu : {false, true}) {
+          for (int consumer : {0, 1, 2}) {
+            const float momentum = consumer == 0 ? 1.f : 0.1f;
+            const auto run = [&](bool one_node) {
+              Variable x_leaf = Variable::Param(x0);
+              Variable x = Scale(x_leaf, 0.5f);
+              BatchNorm1d norm(cols, momentum);
+              std::vector<Variable> params = norm.Parameters();
+              params[0].mutable_value() = gamma0;
+              params[1].mutable_value() = beta0;
+              Tensor* running_mean = norm.Buffers()[0];
+              Tensor* running_var = norm.Buffers()[1];
+              *running_mean = mean0;
+              *running_var = var0;
+              Variable y =
+                  one_node ? norm.Forward(x, training, relu)
+                           : test::CompositeBatchNorm(
+                                 x, params[0], params[1], running_mean,
+                                 running_var, momentum, 1e-5f, training, relu);
+              Variable loss = Sum(Mul(y, Variable::Constant(w)));
+              if (consumer != 0) {
+                Variable other = Sum(Mul(x, Variable::Constant(w2)));
+                loss = consumer == 1 ? Add(loss, other) : Add(other, loss);
+              }
+              loss.Backward();
+              loss.Backward();
+              return Result{y.value(),      *running_mean,
+                            *running_var,   x_leaf.grad(),
+                            params[0].grad(), params[1].grad()};
+            };
+            const std::string what =
+                std::to_string(rows) + "x" + std::to_string(cols) +
+                (training ? " train" : " eval") + (relu ? " relu" : "") +
+                " consumer " + std::to_string(consumer);
+            Result want;
+            {
+              test::ScopedExecConfig reference(configs[0]);
+              want = run(/*one_node=*/false);
+            }
+            for (const test::ExecConfig& config : configs) {
+              test::ScopedExecConfig scoped(config);
+              const Result got = run(/*one_node=*/true);
+              const std::string where = what + ", " + config.Describe();
+              EXPECT_TRUE(SameBits(want.y, got.y)) << "output " << where;
+              EXPECT_TRUE(SameBits(want.running_mean, got.running_mean))
+                  << "running mean " << where;
+              EXPECT_TRUE(SameBits(want.running_var, got.running_var))
+                  << "running var " << where;
+              EXPECT_TRUE(SameBits(want.dx, got.dx)) << "x grad " << where;
+              EXPECT_TRUE(SameBits(want.dgamma, got.dgamma))
+                  << "gamma grad " << where;
+              EXPECT_TRUE(SameBits(want.dbeta, got.dbeta))
+                  << "beta grad " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(AdamTest, ConvergesOnLinearRegression) {
   Rng rng(12);
   // y = 2*x0 - 3*x1 + 1, learn [w, b].

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/nn/batchnorm.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/simd.h"
 #include "src/util/rng.h"
@@ -58,8 +59,6 @@ TEST(OpsForwardTest, RowAndColBroadcasts) {
   Variable row = Variable::Constant(test::RowVector({10, 20}));
   Variable col = Variable::Constant(Tensor::ColVector({2, 3}));
   EXPECT_FLOAT_EQ(AddRowVec(a, row).value().at(1, 1), 24.f);
-  EXPECT_FLOAT_EQ(MulRowVec(a, row).value().at(0, 1), 40.f);
-  EXPECT_FLOAT_EQ(DivRowVec(a, row).value().at(1, 0), 0.3f);
   EXPECT_FLOAT_EQ(MulColVec(a, col).value().at(1, 0), 9.f);
 }
 
@@ -67,11 +66,6 @@ TEST(OpsForwardTest, Reductions) {
   Variable a = Variable::Constant(Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6}));
   EXPECT_FLOAT_EQ(Sum(a).value()[0], 21.f);
   EXPECT_FLOAT_EQ(MeanAll(a).value()[0], 3.5f);
-  Tensor rows = SumRows(a).value();
-  EXPECT_FLOAT_EQ(rows.at(0, 0), 5.f);
-  EXPECT_FLOAT_EQ(rows.at(0, 2), 9.f);
-  Tensor means = MeanRows(a).value();
-  EXPECT_FLOAT_EQ(means.at(0, 1), 3.5f);
 }
 
 TEST(OpsForwardTest, Nonlinearities) {
@@ -277,11 +271,12 @@ TEST(AutogradTest, PassThroughSumsEveryConsumer) {
     expect_grad(x, {12, 24, 36, 60, 72, 96});
   }
   {
-    // BatchNorm's centering: h feeds both AddRowVec's matrix operand
-    // and MeanRows, so dy/dh = w − mean_rows(w).
+    // A column centering: h feeds both AddRowVec's matrix operand and
+    // the column means (the composite's SumRows broadcasts back into
+    // h), so dy/dh = w − mean_rows(w).
     Variable x = Variable::Param(x0);
     Variable h = Scale(x, 3.f);
-    Variable centered = AddRowVec(h, Scale(MeanRows(h), -1.f));
+    Variable centered = AddRowVec(h, Scale(test::MeanRows(h), -1.f));
     Variable y = Sum(Mul(centered, Variable::Constant(w)));
     y.Backward();
     y.Backward();  // Leaves accumulate: 2 · 3 · (w − mean_rows(w)).
@@ -349,20 +344,6 @@ std::vector<GradCase> MakeGradCases() {
     return std::make_pair(std::vector<Variable>{a, b},
                           std::function<Variable()>(fn));
   }));
-  cases.push_back(Case("MulRowVec", [] {
-    Variable a = Variable::Param(RandomTensor(3, 2, 7));
-    Variable b = Variable::Param(RandomTensor(1, 2, 8));
-    auto fn = [a, b] { return Sum(Square(MulRowVec(a, b))); };
-    return std::make_pair(std::vector<Variable>{a, b},
-                          std::function<Variable()>(fn));
-  }));
-  cases.push_back(Case("DivRowVec", [] {
-    Variable a = Variable::Param(RandomTensor(3, 2, 9));
-    Variable b = Variable::Param(RandomTensor(1, 2, 10, 1.f, 2.f));
-    auto fn = [a, b] { return Sum(Square(DivRowVec(a, b))); };
-    return std::make_pair(std::vector<Variable>{a, b},
-                          std::function<Variable()>(fn));
-  }));
   cases.push_back(Case("MulColVec", [] {
     Variable a = Variable::Param(RandomTensor(3, 2, 11));
     Variable w = Variable::Param(RandomTensor(3, 1, 12));
@@ -407,11 +388,20 @@ std::vector<GradCase> MakeGradCases() {
     return std::make_pair(std::vector<Variable>{a},
                           std::function<Variable()>(fn));
   }));
-  cases.push_back(Case("SumRowsCols", [] {
-    Variable a = Variable::Param(RandomTensor(3, 4, 23));
-    auto fn = [a] { return Sum(Square(SumRows(a))); };
-    return std::make_pair(std::vector<Variable>{a},
-                          std::function<Variable()>(fn));
+  cases.push_back(Case("BatchNormRelu", [] {
+    // Train mode: x, γ and β all reach the loss through the batch
+    // statistics; the random weights make every gradient non-trivial.
+    auto norm = std::make_shared<BatchNorm1d>(3);
+    std::vector<Variable> leaves = norm->Parameters();
+    leaves[0].mutable_value() = RandomTensor(1, 3, 21, 0.5f, 2.f);
+    leaves[1].mutable_value() = RandomTensor(1, 3, 22);
+    Variable x = Variable::Param(RandomTensor(6, 3, 23, -2.f, 2.f));
+    Variable w = Variable::Constant(RandomTensor(6, 3, 17));
+    leaves.push_back(x);
+    auto fn = [norm, x, w] {
+      return Sum(Mul(norm->Forward(x, /*training=*/true, /*relu=*/true), w));
+    };
+    return std::make_pair(leaves, std::function<Variable()>(fn));
   }));
   cases.push_back(Case("RowGather", [] {
     Variable a = Variable::Param(RandomTensor(4, 3, 24));

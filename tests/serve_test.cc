@@ -178,8 +178,9 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
          obs::MetricsRegistry::Global().GetSnapshot().counters) {
       if (name.rfind("kernel/", 0) == 0) calls[name] = value;
       // Backward-only kernels: transposed matmuls (weight/input grads),
-      // segment/ReLU/Square backward passes, gradient
-      // row-scatter and the broadcast-multiply/divide adjoints.
+      // segment/ReLU/Square backward passes, gradient row-scatter, the
+      // BatchNorm node's two backward passes and the broadcast-multiply
+      // adjoint.
       const bool backward_kernel =
           name.rfind("kernel/matmul_ta/", 0) == 0 ||
           name.rfind("kernel/matmul_tb/", 0) == 0 ||
@@ -187,8 +188,8 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
           name.rfind("kernel/segment_extreme_backward/", 0) == 0 ||
           name.rfind("kernel/relu_backward/", 0) == 0 ||
           name.rfind("kernel/square_backward/", 0) == 0 ||
-          name.rfind("kernel/mul_row_vec_acc/", 0) == 0 ||
-          name.rfind("kernel/div_row_vec_acc/", 0) == 0 ||
+          name.rfind("kernel/batch_norm_grad_sums/", 0) == 0 ||
+          name.rfind("kernel/batch_norm_grad_x/", 0) == 0 ||
           name.rfind("kernel/mul_col_vec_acc/", 0) == 0;
       if (backward_kernel) {
         EXPECT_EQ(value, 0) << name << " ran during grad-free "
@@ -205,13 +206,17 @@ TEST(NoGradTest, EvalRunsZeroBackwardKernels) {
   // so none of those runs as a kernel of its own.
   std::map<std::string, std::int64_t> gin = eval_kernel_calls(Method::kGin);
   EXPECT_GT(gin["kernel/matmul/calls"], 0);
-  for (const char* op : {"relu", "row_broadcast", "div_row_vec",
-                         "mul_row_vec"}) {
+  for (const char* op : {"relu", "row_broadcast", "batch_norm"}) {
     EXPECT_EQ(gin[std::string("kernel/") + op + "/calls"], 0) << op;
   }
   // GCN's BatchNorm and ReLU follow its aggregation, not a Linear, so
-  // its ReLU stays a counted kernel.
-  EXPECT_GT(eval_kernel_calls(Method::kGcn)["kernel/relu/calls"], 0);
+  // they run as the BatchNorm node's one store, with no ReLU kernel and
+  // no batch statistics.
+  std::map<std::string, std::int64_t> gcn = eval_kernel_calls(Method::kGcn);
+  EXPECT_GT(gcn["kernel/batch_norm/calls"], 0);
+  for (const char* op : {"relu", "centered_square_sum"}) {
+    EXPECT_EQ(gcn[std::string("kernel/") + op + "/calls"], 0) << op;
+  }
 }
 
 // ---------------------------------------------------------------------------

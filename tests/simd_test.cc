@@ -537,10 +537,8 @@ TEST(SimdTest, RowAndColVecBroadcastsBitwise) {
                                : RandomTensor(s.rows, s.cols, 199);
       const Tensor init = special ? SpecialTensor(s.rows, s.cols, 211)
                                   : RandomTensor(s.rows, s.cols, 211);
-      // Division by ±0, ±inf and denormals lives in the special row;
-      // the column vector is the same values laid out per row.
-      const Tensor row = special ? SpecialRow(s.cols, 223)
-                                 : RandomTensor(1, s.cols, 223);
+      // The column vector holds ±0, ±inf, denormals and NaN, laid out
+      // per row.
       const Tensor col_values = special ? SpecialRow(s.rows, 227)
                                         : RandomTensor(1, s.rows, 227);
       const Tensor col = test::Transposed(col_values);
@@ -554,12 +552,6 @@ TEST(SimdTest, RowAndColVecBroadcastsBitwise) {
         const Tensor* vec;
       };
       const Case cases[] = {
-          {"mul_row_vec", kernels::MulRowVec, simd::MulRowVec, &row},
-          {"mul_row_vec_acc", kernels::MulRowVecAcc, simd::MulRowVecAcc,
-           &row},
-          {"div_row_vec", kernels::DivRowVec, simd::DivRowVec, &row},
-          {"div_row_vec_acc", kernels::DivRowVecAcc, simd::DivRowVecAcc,
-           &row},
           {"mul_col_vec", kernels::MulColVec, simd::MulColVec, &col},
           {"mul_col_vec_acc", kernels::MulColVecAcc, simd::MulColVecAcc,
            &col},
@@ -583,7 +575,6 @@ TEST(SimdTest, RowAndColVecBroadcastsBitwise) {
 
 TEST(SimdTest, ReductionAdjointsBitwise) {
   const Tensor a = RandomTensor(23, 37, 101);
-  const Tensor y = RandomTensor(23, 37, 103);
   const Tensor row = RandomTensor(1, 37, 107);
   const Tensor colsum_init = RandomTensor(1, 37, 113);
   const Tensor full_init = RandomTensor(23, 37, 127);
@@ -594,15 +585,6 @@ TEST(SimdTest, ReductionAdjointsBitwise) {
       },
       [&](Tensor* out, int c0, int c1) { simd::ColumnSumAcc(a, out, c0, c1); },
       "column_sum");
-  ExpectRangeKernelBitwise(
-      37, colsum_init,
-      [&](Tensor* out, int c0, int c1) {
-        kernels::HadamardColumnSumAcc(a, y, out, c0, c1);
-      },
-      [&](Tensor* out, int c0, int c1) {
-        simd::HadamardColumnSumAcc(a, y, out, c0, c1);
-      },
-      "hadamard_column_sum");
   ExpectRangeKernelBitwise(
       23, full_init,
       [&](Tensor* out, int r0, int r1) {
@@ -629,6 +611,126 @@ TEST(SimdTest, DotBitwise) {
       EXPECT_TRUE(BitwiseEqual(want, got))
           << "dot n=" << n << (special ? " specials" : "") << ": "
           << want[0] << " vs " << got[0];
+    }
+  }
+}
+
+// --- the BatchNorm1d node ----------------------------------------------
+
+/// Row r of t as a [1, cols] tensor.
+Tensor RowOf(const Tensor& t, int r) {
+  Tensor row = Tensor::Unfilled(1, t.cols());
+  std::memcpy(row.data(), t.row(r),
+              sizeof(float) * static_cast<size_t>(t.cols()));
+  return row;
+}
+
+TEST(SimdTest, BatchNormKernelsBitwise) {
+  // The node's four kernels against their oracles over every range
+  // partition, with ReLU on and off, on random values and on ±0, NaN,
+  // ±inf and denormals in x, the upstream gradient, the output (ReLU's
+  // mask), the accumulators and every per-column constant, σ included.
+  using GradSums = void (*)(const Tensor&, const Tensor&, const Tensor&,
+                            const kernels::MatMulTail&, Tensor*, Tensor*,
+                            Tensor*, int, int);
+  using GradX = void (*)(const Tensor&, const Tensor&, const Tensor&,
+                         const kernels::MatMulTail&, const float*, bool,
+                         Tensor*, Tensor*, int, int);
+  struct Shape {
+    int rows, cols;
+  };
+  for (const Shape& s : {Shape{1, 1}, Shape{7, 13}, Shape{4, 16},
+                         Shape{9, 8}, Shape{23, 37}}) {
+    for (bool special : {false, true}) {
+      const auto make = [&](int rows, uint64_t seed) {
+        return special ? SpecialTensor(rows, s.cols, seed)
+                       : RandomTensor(rows, s.cols, seed);
+      };
+      const Tensor x = make(s.rows, 301);
+      const Tensor g = make(s.rows, 307);
+      // The output ReLU'd a third of its elements to +0, away from the
+      // zeros the other tensors share, so a mask that misreads 0 shows.
+      Tensor y = make(s.rows, 311);
+      for (int i = 1; i < y.size(); i += 3) y[i] = 0.f;
+      const Tensor dx_init = make(s.rows + 1, 313);
+      // Random sums, and sums at −0, where the sign of a +0 or −0 term
+      // survives.
+      const Tensor sums_inits[] = {make(3, 317), Tensor(3, s.cols, -0.f)};
+      const Tensor neg_mean = make(1, 331);
+      const Tensor std_dev =
+          special ? SpecialRow(s.cols, 337) : test::PositiveRow(s.cols, 337);
+      const Tensor gamma = make(1, 347);
+      const Tensor beta = make(1, 349);
+      const Tensor dsq = make(1, 353);
+      for (bool relu : {false, true}) {
+        kernels::MatMulTail tail;
+        tail.neg_mean = neg_mean.data();
+        tail.std_dev = std_dev.data();
+        tail.gamma = gamma.data();
+        tail.beta = beta.data();
+        tail.relu = relu;
+        const std::string what = std::to_string(s.rows) + "x" +
+                                 std::to_string(s.cols) +
+                                 (special ? " specials" : "") +
+                                 (relu ? " relu" : "");
+        ExpectRangeKernelBitwise(
+            s.rows, dx_init,
+            [&](Tensor* out, int r0, int r1) {
+              kernels::ApplyTailRows(tail, x, out, r0, r1);
+            },
+            [&](Tensor* out, int r0, int r1) {
+              simd::ApplyTailRows(tail, x, out, r0, r1);
+            },
+            "batch_norm " + what);
+        // dγ, dβ and Σ dn·x̂ are the three rows of one tensor.
+        const auto grad_sums = [&](GradSums body) {
+          return [&, body](Tensor* out, int c0, int c1) {
+            Tensor rows[3] = {RowOf(*out, 0), RowOf(*out, 1), RowOf(*out, 2)};
+            body(g, y, x, tail, &rows[0], &rows[1], &rows[2], c0, c1);
+            for (int r = 0; r < 3; ++r) {
+              kernels::CopyRowsTo(rows[r], out, r, 0, 1);
+            }
+          };
+        };
+        for (const Tensor& sums_init : sums_inits) {
+          ExpectRangeKernelBitwise(
+              s.cols, sums_init,
+              [&](Tensor* out, int c0, int c1) {
+                kernels::CenteredSquareSumAcc(x, neg_mean.data(), out, c0,
+                                              c1);
+              },
+              [&](Tensor* out, int c0, int c1) {
+                simd::CenteredSquareSumAcc(x, neg_mean.data(), out, c0, c1);
+              },
+              "centered_square_sum " + what);
+          ExpectRangeKernelBitwise(s.cols, sums_init,
+                                   grad_sums(kernels::BatchNormGradSumsAcc),
+                                   grad_sums(simd::BatchNormGradSumsAcc),
+                                   "batch_norm_grad_sums " + what);
+        }
+        // dx is the first s.rows rows, its column sum the last one.
+        for (bool train : {false, true}) {
+          for (bool accumulate : {false, true}) {
+            const auto grad_x = [&](GradX body) {
+              return [&, body](Tensor* out, int c0, int c1) {
+                Tensor dx = Tensor::Unfilled(s.rows, s.cols);
+                std::memcpy(dx.data(), out->data(),
+                            sizeof(float) * static_cast<size_t>(dx.size()));
+                Tensor sum = RowOf(*out, s.rows);
+                body(g, y, x, tail, train ? dsq.data() : nullptr, accumulate,
+                     &dx, train ? &sum : nullptr, c0, c1);
+                kernels::CopyRowsTo(dx, out, 0, 0, s.rows);
+                kernels::CopyRowsTo(sum, out, s.rows, 0, 1);
+              };
+            };
+            ExpectRangeKernelBitwise(
+                s.cols, dx_init, grad_x(kernels::BatchNormGradX),
+                grad_x(simd::BatchNormGradX),
+                "batch_norm_grad_x " + what + (train ? " train" : " eval") +
+                    (accumulate ? " acc" : ""));
+          }
+        }
+      }
     }
   }
 }
@@ -897,7 +999,6 @@ TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
   const int cols = 129;
   const Tensor x = SpecialTensor(rows, cols, 229);
   const Tensor g = RandomTensor(rows, cols, 233);
-  const Tensor row = SpecialRow(cols, 239);
   const Tensor col = test::Transposed(SpecialRow(rows, 241));
   const auto run = [&]() {
     const Backend& be = GetBackend();
@@ -906,18 +1007,12 @@ TEST(SimdTest, BackendElementwiseAndBroadcastDispatchBitwise) {
     Tensor dx = g;
     be.ReluBackwardAcc(g, x, &dx);
     be.SquareBackwardAcc(g, x, &dx);
-    Tensor mul_row(rows, cols);
-    be.MulRowVec(x, row, &mul_row);
-    be.MulRowVecAcc(g, row, &dx);
-    Tensor div_row(rows, cols);
-    be.DivRowVec(x, row, &div_row);
-    be.DivRowVecAcc(g, row, &dx);
     Tensor mul_col(rows, cols);
     be.MulColVec(x, col, &mul_col);
     be.MulColVecAcc(g, col, &dx);
-    Tensor combined(5 * rows, cols);
+    Tensor combined(3 * rows, cols);
     int offset = 0;
-    for (const Tensor* t : {&relu, &dx, &mul_row, &div_row, &mul_col}) {
+    for (const Tensor* t : {&relu, &dx, &mul_col}) {
       kernels::CopyRowsTo(*t, &combined, offset, 0, rows);
       offset += rows;
     }

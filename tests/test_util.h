@@ -185,10 +185,11 @@ inline std::vector<kernels::MatMulTail> ModelTails(const TailRows& rows) {
   return {bias, bias_relu, norm, norm_relu};
 }
 
-/// The composite Backend chain a tail replaces: the plain product (an
-/// empty tail) → RowBroadcastAcc(bias) → RowBroadcastAcc(−mean) →
-/// DivRowVec → MulRowVec → RowBroadcastAcc(β) → Relu, each step present
-/// when `tail` has it.
+/// The composite chain a tail replaces: the plain product (an empty
+/// tail) → RowBroadcastAcc(bias) → RowBroadcastAcc(−mean) → the
+/// row-vector divide by σ and multiply by γ (the loops of the deleted
+/// DivRowVec and MulRowVec kernels) → RowBroadcastAcc(β) → Relu, each
+/// step present when `tail` has it.
 inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
                             const kernels::MatMulTail& tail,
                             const TailRows& rows) {
@@ -198,15 +199,138 @@ inline Tensor CompositeTail(const Tensor& a, const Tensor& b,
   if (tail.bias != nullptr) be.RowBroadcastAcc(rows.bias, &out);
   if (tail.neg_mean != nullptr) {
     be.RowBroadcastAcc(rows.neg_mean, &out);
-    Tensor normalized(out.rows(), out.cols());
-    be.DivRowVec(out, rows.std_dev, &normalized);
-    be.MulRowVec(normalized, rows.gamma, &out);
+    for (int r = 0; r < out.rows(); ++r) {
+      for (int c = 0; c < out.cols(); ++c) {
+        const float normalized = out.at(r, c) / rows.std_dev[c];
+        out.at(r, c) = normalized * rows.gamma[c];
+      }
+    }
     be.RowBroadcastAcc(rows.beta, &out);
   }
   if (!tail.relu) return out;
   Tensor relu(out.rows(), out.cols());
   be.Relu(out, &relu);
   return relu;
+}
+
+// The row-vector ops the BatchNorm1d node replaced, kept for the
+// composite references below with the arithmetic and accumulation
+// order their deleted kernels had.
+
+/// Column sums [m,n] -> [1,n]; the adjoint broadcasts g over rows.
+inline Variable SumRows(const Variable& a) {
+  Tensor out(1, a.cols());
+  GetBackend().ColumnSumAcc(a.value(), &out);
+  std::shared_ptr<VariableNode> pa = a.node();
+  return Variable::MakeOp(std::move(out), {pa}, [pa](VariableNode& self) {
+    if (!pa->requires_grad) return;
+    GetBackend().RowBroadcastAcc(self.grad, &pa->GradBuffer());
+  });
+}
+
+/// Column means [m,n] -> [1,n]: SumRows scaled by 1/m.
+inline Variable MeanRows(const Variable& a) {
+  return Scale(SumRows(a), 1.f / static_cast<float>(a.rows()));
+}
+
+/// a[m,n] · b[1,n] broadcast over rows.
+inline Variable MulRowVec(const Variable& a, const Variable& b) {
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) {
+      out.at(r, c) = a.value().at(r, c) * b.value()[c];
+    }
+  }
+  std::shared_ptr<VariableNode> pa = a.node();
+  std::shared_ptr<VariableNode> pb = b.node();
+  return Variable::MakeOp(
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
+        const Tensor& g = self.grad;
+        if (pa->requires_grad) {
+          Tensor& da = pa->GradBuffer();
+          for (int r = 0; r < g.rows(); ++r) {
+            for (int c = 0; c < g.cols(); ++c) {
+              da.at(r, c) += g.at(r, c) * pb->value[c];
+            }
+          }
+        }
+        if (pb->requires_grad) {
+          Tensor& db = pb->GradBuffer();
+          for (int r = 0; r < g.rows(); ++r) {
+            for (int c = 0; c < g.cols(); ++c) {
+              db[c] += g.at(r, c) * pa->value.at(r, c);
+            }
+          }
+        }
+      });
+}
+
+/// a[m,n] / b[1,n] broadcast over rows.
+inline Variable DivRowVec(const Variable& a, const Variable& b) {
+  Tensor out = Tensor::Unfilled(a.rows(), a.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) {
+      out.at(r, c) = a.value().at(r, c) / b.value()[c];
+    }
+  }
+  std::shared_ptr<VariableNode> pa = a.node();
+  std::shared_ptr<VariableNode> pb = b.node();
+  return Variable::MakeOp(
+      std::move(out), {pa, pb}, [pa, pb](VariableNode& self) {
+        const Tensor& g = self.grad;
+        if (pa->requires_grad) {
+          Tensor& da = pa->GradBuffer();
+          for (int r = 0; r < g.rows(); ++r) {
+            for (int c = 0; c < g.cols(); ++c) {
+              da.at(r, c) += g.at(r, c) / pb->value[c];
+            }
+          }
+        }
+        if (pb->requires_grad) {
+          // d/db (a/b) = −y/b with y = a/b: column sums of g ⊙ y, then
+          // scaled by −1/b per column.
+          Tensor colsum(1, g.cols());
+          for (int r = 0; r < g.rows(); ++r) {
+            for (int c = 0; c < g.cols(); ++c) {
+              colsum[c] += g.at(r, c) * self.value.at(r, c);
+            }
+          }
+          Tensor& db = pb->GradBuffer();
+          for (int c = 0; c < g.cols(); ++c) db[c] -= colsum[c] / pb->value[c];
+        }
+      });
+}
+
+/// BatchNorm1d::Forward(x, training, relu) as the composite ops it was
+/// before it became one tape node, kept as the reference for its
+/// values, running statistics and gradients: gamma and beta stand for
+/// the parameters, running_mean and running_var for the buffers it
+/// updates with `momentum`.
+inline Variable CompositeBatchNorm(const Variable& x, const Variable& gamma,
+                                   const Variable& beta, Tensor* running_mean,
+                                   Tensor* running_var, float momentum,
+                                   float eps, bool training, bool relu) {
+  Variable centered;
+  Variable var;
+  if (training && x.rows() > 1) {
+    Variable mean = MeanRows(x);
+    centered = AddRowVec(x, Scale(mean, -1.f));
+    var = MeanRows(Square(centered));
+    for (int c = 0; c < x.cols(); ++c) {
+      running_mean->at(0, c) = (1.f - momentum) * running_mean->at(0, c) +
+                               momentum * mean.value().at(0, c);
+      running_var->at(0, c) = (1.f - momentum) * running_var->at(0, c) +
+                              momentum * var.value().at(0, c);
+    }
+  } else {
+    Variable mean = Variable::Constant(*running_mean);
+    var = Variable::Constant(*running_var);
+    centered = AddRowVec(x, Scale(mean, -1.f));
+  }
+  Variable std = SqrtOp(AddScalar(var, eps));
+  Variable normalized = DivRowVec(centered, std);
+  Variable out = AddRowVec(MulRowVec(normalized, gamma), beta);
+  return relu ? Relu(out) : out;
 }
 
 /// The transpose of `t`.

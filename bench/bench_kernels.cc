@@ -121,7 +121,7 @@ struct Workload {
 };
 
 void CompareBackends(int threads) {
-  if (threads < 1) threads = 1;  // MakeBackend clamps the same way.
+  if (threads < 1) threads = 1;  // Backend clamps the same way.
   const int cores = BenchOptions::HardwareConcurrency();
   std::printf("Compute backend comparison: serial vs parallel (%d threads)\n",
               threads);

@@ -18,7 +18,7 @@
 #     StreamingHistogram::Reset, Module::ZeroGrad;
 #   - out-of-line copies of functions their own file calls after
 #     inlining: Backend::WouldParallelize, Fnv1a64, ShedReasonName,
-#     ShedError::what and the ParallelBackend constructor. Which copies
+#     ShedError::what and the Backend constructor. Which copies
 #     inlining leaves behind depends on the compiler (this list is for
 #     GCC 12 at -O2); a different compiler may report others.
 #
@@ -91,7 +91,7 @@ keep+='|\(anonymous namespace\)::CenteredGram|ExactPairwiseHsic'
 keep+='|MedianBandwidth|Arena::stats|GlobalWeightBank::[wz]'
 keep+='|MetricsRegistry::(Reset|size)|StreamingHistogram::Reset'
 keep+='|Module::ZeroGrad|Backend::WouldParallelize|Fnv1a64|ShedReasonName'
-keep+='|ShedError::what|ParallelBackend::ParallelBackend)\('
+keep+='|ShedError::what|Backend::Backend)\('
 
 cat "${work}"/dropped/* | sort | uniq -c |
   awk -v n="${links}" '$1 == n { print $2 }' | grep -v '^unlikely\.' |

@@ -20,7 +20,7 @@ Tensor PairwiseDependenceMatrix(const Tensor& z, const RffFeatureMap& rff) {
   const Backend& be = GetBackend();
 
   // Column means of the (uniformly weighted) features; each column sums
-  // over samples in ascending-row order on every backend.
+  // over samples in ascending-row order at every thread count.
   std::vector<double> mean(static_cast<size_t>(m), 0.0);
   be.ForCost(m, static_cast<std::int64_t>(n) * m, [&](int c0, int c1) {
     for (int c = c0; c < c1; ++c) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -203,11 +204,11 @@ class KernelScope {
   std::int64_t start_us_ = 0;
 };
 
-/// SIMD dispatch split across the vector-capable entry points:
-/// "kernel/simd/vector_calls" when the vector mirror ran,
-/// "kernel/simd/scalar_calls" when a capable op fell back to the
-/// scalar oracle (simd::Enabled() false). Profiling-gated like
-/// KernelScope so the common case stays one relaxed atomic load.
+/// SIMD dispatch split across the kernels with a vector body:
+/// "kernel/simd/vector_calls" when the vector body ran,
+/// "kernel/simd/scalar_calls" when such a kernel ran its scalar oracle
+/// instead (simd::Enabled() false). Profiling-gated like KernelScope
+/// so the common case stays one relaxed atomic load.
 void RecordSimdDispatch(bool vector) {
   if (!obs::ProfilingEnabled()) return;
   static obs::Counter* vector_calls =
@@ -217,33 +218,40 @@ void RecordSimdDispatch(bool vector) {
   (vector ? vector_calls : scalar_calls)->Increment();
 }
 
-/// A range kernel reading two tensors into a third; the scalar kernel
-/// and its simd:: mirror share this signature.
-using BinaryRangeKernel = void (*)(const Tensor&, const Tensor&, Tensor*,
-                                   int, int);
-
-/// Runs `vector` (SIMD enabled) or `scalar` over ForCost(n, flops),
-/// counted under `op` with out's size as its element count.
-void RunMirrored(const Backend& be, KernelOp op, BinaryRangeKernel scalar,
-                 BinaryRangeKernel vector, const Tensor& x, const Tensor& y,
-                 Tensor* out, int n, std::int64_t flops) {
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(op, out->size(), be.WouldParallelize(n, flops));
-  const BinaryRangeKernel kernel = use_simd ? vector : scalar;
-  be.ForCost(n, flops, [&](int b, int e) { kernel(x, y, out, b, e); });
+/// The dispatch of every range-partitioned entry point: runs
+/// body(args..., begin, end) over be.ForCost(n, flops), counted under
+/// `op` with `elems` elements. The body is `vector` when the kernel has
+/// one (non-null) and simd::Enabled(), else the scalar oracle; only a
+/// kernel with a vector body records the SIMD dispatch split.
+template <typename Body, typename... Args>
+void Run(const Backend& be, KernelOp op, std::int64_t elems, int n,
+         std::int64_t flops, Body scalar, std::type_identity_t<Body> vector,
+         const Args&... args) {
+  Body body = scalar;
+  if (vector != nullptr) {
+    const bool use_simd = simd::Enabled();
+    RecordSimdDispatch(use_simd);
+    if (use_simd) body = vector;
+  }
+  KernelScope scope(op, elems, be.WouldParallelize(n, flops));
+  be.ForCost(n, flops, [&](int begin, int end) { body(args..., begin, end); });
 }
 
-/// The matmul body a call runs: the scalar oracle with vector dispatch
-/// off, else the AVX-512 body where the CPU has it, else the AVX2 (or
-/// NEON) body.
-template <typename Fn>
-Fn PickMatMulBody(bool use_simd, Fn scalar, Fn vector, Fn avx512) {
-  if (!use_simd) return scalar;
-  return simd::avx512::Available() ? avx512 : vector;
+/// Installs `backend` as the process-wide backend and returns the one
+/// it replaces (null before the first GetBackend()).
+std::unique_ptr<Backend> ExchangeBackend(std::unique_ptr<Backend> backend) {
+  std::lock_guard<std::mutex> lock(g_backend_mu);
+  return std::exchange(g_backend, std::move(backend));
 }
 
 }  // namespace
+
+Backend::Backend(int num_threads)
+    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
+
+Backend::~Backend() = default;
+
+int Backend::num_threads() const { return pool_->num_threads(); }
 
 bool Backend::WouldParallelize(int n, std::int64_t flops) const {
   return n > 0 && num_threads() != 1 && flops >= kMinFlopsToParallelize;
@@ -256,7 +264,7 @@ void Backend::ForCost(int n, std::int64_t flops,
     fn(0, n);
     return;
   }
-  For(n, fn);
+  pool_->ParallelFor(n, fn);
 }
 
 void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
@@ -264,229 +272,135 @@ void Backend::MatMulWithTail(const Tensor& a, const Tensor& b,
                              Tensor* out) const {
   OODGNN_CHECK_EQ(a.cols(), b.rows());
   OODGNN_CHECK(out->rows() == a.rows() && out->cols() == b.cols());
-  const std::int64_t flops =
-      2ll * a.rows() * a.cols() * b.cols();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kMatMul, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  const auto body =
-      PickMatMulBody(use_simd, kernels::MatMulWithTail, simd::MatMulWithTail,
-                     simd::avx512::MatMulWithTail);
-  ForCost(out->rows(), flops,
-          [&](int r0, int r1) { body(a, b, tail, out, r0, r1); });
+  Run(*this, KernelOp::kMatMul, out->size(), out->rows(),
+      2ll * a.rows() * a.cols() * b.cols(), kernels::MatMulWithTail,
+      simd::avx512::Available() ? simd::avx512::MatMulWithTail
+                                : simd::MatMulWithTail,
+      a, b, tail, out);
 }
 
 void Backend::MatMulTransAAcc(const Tensor& a, const Tensor& b,
                               Tensor* out) const {
   OODGNN_CHECK_EQ(a.rows(), b.rows());
   OODGNN_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
-  const std::int64_t flops =
-      2ll * a.rows() * a.cols() * b.cols();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kMatMulTransA, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  const auto body =
-      PickMatMulBody(use_simd, kernels::MatMulTransAAcc, simd::MatMulTransAAcc,
-                     simd::avx512::MatMulTransAAcc);
-  ForCost(out->rows(), flops,
-          [&](int r0, int r1) { body(a, b, out, r0, r1); });
+  Run(*this, KernelOp::kMatMulTransA, out->size(), out->rows(),
+      2ll * a.rows() * a.cols() * b.cols(), kernels::MatMulTransAAcc,
+      simd::avx512::Available() ? simd::avx512::MatMulTransAAcc
+                                : simd::MatMulTransAAcc,
+      a, b, out);
 }
 
 void Backend::MatMulTransBAcc(const Tensor& a, const Tensor& b,
                               Tensor* out) const {
   OODGNN_CHECK_EQ(a.cols(), b.cols());
   OODGNN_CHECK(out->rows() == a.rows() && out->cols() == b.rows());
-  const std::int64_t flops =
-      2ll * a.rows() * a.cols() * b.rows();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kMatMulTransB, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  const auto body =
-      PickMatMulBody(use_simd, kernels::MatMulTransBAcc, simd::MatMulTransBAcc,
-                     simd::avx512::MatMulTransBAcc);
-  ForCost(out->rows(), flops,
-          [&](int r0, int r1) { body(a, b, out, r0, r1); });
+  Run(*this, KernelOp::kMatMulTransB, out->size(), out->rows(),
+      2ll * a.rows() * a.cols() * b.rows(), kernels::MatMulTransBAcc,
+      simd::avx512::Available() ? simd::avx512::MatMulTransBAcc
+                                : simd::MatMulTransBAcc,
+      a, b, out);
 }
 
 void Backend::Axpy(float alpha, const Tensor& x, Tensor* y) const {
   OODGNN_CHECK(x.SameShape(*y));
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kAxpy, y->size(),
-                    WouldParallelize(y->size(), y->size()));
-  ForCost(y->size(), y->size(), [&](int i0, int i1) {
-    if (use_simd) {
-      simd::Axpy(alpha, x, y, i0, i1);
-    } else {
-      kernels::Axpy(alpha, x, y, i0, i1);
-    }
-  });
+  Run(*this, KernelOp::kAxpy, y->size(), y->size(), y->size(), kernels::Axpy,
+      simd::Axpy, alpha, x, y);
 }
 
 void Backend::ScaleInPlace(float s, Tensor* y) const {
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kScale, y->size(),
-                    WouldParallelize(y->size(), y->size()));
-  ForCost(y->size(), y->size(), [&](int i0, int i1) {
-    if (use_simd) {
-      simd::Scale(y, s, i0, i1);
-    } else {
-      kernels::Scale(y, s, i0, i1);
-    }
-  });
+  Run(*this, KernelOp::kScale, y->size(), y->size(), y->size(),
+      kernels::Scale, simd::Scale, y, s);
 }
 
 void Backend::AddScalarAcc(float s, Tensor* y) const {
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kAddScalar, y->size(),
-                    WouldParallelize(y->size(), y->size()));
-  ForCost(y->size(), y->size(), [&](int i0, int i1) {
-    if (use_simd) {
-      simd::AddScalar(y, s, i0, i1);
-    } else {
-      kernels::AddScalar(y, s, i0, i1);
-    }
-  });
+  Run(*this, KernelOp::kAddScalar, y->size(), y->size(), y->size(),
+      kernels::AddScalar, nullptr, y, s);
 }
 
 void Backend::Hadamard(const Tensor& a, const Tensor& b, Tensor* out) const {
   OODGNN_CHECK(a.SameShape(b) && a.SameShape(*out));
-  RunMirrored(*this, KernelOp::kHadamard, kernels::Hadamard, simd::Hadamard,
-              a, b, out, out->size(), out->size());
+  Run(*this, KernelOp::kHadamard, out->size(), out->size(), out->size(),
+      kernels::Hadamard, simd::Hadamard, a, b, out);
 }
 
 void Backend::HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y) const {
   OODGNN_CHECK(g.SameShape(x) && g.SameShape(*y));
-  RunMirrored(*this, KernelOp::kHadamardAcc, kernels::HadamardAcc,
-              simd::HadamardAcc, g, x, y, y->size(), y->size());
+  Run(*this, KernelOp::kHadamardAcc, y->size(), y->size(), y->size(),
+      kernels::HadamardAcc, simd::HadamardAcc, g, x, y);
 }
 
 void Backend::Relu(const Tensor& x, Tensor* out) const {
   OODGNN_CHECK(x.SameShape(*out));
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  const std::int64_t flops = 2ll * out->size();
-  KernelScope scope(KernelOp::kRelu, out->size(),
-                    WouldParallelize(out->size(), flops));
-  ForCost(out->size(), flops, [&](int i0, int i1) {
-    if (use_simd) {
-      simd::Relu(x, out, i0, i1);
-    } else {
-      kernels::Relu(x, out, i0, i1);
-    }
-  });
+  Run(*this, KernelOp::kRelu, out->size(), out->size(), 2ll * out->size(),
+      kernels::Relu, simd::Relu, x, out);
 }
 
 void Backend::ReluBackwardAcc(const Tensor& g, const Tensor& x,
                               Tensor* dx) const {
   OODGNN_CHECK(g.SameShape(x) && g.SameShape(*dx));
-  RunMirrored(*this, KernelOp::kReluBackward, kernels::ReluBackwardAcc,
-              simd::ReluBackwardAcc, g, x, dx, dx->size(), 2ll * dx->size());
+  Run(*this, KernelOp::kReluBackward, dx->size(), dx->size(),
+      2ll * dx->size(), kernels::ReluBackwardAcc, simd::ReluBackwardAcc, g, x,
+      dx);
 }
 
 void Backend::SquareBackwardAcc(const Tensor& g, const Tensor& x,
                                 Tensor* dx) const {
   OODGNN_CHECK(g.SameShape(x) && g.SameShape(*dx));
-  RunMirrored(*this, KernelOp::kSquareBackward, kernels::SquareBackwardAcc,
-              simd::SquareBackwardAcc, g, x, dx, dx->size(),
-              2ll * dx->size());
+  Run(*this, KernelOp::kSquareBackward, dx->size(), dx->size(),
+      2ll * dx->size(), kernels::SquareBackwardAcc, nullptr, g, x, dx);
 }
 
 void Backend::MulColVec(const Tensor& a, const Tensor& col,
                         Tensor* out) const {
   OODGNN_CHECK(col.rows() == a.rows() && col.cols() == 1);
   OODGNN_CHECK(a.SameShape(*out));
-  RunMirrored(*this, KernelOp::kMulColVec, kernels::MulColVec,
-              simd::MulColVec, a, col, out, out->rows(), out->size());
+  Run(*this, KernelOp::kMulColVec, out->size(), out->rows(), out->size(),
+      kernels::MulColVec, simd::MulColVec, a, col, out);
 }
 
 void Backend::MulColVecAcc(const Tensor& g, const Tensor& col,
                            Tensor* dx) const {
   OODGNN_CHECK(col.rows() == g.rows() && col.cols() == 1);
   OODGNN_CHECK(g.SameShape(*dx));
-  RunMirrored(*this, KernelOp::kMulColVecAcc, kernels::MulColVecAcc,
-              simd::MulColVecAcc, g, col, dx, dx->rows(), dx->size());
+  Run(*this, KernelOp::kMulColVecAcc, dx->size(), dx->rows(), dx->size(),
+      kernels::MulColVecAcc, simd::MulColVecAcc, g, col, dx);
 }
 
 void Backend::ColumnSumAcc(const Tensor& a, Tensor* out) const {
   OODGNN_CHECK(out->rows() == 1 && out->cols() == a.cols());
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kColumnSum, a.size(),
-                    WouldParallelize(a.cols(), a.size()));
-  ForCost(a.cols(), a.size(), [&](int c0, int c1) {
-    if (use_simd) {
-      simd::ColumnSumAcc(a, out, c0, c1);
-    } else {
-      kernels::ColumnSumAcc(a, out, c0, c1);
-    }
-  });
+  Run(*this, KernelOp::kColumnSum, a.size(), a.cols(), a.size(),
+      kernels::ColumnSumAcc, simd::ColumnSumAcc, a, out);
 }
 
 void Backend::RowBroadcastAcc(const Tensor& row, Tensor* out) const {
   OODGNN_CHECK(row.rows() == 1 && row.cols() == out->cols());
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kRowBroadcast, out->size(),
-                    WouldParallelize(out->rows(), out->size()));
-  ForCost(out->rows(), out->size(), [&](int r0, int r1) {
-    if (use_simd) {
-      simd::RowBroadcastAcc(row, out, r0, r1);
-    } else {
-      kernels::RowBroadcastAcc(row, out, r0, r1);
-    }
-  });
+  Run(*this, KernelOp::kRowBroadcast, out->size(), out->rows(), out->size(),
+      kernels::RowBroadcastAcc, simd::RowBroadcastAcc, row, out);
 }
 
 void Backend::HadamardRowSumAcc(const Tensor& x, const Tensor& y,
                                 Tensor* out) const {
   OODGNN_CHECK(x.SameShape(y));
   OODGNN_CHECK(out->rows() == x.rows() && out->cols() == 1);
-  KernelScope scope(KernelOp::kHadamardRowSum, x.size(),
-                    WouldParallelize(x.rows(), 2ll * x.size()));
-  ForCost(x.rows(), 2ll * x.size(), [&](int r0, int r1) {
-    kernels::HadamardRowSumAcc(x, y, out, r0, r1);
-  });
+  Run(*this, KernelOp::kHadamardRowSum, x.size(), x.rows(), 2ll * x.size(),
+      kernels::HadamardRowSumAcc, nullptr, x, y, out);
 }
 
 void Backend::BatchNorm(const kernels::MatMulTail& tail, const Tensor& x,
                         Tensor* out) const {
   OODGNN_CHECK(x.SameShape(*out));
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  const std::int64_t flops = 5ll * out->size();
-  KernelScope scope(KernelOp::kBatchNorm, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
-      simd::ApplyTailRows(tail, x, out, r0, r1);
-    } else {
-      kernels::ApplyTailRows(tail, x, out, r0, r1);
-    }
-  });
+  Run(*this, KernelOp::kBatchNorm, out->size(), out->rows(),
+      5ll * out->size(), kernels::ApplyTailRows, simd::ApplyTailRows, tail, x,
+      out);
 }
 
 void Backend::CenteredSquareSumAcc(const Tensor& x, const Tensor& neg_mean,
                                    Tensor* out) const {
   OODGNN_CHECK(neg_mean.rows() == 1 && neg_mean.cols() == x.cols());
   OODGNN_CHECK(out->rows() == 1 && out->cols() == x.cols());
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  const std::int64_t flops = 3ll * x.size();
-  KernelScope scope(KernelOp::kCenteredSquareSum, x.size(),
-                    WouldParallelize(x.cols(), flops));
-  ForCost(x.cols(), flops, [&](int c0, int c1) {
-    if (use_simd) {
-      simd::CenteredSquareSumAcc(x, neg_mean.data(), out, c0, c1);
-    } else {
-      kernels::CenteredSquareSumAcc(x, neg_mean.data(), out, c0, c1);
-    }
-  });
+  Run(*this, KernelOp::kCenteredSquareSum, x.size(), x.cols(), 3ll * x.size(),
+      kernels::CenteredSquareSumAcc, simd::CenteredSquareSumAcc, x,
+      neg_mean.data(), out);
 }
 
 void Backend::BatchNormGradSumsAcc(const Tensor& g, const Tensor& y,
@@ -499,20 +413,9 @@ void Backend::BatchNormGradSumsAcc(const Tensor& g, const Tensor& y,
     OODGNN_CHECK(sum == nullptr ||
                  (sum->rows() == 1 && sum->cols() == x.cols()));
   }
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  const std::int64_t flops = 8ll * x.size();
-  KernelScope scope(KernelOp::kBatchNormGradSums, x.size(),
-                    WouldParallelize(x.cols(), flops));
-  ForCost(x.cols(), flops, [&](int c0, int c1) {
-    if (use_simd) {
-      simd::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, c0,
-                                 c1);
-    } else {
-      kernels::BatchNormGradSumsAcc(g, y, x, tail, dgamma, dbeta, dn_xhat, c0,
-                                    c1);
-    }
-  });
+  Run(*this, KernelOp::kBatchNormGradSums, x.size(), x.cols(), 8ll * x.size(),
+      kernels::BatchNormGradSumsAcc, simd::BatchNormGradSumsAcc, g, y, x,
+      tail, dgamma, dbeta, dn_xhat);
 }
 
 void Backend::BatchNormGradX(const Tensor& g, const Tensor& y,
@@ -525,20 +428,9 @@ void Backend::BatchNormGradX(const Tensor& g, const Tensor& y,
                  (row->rows() == 1 && row->cols() == x.cols()));
   }
   const float* dsq_row = dsq != nullptr ? dsq->data() : nullptr;
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  const std::int64_t flops = 8ll * x.size();
-  KernelScope scope(KernelOp::kBatchNormGradX, x.size(),
-                    WouldParallelize(x.cols(), flops));
-  ForCost(x.cols(), flops, [&](int c0, int c1) {
-    if (use_simd) {
-      simd::BatchNormGradX(g, y, x, tail, dsq_row, accumulate, dx, dx_sum, c0,
-                           c1);
-    } else {
-      kernels::BatchNormGradX(g, y, x, tail, dsq_row, accumulate, dx, dx_sum,
-                              c0, c1);
-    }
-  });
+  Run(*this, KernelOp::kBatchNormGradX, x.size(), x.cols(), 8ll * x.size(),
+      kernels::BatchNormGradX, simd::BatchNormGradX, g, y, x, tail, dsq_row,
+      accumulate, dx, dx_sum);
 }
 
 float Backend::Dot(const Tensor& a, const Tensor& b) const {
@@ -557,48 +449,25 @@ void Backend::RffMap(const Tensor& z, const std::vector<int>& source_dim,
   OODGNN_CHECK_EQ(out->cols(), static_cast<int>(source_dim.size()));
   OODGNN_CHECK_EQ(source_dim.size(), omega.size());
   OODGNN_CHECK_EQ(source_dim.size(), phase.size());
-  const std::int64_t flops = 8ll * out->rows() * out->cols();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kRffMap, out->size(),
-                    WouldParallelize(out->rows(), flops));
-  ForCost(out->rows(), flops, [&](int r0, int r1) {
-    if (use_simd) {
-      simd::RffMap(z, source_dim, omega, phase, linear_only, scale, out, r0,
-                   r1);
-    } else {
-      kernels::RffMap(z, source_dim, omega, phase, linear_only, scale, out,
-                      r0, r1);
-    }
-  });
+  Run(*this, KernelOp::kRffMap, out->size(), out->rows(),
+      8ll * out->rows() * out->cols(), kernels::RffMap, simd::RffMap, z,
+      source_dim, omega, phase, linear_only, scale, out);
 }
 
 void Backend::GatherRows(const Tensor& a, const std::vector<int>& index,
                          Tensor* out) const {
   OODGNN_CHECK(out->rows() == static_cast<int>(index.size()) &&
                out->cols() == a.cols());
-  KernelScope scope(KernelOp::kGatherRows, out->size(),
-                    WouldParallelize(out->rows(), out->size()));
-  ForCost(out->rows(), out->size(), [&](int r0, int r1) {
-    kernels::GatherRows(a, index, out, r0, r1);
-  });
+  Run(*this, KernelOp::kGatherRows, out->size(), out->rows(), out->size(),
+      kernels::GatherRows, nullptr, a, index, out);
 }
 
 void Backend::GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
                             Tensor* out) const {
   OODGNN_CHECK(out->rows() == static_cast<int>(index.size()) &&
                out->cols() == g.cols());
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kGatherRowsAcc, out->size(),
-                    WouldParallelize(out->rows(), out->size()));
-  ForCost(out->rows(), out->size(), [&](int r0, int r1) {
-    if (use_simd) {
-      simd::GatherRowsAcc(g, index, out, r0, r1);
-    } else {
-      kernels::GatherRowsAcc(g, index, out, r0, r1);
-    }
-  });
+  Run(*this, KernelOp::kGatherRowsAcc, out->size(), out->rows(), out->size(),
+      kernels::GatherRowsAcc, simd::GatherRowsAcc, g, index, out);
 }
 
 void Backend::ScatterAddRowsPlanned(const Tensor& a, const SegmentPlan& plan,
@@ -606,21 +475,11 @@ void Backend::ScatterAddRowsPlanned(const Tensor& a, const SegmentPlan& plan,
   OODGNN_CHECK_EQ(a.rows(), plan.num_items());
   OODGNN_CHECK_EQ(a.cols(), out->cols());
   OODGNN_CHECK_EQ(out->rows(), plan.num_segments);
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(
-      KernelOp::kScatterPlanned, a.size(),
-      WouldParallelize(plan.num_segments, static_cast<std::int64_t>(a.size())));
-  ForCost(plan.num_segments, static_cast<std::int64_t>(a.size()),
-          [&](int s0, int s1) {
-            if (use_simd) {
-              simd::ScatterAddRowsPlanned(a, plan.perm, plan.offsets, out, s0,
-                                          s1);
-            } else {
-              kernels::ScatterAddRowsPlanned(a, plan.perm, plan.offsets, out,
-                                             s0, s1);
-            }
-          });
+  // The gather-scatter kernel, gathering each segment's rows in plan
+  // order.
+  Run(*this, KernelOp::kScatterPlanned, a.size(), plan.num_segments,
+      a.size(), kernels::GatherScatterAcc, simd::GatherScatterAcc, a,
+      plan.perm, plan.offsets, out);
 }
 
 void Backend::GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
@@ -630,17 +489,9 @@ void Backend::GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
   OODGNN_CHECK_EQ(out->rows(), plan.num_segments);
   const std::int64_t flops =
       static_cast<std::int64_t>(plan.num_items()) * h.cols();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kGatherScatter, flops,
-                    WouldParallelize(plan.num_segments, flops));
-  ForCost(plan.num_segments, flops, [&](int s0, int s1) {
-    if (use_simd) {
-      simd::GatherScatterAcc(h, gather, plan.offsets, out, s0, s1);
-    } else {
-      kernels::GatherScatterAcc(h, gather, plan.offsets, out, s0, s1);
-    }
-  });
+  Run(*this, KernelOp::kGatherScatter, flops, plan.num_segments, flops,
+      kernels::GatherScatterAcc, simd::GatherScatterAcc, h, gather,
+      plan.offsets, out);
 }
 
 void Backend::GatherScatterWeightedAcc(const Tensor& h, const Tensor& w,
@@ -652,21 +503,11 @@ void Backend::GatherScatterWeightedAcc(const Tensor& h, const Tensor& w,
   OODGNN_CHECK_EQ(w.cols(), 1);
   OODGNN_CHECK_EQ(h.cols(), out->cols());
   OODGNN_CHECK_EQ(out->rows(), plan.num_segments);
-  const std::int64_t flops =
-      2ll * plan.num_items() * h.cols();
-  const bool use_simd = simd::Enabled();
-  RecordSimdDispatch(use_simd);
-  KernelScope scope(KernelOp::kGatherScatterWeighted, flops,
-                    WouldParallelize(plan.num_segments, flops));
-  ForCost(plan.num_segments, flops, [&](int s0, int s1) {
-    if (use_simd) {
-      simd::GatherScatterWeightedAcc(h, w, plan.perm, gather, plan.offsets,
-                                     out, s0, s1);
-    } else {
-      kernels::GatherScatterWeightedAcc(h, w, plan.perm, gather, plan.offsets,
-                                        out, s0, s1);
-    }
-  });
+  const std::int64_t flops = 2ll * plan.num_items() * h.cols();
+  Run(*this, KernelOp::kGatherScatterWeighted, flops, plan.num_segments,
+      flops, kernels::GatherScatterWeightedAcc,
+      simd::GatherScatterWeightedAcc, h, w, plan.perm, gather, plan.offsets,
+      out);
 }
 
 void Backend::EdgeDotAcc(const Tensor& x, const Tensor& y,
@@ -678,11 +519,8 @@ void Backend::EdgeDotAcc(const Tensor& x, const Tensor& y,
   OODGNN_CHECK_EQ(out->cols(), 1);
   const int edges = static_cast<int>(xi.size());
   const std::int64_t flops = 2ll * edges * x.cols();
-  KernelScope scope(KernelOp::kEdgeDot, flops,
-                    WouldParallelize(edges, flops));
-  ForCost(edges, flops, [&](int e0, int e1) {
-    kernels::EdgeDotAcc(x, y, xi, yi, out, e0, e1);
-  });
+  Run(*this, KernelOp::kEdgeDot, flops, edges, flops, kernels::EdgeDotAcc,
+      nullptr, x, y, xi, yi, out);
 }
 
 void Backend::SegmentExtremePlanned(const Tensor& a, const SegmentPlan& plan,
@@ -692,38 +530,25 @@ void Backend::SegmentExtremePlanned(const Tensor& a, const SegmentPlan& plan,
   OODGNN_CHECK_EQ(a.cols(), out->cols());
   OODGNN_CHECK_EQ(out->rows(), plan.num_segments);
   OODGNN_CHECK_EQ(static_cast<int>(argrow->size()), out->size());
-  KernelScope scope(
-      KernelOp::kSegmentExtremePlanned, a.size(),
-      WouldParallelize(plan.num_segments, static_cast<std::int64_t>(a.size())));
-  ForCost(plan.num_segments, static_cast<std::int64_t>(a.size()),
-          [&](int s0, int s1) {
-            kernels::SegmentExtremePlanned(a, plan.perm, plan.offsets, is_max,
-                                           out, argrow, s0, s1);
-          });
+  Run(*this, KernelOp::kSegmentExtremePlanned, a.size(), plan.num_segments,
+      a.size(), kernels::SegmentExtremePlanned, nullptr, a, plan.perm,
+      plan.offsets, is_max, out, argrow);
 }
 
 void Backend::SegmentExtremeBackwardAcc(const Tensor& g,
                                         const std::vector<int>& argrow,
                                         Tensor* out) const {
   OODGNN_CHECK_EQ(static_cast<int>(argrow.size()), g.size());
-  KernelScope scope(
-      KernelOp::kSegmentExtremeBackward, g.size(),
-      WouldParallelize(g.rows(), static_cast<std::int64_t>(g.size())));
-  ForCost(g.rows(), static_cast<std::int64_t>(g.size()),
-          [&](int s0, int s1) {
-            kernels::SegmentExtremeBackwardAcc(g, argrow, out, s0, s1);
-          });
+  Run(*this, KernelOp::kSegmentExtremeBackward, g.size(), g.rows(), g.size(),
+      kernels::SegmentExtremeBackwardAcc, nullptr, g, argrow, out);
 }
 
 void Backend::CopyRowsTo(const Tensor& src, Tensor* dst,
                          int dst_row_begin) const {
   OODGNN_CHECK_EQ(src.cols(), dst->cols());
   OODGNN_CHECK_LE(dst_row_begin + src.rows(), dst->rows());
-  KernelScope scope(KernelOp::kCopyRows, src.size(),
-                    WouldParallelize(src.rows(), src.size()));
-  ForCost(src.rows(), src.size(), [&](int r0, int r1) {
-    kernels::CopyRowsTo(src, dst, dst_row_begin, r0, r1);
-  });
+  Run(*this, KernelOp::kCopyRows, src.size(), src.rows(), src.size(),
+      kernels::CopyRowsTo, nullptr, src, dst, dst_row_begin);
 }
 
 void Backend::DropoutMask(double p, float keep_scale, Rng* rng,
@@ -746,48 +571,21 @@ void Backend::DropoutMask(double p, float keep_scale, Rng* rng,
   }
 }
 
-void SerialBackend::For(int n, const std::function<void(int, int)>& fn) const {
-  if (n > 0) fn(0, n);
-}
-
-ParallelBackend::ParallelBackend(int num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
-
-ParallelBackend::~ParallelBackend() = default;
-
-int ParallelBackend::num_threads() const { return pool_->num_threads(); }
-
-void ParallelBackend::For(int n,
-                          const std::function<void(int, int)>& fn) const {
-  pool_->ParallelFor(n, fn);
-}
-
-std::unique_ptr<Backend> MakeBackend(int threads) {
-  if (threads <= 1) return std::make_unique<SerialBackend>();
-  return std::make_unique<ParallelBackend>(threads);
-}
-
 Backend& GetBackend() {
   std::lock_guard<std::mutex> lock(g_backend_mu);
-  if (!g_backend) g_backend = MakeBackend(ThreadCountFromEnv(1));
+  if (!g_backend) g_backend = std::make_unique<Backend>(ThreadCountFromEnv(1));
   return *g_backend;
 }
 
-void SetBackend(std::unique_ptr<Backend> backend) {
-  OODGNN_CHECK(backend != nullptr);
-  std::lock_guard<std::mutex> lock(g_backend_mu);
-  g_backend = std::move(backend);
+void SetBackendThreads(int threads) {
+  ExchangeBackend(std::make_unique<Backend>(threads));
 }
 
-std::unique_ptr<Backend> ExchangeBackend(std::unique_ptr<Backend> backend) {
-  OODGNN_CHECK(backend != nullptr);
-  std::lock_guard<std::mutex> lock(g_backend_mu);
-  std::unique_ptr<Backend> previous = std::move(g_backend);
-  g_backend = std::move(backend);
-  if (!previous) previous = MakeBackend(ThreadCountFromEnv(1));
-  return previous;
-}
+ScopedBackendThreads::ScopedBackendThreads(int threads)
+    : previous_(ExchangeBackend(std::make_unique<Backend>(threads))) {}
 
-void SetBackendThreads(int threads) { SetBackend(MakeBackend(threads)); }
+ScopedBackendThreads::~ScopedBackendThreads() {
+  ExchangeBackend(std::move(previous_));
+}
 
 }  // namespace oodgnn

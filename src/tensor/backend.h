@@ -16,42 +16,49 @@ struct MatMulTail;
 }  // namespace kernels
 
 class Rng;
+class ThreadPool;
 
 /// Execution backend for the numeric kernels in src/tensor/kernels.h.
 /// A backend owns exactly one policy decision: how an index range
-/// [0, n) is partitioned into chunks and where those chunks run. All
-/// arithmetic lives in the kernels, which both backends drive through
-/// the same range functions — so every backend produces bitwise
-/// identical results (the determinism contract; see DESIGN.md §8).
+/// [0, n) is partitioned into chunks and where those chunks run, on
+/// its pool of num_threads() threads (src/util/thread_pool.h; one
+/// thread spawns no worker and runs every range inline). All arithmetic
+/// lives in the kernels, whose results never depend on the partition,
+/// so every thread count produces bitwise identical results (the
+/// determinism contract; see DESIGN.md §8).
 ///
 /// The autograd ops (src/tensor/ops.cc) and the non-autograd hot paths
 /// (core/rff, core/hsic, core/dependence, train eval) call the active
-/// backend via GetBackend(). Adding a backend means subclassing and
-/// implementing For(); the dense wrappers below are inherited.
+/// backend via GetBackend(). Each entry point below checks its shapes
+/// and hands its kernel's scalar body and, where the kernel has one,
+/// its vector body (src/tensor/simd.h) to one dispatch routine in
+/// backend.cc, which picks the body, counts the call and partitions
+/// the range.
 class Backend {
  public:
-  virtual ~Backend() = default;
+  /// A backend over a pool of `num_threads` threads (at least 1).
+  explicit Backend(int num_threads);
+  ~Backend();
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
 
-  virtual const char* name() const = 0;
-  virtual int num_threads() const = 0;
+  int num_threads() const;
 
   /// Runs fn(begin, end) over a deterministic partition of [0, n) into
-  /// contiguous chunks. Chunk boundaries depend only on n and the
-  /// backend configuration, never on timing.
-  virtual void For(int n, const std::function<void(int, int)>& fn) const = 0;
-
-  /// Like For(), but runs the whole range inline when `flops` (an
+  /// contiguous chunks, or over the whole range inline when `flops` (an
   /// estimate of the total work) is too small to amortize dispatch.
+  /// Chunk boundaries depend only on n and the thread count, never on
+  /// timing.
   void ForCost(int n, std::int64_t flops,
                const std::function<void(int, int)>& fn) const;
 
-  /// True when ForCost(n, flops, …) would dispatch to For() rather
-  /// than run inline. Exposed so the per-kernel perf counters can
-  /// record the serial-vs-parallel split without re-deriving the
-  /// dispatch policy.
+  /// True when ForCost(n, flops, …) would hand the range to the pool
+  /// rather than run it inline. Exposed so the per-kernel perf
+  /// counters can record the serial-vs-parallel split without
+  /// re-deriving the dispatch policy.
   bool WouldParallelize(int n, std::int64_t flops) const;
 
-  // --- dense kernel entry points (shape-checked, partitioned via For) ---
+  // --- dense kernel entry points (shape-checked, partitioned via ForCost) ---
 
   /// out = tail(a[m,k] · b[k,n]) in one pass (kernels::MatMulTail):
   /// every element is written, so out may be unfilled. An empty tail
@@ -92,7 +99,7 @@ class Backend {
   /// out[m,1] += row-wise Σ_c x ⊙ y.
   void HadamardRowSumAcc(const Tensor& x, const Tensor& y, Tensor* out) const;
   /// Σ_i a[i]·b[i] in kernels::Dot's fixed 8-lane association, on
-  /// the calling thread on every backend (determinism contract).
+  /// the calling thread at every thread count (determinism contract).
   float Dot(const Tensor& a, const Tensor& b) const;
 
   // --- the BatchNorm1d (+ ReLU) tape node (kernels.h states each
@@ -134,7 +141,9 @@ class Backend {
                      Tensor* out) const;
   /// Scatter-add (segment sum): out[s,:] += Σ a[plan-ordered rows of
   /// s,:]. Parallelizes over destination segments and adds each
-  /// segment's rows in ascending original order.
+  /// segment's rows in ascending original order: GatherScatterAcc's
+  /// kernel with plan.perm as the gather list, counted as
+  /// `scatter_planned`.
   void ScatterAddRowsPlanned(const Tensor& a, const SegmentPlan& plan,
                              Tensor* out) const;
   /// Fused gather→scatter: out[s,:] += Σ_j h[gather[j],:] over the
@@ -171,54 +180,25 @@ class Backend {
   /// element (the mask may be unfilled). Always serial: the element
   /// order is the stream order. Requires 0 <= p < 1.
   void DropoutMask(double p, float keep_scale, Rng* rng, Tensor* mask) const;
-};
-
-/// Runs every range inline on the calling thread.
-class SerialBackend : public Backend {
- public:
-  const char* name() const override { return "serial"; }
-  int num_threads() const override { return 1; }
-  void For(int n, const std::function<void(int, int)>& fn) const override;
-};
-
-class ThreadPool;
-
-/// Partitions ranges across a fixed worker pool (src/util/thread_pool).
-class ParallelBackend : public Backend {
- public:
-  explicit ParallelBackend(int num_threads);
-  ~ParallelBackend() override;
-  const char* name() const override { return "parallel"; }
-  int num_threads() const override;
-  void For(int n, const std::function<void(int, int)>& fn) const override;
 
  private:
   std::unique_ptr<ThreadPool> pool_;
 };
 
-/// SerialBackend for threads <= 1, ParallelBackend otherwise.
-std::unique_ptr<Backend> MakeBackend(int threads);
-
 /// The process-wide backend used by ops and the core hot paths. Lazily
 /// initialized from the OODGNN_THREADS environment variable (default:
-/// serial). Not safe to swap while compute is in flight.
+/// one thread). Not safe to swap while compute is in flight.
 Backend& GetBackend();
 
-/// Installs `backend` (non-null) as the process-wide backend.
-void SetBackend(std::unique_ptr<Backend> backend);
-
-/// Installs `backend` and returns the previous one.
-std::unique_ptr<Backend> ExchangeBackend(std::unique_ptr<Backend> backend);
-
-/// Convenience: SetBackend(MakeBackend(threads)).
+/// Installs a backend of `threads` threads as the process-wide one.
 void SetBackendThreads(int threads);
 
-/// RAII backend swap for tests and benchmarks.
+/// RAII backend swap for tests and benchmarks: a backend of `threads`
+/// threads for the guard's scope, then the previous one again.
 class ScopedBackendThreads {
  public:
-  explicit ScopedBackendThreads(int threads)
-      : previous_(ExchangeBackend(MakeBackend(threads))) {}
-  ~ScopedBackendThreads() { ExchangeBackend(std::move(previous_)); }
+  explicit ScopedBackendThreads(int threads);
+  ~ScopedBackendThreads();
   ScopedBackendThreads(const ScopedBackendThreads&) = delete;
   ScopedBackendThreads& operator=(const ScopedBackendThreads&) = delete;
 

@@ -295,21 +295,6 @@ void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
   }
 }
 
-void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
-                           const std::vector<int>& offsets, Tensor* out,
-                           int s0, int s1) {
-  const int cols = a.cols();
-  for (int s = s0; s < s1; ++s) {
-    float* orow = out->row(s);
-    const int begin = offsets[static_cast<size_t>(s)];
-    const int end = offsets[static_cast<size_t>(s) + 1];
-    for (int j = begin; j < end; ++j) {
-      const float* src = a.row(perm[static_cast<size_t>(j)]);
-      for (int c = 0; c < cols; ++c) orow[c] += src[c];
-    }
-  }
-}
-
 void GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
                       const std::vector<int>& offsets, Tensor* out, int s0,
                       int s1) {

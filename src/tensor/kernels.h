@@ -200,20 +200,14 @@ void GatherRows(const Tensor& a, const std::vector<int>& index, Tensor* out,
 void GatherRowsAcc(const Tensor& g, const std::vector<int>& index, Tensor* out,
                    int r0, int r1);
 
-/// Scatter-add: out[s,:] += Σ_j a[perm[j],:] for j in
-/// [offsets[s], offsets[s+1]), for every segment s in [s0, s1); range
-/// over *segments* of out. perm/offsets come from a SegmentPlan, whose
-/// stable order adds each segment's rows in ascending original row
-/// order, and a chunk reads only its own segments' rows.
-void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
-                           const std::vector<int>& offsets, Tensor* out,
-                           int s0, int s1);
-
 /// Fused gather→scatter: out[s,:] += Σ_j h[gather[j],:] for j in
-/// [offsets[s], offsets[s+1]); range over segments. `gather` is the
-/// pre-permuted source array (MessagePlan::src_by_dst for the forward,
-/// dst_by_src for the h gradient), so the gathered edge tensor is never
-/// materialized.
+/// [offsets[s], offsets[s+1]); range over *segments* of out, so a chunk
+/// writes only its own segments' rows. `gather` is the pre-permuted
+/// source array (MessagePlan::src_by_dst for the forward, dst_by_src
+/// for the h gradient), so the gathered edge tensor is never
+/// materialized. With a SegmentPlan's own perm as `gather` it is the
+/// planned scatter-add (Backend::ScatterAddRowsPlanned): the plan's
+/// stable order adds each segment's rows in ascending original order.
 void GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
                       const std::vector<int>& offsets, Tensor* out, int s0,
                       int s1);

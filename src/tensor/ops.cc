@@ -294,7 +294,7 @@ Variable Square(const Variable& a) {
 }
 
 Variable Sum(const Variable& a) {
-  // Full-tensor scalar reduction: serial on every backend (contract).
+  // Full-tensor scalar reduction: serial at every thread count (contract).
   Tensor out(1, 1, a.value().Sum());
   NodePtr pa = a.node();
   return Variable::MakeOp(

@@ -201,16 +201,6 @@ void Scale(Tensor* y, float s, int i0, int i1) {
   for (; i < i1; ++i) ys[i] *= s;
 }
 
-void AddScalar(Tensor* y, float s, int i0, int i1) {
-  float* ys = y->data();
-  const vf vs = VBroadcast(s);
-  int i = i0;
-  for (; i + kVLen <= i1; i += kVLen) {
-    VStore(ys + i, VAdd(VLoad(ys + i), vs));
-  }
-  for (; i < i1; ++i) ys[i] += s;
-}
-
 void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0,
               int i1) {
   const float* as = a.data();
@@ -259,20 +249,6 @@ void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
     VStore(ds + i, VAdd(VLoad(ds + i), prod));
   }
   for (; i < i1; ++i) ds[i] += gs[i] * (xs[i] > 0.f ? 1.f : 0.f);
-}
-
-void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
-                       int i1) {
-  const float* gs = g.data();
-  const float* xs = x.data();
-  float* ds = dx->data();
-  const vf two = VBroadcast(2.f);
-  int i = i0;
-  for (; i + kVLen <= i1; i += kVLen) {
-    const vf prod = VMul(VLoad(gs + i), VMul(two, VLoad(xs + i)));
-    VStore(ds + i, VAdd(VLoad(ds + i), prod));
-  }
-  for (; i < i1; ++i) ds[i] += gs[i] * (2.f * xs[i]);
 }
 
 namespace {
@@ -347,25 +323,6 @@ void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
       VStore(orow + c, VAdd(VLoad(orow + c), VLoad(grow + c)));
     }
     for (; c < cols; ++c) orow[c] += grow[c];
-  }
-}
-
-void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
-                           const std::vector<int>& offsets, Tensor* out,
-                           int s0, int s1) {
-  const int cols = a.cols();
-  for (int s = s0; s < s1; ++s) {
-    float* orow = out->row(s);
-    const int begin = offsets[static_cast<size_t>(s)];
-    const int end = offsets[static_cast<size_t>(s) + 1];
-    for (int j = begin; j < end; ++j) {
-      const float* src = a.row(perm[static_cast<size_t>(j)]);
-      int c = 0;
-      for (; c + kVLen <= cols; c += kVLen) {
-        VStore(orow + c, VAdd(VLoad(orow + c), VLoad(src + c)));
-      }
-      for (; c < cols; ++c) orow[c] += src[c];
-    }
   }
 }
 
@@ -574,9 +531,6 @@ void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1) {
 void Scale(Tensor* y, float s, int i0, int i1) {
   kernels::Scale(y, s, i0, i1);
 }
-void AddScalar(Tensor* y, float s, int i0, int i1) {
-  kernels::AddScalar(y, s, i0, i1);
-}
 void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0,
               int i1) {
   kernels::Hadamard(a, b, out, i0, i1);
@@ -591,10 +545,6 @@ void Relu(const Tensor& x, Tensor* out, int i0, int i1) {
 void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                      int i1) {
   kernels::ReluBackwardAcc(g, x, dx, i0, i1);
-}
-void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
-                       int i1) {
-  kernels::SquareBackwardAcc(g, x, dx, i0, i1);
 }
 void MulColVec(const Tensor& a, const Tensor& col, Tensor* out, int r0,
                int r1) {
@@ -633,11 +583,6 @@ void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
 void GatherRowsAcc(const Tensor& g, const std::vector<int>& index,
                    Tensor* out, int r0, int r1) {
   kernels::GatherRowsAcc(g, index, out, r0, r1);
-}
-void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
-                           const std::vector<int>& offsets, Tensor* out,
-                           int s0, int s1) {
-  kernels::ScatterAddRowsPlanned(a, perm, offsets, out, s0, s1);
 }
 void GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
                       const std::vector<int>& offsets, Tensor* out, int s0,

@@ -34,7 +34,12 @@ namespace simd {
 // HadamardRowSum) sum serially and have no mirror: vectorizing them
 // would reassociate the sum. Otherwise only kernels where the
 // innermost loop walks the contiguous output (or panel-packed)
-// dimension with independent per-lane accumulators are mirrored. The
+// dimension with independent per-lane accumulators are mirrored, and
+// only where the work repays a second body: AddScalar and Square's
+// backward run their oracle, since every caller hands them at most a
+// batch's worth of elements (GIN's ε and TopKPool's norm are 1×1, the
+// reweighter's weights N×1). The planned scatter-add runs
+// GatherScatterAcc with its plan's perm as the gather list. The
 // scalar kernels' branches become lane masks: ReLU is an `x > 0`
 // compare ANDed with x, never a `max`: by ISA and operand order,
 // max(x, 0) returns NaN for a NaN lane and −0 for −0, where the scalar
@@ -137,14 +142,11 @@ float Dot(const Tensor& a, const Tensor& b);
 
 void Axpy(float alpha, const Tensor& x, Tensor* y, int i0, int i1);
 void Scale(Tensor* y, float s, int i0, int i1);
-void AddScalar(Tensor* y, float s, int i0, int i1);
 void Hadamard(const Tensor& a, const Tensor& b, Tensor* out, int i0, int i1);
 void HadamardAcc(const Tensor& g, const Tensor& x, Tensor* y, int i0, int i1);
 void Relu(const Tensor& x, Tensor* out, int i0, int i1);
 void ReluBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
                      int i1);
-void SquareBackwardAcc(const Tensor& g, const Tensor& x, Tensor* dx, int i0,
-                       int i1);
 
 // --- column-vector broadcasts (ranges over rows) ---
 
@@ -178,9 +180,6 @@ void BatchNormGradX(const Tensor& g, const Tensor& y, const Tensor& x,
 
 void GatherRowsAcc(const Tensor& g, const std::vector<int>& index, Tensor* out,
                    int r0, int r1);
-void ScatterAddRowsPlanned(const Tensor& a, const std::vector<int>& perm,
-                           const std::vector<int>& offsets, Tensor* out,
-                           int s0, int s1);
 void GatherScatterAcc(const Tensor& h, const std::vector<int>& gather,
                       const std::vector<int>& offsets, Tensor* out, int s0,
                       int s1);

@@ -15,7 +15,7 @@ constexpr int kMaxThreads = 256;
 
 /// A whole decimal number in [1, kMaxThreads], with no sign, space or
 /// suffix. Anything else logs `text` and its `source` at Error and
-/// returns 1, the serial backend.
+/// returns 1: one thread, every range run inline.
 int ParseThreadCount(const std::string& text, const std::string& source);
 
 /// OODGNN_THREADS through ParseThreadCount; `fallback` if unset or empty.

@@ -1,13 +1,15 @@
 // Tests for the kernel/backend layer: every kernel is compared against
 // a naive reference, and — the determinism contract — produces bitwise
-// identical results under the serial backend and the parallel backend
-// at 2 and 8 threads. A gradcheck run under ParallelBackend proves the
-// backward pass is deterministic too.
+// identical results on a backend of 1, 2 and 8 threads. A gradcheck
+// run on 8 threads proves the backward pass is deterministic too, and
+// every entry point is checked for the kernel counters it records.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,11 +25,13 @@
 #include "src/gnn/sage_conv.h"
 #include "src/graph/batch.h"
 #include "src/graph/graph.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/backend.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/segment_plan.h"
+#include "src/tensor/simd.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
@@ -674,6 +678,274 @@ TEST(KernelsTest, CopyRowsToAcrossThreads) {
         }
         return dst;
       }());
+}
+
+// ---------------------------------------------------------------------------
+// Per-kernel counters: what each entry point records under --profile.
+// ---------------------------------------------------------------------------
+
+/// One Backend entry point, called once, and what the registry must
+/// record for it: kernel/<op>/calls +1 and elems + `elems`;
+/// parallel_calls +1 when it partitions its range and the backend has
+/// threads (every partitioned call below is past the parallel cutoff);
+/// one kernel/simd/{vector,scalar}_calls when the kernel has a vector
+/// body.
+struct CountedCall {
+  std::string op;
+  std::int64_t elems;
+  bool partitions;
+  bool vector_body;
+  std::function<void()> call;
+};
+
+/// The global registry's kernel/ counters, wall time (/us) left out.
+std::map<std::string, std::int64_t> KernelCounts() {
+  std::map<std::string, std::int64_t> counts;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().GetSnapshot().counters) {
+    if (name.starts_with("kernel/") && !name.ends_with("/us")) {
+      counts[name] = value;
+    }
+  }
+  return counts;
+}
+
+TEST(KernelsTest, EveryEntryPointRecordsItsCounters) {
+  constexpr int kRows = 131;
+  constexpr int kCols = 257;
+  constexpr int kDim = 64;
+  constexpr int kEdges = 300;
+  constexpr std::int64_t kSize = std::int64_t{kRows} * kCols;
+  const Tensor x = RandomTensor(kRows, kCols, 60);
+  const Tensor g = RandomTensor(kRows, kCols, 61);
+  const Tensor col = RandomTensor(kRows, 1, 62);
+  const Tensor row = RandomTensor(1, kCols, 63);
+  const Tensor a = RandomTensor(kRows, kDim, 64);
+  const Tensor b = RandomTensor(kDim, kDim, 65);
+  const Tensor std_dev = test::PositiveRow(kCols, 66);
+  kernels::MatMulTail tail;
+  tail.neg_mean = row.data();
+  tail.std_dev = std_dev.data();
+  tail.gamma = std_dev.data();
+  tail.beta = row.data();
+  tail.relu = true;
+  const std::vector<int> src = RandomIndex(kEdges, kRows, 67);
+  const std::vector<int> dst = RandomIndex(kEdges, kRows, 68);
+  const MessagePlan plan = MessagePlan::Build(src, dst, kRows);
+  const Tensor edges = RandomTensor(kEdges, kCols, 69);
+  const Tensor w = RandomTensor(kEdges, 1, 70);
+  std::vector<int> rff_dims(kDim);
+  for (int j = 0; j < kDim; ++j) rff_dims[static_cast<size_t>(j)] = 3 * j;
+  const std::vector<float> omega(kDim, 0.5f);
+  const std::vector<float> phase(kDim, 0.25f);
+  std::vector<int> argrow(static_cast<size_t>(kSize));
+  {
+    Tensor extreme(kRows, kCols);
+    GetBackend().SegmentExtremePlanned(edges, plan.by_dst, true, &extreme,
+                                       &argrow);
+  }
+
+  const std::vector<CountedCall> calls = {
+      {"matmul", kRows * kDim, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kDim);
+         GetBackend().MatMulWithTail(a, b, kernels::MatMulTail{}, &out);
+       }},
+      {"matmul_ta", kDim * kDim, true, true,
+       [&] {
+         Tensor out(kDim, kDim);
+         GetBackend().MatMulTransAAcc(a, a, &out);
+       }},
+      {"matmul_tb", kRows * kDim, true, true,
+       [&] {
+         Tensor out(kRows, kDim);
+         GetBackend().MatMulTransBAcc(a, b, &out);
+       }},
+      {"axpy", kSize, true, true,
+       [&] {
+         Tensor y = x;
+         GetBackend().Axpy(2.5f, g, &y);
+       }},
+      {"scale", kSize, true, true,
+       [&] {
+         Tensor y = x;
+         GetBackend().ScaleInPlace(0.5f, &y);
+       }},
+      {"add_scalar", kSize, true, false,
+       [&] {
+         Tensor y = x;
+         GetBackend().AddScalarAcc(-1.f, &y);
+       }},
+      {"hadamard", kSize, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kCols);
+         GetBackend().Hadamard(x, g, &out);
+       }},
+      {"hadamard_acc", kSize, true, true,
+       [&] {
+         Tensor y = x;
+         GetBackend().HadamardAcc(g, x, &y);
+       }},
+      {"relu", kSize, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kCols);
+         GetBackend().Relu(x, &out);
+       }},
+      {"relu_backward", kSize, true, true,
+       [&] {
+         Tensor dx = g;
+         GetBackend().ReluBackwardAcc(g, x, &dx);
+       }},
+      {"square_backward", kSize, true, false,
+       [&] {
+         Tensor dx = g;
+         GetBackend().SquareBackwardAcc(g, x, &dx);
+       }},
+      {"mul_col_vec", kSize, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kCols);
+         GetBackend().MulColVec(x, col, &out);
+       }},
+      {"mul_col_vec_acc", kSize, true, true,
+       [&] {
+         Tensor dx = g;
+         GetBackend().MulColVecAcc(x, col, &dx);
+       }},
+      {"column_sum", kSize, true, true,
+       [&] {
+         Tensor out(1, kCols);
+         GetBackend().ColumnSumAcc(x, &out);
+       }},
+      {"row_broadcast", kSize, true, true,
+       [&] {
+         Tensor y = x;
+         GetBackend().RowBroadcastAcc(row, &y);
+       }},
+      {"hadamard_row_sum", kSize, true, false,
+       [&] {
+         Tensor out(kRows, 1);
+         GetBackend().HadamardRowSumAcc(x, g, &out);
+       }},
+      {"dot", kSize, false, true, [&] { (void)GetBackend().Dot(x, g); }},
+      {"batch_norm", kSize, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kCols);
+         GetBackend().BatchNorm(tail, x, &out);
+       }},
+      {"centered_square_sum", kSize, true, true,
+       [&] {
+         Tensor out(1, kCols);
+         GetBackend().CenteredSquareSumAcc(x, row, &out);
+       }},
+      {"batch_norm_grad_sums", kSize, true, true,
+       [&] {
+         Tensor dgamma(1, kCols);
+         Tensor dbeta(1, kCols);
+         Tensor dn_xhat(1, kCols);
+         GetBackend().BatchNormGradSumsAcc(g, x, x, tail, &dgamma, &dbeta,
+                                           &dn_xhat);
+       }},
+      {"batch_norm_grad_x", kSize, true, true,
+       [&] {
+         Tensor dx = Tensor::Unfilled(kRows, kCols);
+         Tensor dx_sum(1, kCols);
+         GetBackend().BatchNormGradX(g, x, x, tail, &row,
+                                     /*accumulate=*/false, &dx, &dx_sum);
+       }},
+      {"rff_map", kRows * kDim, true, true,
+       [&] {
+         Tensor out = Tensor::Unfilled(kRows, kDim);
+         GetBackend().RffMap(x, rff_dims, omega, phase, /*linear_only=*/false,
+                             1.f, &out);
+       }},
+      {"gather_rows", kEdges * kCols, true, false,
+       [&] {
+         Tensor out = Tensor::Unfilled(kEdges, kCols);
+         GetBackend().GatherRows(x, src, &out);
+       }},
+      {"gather_rows_acc", kEdges * kCols, true, true,
+       [&] {
+         Tensor out(kEdges, kCols);
+         GetBackend().GatherRowsAcc(x, src, &out);
+       }},
+      {"scatter_planned", kEdges * kCols, true, true,
+       [&] {
+         Tensor out(kRows, kCols);
+         GetBackend().ScatterAddRowsPlanned(edges, plan.by_dst, &out);
+       }},
+      {"gather_scatter", kEdges * kCols, true, true,
+       [&] {
+         Tensor out(kRows, kCols);
+         GetBackend().GatherScatterAcc(x, plan.src_by_dst, plan.by_dst, &out);
+       }},
+      // The weighted gather-scatter and the edge dot count their flops.
+      {"gather_scatter_weighted", 2 * kEdges * kCols, true, true,
+       [&] {
+         Tensor out(kRows, kCols);
+         GetBackend().GatherScatterWeightedAcc(x, w, plan.src_by_dst,
+                                               plan.by_dst, &out);
+       }},
+      {"edge_dot", 2 * kEdges * kCols, true, false,
+       [&] {
+         Tensor out(kEdges, 1);
+         GetBackend().EdgeDotAcc(x, g, src, dst, &out);
+       }},
+      {"segment_extreme_planned", kEdges * kCols, true, false,
+       [&] {
+         Tensor out(kRows, kCols);
+         std::vector<int> args(static_cast<size_t>(kSize));
+         GetBackend().SegmentExtremePlanned(edges, plan.by_dst, false, &out,
+                                            &args);
+       }},
+      {"segment_extreme_backward", kSize, true, false,
+       [&] {
+         Tensor out(kEdges, kCols);
+         GetBackend().SegmentExtremeBackwardAcc(g, argrow, &out);
+       }},
+      {"copy_rows", kSize, true, false,
+       [&] {
+         Tensor out(kRows + 5, kCols);
+         GetBackend().CopyRowsTo(x, &out, 5);
+       }},
+      {"dropout_mask", kSize, false, true,
+       [&] {
+         Rng rng(71);
+         Tensor mask = Tensor::Unfilled(kRows, kCols);
+         GetBackend().DropoutMask(0.5, 2.f, &rng, &mask);
+       }},
+  };
+
+  for (int threads : {1, 4}) {
+    for (bool simd_on : {false, true}) {
+      ScopedBackendThreads scoped_threads(threads);
+      simd::ScopedSimdEnabled scoped_simd(simd_on);
+      test::ScopedProfiling profiling(true);
+      const std::string dispatch = simd::Enabled()
+                                       ? "kernel/simd/vector_calls"
+                                       : "kernel/simd/scalar_calls";
+      for (const CountedCall& c : calls) {
+        SCOPED_TRACE(c.op + " at " + std::to_string(threads) +
+                     " threads, SIMD " + (simd_on ? "on" : "off"));
+        const std::map<std::string, std::int64_t> before = KernelCounts();
+        c.call();
+        std::map<std::string, std::int64_t> moved;
+        for (const auto& [name, value] : KernelCounts()) {
+          const auto it = before.find(name);
+          const std::int64_t delta =
+              value - (it == before.end() ? 0 : it->second);
+          if (delta != 0) moved[name] = delta;
+        }
+        const std::string prefix = "kernel/" + c.op;
+        std::map<std::string, std::int64_t> expected = {
+            {prefix + "/calls", 1}, {prefix + "/elems", c.elems}};
+        if (c.partitions && threads > 1) {
+          expected[prefix + "/parallel_calls"] = 1;
+        }
+        if (c.vector_body) expected[dispatch] = 1;
+        EXPECT_EQ(moved, expected);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

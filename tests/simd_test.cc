@@ -422,11 +422,6 @@ TEST(SimdTest, ElementwiseBitwise) {
       "scale");
   ExpectRangeKernelBitwise(
       n, y_init,
-      [&](Tensor* y, int i0, int i1) { kernels::AddScalar(y, -2.5f, i0, i1); },
-      [&](Tensor* y, int i0, int i1) { simd::AddScalar(y, -2.5f, i0, i1); },
-      "add_scalar");
-  ExpectRangeKernelBitwise(
-      n, y_init,
       [&](Tensor* out, int i0, int i1) { kernels::Hadamard(x, g, out, i0, i1); },
       [&](Tensor* out, int i0, int i1) { simd::Hadamard(x, g, out, i0, i1); },
       "hadamard");
@@ -490,15 +485,6 @@ TEST(SimdTest, ReluAndSquareBackwardBitwise) {
             simd::ReluBackwardAcc(g, x, dx, i0, i1);
           },
           "relu_backward " + what);
-      ExpectRangeKernelBitwise(
-          n, init,
-          [&](Tensor* dx, int i0, int i1) {
-            kernels::SquareBackwardAcc(g, x, dx, i0, i1);
-          },
-          [&](Tensor* dx, int i0, int i1) {
-            simd::SquareBackwardAcc(g, x, dx, i0, i1);
-          },
-          "square_backward " + what);
     }
   }
 }
@@ -769,17 +755,18 @@ TEST(SimdTest, GatherScatterFamilyBitwise) {
       },
       "gather_rows_acc");
 
-  // Planned scatter-add over edge rows.
+  // Planned scatter-add over edge rows: the gather-scatter kernel with
+  // the plan's own perm as the gather list.
   const Tensor edge_vals = RandomTensor(num_edges, cols, 149);
   ExpectRangeKernelBitwise(
       num_nodes, out_init,
       [&](Tensor* out, int s0, int s1) {
-        kernels::ScatterAddRowsPlanned(edge_vals, plan.by_dst.perm,
-                                       plan.by_dst.offsets, out, s0, s1);
+        kernels::GatherScatterAcc(edge_vals, plan.by_dst.perm,
+                                  plan.by_dst.offsets, out, s0, s1);
       },
       [&](Tensor* out, int s0, int s1) {
-        simd::ScatterAddRowsPlanned(edge_vals, plan.by_dst.perm,
-                                    plan.by_dst.offsets, out, s0, s1);
+        simd::GatherScatterAcc(edge_vals, plan.by_dst.perm,
+                               plan.by_dst.offsets, out, s0, s1);
       },
       "scatter_add_planned");
 
